@@ -260,6 +260,12 @@ def _run_verify(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dic
     if not args.coloring:
         raise CliError("invalid-input", "verify needs --coloring FILE")
     coloring = coloring_from_json(_load_json(args.coloring, "coloring"))
+    missing = g.vertex_set() - coloring.domain
+    if missing:
+        raise ContractViolation(
+            "coloring misses %d of %d graph vertices: %s"
+            % (len(missing), len(g), sorted(missing))
+        )
     bound = _parse_frac(args.bound, "bound") if args.bound else None
     report = verify_weak_diameter(g, lf, coloring, bound=bound)
     payload = {

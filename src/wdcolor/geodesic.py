@@ -50,6 +50,7 @@ from .patching import (
 from .treedec import (
     RootedTreeDecomposition,
     TreeEdge,
+    ball_region,
     con_color_bound,
     condense,
     lift_condensation_coloring,
@@ -539,35 +540,11 @@ def _control_rec(
     # the result, lift the patched coloring back, then finish the far parts
     a_prev = control_radii(theta, mu, lf, eta - 1)[-1]
     nf_prev = control_extension_bound(eta - 1, theta, mu, lf, m)
-    t0set = {t for t in td.nodes if td.bags[t] & z_ball}
-    if td.root not in t0set:
-        raise ContractViolation("%s: the root bag lost contact with its own zone" % what)
-    reach0 = {td.root}
-    grow = [td.root]
-    for t in grow:
-        for ch in td.children[t]:
-            if ch in t0set and ch not in reach0:
-                reach0.add(ch)
-                grow.append(ch)
-    if reach0 != t0set:
-        raise ContractViolation("%s: zone bags do not form a rooted subtree" % what)
-    u_edges = tuple((p, ch) for (p, ch) in td.tree_edges if p in t0set and ch not in t0set)
+    t0set, u_edges = ball_region(td, z_ball, what)
     cond = condense(g, td, u_edges, (), lf, theta, a_prev + mu)
-    g0 = cond.g0
-    bags0: Dict[int, FrozenSet[int]] = {t: td.bags[t] for t in t0set}
-    edges0 = [(p, ch) for (p, ch) in td.tree_edges if p in t0set and ch in t0set]
-    for e in u_edges:
-        bags0[e[1]] = cond.shortcut_parts[e].reach
-        edges0.append(e)
-    td0 = RootedTreeDecomposition(bags0, edges0, td.root)
-    rep0 = validate_td(g0, td0)
-    if not rep0["ok"]:
-        raise ContractViolation("%s: condensed decomposition invalid: %s" % (what, rep0["failures"][:3]))
-    for e in u_edges:
-        if td0.adhesion_of(e) != td.adhesion_of(e):
-            raise ContractViolation("%s: condensed leaf %s changed its adhesion" % (what, e))
+    g0, td0 = cond.g0, cond.td0
     r_zs: Dict[TreeEdge, FrozenSet[int]] = {}
-    for e in edges0:
+    for e in td0.tree_edges:
         if e in cond.shortcut_parts:
             r_zs[e] = frozenset()
             continue
@@ -596,7 +573,7 @@ def _control_rec(
 
     triples0: Dict[TreeEdge, GuardTriple] = {}
     centers0: Dict[int, Tuple[int, ...]] = {t: centers[t] for t in t0set}
-    for e in edges0:
+    for e in td0.tree_edges:
         base = con.edge_triples[e]
         triples0[e] = derive(base, r_zs[e])
         if e in cond.shortcut_parts:
@@ -673,18 +650,20 @@ def _control_rec(
         q = max(td.nodes) + 1
         if m_new < measure_sat[1]:
             td_star = td.subdivide_edge(e, q, x_e).reroot(q)
-            te_edges = {fe for fe in td.tree_edges if fe[0] in set(td.subtree_nodes(e))}
+            below = set(td.subtree_nodes(e))
             fresh = {
                 (q, e[1]): GuardTriple(tri.free - rstar, tri.removed - wset, tri.free | tri.both),
                 (q, e[0]): GuardTriple(tri.free - rstar, tri.removed - wset, tri.free | tri.both),
             }
             triples_star: Dict[TreeEdge, GuardTriple] = dict(fresh)
-            by_pair = {frozenset(fe): (fe, con.edge_triples[fe]) for fe in td.tree_edges if fe != e}
             for ne in td_star.tree_edges:
                 if ne in triples_star:
                     continue
-                fe, t2 = by_pair[frozenset(ne)]
-                if fe in te_edges:
+                # re-rooting at q flips only edges above e, so ne[0] tells the side
+                t2 = con.edge_triples.get(ne)
+                if t2 is None:
+                    t2 = con.edge_triples[(ne[1], ne[0])]
+                if ne[0] in below:
                     triples_star[ne] = GuardTriple(
                         t2.free - rstar, t2.removed - wset, t2.free | t2.both
                     )
@@ -1281,8 +1260,9 @@ def make_slabs(
     pad = 2 * lf if padding is None else as_fraction(padding)
     if pad < 0:
         raise GraphError("padding must be nonnegative")
-    if set(projection) < g.vertex_set():
-        raise GraphError("projection misses vertices")
+    missing = g.vertex_set() - set(projection)
+    if missing:
+        raise GraphError("projection misses vertices %s" % sorted(missing)[:5])
     for (u, v, w) in g.edges:
         if abs(projection[u] - projection[v]) > w:
             raise GraphError("projection is not 1-Lipschitz across edge (%s, %s)" % (u, v))

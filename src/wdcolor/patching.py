@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from wdcolor.graph import (
     GraphError,
@@ -30,7 +30,7 @@ from wdcolor.partition import (
     check_weak_diameter,
 )
 
-MergeMode = str  # "general" | "delete" | "power"
+MergeMode = str  # "general" | "delete"
 
 
 def patch_bound(k: int, r: object, ell: object, n: object) -> Fraction:
@@ -142,12 +142,11 @@ def patch_colorings(
         weak diameter at most n_claimed measured in the full power graph.
     mode "delete": `deleted` must be empty; c colors the Z-deleted power
         graph with weak diameter measured there.
-    mode "power": c colors the full power graph minus (deleted union Z).
-    All modes return c union c_Z restricted away from `deleted`, re-verified
+    Both modes return c union c_Z restricted away from `deleted`, re-verified
     at patch_bound(cert.k, cert.radius, ell, n_claimed) in the full power
     graph.
     """
-    if mode not in ("general", "delete", "power"):
+    if mode not in ("general", "delete"):
         raise GraphError("unknown merge mode %r" % (mode,))
     lf = as_fraction(ell)
     mw = g.max_edge_weight()
@@ -210,61 +209,3 @@ def vertex_cover_bound(k: int, w: int, ell: object) -> Fraction:
     delete-mode patch over the k cover vertices."""
     n1 = centered_bound(w, 0, ell)
     return patch_bound(k, 0, ell, n1)
-
-
-def vertex_cover_color(
-    g: WeightedGraph,
-    ell: object,
-    cover: Iterable[int],
-    w: int,
-    m: int = 1,
-    coloring: Optional[Coloring] = None,
-    power: Optional[PowerGraph] = None,
-    what: str = "vertex-cover",
-) -> MergeResult:
-    """Color a graph whose cover-deleted components have at most w vertices."""
-    cov = set(cover)
-    unknown = cov - g.vertex_set()
-    if unknown:
-        raise GraphError("cover contains unknown vertices %s" % sorted(unknown)[:5])
-    rest = g.without(cov)
-    for comp in rest.connected_components():
-        if len(comp) > w:
-            raise GraphError(
-                "component with min vertex %s has %d > w=%d vertices after removing the cover"
-                % (comp[0], len(comp), w)
-            )
-    if coloring is None:
-        coloring = Coloring.constant(g.vertex_set(), m)
-    bound = vertex_cover_bound(len(cov), w, ell)
-    report = check_weak_diameter(g, ell, coloring, bound=bound, what=what, power=power)
-    return MergeResult(coloring, bound, report)
-
-
-BaseColorer = Callable[[WeightedGraph, Fraction], Tuple[Coloring, Fraction]]
-
-
-def apex_color(
-    base_colorer: BaseColorer,
-    n: int,
-    g: WeightedGraph,
-    ell: object,
-    apex_set: Iterable[int],
-    m: int = 1,
-    power: Optional[PowerGraph] = None,
-    what: str = "apex",
-    exact: bool = True,
-) -> MergeResult:
-    """Color g by deleting up to n apex vertices, coloring the rest with the
-    base colorer, and gluing the apexes back with a delete-mode patch."""
-    z = set(apex_set)
-    if len(z) > n:
-        raise GraphError("apex set larger than declared n=%d" % n)
-    lf = as_fraction(ell)
-    rest = g.without(z)
-    c, n_claimed = base_colorer(rest, lf)
-    cert = CenterCertificate.build(g, z, 0, z, k=n)
-    return patch_colorings(
-        g, lf, cert, (), None, c,
-        mode="delete", n_claimed=n_claimed, m=m, power=power, what=what, exact=exact,
-    )

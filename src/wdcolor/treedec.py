@@ -222,6 +222,36 @@ def validate_td(g: WeightedGraph, td: RootedTreeDecomposition) -> dict:
     }
 
 
+def ball_region(
+    td: RootedTreeDecomposition, ball: FrozenSet[int], what: str
+) -> Tuple[FrozenSet[int], Tuple[TreeEdge, ...]]:
+    """The nodes whose bags meet `ball`, checked to form a subtree holding
+    the root, and the tree edges leaving that subtree."""
+    nodes = frozenset(t for t in td.nodes if td.bags[t] & ball)
+    if td.root not in nodes:
+        raise ContractViolation("%s: the root bag misses the ball" % what)
+    for t in nodes:
+        if t != td.root and td.parent[t] not in nodes:
+            raise ContractViolation("%s: ball bags do not form a rooted subtree" % what)
+    frontier = tuple(e for e in td.tree_edges if e[0] in nodes and e[1] not in nodes)
+    return nodes, frontier
+
+
+def component_decomposition(
+    td: RootedTreeDecomposition, comp: Iterable[int], what: str
+) -> RootedTreeDecomposition:
+    """The nodes whose bags meet one connected component, with their bags
+    cut down to it, rooted at the topmost of them."""
+    cs = frozenset(comp)
+    keep = {t for t in td.nodes if td.bags[t] & cs}
+    tops = [t for t in keep if td.parent[t] not in keep]
+    if len(tops) != 1:
+        raise ContractViolation("%s: component bags do not span a subtree" % what)
+    bags = {t: td.bags[t] & cs for t in keep}
+    edges = [(p, ch) for (p, ch) in td.tree_edges if p in keep and ch in keep]
+    return RootedTreeDecomposition(bags, edges, tops[0])
+
+
 @dataclass(frozen=True)
 class PartitionChain:
     """Partitions of a ground set indexed by level; level 0 is singletons,
@@ -456,6 +486,7 @@ class Condensation:
     g: WeightedGraph
     td: RootedTreeDecomposition
     g0: WeightedGraph
+    td0: RootedTreeDecomposition  # decomposition of g0, see condense
     u_e: Tuple[TreeEdge, ...]
     u_e_prime: Tuple[TreeEdge, ...]
     ell: Fraction
@@ -480,7 +511,12 @@ def condense(
 ) -> Condensation:
     """Build the condensed graph over the frontier u_e: the root side plus,
     per frontier edge, either an attached hierarchy forest (u_e_prime) or
-    the radius-ell fringe with distance-scaled shortcut edges."""
+    the radius-ell fringe with distance-scaled shortcut edges.
+
+    The condensed graph comes with a validated decomposition td0: the root
+    side's bags, plus one leaf per frontier edge, at the edge's child node,
+    holding the edge's hierarchy vertices or its fringe reach.  Every leaf
+    keeps the adhesion its edge has in td."""
     lf = as_fraction(ell)
     mf = as_fraction(mu)
     if theta < 1 or lf <= 0 or mf < 0:
@@ -560,8 +596,25 @@ def condense(
     mw0 = g0.max_edge_weight()
     if mw0 is not None and mw0 > lf:
         raise ContractViolation("condensed graph carries weight %s > ell" % (mw0,))
+    bags0: Dict[int, FrozenSet[int]] = {t: td.bags[t] for t in t0_nodes}
+    for e in frontier:
+        if e in hierarchies:
+            bags0[e[1]] = frozenset(hierarchies[e].vertex_ids.values())
+        else:
+            bags0[e[1]] = shortcut_parts[e].reach
+    kept = set(t0_nodes)
+    edges0 = [e for e in td.tree_edges if e[0] in kept and e[1] in kept] + list(frontier)
+    td0 = RootedTreeDecomposition(bags0, edges0, td.root)
+    rep0 = validate_td(g0, td0)
+    if not rep0["ok"]:
+        raise ContractViolation(
+            "condensed decomposition invalid: %s" % "; ".join(rep0["failures"][:3])
+        )
+    for e in frontier:
+        if td0.adhesion_of(e) != td.adhesion_of(e):
+            raise ContractViolation("condensed leaf %s changed its adhesion" % (e,))
     return Condensation(
-        g=g, td=td, g0=g0, u_e=frontier, u_e_prime=prime, ell=lf, theta=theta, mu=mf,
+        g=g, td=td, g0=g0, td0=td0, u_e=frontier, u_e_prime=prime, ell=lf, theta=theta, mu=mf,
         eps=eps, t0_nodes=t0_nodes, t0_vertices=t0_vertices, base_vertices=frozenset(base),
         hierarchies=hierarchies, shortcut_parts=shortcut_parts,
     )

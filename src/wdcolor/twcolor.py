@@ -31,6 +31,8 @@ from .patching import (
 from .treedec import (
     RootedTreeDecomposition,
     TreeEdge,
+    ball_region,
+    component_decomposition,
     con_color_bound,
     condense,
     lift_condensation_coloring,
@@ -362,7 +364,6 @@ class _Ctx:
     m: int
     colorer: BagColorer
     deep: bool
-    exact: bool = True
 
 
 def _paint_piece(ctx: _Ctx, h: WeightedGraph, what: str) -> Coloring:
@@ -371,7 +372,7 @@ def _paint_piece(ctx: _Ctx, h: WeightedGraph, what: str) -> Coloring:
         raise ContractViolation("%s: piece colorer domain mismatch" % what)
     if c.num_colors > ctx.m:
         raise ContractViolation("%s: piece colorer used more than m colors" % what)
-    check_weak_diameter(h, ctx.lf, c, bound=ctx.colorer.n, what=what, exact=ctx.exact)
+    check_weak_diameter(h, ctx.lf, c, bound=ctx.colorer.n, what=what, exact=False)
     return Coloring(dict(c.assignment), ctx.m)
 
 
@@ -425,7 +426,7 @@ def _color_rec(
         cc = Coloring(dict(c.assignment), ctx.m)
         centered_color(
             g, lf, (), cert, m=ctx.m, coloring=cc,
-            what=what + ": fully precolored", exact=ctx.exact,
+            what=what + ": fully precolored", exact=False,
         )
         return cc
 
@@ -446,54 +447,24 @@ def _color_rec(
         cert = CenterCertificate.build(g, sorted(root_bag), 3 * lf, sorted(z0), ctx.theta)
         centered_color(
             g, lf, (), cert, m=ctx.m, coloring=c_sat,
-            what=what + ": saturated ball", exact=ctx.exact,
+            what=what + ": saturated ball", exact=False,
         )
         return c_sat
 
     # the tree region whose bags meet the ball, and the frontier leaving it
-    t0_nodes = [t for t in td.nodes if td.bags[t] & z0]
-    t0_set = set(t0_nodes)
-    for t in t0_nodes:
-        if t != td.root and td.parent[t] not in t0_set:
-            raise ContractViolation("%s: ball region is not connected in the tree" % what)
-    u_e = sorted(
-        (p, ch) for (p, ch) in td.tree_edges if p in t0_set and ch not in t0_set
-    )
-    for (p, ch) in td.tree_edges:
-        if ch in t0_set and p not in t0_set:
-            raise ContractViolation("%s: ball region misses a parent node" % what)
-
+    _, u_e = ball_region(td, z0, what)
     cond = condense(g, td, u_e, u_e, lf, ctx.theta, 0)
-    g0 = cond.g0
+    g0, td0 = cond.g0, cond.td0
     if z0 - g0.vertex_set():
         raise ContractViolation("%s: ball leaks out of the condensed graph" % what)
-
-    # decomposition of the condensed graph: region bags plus one leaf per
-    # frontier edge holding that edge's attached stand-in vertices
-    bags0: Dict[int, FrozenSet[int]] = {t: td.bags[t] for t in t0_nodes}
-    edges0: List[TreeEdge] = [
-        (p, ch) for (p, ch) in td.tree_edges if p in t0_set and ch in t0_set
-    ]
-    fresh_node = max(td.nodes) + 1
-    for e in u_e:
-        att = cond.hierarchies[e]
-        bags0[fresh_node] = frozenset(att.vertex_ids.values())
-        edges0.append((e[0], fresh_node))
-        fresh_node += 1
-    td0 = RootedTreeDecomposition(bags0, edges0, td.root)
-    rep0 = validate_td(g0, td0)
-    if not rep0["ok"]:
-        raise ContractViolation(
-            "%s: condensed decomposition failed validation: %s"
-            % (what, "; ".join(rep0["failures"][:3]))
-        )
 
     # color the condensed graph beyond the ball one guard level down
     n_prev = tree_extension_bound(eta - 1, ctx.theta, lf, ctx.colorer.n, ctx.m)
     rest0 = g0.vertex_set() - z0
+    fresh_node = max(td.nodes) + 1
     if rest0:
-        bags00 = {t: b - z0 for t, b in bags0.items()}
-        edges00 = list(edges0)
+        bags00 = {t: b - z0 for t, b in td0.bags.items()}
+        edges00 = list(td0.tree_edges)
         root00 = td0.root
         if eta - 1 >= 1:
             # pull one far vertex up to a fresh root; all bags strictly
@@ -547,7 +518,7 @@ def _color_rec(
     mr = patch_colorings(
         g0, lf, cert0, (), c_sat, c0_rest,
         mode="delete", n_claimed=n_prev, m=ctx.m, what=what + ": ball patch",
-        exact=ctx.exact,
+        exact=False,
     )
 
     # lift the condensed coloring back to the graph around the region
@@ -556,7 +527,7 @@ def _color_rec(
         raise ContractViolation("%s: patch bound bookkeeping drifted" % what)
     lr = lift_condensation_coloring(
         cond, mr.coloring, ctx.m, n_claimed=lift_claim, what=what + ": lift",
-        exact=ctx.exact,
+        exact=False,
     )
     if lr.bound != bound:
         raise ContractViolation(
@@ -601,7 +572,7 @@ def _color_rec(
                 g_e, lf, c_e_full,
                 bound=Fraction(ctx.theta + ctx.lam),
                 what=what + ": oversized part",
-                exact=ctx.exact,
+                exact=False,
             )
             parts_out.append(c_e_full)
             continue
@@ -624,7 +595,7 @@ def _color_rec(
         if out.color(v) != c.color(v):
             raise ContractViolation("%s: precolored vertex %s was recolored" % (what, v))
     if ctx.deep:
-        check_weak_diameter(g, lf, out, bound=bound, what=what + ": assembled", exact=ctx.exact)
+        check_weak_diameter(g, lf, out, bound=bound, what=what + ": assembled", exact=False)
     return out
 
 
@@ -668,7 +639,7 @@ def _color_flat(
                 h, lf, cert, (), c, cp,
                 mode="delete", n_claimed=ctx.colorer.n, m=ctx.m,
                 what=what + ": root piece patch",
-                exact=ctx.exact,
+                exact=False,
             )
             pieces.append(mr.coloring)
         else:
@@ -677,7 +648,7 @@ def _color_flat(
     if out.domain != g.vertex_set():
         raise ContractViolation("%s: star pieces miss vertices" % what)
     if ctx.deep:
-        check_weak_diameter(g, lf, out, bound=bound, what=what + ": assembled", exact=ctx.exact)
+        check_weak_diameter(g, lf, out, bound=bound, what=what + ": assembled", exact=False)
     return out
 
 
@@ -698,28 +669,17 @@ def _color_split(
     fresh_node = max(td.nodes) + 1
     for comp in comps:
         cs = frozenset(comp)
-        nodes_c = [t for t in td.nodes if td.bags[t] & cs]
-        keep = set(nodes_c)
-        bags_c = {t: td.bags[t] & cs for t in nodes_c}
-        edges_c = [(p, ch) for (p, ch) in td.tree_edges if p in keep and ch in keep]
-        tops = [t for t in nodes_c if td.parent[t] is None or td.parent[t] not in keep]
-        if len(tops) != 1:
-            raise ContractViolation("%s: component bags do not span a subtree" % what)
-        top = tops[0]
+        td_c = component_decomposition(td, cs, what)
         g_c = g.induced(cs)
         z_c = zset & cs
-        if td.root in keep:
-            if top != td.root:
-                raise ContractViolation("%s: component subtree misplaced the root" % what)
-            td_c = RootedTreeDecomposition(bags_c, edges_c, td.root)
-        else:
+        if td.root not in td_c.bags:
             if z_c:
                 raise ContractViolation(
                     "%s: precolored vertices in a component away from the root" % what
                 )
-            v0 = min(bags_c[top])
-            bags_c[fresh_node] = frozenset({v0})
-            edges_c.append((fresh_node, top))
+            bags_c = dict(td_c.bags)
+            bags_c[fresh_node] = frozenset({min(td_c.bags[td_c.root])})
+            edges_c = list(td_c.tree_edges) + [(fresh_node, td_c.root)]
             td_c = RootedTreeDecomposition(bags_c, edges_c, fresh_node)
             fresh_node += 1
         pieces.append(
@@ -766,7 +726,7 @@ def color_adhesion_construction(
         raise GraphError("precoloring uses more than m colors")
     sys.setrecursionlimit(max(sys.getrecursionlimit(), _RECURSION_HEADROOM))
     con.validate(g)
-    ctx = _Ctx(lf, con.theta, con.new_vertex_limit, m, con.colorer, deep_verify, exact_check)
+    ctx = _Ctx(lf, con.theta, con.new_vertex_limit, m, con.colorer, deep_verify)
     out = _color_rec(
         ctx, g, con.td, con.eta, zf,
         Coloring(dict(precoloring.assignment), m),
@@ -810,21 +770,13 @@ def color_bounded_treewidth(
     theta = width + 1
     colorer = cover_bag_colorer(theta, lf)
     bound = tree_extension_bound(theta, theta, lf, colorer.n, 2)
-    ctx = _Ctx(lf, theta, theta * theta, 2, colorer, deep_verify, exact_check)
+    ctx = _Ctx(lf, theta, theta * theta, 2, colorer, deep_verify)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), _RECURSION_HEADROOM))
     pieces: List[Coloring] = []
     fresh_node = max(td.nodes) + 1
     for comp in g.connected_components():
-        cs = frozenset(comp)
-        nodes_c = [t for t in td.nodes if td.bags[t] & cs]
-        keep = set(nodes_c)
-        bags_c = {t: td.bags[t] & cs for t in nodes_c}
-        edges_c = [(p, ch) for (p, ch) in td.tree_edges if p in keep and ch in keep]
-        tops = [t for t in nodes_c if td.parent[t] is None or td.parent[t] not in keep]
-        if len(tops) != 1:
-            raise ContractViolation("component bags do not span a subtree")
-        td_c = RootedTreeDecomposition(bags_c, edges_c, tops[0])
-        g_c = g.induced(cs)
+        td_c = component_decomposition(td, comp, "treewidth coloring")
+        g_c = g.induced(comp)
         if len(td_c) == 1:
             pieces.append(_paint_piece(ctx, g_c, "treewidth coloring: single bag"))
             continue

@@ -517,6 +517,13 @@ def test_slabs_reject_non_lipschitz_projection():
         make_slabs(g, 1, proj)
 
 
+def test_slabs_reject_projection_missing_a_vertex_but_naming_an_extra_one():
+    g = unit_path(4)
+    proj = {0: Fraction(0), 1: Fraction(1), 2: Fraction(2), 99: Fraction(3)}
+    with pytest.raises(GraphError, match="misses vertices \\[3\\]"):
+        make_slabs(g, 1, proj)
+
+
 def test_slabs_reject_narrow_width():
     g = unit_path(4)
     with pytest.raises(GraphError):

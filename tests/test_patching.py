@@ -11,14 +11,11 @@ from wdcolor.graph import GraphError, WeightedGraph, neighborhood
 from wdcolor.partition import Coloring, ContractViolation, verify_weak_diameter
 from wdcolor.patching import (
     CenterCertificate,
-    apex_color,
     centered_bound,
     centered_color,
     control_radii,
     patch_bound,
     patch_colorings,
-    vertex_cover_bound,
-    vertex_cover_color,
 )
 
 from strategies import random_connected_graph, rationals
@@ -180,40 +177,6 @@ class TestMerges:
         with pytest.raises(ContractViolation):
             centered_color(g, 1, (), cert)
 
-    def test_vertex_cover_color_star(self):
-        g = star()
-        res = vertex_cover_color(g, 1, [0], 1)
-        assert res.bound == vertex_cover_bound(1, 1, 1)
-        assert res.bound == patch_bound(1, 0, 1, patch_bound(1, 0, 1, 1))
-        assert res.report.ok
-
-    def test_vertex_cover_color_rejects_big_components(self):
-        g = path(6)
-        with pytest.raises(GraphError):
-            vertex_cover_color(g, 1, [0], 2)
-
-    def test_apex_color_path(self):
-        def base(h, ell):
-            c = Coloring.constant(h.vertex_set(), 1)
-            rep = verify_weak_diameter(h, ell, c)
-            return c, Fraction(max(1, rep.max_weak_diameter_hops))
-
-        g = path(5)
-        res = apex_color(base, 1, g, 1, [2])
-        assert res.coloring.domain == frozenset(range(5))
-        assert res.bound == patch_bound(1, 0, 1, 1)
-        assert res.report.max_weak_diameter_hops == 4
-        assert res.report.ok
-
-    def test_apex_color_rejects_oversized_apex_set(self):
-        g = path(4)
-
-        def base(h, ell):
-            return Coloring.constant(h.vertex_set(), 1), Fraction(1)
-
-        with pytest.raises(GraphError):
-            apex_color(base, 1, g, 1, [0, 3])
-
 
 def _claimed_bound(g, ell, c, mode, z, r):
     """Exact weak diameter of c in the host the merge precondition names."""
@@ -228,14 +191,14 @@ def _claimed_bound(g, ell, c, mode, z, r):
 class TestMergeFuzz:
     def test_random_merges_stay_under_bound(self):
         rng = random.Random(20260816)
-        modes = ("general", "delete", "power")
+        modes = ("general", "delete")
         for trial in range(120):
             n = rng.randint(2, 14)
             ell = Fraction(rng.choice([1, 1, 2, 3]), rng.choice([1, 1, 2]))
             g = random_connected_graph(
                 rng, n, rng.randint(0, n), weight_den=4, max_weight=ell
             )
-            mode = modes[trial % 3]
+            mode = modes[trial % 2]
             k = rng.randint(1, 3)
             centers = rng.sample(sorted(g.vertex_set()), min(k, n))
             radius = ell * rng.choice([0, 1, 2]) / 2

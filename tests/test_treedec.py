@@ -15,8 +15,10 @@ from wdcolor.treedec import (
     PartitionChain,
     RootedTreeDecomposition,
     adhesion_partition_chain,
+    ball_region,
     build_hierarchy,
     check_quasi_isometry,
+    component_decomposition,
     con_color_bound,
     condense,
     lift_condensation_coloring,
@@ -149,6 +151,24 @@ def test_restrict_to_subtree():
     sub = td.restrict([0, 1, 2], 0)
     assert sub.nodes == (0, 1, 2)
     assert sub.tree_edges == ((0, 1), (0, 2))
+
+
+def test_ball_region_and_its_frontier():
+    td = path_td(5)  # bags {0,1} {1,2} {2,3} {3,4} in a path rooted at 0
+    assert ball_region(td, frozenset({1}), "t") == (frozenset({0, 1}), ((1, 2),))
+    with pytest.raises(ContractViolation, match="root bag"):
+        ball_region(td, frozenset({3}), "t")
+    with pytest.raises(ContractViolation, match="rooted subtree"):
+        ball_region(td, frozenset({0, 4}), "t")
+
+
+def test_component_decomposition_cuts_bags_and_reroots():
+    td = RootedTreeDecomposition({0: {0, 2}, 1: {0, 1}, 2: {2, 3}}, [(0, 1), (0, 2)], 0)
+    sub = component_decomposition(td, [2, 3], "t")
+    assert sub.root == 0
+    assert sub.bags == {0: {2}, 2: {2, 3}}
+    with pytest.raises(ContractViolation, match="span a subtree"):
+        component_decomposition(td, [1, 3], "t")
 
 
 def test_json_round_trip():
@@ -335,6 +355,9 @@ def test_condense_star_single_hierarchy():
     assert att.vertex_ids[(0, frozenset({0}))] == 0
     assert att.vertex_ids[(1, frozenset({0}))] == 5
     assert cond.base_vertices == frozenset({0, 2, 3, 4})
+    # the leaf at the frontier edge's child holds the hierarchy vertices
+    assert cond.td0.bags == {0: {0}, 1: {0, 5}, 2: {0, 2}, 3: {0, 3}, 4: {0, 4}}
+    assert cond.td0.tree_edges == ((0, 1), (0, 2), (0, 3), (0, 4))
 
 
 def test_condense_shortcut_weights():
@@ -345,6 +368,8 @@ def test_condense_shortcut_weights():
     sc = cond.shortcut_parts[(0, 1)]
     assert sc.reach == frozenset({0, 1, 2, 3})
     assert sc.shortcuts == ((2, 3, Fraction(1)),)
+    # the leaf at the frontier edge's child holds the fringe reach
+    assert cond.td0.bags == {0: {0, 1}, 1: {0, 1, 2, 3}}
 
 
 def test_condense_shortcut_direct_edge():
