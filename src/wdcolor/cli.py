@@ -400,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--bound")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out")
-    ver.set_defaults(func=None)
+    ver.set_defaults(func=cmd_run, pipeline="verify")
 
     dil = sub.add_parser("dilation", help="sweep the coloring across scales")
     dil.add_argument("--graph")
@@ -415,14 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        ns = argparse.Namespace(
-            command="run", pipeline="verify", graph=args.graph, ell=args.ell,
-            r=None, eps0=None, td=None, rotation=None, layers=None,
-            coloring=args.coloring, bound=args.bound, seed=args.seed, out=args.out,
-            slab_width_factor=8, padding=None, exact_td_max=20, func=cmd_run,
-        )
-        args = ns
     try:
         return args.func(args)
     except CliError as exc:

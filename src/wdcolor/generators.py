@@ -344,21 +344,3 @@ def tripods_to_json(cert: GeodesicCertificate) -> dict:
         "paths": {str(t): [list(p) for p in ps] for t, ps in sorted(cert.paths.items())},
         "slack": frac_str(cert.slack),
     }
-
-
-def tripods_from_json(data: dict) -> GeodesicCertificate:
-    try:
-        tree = GeodesicTree(
-            int(data["tree"]["root"]),
-            {int(v): (None if p is None else int(p)) for v, p in data["tree"]["parent"].items()},
-            {int(v): as_fraction(d) for v, d in data["tree"]["dist"].items()},
-        )
-        td = RootedTreeDecomposition.from_json_dict(data["td"])
-        paths = {
-            int(t): tuple(tuple(int(v) for v in p) for p in ps)
-            for t, ps in data["paths"].items()
-        }
-        slack = as_fraction(data["slack"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphError("malformed tripod certificate JSON: %s" % (exc,))
-    return GeodesicCertificate(tree, td, paths, slack)

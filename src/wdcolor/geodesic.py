@@ -595,7 +595,7 @@ def _control_rec(
     )
     patched = patch_colorings(
         g0, lf, cert, sorted(rset & v0), c_z, c0,
-        mode="general", n_claimed=nf_prev, m=m, power=pg0,
+        n_claimed=nf_prev, m=m, power=pg0,
         what="%s: zone patch" % what, exact=False,
     )
     big_centers: Dict[TreeEdge, List[int]] = {}

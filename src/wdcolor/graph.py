@@ -9,6 +9,7 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
+import decimal
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -16,59 +17,11 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 
-class _Infinite:
-    """Distance value for a disconnected pair.
-
-    Compares strictly above every rational; addition saturates.
-    """
-
-    _instance: Optional["_Infinite"] = None
-
-    def __new__(cls) -> "_Infinite":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        return other is not self
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash("wdcolor.INF")
-
-    def __add__(self, other: object) -> "_Infinite":
-        return self
-
-    __radd__ = __add__
-
-    def __mul__(self, other: object) -> "_Infinite":
-        return self
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return "INF"
-
-
-INF = _Infinite()
+#: Distance of a disconnected pair; compares above every rational.
+INF = math.inf
 
 #: A distance: an exact nonnegative rational, or INF for disconnected pairs.
 ExtendedDistance = object
-
-
-def is_finite(d: object) -> bool:
-    return d is not INF
 
 
 def as_fraction(x: object) -> Fraction:
@@ -85,10 +38,15 @@ def as_fraction(x: object) -> Fraction:
 
 
 def frac_str(x: object) -> str:
-    if x is INF:
+    """Exact decimal text of a rational ("p" or "p/q"), "inf" for INF.
+
+    Decimal formats integers of any length, where str(int) stops at the
+    interpreter's int->str digit limit."""
+    if x == INF:
         return "inf"
     f = x if isinstance(x, Fraction) else Fraction(x)
-    return str(f)
+    num = str(decimal.Decimal(f.numerator))
+    return num if f.denominator == 1 else "%s/%s" % (num, decimal.Decimal(f.denominator))
 
 
 def ceil_frac(x: Fraction) -> int:
@@ -111,13 +69,12 @@ class WeightedGraph:
     nonnegative integers and need not be contiguous.
     """
 
-    __slots__ = ("vertices", "edges", "names", "_vset", "_adj", "_scale", "_sadj")
+    __slots__ = ("vertices", "edges", "_vset", "_adj", "_scale", "_sadj")
 
     def __init__(
         self,
         vertices: Iterable[int] = (),
         edges: Iterable[Tuple[int, int, object]] = (),
-        names: Optional[Dict[int, str]] = None,
     ):
         vset = set()
         for v in vertices:
@@ -136,7 +93,6 @@ class WeightedGraph:
             elist.append((u, v, wf))
         self.vertices: Tuple[int, ...] = tuple(sorted(vset))
         self.edges: Tuple[Tuple[int, int, Fraction], ...] = tuple(elist)
-        self.names = dict(names) if names else {}
         self._vset: FrozenSet[int] = frozenset(vset)
         adj: Dict[int, List[Tuple[int, Fraction]]] = {v: [] for v in self.vertices}
         for (u, v, w) in self.edges:
@@ -186,7 +142,6 @@ class WeightedGraph:
         return WeightedGraph(
             ks,
             [(u, v, w) for (u, v, w) in self.edges if u in ks and v in ks],
-            {v: n for v, n in self.names.items() if v in ks},
         )
 
     def without(self, drop: Iterable[int]) -> "WeightedGraph":
@@ -201,14 +156,12 @@ class WeightedGraph:
         radius: object = None,
         within: Optional[FrozenSet[int]] = None,
         targets: Optional[Set[int]] = None,
-        max_weight: object = None,
     ) -> Dict[int, Fraction]:
         """Multi-source Dijkstra.  Returns {vertex: exact distance}.
 
         radius: stop exploring past this distance (inclusive).
         within: restrict the walk to this vertex set (induced subgraph).
         targets: stop early once all of these are settled.
-        max_weight: ignore edges heavier than this.
         """
         srcs = [s for s in sources]
         for s in srcs:
@@ -219,10 +172,6 @@ class WeightedGraph:
         if radius is not None:
             r = as_fraction(radius) * scale
             rnum, rden = r.numerator, r.denominator
-        wnum = wden = None
-        if max_weight is not None:
-            mw = as_fraction(max_weight) * scale
-            wnum, wden = mw.numerator, mw.denominator
         sadj = self._sadj
         dist: Dict[int, int] = {}
         remaining = set(targets) if targets is not None else None
@@ -245,8 +194,6 @@ class WeightedGraph:
                     break
             for (n, w) in sadj[v]:
                 if within is not None and n not in within:
-                    continue
-                if wnum is not None and w * wden > wnum:
                     continue
                 nd = d + w
                 if rnum is not None and nd * rden > rnum:
@@ -365,7 +312,7 @@ def subdivision_graph(g: WeightedGraph, r: object) -> Subdivision:
             path.append(b)
             pair.append(tuple(path))
         paths.append((pair[0], pair[1]))
-    sub = WeightedGraph(verts, edges, dict(g.names))
+    sub = WeightedGraph(verts, edges)
     return Subdivision(sub, {v: v for v in g.vertices}, tuple(paths))
 
 
@@ -401,9 +348,6 @@ class HopGraph:
     def neighbors(self, v: int) -> Tuple[int, ...]:
         return self._adj[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
-
     def edge_list(self) -> List[Tuple[int, int]]:
         return [(u, v) for u in self.vertices for v in self._adj[u] if u < v]
 
@@ -412,10 +356,9 @@ class HopGraph:
         sources: Iterable[int],
         cutoff: Optional[int] = None,
         targets: Optional[Set[int]] = None,
-        within: Optional[FrozenSet[int]] = None,
     ) -> Dict[int, int]:
-        """BFS hop distances, optionally depth-capped / early-stopped / induced."""
-        frontier = [s for s in sources if within is None or s in within]
+        """BFS hop distances, optionally depth-capped / early-stopped."""
+        frontier = list(sources)
         dist: Dict[int, int] = {s: 0 for s in frontier}
         remaining = set(targets) - set(frontier) if targets is not None else None
         depth = 0
@@ -430,8 +373,6 @@ class HopGraph:
                 for n in self._adj[v]:
                     if n in dist:
                         continue
-                    if within is not None and n not in within:
-                        continue
                     dist[n] = depth
                     nxt.append(n)
                     if remaining is not None:
@@ -439,35 +380,16 @@ class HopGraph:
             frontier = nxt
         return dist
 
-    def components(self, within: Optional[FrozenSet[int]] = None) -> List[Tuple[int, ...]]:
-        """Connected components (restricted to `within` if given), each sorted,
-        listed by ascending minimum vertex."""
-        pool = self.vertices if within is None else sorted(within & self._vset)
-        seen: Set[int] = set()
-        out: List[Tuple[int, ...]] = []
-        wset = frozenset(pool)
-        for v in pool:
-            if v in seen:
-                continue
-            comp = sorted(self.hop_distances([v], within=wset).keys())
-            seen.update(comp)
-            out.append(tuple(comp))
-        return out
-
 
 class PowerGraph(HopGraph):
     """The simple graph joining vertices of the subdivision at metric
     distance <= ell; carries its metric host for weak-diameter measurement."""
 
-    __slots__ = ("base", "metric", "ell", "original_vertices")
+    __slots__ = ("metric",)
 
-    def __init__(self, base: WeightedGraph, sub: Subdivision, ell: Fraction,
-                 edges: Iterable[Tuple[int, int]]):
+    def __init__(self, sub: Subdivision, edges: Iterable[Tuple[int, int]]):
         super().__init__(sub.graph.vertices, edges)
-        self.base = base
         self.metric = sub.graph
-        self.ell = ell
-        self.original_vertices = base.vertex_set()
 
 
 def power_graph(g: WeightedGraph, ell: object) -> PowerGraph:
@@ -482,7 +404,7 @@ def power_graph(g: WeightedGraph, ell: object) -> PowerGraph:
         for n in sg.distances_from([v], radius=lf):
             if n > v:
                 edges.append((v, n))
-    return PowerGraph(g, sub, lf, edges)
+    return PowerGraph(sub, edges)
 
 
 # -- edge-list file format ----------------------------------------------------

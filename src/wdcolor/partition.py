@@ -170,19 +170,18 @@ def monochromatic_components(
 def _component_hop_diameter(
     host: HopGraph,
     comp: Sequence[int],
-    within: Optional[FrozenSet[int]],
     bound_hops: Optional[int],
 ) -> Tuple[int, bool]:
-    """Exact max pairwise hop distance of comp measured in host (optionally
-    vertex-restricted).  Searches stop once all members are settled; with a
-    bound they also stop past it, reporting failure instead of the value."""
+    """Exact max pairwise hop distance of comp measured in host.  Searches
+    stop once all members are settled; with a bound they also stop past it,
+    reporting failure instead of the value."""
     if len(comp) <= 1:
         return 0, True
     members = set(comp)
     best = 0
     for u in comp:
         cutoff = None if bound_hops is None else bound_hops
-        d = host.hop_distances([u], targets=set(members), within=within, cutoff=cutoff)
+        d = host.hop_distances([u], targets=set(members), cutoff=cutoff)
         for v in comp:
             dv = d.get(v)
             if dv is None:
@@ -197,7 +196,6 @@ def _component_hop_diameter(
 def _component_metric_diameter(
     metric: WeightedGraph,
     comp: Sequence[int],
-    within: Optional[FrozenSet[int]],
     radius_cap: Optional[Fraction],
 ) -> Fraction:
     if len(comp) <= 1:
@@ -205,7 +203,7 @@ def _component_metric_diameter(
     members = set(comp)
     best = Fraction(0)
     for u in comp:
-        d = metric.distances_from([u], targets=set(members), within=within, radius=radius_cap)
+        d = metric.distances_from([u], targets=set(members), radius=radius_cap)
         for v in comp:
             dv = d.get(v)
             if dv is not None and dv > best:
@@ -220,15 +218,12 @@ def verify_weak_diameter(
     restrict_to: Optional[Iterable[int]] = None,
     bound: object = None,
     power: Optional[PowerGraph] = None,
-    deleted: Optional[Iterable[int]] = None,
     exact: bool = True,
 ) -> VerificationReport:
     """Measure every monochromatic component of the scale-ell power graph.
+    Hops are measured in the full power graph.
 
     restrict_to: only these vertices are grouped into components.
-    deleted: vertices removed from the host itself (components and hop
-        distances both avoid them), for colorings of vertex-deleted power
-        graphs.  Without it hops are measured in the full power graph.
     bound: claimed weak-diameter bound in hops; ok=False if exceeded.
     exact: with exact=False and a bound no smaller than the host vertex
         count minus one, the bound holds for every connected component and
@@ -237,12 +232,7 @@ def verify_weak_diameter(
     """
     lf = as_fraction(ell)
     p = power if power is not None else power_graph(g, lf)
-    host_within: Optional[FrozenSet[int]] = None
     pool: Set[int] = set(p.vertices)
-    if deleted is not None:
-        dset = set(deleted)
-        pool -= dset
-        host_within = frozenset(pool)
     if restrict_to is not None:
         pool &= set(restrict_to)
     pool &= coloring.domain
@@ -268,12 +258,12 @@ def verify_weak_diameter(
     max_metric = Fraction(0)
     all_ok = True
     for comp in comps:
-        hops, ok = _component_hop_diameter(p, comp, host_within, bound_hops)
+        hops, ok = _component_hop_diameter(p, comp, bound_hops)
         if not ok:
             all_ok = False
-            hops, _ = _component_hop_diameter(p, comp, host_within, None)
+            hops, _ = _component_hop_diameter(p, comp, None)
         cap = None if hops == 0 else lf * hops
-        metric = _component_metric_diameter(p.metric, comp, host_within, cap)
+        metric = _component_metric_diameter(p.metric, comp, cap)
         stats.append(ComponentStat(len(comp), comp[0], hops, metric))
         max_hops = max(max_hops, hops)
         max_metric = max(max_metric, metric)
@@ -300,13 +290,11 @@ def check_weak_diameter(
     what: str,
     restrict_to: Optional[Iterable[int]] = None,
     power: Optional[PowerGraph] = None,
-    deleted: Optional[Iterable[int]] = None,
     exact: bool = True,
 ) -> VerificationReport:
     """verify_weak_diameter that raises ContractViolation on failure."""
     report = verify_weak_diameter(
-        g, ell, coloring, restrict_to=restrict_to, bound=bound, power=power,
-        deleted=deleted, exact=exact,
+        g, ell, coloring, restrict_to=restrict_to, bound=bound, power=power, exact=exact,
     )
     if not report.ok:
         raise ContractViolation(

@@ -30,15 +30,15 @@ from wdcolor.partition import (
     check_weak_diameter,
 )
 
-MergeMode = str  # "general" | "delete"
-
 
 def patch_bound(k: int, r: object, ell: object, n: object) -> Fraction:
     """Weak-diameter bound for merging a coloring over a (k, r)-centered set.
 
     f(0, y) = y and f(x, y) = 2*f(x-1, ceil((4/ell)*(ell+r+ell*y)) + y)
     + 2*ceil(2*(ell+r)/ell), evaluated with exact rational ceilings.
-    Satisfies f(k, n) >= (k+1)*n.
+    Unrolled, f(k, n) = 2**k * y_k + step * (2**k - 1) with y_0 = n and
+    y_{i+1} = ceil((4/ell)*(ell+r+ell*y_i)) + y_i, so large k needs no
+    recursion.  Satisfies f(k, n) >= (k+1)*n.
     """
     if k < 0:
         raise GraphError("center count k must be nonnegative")
@@ -50,13 +50,10 @@ def patch_bound(k: int, r: object, ell: object, n: object) -> Fraction:
     if rf < 0:
         raise GraphError("radius r must be nonnegative")
     step = 2 * ceil_frac(2 * (lf + rf) / lf)
-
-    def f(x: int, y: Fraction) -> Fraction:
-        if x == 0:
-            return y
-        return 2 * f(x - 1, ceil_frac(Fraction(4) / lf * (lf + rf + lf * y)) + y) + step
-
-    return f(k, nf)
+    y = nf
+    for _ in range(k):
+        y = ceil_frac(Fraction(4) / lf * (lf + rf + lf * y)) + y
+    return 2 ** k * y + step * (2 ** k - 1)
 
 
 def control_radii(theta: int, mu: object, ell: object, count: int) -> List[Fraction]:
@@ -129,7 +126,6 @@ def patch_colorings(
     deleted: Iterable[int],
     c_z: Optional[Coloring],
     c: Coloring,
-    mode: MergeMode = "general",
     n_claimed: object = 1,
     m: int = 1,
     power: Optional[PowerGraph] = None,
@@ -138,23 +134,17 @@ def patch_colorings(
 ) -> MergeResult:
     """Glue a coloring of the centered set Z onto the coloring c of the rest.
 
-    mode "general": c colors the Z-deleted power graph minus `deleted`, with
-        weak diameter at most n_claimed measured in the full power graph.
-    mode "delete": `deleted` must be empty; c colors the Z-deleted power
-        graph with weak diameter measured there.
-    Both modes return c union c_Z restricted away from `deleted`, re-verified
-    at patch_bound(cert.k, cert.radius, ell, n_claimed) in the full power
-    graph.
+    c colors the Z-deleted power graph minus `deleted`, with weak diameter
+    at most n_claimed, measured either in the full power graph or in the
+    Z-deleted one.  Returns c union c_Z restricted away from `deleted`,
+    re-verified at patch_bound(cert.k, cert.radius, ell, n_claimed) in the
+    full power graph.
     """
-    if mode not in ("general", "delete"):
-        raise GraphError("unknown merge mode %r" % (mode,))
     lf = as_fraction(ell)
     mw = g.max_edge_weight()
     if mw is not None and mw > lf:
         raise GraphError("edge weight %s exceeds ell %s" % (mw, lf))
     rset = set(deleted)
-    if mode == "delete" and rset:
-        raise GraphError("delete mode takes an empty deleted set")
     cert.verify(g)
     z = set(cert.covered)
     if c_z is None:
@@ -206,6 +196,6 @@ def centered_color(
 
 def vertex_cover_bound(k: int, w: int, ell: object) -> Fraction:
     """Composed bound: centered bound for the <= w-vertex components, then a
-    delete-mode patch over the k cover vertices."""
+    patch over the k cover vertices."""
     n1 = centered_bound(w, 0, ell)
     return patch_bound(k, 0, ell, n1)

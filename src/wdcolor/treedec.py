@@ -548,7 +548,6 @@ def condense(
     base: Set[int] = set(t0_vertices)
     shortcut_parts: Dict[TreeEdge, ShortcutAttachment] = {}
     extra_edges: List[Tuple[int, int, Fraction]] = []
-    names: Dict[int, str] = {}
     for e in frontier:
         if e in prime:
             continue
@@ -582,7 +581,6 @@ def condense(
                     ids[(0, y)] = min(y)
                 else:
                     ids[(i, y)] = next_id
-                    names[next_id] = "part %s at level %d below %s" % (sorted(y), i, (e,))
                     next_id += 1
         for (a, b, w) in hier.edges:
             extra_edges.append((ids[a], ids[b], w))
@@ -592,7 +590,7 @@ def condense(
     for att in hierarchies.values():
         vertices.update(att.vertex_ids.values())
     base_graph = g.induced(base)
-    g0 = WeightedGraph(vertices, list(base_graph.edges) + extra_edges, names)
+    g0 = WeightedGraph(vertices, list(base_graph.edges) + extra_edges)
     mw0 = g0.max_edge_weight()
     if mw0 is not None and mw0 > lf:
         raise ContractViolation("condensed graph carries weight %s > ell" % (mw0,))

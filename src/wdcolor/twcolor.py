@@ -11,7 +11,7 @@ verify the assembled coloring end to end.
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import GraphError, WeightedGraph, as_fraction, frac_str
 from .partition import (
@@ -168,30 +168,17 @@ def _order_to_td(g: WeightedGraph, order: Sequence[int]) -> RootedTreeDecomposit
 
 def compute_tree_decomposition(
     g: WeightedGraph,
-    target_width: Optional[int] = None,
     exact_max: int = 20,
 ) -> RootedTreeDecomposition:
     """Rooted tree decomposition from an elimination order: exhaustive search
-    up to exact_max vertices, min-fill heuristic beyond that.  Raises when a
-    width target is missed (definitely for exact search, with a pointer to
-    user-supplied decompositions for the heuristic)."""
+    up to exact_max vertices, min-fill heuristic beyond that."""
     if len(g) == 0:
         return RootedTreeDecomposition({0: ()}, [], 0)
     adj = _simple_adjacency(g)
     order = _min_fill_order(adj)
     width = _elimination_width(adj, order)
-    exact = len(g) <= exact_max
-    if exact:
+    if len(g) <= exact_max:
         width, order = _exact_order(adj, order, width)
-    if target_width is not None and width > target_width:
-        if exact:
-            raise GraphError(
-                "graph has treewidth %d, above the target %d" % (width, target_width)
-            )
-        raise GraphError(
-            "heuristic decomposition has width %d, above the target %d; "
-            "supply a decomposition computed elsewhere" % (width, target_width)
-        )
     td = _order_to_td(g, order)
     rep = validate_td(g, td)
     if not rep["ok"]:
@@ -201,56 +188,32 @@ def compute_tree_decomposition(
     return td
 
 
-# -- bag colorers and constructions ------------------------------------------
+# -- constructions ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BagColorer:
-    """Callback coloring the graphs appearing at tree nodes (bags plus their
-    per-child augmentations); every returned coloring is re-verified against
-    the declared hop bound n."""
-
-    color: Callable[[WeightedGraph, Fraction, int], Coloring]
-    n: Fraction
-
-
-def constant_bag_colorer(n: object) -> BagColorer:
-    nf = as_fraction(n)
-
-    def paint(h: WeightedGraph, ell: Fraction, m: int) -> Coloring:
-        return Coloring.constant(h.vertex_set(), m)
-
-    return BagColorer(paint, nf)
-
-
-def cover_bag_colorer(theta: int, ell: object) -> BagColorer:
-    """Constant colorer certified for graphs where some <= theta vertices
-    cover all but components of <= theta**2 vertices, and for graphs on at
-    most 2*theta**2 + theta vertices."""
+def cover_piece_bound(theta: int, ell: object) -> Fraction:
+    """Hop bound of a constant coloring of a graph where some <= theta
+    vertices cover all but components of <= theta**2 vertices, or of a graph
+    on at most 2*theta**2 + theta vertices."""
     if theta < 0:
         raise GraphError("need theta >= 0")
-    nf = max(
+    return max(
         vertex_cover_bound(theta, theta * theta, ell),
         Fraction(2 * theta * theta + theta),
     )
-    return constant_bag_colorer(nf)
 
 
 @dataclass(frozen=True)
 class AdhesionConstruction:
     """Rooted tree decomposition of adhesion at most theta whose oversized
     adhesions (more than eta shared vertices) occur only on leaf-attached
-    edges adding at most lam new vertices."""
+    edges adding at most theta**2 new vertices.  Every star piece is painted
+    with one constant color, checked against piece_bound hops."""
 
     td: RootedTreeDecomposition
     eta: int
     theta: int
-    colorer: BagColorer
-    lam: Optional[int] = None
-
-    @property
-    def new_vertex_limit(self) -> int:
-        return self.theta * self.theta if self.lam is None else self.lam
+    piece_bound: Fraction
 
     def big_edges(self) -> Tuple[TreeEdge, ...]:
         td = self.td
@@ -264,11 +227,7 @@ class AdhesionConstruction:
             raise ContractViolation(
                 "need 0 <= eta <= theta, got eta=%d theta=%d" % (self.eta, self.theta)
             )
-        lam = self.new_vertex_limit
-        if lam > self.theta * self.theta:
-            raise ContractViolation(
-                "new-vertex limit %d above theta**2 = %d" % (lam, self.theta * self.theta)
-            )
+        new_limit = self.theta * self.theta
         td = self.td
         if full:
             rep = validate_td(g, td)
@@ -296,10 +255,10 @@ class AdhesionConstruction:
                         "edge %s shares %d > eta=%d vertices but its lower end has children"
                         % (e, len(x_e), self.eta)
                     )
-                if len(td.bags[ch] - td.bags[p]) > lam:
+                if len(td.bags[ch] - td.bags[p]) > new_limit:
                     raise ContractViolation(
                         "leaf below %s adds %d > %d new vertices"
-                        % (e, len(td.bags[ch] - td.bags[p]), lam)
+                        % (e, len(td.bags[ch] - td.bags[p]), new_limit)
                     )
 
 
@@ -333,7 +292,7 @@ def tree_extension_bound(eta: int, theta: int, ell: object, n: object, m: int) -
 def treewidth_color_bound(width: int, ell: object, m: int = 2) -> Fraction:
     """Hop bound achieved by color_bounded_treewidth at the given width."""
     theta = width + 1
-    return tree_extension_bound(theta, theta, ell, cover_bag_colorer(theta, ell).n, m)
+    return tree_extension_bound(theta, theta, ell, cover_piece_bound(theta, ell), m)
 
 
 # -- the recursion -------------------------------------------------------------
@@ -360,20 +319,15 @@ class TwColorResult:
 class _Ctx:
     lf: Fraction
     theta: int
-    lam: int
     m: int
-    colorer: BagColorer
+    piece_bound: Fraction
     deep: bool
 
 
 def _paint_piece(ctx: _Ctx, h: WeightedGraph, what: str) -> Coloring:
-    c = ctx.colorer.color(h, ctx.lf, ctx.m)
-    if c.domain != h.vertex_set():
-        raise ContractViolation("%s: piece colorer domain mismatch" % what)
-    if c.num_colors > ctx.m:
-        raise ContractViolation("%s: piece colorer used more than m colors" % what)
-    check_weak_diameter(h, ctx.lf, c, bound=ctx.colorer.n, what=what, exact=False)
-    return Coloring(dict(c.assignment), ctx.m)
+    c = Coloring.constant(h.vertex_set(), ctx.m)
+    check_weak_diameter(h, ctx.lf, c, bound=ctx.piece_bound, what=what, exact=False)
+    return c
 
 
 def _merge_disjoint(parts: Iterable[Coloring], m: int, what: str) -> Coloring:
@@ -397,7 +351,7 @@ def _color_rec(
     what: str,
 ) -> Coloring:
     lf = ctx.lf
-    AdhesionConstruction(td, eta, ctx.theta, ctx.colorer, ctx.lam).validate(g, full=ctx.deep)
+    AdhesionConstruction(td, eta, ctx.theta, ctx.piece_bound).validate(g, full=ctx.deep)
     if zset - g.vertex_set():
         raise GraphError("%s: precolored vertices outside the graph" % what)
     if c.domain != zset:
@@ -418,7 +372,7 @@ def _color_rec(
             "%s: recursion measure did not decrease (%s -> %s)"
             % (what, parent_measure, measure)
         )
-    bound = tree_extension_bound(eta, ctx.theta, lf, ctx.colorer.n, ctx.m)
+    bound = tree_extension_bound(eta, ctx.theta, lf, ctx.piece_bound, ctx.m)
 
     # everything already precolored: the root bag centers the whole graph
     if zset == g.vertex_set():
@@ -459,7 +413,7 @@ def _color_rec(
         raise ContractViolation("%s: ball leaks out of the condensed graph" % what)
 
     # color the condensed graph beyond the ball one guard level down
-    n_prev = tree_extension_bound(eta - 1, ctx.theta, lf, ctx.colorer.n, ctx.m)
+    n_prev = tree_extension_bound(eta - 1, ctx.theta, lf, ctx.piece_bound, ctx.m)
     rest0 = g0.vertex_set() - z0
     fresh_node = max(td.nodes) + 1
     if rest0:
@@ -517,8 +471,7 @@ def _color_rec(
     cert0 = CenterCertificate.build(g0, sorted(root_bag), 3 * lf, sorted(z0), ctx.theta)
     mr = patch_colorings(
         g0, lf, cert0, (), c_sat, c0_rest,
-        mode="delete", n_claimed=n_prev, m=ctx.m, what=what + ": ball patch",
-        exact=False,
+        n_claimed=n_prev, m=ctx.m, what=what + ": ball patch", exact=False,
     )
 
     # lift the condensed coloring back to the graph around the region
@@ -559,10 +512,11 @@ def _color_rec(
         if len(x_e) > eta:
             # oversized shared set: the part is one childless bag, any
             # completion has components of at most |part| vertices
-            if len(part) > ctx.theta + ctx.lam:
+            part_limit = ctx.theta + ctx.theta * ctx.theta
+            if len(part) > part_limit:
                 raise ContractViolation(
-                    "%s: oversized-adhesion part has %d > theta + lam = %d vertices"
-                    % (what, len(part), ctx.theta + ctx.lam)
+                    "%s: oversized-adhesion part has %d > theta + theta**2 = %d vertices"
+                    % (what, len(part), part_limit)
                 )
             full = dict(c_e.assignment)
             for v in sorted(part - z_e):
@@ -570,7 +524,7 @@ def _color_rec(
             c_e_full = Coloring(full, ctx.m)
             check_weak_diameter(
                 g_e, lf, c_e_full,
-                bound=Fraction(ctx.theta + ctx.lam),
+                bound=Fraction(part_limit),
                 what=what + ": oversized part",
                 exact=False,
             )
@@ -610,7 +564,7 @@ def _color_flat(
 ) -> Coloring:
     """No guard levels left: empty-adhesion tree edges split the tree into
     stars whose vertex sets are pairwise disconnected; color each star piece
-    with the bag colorer, patching the precolored ball into the root piece."""
+    with one constant color, patching the precolored ball into the root piece."""
     lf = ctx.lf
     tops = [
         t
@@ -637,7 +591,7 @@ def _color_flat(
             )
             mr = patch_colorings(
                 h, lf, cert, (), c, cp,
-                mode="delete", n_claimed=ctx.colorer.n, m=ctx.m,
+                n_claimed=ctx.piece_bound, m=ctx.m,
                 what=what + ": root piece patch",
                 exact=False,
             )
@@ -726,13 +680,13 @@ def color_adhesion_construction(
         raise GraphError("precoloring uses more than m colors")
     sys.setrecursionlimit(max(sys.getrecursionlimit(), _RECURSION_HEADROOM))
     con.validate(g)
-    ctx = _Ctx(lf, con.theta, con.new_vertex_limit, m, con.colorer, deep_verify)
+    ctx = _Ctx(lf, con.theta, m, con.piece_bound, deep_verify)
     out = _color_rec(
         ctx, g, con.td, con.eta, zf,
         Coloring(dict(precoloring.assignment), m),
         None, "adhesion coloring",
     )
-    bound = tree_extension_bound(con.eta, con.theta, lf, con.colorer.n, m)
+    bound = tree_extension_bound(con.eta, con.theta, lf, con.piece_bound, m)
     report = check_weak_diameter(
         g, lf, out, bound=bound, what="adhesion coloring", exact=exact_check
     )
@@ -753,7 +707,7 @@ def color_bounded_treewidth(
 
     Each connected component's decomposition gets one tree edge subdivided
     into a fresh root bag (the edge's shared set), which yields a
-    construction with all guard levels available; the bag colorer is the
+    construction with all guard levels available; star pieces get the
     constant coloring certified through the vertex-cover route."""
     lf = as_fraction(ell)
     if lf <= 0:
@@ -768,9 +722,9 @@ def color_bounded_treewidth(
         raise GraphError("invalid decomposition: %s" % "; ".join(rep["failures"][:3]))
     width = max(td.width, 0)
     theta = width + 1
-    colorer = cover_bag_colorer(theta, lf)
-    bound = tree_extension_bound(theta, theta, lf, colorer.n, 2)
-    ctx = _Ctx(lf, theta, theta * theta, 2, colorer, deep_verify)
+    piece_bound = cover_piece_bound(theta, lf)
+    bound = tree_extension_bound(theta, theta, lf, piece_bound, 2)
+    ctx = _Ctx(lf, theta, 2, piece_bound, deep_verify)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), _RECURSION_HEADROOM))
     pieces: List[Coloring] = []
     fresh_node = max(td.nodes) + 1

