@@ -14,7 +14,16 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .graph import GraphError, WeightedGraph, as_fraction, frac_str, parse_edge_list, write_edge_list
+from .graph import (
+    GraphError,
+    WeightedGraph,
+    as_fraction,
+    frac_str,
+    json_int,
+    json_int_key,
+    parse_edge_list,
+    write_edge_list,
+)
 from .partition import (
     Coloring,
     ContractViolation,
@@ -99,9 +108,12 @@ def coloring_to_json(c: Coloring) -> dict:
 
 def coloring_from_json(data: dict) -> Coloring:
     try:
+        assignment = data["assignment"]
+        if not isinstance(assignment, dict):
+            raise GraphError("assignment must be an object, got %r" % (assignment,))
         return Coloring(
-            {int(v): int(col) for v, col in data["assignment"].items()},
-            int(data["num_colors"]),
+            {json_int_key(v, "vertex id"): json_int(col, "colour") for v, col in assignment.items()},
+            json_int(data["num_colors"], "num_colors"),
         )
     except (KeyError, TypeError, ValueError, GraphError) as exc:
         raise CliError("parse-error", "bad coloring JSON: %s" % exc)

@@ -3,8 +3,11 @@
 All weights and distances are exact rationals.  Each graph keeps an
 integer-scaled copy of its weights (common denominator cleared) so the
 Dijkstra inner loop runs on machine integers; results convert back to
-fractions on the way out.  Graphs are immutable after construction and
-every operation here is a pure function.
+fractions on the way out.  `induced` and `without` share the parent's
+validated, scaled adjacency: they filter its checked edges and keep its
+scale, so no weight is parsed, validated or multiplied as a Fraction
+again.  Graphs are immutable after construction and every operation here
+is a pure function.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import decimal
 import heapq
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -69,7 +73,7 @@ class WeightedGraph:
     nonnegative integers and need not be contiguous.
     """
 
-    __slots__ = ("vertices", "edges", "_vset", "_adj", "_scale", "_sadj")
+    __slots__ = ("vertices", "edges", "_vset", "_adj", "_scale", "_sadj", "_wrange")
 
     def __init__(
         self,
@@ -91,21 +95,29 @@ class WeightedGraph:
             if u not in vset or v not in vset:
                 raise GraphError("edge (%s,%s) references an unknown vertex" % (u, v))
             elist.append((u, v, wf))
+        scale = 1
+        for (_, _, w) in elist:
+            scale = _lcm(scale, w.denominator)
+        self._fill(vset, tuple(elist), scale)
+
+    def _fill(self, vset: Set[int], edges: Tuple[Tuple[int, int, Fraction], ...], scale: int) -> None:
+        """Set every field from validated edges and a multiple of their
+        weights' common denominator."""
         self.vertices: Tuple[int, ...] = tuple(sorted(vset))
-        self.edges: Tuple[Tuple[int, int, Fraction], ...] = tuple(elist)
+        self.edges: Tuple[Tuple[int, int, Fraction], ...] = edges
         self._vset: FrozenSet[int] = frozenset(vset)
+        self._scale = scale
         adj: Dict[int, List[Tuple[int, Fraction]]] = {v: [] for v in self.vertices}
-        for (u, v, w) in self.edges:
+        sadj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in self.vertices}
+        for (u, v, w) in edges:
+            s = w.numerator * (scale // w.denominator)
             adj[u].append((v, w))
             adj[v].append((u, w))
+            sadj[u].append((v, s))
+            sadj[v].append((u, s))
         self._adj = adj
-        scale = 1
-        for (_, _, w) in self.edges:
-            scale = _lcm(scale, w.denominator)
-        self._scale = scale
-        self._sadj: Dict[int, List[Tuple[int, int]]] = {
-            v: [(n, int(w * scale)) for (n, w) in nbrs] for v, nbrs in adj.items()
-        }
+        self._sadj = sadj
+        self._wrange: Optional[Tuple[Fraction, Fraction]] = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -121,28 +133,35 @@ class WeightedGraph:
     def neighbors(self, v: int) -> List[Tuple[int, Fraction]]:
         return self._adj[v]
 
+    def _weight_range(self) -> Optional[Tuple[Fraction, Fraction]]:
+        # computed once, on the integer-scaled weights
+        if self._wrange is None and self.edges:
+            ws = [s for nbrs in self._sadj.values() for (_, s) in nbrs]
+            self._wrange = (Fraction(min(ws), self._scale), Fraction(max(ws), self._scale))
+        return self._wrange
+
     def min_edge_weight(self) -> Optional[Fraction]:
         """Smallest edge weight, or None for an edgeless graph."""
-        if not self.edges:
-            return None
-        return min(w for (_, _, w) in self.edges)
+        r = self._weight_range()
+        return None if r is None else r[0]
 
     def max_edge_weight(self) -> Optional[Fraction]:
-        if not self.edges:
-            return None
-        return max(w for (_, _, w) in self.edges)
+        r = self._weight_range()
+        return None if r is None else r[1]
 
     # -- derived graphs ----------------------------------------------------
 
     def induced(self, keep: Iterable[int]) -> "WeightedGraph":
+        """The subgraph on `keep`.  It reuses this graph's checked edges at
+        this graph's scale; adjacency lists keep their relative order, so
+        searches break ties as they would here."""
         ks = set(keep)
         unknown = ks - self._vset
         if unknown:
             raise GraphError("induced() got unknown vertices %s" % sorted(unknown))
-        return WeightedGraph(
-            ks,
-            [(u, v, w) for (u, v, w) in self.edges if u in ks and v in ks],
-        )
+        sub = WeightedGraph.__new__(WeightedGraph)
+        sub._fill(ks, tuple(e for e in self.edges if e[0] in ks and e[1] in ks), self._scale)
+        return sub
 
     def without(self, drop: Iterable[int]) -> "WeightedGraph":
         ds = set(drop)
@@ -277,6 +296,32 @@ class Subdivision:
     edge_paths: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
 
 
+def _subdivision_plan(g: WeightedGraph, rf: Fraction) -> Tuple[List[int], range]:
+    """How subdivision_graph(g, rf) subdivides: ceil(w / rf) for each edge
+    of g in edge order, the number of edges on each of its two replacement
+    paths, and the consecutive ids, from max(V(g)) + 1, that the inner
+    vertices of those paths take.  One integer floor division per edge, no
+    Fraction arithmetic."""
+    p, q = rf.numerator, rf.denominator
+    lengths = [-(-w.numerator * q // (w.denominator * p)) for (_, _, w) in g.edges]
+    lo = (max(g.vertices) + 1) if g.vertices else 0
+    return lengths, range(lo, lo + 2 * sum(k - 1 for k in lengths))
+
+
+def power_graph_new_ids(g: WeightedGraph, ell: object) -> range:
+    """The ids power_graph(g, ell) adds to V(g), without building it, in
+    O(E): the subdivision adds 2*(ceil(w/ell) - 1) inner vertices per edge."""
+    lf = as_fraction(ell)
+    if lf <= 0:
+        raise GraphError("power graph scale must be positive")
+    return _subdivision_plan(g, lf)[1]
+
+
+def power_graph_vertex_count(g: WeightedGraph, ell: object) -> int:
+    """len(power_graph(g, ell).vertices) without building it, in O(E)."""
+    return len(g.vertices) + len(power_graph_new_ids(g, ell))
+
+
 def subdivision_graph(g: WeightedGraph, r: object) -> Subdivision:
     """Replace each edge by two internally disjoint paths of ceil(w/r) edges.
 
@@ -289,11 +334,11 @@ def subdivision_graph(g: WeightedGraph, r: object) -> Subdivision:
     if rf <= 0:
         raise GraphError("subdivision parameter must be positive")
     verts: List[int] = list(g.vertices)
-    next_id = (max(g.vertices) + 1) if g.vertices else 0
+    lengths, new_ids = _subdivision_plan(g, rf)
+    next_ids = iter(new_ids)
     edges: List[Tuple[int, int, Fraction]] = []
     paths: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-    for (u, v, w) in g.edges:
-        k = ceil_frac(w / rf)
+    for (u, v, w), k in zip(g.edges, lengths):
         first = w - rf * (k - 1)
         pair: List[Tuple[int, ...]] = []
         for (a, b) in ((u, v), (v, u)):
@@ -301,8 +346,7 @@ def subdivision_graph(g: WeightedGraph, r: object) -> Subdivision:
             prev = a
             wt = first
             for _ in range(k - 1):
-                nid = next_id
-                next_id += 1
+                nid = next(next_ids)
                 verts.append(nid)
                 edges.append((prev, nid, wt))
                 path.append(nid)
@@ -410,6 +454,25 @@ def power_graph(g: WeightedGraph, ell: object) -> PowerGraph:
 # -- edge-list file format ----------------------------------------------------
 
 
+_DECIMAL_KEY = re.compile(r"-?[0-9]+")
+
+
+def json_int(x: object, what: str) -> int:
+    """An integer id or colour read from JSON.  Only JSON integers pass: a
+    bool or a float would be reinterpreted or truncated by int()."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise GraphError("%s must be a JSON integer, got %r" % (what, x))
+
+
+def json_int_key(k: object, what: str) -> int:
+    """An integer id read from a JSON object key: decimal digits with an
+    optional minus sign."""
+    if isinstance(k, str) and _DECIMAL_KEY.fullmatch(k):
+        return int(k)
+    raise GraphError("%s must be an integer-valued string, got %r" % (what, k))
+
+
 def parse_edge_list(text: str) -> WeightedGraph:
     """Parse the "u v w" edge-list format.
 
@@ -434,7 +497,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
                 edges.append((u, v, w))
             else:
                 raise ValueError("expected 'u v w' or a bare vertex id")
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise GraphError("edge list line %d: %s" % (lineno, exc)) from exc
     return WeightedGraph(verts, edges)
 

@@ -20,6 +20,7 @@ from wdcolor.graph import (
     as_fraction,
     frac_str,
     power_graph,
+    power_graph_new_ids,
 )
 
 
@@ -228,31 +229,42 @@ def verify_weak_diameter(
     exact: with exact=False and a bound no smaller than the host vertex
         count minus one, the bound holds for every connected component and
         the per-component measurement is skipped; the report then carries
-        only what was measured (no stats, zero maxima).
+        only what was measured (no stats, zero maxima).  Without `power`
+        this is decided from the host vertex count, computed in O(E) from
+        the weights, and the power graph is never built.
     """
     lf = as_fraction(ell)
+    bf: Optional[Fraction] = as_fraction(bound) if bound is not None else None
+    bound_hops = None if bf is None else int(bf)  # floor: hop counts are integers
+    if not exact and bound_hops is not None:
+        if power is not None:
+            host, in_host = len(power.vertices), power.has_vertex
+        else:
+            vset, new_ids = g.vertex_set(), power_graph_new_ids(g, lf)
+            host = len(vset) + len(new_ids)
+
+            def in_host(v: int) -> bool:
+                return v in vset or v in new_ids
+
+        if bound_hops >= host - 1:
+            # each component is connected inside the host, so its hop diameter
+            # stays below the host vertex count and the bound holds unmeasured
+            return VerificationReport(
+                colors=_colors_in_host(coloring, restrict_to, in_host),
+                max_weak_diameter_hops=0,
+                max_weak_diameter_metric=Fraction(0),
+                separation_ok=True,
+                bound=bf,
+                ratio=Fraction(0),
+                per_component=(),
+                ok=True,
+            )
     p = power if power is not None else power_graph(g, lf)
     pool: Set[int] = set(p.vertices)
     if restrict_to is not None:
         pool &= set(restrict_to)
     pool &= coloring.domain
     comps = monochromatic_components(p, coloring, within=pool)
-    bf: Optional[Fraction] = as_fraction(bound) if bound is not None else None
-    bound_hops = None if bf is None else int(bf)  # floor: hop counts are integers
-    if not exact and bound_hops is not None and bound_hops >= len(p.vertices) - 1:
-        # each component is connected inside the host, so its hop diameter
-        # stays below the host vertex count and the bound holds unmeasured
-        colors_used = len({coloring.color(v) for c in comps for v in c})
-        return VerificationReport(
-            colors=colors_used,
-            max_weak_diameter_hops=0,
-            max_weak_diameter_metric=Fraction(0),
-            separation_ok=True,
-            bound=bf,
-            ratio=Fraction(0),
-            per_component=(),
-            ok=True,
-        )
     stats: List[ComponentStat] = []
     max_hops = 0
     max_metric = Fraction(0)
@@ -280,6 +292,17 @@ def verify_weak_diameter(
         per_component=tuple(stats),
         ok=all_ok,
     )
+
+
+def _colors_in_host(
+    coloring: Coloring,
+    restrict_to: Optional[Iterable[int]],
+    in_host: Callable[[int], bool],
+) -> int:
+    """Colours used on V(host) & restrict_to & domain."""
+    assignment = coloring.assignment
+    pool = assignment if restrict_to is None else set(restrict_to)
+    return len({assignment[v] for v in pool if v in assignment and in_host(v)})
 
 
 def check_weak_diameter(

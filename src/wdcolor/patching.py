@@ -11,6 +11,7 @@ on faith.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
@@ -31,6 +32,7 @@ from wdcolor.partition import (
 )
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def patch_bound(k: int, r: object, ell: object, n: object) -> Fraction:
     """Weak-diameter bound for merging a coloring over a (k, r)-centered set.
 
@@ -39,6 +41,11 @@ def patch_bound(k: int, r: object, ell: object, n: object) -> Fraction:
     Unrolled, f(k, n) = 2**k * y_k + step * (2**k - 1) with y_0 = n and
     y_{i+1} = ceil((4/ell)*(ell+r+ell*y_i)) + y_i, so large k needs no
     recursion.  Satisfies f(k, n) >= (k+1)*n.
+
+    This and the other pure bounds (centered_bound, vertex_cover_bound,
+    tree_extension_bound, cover_piece_bound, con_color_bound) are memoised.
+    Their keys are typed, so a float argument does not hit the entry of the
+    equal int and still fails; exceptions are not cached.
     """
     if k < 0:
         raise GraphError("center count k must be nonnegative")
@@ -158,6 +165,7 @@ def patch_colorings(
     return MergeResult(merged, bound, report)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def centered_bound(k: int, r: object, ell: object) -> Fraction:
     """Bound for any coloring of a graph whose undeleted part is (k, r)-centered."""
     return patch_bound(k, r, ell, 1)
@@ -194,6 +202,7 @@ def centered_color(
     return MergeResult(coloring, bound, report)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def vertex_cover_bound(k: int, w: int, ell: object) -> Fraction:
     """Composed bound: centered bound for the <= w-vertex components, then a
     patch over the k cover vertices."""

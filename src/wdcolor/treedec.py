@@ -10,6 +10,7 @@ frontier with a computable weak-diameter bound.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,6 +23,7 @@ from wdcolor.graph import (
     as_fraction,
     ceil_frac,
     frac_str,
+    json_int,
     neighborhood,
 )
 from wdcolor.partition import (
@@ -35,6 +37,7 @@ from wdcolor.partition import (
 TreeEdge = Tuple[int, int]  # (parent, child)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def con_color_bound(ell: object, n: object, m: int, theta: int, mu: object) -> Fraction:
     """Weak-diameter bound for a lifted condensation coloring:
     (28 + 8*mu/ell)*theta + (16*(theta+mu/ell)*(3*theta+1) + 4)
@@ -170,18 +173,29 @@ class RootedTreeDecomposition:
     @staticmethod
     def from_json_dict(data: dict) -> "RootedTreeDecomposition":
         try:
-            bags = {int(nd["id"]): [int(v) for v in nd["bag"]] for nd in data["nodes"]}
-            edges = [(int(a), int(b)) for a, b in data["edges"]]
-            root = int(data["root"])
+            bags = {
+                json_int(nd["id"], "node id"): [json_int(v, "bag member") for v in nd["bag"]]
+                for nd in data["nodes"]
+            }
+            edges = [(json_int(a, "tree edge end"), json_int(b, "tree edge end")) for a, b in data["edges"]]
+            root = json_int(data["root"], "root")
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError("malformed tree-decomposition JSON: %s" % (exc,))
         return RootedTreeDecomposition(bags, edges, root)
 
 
 def validate_td(g: WeightedGraph, td: RootedTreeDecomposition) -> dict:
-    """Check the decomposition axioms; report-based, never raises."""
+    """Check the decomposition axioms; report-based, never raises.
+
+    One pass over the bags maps each vertex to the nodes holding it; an
+    edge is covered when its ends share a holder, and a vertex's holders
+    are connected when exactly one of them has its parent outside them."""
     failures: List[str] = []
-    covered = td.all_vertices()
+    holders: Dict[int, Set[int]] = {}
+    for t, bag in td.bags.items():
+        for v in bag:
+            holders.setdefault(v, set()).add(t)
+    covered = holders.keys()
     missing = g.vertex_set() - covered
     if missing:
         failures.append("vertices not in any bag: %s" % sorted(missing)[:5])
@@ -189,25 +203,19 @@ def validate_td(g: WeightedGraph, td: RootedTreeDecomposition) -> dict:
     if alien:
         failures.append("bags contain unknown vertices: %s" % sorted(alien)[:5])
     edges_ok = True
+    nobody: Set[int] = set()
     for (u, v, _) in g.edges:
-        if not any(u in b and v in b for b in td.bags.values()):
+        if not holders.get(u, nobody) & holders.get(v, nobody):
             failures.append("edge (%s,%s) is in no bag" % (u, v))
             edges_ok = False
             break
     connected_ok = True
+    parent = td.parent
     for v in g.vertices:
-        holders = {t for t in td.nodes if v in td.bags[t]}
-        if not holders:
+        hs = holders.get(v)
+        if not hs:
             continue
-        seen = {min(holders)}
-        stack = [min(holders)]
-        while stack:
-            t = stack.pop()
-            for s in td.children[t] + ((td.parent[t],) if td.parent[t] is not None else ()):
-                if s in holders and s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        if seen != holders:
+        if sum(1 for t in hs if parent[t] not in hs) != 1:
             failures.append("bags containing vertex %s are not connected in the tree" % (v,))
             connected_ok = False
             break

@@ -8,6 +8,8 @@ colors.  Every merge re-verifies its claimed bound; the public entry points
 verify the assembled coloring end to end.
 """
 
+import functools
+import heapq
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,41 +55,54 @@ def _simple_adjacency(g: WeightedGraph) -> Dict[int, Set[int]]:
     return adj
 
 
-def _eliminate(work: Dict[int, Set[int]], v: int) -> Dict[int, Set[int]]:
-    out = {u: set(ns) for u, ns in work.items() if u != v}
-    ns = sorted(work[v])
+def _eliminate_in_place(work: Dict[int, Set[int]], v: int) -> Set[int]:
+    """Remove v and make its neighbourhood a clique; returns the neighbourhood."""
+    ns = work.pop(v)
     for a in ns:
-        out[a].discard(v)
-    for i, a in enumerate(ns):
-        for b in ns[i + 1:]:
-            out[a].add(b)
-            out[b].add(a)
-    return out
+        nbrs = work[a]
+        nbrs.discard(v)
+        nbrs |= ns
+        nbrs.discard(a)
+    return ns
 
 
 def _elimination_width(adj: Dict[int, Set[int]], order: Sequence[int]) -> int:
     work = {v: set(ns) for v, ns in adj.items()}
     width = 0
     for v in order:
-        width = max(width, len(work[v]))
-        work = _eliminate(work, v)
+        width = max(width, len(_eliminate_in_place(work, v)))
     return width
 
 
+def _fill_key(work: Dict[int, Set[int]], v: int) -> Tuple[int, int, int]:
+    ns = sorted(work[v])
+    fill = sum(1 for i, a in enumerate(ns) for b in ns[i + 1:] if b not in work[a])
+    return (fill, len(ns), v)
+
+
 def _min_fill_order(adj: Dict[int, Set[int]]) -> List[int]:
+    """Repeatedly eliminate the vertex of least (fill, degree, id).  Keys
+    sit in a lazy heap; eliminating v changes only the keys of N(v) and of
+    their neighbours, so only those are recomputed."""
     work = {v: set(ns) for v, ns in adj.items()}
+    key = {v: _fill_key(work, v) for v in work}
+    heap = list(key.values())
+    heapq.heapify(heap)
     order: List[int] = []
     while work:
-        best: Optional[Tuple[int, int, int]] = None
-        for v in sorted(work):
-            ns = sorted(work[v])
-            fill = sum(1 for i, a in enumerate(ns) for b in ns[i + 1:] if b not in work[a])
-            key = (fill, len(ns), v)
-            if best is None or key < best:
-                best = key
-        v = best[2]
+        k = heapq.heappop(heap)
+        v = k[2]
+        if key.get(v) != k:
+            continue
+        del key[v]
         order.append(v)
-        work = _eliminate(work, v)
+        ns = _eliminate_in_place(work, v)
+        stale = set(ns)
+        for a in ns:
+            stale |= work[a]
+        for u in stale:
+            key[u] = _fill_key(work, u)
+            heapq.heappush(heap, key[u])
     return order
 
 
@@ -135,7 +150,9 @@ def _exact_order(
                 break
         cand = [pick] if pick is not None else sorted(work, key=lambda v: (len(work[v]), v))
         for v in cand:
-            rec(_eliminate(work, v), max(cur, len(work[v])), prefix + [v])
+            nxt = {u: set(ns) for u, ns in work.items()}
+            _eliminate_in_place(nxt, v)
+            rec(nxt, max(cur, len(work[v])), prefix + [v])
 
     rec({v: set(ns) for v, ns in adj.items()}, 0, [])
     return best_width, best_order
@@ -152,7 +169,7 @@ def _order_to_td(g: WeightedGraph, order: Sequence[int]) -> RootedTreeDecomposit
         later = {u for u in work[v] if pos[u] > pos[v]}
         bags[v] = frozenset({v} | later)
         parent_of[v] = min(later, key=lambda u: pos[u]) if later else None
-        work = _eliminate(work, v)
+        _eliminate_in_place(work, v)
     edges: List[TreeEdge] = []
     prev_root: Optional[int] = None
     for v in order:
@@ -191,6 +208,7 @@ def compute_tree_decomposition(
 # -- constructions ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def cover_piece_bound(theta: int, ell: object) -> Fraction:
     """Hop bound of a constant coloring of a graph where some <= theta
     vertices cover all but components of <= theta**2 vertices, or of a graph
@@ -265,6 +283,7 @@ class AdhesionConstruction:
 # -- bound calculators --------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def tree_extension_bound(eta: int, theta: int, ell: object, n: object, m: int) -> Fraction:
     """Hop bound achieved by color_adhesion_construction: the level-0 term
     covers pieces, the patch over the root ball, and bag sizes; each further

@@ -33,3 +33,33 @@ def test_every_traced_layer_resolves():
             if not callable(owner):
                 missing.append("%s.%s (not callable)" % (module, path))
     assert missing == []
+
+
+def test_tracer_vacuity_hook_reads_the_check_arguments():
+    """The tracer binds verify_weak_diameter's arguments by name (g, ell,
+    bound, power, exact) and sizes the host from .vertices and .edges,
+    also of graphs that induced() returns."""
+    import inspect
+    from fractions import Fraction
+
+    from wdcolor import partition
+    from wdcolor.graph import WeightedGraph, power_graph, power_graph_vertex_count
+
+    tracer = _load_tracer()
+    params = inspect.signature(partition.verify_weak_diameter).parameters
+    assert {"g", "ell", "bound", "power", "exact"} <= set(params)
+
+    g = WeightedGraph(range(5), [(i, i + 1, Fraction(5, 2)) for i in range(4)])
+    h = g.induced([0, 1, 2, 4])
+    assert h.vertices == (0, 1, 2, 4) and len(h.edges) == 2
+    host = len(power_graph(h, 1).vertices)
+    assert tracer._host_size(h, Fraction(1), None) == power_graph_vertex_count(h, 1) == host
+
+    t = tracer.Tracer()
+    before, _ = t._hooks("partition.verify_weak_diameter", partition.verify_weak_diameter)
+    c = partition.Coloring.constant(range(host + 5), 1)
+    before((h, 1, c), {"bound": host - 1, "exact": False})
+    before((h, 1, c), {"bound": host - 2, "exact": False})
+    before((h, 1, c), {"bound": host - 1})
+    assert t.counts["verify.vacuous"] == 2
+    assert t.counts["verify.skipped"] == 1

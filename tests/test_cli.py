@@ -4,6 +4,8 @@ and bad input (2)."""
 
 import json
 
+import pytest
+
 from wdcolor.cli import main
 
 
@@ -155,3 +157,58 @@ def test_run_tw_with_a_wide_supplied_decomposition(tmp_path, capsys):
     report = json.loads(out)
     assert report["ok"] and report["width"] == 45
     assert len(report["proved_bound"]) > 4300
+
+
+def test_zero_denominator_weight_exits_2(tmp_path, capsys):
+    graph = tmp_path / "zero.txt"
+    graph.write_text("0 1 1\n1 2 1/0\n")
+    code, out, err = _main(capsys, ["run", "tw", "--graph", str(graph), "--ell", "1"])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "parse-error" and "line 2" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "coloring",
+    [
+        {"num_colors": 2, "assignment": [1, 2]},
+        {"num_colors": 2, "assignment": {"0": 1, "1": 1.9, "2": 1}},
+        {"num_colors": 2, "assignment": {"0": 1, "1": True, "2": 1}},
+        {"num_colors": 2.7, "assignment": {"0": 1, "1": 2, "2": 1}},
+        {"num_colors": True, "assignment": {"0": 1, "1": 1, "2": 1}},
+        {"num_colors": 2, "assignment": {"0": 1, "1.0": 2, "2": 1}},
+        {"num_colors": 2, "assignment": {"0": 1, "1": "2", "2": 1}},
+    ],
+    ids=["list", "float-colour", "bool-colour", "float-count", "bool-count", "float-key", "string-colour"],
+)
+def test_verify_rejects_non_integer_coloring_json(tmp_path, capsys, coloring):
+    graph = tmp_path / "p3.txt"
+    graph.write_text("0 1 1\n1 2 1\n")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(coloring))
+    code, out, err = _main(
+        capsys,
+        ["verify", "--graph", str(graph), "--ell", "1", "--coloring", str(path), "--bound", "5"],
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "parse-error"
+
+
+def test_run_tw_rejects_a_fractional_bag_member(tmp_path, capsys):
+    graph = tmp_path / "p3.txt"
+    graph.write_text("0 1 1\n1 2 1\n")
+    td = tmp_path / "td.json"
+    td.write_text(json.dumps({
+        "nodes": [{"id": 0, "bag": [0, 1]}, {"id": 1, "bag": [1, 2.5]}],
+        "edges": [[0, 1]],
+        "root": 0,
+    }))
+    code, out, err = _main(
+        capsys, ["run", "tw", "--graph", str(graph), "--ell", "1", "--td", str(td)]
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert "bag member must be a JSON integer" in error["message"]

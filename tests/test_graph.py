@@ -19,6 +19,8 @@ from wdcolor.graph import (
     neighborhood,
     parse_edge_list,
     power_graph,
+    power_graph_new_ids,
+    power_graph_vertex_count,
     subdivision_graph,
     weak_diameter,
     write_edge_list,
@@ -271,6 +273,22 @@ def test_power_graph_matches_brute_force(g, ell):
     assert set(p.edge_list()) == oracles.brute_power_edges(g, ell)
 
 
+@settings(max_examples=80, deadline=None)
+@given(weighted_graphs(max_n=7, max_extra_edges=6, connected=False), rationals(max_num=6, max_den=4))
+def test_power_graph_vertex_count_matches_the_built_graph(g, ell):
+    # weights run up to 12, so many edges exceed ell and are subdivided
+    p = power_graph(g, ell)
+    assert power_graph_vertex_count(g, ell) == len(p.vertices)
+    assert list(power_graph_new_ids(g, ell)) == [v for v in p.vertices if v not in g.vertex_set()]
+
+
+def test_power_graph_vertex_count_rejects_bad_scale():
+    with pytest.raises(GraphError):
+        power_graph_vertex_count(path_graph([1]), 0)
+    with pytest.raises(GraphError):
+        power_graph_new_ids(path_graph([1]), 0)
+
+
 def test_hop_bound_from_metric_distance():
     # pairs at metric distance <= k are within ceil(2k/ell) power-graph hops
     rng = random.Random(11)
@@ -285,6 +303,52 @@ def test_hop_bound_from_metric_distance():
                 k = dm[v]
                 bound = ceil_frac(2 * k / ell)
                 assert dh[v] <= bound
+
+
+# -- induced subgraphs ----------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weighted_graphs(max_n=10, max_extra_edges=12, connected=False),
+    st.data(),
+)
+def test_induced_matches_a_graph_built_from_the_filtered_edges(g, data):
+    """induced() shares the parent's scaled adjacency; the reference builds
+    the subgraph from scratch, at its own scale."""
+    ks = set(data.draw(st.sets(st.sampled_from(g.vertices))))
+    h = g.induced(ks)
+    ref = WeightedGraph(ks, [(u, v, w) for (u, v, w) in g.edges if u in ks and v in ks])
+    assert h.vertices == ref.vertices
+    assert h.edges == ref.edges
+    assert h.vertex_set() == ref.vertex_set()
+    for v in ref.vertices:
+        assert h.neighbors(v) == ref.neighbors(v)
+    assert h.min_edge_weight() == ref.min_edge_weight()
+    assert h.max_edge_weight() == ref.max_edge_weight()
+    if not ks:
+        return
+    src = sorted(data.draw(st.sets(st.sampled_from(sorted(ks)), min_size=1, max_size=3)))
+    radius = data.draw(st.none() | rationals(min_value=0))
+    within = data.draw(st.none() | st.frozensets(st.sampled_from(sorted(ks))))
+    targets = data.draw(st.none() | st.sets(st.sampled_from(sorted(ks)), min_size=1))
+    got = h.distances_from(src, radius=radius, within=within, targets=targets)
+    want = ref.distances_from(src, radius=radius, within=within, targets=targets)
+    assert got == want
+    assert list(got) == list(want)  # discovery order, so ties break alike
+    assert h.without(src).edges == ref.without(src).edges
+
+
+def test_induced_at_the_parent_scale_returns_plain_distances():
+    g = WeightedGraph(range(4), [(0, 1, Fraction(1, 3)), (1, 2, 1), (2, 3, Fraction(1, 5))])
+    h = g.induced([1, 2])
+    d = h.distances_from([1])
+    assert d == {1: 0, 2: 1}
+    assert d[2].denominator == 1
+    assert h.min_edge_weight() == h.max_edge_weight() == 1
+    assert g.induced([]).min_edge_weight() is None
+    with pytest.raises(GraphError):
+        g.induced([7])
 
 
 # -- edge-list round trip ------------------------------------------------------
@@ -310,6 +374,11 @@ def test_edge_list_rejects_garbage():
         parse_edge_list("0 1\n")
     with pytest.raises(GraphError):
         parse_edge_list("0 1 -2\n")
+
+
+def test_edge_list_rejects_a_zero_denominator():
+    with pytest.raises(GraphError, match="line 2"):
+        parse_edge_list("0 1 1\n1 2 1/0\n")
 
 
 def test_frac_str_forms():

@@ -14,6 +14,7 @@ from wdcolor.partition import (
     Coloring,
     ContractViolation,
     PartitionFamily,
+    check_weak_diameter,
     coloring_to_partition,
     measure_dilation,
     monochromatic_components,
@@ -264,3 +265,56 @@ def test_dilation_records_errors_per_row():
 
     rows = measure_dilation(pipeline, g, [1, 2])
     assert "error" in rows[1] and "boom" in rows[1]["error"]
+
+
+# -- vacuous checks are decided before any power graph is built ------------------
+
+
+def _count_power_graphs(monkeypatch):
+    import wdcolor.partition as partition_mod
+
+    calls = []
+    original = partition_mod.power_graph
+
+    def counting(g, ell):
+        calls.append(len(g))
+        return original(g, ell)
+
+    monkeypatch.setattr(partition_mod, "power_graph", counting)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weighted_graphs(max_n=8, max_extra_edges=6, connected=False),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_vacuous_inexact_check_skips_the_power_graph(g, ell, data):
+    # weights reach 12 > ell, so hosts carry subdivision vertices; colours
+    # and the restriction may name them, or ids that are in no host
+    p = power_graph(g, ell)
+    ids = list(range(len(p.vertices) + 3))
+    assignment = {v: data.draw(st.integers(min_value=1, max_value=3)) for v in ids
+                  if data.draw(st.booleans())}
+    c = Coloring(assignment, 3)
+    restrict = data.draw(st.none() | st.sets(st.sampled_from(ids)))
+    bound = len(p.vertices) - 1 + data.draw(st.integers(min_value=0, max_value=2))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_power_graphs(mp)
+        skipped = check_weak_diameter(g, ell, c, bound, "vacuous", restrict_to=restrict, exact=False)
+    assert calls == []
+    assert skipped == verify_weak_diameter(
+        g, ell, c, restrict_to=restrict, bound=bound, power=p, exact=False
+    )
+    assert skipped.ok and skipped.per_component == ()
+    pool = set(p.vertices) & c.domain & (set(ids) if restrict is None else restrict)
+    assert skipped.colors == len({c.color(v) for v in pool})
+
+
+def test_check_below_the_host_size_still_builds_and_measures(monkeypatch):
+    calls = _count_power_graphs(monkeypatch)
+    g = unit_path(6)
+    report = verify_weak_diameter(g, 1, Coloring.constant(range(6), 2), bound=4, exact=False)
+    assert calls == [6]
+    assert not report.ok and report.max_weak_diameter_hops == 5

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wdcolor.graph import GraphError, WeightedGraph, power_graph
 from wdcolor.partition import Coloring, ContractViolation
@@ -188,6 +190,83 @@ def test_generator_produces_valid_decompositions():
         g, td = random_td_instance(rng)
         rep = validate_td(g, td)
         assert rep["ok"], rep["failures"]
+
+
+def _validate_td_by_scanning(g, td):
+    """validate_td as it was: scan every bag for each edge and every node
+    for each vertex."""
+    failures = []
+    covered = td.all_vertices()
+    missing = g.vertex_set() - covered
+    if missing:
+        failures.append("vertices not in any bag: %s" % sorted(missing)[:5])
+    alien = covered - g.vertex_set()
+    if alien:
+        failures.append("bags contain unknown vertices: %s" % sorted(alien)[:5])
+    edges_ok = True
+    for (u, v, _) in g.edges:
+        if not any(u in b and v in b for b in td.bags.values()):
+            failures.append("edge (%s,%s) is in no bag" % (u, v))
+            edges_ok = False
+            break
+    connected_ok = True
+    for v in g.vertices:
+        holders = {t for t in td.nodes if v in td.bags[t]}
+        if not holders:
+            continue
+        seen = {min(holders)}
+        stack = [min(holders)]
+        while stack:
+            t = stack.pop()
+            for s in td.children[t] + ((td.parent[t],) if td.parent[t] is not None else ()):
+                if s in holders and s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        if seen != holders:
+            failures.append("bags containing vertex %s are not connected in the tree" % (v,))
+            connected_ok = False
+            break
+    return {
+        "ok": not failures,
+        "coverageOk": not missing and not alien,
+        "edgesOk": edges_ok,
+        "connectedOk": connected_ok,
+        "width": td.width if td.bags else -1,
+        "adhesion": td.adhesion,
+        "failures": failures,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["valid", "edge in no bag", "disconnected holders", "missing vertex"]),
+)
+def test_validate_td_matches_the_scanning_reference(seed, corruption):
+    rng = random.Random(seed)
+    g, td = random_td_instance(rng, n_vertices=rng.randint(2, 14), n_nodes=rng.randint(1, 8))
+    bags = dict(td.bags)
+    edges = list(g.edges)
+    if corruption == "edge in no bag":
+        apart = [(u, v) for u in g.vertices for v in g.vertices
+                 if u < v and not any(u in b and v in b for b in bags.values())]
+        assume(apart)
+        edges.insert(rng.randrange(len(edges) + 1), rng.choice(apart) + (Fraction(1),))
+    elif corruption == "disconnected holders":
+        far = [(v, t) for v in g.vertices for t in td.nodes
+               if v not in bags[t] and any(v in b for b in bags.values())
+               and not any(v in bags[s] for s in td.children[t] + (td.parent[t],) if s is not None)]
+        assume(far)
+        v, t = rng.choice(far)
+        bags[t] = bags[t] | {v}
+    elif corruption == "missing vertex":
+        v = rng.choice(g.vertices)
+        bags = {t: b - {v} for t, b in bags.items()}
+    g = WeightedGraph(g.vertices, edges)
+    td = RootedTreeDecomposition(bags, td.tree_edges, td.root)
+    rep = validate_td(g, td)
+    assert rep == _validate_td_by_scanning(g, td)
+    assert rep["ok"] == (corruption == "valid")
 
 
 # -- adhesion partition chains -------------------------------------------------

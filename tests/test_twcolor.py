@@ -427,3 +427,75 @@ def test_band_graphs_all_widths():
         assert res.width == k
         assert res.bound == treewidth_color_bound(k, 1)
         assert res.report.ok
+
+
+# -- each metric object is built once -----------------------------------------------
+
+
+def test_unit_path_builds_one_power_graph(monkeypatch):
+    """Every internal check on a path is vacuous and decided from the host
+    vertex count; only the final exact check builds a power graph."""
+    import wdcolor.partition as partition_mod
+
+    built = []
+    original = partition_mod.power_graph
+
+    def counting(g, ell):
+        built.append(len(g))
+        return original(g, ell)
+
+    monkeypatch.setattr(partition_mod, "power_graph", counting)
+    res = color_bounded_treewidth(unit_path(200), 1)
+    assert res.report.ok and res.report.per_component
+    assert built == [200]
+
+
+def _min_fill_order_by_copying(adj):
+    """The copying min-fill: rescan every vertex for the least (fill,
+    degree, id), then rebuild the graph without it."""
+    work = {v: set(ns) for v, ns in adj.items()}
+    order = []
+    while work:
+        best = None
+        for v in sorted(work):
+            ns = sorted(work[v])
+            fill = sum(1 for i, a in enumerate(ns) for b in ns[i + 1:] if b not in work[a])
+            if best is None or (fill, len(ns), v) < best:
+                best = (fill, len(ns), v)
+        v = best[2]
+        order.append(v)
+        out = {u: set(ns) for u, ns in work.items() if u != v}
+        for a in work[v]:
+            out[a].discard(v)
+            out[a] |= work[v] - {a}
+        work = out
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.sampled_from([0.03, 0.1, 0.2, 0.35, 0.5]),
+    st.randoms(use_true_random=False),
+)
+def test_min_fill_order_matches_the_copying_reference(n, density, rnd):
+    from wdcolor.twcolor import _elimination_width, _min_fill_order
+
+    adj = {v: set() for v in range(n)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rnd.random() < density:
+                adj[u].add(v)
+                adj[v].add(u)
+    order = _min_fill_order(adj)
+    assert order == _min_fill_order_by_copying(adj)
+    # width: the largest neighbourhood met along the order, by copying
+    work = {v: set(ns) for v, ns in adj.items()}
+    width = 0
+    for v in order:
+        width = max(width, len(work[v]))
+        for a in work[v]:
+            work[a].discard(v)
+            work[a] |= work[v] - {a}
+        del work[v]
+    assert _elimination_width(adj, order) == width
