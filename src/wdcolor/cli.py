@@ -92,6 +92,16 @@ def _load_json(path: str, what: str) -> dict:
         raise CliError("parse-error", "bad %s JSON in %s: %s" % (what, path, exc))
 
 
+def _load_certificate(path: str, what: str, loader):
+    """A JSON input file read by `loader`; a GraphError from the loader is a
+    parse error of that file."""
+    data = _load_json(path, what)
+    try:
+        return loader(data)
+    except GraphError as exc:
+        raise CliError("parse-error", "bad %s file %s: %s" % (what, path, exc))
+
+
 def _parse_frac(text: str, what: str) -> Fraction:
     try:
         return as_fraction(text)
@@ -192,7 +202,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _run_tw(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dict:
     td = None
     if args.td:
-        td = RootedTreeDecomposition.from_json_dict(_load_json(args.td, "decomposition"))
+        td = _load_certificate(args.td, "decomposition", RootedTreeDecomposition.from_json_dict)
     res = color_bounded_treewidth(g, lf, td=td, exact_td_max=args.exact_td_max)
     return {
         "ell": frac_str(lf),
@@ -208,7 +218,7 @@ def _run_tw(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dict:
 def _run_planar(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dict:
     rotation = None
     if args.rotation:
-        rotation = rotation_from_json(_load_json(args.rotation, "rotation"))
+        rotation = _load_certificate(args.rotation, "rotation", rotation_from_json)
     res = color_planar(
         g, lf, rotation,
         slab_width_factor=args.slab_width_factor,
@@ -234,7 +244,7 @@ def _run_layered(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> di
         raise CliError("invalid-input", "layered pipeline needs --layers FILE")
     if not args.eps0:
         raise CliError("invalid-input", "layered pipeline needs --eps0")
-    layering = layering_from_json(_load_json(args.layers, "layering"))
+    layering = _load_certificate(args.layers, "layering", layering_from_json)
     res = color_layered(
         g, lf, layering, _parse_frac(args.eps0, "eps0"),
         slab_width_factor=args.slab_width_factor,

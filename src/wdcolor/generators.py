@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph import GraphError, WeightedGraph, as_fraction, frac_str
+from .graph import GraphError, WeightedGraph, as_fraction, frac_str, json_int, json_int_key
 from .treedec import RootedTreeDecomposition, validate_td
 from .geodesic import GeodesicCertificate, GeodesicTree
 
@@ -315,9 +315,25 @@ def rotation_to_json(rotation: Dict[int, Tuple[int, ...]]) -> dict:
     return {"rotation": {str(v): list(order) for v, order in sorted(rotation.items())}}
 
 
+def _json_list(x: object, what: str) -> list:
+    if isinstance(x, list):
+        return x
+    raise GraphError("%s must be a JSON array, got %r" % (what, x))
+
+
 def rotation_from_json(data: dict) -> Dict[int, Tuple[int, ...]]:
+    """Only JSON integers pass as neighbours and decimal strings as keys;
+    int() would truncate 1.25 or read true as 1."""
     try:
-        return {int(v): tuple(int(u) for u in order) for v, order in data["rotation"].items()}
+        rotation = data["rotation"]
+        if not isinstance(rotation, dict):
+            raise GraphError("rotation must be an object, got %r" % (rotation,))
+        return {
+            json_int_key(v, "rotation vertex"): tuple(
+                json_int(u, "rotation neighbour") for u in _json_list(order, "rotation order")
+            )
+            for v, order in rotation.items()
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError("malformed rotation JSON: %s" % (exc,))
 
@@ -327,8 +343,12 @@ def layering_to_json(layering: Sequence[Sequence[int]]) -> dict:
 
 
 def layering_from_json(data: dict) -> Tuple[Tuple[int, ...], ...]:
+    """Only JSON integers pass as layer members."""
     try:
-        return tuple(tuple(int(v) for v in layer) for layer in data["layers"])
+        return tuple(
+            tuple(json_int(v, "layer member") for v in _json_list(layer, "layer"))
+            for layer in _json_list(data["layers"], "layers")
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError("malformed layering JSON: %s" % (exc,))
 

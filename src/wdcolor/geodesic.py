@@ -1474,7 +1474,7 @@ def color_planar(
     for comp in g.connected_components():
         gc = g.induced(comp)
         tree = bfs_geodesic_tree(gc, comp[0])
-        rot_c = None if rotation is None else {v: rotation[v] for v in comp}
+        rot_c = None if rotation is None else {v: rotation[v] for v in comp if v in rotation}
         trip = tripod_decomposition(gc, rot_c, tree)
         cert = GeodesicCertificate(tree, trip.td, trip.paths, Fraction(0))
         cert.verify(gc)

@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 #: Distance of a disconnected pair; compares above every rational.
@@ -64,6 +64,10 @@ def _lcm(a: int, b: int) -> int:
 
 class GraphError(ValueError):
     """Invalid graph input (unknown vertex, bad weight, bad parameter)."""
+
+
+class ContractViolation(AssertionError):
+    """A produced object failed re-verification against its claimed bound."""
 
 
 class WeightedGraph:
@@ -182,14 +186,26 @@ class WeightedGraph:
         within: restrict the walk to this vertex set (induced subgraph).
         targets: stop early once all of these are settled.
         """
+        scaled = self._scaled_distances(sources, radius, within, targets)
+        scale = self._scale
+        return {v: Fraction(d, scale) for v, d in scaled.items()}
+
+    def _scaled_distances(
+        self,
+        sources: Iterable[int],
+        radius: object = None,
+        within: Optional[FrozenSet[int]] = None,
+        targets: Optional[Set[int]] = None,
+    ) -> Dict[int, int]:
+        """distances_from in units of 1/scale: the exact integers the search
+        adds, before any Fraction is built."""
         srcs = [s for s in sources]
         for s in srcs:
             if s not in self._vset:
                 raise GraphError("unknown source vertex %s" % (s,))
-        scale = self._scale
         rnum = rden = None
         if radius is not None:
-            r = as_fraction(radius) * scale
+            r = as_fraction(radius) * self._scale
             rnum, rden = r.numerator, r.denominator
         sadj = self._sadj
         dist: Dict[int, int] = {}
@@ -220,7 +236,7 @@ class WeightedGraph:
                 if n not in dist or nd < dist[n]:
                     dist[n] = nd
                     heapq.heappush(heap, (nd, n))
-        return {v: Fraction(d, scale) for v, d in dist.items() if v in settled}
+        return {v: d for v, d in dist.items() if v in settled}
 
     def shortest_distance(self, u: int, v: int) -> ExtendedDistance:
         """Exact shortest-path distance; INF if u, v are disconnected."""
@@ -254,6 +270,63 @@ def neighborhood(g: WeightedGraph, s: Iterable[int], r: object) -> Set[int]:
     return set(g.distances_from(s, radius=rf).keys())
 
 
+def set_diameter(members: Sequence[int], search: Callable[[int], Dict[int, int]]) -> int:
+    """Exact max distance between two members, from a few searches instead
+    of one per member.  `search(u)` maps vertices to their integer distance
+    from u in some metric and must reach every member.
+
+    The eccentricity-bounding method of Takes & Kosters, "Determining the
+    diameter of small world networks" (CIKM 2011): each member w keeps
+    bounds lo[w] <= ecc(w) <= hi[w] on its eccentricity within the set.
+    After a search from u with eccentricity e, the triangle inequality
+    gives every member
+        lo[w] = max(lo[w], d(u, w), e - d(u, w)),
+        hi[w] = min(hi[w], e + d(u, w)).
+    No lo exceeds the diameter, so once hi[w] <= max lo, w cannot be an end
+    of a longer pair and drops out.  When none are left, every member's
+    eccentricity is at most max lo, which is therefore the diameter.
+    Sources alternate between the largest hi and the smallest lo, ties to
+    the smallest vertex id.  Raises ContractViolation when a search misses
+    a member.
+    """
+    if len(members) <= 1:
+        return 0
+    lo: Dict[int, int] = dict.fromkeys(members, 0)
+    hi: Dict[int, float] = dict.fromkeys(members, INF)
+    live = set(members)
+    best = 0
+    widest = True
+    while live:
+        if widest:
+            u = min(live, key=lambda w: (-hi[w], w))
+        else:
+            u = min(live, key=lambda w: (lo[w], w))
+        widest = not widest
+        d = search(u)
+        try:
+            e = max(d[w] for w in members)
+        except KeyError as exc:
+            raise ContractViolation("search from %s does not reach member %s" % (u, exc.args[0])) from None
+        best = max(best, e)
+        for w in live:
+            dw = d[w]
+            lo[w] = max(lo[w], dw, e - dw)
+            hi[w] = min(hi[w], e + dw)
+        live = {w for w in live if hi[w] > best}
+    return best
+
+
+def metric_set_diameter(g: WeightedGraph, members: Sequence[int], radius: object = None) -> Fraction:
+    """Exact max distance in g between two of `members`, each search capped
+    at `radius`; set_diameter on integer distances, one Fraction at the end.
+    Raises ContractViolation when a member is out of reach."""
+    targets = set(members)
+    return Fraction(
+        set_diameter(members, lambda u: g._scaled_distances([u], radius=radius, targets=targets)),
+        g._scale,
+    )
+
+
 def weak_diameter(g: WeightedGraph, s: Iterable[int]) -> ExtendedDistance:
     """Sup of pairwise distances measured in the full graph g.
 
@@ -263,19 +336,10 @@ def weak_diameter(g: WeightedGraph, s: Iterable[int]) -> ExtendedDistance:
     for v in ss:
         if not g.has_vertex(v):
             raise GraphError("unknown vertex %s in weak_diameter" % (v,))
-    if len(ss) <= 1:
-        return Fraction(0)
-    best = Fraction(0)
-    tgt = set(ss)
-    for u in ss:
-        d = g.distances_from([u], targets=set(tgt))
-        for v in ss:
-            dv = d.get(v)
-            if dv is None:
-                return INF
-            if dv > best:
-                best = dv
-    return best
+    try:
+        return metric_set_diameter(g, ss)
+    except ContractViolation:
+        return INF
 
 
 # -- subdivision graph ------------------------------------------------------
@@ -398,18 +462,15 @@ class HopGraph:
     def hop_distances(
         self,
         sources: Iterable[int],
-        cutoff: Optional[int] = None,
         targets: Optional[Set[int]] = None,
     ) -> Dict[int, int]:
-        """BFS hop distances, optionally depth-capped / early-stopped."""
+        """BFS hop distances, stopping early once all targets are reached."""
         frontier = list(sources)
         dist: Dict[int, int] = {s: 0 for s in frontier}
         remaining = set(targets) - set(frontier) if targets is not None else None
         depth = 0
         while frontier:
             if remaining is not None and not remaining:
-                break
-            if cutoff is not None and depth >= cutoff:
                 break
             depth += 1
             nxt: List[int] = []
@@ -454,7 +515,7 @@ def power_graph(g: WeightedGraph, ell: object) -> PowerGraph:
 # -- edge-list file format ----------------------------------------------------
 
 
-_DECIMAL_KEY = re.compile(r"-?[0-9]+")
+_DECIMAL_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def json_int(x: object, what: str) -> int:
@@ -467,7 +528,8 @@ def json_int(x: object, what: str) -> int:
 
 def json_int_key(k: object, what: str) -> int:
     """An integer id read from a JSON object key: decimal digits with an
-    optional minus sign."""
+    optional minus sign, in the form str() writes (no leading zero, no -0),
+    so that no two keys of one object name the same id."""
     if isinstance(k, str) and _DECIMAL_KEY.fullmatch(k):
         return int(k)
     raise GraphError("%s must be an integer-valued string, got %r" % (what, k))

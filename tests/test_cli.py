@@ -2,9 +2,16 @@
 instance, with the exit codes for success (0), a failed verification (1)
 and bad input (2)."""
 
+import contextlib
+import io
 import json
+import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdcolor.cli import main
 
@@ -179,8 +186,10 @@ def test_zero_denominator_weight_exits_2(tmp_path, capsys):
         {"num_colors": True, "assignment": {"0": 1, "1": 1, "2": 1}},
         {"num_colors": 2, "assignment": {"0": 1, "1.0": 2, "2": 1}},
         {"num_colors": 2, "assignment": {"0": 1, "1": "2", "2": 1}},
+        {"num_colors": 2, "assignment": {"0": 1, "00": 2, "1": 2, "2": 2}},
     ],
-    ids=["list", "float-colour", "bool-colour", "float-count", "bool-count", "float-key", "string-colour"],
+    ids=["list", "float-colour", "bool-colour", "float-count", "bool-count", "float-key", "string-colour",
+         "leading-zero-key"],
 )
 def test_verify_rejects_non_integer_coloring_json(tmp_path, capsys, coloring):
     graph = tmp_path / "p3.txt"
@@ -212,3 +221,158 @@ def test_run_tw_rejects_a_fractional_bag_member(tmp_path, capsys):
     assert out == ""
     error = json.loads(err)["error"]
     assert "bag member must be a JSON integer" in error["message"]
+
+
+def _grid4_with(capsys, tmp_path, suffix, mutate):
+    """The generated 4x4 grid, and its certificate file `suffix` rewritten
+    by `mutate`."""
+    g = _gen(capsys, tmp_path, "g4", ["grid", "--rows", "4", "--cols", "4"])
+    path = tmp_path / ("g4." + suffix)
+    data = json.loads(path.read_text())
+    mutate(data)
+    path.write_text(json.dumps(data))
+    return g + ".txt", str(path)
+
+
+def _rename_key(old, new):
+    def mutate(data):
+        data["rotation"][new] = data["rotation"].pop(old)
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["rotation"].update({"0": [1.25, 4.25]}),
+        lambda d: d["rotation"].update({"0": [True, 4]}),
+        _rename_key("0", "+0"),
+        _rename_key("0", "00"),
+        lambda d: d["rotation"].update({"0": "14"}),
+    ],
+    ids=["float-neighbour", "bool-neighbour", "signed-key", "leading-zero-key", "string-order"],
+)
+def test_run_planar_rejects_a_non_integer_rotation(tmp_path, capsys, mutate):
+    graph, rotation = _grid4_with(capsys, tmp_path, "rotation.json", mutate)
+    code, out, err = _main(
+        capsys, ["run", "planar", "--graph", graph, "--ell", "1", "--rotation", rotation]
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "parse-error"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["layers"][1].__setitem__(0, 4.5),
+        lambda d: d["layers"][0].__setitem__(1, True),
+        lambda d: d["layers"][1].__setitem__(0, "4"),
+        lambda d: d.update(layers={"0": [0]}),
+    ],
+    ids=["float-member", "bool-member", "string-member", "object-layers"],
+)
+def test_run_layered_rejects_a_non_integer_layering(tmp_path, capsys, mutate):
+    graph, layers = _grid4_with(capsys, tmp_path, "layers.json", mutate)
+    code, out, err = _main(
+        capsys,
+        ["run", "layered", "--graph", graph, "--ell", "1", "--eps0", "1", "--layers", layers],
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "parse-error"
+
+
+# -- fuzzing the input files through the CLI -------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _mutated(draw, data):
+    """`data` with one of its values replaced by arbitrary JSON, or one of its
+    object keys renamed.  The depth is drawn first, so the few top-level
+    values are hit as often as the many leaves."""
+    spots = []
+
+    def walk(x, depth):
+        if depth == len(spots):
+            spots.append([])
+        if isinstance(x, list):
+            spots[depth].extend((x, i) for i in range(len(x)))
+            for y in x:
+                walk(y, depth + 1)
+        elif isinstance(x, dict):
+            spots[depth].extend((x, k) for k in x)
+            for y in x.values():
+                walk(y, depth + 1)
+
+    data = json.loads(json.dumps(data))
+    walk(data, 0)
+    holder, at = draw(st.sampled_from(draw(st.sampled_from([s for s in spots if s]))))
+    if isinstance(holder, dict) and draw(st.booleans()):
+        holder[draw(st.text(max_size=3) | st.integers(-2, 20).map(str))] = holder.pop(at)
+    else:
+        holder[at] = draw(_JSON)
+    return data
+
+
+_LINE = st.builds(
+    "{} {} {}".format,
+    st.sampled_from(["0", "1", "2", "3", "-1", "x"]),
+    st.sampled_from(["0", "1", "2", "3", "9"]),
+    st.sampled_from(["1", "1/2", "2", "0", "-1", "1/0", "0.25", "a"]),
+)
+
+# each option: (argv after the graph, the generated file it reads, or None)
+_OPTIONS = {
+    "--coloring": (["verify", "--ell", "1", "--bound", "2"], None),
+    "--td": (["run", "tw", "--ell", "1"], "td.json"),
+    "--rotation": (["run", "planar", "--ell", "1"], "rotation.json"),
+    "--layers": (["run", "layered", "--ell", "1", "--eps0", "1"], "layers.json"),
+}
+
+
+@pytest.fixture(scope="module")
+def grid3(tmp_path_factory):
+    """The generated 3x3 grid's files, and a valid colouring of it."""
+    d = tmp_path_factory.mktemp("fuzz")
+    prefix = str(d / "g3")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "grid", "--rows", "3", "--cols", "3", "--out", prefix]) == 0
+    files = {"graph": pathlib.Path(prefix + ".txt").read_text()}
+    for option, (_, suffix) in _OPTIONS.items():
+        if suffix is None:
+            files[option] = {"num_colors": 2, "assignment": {str(v): v % 2 + 1 for v in range(9)}}
+        else:
+            files[option] = json.loads(pathlib.Path(prefix + "." + suffix).read_text())
+    return files
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_survives_arbitrary_input_files(grid3, data):
+    """Arbitrary JSON, or a generated file with one value replaced or one key
+    renamed, for each input file, and arbitrary text or random edge lines
+    for the graph file, end in exit 0, 1 or 2, never in an uncaught
+    exception."""
+    option = data.draw(st.sampled_from(sorted(_OPTIONS)))
+    head, _ = _OPTIONS[option]
+    graph = data.draw(
+        st.just(grid3["graph"]) | st.text(max_size=30) | st.lists(_LINE, max_size=6).map("\n".join),
+        label="graph",
+    )
+    payload = data.draw(_JSON | _mutated(grid3[option]), label=option)
+    with tempfile.TemporaryDirectory() as d:
+        gpath, jpath = os.path.join(d, "g.txt"), os.path.join(d, "in.json")
+        with open(gpath, "w") as fh:
+            fh.write(graph)
+        with open(jpath, "w") as fh:
+            json.dump(payload, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(head + ["--graph", gpath, option, jpath])
+    assert code in (0, 1, 2)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from wdcolor.graph import (
     INF,
+    ContractViolation,
     GraphError,
     WeightedGraph,
     as_fraction,
@@ -21,6 +22,7 @@ from wdcolor.graph import (
     power_graph,
     power_graph_new_ids,
     power_graph_vertex_count,
+    set_diameter,
     subdivision_graph,
     weak_diameter,
     write_edge_list,
@@ -181,6 +183,17 @@ def test_weak_diameter_uses_host_graph():
     # two far ends of a path plus a shortcut outside the set
     g = WeightedGraph(range(4), [(0, 1, 5), (1, 2, 5), (0, 3, 1), (3, 2, 1)])
     assert weak_diameter(g, {0, 2}) == 2
+
+
+def test_set_diameter_raises_when_a_search_misses_a_member():
+    # 2 is unreachable from 0 and 1; the first search runs from 0
+    dist = {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}, 2: {2: 0}}
+    with pytest.raises(ContractViolation, match="from 0 does not reach member 2"):
+        set_diameter([0, 1, 2], dist.__getitem__)
+    assert set_diameter([0, 1], dist.__getitem__) == 1
+    g = WeightedGraph([0, 1, 2], [(0, 1, Fraction(1, 3))])
+    assert weak_diameter(g, {0, 1}) == Fraction(1, 3)
+    assert weak_diameter(g, {0, 1, 2}) is INF
 
 
 @settings(max_examples=40, deadline=None)

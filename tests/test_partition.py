@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdcolor.graph import WeightedGraph, ceil_frac, power_graph
+from wdcolor.graph import HopGraph, WeightedGraph, ceil_frac, power_graph
 from wdcolor.partition import (
     Coloring,
+    ComponentStat,
     ContractViolation,
     PartitionFamily,
     check_weak_diameter,
@@ -318,3 +319,114 @@ def test_check_below_the_host_size_still_builds_and_measures(monkeypatch):
     report = verify_weak_diameter(g, 1, Coloring.constant(range(6), 2), bound=4, exact=False)
     assert calls == [6]
     assert not report.ok and report.max_weak_diameter_hops == 5
+
+
+# -- component diameters from a few searches ------------------------------------
+
+
+def _reference_hop_diameter(host, comp, bound_hops):
+    """The per-member measurement verify_weak_diameter used before: one BFS
+    from every member, each stopping past the bound when there is one (its
+    depth cutoff is emulated by dropping the distances past the bound)."""
+    if len(comp) <= 1:
+        return 0, True
+    members = set(comp)
+    best = 0
+    for u in comp:
+        d = host.hop_distances([u], targets=set(members))
+        if bound_hops is not None:
+            d = {v: h for v, h in d.items() if h <= bound_hops}
+        for v in comp:
+            dv = d.get(v)
+            if dv is None:
+                if bound_hops is not None:
+                    return best, False
+                return len(host.vertices) + 1, False
+            if dv > best:
+                best = dv
+    return best, True
+
+
+def _reference_metric_diameter(metric, comp, radius_cap):
+    if len(comp) <= 1:
+        return Fraction(0)
+    members = set(comp)
+    best = Fraction(0)
+    for u in comp:
+        d = metric.distances_from([u], targets=set(members), radius=radius_cap)
+        for v in comp:
+            dv = d.get(v)
+            if dv is not None and dv > best:
+                best = dv
+    return best
+
+
+def _reference_report(p, ell, coloring, bound):
+    """(per-component stats, max hops, max metric, ok) as the per-member
+    measurement, with its bounded pass and unbounded rerun, reported them."""
+    bound_hops = None if bound is None else int(bound)
+    stats, max_hops, max_metric, all_ok = [], 0, Fraction(0), True
+    for comp in monochromatic_components(p, coloring, within=p.vertices):
+        hops, ok = _reference_hop_diameter(p, comp, bound_hops)
+        if not ok:
+            all_ok = False
+            hops, _ = _reference_hop_diameter(p, comp, None)
+        cap = None if hops == 0 else ell * hops
+        metric = _reference_metric_diameter(p.metric, comp, cap)
+        stats.append(ComponentStat(len(comp), comp[0], hops, metric))
+        max_hops, max_metric = max(max_hops, hops), max(max_metric, metric)
+    if bound is not None and max_hops > bound:
+        all_ok = False
+    return tuple(stats), max_hops, max_metric, all_ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2)]),
+    st.integers(min_value=1, max_value=9),
+    st.data(),
+)
+def test_component_diameters_match_the_per_member_reference(ell, n, data):
+    # weights up to 3*ell, so components hold subdivision vertices
+    weight = st.integers(min_value=1, max_value=12).map(lambda k: ell * Fraction(k, 4))
+    edges = [(data.draw(st.integers(0, v - 1)), v, data.draw(weight)) for v in range(1, n)]
+    for _ in range(data.draw(st.integers(0, 4)) if n > 2 else 0):
+        u, v = data.draw(st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)]))
+        edges.append((u, v, data.draw(weight)))
+    g = WeightedGraph(range(n), edges)
+    p = power_graph(g, ell)
+    k = data.draw(st.integers(1, 3))
+    c = Coloring({v: data.draw(st.integers(1, k)) for v in p.vertices}, k)
+    true_max = _reference_report(p, ell, c, None)[1]
+    bound = data.draw(st.sampled_from([None, true_max, true_max - 1]))
+    want = _reference_report(p, ell, c, bound)
+    for power in (None, p):
+        report = verify_weak_diameter(g, ell, c, bound=bound, power=power)
+        got = (report.per_component, report.max_weak_diameter_hops,
+               report.max_weak_diameter_metric, report.ok)
+        assert got == want
+
+
+def test_each_component_takes_a_few_searches(monkeypatch):
+    # five components of 40 vertices; a search per member would be 40 each
+    g = unit_path(200)
+    p = power_graph(g, 1)
+    sources = {"hops": [], "metric": []}
+    hop_search, metric_search = HopGraph.hop_distances, WeightedGraph._scaled_distances
+
+    def counting_hops(self, srcs, *args, **kwargs):
+        sources["hops"].extend(srcs)
+        return hop_search(self, srcs, *args, **kwargs)
+
+    def counting_metric(self, srcs, *args, **kwargs):
+        sources["metric"].extend(srcs)
+        return metric_search(self, srcs, *args, **kwargs)
+
+    monkeypatch.setattr(HopGraph, "hop_distances", counting_hops)
+    monkeypatch.setattr(WeightedGraph, "_scaled_distances", counting_metric)
+    report = verify_weak_diameter(g, 1, block_coloring(200, 40), bound=39, power=p)
+    assert report.ok and [s.hops for s in report.per_component] == [39] * 5
+    assert [s.metric for s in report.per_component] == [39] * 5
+    for kind, srcs in sources.items():
+        per_block = [sum(1 for u in srcs if u // 40 == b) for b in range(5)]
+        assert all(1 <= k <= 4 for k in per_block), (kind, per_block)
