@@ -6,6 +6,11 @@ produce byte-identical output.  Every report carries both the proved bound
 and the measured maximum; the proved constants are loose by design and the
 measured values are the useful numbers.  Exit status is nonzero exactly when
 something failed: 1 for a failed verification, 2 for bad input.
+
+`run planar` and `run layered` go through one slab driver; the only slab
+setting is --slab-width-factor, and every slab is padded by 2*ell.  A tree
+decomposition that `run tw`, `run partition` or `dilation` computes itself
+comes from an exhaustive search up to 20 vertices and min-fill beyond.
 """
 
 import argparse
@@ -203,7 +208,7 @@ def _run_tw(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dict:
     td = None
     if args.td:
         td = _load_certificate(args.td, "decomposition", RootedTreeDecomposition.from_json_dict)
-    res = color_bounded_treewidth(g, lf, td=td, exact_td_max=args.exact_td_max)
+    res = color_bounded_treewidth(g, lf, td=td)
     return {
         "ell": frac_str(lf),
         "colors": res.report.colors,
@@ -219,11 +224,7 @@ def _run_planar(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dic
     rotation = None
     if args.rotation:
         rotation = _load_certificate(args.rotation, "rotation", rotation_from_json)
-    res = color_planar(
-        g, lf, rotation,
-        slab_width_factor=args.slab_width_factor,
-        padding=_parse_frac(args.padding, "padding") if args.padding else None,
-    )
+    res = color_planar(g, lf, rotation, slab_width_factor=args.slab_width_factor)
     return {
         "ell": frac_str(lf),
         "colors": res.report.colors,
@@ -248,8 +249,6 @@ def _run_layered(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> di
     res = color_layered(
         g, lf, layering, _parse_frac(args.eps0, "eps0"),
         slab_width_factor=args.slab_width_factor,
-        padding=_parse_frac(args.padding, "padding") if args.padding else None,
-        exact_td_max=args.exact_td_max,
     )
     return {
         "ell": frac_str(lf),
@@ -265,7 +264,7 @@ def _run_partition(args: argparse.Namespace, g: WeightedGraph) -> dict:
     if not args.r:
         raise CliError("invalid-input", "partition pipeline needs --r")
     rf = _parse_frac(args.r, "r")
-    res = color_bounded_treewidth(g, rf, exact_td_max=args.exact_td_max)
+    res = color_bounded_treewidth(g, rf)
     family = coloring_to_partition(g, rf, res.coloring, res.bound)
     verify_partition_family(g, family)
     return {
@@ -355,9 +354,7 @@ def cmd_dilation(args: argparse.Namespace) -> int:
     scales = [_parse_frac(s, "scale") for s in (args.scales.split(",") if args.scales else DEFAULT_SCALES)]
 
     def pipeline(gg: WeightedGraph, sf: Fraction):
-        return color_bounded_treewidth(
-            _scale_weights(gg, sf), sf, exact_td_max=args.exact_td_max
-        ).report
+        return color_bounded_treewidth(_scale_weights(gg, sf), sf).report
 
     rows = measure_dilation(pipeline, g, scales)
     ratios = {row.get("ratio") for row in rows if "ratio" in row}
@@ -384,52 +381,49 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance with its certificates")
-    gen.add_argument("family", choices=FAMILIES)
-    gen.add_argument("--n", type=int, default=0)
-    gen.add_argument("--rows", type=int, default=0)
-    gen.add_argument("--cols", type=int, default=0)
-    gen.add_argument("--k", type=int, default=2)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--weight-lo", default="1")
-    gen.add_argument("--weight-hi", default="1")
-    gen.add_argument("--weight-den", type=int, default=1)
-    gen.add_argument("--base", help="base graph for the weight overlay")
+    gen.add_argument("family", choices=FAMILIES, help="instance family")
+    gen.add_argument("--n", type=int, default=0, help="vertex count (all families but grid and the overlay)")
+    gen.add_argument("--rows", type=int, default=0, help="grid rows")
+    gen.add_argument("--cols", type=int, default=0, help="grid columns")
+    gen.add_argument("--k", type=int, default=2, help="ktree width")
+    gen.add_argument("--seed", type=int, default=0, help="PRNG seed; the same seed writes the same files")
+    gen.add_argument("--weight-lo", default="1", help="smallest edge weight, a rational")
+    gen.add_argument("--weight-hi", default="1", help="largest edge weight, a rational")
+    gen.add_argument("--weight-den", type=int, default=1, help="weights are multiples of 1/DEN")
+    gen.add_argument("--base", help="base graph file for the weight overlay")
     gen.add_argument("--out", help="output path prefix")
     gen.set_defaults(func=cmd_gen)
 
     run = sub.add_parser("run", help="run a pipeline and write its report")
-    run.add_argument("pipeline", choices=("tw", "planar", "layered", "partition", "verify"))
-    run.add_argument("--graph")
-    run.add_argument("--ell")
-    run.add_argument("--r")
-    run.add_argument("--eps0")
-    run.add_argument("--td")
-    run.add_argument("--rotation")
-    run.add_argument("--layers")
-    run.add_argument("--coloring")
-    run.add_argument("--bound")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--out")
-    run.add_argument("--slab-width-factor", type=int, default=8)
-    run.add_argument("--padding")
-    run.add_argument("--exact-td-max", type=int, default=20)
+    run.add_argument("pipeline", choices=("tw", "planar", "layered", "partition", "verify"), help="pipeline to run")
+    run.add_argument("--graph", help="edge-list file: one 'u v weight' line per edge")
+    run.add_argument("--ell", help="scale of the power graph, a positive rational")
+    run.add_argument("--r", help="separation scale of the partition pipeline")
+    run.add_argument("--eps0", help="layer resolution of the layered pipeline")
+    run.add_argument("--td", help="tree-decomposition JSON for tw (computed when absent)")
+    run.add_argument("--rotation", help="rotation-system JSON for planar")
+    run.add_argument("--layers", help="layering JSON for layered")
+    run.add_argument("--coloring", help="coloring JSON for verify")
+    run.add_argument("--bound", help="weak-diameter bound in hops for verify")
+    run.add_argument("--seed", type=int, default=0, help="seed echoed in the report")
+    run.add_argument("--out", help="also write the report to this file")
+    run.add_argument("--slab-width-factor", type=int, default=8, help="slab width in units of ell, at least 4")
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="shorthand for: run verify")
-    ver.add_argument("--graph")
-    ver.add_argument("--ell")
-    ver.add_argument("--coloring")
-    ver.add_argument("--bound")
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--out")
+    ver.add_argument("--graph", help="edge-list file: one 'u v weight' line per edge")
+    ver.add_argument("--ell", help="scale of the power graph, a positive rational")
+    ver.add_argument("--coloring", help="coloring JSON to check")
+    ver.add_argument("--bound", help="weak-diameter bound in hops")
+    ver.add_argument("--seed", type=int, default=0, help="seed echoed in the report")
+    ver.add_argument("--out", help="also write the report to this file")
     ver.set_defaults(func=cmd_run, pipeline="verify")
 
     dil = sub.add_parser("dilation", help="sweep the coloring across scales")
-    dil.add_argument("--graph")
+    dil.add_argument("--graph", help="edge-list file: one 'u v weight' line per edge")
     dil.add_argument("--scales", help="comma-separated rational scales")
-    dil.add_argument("--seed", type=int, default=0)
-    dil.add_argument("--out")
-    dil.add_argument("--exact-td-max", type=int, default=20)
+    dil.add_argument("--seed", type=int, default=0, help="seed echoed in the report")
+    dil.add_argument("--out", help="also write the report to this file")
     dil.set_defaults(func=cmd_dilation)
     return top
 

@@ -2,9 +2,10 @@
 
 Every family is driven by one seeded PRNG stream, so a (family, parameters,
 seed) triple always reproduces the same instance byte for byte.  Grids come
-with their row layering, a planar rotation system, and a column tripod
-certificate; k-trees come with the width-k tree decomposition they grew
-along; triangulations come with their rotation system.
+with their row layering, a planar rotation system, a column tree
+decomposition and, with unit weights, its tripod certificate; k-trees come
+with the width-k tree decomposition they grew along; triangulations come
+with their rotation system.
 """
 
 import random
@@ -122,7 +123,9 @@ def gen_cycle(spec: GeneratorSpec) -> Instance:
 
 def _grid_tripods(rows: int, cols: int) -> GeodesicCertificate:
     """Column tripod certificate over the comb tree: spine along row 0,
-    teeth down each column; every bag is two full column paths."""
+    teeth down each column; every bag is two full column paths.  The
+    certified root distances i + j hold for unit weights only; the
+    decomposition itself is valid for any weights."""
     vid = lambda i, j: i * cols + j
     parent: Dict[int, Optional[int]] = {0: None}
     dist: Dict[int, Fraction] = {0: Fraction(0)}
@@ -155,7 +158,7 @@ def _grid_tripods(rows: int, cols: int) -> GeodesicCertificate:
             if t > 0:
                 edges.append((t - 1, t))
     td = RootedTreeDecomposition(bags, edges, 0)
-    return GeodesicCertificate(tree, td, paths, Fraction(0))
+    return GeodesicCertificate(tree, td, paths)
 
 
 def gen_grid(spec: GeneratorSpec) -> Instance:
@@ -192,8 +195,10 @@ def gen_grid(spec: GeneratorSpec) -> Instance:
     rep = validate_td(g, tripods.td)
     if not rep["ok"]:
         raise GraphError("grid tripod certificate failed validation: %s" % rep["failures"][:3])
+    unit = all(w == 1 for w in ws)
     return Instance(
-        "grid", g, td=tripods.td, rotation=rotation, layering=layering, tripods=tripods,
+        "grid", g, td=tripods.td, rotation=rotation, layering=layering,
+        tripods=tripods if unit else None,
         meta={"rows": str(rows), "cols": str(cols)},
     )
 
@@ -362,5 +367,4 @@ def tripods_to_json(cert: GeodesicCertificate) -> dict:
         },
         "td": cert.td.to_json_dict(),
         "paths": {str(t): [list(p) for p in ps] for t, ps in sorted(cert.paths.items())},
-        "slack": frac_str(cert.slack),
     }

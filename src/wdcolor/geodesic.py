@@ -1,5 +1,5 @@
 """Coloring engine driven by guarded tree decompositions, plus the slab
-pipelines that two-color planar and layered graphs four colors at a time.
+pipelines that four-color planar and layered graphs from two-colored slabs.
 
 The central object is a control construction: a rooted tree decomposition
 whose root and edges carry small guard triples.  The guards certify that
@@ -8,19 +8,24 @@ through few vertices or very far from the precolored zone, which is what
 the recursive engine needs to extend a partial coloring across the whole
 graph at a fixed weak-diameter bound.
 
-The planar pipeline cuts the graph into metric slabs along a geodesic
-projection, colors each padded slab through a tripod tree decomposition
-(every bag is a union of at most three vertical paths of a shortest-path
-tree), and combines two interleaved slab families into four colors.  The
-layered pipeline does the same with a layering projection and the bounded
-treewidth colorer per slab.
+Both slab pipelines run one driver, `_color_slabs`.  Per connected
+component it cuts the graph into two interleaved families of slabs over a
+1-Lipschitz projection, pads every slab by 2*ell, two-colors each connected
+piece of each padded window, and offsets one family by two colors to get
+four.  The pipelines differ only in what they hand the driver.  The planar
+pipeline projects onto root distances of a shortest-path tree and colors a
+window piece through the tripod tree decomposition restricted to it (every
+bag is a union of at most three vertical paths of the tree; the
+decomposition is its own `GeodesicCertificate`).  The layered pipeline
+projects onto eps0 times the layer index and colors a window piece with the
+bounded-treewidth colorer.
 """
 
 import bisect
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .graph import (
     GraphError,
@@ -56,6 +61,7 @@ from .treedec import (
     lift_condensation_coloring,
     validate_td,
 )
+from .twcolor import TwColorResult, color_bounded_treewidth
 
 _RECURSION_HEADROOM = 20000
 
@@ -948,13 +954,59 @@ def layering_projection(
 
 
 @dataclass(frozen=True)
-class TripodDecomposition:
-    """Tree decomposition in which every bag is the union of at most three
-    vertical paths (bottom to top) of the geodesic tree."""
+class GeodesicCertificate:
+    """Checkable witness that a tree decomposition is made of vertical
+    paths of a shortest-path tree: every bag of `td` is the union of the at
+    most three paths (bottom to top) that `paths` lists for its node."""
 
+    tree: GeodesicTree
     td: RootedTreeDecomposition
     paths: Dict[int, Tuple[Tuple[int, ...], ...]]
-    tree: GeodesicTree
+
+    def verify(self, g: WeightedGraph) -> None:
+        tree = self.tree
+        if tree.root not in g.vertex_set():
+            raise ContractViolation("certificate root is not a vertex")
+        dist = g.distances_from([tree.root])
+        if set(tree.dist) != g.vertex_set() or set(tree.parent) != g.vertex_set():
+            raise ContractViolation("certificate tree does not cover the vertices")
+        for v in g.vertices:
+            if v == tree.root:
+                if tree.parent[v] is not None or tree.dist[v] != 0:
+                    raise ContractViolation("certificate root data is wrong")
+                continue
+            p = tree.parent[v]
+            w = None
+            for (u, wu) in g.neighbors(v):
+                if u == p and (w is None or wu < w):
+                    w = wu
+            if w is None:
+                raise ContractViolation("tree parent of %s is not a neighbor" % v)
+            if tree.dist[v] != dist[v]:
+                raise ContractViolation("certified distance of %s is off" % v)
+            if tree.dist[p] + w != tree.dist[v]:
+                raise ContractViolation("tree edge into %s is not on a shortest path" % v)
+        rep = validate_td(g, self.td)
+        if not rep["ok"]:
+            raise ContractViolation("certified decomposition invalid: %s" % rep["failures"][:3])
+        if set(self.paths) != set(self.td.nodes):
+            raise ContractViolation("certificate paths do not cover the nodes")
+        for t in self.td.nodes:
+            ps = self.paths[t]
+            if len(ps) > 3:
+                raise ContractViolation("node %s carries %d > 3 paths" % (t, len(ps)))
+            union: Set[int] = set()
+            for path in ps:
+                if not path:
+                    raise ContractViolation("node %s carries an empty path" % t)
+                for i in range(len(path) - 1):
+                    if tree.parent[path[i]] != path[i + 1]:
+                        raise ContractViolation(
+                            "node %s path breaks the parent chain at %s" % (t, path[i])
+                        )
+                union.update(path)
+            if frozenset(union) != self.td.bags[t]:
+                raise ContractViolation("node %s bag is not the union of its paths" % t)
 
 
 def _check_simple(g: WeightedGraph) -> None:
@@ -1010,7 +1062,7 @@ def tripod_decomposition(
     g: WeightedGraph,
     rotation: Optional[Dict[int, Sequence[int]]],
     tree: GeodesicTree,
-) -> TripodDecomposition:
+) -> GeodesicCertificate:
     """Tree decomposition of a connected embedded graph into bags made of at
     most three vertical paths of `tree`.
 
@@ -1028,7 +1080,7 @@ def tripod_decomposition(
     root = tree.root
     if len(verts) == 1:
         td = RootedTreeDecomposition({0: frozenset(verts)}, [], 0)
-        return TripodDecomposition(td, {0: (tuple(verts),)}, tree)
+        return GeodesicCertificate(tree, td, {0: (tuple(verts),)})
     if len(g.edges) == len(verts) - 1:
         bags = {root: frozenset((root,))}
         edges: List[TreeEdge] = []
@@ -1041,7 +1093,7 @@ def tripod_decomposition(
             edges.append((p, v))
             paths[v] = ((v, p),)
         td = RootedTreeDecomposition(bags, edges, root)
-        return TripodDecomposition(td, paths, tree)
+        return GeodesicCertificate(tree, td, paths)
     if rotation is None:
         raise GraphError("a rotation system is required once the graph has cycles")
     faces = _trace_faces(g, rotation)
@@ -1144,63 +1196,7 @@ def tripod_decomposition(
     rep = validate_td(g, td)
     if not rep["ok"]:
         raise ContractViolation("tripod decomposition invalid: %s" % rep["failures"][:3])
-    return TripodDecomposition(td, paths2, tree)
-
-
-@dataclass(frozen=True)
-class GeodesicCertificate:
-    """Checkable witness that a tree decomposition is made of vertical
-    paths of a shortest-path tree (up to `slack` per path)."""
-
-    tree: GeodesicTree
-    td: RootedTreeDecomposition
-    paths: Dict[int, Tuple[Tuple[int, ...], ...]]
-    slack: Fraction = Fraction(0)
-
-    def verify(self, g: WeightedGraph) -> None:
-        tree = self.tree
-        if tree.root not in g.vertex_set():
-            raise ContractViolation("certificate root is not a vertex")
-        dist = g.distances_from([tree.root])
-        if set(tree.dist) != g.vertex_set() or set(tree.parent) != g.vertex_set():
-            raise ContractViolation("certificate tree does not cover the vertices")
-        for v in g.vertices:
-            if v == tree.root:
-                if tree.parent[v] is not None or tree.dist[v] != 0:
-                    raise ContractViolation("certificate root data is wrong")
-                continue
-            p = tree.parent[v]
-            w = None
-            for (u, wu) in g.neighbors(v):
-                if u == p and (w is None or wu < w):
-                    w = wu
-            if w is None:
-                raise ContractViolation("tree parent of %s is not a neighbor" % v)
-            if tree.dist[v] > dist[v] + self.slack or tree.dist[v] < dist[v]:
-                raise ContractViolation("certified distance of %s is off" % v)
-            if tree.dist[p] + w != tree.dist[v] and self.slack == 0:
-                raise ContractViolation("tree edge into %s is not on a shortest path" % v)
-        rep = validate_td(g, self.td)
-        if not rep["ok"]:
-            raise ContractViolation("certified decomposition invalid: %s" % rep["failures"][:3])
-        if set(self.paths) != set(self.td.nodes):
-            raise ContractViolation("certificate paths do not cover the nodes")
-        for t in self.td.nodes:
-            ps = self.paths[t]
-            if len(ps) > 3:
-                raise ContractViolation("node %s carries %d > 3 paths" % (t, len(ps)))
-            union: Set[int] = set()
-            for path in ps:
-                if not path:
-                    raise ContractViolation("node %s carries an empty path" % t)
-                for i in range(len(path) - 1):
-                    if tree.parent[path[i]] != path[i + 1]:
-                        raise ContractViolation(
-                            "node %s path breaks the parent chain at %s" % (t, path[i])
-                        )
-                union.update(path)
-            if frozenset(union) != self.td.bags[t]:
-                raise ContractViolation("node %s bag is not the union of its paths" % t)
+    return GeodesicCertificate(tree, td, paths2)
 
 
 # -- slabs --------------------------------------------------------------------
@@ -1247,9 +1243,9 @@ def make_slabs(
     ell: object,
     projection: Dict[int, Fraction],
     slab_width_factor: object = 8,
-    padding: object = None,
 ) -> SlabSystem:
-    """Cut the projection range into two padded slab families."""
+    """Cut the projection range into two slab families, each slab padded by
+    2*ell on both sides."""
     lf = as_fraction(ell)
     if lf <= 0:
         raise GraphError("slab scale must be positive")
@@ -1257,9 +1253,7 @@ def make_slabs(
     if swf < 4:
         raise GraphError("slab width must be at least 4*ell")
     width = swf * lf
-    pad = 2 * lf if padding is None else as_fraction(padding)
-    if pad < 0:
-        raise GraphError("padding must be nonnegative")
+    pad = 2 * lf
     missing = g.vertex_set() - set(projection)
     if missing:
         raise GraphError("projection misses vertices %s" % sorted(missing)[:5])
@@ -1356,11 +1350,57 @@ class SlabColorResult:
     bound: Fraction
     report: VerificationReport
     systems: Tuple[SlabSystem, ...]
-    certificates: Tuple[GeodesicCertificate, ...]
+
+
+# A window colorer two-colors one connected piece of a padded slab window.
+WindowColorer = Callable[[WeightedGraph], Union[ControlColorResult, TwColorResult]]
+
+
+def _color_slabs(
+    g: WeightedGraph,
+    lf: Fraction,
+    slab_width_factor: object,
+    what: str,
+    prepare: Callable[
+        [WeightedGraph],
+        Tuple[Dict[int, Fraction], Callable[[SlabSystem, Slab], WindowColorer]],
+    ],
+) -> SlabColorResult:
+    """The slab scheme both pipelines share.  Per connected component gc,
+    `prepare(gc)` returns gc's 1-Lipschitz projection and a function that,
+    given the slab system and one slab, returns the colorer of that slab's
+    window pieces.  Each piece is a connected component of the padded
+    window; the pieces' two-colorings make the slab's coloring, the two
+    families combine into four colors, and the whole coloring is checked
+    against the combined bound."""
+    assign: Dict[int, int] = {}
+    bound = Fraction(0)
+    systems: List[SlabSystem] = []
+    for comp in g.connected_components():
+        gc = g.induced(comp)
+        projection, window_colorer = prepare(gc)
+        system = make_slabs(gc, lf, projection, slab_width_factor)
+        scs: List[SlabColoring] = []
+        for slab in system.slabs:
+            color_piece = window_colorer(system, slab)
+            slab_assign: Dict[int, int] = {}
+            slab_bound = Fraction(0)
+            for kcomp in gc.induced(slab.window).connected_components():
+                res = color_piece(gc.induced(kcomp))
+                slab_assign.update(res.coloring.assignment)
+                slab_bound = max(slab_bound, res.bound)
+            scs.append(SlabColoring(slab.family, slab.index, Coloring(slab_assign, 2), slab_bound))
+        combined, cbound = combine_slab_colorings(gc, lf, system, scs, what=what)
+        assign.update(combined.assignment)
+        bound = max(bound, cbound)
+        systems.append(system)
+    coloring = Coloring(assign, 4)
+    report = check_weak_diameter(g, lf, coloring, bound, what)
+    return SlabColorResult(coloring, bound, report, tuple(systems))
 
 
 def _window_segments(
-    trip: TripodDecomposition, wset: Set[int]
+    trip: GeodesicCertificate, wset: Set[int]
 ) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
     """Per node, the window slices of its certified paths.  The projection
     is monotone along every path, so each slice must be contiguous."""
@@ -1379,13 +1419,13 @@ def _window_segments(
 
 
 def _restrict_tripods(
-    trip: TripodDecomposition,
+    trip: GeodesicCertificate,
     window_segs: Dict[int, Tuple[Tuple[int, ...], ...]],
     keep: Set[int],
 ) -> Tuple[RootedTreeDecomposition, Dict[int, Tuple[int, ...]]]:
     """Keep only the window slices inside one window component, contract
-    slack nodes away, and return the pruned decomposition together with its
-    min-projection path centers."""
+    redundant nodes away, and return the pruned decomposition together with
+    its min-projection path centers."""
     segs: Dict[int, List[Tuple[int, ...]]] = {}
     bags: Dict[int, FrozenSet[int]] = {}
     for t in trip.td.nodes:
@@ -1449,63 +1489,47 @@ def color_planar(
     ell: object,
     rotation: Optional[Dict[int, Sequence[int]]],
     slab_width_factor: object = 8,
-    padding: object = None,
     deep_verify: bool = False,
     what: str = "planar coloring",
 ) -> SlabColorResult:
     """Four-color an embedded planar graph so every monochromatic component
     of the scale-ell power graph has bounded weak diameter.
 
-    Per connected component: a geodesic tree from the smallest vertex, a
-    tripod decomposition over the rotation system, metric slabs over the
-    root-distance projection, one guarded-bags coloring per padded slab
-    component, and the two-family combiner.  The certificate, the slab
-    containment, and the final bound are all re-verified.
+    Per connected component: a geodesic tree from the smallest vertex, whose
+    root distances are the slab projection, and a tripod decomposition over
+    the rotation system, re-verified as a certificate.  Each padded window
+    piece is colored by the guarded-bags engine over the tripods restricted
+    to it.
     """
     lf = as_fraction(ell)
     _check_simple(g)
     mw = g.max_edge_weight()
     if mw is not None and mw > lf:
         raise GraphError("edge weight %s exceeds ell; rescale first" % frac_str(mw))
-    assign: Dict[int, int] = {}
-    bound = Fraction(0)
-    systems: List[SlabSystem] = []
-    certs: List[GeodesicCertificate] = []
-    for comp in g.connected_components():
-        gc = g.induced(comp)
-        tree = bfs_geodesic_tree(gc, comp[0])
-        rot_c = None if rotation is None else {v: rotation[v] for v in comp if v in rotation}
-        trip = tripod_decomposition(gc, rot_c, tree)
-        cert = GeodesicCertificate(tree, trip.td, trip.paths, Fraction(0))
+
+    def prepare(gc: WeightedGraph):
+        tree = bfs_geodesic_tree(gc, gc.vertices[0])
+        rot_c = None if rotation is None else {v: rotation[v] for v in gc.vertices if v in rotation}
+        cert = tripod_decomposition(gc, rot_c, tree)
         cert.verify(gc)
-        system = make_slabs(gc, lf, dict(tree.dist), slab_width_factor, padding)
-        radius = system.width + 2 * system.pad + 2 * cert.slack
-        scs: List[SlabColoring] = []
-        for slab in system.slabs:
-            wset = set(slab.window)
-            window_segs = _window_segments(trip, wset)
-            slab_assign: Dict[int, int] = {}
-            slab_bound = Fraction(0)
-            wg = gc.induced(sorted(wset))
-            for kcomp in wg.connected_components():
-                gk = gc.induced(kcomp)
-                tdk, centersk = _restrict_tripods(trip, window_segs, set(kcomp))
-                res = color_centered_bags(
+
+        def window_colorer(system: SlabSystem, slab: Slab) -> WindowColorer:
+            window_segs = _window_segments(cert, set(slab.window))
+            radius = system.width + 2 * system.pad
+            label = "%s: slab %s%d" % (what, slab.family, slab.index)
+
+            def color_piece(gk: WeightedGraph) -> ControlColorResult:
+                tdk, centersk = _restrict_tripods(cert, window_segs, gk.vertex_set())
+                return color_centered_bags(
                     gk, lf, tdk, centersk, radius, m=2,
-                    deep_verify=deep_verify, exact_check=False,
-                    what="%s: slab %s%d" % (what, slab.family, slab.index),
+                    deep_verify=deep_verify, exact_check=False, what=label,
                 )
-                slab_assign.update(res.coloring.assignment)
-                slab_bound = max(slab_bound, res.bound)
-            scs.append(SlabColoring(slab.family, slab.index, Coloring(slab_assign, 2), slab_bound))
-        combined, cbound = combine_slab_colorings(gc, lf, system, scs, what=what)
-        assign.update(combined.assignment)
-        bound = max(bound, cbound)
-        systems.append(system)
-        certs.append(cert)
-    coloring = Coloring(assign, 4)
-    report = check_weak_diameter(g, lf, coloring, bound, what)
-    return SlabColorResult(coloring, bound, report, tuple(systems), tuple(certs))
+
+            return color_piece
+
+        return dict(tree.dist), window_colorer
+
+    return _color_slabs(g, lf, slab_width_factor, what, prepare)
 
 
 def color_layered(
@@ -1514,16 +1538,12 @@ def color_layered(
     layering: Sequence[Iterable[int]],
     eps0: object,
     slab_width_factor: object = 8,
-    padding: object = None,
-    exact_td_max: int = 20,
     deep_verify: bool = False,
     what: str = "layered coloring",
 ) -> SlabColorResult:
-    """Four-color a layered graph: slabs over the layering projection, the
-    bounded-treewidth colorer per padded slab component, then the
-    two-family combiner.  Weights must sit in [eps0, ell]."""
-    from .twcolor import color_bounded_treewidth
-
+    """Four-color a layered graph: slabs over the layering projection, and
+    the bounded-treewidth colorer on each padded window piece.  Weights must
+    sit in [eps0, ell]."""
     lf = as_fraction(ell)
     ef = as_fraction(eps0)
     mn = g.min_edge_weight()
@@ -1533,31 +1553,11 @@ def color_layered(
     if mw is not None and mw > lf:
         raise GraphError("edge weight %s exceeds ell" % frac_str(mw))
     projection = layering_projection(g, layering, ef)
-    assign: Dict[int, int] = {}
-    bound = Fraction(0)
-    systems: List[SlabSystem] = []
-    for comp in g.connected_components():
-        gc = g.induced(comp)
-        system = make_slabs(gc, lf, {v: projection[v] for v in comp}, slab_width_factor, padding)
-        scs: List[SlabColoring] = []
-        for slab in system.slabs:
-            wset = set(slab.window)
-            slab_assign: Dict[int, int] = {}
-            slab_bound = Fraction(0)
-            wg = gc.induced(sorted(wset))
-            for kcomp in wg.connected_components():
-                gk = gc.induced(kcomp)
-                res = color_bounded_treewidth(
-                    gk, lf, exact_td_max=exact_td_max,
-                    deep_verify=deep_verify, exact_check=False,
-                )
-                slab_assign.update(res.coloring.assignment)
-                slab_bound = max(slab_bound, res.bound)
-            scs.append(SlabColoring(slab.family, slab.index, Coloring(slab_assign, 2), slab_bound))
-        combined, cbound = combine_slab_colorings(gc, lf, system, scs, what=what)
-        assign.update(combined.assignment)
-        bound = max(bound, cbound)
-        systems.append(system)
-    coloring = Coloring(assign, 4)
-    report = check_weak_diameter(g, lf, coloring, bound, what)
-    return SlabColorResult(coloring, bound, report, tuple(systems), ())
+
+    def color_piece(gk: WeightedGraph) -> TwColorResult:
+        return color_bounded_treewidth(gk, lf, deep_verify=deep_verify, exact_check=False)
+
+    def prepare(gc: WeightedGraph):
+        return {v: projection[v] for v in gc.vertices}, lambda system, slab: color_piece
+
+    return _color_slabs(g, lf, slab_width_factor, what, prepare)

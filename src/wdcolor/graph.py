@@ -253,7 +253,7 @@ class WeightedGraph:
         for v in self.vertices:
             if v in seen:
                 continue
-            comp = sorted(self.distances_from([v]).keys())
+            comp = sorted(self._scaled_distances([v]))
             seen.update(comp)
             out.append(tuple(comp))
         return out
@@ -267,7 +267,7 @@ def neighborhood(g: WeightedGraph, s: Iterable[int], r: object) -> Set[int]:
     rf = as_fraction(r)
     if rf < 0:
         raise GraphError("neighborhood radius must be nonnegative")
-    return set(g.distances_from(s, radius=rf).keys())
+    return set(g._scaled_distances(s, radius=rf))
 
 
 def set_diameter(members: Sequence[int], search: Callable[[int], Dict[int, int]]) -> int:
@@ -506,7 +506,7 @@ def power_graph(g: WeightedGraph, ell: object) -> PowerGraph:
     sg = sub.graph
     edges: List[Tuple[int, int]] = []
     for v in sg.vertices:
-        for n in sg.distances_from([v], radius=lf):
+        for n in sg._scaled_distances([v], radius=lf):
             if n > v:
                 edges.append((v, n))
     return PowerGraph(sub, edges)

@@ -716,7 +716,6 @@ def color_bounded_treewidth(
     g: WeightedGraph,
     ell: object,
     td: Optional[RootedTreeDecomposition] = None,
-    exact_td_max: int = 20,
     deep_verify: bool = False,
     exact_check: bool = True,
 ) -> TwColorResult:
@@ -735,7 +734,7 @@ def color_bounded_treewidth(
     if mw is not None and mw > lf:
         raise GraphError("edge weight %s exceeds ell %s" % (frac_str(mw), frac_str(lf)))
     if td is None:
-        td = compute_tree_decomposition(g, exact_max=exact_td_max)
+        td = compute_tree_decomposition(g)
     rep = validate_td(g, td)
     if not rep["ok"]:
         raise GraphError("invalid decomposition: %s" % "; ".join(rep["failures"][:3]))

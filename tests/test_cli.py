@@ -8,6 +8,7 @@ import json
 import os
 import pathlib
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,53 @@ def test_verify_rejects_a_partial_coloring(tmp_path, capsys):
     assert not report["ok"]
     assert "misses 24 of 25 graph vertices" in report["failure"]
     assert str(list(range(1, 25))) in report["failure"]
+
+
+def test_gen_grid_certifies_tripods_only_with_unit_weights(tmp_path, capsys):
+    from wdcolor.geodesic import GeodesicCertificate, GeodesicTree
+    from wdcolor.graph import parse_edge_list
+    from wdcolor.treedec import RootedTreeDecomposition
+
+    weighted = str(tmp_path / "w6")
+    code, out, _ = _main(capsys, [
+        "gen", "grid", "--rows", "6", "--cols", "6", "--seed", "2",
+        "--weight-lo", "1/4", "--weight-hi", "1", "--weight-den", "4", "--out", weighted,
+    ])
+    assert code == 0
+    written = [weighted + ext for ext in (".txt", ".td.json", ".rotation.json", ".layers.json")]
+    assert json.loads(out)["written"] == written
+    assert not os.path.exists(weighted + ".tripods.json")
+
+    unit = str(tmp_path / "u6")
+    code, out, _ = _main(capsys, ["gen", "grid", "--rows", "6", "--cols", "6", "--seed", "2", "--out", unit])
+    assert code == 0
+    assert unit + ".tripods.json" in json.loads(out)["written"]
+    data = json.loads(pathlib.Path(unit + ".tripods.json").read_text())
+    tree = GeodesicTree(
+        data["tree"]["root"],
+        {int(v): p for v, p in data["tree"]["parent"].items()},
+        {int(v): Fraction(d) for v, d in data["tree"]["dist"].items()},
+    )
+    cert = GeodesicCertificate(
+        tree,
+        RootedTreeDecomposition.from_json_dict(data["td"]),
+        {int(t): tuple(tuple(p) for p in ps) for t, ps in data["paths"].items()},
+    )
+    cert.verify(parse_edge_list(pathlib.Path(unit + ".txt").read_text()))
+
+
+def test_every_flag_has_help_and_no_removed_setting_is_left():
+    import argparse
+
+    from wdcolor.cli import _build_parser
+
+    top = _build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("gen", "run", "verify", "dilation"):
+        actions = sub.choices[name]._actions
+        assert all(action.help for action in actions), name
+        flags = {flag for action in actions for flag in action.option_strings}
+        assert not flags & {"--padding", "--exact-td-max"}, name
 
 
 def _gen(capsys, tmp_path, name, argv):

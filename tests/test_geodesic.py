@@ -350,6 +350,42 @@ def test_engine_handles_fractional_scale():
     assert res.bound == centered_bags_bound(1, Fraction(1, 2), Fraction(1, 2))
 
 
+def test_engine_restarts_when_the_root_bag_is_removed(monkeypatch):
+    # removing the root bag's only vertex leaves the zone without an anchor:
+    # the engine hangs a fresh root on a node _pick_attach chooses, restarts
+    # from that single vertex, and then takes the main branch
+    import wdcolor.geodesic as geodesic
+
+    picks, labels = [], []
+    pick, rec = geodesic._pick_attach, geodesic._control_rec
+
+    def counted_pick(*args):
+        picks.append(args)
+        return pick(*args)
+
+    def labelled_rec(*args):
+        labels.append(args[7])
+        return rec(*args)
+
+    monkeypatch.setattr(geodesic, "_pick_attach", counted_pick)
+    monkeypatch.setattr(geodesic, "_control_rec", labelled_rec)
+    g, td, centers = path_centered_instance(30)
+    removed = {0}
+    res = color_centered_bags(g, 1, td, centers, 1, removed=removed)
+    assert len(picks) == 1
+    assert labels[:3] == ["centered bags", "centered bags >restart", "centered bags >restart >condensed"]
+    assert res.coloring.domain == g.vertex_set() - removed
+    assert res.report.ok
+    power_edges = oracles.brute_power_edges(g, Fraction(1))
+    hops = 0
+    for color in (1, 2):
+        keep = {v for v, c in res.coloring.assignment.items() if c == color}
+        for comp in oracles.brute_hop_components(g.vertices, power_edges, keep=keep):
+            hops = max(hops, oracles.brute_hop_diameter(g.vertices, power_edges, comp))
+    assert hops == res.report.max_weak_diameter_hops
+    assert hops <= res.bound
+
+
 # -- geodesic trees and projections --------------------------------------------
 
 
@@ -417,7 +453,7 @@ def test_tripods_on_triangle():
     g, rotation = triangle()
     tree = bfs_geodesic_tree(g, 0)
     trip = tripod_decomposition(g, rotation, tree)
-    GeodesicCertificate(tree, trip.td, trip.paths).verify(g)
+    trip.verify(g)
     assert validate_td(g, trip.td)["ok"]
 
 
@@ -426,14 +462,14 @@ def test_tripods_on_square_need_triangulation():
     rotation = {0: (1, 3), 1: (2, 0), 2: (3, 1), 3: (0, 2)}
     tree = bfs_geodesic_tree(g, 0)
     trip = tripod_decomposition(g, rotation, tree)
-    GeodesicCertificate(tree, trip.td, trip.paths).verify(g)
+    trip.verify(g)
 
 
 def test_tripods_on_tree_need_no_rotation():
     g = WeightedGraph(range(7), [(0, 1, 1), (0, 2, 1), (1, 3, 1), (1, 4, 1), (2, 5, 1), (2, 6, 1)])
     tree = bfs_geodesic_tree(g, 0)
     trip = tripod_decomposition(g, None, tree)
-    GeodesicCertificate(tree, trip.td, trip.paths).verify(g)
+    trip.verify(g)
     assert trip.td.width <= 1
 
 
@@ -466,14 +502,14 @@ def test_tripods_on_generated_triangulations():
         g = inst.graph
         tree = bfs_geodesic_tree(g, min(g.vertices))
         trip = tripod_decomposition(g, inst.rotation, tree)
-        GeodesicCertificate(tree, trip.td, trip.paths).verify(g)
+        trip.verify(g)
 
 
 def test_tripods_on_grid_rotation():
     inst = generate(GeneratorSpec(family="grid", rows=5, cols=6))
     tree = bfs_geodesic_tree(inst.graph, 0)
     trip = tripod_decomposition(inst.graph, inst.rotation, tree)
-    GeodesicCertificate(tree, trip.td, trip.paths).verify(inst.graph)
+    trip.verify(inst.graph)
 
 
 def test_certificate_flags_tampered_paths():

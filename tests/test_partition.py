@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdcolor.graph import HopGraph, WeightedGraph, ceil_frac, power_graph
+from wdcolor.graph import HopGraph, WeightedGraph, ceil_frac, frac_str, power_graph
 from wdcolor.partition import (
     Coloring,
     ComponentStat,
@@ -167,6 +167,60 @@ def test_partition_separation_proved_by_adjacency():
         report = verify_weak_diameter(g, r, c, power=p)
         fam = coloring_to_partition(g, r, c, report.max_weak_diameter_hops, power=p)
         verify_partition_family(g, fam)  # raises on any violation
+
+
+def _reference_first_failure(g, fam):
+    """The start of the message verify_partition_family must raise, or None,
+    from one capped search per member: the loop the set-diameter search
+    replaced, kept as its reference."""
+    for ci, coll in enumerate(fam.collections, 1):
+        owner = {}
+        for si, part in enumerate(coll):
+            for v in part:
+                if v in owner:
+                    return "collection %d: vertex %s in two sets" % (ci, v)
+                owner[v] = si
+        for si, part in enumerate(coll):
+            for v in g.distances_from(part, radius=fam.r):
+                if v in owner and owner[v] != si:
+                    return "collection %d: sets %d and %d" % (ci, si, owner[v])
+        for si, part in enumerate(coll):
+            members = set(part)
+            for u in sorted(part):
+                d = g.distances_from([u], targets=set(members), radius=fam.diameter_bound)
+                if members - set(d):
+                    return "collection %d set %d: weak diameter exceeds %s" % (
+                        ci, si, frac_str(fam.diameter_bound)
+                    )
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    g=weighted_graphs(max_n=10, max_extra_edges=6, connected=False),
+    data=st.data(),
+)
+def test_partition_family_diameters_match_per_member_searches(g, data):
+    collections = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        sets = {}
+        for v in g.vertices:
+            si = data.draw(st.integers(min_value=-1, max_value=2))
+            if si >= 0:
+                sets.setdefault(si, set()).add(v)
+        collections.append(tuple(frozenset(sets[si]) for si in sorted(sets)))
+    r = data.draw(st.sampled_from((Fraction(1, 100), Fraction(1, 4), Fraction(1))))
+    # bounds at and just below a distance of g sit where a set passes or fails
+    dists = sorted({d for u in g.vertices for d in g.distances_from([u]).values()})
+    bound = data.draw(st.sampled_from(dists + [d - Fraction(1, 1000) for d in dists if d > 0]))
+    fam = PartitionFamily(tuple(collections), r, bound)
+    want = _reference_first_failure(g, fam)
+    if want is None:
+        verify_partition_family(g, fam)
+        return
+    with pytest.raises(ContractViolation) as info:
+        verify_partition_family(g, fam)
+    assert str(info.value).startswith(want)
 
 
 # -- partition_to_coloring ------------------------------------------------------
