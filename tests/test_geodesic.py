@@ -235,6 +235,67 @@ def test_big_edge_must_end_childless():
         con.validate(g, full=False)
 
 
+def two_bag_construction(n, bags, removed, root, edge, eta=1, theta=2, mu=0):
+    """Unit path 0..n-1 under the chain of `bags` (node i above node i+1),
+    with the root triple `root` and the same triple `edge` on every edge."""
+    g = unit_path(n)
+    td = RootedTreeDecomposition(
+        dict(enumerate(bags)), [(i, i + 1) for i in range(len(bags) - 1)], 0
+    )
+    f = frozenset
+    con = ControlConstruction(
+        td, f(removed), eta, theta, Fraction(mu), Fraction(1),
+        GuardTriple(*map(f, root)), {e: GuardTriple(*map(f, edge)) for e in td.tree_edges},
+    )
+    return g, con
+
+
+def test_construction_flags_a_vertex_beyond_mu_of_its_guards():
+    g, con = two_bag_construction(2, [{0, 1}], (), ({0}, (), {0}), ((), (), ()))
+    with pytest.raises(ContractViolation, match=r"site root: free-side vertices \[1\] beyond radius mu"):
+        con.validate(g, full=True)
+
+
+def test_construction_flags_a_bag_side_without_guards():
+    g, con = two_bag_construction(2, [{0, 1}], {1}, ({0}, (), ()), ((), (), ()))
+    with pytest.raises(ContractViolation, match="site root: no removed-side guards but the bag needs them"):
+        con.validate(g, full=True)
+
+
+def test_construction_flags_unguarded_removed_vertices_near_the_root_zone():
+    # the adhesion's removed vertex 1 is guarded only from the removed side,
+    # and sits within 3*ell + mu of the zone {0}
+    g, con = two_bag_construction(2, [{0, 1}, {1}], {1}, ({0}, {1}, ()), ((), {1}, ()))
+    with pytest.raises(ContractViolation, match=r"edge \(0, 1\): unguarded removed vertices \[1\] sit near the root zone"):
+        con.validate(g, full=True)
+
+
+def test_construction_flags_unguarded_removed_vertices_near_unanchored_territory():
+    # nothing anchors the zone, and vertex 1 lies unanchored next to the
+    # removed adhesion vertex 0
+    g, con = two_bag_construction(2, [{0}, {0, 1}], {0}, ((), {0}, ()), ((), {0}, ()), eta=0, theta=1)
+    with pytest.raises(ContractViolation, match=r"edge \(0, 1\): unguarded removed vertices \[0\] sit near unanchored territory"):
+        con.validate(g, full=True)
+
+
+def test_construction_flags_an_oversized_anchor_whose_end_bag_strays():
+    # the edge's one anchor exceeds eta = 0, so its childless end bag must sit
+    # within ell of the adhesion {1}; vertex 3 is two away
+    g, con = two_bag_construction(
+        4, [{0, 1}, {1, 2, 3}], (), ({0}, (), {0}), ({1}, (), ()), eta=0, theta=1, mu=1
+    )
+    with pytest.raises(ContractViolation, match=r"edge \(0, 1\) exceeds eta but its end bag strays \[3\] beyond radius ell"):
+        con.validate(g, full=True)
+
+
+def test_engine_flags_a_bag_beyond_the_center_radius():
+    # guards 1 and 4 cover the one bag within mu = 1, but its center 0 sees
+    # vertex 5 only at distance 5 > 3*ell + mu
+    g, con = two_bag_construction(6, [set(range(6))], (), ({1, 4}, (), ()), ((), (), ()), eta=0, mu=1)
+    with pytest.raises(ContractViolation, match=r"node 0 bag strays \[5\] beyond the center radius"):
+        color_control_construction(g, 1, con, bag_centers={0: [0]})
+
+
 # -- the extension engine ------------------------------------------------------
 
 

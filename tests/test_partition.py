@@ -223,6 +223,13 @@ def test_partition_family_diameters_match_per_member_searches(g, data):
     assert str(info.value).startswith(want)
 
 
+def test_partition_family_flags_sets_within_r():
+    g = unit_path(2)
+    fam = PartitionFamily(((frozenset({0}), frozenset({1})),), Fraction(1), Fraction(1))
+    with pytest.raises(ContractViolation, match=r"collection 1: sets 0 and 1 within distance 1 \(vertex 1\)"):
+        verify_partition_family(g, fam)
+
+
 # -- partition_to_coloring ------------------------------------------------------
 
 

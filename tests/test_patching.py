@@ -152,6 +152,13 @@ class TestCenterCertificate:
         with pytest.raises(ContractViolation):
             CenterCertificate.build(g, [0, 4], 1, [0, 1], k=1)
 
+    def test_messages_name_the_failure(self):
+        g = path(5)
+        with pytest.raises(ContractViolation, match=r"coverage fails: \[2\] beyond distance 1 of the centers"):
+            CenterCertificate.build(g, [0], 1, [0, 1, 2])
+        with pytest.raises(ContractViolation, match="lists 2 centers but claims k=1"):
+            CenterCertificate.build(g, [0, 4], 1, [0, 1], k=1)
+
     def test_zero_radius_covers_only_centers(self):
         g = path(3)
         CenterCertificate.build(g, [1], 0, [1])

@@ -14,6 +14,7 @@ from wdcolor.graph import GraphError, WeightedGraph, power_graph
 from wdcolor.partition import Coloring, ContractViolation
 from wdcolor.treedec import (
     Condensation,
+    Hierarchy,
     PartitionChain,
     RootedTreeDecomposition,
     adhesion_partition_chain,
@@ -390,6 +391,18 @@ def test_hierarchy_needs_level_one():
         build_hierarchy(chain, 2, 1, 0)
 
 
+def test_hierarchy_flags_a_vertex_beyond_half_ell_of_the_base():
+    # two hops of ell/2 take the level-2 vertex to distance ell > ell/2
+    y = frozenset({0})
+    h = Hierarchy(
+        (0,), (0, 1, 2), {0: (y,), 1: (y,), 2: (y,)},
+        (((0, y), (1, y), Fraction(1, 2)), ((1, y), (2, y), Fraction(1, 2))),
+        Fraction(1), Fraction(1), 1, Fraction(0),
+    )
+    with pytest.raises(ContractViolation, match="hierarchy vertex farther than 1/2 from the base"):
+        h.verify()
+
+
 def test_hierarchy_invariants_on_random_chains():
     rng = random.Random(5)
     built = 0
@@ -658,6 +671,24 @@ def test_lift_big_adhesion_needs_centers():
         cond, c0, 2, centers_per_big_adhesion={(0, 1): [0]}
     )
     assert res.report.ok
+
+
+def test_lift_names_missing_distant_and_surplus_big_adhesion_centers():
+    # X_e = {0, 1} exceeds theta = 1, so the lift needs one center within
+    # mu = 1 of both; the messages before and after the check moved into
+    # CenterCertificate both name the failure
+    g = unit_path(3)
+    td = RootedTreeDecomposition({0: {0, 1}, 1: {0, 1, 2}}, [(0, 1)], 0)
+    cond = condense(g, td, [(0, 1)], [], 1, 1, 1)
+    c0 = Coloring({0: 1, 1: 2, 2: 1}, 2)
+    with pytest.raises(GraphError, match=r"adhesion of \(0, 1\) exceeds theta and has no center certificate"):
+        lift_condensation_coloring(cond, c0, 2, centers_per_big_adhesion={})
+    with pytest.raises(ContractViolation, match=r"miss \[0, 1\] at radius 1|coverage fails: \[0, 1\] beyond distance 1"):
+        lift_condensation_coloring(cond, c0, 2, centers_per_big_adhesion={(0, 1): []})
+    with pytest.raises(ContractViolation, match=r"miss \[0\] at radius 1|coverage fails: \[0\] beyond distance 1"):
+        lift_condensation_coloring(cond, c0, 2, centers_per_big_adhesion={(0, 1): [2]})
+    with pytest.raises(ContractViolation, match=r"larger than theta|lists 2 centers but claims k=1"):
+        lift_condensation_coloring(cond, c0, 2, centers_per_big_adhesion={(0, 1): [0, 1]})
 
 
 def test_lift_center_set_must_stay_small():

@@ -240,6 +240,55 @@ def test_flat_two_star_measured():
     assert res.report.max_weak_diameter_hops == 2
 
 
+def _record_whats(monkeypatch):
+    """Labels of every merge and check the adhesion recursion runs."""
+    import wdcolor.twcolor as twcolor
+
+    whats = []
+    patch, check = twcolor.patch_colorings, twcolor.check_weak_diameter
+
+    def recorded_patch(*args, **kwargs):
+        whats.append(kwargs["what"])
+        return patch(*args, **kwargs)
+
+    def recorded_check(*args, **kwargs):
+        whats.append(kwargs["what"])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(twcolor, "patch_colorings", recorded_patch)
+    monkeypatch.setattr(twcolor, "check_weak_diameter", recorded_check)
+    return whats
+
+
+def test_flat_root_piece_patches_the_precoloring(monkeypatch):
+    # eta = 0 with a precolored vertex: _color_flat paints the root star
+    # piece around it and patches the precolored ball back in
+    whats = _record_whats(monkeypatch)
+    g = WeightedGraph(range(6), [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)])
+    td = RootedTreeDecomposition(
+        {0: {0, 1}, 1: {1, 2}, 2: {3, 4}, 3: {4, 5}}, [(0, 1), (0, 2), (2, 3)], 0
+    )
+    con = AdhesionConstruction(td, 0, 2, theta2())
+    res = color_adhesion_construction(g, 1, con, z=[0], precoloring=Coloring({0: 1}, 2))
+    assert "adhesion coloring: root piece patch" in whats
+    assert res.report.ok
+    assert res.coloring.color(0) == 1
+
+
+def test_far_part_below_an_oversized_adhesion(monkeypatch):
+    # the leaf {6, 7, 8} hangs on the two-vertex adhesion {6, 7} > eta = 1:
+    # _color_rec finishes that far part as one piece of <= theta + theta**2
+    whats = _record_whats(monkeypatch)
+    g = WeightedGraph(range(9), [(i, i + 1, 1) for i in range(8)] + [(6, 8, 1)])
+    bags = [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5, 6, 7}, {6, 7, 8}]
+    td = RootedTreeDecomposition(dict(enumerate(bags)), [(t, t + 1) for t in range(5)], 0)
+    con = AdhesionConstruction(td, 1, 3, cover_piece_bound(3, 1))
+    res = color_adhesion_construction(g, 1, con, z=[0], precoloring=Coloring({0: 1}, 2))
+    assert "adhesion coloring: oversized part" in whats
+    assert res.report.ok
+    assert res.coloring.color(0) == 1
+
+
 def test_path20_full_recursion_frozen():
     g = unit_path(20)
     con = AdhesionConstruction(path_td(20), 2, 2, theta2())
