@@ -11,6 +11,8 @@ something failed: 1 for a failed verification, 2 for bad input.
 setting is --slab-width-factor, and every slab is padded by 2*ell.  A tree
 decomposition that `run tw`, `run partition` or `dilation` computes itself
 comes from an exhaustive search up to 20 vertices and min-fill beyond.
+`verify` exits 2 before building a power graph of more than
+MAX_POWER_VERTICES (10**6) vertices.
 """
 
 import argparse
@@ -27,6 +29,7 @@ from .graph import (
     json_int,
     json_int_key,
     parse_edge_list,
+    power_graph_vertex_count,
     write_edge_list,
 )
 from .partition import (
@@ -56,6 +59,10 @@ SCHEMA = "wdcolor-report/1"
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+
+#: Largest power graph `verify` builds; an edge of weight w adds about
+#: 2*w/ell vertices, so one heavy edge could otherwise ask for billions.
+MAX_POWER_VERTICES = 10 ** 6
 
 
 class CliError(Exception):
@@ -288,6 +295,13 @@ def _run_verify(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dic
             % (len(missing), len(g), sorted(missing))
         )
     bound = _parse_frac(args.bound, "bound") if args.bound else None
+    size = power_graph_vertex_count(g, lf)
+    if size > MAX_POWER_VERTICES:
+        raise CliError(
+            "precondition-failed",
+            "the power graph at ell=%s has %d vertices, above the limit of %d"
+            % (frac_str(lf), size, MAX_POWER_VERTICES),
+        )
     report = verify_weak_diameter(g, lf, coloring, bound=bound)
     payload = {
         "ell": frac_str(lf),

@@ -9,7 +9,7 @@ with their rotation system.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -56,7 +56,6 @@ class Instance:
     rotation: Optional[Dict[int, Tuple[int, ...]]] = None
     layering: Optional[Tuple[Tuple[int, ...], ...]] = None
     tripods: Optional[GeodesicCertificate] = None
-    meta: Dict[str, str] = field(default_factory=dict)
 
 
 def _draw_weight(rng: random.Random, lo: Fraction, hi: Fraction, den: int) -> Fraction:
@@ -199,7 +198,6 @@ def gen_grid(spec: GeneratorSpec) -> Instance:
     return Instance(
         "grid", g, td=tripods.td, rotation=rotation, layering=layering,
         tripods=tripods if unit else None,
-        meta={"rows": str(rows), "cols": str(cols)},
     )
 
 
@@ -233,7 +231,7 @@ def gen_ktree(spec: GeneratorSpec) -> Instance:
     rep = validate_td(g, td)
     if not rep["ok"]:
         raise GraphError("ktree certificate failed validation: %s" % rep["failures"][:3])
-    return Instance("ktree", g, td=td, meta={"k": str(k)})
+    return Instance("ktree", g, td=td)
 
 
 def gen_series_parallel(spec: GeneratorSpec) -> Instance:

@@ -6,7 +6,11 @@ whose root and edges carry small guard triples.  The guards certify that
 the part of the graph still waiting for a color is either reachable only
 through few vertices or very far from the precolored zone, which is what
 the recursive engine needs to extend a partial coloring across the whole
-graph at a fixed weak-diameter bound.
+graph at a fixed weak-diameter bound.  The engine has two public entries:
+`color_control_construction` takes a construction and its center map,
+`color_centered_bags` derives the construction from a center map.  Each
+checks its own input once, the center map with `_check_centers`, and
+then enters the shared core `_run_engine`.
 
 Both slab pipelines run one driver, `_color_slabs`.  Per connected
 component it cuts the graph into two interleaved families of slabs over a
@@ -36,6 +40,7 @@ from .graph import (
     frac_str,
     neighborhood,
     power_graph,
+    require_light_edges,
 )
 from .partition import (
     Coloring,
@@ -120,10 +125,6 @@ class ControlConstruction:
     root_triple: GuardTriple
     edge_triples: Dict[TreeEdge, GuardTriple]
 
-    def radii(self) -> List[Fraction]:
-        """Exclusion radii a_0..a_eta for this construction's parameters."""
-        return control_radii(self.theta, self.mu, self.ell, self.eta)
-
     def _sites(self) -> List[Tuple[object, FrozenSet[int], GuardTriple]]:
         out: List[Tuple[object, FrozenSet[int], GuardTriple]] = [
             ("root", self.td.bags[self.td.root], self.root_triple)
@@ -181,9 +182,7 @@ class ControlConstruction:
                 )
         if not full:
             return
-        mw = g.max_edge_weight()
-        if mw is not None and mw > self.ell:
-            raise GraphError("edge weight %s exceeds ell=%s" % (frac_str(mw), frac_str(self.ell)))
+        require_light_edges(g, self.ell)
         rep = validate_td(g, self.td)
         if not rep["ok"]:
             raise ContractViolation("tree decomposition invalid: %s" % rep["failures"][:3])
@@ -196,16 +195,14 @@ class ControlConstruction:
             cand = self.td.adhesion_of(e) & self.removed
             if not cand:
                 continue
-            if tri.both:
-                near = g.distances_from(sorted(tri.both), radius=self.mu, targets=set(cand))
-                cand = {v for v in cand if v not in near}
+            cand -= neighborhood(g, tri.both, self.mu)
             if cand:
                 exsets.append((e, cand))
         if exsets:
-            zone = sorted(self.root_triple.anchor - self.removed)
-            ball_zone = neighborhood(g, zone, 3 * self.ell + self.mu) if zone else set()
-            far = sorted(vset - (self.removed | self.root_triple.anchor))
-            ball_far = neighborhood(g, far, self.radii()[-1]) if far else set()
+            anchor = self.root_triple.anchor
+            ball_zone = neighborhood(g, anchor - self.removed, 3 * self.ell + self.mu)
+            a_eta = control_radii(self.theta, self.mu, self.ell, self.eta)[-1]
+            ball_far = neighborhood(g, vset - (self.removed | anchor), a_eta)
             for e, cand in exsets:
                 hit = cand & ball_zone
                 if hit:
@@ -223,13 +220,7 @@ class ControlConstruction:
             tri = self.edge_triples[e]
             if len(tri.anchor) <= self.eta:
                 continue
-            x_e = self.td.adhesion_of(e)
-            low = self.td.bags[e[1]]
-            if x_e:
-                near = g.distances_from(sorted(x_e), radius=self.ell, targets=set(low))
-                stray = low - set(near)
-            else:
-                stray = set(low)
+            stray = self.td.bags[e[1]] - neighborhood(g, self.td.adhesion_of(e), self.ell)
             if stray:
                 raise ContractViolation(
                     "edge %s exceeds eta but its end bag strays %s beyond radius ell"
@@ -243,8 +234,7 @@ class ControlConstruction:
             return
         if not guards:
             raise ContractViolation("site %s: no %s-side guards but the bag needs them" % (site, kind))
-        near = g.distances_from(sorted(guards), radius=self.mu, targets=set(need))
-        stray = need - set(near)
+        stray = need - neighborhood(g, guards, self.mu)
         if stray:
             raise ContractViolation(
                 "site %s: %s-side vertices %s beyond radius mu of their guards"
@@ -317,9 +307,8 @@ def _check_centers(
             raise ContractViolation("%s: node %s centers leave its bag" % (what, t))
         if bag and not cs:
             raise ContractViolation("%s: node %s has a nonempty bag but no centers" % (what, t))
-        if metric and bag:
-            near = g.distances_from(sorted(set(cs)), radius=radius, targets=set(bag))
-            stray = bag - set(near)
+        if metric:
+            stray = bag - neighborhood(g, cs, radius)
             if stray:
                 raise ContractViolation(
                     "%s: node %s bag strays %s beyond the center radius"
@@ -370,11 +359,8 @@ def _pick_attach(
         if p is None or p != td.root or len(td.children[p]) != 1:
             continue
         x_e = td.adhesion_of((p, t))
-        top = td.bags[p]
-        if x_e:
-            near = g.distances_from(sorted(x_e), radius=con.ell, targets=set(top))
-            if top <= set(near):
-                return t
+        if x_e and td.bags[p] <= neighborhood(g, x_e, con.ell):
+            return t
     raise ContractViolation(
         "no safe attachment node: every candidate is a leaf whose tree edge "
         "carries more than eta anchors"
@@ -557,9 +543,7 @@ def _control_rec(
         zx = td.adhesion_of(e) & z_ball
         if not zx:
             raise ContractViolation("%s: zone-internal edge %s misses the zone ball" % (what, e))
-        tri = con.edge_triples[e]
-        near = g.distances_from(sorted(zx), radius=mu, targets=set(tri.anchor))
-        hits = frozenset(v for v in tri.anchor if v in near)
+        hits = con.edge_triples[e].anchor & neighborhood(g, zx, mu)
         if not hits:
             raise ContractViolation("%s: edge %s has no guard within mu of the zone" % (what, e))
         r_zs[e] = hits
@@ -571,7 +555,7 @@ def _control_rec(
     if not all_rz <= v0:
         raise ContractViolation("%s: zone guards fell outside the condensed graph" % what)
     rp = frozenset((rset & v0) | neighborhood(g0, sorted(all_rz), a_prev + mu))
-    ball_rp_mu = set(g0.distances_from(sorted(rp), radius=mu)) if rp else set()
+    ball_rp_mu = neighborhood(g0, rp, mu)
 
     def derive(tri: GuardTriple, r_z: FrozenSet[int]) -> GuardTriple:
         promoted = frozenset(v for v in tri.free if v in ball_rp_mu)
@@ -634,14 +618,8 @@ def _control_rec(
         if part & (root_anchor - rset):
             raise ContractViolation("%s: far part %s contains zone anchors" % (what, e))
         x_e = td.adhesion_of(e)
-        z_e = frozenset(g.distances_from(sorted(x_e), radius=3 * lf, within=part))
-        zr = z_e - rset
-        w_cands = tri.all_guards
-        if zr and w_cands:
-            near = g.distances_from(sorted(zr), radius=3 * lf + mu, targets=set(w_cands))
-            wset = frozenset(v for v in w_cands if v in near)
-        else:
-            wset = frozenset()
+        z_e = frozenset(neighborhood(g.induced(part), x_e, 3 * lf))
+        wset = tri.all_guards & neighborhood(g, z_e - rset, 3 * lf + mu)
         rstar = frozenset(((part & (rset | root_anchor)) - wset) | (vset - part))
         if rstar & (part - rset):
             raise ContractViolation("%s: far guard set bit into the part itself" % what)
@@ -778,9 +756,7 @@ def color_control_construction(
     unknown = zf - g.vertex_set()
     if unknown:
         raise GraphError("precolored vertices %s are not in the graph" % sorted(unknown)[:5])
-    zone = con.root_triple.anchor - con.removed
-    ball = neighborhood(g, sorted(zone), 3 * lf + con.mu) if zone else set()
-    if not zf <= ball:
+    if not zf <= neighborhood(g, con.root_triple.anchor - con.removed, 3 * lf + con.mu):
         raise GraphError("the precolored set must sit inside the guarded zone ball")
     if precoloring is None:
         precoloring = Coloring.constant(zf, m, color=m)
@@ -790,6 +766,24 @@ def color_control_construction(
         raise GraphError("precoloring uses more than m colors")
     zset = zf - con.removed
     c0 = Coloring({v: precoloring.assignment[v] for v in zset}, m)
+    return _run_engine(g, lf, con, zset, c0, centers, m, deep_verify, exact_check, what)
+
+
+def _run_engine(
+    g: WeightedGraph,
+    lf: Fraction,
+    con: ControlConstruction,
+    zset: FrozenSet[int],
+    c0: Coloring,
+    centers: Dict[int, Tuple[int, ...]],
+    m: int,
+    deep_verify: bool,
+    exact_check: bool,
+    what: str,
+) -> ControlColorResult:
+    """The engine behind both public entries, once each has checked its
+    construction, center map and precoloring: extend c0 from zset and
+    verify the result at the construction's bound."""
     ctx = _EngineCtx(lf, m, deep_verify)
     limit = 6 * len(g) + _RECURSION_HEADROOM
     if sys.getrecursionlimit() < limit:
@@ -822,32 +816,18 @@ def color_centered_bags(
     Per tree edge the parent's centers are re-anchored inside the adhesion
     (one witness per center that can see the adhesion), which turns the
     center map into a control construction at mu = 2*radius whose exclusion
-    conditions hold vacuously for any removed set.
+    conditions hold vacuously for any removed set.  The map is checked once,
+    at `radius`; that also covers every bag within the engine's 3*ell + mu.
     """
     lf = as_fraction(ell)
     rf = as_fraction(radius)
     if rf < 0:
         raise GraphError("center radius must be nonnegative")
+    if m < 2:
+        raise GraphError("the extension engine needs m >= 2 colors")
     cmap = {t: tuple(sorted(set(cs))) for t, cs in centers.items()}
-    if set(cmap) != set(td.nodes):
-        raise GraphError("center map must cover the nodes exactly")
-    theta = 1
-    for t in td.nodes:
-        bag = td.bags[t]
-        cs = cmap[t]
-        if not set(cs) <= bag:
-            raise GraphError("node %s centers leave its bag" % t)
-        if bag and not cs:
-            raise GraphError("node %s has a nonempty bag but no centers" % t)
-        theta = max(theta, len(cs))
-        if bag:
-            near = g.distances_from(list(cs), radius=rf, targets=set(bag))
-            stray = bag - set(near)
-            if stray:
-                raise ContractViolation(
-                    "%s: node %s bag strays %s beyond the claimed radius"
-                    % (what, t, sorted(stray)[:5])
-                )
+    theta = max([1] + [len(cs) for cs in cmap.values()])
+    _check_centers(g, td, cmap, theta, rf, True, what)
     triples: Dict[TreeEdge, GuardTriple] = {}
     empty = frozenset()
     for e in td.tree_edges:
@@ -857,8 +837,7 @@ def color_centered_bags(
             continue
         witnesses: Set[int] = set()
         for v in cmap[e[0]]:
-            near = g.distances_from([v], radius=rf, targets=set(x_e))
-            hits = [x for x in x_e if x in near]
+            hits = x_e & neighborhood(g, [v], rf)
             if hits:
                 witnesses.add(min(hits))
         if not witnesses:
@@ -868,9 +847,9 @@ def color_centered_bags(
     con = ControlConstruction(
         td, frozenset(removed), theta, theta, 2 * rf, lf, root_triple, triples
     )
-    return color_control_construction(
-        g, lf, con, z=(), precoloring=None, m=m, bag_centers=cmap,
-        deep_verify=deep_verify, exact_check=exact_check, what=what,
+    con.validate(g, full=True)
+    return _run_engine(
+        g, lf, con, frozenset(), Coloring.empty(m), cmap, m, deep_verify, exact_check, what
     )
 
 
@@ -907,15 +886,6 @@ def bfs_geodesic_tree(g: WeightedGraph, root: int) -> GeodesicTree:
             raise ContractViolation("no predecessor reproduces the distance of %s" % v)
         parent[v] = best
     return GeodesicTree(root, parent, dist)
-
-
-def distance_projection(g: WeightedGraph, root: int) -> Dict[int, Fraction]:
-    """Exact distance from root as a 1-Lipschitz vertex projection."""
-    dist = g.distances_from([root])
-    missing = g.vertex_set() - set(dist)
-    if missing:
-        raise GraphError("graph is disconnected; unreached %s" % sorted(missing)[:5])
-    return dist
 
 
 def layering_projection(
@@ -1503,9 +1473,7 @@ def color_planar(
     """
     lf = as_fraction(ell)
     _check_simple(g)
-    mw = g.max_edge_weight()
-    if mw is not None and mw > lf:
-        raise GraphError("edge weight %s exceeds ell; rescale first" % frac_str(mw))
+    require_light_edges(g, lf)
 
     def prepare(gc: WeightedGraph):
         tree = bfs_geodesic_tree(gc, gc.vertices[0])
@@ -1549,9 +1517,7 @@ def color_layered(
     mn = g.min_edge_weight()
     if mn is not None and mn < ef:
         raise GraphError("edge weight %s is below eps0" % frac_str(mn))
-    mw = g.max_edge_weight()
-    if mw is not None and mw > lf:
-        raise GraphError("edge weight %s exceeds ell" % frac_str(mw))
+    require_light_edges(g, lf)
     projection = layering_projection(g, layering, ef)
 
     def color_piece(gk: WeightedGraph) -> TwColorResult:

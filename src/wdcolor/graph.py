@@ -8,6 +8,14 @@ validated, scaled adjacency: they filter its checked edges and keep its
 scale, so no weight is parsed, validated or multiplied as a Fraction
 again.  Graphs are immutable after construction and every operation here
 is a pure function.
+
+Three searches answer three questions, all on the same integer Dijkstra:
+- exact distances: `WeightedGraph.distances_from`, one Fraction per
+  reached vertex, only where a caller reads the values;
+- membership within a radius ("is every vertex of S within r of C?"):
+  `neighborhood`, which returns the reached set and builds no Fraction;
+- the diameter of a set: `metric_set_diameter` (`weak_diameter` on top of
+  it), a few capped searches and one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -262,6 +270,13 @@ class WeightedGraph:
         return len(self) <= 1 or len(self.connected_components()) == 1
 
 
+def require_light_edges(g: WeightedGraph, ell: object) -> None:
+    """Raise GraphError when an edge of g weighs more than ell."""
+    mw = g.max_edge_weight()
+    if mw is not None and mw > ell:
+        raise GraphError("edge weight %s exceeds ell %s" % (frac_str(mw), frac_str(ell)))
+
+
 def neighborhood(g: WeightedGraph, s: Iterable[int], r: object) -> Set[int]:
     """All vertices at distance <= r from the set s (s itself included)."""
     rf = as_fraction(r)
@@ -350,13 +365,11 @@ class Subdivision:
     """The graph (g, r)-subdivision together with its bookkeeping.
 
     graph: the subdivided weighted graph; original vertex ids unchanged.
-    embedding: map original vertex -> vertex of `graph` (the identity).
     edge_paths: per original edge, the two replacement paths as vertex
         tuples running from the first end to the second.
     """
 
     graph: WeightedGraph
-    embedding: Dict[int, int]
     edge_paths: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
 
 
@@ -421,7 +434,7 @@ def subdivision_graph(g: WeightedGraph, r: object) -> Subdivision:
             pair.append(tuple(path))
         paths.append((pair[0], pair[1]))
     sub = WeightedGraph(verts, edges)
-    return Subdivision(sub, {v: v for v in g.vertices}, tuple(paths))
+    return Subdivision(sub, tuple(paths))
 
 
 # -- hop graphs (power graphs live here) -------------------------------------

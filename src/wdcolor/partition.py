@@ -21,6 +21,7 @@ from wdcolor.graph import (
     as_fraction,
     frac_str,
     metric_set_diameter,
+    neighborhood,
     power_graph,
     power_graph_new_ids,
     set_diameter,
@@ -320,13 +321,12 @@ def verify_partition_family(g: WeightedGraph, fam: PartitionFamily) -> None:
                     )
                 owner[v] = si
         for si, part in enumerate(coll):
-            near = g.distances_from(part, radius=fam.r)
-            for v in near:
-                if v in owner and owner[v] != si:
-                    raise ContractViolation(
-                        "collection %d: sets %d and %d within distance %s (vertex %s)"
-                        % (ci, si, owner[v], frac_str(fam.r), v)
-                    )
+            near = sorted(v for v in neighborhood(g, part, fam.r) if owner.get(v, si) != si)
+            if near:
+                raise ContractViolation(
+                    "collection %d: sets %d and %d within distance %s (vertex %s)"
+                    % (ci, si, owner[near[0]], frac_str(fam.r), near[0])
+                )
         for si, part in enumerate(coll):
             # every search is capped at the bound, so a set wider than the
             # bound leaves some member out of reach of some search

@@ -23,6 +23,7 @@ from wdcolor.graph import (
     as_fraction,
     ceil_frac,
     neighborhood,
+    require_light_edges,
 )
 from wdcolor.partition import (
     Coloring,
@@ -148,9 +149,7 @@ def patch_colorings(
     full power graph.
     """
     lf = as_fraction(ell)
-    mw = g.max_edge_weight()
-    if mw is not None and mw > lf:
-        raise GraphError("edge weight %s exceeds ell %s" % (mw, lf))
+    require_light_edges(g, lf)
     rset = set(deleted)
     cert.verify(g)
     z = set(cert.covered)

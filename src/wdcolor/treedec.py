@@ -25,6 +25,7 @@ from wdcolor.graph import (
     frac_str,
     json_int,
     neighborhood,
+    require_light_edges,
 )
 from wdcolor.partition import (
     Coloring,
@@ -33,6 +34,7 @@ from wdcolor.partition import (
     check_weak_diameter,
     verify_weak_diameter,
 )
+from wdcolor.patching import CenterCertificate
 
 TreeEdge = Tuple[int, int]  # (parent, child)
 
@@ -427,9 +429,8 @@ class Hierarchy:
         if not self.ground:
             return
         h, ids = self._as_weighted_graph()
-        base_ids = [ids[v] for v in self.base()]
-        reach = h.distances_from(base_ids, radius=half)
-        if set(reach) != set(ids.values()):
+        reach = neighborhood(h, [ids[v] for v in self.base()], half)
+        if reach != set(ids.values()):
             raise ContractViolation("hierarchy vertex farther than %s from the base" % (half,))
         for comp in h.connected_components():
             src = comp[0]
@@ -472,7 +473,6 @@ def build_hierarchy(chain: PartitionChain, ell: object, theta: int, mu: object) 
 
 @dataclass(frozen=True)
 class HierarchyAttachment:
-    tree_edge: TreeEdge
     adhesion: FrozenSet[int]
     part_vertices: FrozenSet[int]
     chain: PartitionChain
@@ -482,7 +482,6 @@ class HierarchyAttachment:
 
 @dataclass(frozen=True)
 class ShortcutAttachment:
-    tree_edge: TreeEdge
     adhesion: FrozenSet[int]
     part_vertices: FrozenSet[int]
     reach: FrozenSet[int]  # ball of radius ell around X_e inside the part
@@ -496,12 +495,10 @@ class Condensation:
     g0: WeightedGraph
     td0: RootedTreeDecomposition  # decomposition of g0, see condense
     u_e: Tuple[TreeEdge, ...]
-    u_e_prime: Tuple[TreeEdge, ...]
     ell: Fraction
     theta: int
     mu: Fraction
     eps: Fraction
-    t0_nodes: Tuple[int, ...]
     t0_vertices: FrozenSet[int]
     base_vertices: FrozenSet[int]  # V(G0) shared with V(G)
     hierarchies: Dict[TreeEdge, HierarchyAttachment]
@@ -529,9 +526,7 @@ def condense(
     mf = as_fraction(mu)
     if theta < 1 or lf <= 0 or mf < 0:
         raise GraphError("need theta >= 1, ell > 0, mu >= 0")
-    mw = g.max_edge_weight()
-    if mw is not None and mw > lf:
-        raise GraphError("edge weight %s exceeds ell %s" % (mw, lf))
+    require_light_edges(g, lf)
     frontier = tuple(sorted(td.check_edge(e) for e in set(u_e)))
     prime = tuple(sorted(td.check_edge(e) for e in set(u_e_prime)))
     if set(prime) - set(frontier):
@@ -561,19 +556,20 @@ def condense(
             continue
         x_e = td.adhesion_of(e)
         part = td.subtree_vertices(e)
-        reach = frozenset(g.distances_from(sorted(x_e), radius=lf, within=part)) if x_e else frozenset()
+        g_e = g.induced(part)
+        reach = frozenset(neighborhood(g_e, x_e, lf))
         base |= reach
         fringe = sorted(reach - x_e)
         fset = set(fringe)
         shortcuts: List[Tuple[int, int, Fraction]] = []
         for u in fringe:
-            du = g.distances_from([u], radius=3 * lf + mf, within=part)
+            du = g_e.distances_from([u], radius=3 * lf + mf)
             for v, d in du.items():
                 if v in fset and v > u:
                     shortcuts.append((u, v, lf * d / (3 * lf + mf)))
         shortcuts.sort()
         extra_edges.extend(shortcuts)
-        shortcut_parts[e] = ShortcutAttachment(e, x_e, part, reach, tuple(shortcuts))
+        shortcut_parts[e] = ShortcutAttachment(x_e, part, reach, tuple(shortcuts))
 
     hierarchies: Dict[TreeEdge, HierarchyAttachment] = {}
     next_id = max(g.vertices) + 1 if g.vertices else 0
@@ -592,7 +588,7 @@ def condense(
                     next_id += 1
         for (a, b, w) in hier.edges:
             extra_edges.append((ids[a], ids[b], w))
-        hierarchies[e] = HierarchyAttachment(e, x_e, part, chain, hier, ids)
+        hierarchies[e] = HierarchyAttachment(x_e, part, chain, hier, ids)
 
     vertices = set(base)
     for att in hierarchies.values():
@@ -620,8 +616,8 @@ def condense(
         if td0.adhesion_of(e) != td.adhesion_of(e):
             raise ContractViolation("condensed leaf %s changed its adhesion" % (e,))
     return Condensation(
-        g=g, td=td, g0=g0, td0=td0, u_e=frontier, u_e_prime=prime, ell=lf, theta=theta, mu=mf,
-        eps=eps, t0_nodes=t0_nodes, t0_vertices=t0_vertices, base_vertices=frozenset(base),
+        g=g, td=td, g0=g0, td0=td0, u_e=frontier, ell=lf, theta=theta, mu=mf,
+        eps=eps, t0_vertices=t0_vertices, base_vertices=frozenset(base),
         hierarchies=hierarchies, shortcut_parts=shortcut_parts,
     )
 
@@ -661,21 +657,14 @@ def lift_condensation_coloring(
     rset = set(deleted)
     if rset - g.vertex_set():
         raise GraphError("deleted set contains unknown vertices")
-    centers = {td.check_edge(e): tuple(sorted(a)) for e, a in (centers_per_big_adhesion or {}).items()}
+    centers = {td.check_edge(e): a for e, a in (centers_per_big_adhesion or {}).items()}
     for e in cond.u_e:
         x_e = td.adhesion_of(e)
         if len(x_e) <= cond.theta:
             continue
         if e not in centers:
             raise GraphError("adhesion of %s exceeds theta and has no center certificate" % (e,))
-        a = centers[e]
-        if len(a) > cond.theta:
-            raise ContractViolation("center set for %s larger than theta" % (e,))
-        stray = x_e - neighborhood(g, a, cond.mu)
-        if stray:
-            raise ContractViolation(
-                "centers for %s miss %s at radius %s" % (e, sorted(stray)[:5], frac_str(cond.mu))
-            )
+        CenterCertificate.build(g, centers[e], cond.mu, x_e, cond.theta)
 
     pool0 = set(cond.g0.vertices) - rset
     uncolored = pool0 - c0.domain

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graph import GraphError, WeightedGraph, as_fraction, frac_str
+from .graph import GraphError, WeightedGraph, as_fraction, frac_str, neighborhood, require_light_edges
 from .partition import (
     Coloring,
     ContractViolation,
@@ -376,11 +376,7 @@ def _color_rec(
     if c.domain != zset:
         raise GraphError("%s: precoloring domain differs from the precolored set" % what)
     root_bag = td.bags[td.root]
-    ball = (
-        frozenset(g.distances_from(sorted(root_bag), radius=3 * lf))
-        if root_bag
-        else frozenset()
-    )
+    ball = frozenset(neighborhood(g, root_bag, 3 * lf))
     if zset - ball:
         raise ContractViolation(
             "%s: precolored set reaches beyond distance 3*ell of the root bag" % what
@@ -519,15 +515,14 @@ def _color_rec(
                     "%s: empty shared set on a populated part of a connected graph" % what
                 )
             continue
-        dist = g.distances_from(sorted(x_e), radius=3 * lf, within=part)
-        z_e = frozenset(dist)
+        g_e = g.induced(part)
+        z_e = frozenset(neighborhood(g_e, x_e, 3 * lf))
         missing = z_e - c3.domain
         if missing:
             raise ContractViolation(
                 "%s: lift left part vertices uncolored: %s" % (what, sorted(missing)[:5])
             )
         c_e = Coloring({v: c3.color(v) for v in z_e}, ctx.m)
-        g_e = g.induced(part)
         if len(x_e) > eta:
             # oversized shared set: the part is one childless bag, any
             # completion has components of at most |part| vertices
@@ -687,9 +682,7 @@ def color_adhesion_construction(
         raise GraphError("need ell > 0")
     if m < 2:
         raise GraphError("need m >= 2 colors")
-    mw = g.max_edge_weight()
-    if mw is not None and mw > lf:
-        raise GraphError("edge weight %s exceeds ell %s" % (frac_str(mw), frac_str(lf)))
+    require_light_edges(g, lf)
     zf = frozenset(z)
     if precoloring is None:
         precoloring = Coloring.constant(zf, m)
@@ -730,14 +723,13 @@ def color_bounded_treewidth(
     lf = as_fraction(ell)
     if lf <= 0:
         raise GraphError("need ell > 0")
-    mw = g.max_edge_weight()
-    if mw is not None and mw > lf:
-        raise GraphError("edge weight %s exceeds ell %s" % (frac_str(mw), frac_str(lf)))
+    require_light_edges(g, lf)
     if td is None:
         td = compute_tree_decomposition(g)
-    rep = validate_td(g, td)
-    if not rep["ok"]:
-        raise GraphError("invalid decomposition: %s" % "; ".join(rep["failures"][:3]))
+    else:
+        rep = validate_td(g, td)
+        if not rep["ok"]:
+            raise GraphError("invalid decomposition: %s" % "; ".join(rep["failures"][:3]))
     width = max(td.width, 0)
     theta = width + 1
     piece_bound = cover_piece_bound(theta, lf)

@@ -8,6 +8,7 @@ import json
 import os
 import pathlib
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,35 @@ def test_verify_rejects_a_partial_coloring(tmp_path, capsys):
     assert not report["ok"]
     assert "misses 24 of 25 graph vertices" in report["failure"]
     assert str(list(range(1, 25))) in report["failure"]
+
+
+def test_verify_refuses_a_power_graph_above_the_limit(tmp_path, capsys):
+    # one edge of weight 10**9 at ell = 1 asks for 2 * 10**9 power vertices
+    graph = tmp_path / "heavy.txt"
+    graph.write_text("0 1 1000000000\n")
+    coloring = _write_coloring(tmp_path / "c.json", {0: 1, 1: 2})
+    start = time.perf_counter()
+    code, out, err = _main(capsys, ["verify", "--graph", str(graph), "--ell", "1", "--coloring", coloring])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "precondition-failed"
+    assert "has 2000000000 vertices, above the limit of 1000000" in error["message"]
+
+
+def test_verify_power_graph_limit_admits_a_host_exactly_at_it(tmp_path, capsys, monkeypatch):
+    import wdcolor.cli as cli
+
+    # weight 3 at ell = 1: the two ends plus 2 * (3 - 1) inner vertices
+    monkeypatch.setattr(cli, "MAX_POWER_VERTICES", 6)
+    at, over = tmp_path / "at.txt", tmp_path / "over.txt"
+    at.write_text("0 1 3\n")
+    over.write_text("0 1 3\n2\n")
+    for graph, assignment, want in ((at, {0: 1, 1: 1}, 0), (over, {0: 1, 1: 1, 2: 1}, 2)):
+        coloring = _write_coloring(tmp_path / "c.json", assignment)
+        code, _, err = _main(capsys, ["verify", "--graph", str(graph), "--ell", "1", "--coloring", coloring])
+        assert code == want
+    assert "has 7 vertices, above the limit of 6" in json.loads(err)["error"]["message"]
 
 
 def test_gen_grid_certifies_tripods_only_with_unit_weights(tmp_path, capsys):

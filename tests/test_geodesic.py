@@ -25,7 +25,6 @@ from wdcolor.geodesic import (
     color_planar,
     combine_slab_colorings,
     control_extension_bound,
-    distance_projection,
     layering_projection,
     make_slabs,
     tripod_decomposition,
@@ -334,6 +333,27 @@ def test_centered_bags_checks_radius_claim():
         color_centered_bags(g, 1, td, centers, 0)
 
 
+def test_centered_bags_checks_the_center_map_once_at_the_claimed_radius(monkeypatch):
+    import wdcolor.geodesic as geodesic
+
+    radii = []
+    check = geodesic._check_centers
+
+    def counted(g, td, centers, theta, radius, metric, what):
+        if metric:
+            radii.append(radius)
+        return check(g, td, centers, theta, radius, metric, what)
+
+    monkeypatch.setattr(geodesic, "_check_centers", counted)
+    g, td, centers = path_centered_instance(12)
+    assert color_centered_bags(g, 1, td, centers, 1).report.ok
+    assert radii == [1]
+    radii.clear()
+    with pytest.raises(ContractViolation, match=r"node 1 bag strays \[0\] beyond the center radius"):
+        color_centered_bags(g, 1, td, {t: (max(td.bags[t]),) for t in td.nodes}, Fraction(1, 2))
+    assert radii == [Fraction(1, 2)]
+
+
 def test_centered_bags_rejects_partial_center_map():
     g, td, centers = path_centered_instance(8)
     centers = dict(centers)
@@ -481,9 +501,9 @@ def test_geodesic_tree_rejects_disconnected():
         bfs_geodesic_tree(g, 0)
 
 
-def test_distance_projection_is_lipschitz():
+def test_geodesic_tree_distances_are_lipschitz():
     g = grid_graph(4, 4)
-    proj = distance_projection(g, 5)
+    proj = bfs_geodesic_tree(g, 5).dist
     for (u, v, w) in g.edges:
         assert abs(proj[u] - proj[v]) <= w
 
@@ -589,7 +609,7 @@ def test_certificate_flags_tampered_paths():
 
 def test_slabs_partition_and_separate():
     g = unit_path(64)
-    proj = distance_projection(g, 0)
+    proj = bfs_geodesic_tree(g, 0).dist
     system = make_slabs(g, 1, proj, slab_width_factor=8)
     owned_all = [v for s in system.slabs for v in s.owned]
     assert sorted(owned_all) == sorted(g.vertices)
@@ -624,12 +644,12 @@ def test_slabs_reject_projection_missing_a_vertex_but_naming_an_extra_one():
 def test_slabs_reject_narrow_width():
     g = unit_path(4)
     with pytest.raises(GraphError):
-        make_slabs(g, 1, distance_projection(g, 0), slab_width_factor=3)
+        make_slabs(g, 1, bfs_geodesic_tree(g, 0).dist, slab_width_factor=3)
 
 
 def test_combine_rejects_missing_slab():
     g = unit_path(40)
-    system = make_slabs(g, 1, distance_projection(g, 0))
+    system = make_slabs(g, 1, bfs_geodesic_tree(g, 0).dist)
     with pytest.raises(GraphError):
         combine_slab_colorings(g, 1, system, [])
 
@@ -640,7 +660,7 @@ def test_combine_accepts_constant_slab_colorings():
     from wdcolor.geodesic import SlabColoring
 
     g = unit_path(80)
-    system = make_slabs(g, 1, distance_projection(g, 0))
+    system = make_slabs(g, 1, bfs_geodesic_tree(g, 0).dist)
     scs = [
         SlabColoring(s.family, s.index, Coloring({v: 1 for v in s.owned}, 2), Fraction(10))
         for s in system.slabs
@@ -655,7 +675,7 @@ def test_combine_flags_uncolored_owned_vertex():
     from wdcolor.geodesic import SlabColoring
 
     g = unit_path(80)
-    system = make_slabs(g, 1, distance_projection(g, 0))
+    system = make_slabs(g, 1, bfs_geodesic_tree(g, 0).dist)
     scs = [
         SlabColoring(s.family, s.index, Coloring({v: 1 for v in s.owned if v != 40}, 2), Fraction(1))
         for s in system.slabs

@@ -181,7 +181,7 @@ def _reference_first_failure(g, fam):
                     return "collection %d: vertex %s in two sets" % (ci, v)
                 owner[v] = si
         for si, part in enumerate(coll):
-            for v in g.distances_from(part, radius=fam.r):
+            for v in sorted(g.distances_from(part, radius=fam.r)):
                 if v in owner and owner[v] != si:
                     return "collection %d: sets %d and %d" % (ci, si, owner[v])
         for si, part in enumerate(coll):
