@@ -294,6 +294,12 @@ def _run_verify(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dic
             "coloring misses %d of %d graph vertices: %s"
             % (len(missing), len(g), sorted(missing))
         )
+    alien = coloring.domain - g.vertex_set()
+    if alien:
+        raise ContractViolation(
+            "coloring names %d ids that are not graph vertices: %s"
+            % (len(alien), sorted(alien)[:5])
+        )
     bound = _parse_frac(args.bound, "bound") if args.bound else None
     size = power_graph_vertex_count(g, lf)
     if size > MAX_POWER_VERTICES:

@@ -29,7 +29,7 @@ import bisect
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import (
     GraphError,
@@ -44,8 +44,8 @@ from .graph import (
 )
 from .partition import (
     Coloring,
+    ColorResult,
     ContractViolation,
-    VerificationReport,
     check_weak_diameter,
     monochromatic_components,
 )
@@ -66,7 +66,7 @@ from .treedec import (
     lift_condensation_coloring,
     validate_td,
 )
-from .twcolor import TwColorResult, color_bounded_treewidth
+from .twcolor import color_bounded_treewidth
 
 _RECURSION_HEADROOM = 20000
 
@@ -242,17 +242,15 @@ class ControlConstruction:
             )
 
 
-def control_extension_bound(eta: int, theta: int, mu: object, ell: object, m: int) -> Fraction:
-    """Weak-diameter bound for extending a zone coloring along a control
-    construction with the given parameters and m colors."""
+def control_extension_bound(eta: int, theta: int, mu: object, ell: object) -> Fraction:
+    """Weak-diameter bound for extending a zone coloring to a two-coloring
+    along a control construction with the given parameters."""
     mf = as_fraction(mu)
     lf = as_fraction(ell)
     if theta < 1 or not 0 <= eta <= theta:
         raise GraphError("need 1 <= theta and 0 <= eta <= theta")
     if mf < 0 or lf <= 0:
         raise GraphError("need mu >= 0 and ell > 0")
-    if m < 2:
-        raise GraphError("extension bound needs m >= 2")
     val = patch_bound(theta, 4 * lf + mf, lf, 1)
     if eta == 0:
         return val
@@ -260,21 +258,14 @@ def control_extension_bound(eta: int, theta: int, mu: object, ell: object, m: in
     for x in range(1, eta + 1):
         a = radii[x - 1]
         patched = patch_bound(theta, 3 * lf + 3 * mf + a, lf, val)
-        val = con_color_bound(lf, patched, m, theta, a + mf)
+        val = con_color_bound(lf, patched, theta, a + mf)
     return val
 
 
 def centered_bags_bound(theta: int, radius: object, ell: object) -> Fraction:
     """Bound for color_centered_bags: every bag is within `radius` of at
     most theta centers, and the derived construction runs at mu=2*radius."""
-    return control_extension_bound(theta, theta, 2 * as_fraction(radius), ell, 2)
-
-
-@dataclass(frozen=True)
-class ControlColorResult:
-    coloring: Coloring
-    bound: Fraction
-    report: VerificationReport
+    return control_extension_bound(theta, theta, 2 * as_fraction(radius), ell)
 
 
 # -- the extension engine ----------------------------------------------------
@@ -283,7 +274,6 @@ class ControlColorResult:
 @dataclass(frozen=True)
 class _EngineCtx:
     lf: Fraction
-    m: int
     deep: bool
 
 
@@ -421,7 +411,6 @@ def _color_stars(
                 "%s: star pieces overlap outside the removed set at %s"
                 % (what, sorted(overlap)[:5])
             )
-        cmap = {v: (c.assignment[v] if v in c.assignment else ctx.m) for v in piece}
         cert = CenterCertificate.build(
             g,
             centers[center_node],
@@ -434,8 +423,7 @@ def _color_stars(
             ctx.lf,
             sorted(g.vertex_set() - piece),
             cert,
-            m=ctx.m,
-            coloring=Coloring(cmap, ctx.m),
+            coloring=c.filled(piece),
             power=pg,
             what="%s: star piece at node %s" % (what, center_node),
             exact=False,
@@ -443,7 +431,7 @@ def _color_stars(
         merged.update(res.coloring.assignment)
     if set(merged) != vfree:
         raise ContractViolation("%s: star pieces fail to cover everything uncolored" % what)
-    out = Coloring(merged, ctx.m)
+    out = Coloring(merged, 2)
     check_weak_diameter(
         g, ctx.lf, out, level_bound, "%s: merged star pieces" % what,
         restrict_to=vfree, power=pg, exact=False,
@@ -465,7 +453,7 @@ def _control_rec(
     con.validate(g, full=ctx.deep)
     _check_centers(g, con.td, centers, con.theta, 3 * con.ell + con.mu, ctx.deep, what)
     td, rset, eta, theta = con.td, con.removed, con.eta, con.theta
-    lf, mu, m = ctx.lf, con.mu, ctx.m
+    lf, mu = ctx.lf, con.mu
     vset = g.vertex_set()
     vfree = vset - rset
     if not zset <= vfree or c.domain != zset:
@@ -477,9 +465,9 @@ def _control_rec(
         raise ContractViolation(
             "%s: recursion measure failed to drop (%s -> %s)" % (what, parent_measure, measure)
         )
-    level_bound = control_extension_bound(eta, theta, mu, lf, m)
+    level_bound = control_extension_bound(eta, theta, mu, lf)
     if not vfree:
-        return Coloring({}, m)
+        return Coloring.empty(2)
     if pg is None:
         pg = power_graph(g, lf)
     if eta == 0:
@@ -504,16 +492,14 @@ def _control_rec(
         centers1 = dict(centers)
         centers1[t1] = (v,)
         return _control_rec(
-            ctx, g, con1, frozenset((v,)), Coloring({v: m}, m), centers1,
+            ctx, g, con1, frozenset((v,)), Coloring({v: 2}, 2), centers1,
             measure, what + " >restart", pg,
         )
     z_ball = frozenset(neighborhood(g, sorted(zone), 3 * lf + mu))
     zsat = z_ball - rset
     if not zset <= zsat:
         raise ContractViolation("%s: precolored vertices outside the zone ball" % what)
-    csat = dict(c.assignment)
-    for v in zsat - zset:
-        csat[v] = m
+    c_sat = c.filled(zsat)
     measure_sat = (eta, (len(vfree) - len(zsat)) + far_count)
     if vfree <= zsat:
         # the zone ball swallows everything: the uncolored part is centered
@@ -522,8 +508,7 @@ def _control_rec(
         if centered_bound(theta, 3 * lf + mu, lf) > level_bound:
             raise ContractViolation("%s: centered shortcut bound exceeds the level bound" % what)
         res = centered_color(
-            g, lf, sorted(rset), cert, m=m,
-            coloring=Coloring(csat, m), power=pg,
+            g, lf, sorted(rset), cert, coloring=c_sat, power=pg,
             what="%s: zone-saturated finish" % what, exact=False,
         )
         return res.coloring
@@ -531,7 +516,7 @@ def _control_rec(
     # color the condensed graph one budget level down, patch the zone over
     # the result, lift the patched coloring back, then finish the far parts
     a_prev = control_radii(theta, mu, lf, eta - 1)[-1]
-    nf_prev = control_extension_bound(eta - 1, theta, mu, lf, m)
+    nf_prev = control_extension_bound(eta - 1, theta, mu, lf)
     t0set, u_edges = ball_region(td, z_ball, what)
     cond = condense(g, td, u_edges, (), lf, theta, a_prev + mu)
     g0, td0 = cond.g0, cond.td0
@@ -573,19 +558,19 @@ def _control_rec(
     )
     pg0 = power_graph(g0, lf)
     c0 = _control_rec(
-        ctx, g0, con0, frozenset(), Coloring({}, m), centers0,
+        ctx, g0, con0, frozenset(), Coloring.empty(2), centers0,
         measure, what + " >condensed", pg0,
     )
     if not zsat <= rp:
         raise ContractViolation("%s: the zone escaped the patch region" % what)
     covered = rp - rset
-    c_z = Coloring({v: (csat[v] if v in csat else m) for v in covered}, m)
+    c_z = c_sat.filled(covered)
     cert = CenterCertificate.build(
         g0, sorted(r_root), 3 * lf + 3 * mu + a_prev, covered=sorted(covered), k=theta
     )
     patched = patch_colorings(
         g0, lf, cert, sorted(rset & v0), c_z, c0,
-        n_claimed=nf_prev, m=m, power=pg0,
+        n_claimed=nf_prev, power=pg0,
         what="%s: zone patch" % what, exact=False,
     )
     big_centers: Dict[TreeEdge, List[int]] = {}
@@ -593,7 +578,7 @@ def _control_rec(
         if len(td.adhesion_of(e)) > theta:
             big_centers[e] = sorted(con.edge_triples[e].all_guards)
     lr = lift_condensation_coloring(
-        cond, patched.coloring, m, deleted=sorted(rset),
+        cond, patched.coloring, deleted=sorted(rset),
         centers_per_big_adhesion=big_centers, n_claimed=patched.bound,
         power=pg, what="%s: zone lift" % what, exact=False,
     )
@@ -662,9 +647,8 @@ def _control_rec(
             centers_star = dict(centers)
             centers_star[q] = tuple(sorted(tri.all_guards))
             zstar = z_e - rstar
-            cs_map = {v: (cprime.assignment[v] if v in cprime.assignment else m) for v in zstar}
             sub = _control_rec(
-                ctx, g, con_star, zstar, Coloring(cs_map, m), centers_star,
+                ctx, g, con_star, zstar, cprime.filled(zstar), centers_star,
                 measure_sat, what + " >far", pg,
             )
             if not part_free <= sub.domain:
@@ -697,7 +681,7 @@ def _control_rec(
             centers1 = dict(centers)
             centers1[t1] = (v_star,)
             sub = _control_rec(
-                ctx, g, con1, frozenset((v_star,)), Coloring({v_star: m}, m), centers1,
+                ctx, g, con1, frozenset((v_star,)), Coloring({v_star: 2}, 2), centers1,
                 measure_sat, what + " >endgame", pg,
             )
             if not part_free <= sub.domain:
@@ -712,7 +696,7 @@ def _control_rec(
     for v in zset:
         if out[v] != c.assignment[v]:
             raise ContractViolation("%s: the extension changed a precolored vertex" % what)
-    result = Coloring(out, m)
+    result = Coloring(out, 2)
     if ctx.deep:
         check_weak_diameter(
             g, lf, result, level_bound, "%s: level check" % what,
@@ -725,31 +709,27 @@ def color_control_construction(
     g: WeightedGraph,
     ell: object,
     con: ControlConstruction,
+    bag_centers: Dict[int, Iterable[int]],
     z: Iterable[int] = (),
     precoloring: Optional[Coloring] = None,
-    m: int = 2,
-    bag_centers: Optional[Dict[int, Iterable[int]]] = None,
     deep_verify: bool = False,
     exact_check: bool = True,
     what: str = "control coloring",
-) -> ControlColorResult:
+) -> ColorResult:
     """Extend a coloring of the guarded zone to all of V - removed.
 
-    z must sit inside the radius 3*ell+mu ball of the root anchors; the
-    precoloring (constant m by default) is kept verbatim.  bag_centers maps
-    every node to at most theta vertices of its bag covering the bag within
-    radius 3*ell+mu.  The result is an m-coloring whose monochromatic
-    components have weak diameter at most control_extension_bound hops in
-    the full power graph, re-verified before returning.
+    bag_centers maps every node to at most theta vertices of its bag
+    covering the bag within radius 3*ell+mu.  z must sit inside the radius
+    3*ell+mu ball of the root anchors; the precoloring (color 2 by default)
+    uses at most two colors and is kept verbatim.  The result is a
+    two-coloring whose monochromatic components have weak diameter at most
+    control_extension_bound hops in the full power graph, re-verified
+    before returning.
     """
     lf = as_fraction(ell)
     if lf != con.ell:
         raise GraphError("scale %s does not match the construction's %s" % (frac_str(lf), frac_str(con.ell)))
-    if m < 2:
-        raise GraphError("the extension engine needs m >= 2 colors")
     con.validate(g, full=True)
-    if bag_centers is None:
-        raise GraphError("per-node bag centers are required")
     centers = {t: tuple(sorted(set(cs))) for t, cs in bag_centers.items()}
     _check_centers(g, con.td, centers, con.theta, 3 * lf + con.mu, True, what)
     zf = frozenset(z)
@@ -759,14 +739,14 @@ def color_control_construction(
     if not zf <= neighborhood(g, con.root_triple.anchor - con.removed, 3 * lf + con.mu):
         raise GraphError("the precolored set must sit inside the guarded zone ball")
     if precoloring is None:
-        precoloring = Coloring.constant(zf, m, color=m)
+        precoloring = Coloring.constant(zf, 2, color=2)
     if precoloring.domain != zf:
         raise GraphError("precoloring domain must equal the precolored set")
-    if precoloring.num_colors > m:
-        raise GraphError("precoloring uses more than m colors")
+    if precoloring.num_colors > 2:
+        raise GraphError("precoloring uses more than 2 colors")
     zset = zf - con.removed
-    c0 = Coloring({v: precoloring.assignment[v] for v in zset}, m)
-    return _run_engine(g, lf, con, zset, c0, centers, m, deep_verify, exact_check, what)
+    c0 = Coloring({v: precoloring.assignment[v] for v in zset}, 2)
+    return _run_engine(g, lf, con, zset, c0, centers, deep_verify, exact_check, what)
 
 
 def _run_engine(
@@ -776,26 +756,25 @@ def _run_engine(
     zset: FrozenSet[int],
     c0: Coloring,
     centers: Dict[int, Tuple[int, ...]],
-    m: int,
     deep_verify: bool,
     exact_check: bool,
     what: str,
-) -> ControlColorResult:
+) -> ColorResult:
     """The engine behind both public entries, once each has checked its
     construction, center map and precoloring: extend c0 from zset and
     verify the result at the construction's bound."""
-    ctx = _EngineCtx(lf, m, deep_verify)
+    ctx = _EngineCtx(lf, deep_verify)
     limit = 6 * len(g) + _RECURSION_HEADROOM
     if sys.getrecursionlimit() < limit:
         sys.setrecursionlimit(limit)
     pg = power_graph(g, lf)
     out = _control_rec(ctx, g, con, zset, c0, centers, None, what, pg)
-    bound = control_extension_bound(con.eta, con.theta, con.mu, lf, m)
+    bound = control_extension_bound(con.eta, con.theta, con.mu, lf)
     report = check_weak_diameter(
         g, lf, out, bound, what,
         restrict_to=g.vertex_set() - con.removed, power=pg, exact=exact_check,
     )
-    return ControlColorResult(out, bound, report)
+    return ColorResult(out, bound, report)
 
 
 def color_centered_bags(
@@ -805,13 +784,12 @@ def color_centered_bags(
     centers: Dict[int, Iterable[int]],
     radius: object,
     removed: Iterable[int] = (),
-    m: int = 2,
     deep_verify: bool = False,
     exact_check: bool = True,
     what: str = "centered bags",
-) -> ControlColorResult:
-    """Color a graph whose tree decomposition has every bag within `radius`
-    of a few per-node centers.
+) -> ColorResult:
+    """Two-color a graph whose tree decomposition has every bag within
+    `radius` of a few per-node centers.
 
     Per tree edge the parent's centers are re-anchored inside the adhesion
     (one witness per center that can see the adhesion), which turns the
@@ -823,8 +801,6 @@ def color_centered_bags(
     rf = as_fraction(radius)
     if rf < 0:
         raise GraphError("center radius must be nonnegative")
-    if m < 2:
-        raise GraphError("the extension engine needs m >= 2 colors")
     cmap = {t: tuple(sorted(set(cs))) for t, cs in centers.items()}
     theta = max([1] + [len(cs) for cs in cmap.values()])
     _check_centers(g, td, cmap, theta, rf, True, what)
@@ -849,7 +825,7 @@ def color_centered_bags(
     )
     con.validate(g, full=True)
     return _run_engine(
-        g, lf, con, frozenset(), Coloring.empty(m), cmap, m, deep_verify, exact_check, what
+        g, lf, con, frozenset(), Coloring.empty(2), cmap, deep_verify, exact_check, what
     )
 
 
@@ -1315,15 +1291,12 @@ def combine_slab_colorings(
 
 
 @dataclass(frozen=True)
-class SlabColorResult:
-    coloring: Coloring
-    bound: Fraction
-    report: VerificationReport
+class SlabColorResult(ColorResult):
     systems: Tuple[SlabSystem, ...]
 
 
 # A window colorer two-colors one connected piece of a padded slab window.
-WindowColorer = Callable[[WeightedGraph], Union[ControlColorResult, TwColorResult]]
+WindowColorer = Callable[[WeightedGraph], ColorResult]
 
 
 def _color_slabs(
@@ -1486,10 +1459,10 @@ def color_planar(
             radius = system.width + 2 * system.pad
             label = "%s: slab %s%d" % (what, slab.family, slab.index)
 
-            def color_piece(gk: WeightedGraph) -> ControlColorResult:
+            def color_piece(gk: WeightedGraph) -> ColorResult:
                 tdk, centersk = _restrict_tripods(cert, window_segs, gk.vertex_set())
                 return color_centered_bags(
-                    gk, lf, tdk, centersk, radius, m=2,
+                    gk, lf, tdk, centersk, radius,
                     deep_verify=deep_verify, exact_check=False, what=label,
                 )
 
@@ -1520,7 +1493,7 @@ def color_layered(
     require_light_edges(g, lf)
     projection = layering_projection(g, layering, ef)
 
-    def color_piece(gk: WeightedGraph) -> TwColorResult:
+    def color_piece(gk: WeightedGraph) -> ColorResult:
         return color_bounded_treewidth(gk, lf, deep_verify=deep_verify, exact_check=False)
 
     def prepare(gc: WeightedGraph):

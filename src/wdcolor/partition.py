@@ -51,6 +51,12 @@ class Coloring:
         ks = set(keep)
         return Coloring({v: c for v, c in self.assignment.items() if v in ks}, self.num_colors)
 
+    def filled(self, vertices: Iterable[int]) -> "Coloring":
+        """This coloring on `vertices`, in sorted order, with color
+        num_colors wherever it has none."""
+        a = self.assignment
+        return Coloring({v: a.get(v, self.num_colors) for v in sorted(vertices)}, self.num_colors)
+
     def union(self, other: "Coloring") -> "Coloring":
         """Union of two colorings; self wins on overlapping vertices."""
         merged = dict(other.assignment)
@@ -137,6 +143,15 @@ class VerificationReport:
             "ok": self.ok,
             "perComponent": [c.to_json_dict() for c in self.per_component],
         }
+
+
+@dataclass(frozen=True)
+class ColorResult:
+    """A coloring, the bound it was verified at, and that verification."""
+
+    coloring: Coloring
+    bound: Fraction
+    report: VerificationReport
 
 
 def monochromatic_components(

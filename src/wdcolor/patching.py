@@ -27,8 +27,8 @@ from wdcolor.graph import (
 )
 from wdcolor.partition import (
     Coloring,
+    ColorResult,
     ContractViolation,
-    VerificationReport,
     check_weak_diameter,
 )
 
@@ -120,13 +120,6 @@ class CenterCertificate:
             )
 
 
-@dataclass(frozen=True)
-class MergeResult:
-    coloring: Coloring
-    bound: Fraction
-    report: VerificationReport
-
-
 def patch_colorings(
     g: WeightedGraph,
     ell: object,
@@ -135,18 +128,18 @@ def patch_colorings(
     c_z: Optional[Coloring],
     c: Coloring,
     n_claimed: object = 1,
-    m: int = 1,
     power: Optional[PowerGraph] = None,
     what: str = "patch",
     exact: bool = True,
-) -> MergeResult:
+) -> ColorResult:
     """Glue a coloring of the centered set Z onto the coloring c of the rest.
 
     c colors the Z-deleted power graph minus `deleted`, with weak diameter
     at most n_claimed, measured either in the full power graph or in the
     Z-deleted one.  Returns c union c_Z restricted away from `deleted`,
     re-verified at patch_bound(cert.k, cert.radius, ell, n_claimed) in the
-    full power graph.
+    full power graph.  Without c_Z, Z takes color 1 and the merge keeps
+    c's color count.
     """
     lf = as_fraction(ell)
     require_light_edges(g, lf)
@@ -154,14 +147,14 @@ def patch_colorings(
     cert.verify(g)
     z = set(cert.covered)
     if c_z is None:
-        c_z = Coloring.constant(z, max(m, c.num_colors))
+        c_z = Coloring.constant(z, c.num_colors)
     merged = c.union(c_z.restrict(z - rset))
     bound = patch_bound(cert.k, cert.radius, lf, n_claimed)
     keep = g.vertex_set() - rset
     report = check_weak_diameter(
         g, lf, merged, bound=bound, what=what, restrict_to=keep, power=power, exact=exact
     )
-    return MergeResult(merged, bound, report)
+    return ColorResult(merged, bound, report)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -175,14 +168,13 @@ def centered_color(
     ell: object,
     deleted: Iterable[int],
     cert: CenterCertificate,
-    m: int = 1,
     coloring: Optional[Coloring] = None,
     power: Optional[PowerGraph] = None,
     what: str = "centered",
     exact: bool = True,
-) -> MergeResult:
-    """Color everything outside `deleted` (constant color 1 unless given);
-    any such coloring has weak diameter at most centered_bound."""
+) -> ColorResult:
+    """Color everything outside `deleted` (one color unless a coloring is
+    given); any such coloring has weak diameter at most centered_bound."""
     lf = as_fraction(ell)
     rset = set(deleted)
     cert.verify(g)
@@ -192,13 +184,13 @@ def centered_color(
             "certificate must cover all undeleted vertices; missing %s" % sorted(missing)[:5]
         )
     if coloring is None:
-        coloring = Coloring.constant(g.vertex_set() - rset, m)
+        coloring = Coloring.constant(g.vertex_set() - rset)
     bound = centered_bound(cert.k, cert.radius, lf)
     keep = g.vertex_set() - rset
     report = check_weak_diameter(
         g, lf, coloring, bound=bound, what=what, restrict_to=keep, power=power, exact=exact
     )
-    return MergeResult(coloring, bound, report)
+    return ColorResult(coloring, bound, report)
 
 
 @functools.lru_cache(maxsize=None, typed=True)

@@ -40,7 +40,7 @@ TreeEdge = Tuple[int, int]  # (parent, child)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def con_color_bound(ell: object, n: object, m: int, theta: int, mu: object) -> Fraction:
+def con_color_bound(ell: object, n: object, theta: int, mu: object) -> Fraction:
     """Weak-diameter bound for a lifted condensation coloring:
     (28 + 8*mu/ell)*theta + (16*(theta+mu/ell)*(3*theta+1) + 4)
     + 8*(theta+mu/ell)*(3*theta+1)*n."""
@@ -49,8 +49,6 @@ def con_color_bound(ell: object, n: object, m: int, theta: int, mu: object) -> F
     mf = as_fraction(mu)
     if lf <= 0 or nf <= 0 or mf < 0 or theta < 1:
         raise GraphError("invalid lift-bound parameters")
-    if m < 2:
-        raise GraphError("lift bound needs m >= 2")
     t = theta + mf / lf
     return (28 + 8 * mf / lf) * theta + (16 * t * (3 * theta + 1) + 4) + 8 * t * (3 * theta + 1) * nf
 
@@ -149,12 +147,6 @@ class RootedTreeDecomposition:
         und = [(p, c) for (p, c) in self.tree_edges]
         return RootedTreeDecomposition(dict(self.bags), und, new_root)
 
-    def restrict(self, nodes: Iterable[int], root: int) -> "RootedTreeDecomposition":
-        keep = set(nodes)
-        bags = {t: self.bags[t] for t in keep}
-        edges = [(p, c) for (p, c) in self.tree_edges if p in keep and c in keep]
-        return RootedTreeDecomposition(bags, edges, root)
-
     def subdivide_edge(self, e: TreeEdge, new_node: int, bag: Iterable[int]) -> "RootedTreeDecomposition":
         p, c = self.check_edge(e)
         if new_node in self.bags:
@@ -187,7 +179,8 @@ class RootedTreeDecomposition:
 
 
 def validate_td(g: WeightedGraph, td: RootedTreeDecomposition) -> dict:
-    """Check the decomposition axioms; report-based, never raises.
+    """Check the decomposition axioms; returns {"ok", "failures"} and never
+    raises.
 
     One pass over the bags maps each vertex to the nodes holding it; an
     edge is covered when its ends share a holder, and a vertex's holders
@@ -204,14 +197,11 @@ def validate_td(g: WeightedGraph, td: RootedTreeDecomposition) -> dict:
     alien = covered - g.vertex_set()
     if alien:
         failures.append("bags contain unknown vertices: %s" % sorted(alien)[:5])
-    edges_ok = True
     nobody: Set[int] = set()
     for (u, v, _) in g.edges:
         if not holders.get(u, nobody) & holders.get(v, nobody):
             failures.append("edge (%s,%s) is in no bag" % (u, v))
-            edges_ok = False
             break
-    connected_ok = True
     parent = td.parent
     for v in g.vertices:
         hs = holders.get(v)
@@ -219,17 +209,8 @@ def validate_td(g: WeightedGraph, td: RootedTreeDecomposition) -> dict:
             continue
         if sum(1 for t in hs if parent[t] not in hs) != 1:
             failures.append("bags containing vertex %s are not connected in the tree" % (v,))
-            connected_ok = False
             break
-    return {
-        "ok": not failures,
-        "coverageOk": not missing and not alien,
-        "edgesOk": edges_ok,
-        "connectedOk": connected_ok,
-        "width": td.width if td.bags else -1,
-        "adhesion": td.adhesion,
-        "failures": failures,
-    }
+    return {"ok": not failures, "failures": failures}
 
 
 def ball_region(
@@ -634,7 +615,6 @@ class LiftResult:
 def lift_condensation_coloring(
     cond: Condensation,
     c0: Coloring,
-    m: int,
     deleted: Iterable[int] = (),
     centers_per_big_adhesion: Optional[Dict[TreeEdge, Iterable[int]]] = None,
     n_claimed: object = None,
@@ -648,11 +628,10 @@ def lift_condensation_coloring(
     vertex at distance d of an adhesion with a hierarchy inherits the color
     of the hierarchy part its nearest adhesion vertex sits in at level
     ceil(d/eps); the two outer zones (distance in (ell,2*ell] and
-    (2*ell,3*ell] of an adhesion) take guard colors 1 and 2.  The result is
-    re-verified at the lift bound.
+    (2*ell,3*ell] of an adhesion) take guard colors 1 and 2, so the result
+    has at least two colors and as many as c0 has.  It is re-verified at the
+    lift bound.
     """
-    if m < 2:
-        raise GraphError("lift needs m >= 2")
     g, td, lf = cond.g, cond.td, cond.ell
     rset = set(deleted)
     if rset - g.vertex_set():
@@ -721,8 +700,8 @@ def lift_condensation_coloring(
             elif v not in assignment:
                 assignment[v] = zone - 1
     domain = set(assignment)
-    coloring = Coloring(assignment, max(m, c0.num_colors))
-    bound = con_color_bound(lf, nf, m, cond.theta, cond.mu)
+    coloring = Coloring(assignment, max(2, c0.num_colors))
+    bound = con_color_bound(lf, nf, cond.theta, cond.mu)
     report = check_weak_diameter(
         g, lf, coloring, bound=bound, what=what, restrict_to=domain, power=power,
         exact=exact,

@@ -18,8 +18,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from .graph import GraphError, WeightedGraph, as_fraction, frac_str, neighborhood, require_light_edges
 from .partition import (
     Coloring,
+    ColorResult,
     ContractViolation,
-    VerificationReport,
     check_weak_diameter,
 )
 from .patching import (
@@ -233,10 +233,6 @@ class AdhesionConstruction:
     theta: int
     piece_bound: Fraction
 
-    def big_edges(self) -> Tuple[TreeEdge, ...]:
-        td = self.td
-        return tuple(e for e in td.tree_edges if len(td.adhesion_of(e)) > self.eta)
-
     def validate(self, g: WeightedGraph, full: bool = True) -> None:
         """Structural checks are linear in the tree; full validation also
         re-checks the decomposition axioms against g (quadratic, so the
@@ -284,14 +280,12 @@ class AdhesionConstruction:
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def tree_extension_bound(eta: int, theta: int, ell: object, n: object, m: int) -> Fraction:
+def tree_extension_bound(eta: int, theta: int, ell: object, n: object) -> Fraction:
     """Hop bound achieved by color_adhesion_construction: the level-0 term
     covers pieces, the patch over the root ball, and bag sizes; each further
     guard level routes through one condensation round trip."""
     if not 0 <= eta <= theta:
         raise GraphError("need 0 <= eta <= theta, got eta=%d theta=%d" % (eta, theta))
-    if m < 2:
-        raise GraphError("need m >= 2")
     lf = as_fraction(ell)
     nf = as_fraction(n)
     if lf <= 0 or nf <= 0:
@@ -304,31 +298,21 @@ def tree_extension_bound(eta: int, theta: int, ell: object, n: object, m: int) -
         + theta
     )
     for _ in range(eta):
-        out = con_color_bound(lf, patch_bound(theta, 3 * lf, lf, out), m, theta, 0)
+        out = con_color_bound(lf, patch_bound(theta, 3 * lf, lf, out), theta, 0)
     return out
 
 
-def treewidth_color_bound(width: int, ell: object, m: int = 2) -> Fraction:
+def treewidth_color_bound(width: int, ell: object) -> Fraction:
     """Hop bound achieved by color_bounded_treewidth at the given width."""
     theta = width + 1
-    return tree_extension_bound(theta, theta, ell, cover_piece_bound(theta, ell), m)
+    return tree_extension_bound(theta, theta, ell, cover_piece_bound(theta, ell))
 
 
 # -- the recursion -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TreeColorResult:
-    coloring: Coloring
-    bound: Fraction
-    report: VerificationReport
-
-
-@dataclass(frozen=True)
-class TwColorResult:
-    coloring: Coloring
-    bound: Fraction
-    report: VerificationReport
+class TwColorResult(ColorResult):
     td: RootedTreeDecomposition
     width: int
     theta: int
@@ -338,25 +322,24 @@ class TwColorResult:
 class _Ctx:
     lf: Fraction
     theta: int
-    m: int
     piece_bound: Fraction
     deep: bool
 
 
 def _paint_piece(ctx: _Ctx, h: WeightedGraph, what: str) -> Coloring:
-    c = Coloring.constant(h.vertex_set(), ctx.m)
+    c = Coloring.constant(h.vertex_set(), 2)
     check_weak_diameter(h, ctx.lf, c, bound=ctx.piece_bound, what=what, exact=False)
     return c
 
 
-def _merge_disjoint(parts: Iterable[Coloring], m: int, what: str) -> Coloring:
+def _merge_disjoint(parts: Iterable[Coloring], what: str) -> Coloring:
     out: Dict[int, int] = {}
     for part in parts:
         for v, col in part.assignment.items():
             if out.get(v, col) != col:
                 raise ContractViolation("%s: colorings disagree on vertex %s" % (what, v))
             out[v] = col
-    return Coloring(out, m)
+    return Coloring(out, 2)
 
 
 def _color_rec(
@@ -387,17 +370,13 @@ def _color_rec(
             "%s: recursion measure did not decrease (%s -> %s)"
             % (what, parent_measure, measure)
         )
-    bound = tree_extension_bound(eta, ctx.theta, lf, ctx.piece_bound, ctx.m)
+    bound = tree_extension_bound(eta, ctx.theta, lf, ctx.piece_bound)
 
     # everything already precolored: the root bag centers the whole graph
     if zset == g.vertex_set():
         cert = CenterCertificate.build(g, sorted(root_bag), 3 * lf, sorted(zset), ctx.theta)
-        cc = Coloring(dict(c.assignment), ctx.m)
-        centered_color(
-            g, lf, (), cert, m=ctx.m, coloring=cc,
-            what=what + ": fully precolored", exact=False,
-        )
-        return cc
+        centered_color(g, lf, (), cert, coloring=c, what=what + ": fully precolored", exact=False)
+        return c
 
     if eta == 0:
         return _color_flat(ctx, g, td, zset, c, bound, what)
@@ -408,16 +387,10 @@ def _color_rec(
 
     # saturate the precolored set to the full ball around the root bag
     z0 = ball
-    sat = dict(c.assignment)
-    for v in sorted(z0 - zset):
-        sat[v] = ctx.m
-    c_sat = Coloring(sat, ctx.m)
+    c_sat = c.filled(z0)
     if z0 == g.vertex_set():
         cert = CenterCertificate.build(g, sorted(root_bag), 3 * lf, sorted(z0), ctx.theta)
-        centered_color(
-            g, lf, (), cert, m=ctx.m, coloring=c_sat,
-            what=what + ": saturated ball", exact=False,
-        )
+        centered_color(g, lf, (), cert, coloring=c_sat, what=what + ": saturated ball", exact=False)
         return c_sat
 
     # the tree region whose bags meet the ball, and the frontier leaving it
@@ -428,7 +401,7 @@ def _color_rec(
         raise ContractViolation("%s: ball leaks out of the condensed graph" % what)
 
     # color the condensed graph beyond the ball one guard level down
-    n_prev = tree_extension_bound(eta - 1, ctx.theta, lf, ctx.piece_bound, ctx.m)
+    n_prev = tree_extension_bound(eta - 1, ctx.theta, lf, ctx.piece_bound)
     rest0 = g0.vertex_set() - z0
     fresh_node = max(td.nodes) + 1
     if rest0:
@@ -475,18 +448,18 @@ def _color_rec(
             td00,
             eta - 1,
             frozenset(),
-            Coloring.empty(ctx.m),
+            Coloring.empty(2),
             measure,
             what + ": condensed far side",
         )
     else:
-        c0_rest = Coloring.empty(ctx.m)
+        c0_rest = Coloring.empty(2)
 
     # glue the saturated ball colors over the condensed coloring
     cert0 = CenterCertificate.build(g0, sorted(root_bag), 3 * lf, sorted(z0), ctx.theta)
     mr = patch_colorings(
         g0, lf, cert0, (), c_sat, c0_rest,
-        n_claimed=n_prev, m=ctx.m, what=what + ": ball patch", exact=False,
+        n_claimed=n_prev, what=what + ": ball patch", exact=False,
     )
 
     # lift the condensed coloring back to the graph around the region
@@ -494,7 +467,7 @@ def _color_rec(
     if mr.bound != lift_claim:
         raise ContractViolation("%s: patch bound bookkeeping drifted" % what)
     lr = lift_condensation_coloring(
-        cond, mr.coloring, ctx.m, n_claimed=lift_claim, what=what + ": lift",
+        cond, mr.coloring, n_claimed=lift_claim, what=what + ": lift",
         exact=False,
     )
     if lr.bound != bound:
@@ -522,7 +495,7 @@ def _color_rec(
             raise ContractViolation(
                 "%s: lift left part vertices uncolored: %s" % (what, sorted(missing)[:5])
             )
-        c_e = Coloring({v: c3.color(v) for v in z_e}, ctx.m)
+        c_e = Coloring({v: c3.color(v) for v in z_e}, 2)
         if len(x_e) > eta:
             # oversized shared set: the part is one childless bag, any
             # completion has components of at most |part| vertices
@@ -532,10 +505,7 @@ def _color_rec(
                     "%s: oversized-adhesion part has %d > theta + theta**2 = %d vertices"
                     % (what, len(part), part_limit)
                 )
-            full = dict(c_e.assignment)
-            for v in sorted(part - z_e):
-                full[v] = ctx.m
-            c_e_full = Coloring(full, ctx.m)
+            c_e_full = c_e.filled(part)
             check_weak_diameter(
                 g_e, lf, c_e_full,
                 bound=Fraction(part_limit),
@@ -556,7 +526,7 @@ def _color_rec(
         parts_out.append(sub)
 
     keep0 = cond.base_vertices & g.vertex_set()
-    out = _merge_disjoint([c3.restrict(keep0)] + parts_out, ctx.m, what)
+    out = _merge_disjoint([c3.restrict(keep0)] + parts_out, what)
     if out.domain != g.vertex_set():
         raise ContractViolation("%s: assembled coloring misses vertices" % what)
     for v in sorted(zset):
@@ -605,14 +575,14 @@ def _color_flat(
             )
             mr = patch_colorings(
                 h, lf, cert, (), c, cp,
-                n_claimed=ctx.piece_bound, m=ctx.m,
+                n_claimed=ctx.piece_bound,
                 what=what + ": root piece patch",
                 exact=False,
             )
             pieces.append(mr.coloring)
         else:
             pieces.append(_paint_piece(ctx, g.induced(verts), what + ": piece"))
-    out = _merge_disjoint(pieces, ctx.m, what)
+    out = _merge_disjoint(pieces, what)
     if out.domain != g.vertex_set():
         raise ContractViolation("%s: star pieces miss vertices" % what)
     if ctx.deep:
@@ -655,7 +625,7 @@ def _color_split(
                 ctx, g_c, td_c, eta, z_c, c.restrict(z_c), measure, what + ": component"
             )
         )
-    out = _merge_disjoint(pieces, ctx.m, what)
+    out = _merge_disjoint(pieces, what)
     if out.domain != g.vertex_set():
         raise ContractViolation("%s: component colorings miss vertices" % what)
     return out
@@ -670,39 +640,37 @@ def color_adhesion_construction(
     con: AdhesionConstruction,
     z: Iterable[int] = (),
     precoloring: Optional[Coloring] = None,
-    m: int = 2,
     deep_verify: bool = False,
     exact_check: bool = True,
-) -> TreeColorResult:
+) -> ColorResult:
     """Extend a precoloring of Z (within distance 3*ell of the root bag) to
-    all of g, with monochromatic components of weak diameter at most the
-    computed level bound in the power graph."""
+    a two-coloring of all of g, with monochromatic components of weak
+    diameter at most the computed level bound in the power graph.  The
+    precoloring (color 1 by default) is kept verbatim."""
     lf = as_fraction(ell)
     if lf <= 0:
         raise GraphError("need ell > 0")
-    if m < 2:
-        raise GraphError("need m >= 2 colors")
     require_light_edges(g, lf)
     zf = frozenset(z)
     if precoloring is None:
-        precoloring = Coloring.constant(zf, m)
+        precoloring = Coloring.constant(zf)
     if precoloring.domain != zf:
         raise GraphError("precoloring domain differs from the precolored set")
-    if precoloring.num_colors > m:
-        raise GraphError("precoloring uses more than m colors")
+    if precoloring.num_colors > 2:
+        raise GraphError("precoloring uses more than 2 colors")
     sys.setrecursionlimit(max(sys.getrecursionlimit(), _RECURSION_HEADROOM))
     con.validate(g)
-    ctx = _Ctx(lf, con.theta, m, con.piece_bound, deep_verify)
+    ctx = _Ctx(lf, con.theta, con.piece_bound, deep_verify)
     out = _color_rec(
         ctx, g, con.td, con.eta, zf,
-        Coloring(dict(precoloring.assignment), m),
+        Coloring(dict(precoloring.assignment), 2),
         None, "adhesion coloring",
     )
-    bound = tree_extension_bound(con.eta, con.theta, lf, con.piece_bound, m)
+    bound = tree_extension_bound(con.eta, con.theta, lf, con.piece_bound)
     report = check_weak_diameter(
         g, lf, out, bound=bound, what="adhesion coloring", exact=exact_check
     )
-    return TreeColorResult(out, bound, report)
+    return ColorResult(out, bound, report)
 
 
 def color_bounded_treewidth(
@@ -733,8 +701,8 @@ def color_bounded_treewidth(
     width = max(td.width, 0)
     theta = width + 1
     piece_bound = cover_piece_bound(theta, lf)
-    bound = tree_extension_bound(theta, theta, lf, piece_bound, 2)
-    ctx = _Ctx(lf, theta, 2, piece_bound, deep_verify)
+    bound = tree_extension_bound(theta, theta, lf, piece_bound)
+    ctx = _Ctx(lf, theta, piece_bound, deep_verify)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), _RECURSION_HEADROOM))
     pieces: List[Coloring] = []
     fresh_node = max(td.nodes) + 1
@@ -756,7 +724,7 @@ def color_bounded_treewidth(
                 None, "treewidth coloring: component",
             )
         )
-    out = _merge_disjoint(pieces, 2, "treewidth coloring")
+    out = _merge_disjoint(pieces, "treewidth coloring")
     if out.domain != g.vertex_set():
         raise ContractViolation("treewidth coloring misses vertices")
     report = check_weak_diameter(

@@ -95,6 +95,29 @@ def test_verify_rejects_a_partial_coloring(tmp_path, capsys):
     assert str(list(range(1, 25))) in report["failure"]
 
 
+def test_verify_rejects_ids_that_are_not_graph_vertices(tmp_path, capsys):
+    # one edge of weight 2 at ell = 1: the power graph subdivides it with a
+    # vertex of id 2, which a colouring must not be able to reach
+    graph = tmp_path / "edge.txt"
+    graph.write_text("0 1 2\n")
+    verify = ["verify", "--graph", str(graph), "--ell", "1", "--bound", "1", "--coloring"]
+    code, out, _ = _main(capsys, verify + [_write_coloring(tmp_path / "ok.json", {0: 1, 1: 1})])
+    assert code == 0 and json.loads(out)["ok"]
+    stray = _write_coloring(tmp_path / "stray.json", {0: 1, 1: 1, 2: 1})
+    code, out, _ = _main(capsys, verify + [stray])
+    assert code == 1
+    report = json.loads(out)
+    assert not report["ok"] and "measured" not in report
+    assert report["failure"] == "coloring names 1 ids that are not graph vertices: [2]"
+
+    path = tmp_path / "path.txt"
+    path.write_text("0 1 1\n1 2 1\n")
+    far = _write_coloring(tmp_path / "far.json", {0: 1, 1: 2, 2: 1, 7: 2, -4: 2})
+    code, out, _ = _main(capsys, ["verify", "--graph", str(path), "--ell", "1", "--coloring", far])
+    assert code == 1
+    assert json.loads(out)["failure"] == "coloring names 2 ids that are not graph vertices: [-4, 7]"
+
+
 def test_verify_refuses_a_power_graph_above_the_limit(tmp_path, capsys):
     # one edge of weight 10**9 at ell = 1 asks for 2 * 10**9 power vertices
     graph = tmp_path / "heavy.txt"

@@ -10,9 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdcolor.graph import GraphError, WeightedGraph
+from wdcolor.graph import GraphError, WeightedGraph, neighborhood
 from wdcolor.partition import Coloring, ContractViolation
 from wdcolor.treedec import RootedTreeDecomposition, validate_td
+from wdcolor.twcolor import (
+    AdhesionConstruction,
+    color_adhesion_construction,
+    compute_tree_decomposition,
+    cover_piece_bound,
+)
 from wdcolor.geodesic import (
     ControlConstruction,
     GeodesicCertificate,
@@ -32,6 +38,7 @@ from wdcolor.geodesic import (
 from wdcolor.generators import GeneratorSpec, generate
 
 import oracles
+from strategies import random_connected_graph
 
 
 def unit_path(n):
@@ -106,8 +113,8 @@ def oracle_extension(eta: int, theta: int, mu: Fraction, ell: Fraction) -> Fract
 
 
 def test_extension_bound_frozen_values():
-    assert control_extension_bound(0, 1, 0, 1, 2) == 70
-    assert control_extension_bound(1, 1, 0, 1, 2) == 100664
+    assert control_extension_bound(0, 1, 0, 1) == 70
+    assert control_extension_bound(1, 1, 0, 1) == 100664
     assert centered_bags_bound(1, 2, 1) == 559992
 
 
@@ -125,28 +132,25 @@ def test_extension_bound_matches_oracle_base_cases():
     mu_num=st.integers(min_value=0, max_value=6),
     ell_num=st.integers(min_value=1, max_value=4),
     ell_den=st.integers(min_value=1, max_value=3),
-    m=st.integers(min_value=2, max_value=4),
 )
-def test_extension_bound_matches_oracle(theta, eta_off, mu_num, ell_num, ell_den, m):
+def test_extension_bound_matches_oracle(theta, eta_off, mu_num, ell_num, ell_den):
     eta = min(eta_off, theta)
     mu = Fraction(mu_num, 2)
     ell = Fraction(ell_num, ell_den)
-    assert control_extension_bound(eta, theta, mu, ell, m) == oracle_extension(eta, theta, mu, ell)
+    assert control_extension_bound(eta, theta, mu, ell) == oracle_extension(eta, theta, mu, ell)
 
 
 def test_extension_bound_rejects_bad_parameters():
     with pytest.raises(GraphError):
-        control_extension_bound(2, 1, 0, 1, 2)
+        control_extension_bound(2, 1, 0, 1)
     with pytest.raises(GraphError):
-        control_extension_bound(0, 0, 0, 1, 2)
+        control_extension_bound(0, 0, 0, 1)
     with pytest.raises(GraphError):
-        control_extension_bound(0, 1, -1, 1, 2)
-    with pytest.raises(GraphError):
-        control_extension_bound(0, 1, 0, 1, 1)
+        control_extension_bound(0, 1, -1, 1)
 
 
 def test_extension_bound_grows_with_budget():
-    vals = [control_extension_bound(eta, 3, 1, 1, 2) for eta in range(4)]
+    vals = [control_extension_bound(eta, 3, 1, 1) for eta in range(4)]
     assert vals == sorted(vals) and len(set(vals)) == 4
 
 
@@ -376,7 +380,7 @@ def test_engine_star_case_without_budget():
     centers = {t: (min(td.bags[t]),) for t in td.nodes}
     res = color_control_construction(g, 1, con, bag_centers=centers)
     assert res.report.ok
-    assert res.bound == control_extension_bound(0, 1, 1, 1, 2)
+    assert res.bound == control_extension_bound(0, 1, 1, 1)
     assert res.coloring.domain == g.vertex_set()
 
 
@@ -403,14 +407,8 @@ def test_engine_rejects_scale_mismatch():
 
 def test_engine_requires_centers():
     g, con, _ = construction_on_path(6)
-    with pytest.raises(GraphError):
+    with pytest.raises(TypeError):
         color_control_construction(g, 1, con)
-
-
-def test_engine_rejects_single_color():
-    g, con, centers = construction_on_path(6)
-    with pytest.raises(GraphError):
-        color_control_construction(g, 1, con, m=1, bag_centers=centers)
 
 
 def test_engine_deep_verify_agrees():
@@ -418,6 +416,45 @@ def test_engine_deep_verify_agrees():
     plain = color_control_construction(g, 1, con, bag_centers=centers)
     deep = color_control_construction(g, 1, con, bag_centers=centers, deep_verify=True)
     assert plain.coloring.assignment == deep.coloring.assignment
+
+
+def _assert_two_coloring_keeps(res, domain, pre):
+    assert res.coloring.num_colors == 2
+    assert set(res.coloring.assignment.values()) <= {1, 2}
+    assert res.coloring.domain == domain
+    assert all(res.coloring.color(v) == col for v, col in pre.assignment.items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_engines_return_two_colorings_that_keep_the_precoloring(seed):
+    rng = random.Random(seed)
+
+    # adhesion engine: a random graph under its computed decomposition, a
+    # random precoloring of part of the root bag's 3*ell ball
+    ell = Fraction(rng.choice([1, 2]), rng.choice([1, 2]))
+    g = random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 3), max_weight=ell)
+    td = compute_tree_decomposition(g)
+    theta = td.width + 1
+    con = AdhesionConstruction(td, theta, theta, cover_piece_bound(theta, ell))
+    ball = sorted(neighborhood(g, td.bags[td.root], 3 * ell))
+    z = [v for v in ball if rng.random() < 0.5]
+    pre = Coloring({v: rng.randint(1, 2) for v in z}, 2)
+    res = color_adhesion_construction(g, ell, con, z=z, precoloring=pre)
+    _assert_two_coloring_keeps(res, g.vertex_set(), pre)
+
+    # control engine: a guarded path, precolored inside its zone ball
+    g, con, centers = construction_on_path(rng.randint(2, 16))
+    z = [v for v in sorted(neighborhood(g, [0], 3)) if rng.random() < 0.5]
+    pre = Coloring({v: rng.randint(1, 2) for v in z}, 2)
+    res = color_control_construction(g, 1, con, centers, z=z, precoloring=pre)
+    _assert_two_coloring_keeps(res, g.vertex_set(), pre)
+
+    # centered bags: no precoloring, a random removed set
+    g, td, centers = path_centered_instance(rng.randint(2, 16))
+    removed = {v for v in g.vertices if rng.random() < 0.2}
+    res = color_centered_bags(g, 1, td, centers, 1, removed=removed)
+    _assert_two_coloring_keeps(res, g.vertex_set() - removed, Coloring.empty(2))
 
 
 def test_engine_handles_fractional_scale():

@@ -36,6 +36,20 @@ def block_coloring(n, block, colors=2):
     return Coloring({v: (v // block) % colors + 1 for v in range(n)}, colors)
 
 
+# -- colorings -----------------------------------------------------------------
+
+
+def test_filled_keeps_colors_and_fills_the_rest_with_the_top_color():
+    c = Coloring({9: 1, 4: 2, 7: 1}, 3)
+    f = c.filled([5, 9, 2, 4])
+    assert f.num_colors == 3
+    assert f.domain == {2, 4, 5, 9}
+    assert f.assignment == {2: 3, 4: 2, 5: 3, 9: 1}
+    assert 7 not in f.assignment
+    assert list(f.assignment) == [2, 4, 5, 9]
+    assert c.filled([]).assignment == {}
+
+
 # -- monochromatic components -------------------------------------------------
 
 

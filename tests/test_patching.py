@@ -247,7 +247,7 @@ class TestMergeFuzz:
             n_claim = _claimed_bound(g, ell, c, host, z, r)
             cert = CenterCertificate.build(g, centers, radius, z, k=k)
             res = patch_colorings(
-                g, ell, cert, r, None, c, n_claimed=n_claim, m=m
+                g, ell, cert, r, None, c, n_claimed=n_claim
             )
             assert res.report.ok
             assert res.coloring.domain == g.vertex_set() - r

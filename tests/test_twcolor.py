@@ -136,32 +136,30 @@ def test_cover_colorer_bound_frozen():
 
 def test_tree_extension_bound_frozen():
     n = cover_piece_bound(2, 1)
-    assert tree_extension_bound(0, 2, 1, n, 2) == 202456278
-    assert tree_extension_bound(1, 2, 1, n, 2) == 2267510362268
-    assert tree_extension_bound(2, 2, 1, n, 2) == 25396116057450268
+    assert tree_extension_bound(0, 2, 1, n) == 202456278
+    assert tree_extension_bound(1, 2, 1, n) == 2267510362268
+    assert tree_extension_bound(2, 2, 1, n) == 25396116057450268
     assert treewidth_color_bound(1, 1) == 25396116057450268
 
 
 def test_tree_extension_bound_level_zero_terms():
     n = Fraction(7)
     expect = n + centered_bound(3, 3, 1) + patch_bound(3, 3, 1, n) + 9 + 3
-    assert tree_extension_bound(0, 3, 1, n, 2) == expect
+    assert tree_extension_bound(0, 3, 1, n) == expect
 
 
 def test_tree_extension_bound_recurrence():
     n = Fraction(5)
-    prev = tree_extension_bound(1, 2, 1, n, 2)
-    step = con_color_bound(1, patch_bound(2, 3, 1, prev), 2, 2, 0)
-    assert tree_extension_bound(2, 2, 1, n, 2) == step
+    prev = tree_extension_bound(1, 2, 1, n)
+    step = con_color_bound(1, patch_bound(2, 3, 1, prev), 2, 0)
+    assert tree_extension_bound(2, 2, 1, n) == step
 
 
 def test_tree_extension_bound_rejects_bad_arguments():
     with pytest.raises(GraphError):
-        tree_extension_bound(3, 2, 1, 5, 2)
+        tree_extension_bound(3, 2, 1, 5)
     with pytest.raises(GraphError):
-        tree_extension_bound(1, 2, 1, 5, 1)
-    with pytest.raises(GraphError):
-        tree_extension_bound(1, 2, 0, 5, 2)
+        tree_extension_bound(1, 2, 0, 5)
 
 
 # -- construction validation ---------------------------------------------------
@@ -171,7 +169,6 @@ def test_construction_accepts_path_td():
     g = unit_path(6)
     con = AdhesionConstruction(path_td(6), 2, 2, theta2())
     con.validate(g)
-    assert con.big_edges() == ()
 
 
 def test_construction_rejects_wide_root_bag():
@@ -330,13 +327,6 @@ def test_heavy_edge_refused():
     con = AdhesionConstruction(td, 1, 2, theta2())
     with pytest.raises(GraphError, match="exceeds ell"):
         color_adhesion_construction(g, 1, con)
-
-
-def test_adhesion_coloring_needs_two_colors():
-    g = unit_path(3)
-    con = AdhesionConstruction(path_td(3), 1, 2, theta2())
-    with pytest.raises(GraphError, match="m >= 2"):
-        color_adhesion_construction(g, 1, con, m=1)
 
 
 def test_precoloring_domain_must_match():
