@@ -161,3 +161,89 @@ def brute_chain_level(
     for x in gs:
         groups.setdefault(comp_of[x], []).append(x)
     return tuple(sorted((tuple(sorted(s)) for s in groups.values()), key=lambda s: s[0]))
+
+
+def window_segments(
+    nodes: Iterable[int],
+    paths: Dict[int, Tuple[Tuple[int, ...], ...]],
+    wset: Set[int],
+) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
+    """Per node, the window slices of its certified paths, rescanning every
+    path of every node.  Reference for `geodesic._window_segments`."""
+    segs: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+    for t in nodes:
+        out: List[Tuple[int, ...]] = []
+        for path in paths[t]:
+            idx = [i for i, v in enumerate(path) if v in wset]
+            if not idx:
+                continue
+            if idx[-1] - idx[0] != len(idx) - 1:
+                raise ValueError("a path's window slice is not contiguous")
+            out.append(tuple(path[idx[0]:idx[-1] + 1]))
+        segs[t] = tuple(out)
+    return segs
+
+
+def restrict_tripods(
+    nodes: Iterable[int],
+    tree_edges: Iterable[Tuple[int, int]],
+    root: int,
+    window_segs: Dict[int, Tuple[Tuple[int, ...], ...]],
+    keep: Set[int],
+) -> Tuple[Dict[int, frozenset], List[Tuple[int, int]], int, Dict[int, Tuple[int, ...]]]:
+    """Reference for `geodesic._restrict_tripods`, node by node and slice by
+    slice: keep the slices inside `keep`, contract every node whose bag sits
+    inside a neighbour's, and return the surviving bags, the tree edges in
+    breadth-first order from the surviving root, that root, and each node's
+    centres (the top of each kept slice)."""
+    segs: Dict[int, List[Tuple[int, ...]]] = {}
+    bags: Dict[int, frozenset] = {}
+    for t in nodes:
+        out: List[Tuple[int, ...]] = []
+        for sl in window_segs[t]:
+            if sl[0] not in keep:
+                if any(v in keep for v in sl):
+                    raise ValueError("a window slice straddles two window components")
+                continue
+            if not all(v in keep for v in sl):
+                raise ValueError("a window slice straddles two window components")
+            out.append(sl)
+        segs[t] = out
+        bags[t] = frozenset(v for s in out for v in s)
+    alive = set(bags)
+    adj: Dict[int, Set[int]] = {t: set() for t in alive}
+    for (p, ch) in tree_edges:
+        adj[p].add(ch)
+        adj[ch].add(p)
+    work = list(tree_edges)
+    while work:
+        a, b = work.pop()
+        if a not in alive or b not in alive or b not in adj[a]:
+            continue
+        if bags[a] <= bags[b]:
+            a, b = b, a
+        if not bags[b] <= bags[a]:
+            continue
+        adj[a].discard(b)
+        for n in adj[b]:
+            adj[n].discard(b)
+            if n != a:
+                adj[n].add(a)
+                adj[a].add(n)
+                work.append((a, n))
+        alive.discard(b)
+        if root == b:
+            root = a
+    seen = {root}
+    edges: List[Tuple[int, int]] = []
+    queue = [root]
+    for t in queue:
+        for n in sorted(adj[t]):
+            if n not in seen:
+                seen.add(n)
+                edges.append((t, n))
+                queue.append(n)
+    if seen != alive:
+        raise ValueError("slab restriction disconnected the decomposition")
+    centers = {t: tuple(sorted({s[-1] for s in segs[t]})) for t in alive}
+    return {t: bags[t] for t in alive}, edges, root, centers

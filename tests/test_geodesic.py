@@ -721,6 +721,91 @@ def test_combine_flags_uncolored_owned_vertex():
         combine_slab_colorings(g, 1, system, scs)
 
 
+# -- window restriction -------------------------------------------------------
+
+
+def path_certificate(n):
+    """A unit path with one bag holding the whole certified root path."""
+    g = unit_path(n)
+    tree = bfs_geodesic_tree(g, 0)
+    td = RootedTreeDecomposition({0: set(range(n))}, [], 0)
+    cert = GeodesicCertificate(tree, td, {0: (tuple(range(n - 1, -1, -1)),)})
+    cert.verify(g)
+    return cert
+
+
+def test_window_slice_must_be_contiguous():
+    # the path 4-3-2-1-0 is in the window at 4 and 3, leaves it at 2 and
+    # re-enters at 1
+    from wdcolor.geodesic import _window_segments
+
+    cert = path_certificate(5)
+    assert _window_segments(cert, {4, 3, 2}) == {0: ((4, 3, 2),)}
+    with pytest.raises(ContractViolation, match="a path's window slice is not contiguous"):
+        _window_segments(cert, {4, 3, 1})
+
+
+@pytest.mark.parametrize("keep", [{4, 3}, {1, 0}])
+def test_window_slice_must_not_straddle_window_components(keep):
+    # keep {4, 3} holds the slice's bottom but not all of it; keep {1, 0}
+    # misses the bottom yet holds part of the slice
+    from wdcolor.geodesic import _restrict_tripods, _window_segments
+
+    cert = path_certificate(5)
+    segs = _window_segments(cert, set(range(5)))
+    td, centers = _restrict_tripods(cert, segs, set(range(5)))
+    assert td.bags == {0: frozenset(range(5))} and centers == {0: (0,)}
+    with pytest.raises(ContractViolation, match="a window slice straddles two window components"):
+        _restrict_tripods(cert, segs, keep)
+
+
+@st.composite
+def planar_instances(draw):
+    kind = draw(st.sampled_from(("grid", "overlay", "triangulation")))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    if kind == "triangulation":
+        inst = generate(GeneratorSpec(
+            family="random-planar-triangulation", n=draw(st.integers(min_value=4, max_value=80)), seed=seed,
+        ))
+        return inst.graph, inst.rotation
+    side = draw(st.integers(min_value=5, max_value=12))
+    inst = generate(GeneratorSpec(family="grid", rows=side, cols=side))
+    if kind == "grid":
+        return inst.graph, inst.rotation
+    spec = GeneratorSpec(
+        family="random-weights-overlay", seed=seed,
+        weight_lo=Fraction(1, 4), weight_hi=Fraction(1), weight_den=4,
+    )
+    return generate(spec, base=inst.graph).graph, inst.rotation
+
+
+@settings(max_examples=12, deadline=None)
+@given(planar_instances(), st.sampled_from((4, 8)))
+def test_window_restriction_matches_the_reference(instance, factor):
+    from wdcolor.geodesic import _restrict_tripods, _window_segments
+
+    g, rotation = instance
+    tree = bfs_geodesic_tree(g, g.vertices[0])
+    cert = tripod_decomposition(g, rotation, tree)
+    cert.verify(g)
+    system = make_slabs(g, 1, tree.dist, slab_width_factor=factor)
+    for slab in system.slabs:
+        wset = set(slab.window)
+        segs = _window_segments(cert, wset)
+        ref_segs = oracles.window_segments(cert.td.nodes, cert.paths, wset)
+        assert segs == ref_segs
+        for comp in g.induced(slab.window).connected_components():
+            keep = set(comp)
+            td, centers = _restrict_tripods(cert, segs, keep)
+            bags, edges, root, ref_centers = oracles.restrict_tripods(
+                cert.td.nodes, cert.td.tree_edges, cert.td.root, ref_segs, keep
+            )
+            assert td.bags == bags
+            assert list(td.tree_edges) == sorted(edges)
+            assert td.root == root
+            assert centers == ref_centers
+
+
 # -- pipelines --------------------------------------------------------------------
 
 
