@@ -186,16 +186,25 @@ class ControlConstruction:
         rep = validate_td(g, self.td)
         if not rep["ok"]:
             raise ContractViolation("tree decomposition invalid: %s" % rep["failures"][:3])
+        # each distinct guard set's mu-ball is searched once per call
+        balls: Dict[FrozenSet[int], Set[int]] = {}
+
+        def mu_ball(guards: FrozenSet[int]) -> Set[int]:
+            ball = balls.get(guards)
+            if ball is None:
+                ball = balls[guards] = neighborhood(g, guards, self.mu)
+            return ball
+
         for site, bag, tri in self._sites():
-            self._check_cover(g, site, bag - self.removed, tri.free | tri.both, "free")
-            self._check_cover(g, site, bag & self.removed, tri.removed | tri.both, "removed")
+            self._check_cover(mu_ball, site, bag - self.removed, tri.free | tri.both, "free")
+            self._check_cover(mu_ball, site, bag & self.removed, tri.removed | tri.both, "removed")
         exsets: List[Tuple[TreeEdge, Set[int]]] = []
         for e in self.td.tree_edges:
             tri = self.edge_triples[e]
             cand = self.td.adhesion_of(e) & self.removed
             if not cand:
                 continue
-            cand -= neighborhood(g, tri.both, self.mu)
+            cand -= mu_ball(tri.both)
             if cand:
                 exsets.append((e, cand))
         if exsets:
@@ -228,13 +237,18 @@ class ControlConstruction:
                 )
 
     def _check_cover(
-        self, g: WeightedGraph, site: object, need: FrozenSet[int], guards: FrozenSet[int], kind: str
+        self,
+        mu_ball: Callable[[FrozenSet[int]], Set[int]],
+        site: object,
+        need: FrozenSet[int],
+        guards: FrozenSet[int],
+        kind: str,
     ) -> None:
         if not need:
             return
         if not guards:
             raise ContractViolation("site %s: no %s-side guards but the bag needs them" % (site, kind))
-        stray = need - neighborhood(g, guards, self.mu)
+        stray = need - mu_ball(guards)
         if stray:
             raise ContractViolation(
                 "site %s: %s-side vertices %s beyond radius mu of their guards"
@@ -285,7 +299,20 @@ def _check_centers(
     radius: Fraction,
     metric: bool,
     what: str,
-) -> None:
+) -> Callable[[int], Set[int]]:
+    """Check the center map: it covers the nodes, every node's centers are
+    at most theta vertices of its bag, and with `metric` every bag lies
+    within `radius` of its centers.  A set's ball is the union of its
+    members' balls, so each center's ball is searched once per call; the
+    memo is returned for the caller to reuse at the same radius."""
+    balls: Dict[int, Set[int]] = {}
+
+    def ball(v: int) -> Set[int]:
+        found = balls.get(v)
+        if found is None:
+            found = balls[v] = neighborhood(g, (v,), radius)
+        return found
+
     if set(centers) != set(td.nodes):
         raise GraphError("%s: center map must cover the nodes exactly" % what)
     for t in td.nodes:
@@ -298,12 +325,13 @@ def _check_centers(
         if bag and not cs:
             raise ContractViolation("%s: node %s has a nonempty bag but no centers" % (what, t))
         if metric:
-            stray = bag - neighborhood(g, cs, radius)
+            stray = bag.difference(*[ball(v) for v in cs])
             if stray:
                 raise ContractViolation(
                     "%s: node %s bag strays %s beyond the center radius"
                     % (what, t, sorted(stray)[:5])
                 )
+    return ball
 
 
 def _rekey_triples(
@@ -803,7 +831,7 @@ def color_centered_bags(
         raise GraphError("center radius must be nonnegative")
     cmap = {t: tuple(sorted(set(cs))) for t, cs in centers.items()}
     theta = max([1] + [len(cs) for cs in cmap.values()])
-    _check_centers(g, td, cmap, theta, rf, True, what)
+    ball = _check_centers(g, td, cmap, theta, rf, True, what)
     triples: Dict[TreeEdge, GuardTriple] = {}
     empty = frozenset()
     for e in td.tree_edges:
@@ -813,7 +841,7 @@ def color_centered_bags(
             continue
         witnesses: Set[int] = set()
         for v in cmap[e[0]]:
-            hits = x_e & neighborhood(g, [v], rf)
+            hits = x_e & ball(v)
             if hits:
                 witnesses.add(min(hits))
         if not witnesses:
@@ -1269,9 +1297,10 @@ def combine_slab_colorings(
         assign[v] = sc.coloring.assignment[v] + (2 if fam == "b" else 0)
     combined = Coloring(assign, 4)
     pgr = power if power is not None else power_graph(g, lf)
+    slab_at = {(s.family, s.index): s for s in system.slabs}
     for comp in monochromatic_components(pgr, combined, within=g.vertex_set()):
         fam, idx = system.owner_of[comp[0]]
-        slab = system.slab_of(fam, idx)
+        slab = slab_at.get((fam, idx)) or system.slab_of(fam, idx)  # slab_of names a missing slab
         for v in comp:
             if system.owner_of[v] != (fam, idx):
                 raise ContractViolation(
@@ -1346,17 +1375,28 @@ def _window_segments(
     trip: GeodesicCertificate, wset: Set[int]
 ) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
     """Per node, the window slices of its certified paths.  The projection
-    is monotone along every path, so each slice must be contiguous."""
+    is monotone along every path, so each slice must be contiguous.
+
+    The certificate is built and verified once per component; this runs
+    once per slab.  Nodes share paths (each lists the root paths of its
+    corners), so each distinct path is sliced once per slab and every node
+    that lists it gets the same slice object.  A path is keyed by its
+    bottom vertex and length, which fix it because `verify` has checked
+    every path as a parent chain."""
+    sliced: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     segs: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
     for t in trip.td.nodes:
         out: List[Tuple[int, ...]] = []
         for path in trip.paths[t]:
-            idx = [i for i, v in enumerate(path) if v in wset]
-            if not idx:
-                continue
-            if idx[-1] - idx[0] != len(idx) - 1:
-                raise ContractViolation("a path's window slice is not contiguous")
-            out.append(tuple(path[idx[0]:idx[-1] + 1]))
+            key = (path[0], len(path))
+            sl = sliced.get(key)
+            if sl is None:
+                idx = [i for i, v in enumerate(path) if v in wset]
+                if idx and idx[-1] - idx[0] != len(idx) - 1:
+                    raise ContractViolation("a path's window slice is not contiguous")
+                sl = sliced[key] = tuple(path[idx[0]:idx[-1] + 1]) if idx else ()
+            if sl:
+                out.append(sl)
         segs[t] = tuple(out)
     return segs
 
@@ -1368,21 +1408,40 @@ def _restrict_tripods(
 ) -> Tuple[RootedTreeDecomposition, Dict[int, Tuple[int, ...]]]:
     """Keep only the window slices inside one window component, contract
     redundant nodes away, and return the pruned decomposition together with
-    its min-projection path centers."""
-    segs: Dict[int, List[Tuple[int, ...]]] = {}
+    its min-projection path centers.
+
+    Runs once per window piece.  Each distinct slice, keyed like its path
+    by bottom vertex and length, is classified once per piece as inside
+    `keep` or disjoint from it, and each distinct set of kept slices makes
+    one bag and one center tuple, shared by every node that keeps it.  The
+    contraction still walks the whole component's decomposition."""
+    inside: Dict[Tuple[int, int], bool] = {}
+    made: Dict[Tuple[Tuple[int, int], ...], Tuple[FrozenSet[int], Tuple[int, ...]]] = {}
+    empty: Tuple[FrozenSet[int], Tuple[int, ...]] = (frozenset(), ())
     bags: Dict[int, FrozenSet[int]] = {}
+    tops: Dict[int, Tuple[int, ...]] = {}
     for t in trip.td.nodes:
-        out: List[Tuple[int, ...]] = []
+        kept: List[Tuple[int, ...]] = []
+        keys: List[Tuple[int, int]] = []
         for sl in window_segs[t]:
-            if sl[0] not in keep:
-                if any(v in keep for v in sl):
+            key = (sl[0], len(sl))
+            ok = inside.get(key)
+            if ok is None:
+                n_in = len(keep.intersection(sl))
+                if 0 < n_in < len(sl):
                     raise ContractViolation("a window slice straddles two window components")
-                continue
-            if not all(v in keep for v in sl):
-                raise ContractViolation("a window slice straddles two window components")
-            out.append(sl)
-        segs[t] = out
-        bags[t] = frozenset(v for s in out for v in s)
+                ok = inside[key] = n_in > 0
+            if ok:
+                kept.append(sl)
+                keys.append(key)
+        bkey = tuple(keys)
+        bag_tops = made.get(bkey) if keys else empty
+        if bag_tops is None:
+            bag_tops = made[bkey] = (
+                frozenset(v for s in kept for v in s),
+                tuple(sorted({s[-1] for s in kept})),
+            )
+        bags[t], tops[t] = bag_tops
     alive = set(trip.td.nodes)
     adj: Dict[int, Set[int]] = {t: set() for t in alive}
     for (p, ch) in trip.td.tree_edges:
@@ -1394,9 +1453,12 @@ def _restrict_tripods(
         a, b = work.pop()
         if a not in alive or b not in alive or b not in adj[a]:
             continue
-        if bags[a] <= bags[b]:
-            a, b = b, a  # absorb b into a only below; flip so the superset survives
-        if not bags[b] <= bags[a]:
+        # absorb b into a below; flip first if a's bag is the smaller one
+        # (neighbours often share one bag object, which settles it at once)
+        bag_a, bag_b = bags[a], bags[b]
+        if bag_a is bag_b or bag_a <= bag_b:
+            a, b = b, a
+        elif not bag_b <= bag_a:
             continue
         adj[a].discard(b)
         for n in adj[b]:
@@ -1420,11 +1482,7 @@ def _restrict_tripods(
     if seen != alive:
         raise ContractViolation("slab restriction disconnected the decomposition")
     td = RootedTreeDecomposition({t: bags[t] for t in alive}, edges, root)
-    centers = {
-        t: tuple(sorted({s[-1] for s in segs[t]}))
-        for t in alive
-    }
-    return td, centers
+    return td, {t: tops[t] for t in alive}
 
 
 def color_planar(

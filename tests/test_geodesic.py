@@ -358,6 +358,34 @@ def test_centered_bags_checks_the_center_map_once_at_the_claimed_radius(monkeypa
     assert radii == [Fraction(1, 2)]
 
 
+def test_center_and_guard_balls_are_searched_once_per_call(monkeypatch):
+    # a fan: hub 0 joined to the path 1..7, bags {0, k+1, k+2} in a chain;
+    # every bag shares the center 0 and every site the guard set {0}
+    import wdcolor.geodesic as geodesic
+
+    searches = []
+    search = geodesic.neighborhood
+
+    def counted(g, s, r):
+        searches.append((tuple(sorted(s)), r))
+        return search(g, s, r)
+
+    monkeypatch.setattr(geodesic, "neighborhood", counted)
+    n = 8
+    g = WeightedGraph(range(n), [(0, i, 1) for i in range(1, n)] + [(i, i + 1, 1) for i in range(1, n - 1)])
+    td = RootedTreeDecomposition({k: {0, k + 1, k + 2} for k in range(n - 2)}, [(k, k + 1) for k in range(n - 3)], 0)
+    ball = geodesic._check_centers(g, td, {t: (0,) for t in td.nodes}, 1, 1, True, "fan")
+    assert searches == [((0,), 1)]
+    assert ball(0) == g.vertex_set() and len(searches) == 1
+    searches.clear()
+    hub = GuardTriple(frozenset(), frozenset(), frozenset({0}))
+    con = ControlConstruction(
+        td, frozenset(), 1, 1, Fraction(1), Fraction(1), hub, {e: hub for e in td.tree_edges}
+    )
+    con.validate(g, full=True)
+    assert searches == [((0,), 1)]
+
+
 def test_centered_bags_rejects_partial_center_map():
     g, td, centers = path_centered_instance(8)
     centers = dict(centers)
