@@ -1416,8 +1416,9 @@ def _restrict_tripods(
     one bag and one center tuple, shared by every node that keeps it.  The
     contraction still walks the whole component's decomposition."""
     inside: Dict[Tuple[int, int], bool] = {}
-    made: Dict[Tuple[Tuple[int, int], ...], Tuple[FrozenSet[int], Tuple[int, ...]]] = {}
-    empty: Tuple[FrozenSet[int], Tuple[int, ...]] = (frozenset(), ())
+    made: Dict[Tuple[Tuple[int, int], ...], Tuple[FrozenSet[int], Tuple[int, ...]]] = {
+        (): (frozenset(), ())
+    }
     bags: Dict[int, FrozenSet[int]] = {}
     tops: Dict[int, Tuple[int, ...]] = {}
     for t in trip.td.nodes:
@@ -1435,7 +1436,7 @@ def _restrict_tripods(
                 kept.append(sl)
                 keys.append(key)
         bkey = tuple(keys)
-        bag_tops = made.get(bkey) if keys else empty
+        bag_tops = made.get(bkey)
         if bag_tops is None:
             bag_tops = made[bkey] = (
                 frozenset(v for s in kept for v in s),
