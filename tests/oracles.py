@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here is deliberately written against networkx or plain dicts,
-not against the library under test, so the two sides can disagree.
+Most of this is deliberately written against networkx or plain dicts,
+not against the library under test, so the two sides can disagree.  The
+rest are copies of library code from before a rewrite, kept so that tests
+can require the rewritten code to give the same results.
 """
 
 from __future__ import annotations
@@ -247,3 +249,395 @@ def restrict_tripods(
         raise ValueError("slab restriction disconnected the decomposition")
     centers = {t: tuple(sorted({s[-1] for s in segs[t]})) for t in alive}
     return {t: bags[t] for t in alive}, edges, root, centers
+
+
+# -- the adhesion recursion, copied before its rewrite -------------------------
+#
+# Reference for `twcolor.color_bounded_treewidth` and
+# `twcolor.color_adhesion_construction`: the recursion as it stood when each
+# level copied its far parts (`induced`), rebuilt their decompositions and
+# merged one colouring per part.  It calls the library's condensation,
+# lift, patch and check functions, whose results the rewrite keeps, so the
+# two sides must return the same colouring and bound.
+
+import functools  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
+from typing import FrozenSet, Sequence  # noqa: E402
+
+from wdcolor.graph import GraphError, as_fraction, frac_str, neighborhood, require_light_edges  # noqa: E402
+from wdcolor.partition import Coloring, ContractViolation, check_weak_diameter  # noqa: E402
+from wdcolor.patching import CenterCertificate, centered_color, patch_bound, patch_colorings  # noqa: E402
+from wdcolor.treedec import (  # noqa: E402
+    RootedTreeDecomposition,
+    ball_region,
+    component_decomposition,
+    condense,
+    lift_condensation_coloring,
+    validate_td,
+)
+from wdcolor.twcolor import (  # noqa: E402
+    AdhesionConstruction,
+    compute_tree_decomposition,
+    cover_piece_bound,
+    tree_extension_bound,
+)
+
+
+@dataclass
+class _Ctx:
+    lf: Fraction
+    theta: int
+    piece_bound: Fraction
+    deep: bool
+
+
+def _paint_piece(ctx: _Ctx, h: WeightedGraph, what: str) -> Coloring:
+    c = Coloring.constant(h.vertex_set(), 2)
+    check_weak_diameter(h, ctx.lf, c, bound=ctx.piece_bound, what=what, exact=False)
+    return c
+
+
+def _merge_disjoint(parts: Iterable[Coloring], what: str) -> Coloring:
+    out: Dict[int, int] = {}
+    for part in parts:
+        for v, col in part.assignment.items():
+            if out.get(v, col) != col:
+                raise ContractViolation("%s: colorings disagree on vertex %s" % (what, v))
+            out[v] = col
+    return Coloring(out, 2)
+
+
+def _color_rec(
+    ctx: _Ctx,
+    g: WeightedGraph,
+    td: RootedTreeDecomposition,
+    eta: int,
+    zset: FrozenSet[int],
+    c: Coloring,
+    parent_measure: Optional[Tuple[int, int]],
+    what: str,
+) -> Coloring:
+    lf = ctx.lf
+    AdhesionConstruction(td, eta, ctx.theta, ctx.piece_bound).validate(g, full=ctx.deep)
+    if zset - g.vertex_set():
+        raise GraphError("%s: precolored vertices outside the graph" % what)
+    if c.domain != zset:
+        raise GraphError("%s: precoloring domain differs from the precolored set" % what)
+    root_bag = td.bags[td.root]
+    ball = frozenset(neighborhood(g, root_bag, 3 * lf))
+    if zset - ball:
+        raise ContractViolation(
+            "%s: precolored set reaches beyond distance 3*ell of the root bag" % what
+        )
+    measure = (eta, len(td) + (len(g) - len(zset)) + len(g))
+    if parent_measure is not None and not measure < parent_measure:
+        raise ContractViolation(
+            "%s: recursion measure did not decrease (%s -> %s)"
+            % (what, parent_measure, measure)
+        )
+    bound = tree_extension_bound(eta, ctx.theta, lf, ctx.piece_bound)
+
+    # everything already precolored: the root bag centers the whole graph
+    if zset == g.vertex_set():
+        cert = CenterCertificate.build(g, sorted(root_bag), 3 * lf, sorted(zset), ctx.theta)
+        centered_color(g, lf, (), cert, coloring=c, what=what + ": fully precolored", exact=False)
+        return c
+
+    if eta == 0:
+        return _color_flat(ctx, g, td, zset, c, bound, what)
+
+    comps = g.connected_components()
+    if len(comps) != 1:
+        return _color_split(ctx, g, td, eta, zset, c, measure, comps, what)
+
+    # saturate the precolored set to the full ball around the root bag
+    z0 = ball
+    c_sat = c.filled(z0)
+    if z0 == g.vertex_set():
+        cert = CenterCertificate.build(g, sorted(root_bag), 3 * lf, sorted(z0), ctx.theta)
+        centered_color(g, lf, (), cert, coloring=c_sat, what=what + ": saturated ball", exact=False)
+        return c_sat
+
+    # the tree region whose bags meet the ball, and the frontier leaving it
+    _, u_e = ball_region(td, z0, what)
+    cond = condense(g, td, u_e, u_e, lf, ctx.theta, 0)
+    g0, td0 = cond.g0, cond.td0
+    if z0 - g0.vertex_set():
+        raise ContractViolation("%s: ball leaks out of the condensed graph" % what)
+
+    # color the condensed graph beyond the ball one guard level down
+    n_prev = tree_extension_bound(eta - 1, ctx.theta, lf, ctx.piece_bound)
+    rest0 = g0.vertex_set() - z0
+    fresh_node = max(td.nodes) + 1
+    if rest0:
+        bags00 = {t: b - z0 for t, b in td0.bags.items()}
+        edges00 = list(td0.tree_edges)
+        root00 = td0.root
+        if eta - 1 >= 1:
+            # pull one far vertex up to a fresh root; all bags strictly
+            # between the root and its holder are empty, so adhesions stay 1
+            dist0 = {td0.root: 0}
+            frontier = [td0.root]
+            t_far: Optional[int] = None
+            while frontier and t_far is None:
+                hits = [t for t in frontier if bags00[t]]
+                if hits:
+                    t_far = min(hits)
+                    break
+                step: List[int] = []
+                for t in frontier:
+                    for ch in td0.children[t]:
+                        if ch not in dist0:
+                            dist0[ch] = dist0[t] + 1
+                            step.append(ch)
+                frontier = sorted(step)
+            if t_far is None:
+                raise ContractViolation("%s: no far vertex found outside the ball" % what)
+            v0 = min(bags00[t_far])
+            t = td0.parent[t_far]
+            while t is not None:
+                if bags00[t]:
+                    raise ContractViolation(
+                        "%s: nonempty bag strictly between root and its far holder" % what
+                    )
+                bags00[t] = frozenset({v0})
+                t = td0.parent[t]
+            root00 = fresh_node
+            bags00[root00] = frozenset({v0})
+            edges00.append((root00, td0.root))
+            fresh_node += 1
+        td00 = RootedTreeDecomposition(bags00, edges00, root00)
+        c0_rest = _color_rec(
+            ctx,
+            g0.without(z0),
+            td00,
+            eta - 1,
+            frozenset(),
+            Coloring.empty(2),
+            measure,
+            what + ": condensed far side",
+        )
+    else:
+        c0_rest = Coloring.empty(2)
+
+    # glue the saturated ball colors over the condensed coloring
+    cert0 = CenterCertificate.build(g0, sorted(root_bag), 3 * lf, sorted(z0), ctx.theta)
+    mr = patch_colorings(
+        g0, lf, cert0, (), c_sat, c0_rest,
+        n_claimed=n_prev, what=what + ": ball patch", exact=False,
+    )
+
+    # lift the condensed coloring back to the graph around the region
+    lift_claim = patch_bound(ctx.theta, 3 * lf, lf, n_prev)
+    if mr.bound != lift_claim:
+        raise ContractViolation("%s: patch bound bookkeeping drifted" % what)
+    lr = lift_condensation_coloring(
+        cond, mr.coloring, n_claimed=lift_claim, what=what + ": lift",
+        exact=False,
+    )
+    if lr.bound != bound:
+        raise ContractViolation(
+            "%s: lift bound %s differs from the level bound %s"
+            % (what, frac_str(lr.bound), frac_str(bound))
+        )
+    c3 = lr.coloring
+
+    # recurse into each far part with the lifted boundary colors
+    parts_out: List[Coloring] = []
+    for e in u_e:
+        part = td.subtree_vertices(e)
+        x_e = td.adhesion_of(e)
+        if not x_e:
+            if part:
+                raise ContractViolation(
+                    "%s: empty shared set on a populated part of a connected graph" % what
+                )
+            continue
+        g_e = g.induced(part)
+        z_e = frozenset(neighborhood(g_e, x_e, 3 * lf))
+        missing = z_e - c3.domain
+        if missing:
+            raise ContractViolation(
+                "%s: lift left part vertices uncolored: %s" % (what, sorted(missing)[:5])
+            )
+        c_e = Coloring({v: c3.color(v) for v in z_e}, 2)
+        if len(x_e) > eta:
+            # oversized shared set: the part is one childless bag, any
+            # completion has components of at most |part| vertices
+            part_limit = ctx.theta + ctx.theta * ctx.theta
+            if len(part) > part_limit:
+                raise ContractViolation(
+                    "%s: oversized-adhesion part has %d > theta + theta**2 = %d vertices"
+                    % (what, len(part), part_limit)
+                )
+            c_e_full = c_e.filled(part)
+            check_weak_diameter(
+                g_e, lf, c_e_full,
+                bound=Fraction(part_limit),
+                what=what + ": oversized part",
+                exact=False,
+            )
+            parts_out.append(c_e_full)
+            continue
+        sub_nodes = td.subtree_nodes(e)
+        bags_e: Dict[int, FrozenSet[int]] = {t: td.bags[t] for t in sub_nodes}
+        bags_e[fresh_node] = x_e
+        keep_e = set(sub_nodes)
+        edges_e = [(p, ch) for (p, ch) in td.tree_edges if p in keep_e and ch in keep_e]
+        edges_e.append((fresh_node, e[1]))
+        td_e = RootedTreeDecomposition(bags_e, edges_e, fresh_node)
+        fresh_node += 1
+        sub = _color_rec(ctx, g_e, td_e, eta, z_e, c_e, measure, what + ": far part")
+        parts_out.append(sub)
+
+    keep0 = cond.base_vertices & g.vertex_set()
+    out = _merge_disjoint([c3.restrict(keep0)] + parts_out, what)
+    if out.domain != g.vertex_set():
+        raise ContractViolation("%s: assembled coloring misses vertices" % what)
+    for v in sorted(zset):
+        if out.color(v) != c.color(v):
+            raise ContractViolation("%s: precolored vertex %s was recolored" % (what, v))
+    if ctx.deep:
+        check_weak_diameter(g, lf, out, bound=bound, what=what + ": assembled", exact=False)
+    return out
+
+
+def _color_flat(
+    ctx: _Ctx,
+    g: WeightedGraph,
+    td: RootedTreeDecomposition,
+    zset: FrozenSet[int],
+    c: Coloring,
+    bound: Fraction,
+    what: str,
+) -> Coloring:
+    """No guard levels left: empty-adhesion tree edges split the tree into
+    stars whose vertex sets are pairwise disconnected; color each star piece
+    with one constant color, patching the precolored ball into the root piece."""
+    lf = ctx.lf
+    tops = [
+        t
+        for t in td.nodes
+        if td.parent[t] is None or not td.adhesion_of((td.parent[t], t))
+    ]
+    pieces: List[Coloring] = []
+    seen: Set[int] = set()
+    for top in sorted(tops):
+        members = [top] + [ch for ch in td.children[top] if td.adhesion_of((top, ch))]
+        verts = td.bag_union(members)
+        if verts & seen:
+            raise ContractViolation("%s: star pieces share vertices" % what)
+        seen |= verts
+        if zset & verts:
+            if td.root not in members:
+                raise ContractViolation(
+                    "%s: precolored vertices in a piece away from the root" % what
+                )
+            h = g.induced(verts)
+            cp = _paint_piece(ctx, g.induced(verts - zset), what + ": root piece")
+            cert = CenterCertificate.build(
+                h, sorted(td.bags[td.root]), 3 * lf, sorted(zset), ctx.theta
+            )
+            mr = patch_colorings(
+                h, lf, cert, (), c, cp,
+                n_claimed=ctx.piece_bound,
+                what=what + ": root piece patch",
+                exact=False,
+            )
+            pieces.append(mr.coloring)
+        else:
+            pieces.append(_paint_piece(ctx, g.induced(verts), what + ": piece"))
+    out = _merge_disjoint(pieces, what)
+    if out.domain != g.vertex_set():
+        raise ContractViolation("%s: star pieces miss vertices" % what)
+    if ctx.deep:
+        check_weak_diameter(g, lf, out, bound=bound, what=what + ": assembled", exact=False)
+    return out
+
+
+def _color_split(
+    ctx: _Ctx,
+    g: WeightedGraph,
+    td: RootedTreeDecomposition,
+    eta: int,
+    zset: FrozenSet[int],
+    c: Coloring,
+    measure: Tuple[int, int],
+    comps: Sequence[Tuple[int, ...]],
+    what: str,
+) -> Coloring:
+    """Color each connected component under its own restricted decomposition,
+    adding a one-vertex root bag to components the root bag does not meet."""
+    pieces: List[Coloring] = []
+    fresh_node = max(td.nodes) + 1
+    for comp in comps:
+        cs = frozenset(comp)
+        td_c = component_decomposition(td, cs, what)
+        g_c = g.induced(cs)
+        z_c = zset & cs
+        if td.root not in td_c.bags:
+            if z_c:
+                raise ContractViolation(
+                    "%s: precolored vertices in a component away from the root" % what
+                )
+            bags_c = dict(td_c.bags)
+            bags_c[fresh_node] = frozenset({min(td_c.bags[td_c.root])})
+            edges_c = list(td_c.tree_edges) + [(fresh_node, td_c.root)]
+            td_c = RootedTreeDecomposition(bags_c, edges_c, fresh_node)
+            fresh_node += 1
+        pieces.append(
+            _color_rec(
+                ctx, g_c, td_c, eta, z_c, c.restrict(z_c), measure, what + ": component"
+            )
+        )
+    out = _merge_disjoint(pieces, what)
+    if out.domain != g.vertex_set():
+        raise ContractViolation("%s: component colorings miss vertices" % what)
+    return out
+
+
+def reference_color_adhesion_construction(g, ell, con, z=(), precoloring=None):
+    """(coloring, bound) of the copied recursion on a validated construction."""
+    lf = as_fraction(ell)
+    require_light_edges(g, lf)
+    zf = frozenset(z)
+    if precoloring is None:
+        precoloring = Coloring.constant(zf)
+    con.validate(g)
+    ctx = _Ctx(lf, con.theta, con.piece_bound, False)
+    out = _color_rec(
+        ctx, g, con.td, con.eta, zf, Coloring(dict(precoloring.assignment), 2),
+        None, "adhesion coloring",
+    )
+    return out, tree_extension_bound(con.eta, con.theta, lf, con.piece_bound)
+
+
+def reference_color_bounded_treewidth(g, ell, td=None):
+    """(coloring, bound) of the copied recursion, one component at a time."""
+    lf = as_fraction(ell)
+    require_light_edges(g, lf)
+    if td is None:
+        td = compute_tree_decomposition(g)
+    theta = max(td.width, 0) + 1
+    piece_bound = cover_piece_bound(theta, lf)
+    ctx = _Ctx(lf, theta, piece_bound, False)
+    pieces: List[Coloring] = []
+    fresh_node = max(td.nodes) + 1
+    for comp in g.connected_components():
+        td_c = component_decomposition(td, comp, "treewidth coloring")
+        g_c = g.induced(comp)
+        if len(td_c) == 1:
+            pieces.append(_paint_piece(ctx, g_c, "treewidth coloring: single bag"))
+            continue
+        e0 = min(td_c.tree_edges)
+        x0 = td_c.adhesion_of(e0)
+        td_c = td_c.subdivide_edge(e0, fresh_node, x0).reroot(fresh_node)
+        fresh_node += 1
+        pieces.append(
+            _color_rec(
+                ctx, g_c, td_c, theta, frozenset(), Coloring.empty(2),
+                None, "treewidth coloring: component",
+            )
+        )
+    out = _merge_disjoint(pieces, "treewidth coloring")
+    return out, tree_extension_bound(theta, theta, lf, piece_bound)

@@ -538,3 +538,73 @@ def test_min_fill_order_matches_the_copying_reference(n, density, rnd):
             work[a] |= work[v] - {a}
         del work[v]
     assert _elimination_width(adj, order) == width
+
+
+# -- the recursion against its reference copy ------------------------------------
+
+
+def _generated(family, n, seed, k=2, weighted=False):
+    from wdcolor.generators import GeneratorSpec, generate
+
+    law = dict(weight_lo=Fraction(1, 4), weight_hi=1, weight_den=4) if weighted else {}
+    return generate(GeneratorSpec(family, n=n, k=k, seed=seed, **law))
+
+
+@st.composite
+def _reference_instances(draw):
+    family = draw(st.sampled_from(["path", "ktree", "random-series-parallel"]))
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=max(2, k + 1), max_value=60))
+    inst = _generated(family, n, draw(st.integers(0, 10**6)), k=k, weighted=draw(st.booleans()))
+    td = inst.td if inst.td is not None else compute_tree_decomposition(inst.graph)
+    return inst.graph, td
+
+
+@settings(max_examples=30, deadline=None)
+@given(_reference_instances(), st.randoms(use_true_random=False))
+def test_recursion_matches_the_copying_reference(inst, rnd):
+    g, td = inst
+    res = color_bounded_treewidth(g, 1)
+    ref, ref_bound = oracles.reference_color_bounded_treewidth(g, 1)
+    assert res.coloring == ref and res.bound == ref_bound
+
+    theta = td.width + 1
+    con = AdhesionConstruction(td, theta, theta, cover_piece_bound(theta, 1))
+    from wdcolor.graph import neighborhood
+
+    ball = sorted(neighborhood(g, td.bags[td.root], 3))
+    z = [v for v in ball if rnd.random() < 0.5]
+    pre = Coloring({v: rnd.choice((1, 2)) for v in z}, 2)
+    res = color_adhesion_construction(g, 1, con, z=z, precoloring=pre, exact_check=False)
+    ref, ref_bound = oracles.reference_color_adhesion_construction(g, 1, con, z=z, precoloring=pre)
+    assert res.coloring == ref and res.bound == ref_bound
+
+
+def _split_instance(tail):
+    """A unit path 0..6 whose end 6 forks into two chains of `tail` more
+    vertices each, with a two-column decomposition: the chains share bags
+    but no edges, so a far part two levels down is disconnected."""
+    left = [7 + 2 * i for i in range(tail)]
+    right = [8 + 2 * i for i in range(tail)]
+    edges = [(i, i + 1, 1) for i in range(6)] + [(6, left[0], 1), (6, right[0], 1)]
+    edges += [(a, b, 1) for chain in (left, right) for a, b in zip(chain, chain[1:])]
+    bags = {i: {i, i + 1} for i in range(6)}
+    bags[6] = {6, left[0], right[0]}
+    for i in range(tail - 1):
+        bags[7 + i] = {left[i], right[i], left[i + 1], right[i + 1]}
+    tree = [(t, t + 1) for t in range(6 + tail - 1)]
+    return WeightedGraph(range(7 + 2 * tail), edges), RootedTreeDecomposition(bags, tree, 0)
+
+
+@pytest.mark.parametrize("tail", [9, 14])
+def test_disconnected_far_part_matches_the_copying_reference(monkeypatch, tail):
+    whats = _record_whats(monkeypatch)
+    g, td = _split_instance(tail)
+    con = AdhesionConstruction(td, 4, 4, cover_piece_bound(4, 1))
+    res = color_adhesion_construction(g, 1, con, deep_verify=True)
+    assert any(": far part: component" in w for w in whats)
+    ref, ref_bound = oracles.reference_color_adhesion_construction(g, 1, con)
+    assert res.coloring == ref and res.bound == ref_bound
+    res = color_bounded_treewidth(g, 1, td=td)
+    ref, ref_bound = oracles.reference_color_bounded_treewidth(g, 1, td=td)
+    assert res.coloring == ref and res.bound == ref_bound
