@@ -9,6 +9,11 @@ scale, so no weight is parsed, validated or multiplied as a Fraction
 again.  Graphs are immutable after construction and every operation here
 is a pure function.
 
+A `SubgraphView` is g[S] without the copy: it keeps g's adjacency and
+filters it by membership in S, so a search inside S costs what it reaches,
+not what g holds.  S only needs a fast membership test and a size, and
+the view's weight range and largest vertex id come from its maker.
+
 Three searches answer three questions, all on the same integer Dijkstra:
 - exact distances: `WeightedGraph.distances_from`, one Fraction per
   reached vertex, only where a caller reads the values;
@@ -24,6 +29,7 @@ import decimal
 import heapq
 import math
 import re
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -85,7 +91,7 @@ class WeightedGraph:
     nonnegative integers and need not be contiguous.
     """
 
-    __slots__ = ("vertices", "edges", "_vset", "_adj", "_scale", "_sadj", "_wrange")
+    __slots__ = ("vertices", "edges", "_vset", "_adj", "_scale", "_sadj", "_wrange", "_inc")
 
     def __init__(
         self,
@@ -130,6 +136,7 @@ class WeightedGraph:
         self._adj = adj
         self._sadj = sadj
         self._wrange: Optional[Tuple[Fraction, Fraction]] = None
+        self._inc: Optional[Dict[int, List[int]]] = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -144,6 +151,10 @@ class WeightedGraph:
 
     def neighbors(self, v: int) -> List[Tuple[int, Fraction]]:
         return self._adj[v]
+
+    def max_vertex(self) -> int:
+        """The largest vertex id, -1 for the empty graph."""
+        return self.vertices[-1] if self.vertices else -1
 
     def _weight_range(self) -> Optional[Tuple[Fraction, Fraction]]:
         # computed once, on the integer-scaled weights
@@ -178,6 +189,19 @@ class WeightedGraph:
     def without(self, drop: Iterable[int]) -> "WeightedGraph":
         ds = set(drop)
         return self.induced(self._vset - ds)
+
+    def _edges_within(self, keep: AbstractSet) -> Tuple[Tuple[int, int, Fraction], ...]:
+        """The edges with both ends in `keep`, in edge order, found through
+        the edges incident to `keep` (an index built on first use)."""
+        if self._inc is None:
+            inc: Dict[int, List[int]] = {v: [] for v in self.vertices}
+            for i, (u, v, _) in enumerate(self.edges):
+                inc[u].append(i)
+                inc[v].append(i)
+            self._inc = inc
+        edges, inc = self.edges, self._inc
+        ids = {i for u in keep for i in inc[u] if edges[i][0] in keep and edges[i][1] in keep}
+        return tuple(edges[i] for i in sorted(ids))
 
     # -- metric ------------------------------------------------------------
 
@@ -268,6 +292,87 @@ class WeightedGraph:
 
     def is_connected(self) -> bool:
         return len(self) <= 1 or len(self.connected_components()) == 1
+
+
+class _Meet:
+    """Membership in two vertex sets at once."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __contains__(self, v: int) -> bool:
+        return v in self.a and v in self.b
+
+
+class SubgraphView(WeightedGraph):
+    """The induced subgraph g[S] over g's own adjacency, filtered by
+    membership in S.  It answers every WeightedGraph query as g.induced(S)
+    would, with the same tie-breaking; `vertices` and `edges` are listed on
+    demand, at the cost of S.
+
+    vset: S, a set with fast membership and len; weight_range: the
+    (smallest, largest) weight of an edge inside S, or None; top: the
+    largest id in S, or -1."""
+
+    __slots__ = ("_base", "_top")
+
+    def __init__(
+        self,
+        base: WeightedGraph,
+        vset: AbstractSet,
+        weight_range: Optional[Tuple[Fraction, Fraction]],
+        top: int,
+    ):
+        self._base = base
+        self._vset = vset
+        self._adj = base._adj
+        self._sadj = base._sadj
+        self._scale = base._scale
+        self._wrange = weight_range
+        self._inc = None
+        self._top = top
+
+    @property
+    def vertices(self) -> Tuple[int, ...]:  # type: ignore[override]
+        return tuple(sorted(self._vset))
+
+    @property
+    def edges(self) -> Tuple[Tuple[int, int, Fraction], ...]:  # type: ignore[override]
+        return self._base._edges_within(self._vset)
+
+    def __len__(self) -> int:
+        return len(self._vset)
+
+    def max_vertex(self) -> int:
+        return self._top
+
+    def neighbors(self, v: int) -> List[Tuple[int, Fraction]]:
+        vset = self._vset
+        return [(n, w) for (n, w) in self._adj[v] if n in vset]
+
+    def _weight_range(self) -> Optional[Tuple[Fraction, Fraction]]:
+        return self._wrange
+
+    def induced(self, keep: Iterable[int]) -> WeightedGraph:
+        ks = set(keep)
+        unknown = ks - self._vset
+        if unknown:
+            raise GraphError("induced() got unknown vertices %s" % sorted(unknown))
+        sub = WeightedGraph.__new__(WeightedGraph)
+        sub._fill(ks, self._base._edges_within(ks), self._scale)
+        return sub
+
+    def _scaled_distances(
+        self,
+        sources: Iterable[int],
+        radius: object = None,
+        within: Optional[FrozenSet[int]] = None,
+        targets: Optional[Set[int]] = None,
+    ) -> Dict[int, int]:
+        inside = self._vset if within is None else _Meet(within, self._vset)
+        return WeightedGraph._scaled_distances(self, sources, radius, inside, targets)
 
 
 def require_light_edges(g: WeightedGraph, ell: object) -> None:
@@ -381,16 +486,22 @@ def _subdivision_plan(g: WeightedGraph, rf: Fraction) -> Tuple[List[int], range]
     Fraction arithmetic."""
     p, q = rf.numerator, rf.denominator
     lengths = [-(-w.numerator * q // (w.denominator * p)) for (_, _, w) in g.edges]
-    lo = (max(g.vertices) + 1) if g.vertices else 0
+    lo = g.max_vertex() + 1
     return lengths, range(lo, lo + 2 * sum(k - 1 for k in lengths))
 
 
 def power_graph_new_ids(g: WeightedGraph, ell: object) -> range:
     """The ids power_graph(g, ell) adds to V(g), without building it, in
-    O(E): the subdivision adds 2*(ceil(w/ell) - 1) inner vertices per edge."""
+    O(E): the subdivision adds 2*(ceil(w/ell) - 1) inner vertices per edge,
+    so none when no edge is heavier than ell, which the weight range tells
+    without a scan."""
     lf = as_fraction(ell)
     if lf <= 0:
         raise GraphError("power graph scale must be positive")
+    mw = g.max_edge_weight()
+    if mw is None or mw <= lf:
+        lo = g.max_vertex() + 1
+        return range(lo, lo)
     return _subdivision_plan(g, lf)[1]
 
 

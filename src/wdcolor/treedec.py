@@ -6,12 +6,19 @@ forests recording how the adhesion merges as the allowed search radius
 grows, and parts with a large adhesion become direct shortcut edges.  A
 coloring of the condensed graph then lifts back to a zone around the
 frontier with a computable weak-diameter bound.
+
+Everything a condensation reads of the graph and the decomposition lies in
+the tree region above the frontier or within a bounded radius below it.
+So the graph and decomposition may be views of a far part (see
+SubtreeIndex), and a condensation then costs what its region costs.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Mapping
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -19,6 +26,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from wdcolor.graph import (
     GraphError,
     PowerGraph,
+    SubgraphView,
     WeightedGraph,
     as_fraction,
     ceil_frac,
@@ -29,8 +37,8 @@ from wdcolor.graph import (
 )
 from wdcolor.partition import (
     Coloring,
+    ColorResult,
     ContractViolation,
-    VerificationReport,
     check_weak_diameter,
     verify_weak_diameter,
 )
@@ -95,6 +103,7 @@ class RootedTreeDecomposition:
             sorted((parent[t], t) for t in self.nodes if parent[t] is not None)
         )
         self._subtree_cache: Dict[int, Tuple[int, ...]] = {}
+        self._holders: Optional[Dict[int, Tuple[int, ...]]] = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -119,8 +128,18 @@ class RootedTreeDecomposition:
             self._subtree_cache[c] = tuple(sorted(out))
         return self._subtree_cache[c]
 
-    def subtree_vertices(self, e: TreeEdge) -> FrozenSet[int]:
+    def subtree_vertices(self, e: TreeEdge) -> AbstractSet:
         return self.bag_union(self.subtree_nodes(e))
+
+    def holders_of(self, v: int) -> Tuple[int, ...]:
+        """The nodes whose bags hold v (an index built on first use)."""
+        if self._holders is None:
+            hs: Dict[int, List[int]] = {}
+            for t in self.nodes:
+                for u in self.bags[t]:
+                    hs.setdefault(u, []).append(t)
+            self._holders = {u: tuple(ts) for u, ts in hs.items()}
+        return self._holders.get(v, ())
 
     def bag_union(self, nodes: Iterable[int]) -> FrozenSet[int]:
         out: Set[int] = set()
@@ -217,14 +236,15 @@ def ball_region(
     td: RootedTreeDecomposition, ball: FrozenSet[int], what: str
 ) -> Tuple[FrozenSet[int], Tuple[TreeEdge, ...]]:
     """The nodes whose bags meet `ball`, checked to form a subtree holding
-    the root, and the tree edges leaving that subtree."""
-    nodes = frozenset(t for t in td.nodes if td.bags[t] & ball)
+    the root, and the tree edges leaving that subtree, in sorted order.
+    Found from the holders of the ball's vertices, at the region's cost."""
+    nodes = frozenset(t for v in ball for t in td.holders_of(v))
     if td.root not in nodes:
         raise ContractViolation("%s: the root bag misses the ball" % what)
     for t in nodes:
         if t != td.root and td.parent[t] not in nodes:
             raise ContractViolation("%s: ball bags do not form a rooted subtree" % what)
-    frontier = tuple(e for e in td.tree_edges if e[0] in nodes and e[1] not in nodes)
+    frontier = tuple(sorted((t, ch) for t in nodes for ch in td.children[t] if ch not in nodes))
     return nodes, frontier
 
 
@@ -241,6 +261,184 @@ def component_decomposition(
     bags = {t: td.bags[t] & cs for t in keep}
     edges = [(p, ch) for (p, ch) in td.tree_edges if p in keep and ch in keep]
     return RootedTreeDecomposition(bags, edges, tops[0])
+
+
+class SubtreeIndex:
+    """Aggregates over every subtree of one decomposition of one graph,
+    computed once in O(|V| + |E| + total bag size), so that each far part
+    (the vertices and nodes below a tree edge (p, c), under a fresh root
+    bag holding the edge's adhesion) is a view built in O(1).
+
+    Nodes are numbered in preorder, so c's subtree is an interval of that
+    order.  Each vertex is filed under its top holder, the holder nearest
+    the root: the part below (p, c) is the vertices filed in c's interval
+    plus the adhesion, whose top holders all sit above c.  Each edge is
+    filed under the deeper top holder of its two ends, which is the top of
+    the nodes holding both: the part's edges are those filed in c's
+    interval plus those joining two adhesion vertices.  Expects td to be a
+    validated decomposition of g."""
+
+    def __init__(self, g: WeightedGraph, td: RootedTreeDecomposition):
+        self.g, self.td = g, td
+        pre: List[int] = []
+        stack = [td.root]
+        while stack:
+            t = stack.pop()
+            pre.append(t)
+            stack.extend(reversed(td.children[t]))
+        tin = {t: i for i, t in enumerate(pre)}
+        par = [tin[td.parent[t]] if i else -1 for i, t in enumerate(pre)]
+        end = list(range(1, len(pre) + 1))
+        pos: Dict[int, int] = {}
+        for i, t in enumerate(pre):
+            for v in td.bags[t]:
+                pos.setdefault(v, i)
+        order = sorted(pos, key=pos.__getitem__)
+        # first[i]: where the vertices filed at node i start in `order`
+        first = [0] * (len(pre) + 1)
+        for v in order:
+            first[pos[v] + 1] += 1
+        for i in range(len(pre)):
+            first[i + 1] += first[i]
+        top = [-1] * len(pre)
+        for v, i in pos.items():
+            top[i] = max(top[i], v)
+        inf = float("inf")
+        wlo = [inf] * len(pre)
+        whi = [-1] * len(pre)
+        for u, nbrs in g._sadj.items():
+            pu = pos[u]
+            for (v, w) in nbrs:
+                if u < v:
+                    i = max(pu, pos[v])
+                    wlo[i] = min(wlo[i], w)
+                    whi[i] = max(whi[i], w)
+        for i in range(len(pre) - 1, 0, -1):
+            p = par[i]
+            end[p] = max(end[p], end[i])
+            top[p] = max(top[p], top[i])
+            wlo[p] = min(wlo[p], wlo[i])
+            whi[p] = max(whi[p], whi[i])
+        self.pre, self.tin, self.end, self.pos = pre, tin, end, pos
+        self.order, self.first, self.top, self.wlo, self.whi = order, first, top, wlo, whi
+
+    def part(self, c: int) -> "_PartVertices":
+        """The vertices below the tree edge into c."""
+        td = self.td
+        return _PartVertices(self, self.tin[c], td.bags[c] & td.bags[td.parent[c]])
+
+    def far_part(self, c: int, fresh: int) -> Tuple[SubgraphView, "SubtreeDecomposition"]:
+        """g[part] and the subtree below c under the fresh root node `fresh`
+        holding c's adhesion to its parent, both as views."""
+        part = self.part(c)
+        adh = part.adhesion
+        i = self.tin[c]
+        lo, hi = self.wlo[i], self.whi[i]
+        sadj = self.g._sadj
+        for a in adh:
+            for (b, w) in sadj[a]:
+                if a < b and b in adh:
+                    lo, hi = min(lo, w), max(hi, w)
+        scale = self.g._scale
+        wrange = None if hi < 0 else (Fraction(lo, scale), Fraction(hi, scale))
+        top = max(self.top[i], max(adh, default=-1))
+        return SubgraphView(self.g, part, wrange, top), SubtreeDecomposition(self, c, fresh, adh)
+
+
+class _PartVertices(AbstractSet):
+    """The vertices below a tree edge (see SubtreeIndex): membership and
+    size in O(1), listing on demand.  Set operations with an ordinary set
+    iterate that set where they can (`z - part`, `z & part`, `z <= part`)."""
+
+    __slots__ = ("_pos", "_lo", "_hi", "adhesion", "_order", "_a", "_b")
+
+    def __init__(self, index: SubtreeIndex, i: int, adh: FrozenSet[int]):
+        self._pos, self._lo, self._hi, self.adhesion = index.pos, i, index.end[i], adh
+        self._order, self._a, self._b = index.order, index.first[i], index.first[index.end[i]]
+
+    def __contains__(self, v: object) -> bool:
+        return self._lo <= self._pos.get(v, -1) < self._hi or v in self.adhesion
+
+    def __len__(self) -> int:
+        return self._b - self._a + len(self.adhesion)
+
+    def __iter__(self):
+        yield from self._order[self._a:self._b]
+        yield from self.adhesion
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[int]) -> FrozenSet[int]:
+        return frozenset(it)
+
+
+class _SubtreeMap(Mapping):
+    """A node-keyed map of an indexed decomposition, cut down to the
+    preorder interval [lo, hi), with a few entries replaced or added."""
+
+    __slots__ = ("_base", "_index", "_lo", "_hi", "_extra")
+
+    def __init__(self, base: Mapping, index: SubtreeIndex, lo: int, hi: int, extra: dict):
+        self._base, self._index, self._lo, self._hi, self._extra = base, index, lo, hi, extra
+
+    def __getitem__(self, t: int):
+        if t in self._extra:
+            return self._extra[t]
+        if self._lo <= self._index.tin.get(t, -1) < self._hi:
+            return self._base[t]
+        raise KeyError(t)
+
+    def _added(self) -> List[int]:
+        return [t for t in self._extra if not self._lo <= self._index.tin.get(t, -1) < self._hi]
+
+    def __iter__(self):
+        yield from self._index.pre[self._lo:self._hi]
+        yield from self._added()
+
+    def __len__(self) -> int:
+        return self._hi - self._lo + len(self._added())
+
+
+class SubtreeDecomposition(RootedTreeDecomposition):
+    """The subtree of an indexed decomposition below node c, under a fresh
+    root node whose bag is c's adhesion to its parent: a view built in
+    O(1).  Its one tree edge not in the indexed decomposition is
+    (fresh, c); every other edge keeps its bags and children."""
+
+    def __init__(self, index: SubtreeIndex, c: int, fresh: int, adh: FrozenSet[int]):
+        base = index.td
+        if fresh in index.tin:
+            raise GraphError("node id %s already used" % (fresh,))
+        lo, hi = index.tin[c], index.end[index.tin[c]]
+        self.index, self.root, self._lo, self._hi = index, fresh, lo, hi
+        self.bags = _SubtreeMap(base.bags, index, lo, hi, {fresh: adh})
+        self.parent = _SubtreeMap(base.parent, index, lo, hi, {fresh: None, c: fresh})
+        self.children = _SubtreeMap(base.children, index, lo, hi, {fresh: (c,)})
+        self._subtree_cache = {}
+        self._holders = None
+
+    def __len__(self) -> int:
+        return self._hi - self._lo + 1
+
+    @property
+    def nodes(self) -> Tuple[int, ...]:  # type: ignore[override]
+        return tuple(sorted(self.bags))
+
+    @property
+    def tree_edges(self) -> Tuple[TreeEdge, ...]:  # type: ignore[override]
+        return tuple(sorted((self.parent[t], t) for t in self.bags if t != self.root))
+
+    def subtree_nodes(self, e: TreeEdge) -> Tuple[int, ...]:
+        _, c = self.check_edge(e)
+        i = self.index.tin[c]
+        return tuple(sorted(self.index.pre[i:self.index.end[i]]))
+
+    def subtree_vertices(self, e: TreeEdge) -> AbstractSet:
+        return self.index.part(self.check_edge(e)[1])
+
+    def holders_of(self, v: int) -> Tuple[int, ...]:
+        tin, lo, hi = self.index.tin, self._lo, self._hi
+        inside = tuple(t for t in self.index.td.holders_of(v) if lo <= tin[t] < hi)
+        return inside + ((self.root,) if v in self.bags[self.root] else ())
 
 
 @dataclass(frozen=True)
@@ -315,7 +513,8 @@ def adhesion_partition_chain(
 
     A path works at level i exactly when its bottleneck (the largest of its
     vertex distances to X_e and its edge weights) is at most i*eps, so the
-    change levels come out of one bottleneck union-find sweep.
+    change levels come out of one bottleneck union-find sweep over the
+    edges that the search within the part reaches.
     """
     ef = as_fraction(eps)
     if ef <= 0 or max_level < 0:
@@ -330,11 +529,12 @@ def adhesion_partition_chain(
         radius = ef * max_level
         dist = g.distances_from(ground, radius=radius, within=part)
         events: List[Tuple[Fraction, int, int]] = []
-        for (u, v, w) in g.edges:
-            if u in dist and v in dist and u in part and v in part:
-                t = max(w, dist[u], dist[v])
-                if t <= radius:
-                    events.append((t, min(u, v), max(u, v)))
+        for u, du in dist.items():
+            for (v, w) in g.neighbors(u):
+                if u < v and v in dist:
+                    t = max(w, du, dist[v])
+                    if t <= radius:
+                        events.append((t, u, v))
         events.sort()
         dsu = _DSU(dist.keys())
         marks = {x: x for x in ground}  # DSU root -> min ground member, where present
@@ -512,12 +712,15 @@ def condense(
     prime = tuple(sorted(td.check_edge(e) for e in set(u_e_prime)))
     if set(prime) - set(frontier):
         raise GraphError("u_e_prime must be a subset of u_e")
-    removed: Set[int] = set()
-    for e in frontier:
-        removed.update(td.subtree_nodes(e))
-    t0_nodes = tuple(t for t in td.nodes if t not in removed)
+    # the nodes reached from the root without crossing the frontier
+    cut = set(frontier)
+    reached = [td.root]
+    for t in reached:
+        reached.extend(ch for ch in td.children[t] if (t, ch) not in cut)
+    t0_nodes = tuple(sorted(reached))
+    kept = set(t0_nodes)
     for (p, c) in frontier:
-        if p in removed:
+        if p not in kept:
             raise GraphError(
                 "frontier edge (%s,%s) hangs below another frontier edge" % (p, c)
             )
@@ -553,7 +756,7 @@ def condense(
         shortcut_parts[e] = ShortcutAttachment(x_e, part, reach, tuple(shortcuts))
 
     hierarchies: Dict[TreeEdge, HierarchyAttachment] = {}
-    next_id = max(g.vertices) + 1 if g.vertices else 0
+    next_id = g.max_vertex() + 1
     for e in prime:
         x_e = td.adhesion_of(e)
         part = td.subtree_vertices(e)
@@ -585,8 +788,7 @@ def condense(
             bags0[e[1]] = frozenset(hierarchies[e].vertex_ids.values())
         else:
             bags0[e[1]] = shortcut_parts[e].reach
-    kept = set(t0_nodes)
-    edges0 = [e for e in td.tree_edges if e[0] in kept and e[1] in kept] + list(frontier)
+    edges0 = [(td.parent[t], t) for t in t0_nodes if t != td.root] + list(frontier)
     td0 = RootedTreeDecomposition(bags0, edges0, td.root)
     rep0 = validate_td(g0, td0)
     if not rep0["ok"]:
@@ -603,15 +805,6 @@ def condense(
     )
 
 
-@dataclass(frozen=True)
-class LiftResult:
-    coloring: Coloring
-    bound: Fraction
-    n_claimed: Fraction
-    report: VerificationReport
-    zone_of: Dict[int, int]
-
-
 def lift_condensation_coloring(
     cond: Condensation,
     c0: Coloring,
@@ -621,7 +814,7 @@ def lift_condensation_coloring(
     power: Optional[PowerGraph] = None,
     what: str = "condensation lift",
     exact: bool = True,
-) -> LiftResult:
+) -> ColorResult:
     """Pull a coloring of the condensed graph back to the frontier zone.
 
     Vertices of the root side and the fringe keep their condensed color; a
@@ -663,7 +856,6 @@ def lift_condensation_coloring(
         )
 
     assignment: Dict[int, int] = {}
-    zone_of: Dict[int, int] = {}
     for v in cond.t0_vertices:
         if v not in rset:
             assignment[v] = c0.color(v)
@@ -684,8 +876,6 @@ def lift_condensation_coloring(
                 per_source[x] = g.distances_from([x], radius=3 * lf, within=part)
         for v, d in sorted(dist.items()):
             zone = max(1, ceil_frac(d / lf))
-            if zone_of.get(v, 4) > zone:
-                zone_of[v] = zone
             if v in rset or (v in assignment and zone == 1):
                 continue
             if zone == 1:
@@ -706,7 +896,7 @@ def lift_condensation_coloring(
         g, lf, coloring, bound=bound, what=what, restrict_to=domain, power=power,
         exact=exact,
     )
-    return LiftResult(coloring, bound, nf, report, zone_of)
+    return ColorResult(coloring, bound, report)
 
 
 def _hierarchy_color_vertex(

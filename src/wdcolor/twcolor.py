@@ -10,10 +10,9 @@ verify the assembled coloring end to end.
 
 import functools
 import heapq
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graph import GraphError, WeightedGraph, as_fraction, frac_str, neighborhood, require_light_edges
 from .partition import (
@@ -32,6 +31,8 @@ from .patching import (
 )
 from .treedec import (
     RootedTreeDecomposition,
+    SubtreeDecomposition,
+    SubtreeIndex,
     TreeEdge,
     ball_region,
     component_decomposition,
@@ -40,9 +41,6 @@ from .treedec import (
     lift_condensation_coloring,
     validate_td,
 )
-
-_RECURSION_HEADROOM = 300_000
-
 
 # -- tree-decomposition search ----------------------------------------------
 
@@ -234,46 +232,62 @@ class AdhesionConstruction:
     piece_bound: Fraction
 
     def validate(self, g: WeightedGraph, full: bool = True) -> None:
-        """Structural checks are linear in the tree; full validation also
-        re-checks the decomposition axioms against g (quadratic, so the
-        recursion only repeats it per level under deep verification)."""
-        if not 0 <= self.eta <= self.theta:
-            raise ContractViolation(
-                "need 0 <= eta <= theta, got eta=%d theta=%d" % (self.eta, self.theta)
-            )
-        new_limit = self.theta * self.theta
-        td = self.td
+        """Structural checks, linear in the tree; full validation also
+        re-checks the decomposition axioms against g.  The adhesion
+        recursion validates each decomposition it is handed once; a far
+        part, which keeps every bag and tree edge below its root, adds one
+        tree edge and is checked by validate_far_part instead."""
+        self._check_root()
         if full:
-            rep = validate_td(g, td)
+            rep = validate_td(g, self.td)
             if not rep["ok"]:
                 raise ContractViolation(
                     "invalid decomposition: %s" % "; ".join(rep["failures"][:3])
                 )
-        root_bag = td.bags[td.root]
+        for e in self.td.tree_edges:
+            self._check_edge(e)
+
+    def validate_far_part(self) -> None:
+        """The checks a far part adds to its validated parent: its root bag
+        and the one tree edge below the root."""
+        self._check_root()
+        root = self.td.root
+        (child,) = self.td.children[root]
+        self._check_edge((root, child))
+
+    def _check_root(self) -> None:
+        if not 0 <= self.eta <= self.theta:
+            raise ContractViolation(
+                "need 0 <= eta <= theta, got eta=%d theta=%d" % (self.eta, self.theta)
+            )
+        root_bag = self.td.bags[self.td.root]
         if len(root_bag) > self.theta:
             raise ContractViolation(
                 "root bag has %d > theta=%d vertices" % (len(root_bag), self.theta)
             )
         if self.eta >= 1 and not root_bag:
             raise ContractViolation("root bag must be nonempty when eta >= 1")
-        for e in td.tree_edges:
-            x_e = td.adhesion_of(e)
-            if len(x_e) > self.theta:
+
+    def _check_edge(self, e: TreeEdge) -> None:
+        td = self.td
+        x_e = td.adhesion_of(e)
+        if len(x_e) > self.theta:
+            raise ContractViolation(
+                "adhesion of %s has %d > theta=%d vertices" % (e, len(x_e), self.theta)
+            )
+        if len(x_e) > self.eta:
+            p, ch = e
+            new_limit = self.theta * self.theta
+            if td.children[ch]:
                 raise ContractViolation(
-                    "adhesion of %s has %d > theta=%d vertices" % (e, len(x_e), self.theta)
+                    "edge %s shares %d > eta=%d vertices but its lower end has children"
+                    % (e, len(x_e), self.eta)
                 )
-            if len(x_e) > self.eta:
-                p, ch = e
-                if td.children[ch]:
-                    raise ContractViolation(
-                        "edge %s shares %d > eta=%d vertices but its lower end has children"
-                        % (e, len(x_e), self.eta)
-                    )
-                if len(td.bags[ch] - td.bags[p]) > new_limit:
-                    raise ContractViolation(
-                        "leaf below %s adds %d > %d new vertices"
-                        % (e, len(td.bags[ch] - td.bags[p]), new_limit)
-                    )
+            if len(td.bags[ch] - td.bags[p]) > new_limit:
+                raise ContractViolation(
+                    "leaf below %s adds %d > %d new vertices"
+                    % (e, len(td.bags[ch] - td.bags[p]), new_limit)
+                )
 
 
 # -- bound calculators --------------------------------------------------------
@@ -332,14 +346,37 @@ def _paint_piece(ctx: _Ctx, h: WeightedGraph, what: str) -> Coloring:
     return c
 
 
+def _write(out: Dict[int, int], part: Coloring, what: str) -> None:
+    """Add a part's colors to the shared output; a vertex already there
+    must keep its color."""
+    for v, col in part.assignment.items():
+        if out.setdefault(v, col) != col:
+            raise ContractViolation("%s: colorings disagree on vertex %s" % (what, v))
+
+
 def _merge_disjoint(parts: Iterable[Coloring], what: str) -> Coloring:
     out: Dict[int, int] = {}
     for part in parts:
-        for v, col in part.assignment.items():
-            if out.get(v, col) != col:
-                raise ContractViolation("%s: colorings disagree on vertex %s" % (what, v))
-            out[v] = col
+        _write(out, part, what)
     return Coloring(out, 2)
+
+
+class _Level(NamedTuple):
+    """One node of the adhesion recursion, waiting on the work stack.
+
+    far: g and td are views of a far part below a connected level, whose
+    decomposition was validated where it was handed in.  next_node: the
+    first unused tree-node id, max(td.nodes) + 1."""
+
+    g: WeightedGraph
+    td: RootedTreeDecomposition
+    eta: int
+    zset: FrozenSet[int]
+    c: Coloring
+    parent_measure: Optional[Tuple[int, int]]
+    what: str
+    next_node: int
+    far: bool
 
 
 def _color_rec(
@@ -352,8 +389,33 @@ def _color_rec(
     parent_measure: Optional[Tuple[int, int]],
     what: str,
 ) -> Coloring:
+    """Extend c to all of g.  Levels wait on an explicit work stack and
+    write into one shared output; a far part goes on the stack after its
+    level, so the descent through far parts and components uses no call
+    depth.  Deferred checks (a split's coverage, deep verification) go on
+    the stack as callables below the levels they wait for."""
+    out: Dict[int, int] = {}
+    stack: List[object] = [
+        _Level(g, td, eta, zset, c, parent_measure, what, max(td.nodes) + 1, False)
+    ]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _Level):
+            _color_level(ctx, item, out, stack)
+        else:
+            item()
+    return Coloring(out, 2)
+
+
+def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]) -> None:
+    """Color one level's region, write it to `out`, and push its far parts."""
+    g, td, eta, zset, c, what = lv.g, lv.td, lv.eta, lv.zset, lv.c, lv.what
     lf = ctx.lf
-    AdhesionConstruction(td, eta, ctx.theta, ctx.piece_bound).validate(g, full=ctx.deep)
+    con = AdhesionConstruction(td, eta, ctx.theta, ctx.piece_bound)
+    if lv.far and not ctx.deep:
+        con.validate_far_part()
+    else:
+        con.validate(g, full=ctx.deep)
     if zset - g.vertex_set():
         raise GraphError("%s: precolored vertices outside the graph" % what)
     if c.domain != zset:
@@ -365,10 +427,10 @@ def _color_rec(
             "%s: precolored set reaches beyond distance 3*ell of the root bag" % what
         )
     measure = (eta, len(td) + (len(g) - len(zset)) + len(g))
-    if parent_measure is not None and not measure < parent_measure:
+    if lv.parent_measure is not None and not measure < lv.parent_measure:
         raise ContractViolation(
             "%s: recursion measure did not decrease (%s -> %s)"
-            % (what, parent_measure, measure)
+            % (what, lv.parent_measure, measure)
         )
     bound = tree_extension_bound(eta, ctx.theta, lf, ctx.piece_bound)
 
@@ -376,14 +438,25 @@ def _color_rec(
     if zset == g.vertex_set():
         cert = CenterCertificate.build(g, sorted(root_bag), 3 * lf, sorted(zset), ctx.theta)
         centered_color(g, lf, (), cert, coloring=c, what=what + ": fully precolored", exact=False)
-        return c
+        _write(out, c, what)
+        return
 
     if eta == 0:
-        return _color_flat(ctx, g, td, zset, c, bound, what)
+        _write(out, _color_flat(ctx, g, td, zset, c, bound, what), what)
+        return
 
-    comps = g.connected_components()
-    if len(comps) != 1:
-        return _color_split(ctx, g, td, eta, zset, c, measure, comps, what)
+    if lv.far:
+        # every component of a far part meets its root bag (a vertex off
+        # the root bag has all its neighbours in the part), so the part is
+        # connected when one search inside it joins the root bag
+        x = sorted(root_bag)
+        reached = g.distances_from(x[:1], targets=set(x))
+        comps = None if len(reached.keys() & root_bag) == len(x) else g.connected_components()
+    else:
+        comps = g.connected_components()
+    if comps is not None and len(comps) != 1:
+        _color_split(ctx, lv, measure, comps, out, stack)
+        return
 
     # saturate the precolored set to the full ball around the root bag
     z0 = ball
@@ -391,7 +464,8 @@ def _color_rec(
     if z0 == g.vertex_set():
         cert = CenterCertificate.build(g, sorted(root_bag), 3 * lf, sorted(z0), ctx.theta)
         centered_color(g, lf, (), cert, coloring=c_sat, what=what + ": saturated ball", exact=False)
-        return c_sat
+        _write(out, c_sat, what)
+        return
 
     # the tree region whose bags meet the ball, and the frontier leaving it
     _, u_e = ball_region(td, z0, what)
@@ -403,7 +477,7 @@ def _color_rec(
     # color the condensed graph beyond the ball one guard level down
     n_prev = tree_extension_bound(eta - 1, ctx.theta, lf, ctx.piece_bound)
     rest0 = g0.vertex_set() - z0
-    fresh_node = max(td.nodes) + 1
+    fresh_node = lv.next_node
     if rest0:
         bags00 = {t: b - z0 for t, b in td0.bags.items()}
         edges00 = list(td0.tree_edges)
@@ -442,6 +516,7 @@ def _color_rec(
             edges00.append((root00, td0.root))
             fresh_node += 1
         td00 = RootedTreeDecomposition(bags00, edges00, root00)
+        # a call, not a stack entry: it nests at most eta <= theta deep
         c0_rest = _color_rec(
             ctx,
             g0.without(z0),
@@ -477,18 +552,34 @@ def _color_rec(
         )
     c3 = lr.coloring
 
+    # the region's own vertices take their lifted colors; each far part
+    # covers its own part, so together they cover g
+    keep0 = cond.base_vertices & g.vertex_set()
+    if keep0 - c3.domain:
+        raise ContractViolation("%s: assembled coloring misses vertices" % what)
+    for v in sorted(zset):
+        if c3.color(v) != c.color(v):
+            raise ContractViolation("%s: precolored vertex %s was recolored" % (what, v))
+    _write(out, c3.restrict(keep0), what)
+    if ctx.deep:
+        # runs once the far parts below have written their colors
+        stack.append(functools.partial(_check_assembled, ctx, g, out, bound, what))
+
     # recurse into each far part with the lifted boundary colors
-    parts_out: List[Coloring] = []
+    index: Optional[SubtreeIndex] = None
+    parts: List[object] = []
     for e in u_e:
-        part = td.subtree_vertices(e)
         x_e = td.adhesion_of(e)
         if not x_e:
-            if part:
+            if td.subtree_vertices(e):
                 raise ContractViolation(
                     "%s: empty shared set on a populated part of a connected graph" % what
                 )
             continue
-        g_e = g.induced(part)
+        if index is None:
+            index = td.index if isinstance(td, SubtreeDecomposition) else SubtreeIndex(g, td)
+        g_e, td_e = index.far_part(e[1], fresh_node)
+        part = g_e.vertex_set()
         z_e = frozenset(neighborhood(g_e, x_e, 3 * lf))
         missing = z_e - c3.domain
         if missing:
@@ -512,29 +603,21 @@ def _color_rec(
                 what=what + ": oversized part",
                 exact=False,
             )
-            parts_out.append(c_e_full)
+            parts.append(functools.partial(_write, out, c_e_full, what))
             continue
-        sub_nodes = td.subtree_nodes(e)
-        bags_e: Dict[int, FrozenSet[int]] = {t: td.bags[t] for t in sub_nodes}
-        bags_e[fresh_node] = x_e
-        keep_e = set(sub_nodes)
-        edges_e = [(p, ch) for (p, ch) in td.tree_edges if p in keep_e and ch in keep_e]
-        edges_e.append((fresh_node, e[1]))
-        td_e = RootedTreeDecomposition(bags_e, edges_e, fresh_node)
+        parts.append(
+            _Level(g_e, td_e, eta, z_e, c_e, measure, what + ": far part", fresh_node + 1, True)
+        )
         fresh_node += 1
-        sub = _color_rec(ctx, g_e, td_e, eta, z_e, c_e, measure, what + ": far part")
-        parts_out.append(sub)
+    stack.extend(reversed(parts))
 
-    keep0 = cond.base_vertices & g.vertex_set()
-    out = _merge_disjoint([c3.restrict(keep0)] + parts_out, what)
-    if out.domain != g.vertex_set():
-        raise ContractViolation("%s: assembled coloring misses vertices" % what)
-    for v in sorted(zset):
-        if out.color(v) != c.color(v):
-            raise ContractViolation("%s: precolored vertex %s was recolored" % (what, v))
-    if ctx.deep:
-        check_weak_diameter(g, lf, out, bound=bound, what=what + ": assembled", exact=False)
-    return out
+
+def _check_assembled(
+    ctx: _Ctx, g: WeightedGraph, out: Dict[int, int], bound: Fraction, what: str
+) -> None:
+    """Deep verification of one level's assembled coloring."""
+    mine = Coloring({v: out[v] for v in g.vertices if v in out}, 2)
+    check_weak_diameter(g, ctx.lf, mine, bound=bound, what=what + ": assembled", exact=False)
 
 
 def _color_flat(
@@ -592,19 +675,18 @@ def _color_flat(
 
 def _color_split(
     ctx: _Ctx,
-    g: WeightedGraph,
-    td: RootedTreeDecomposition,
-    eta: int,
-    zset: FrozenSet[int],
-    c: Coloring,
+    lv: _Level,
     measure: Tuple[int, int],
     comps: Sequence[Tuple[int, ...]],
-    what: str,
-) -> Coloring:
-    """Color each connected component under its own restricted decomposition,
-    adding a one-vertex root bag to components the root bag does not meet."""
-    pieces: List[Coloring] = []
-    fresh_node = max(td.nodes) + 1
+    out: Dict[int, int],
+    stack: List[object],
+) -> None:
+    """Push each connected component with its own restricted decomposition,
+    adding a one-vertex root bag to components the root bag does not meet,
+    and a check that they covered the level."""
+    g, td, zset, c, what = lv.g, lv.td, lv.zset, lv.c, lv.what
+    items: List[object] = []
+    fresh_node = lv.next_node
     for comp in comps:
         cs = frozenset(comp)
         td_c = component_decomposition(td, cs, what)
@@ -620,15 +702,19 @@ def _color_split(
             edges_c = list(td_c.tree_edges) + [(fresh_node, td_c.root)]
             td_c = RootedTreeDecomposition(bags_c, edges_c, fresh_node)
             fresh_node += 1
-        pieces.append(
-            _color_rec(
-                ctx, g_c, td_c, eta, z_c, c.restrict(z_c), measure, what + ": component"
+        items.append(
+            _Level(
+                g_c, td_c, lv.eta, z_c, c.restrict(z_c), measure, what + ": component",
+                max(td_c.nodes) + 1, False,
             )
         )
-    out = _merge_disjoint(pieces, what)
-    if out.domain != g.vertex_set():
+    stack.append(functools.partial(_check_covered, g, out, what))
+    stack.extend(reversed(items))
+
+
+def _check_covered(g: WeightedGraph, out: Dict[int, int], what: str) -> None:
+    if any(v not in out for v in g.vertices):
         raise ContractViolation("%s: component colorings miss vertices" % what)
-    return out
 
 
 # -- public entry points --------------------------------------------------------
@@ -658,7 +744,6 @@ def color_adhesion_construction(
         raise GraphError("precoloring domain differs from the precolored set")
     if precoloring.num_colors > 2:
         raise GraphError("precoloring uses more than 2 colors")
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), _RECURSION_HEADROOM))
     con.validate(g)
     ctx = _Ctx(lf, con.theta, con.piece_bound, deep_verify)
     out = _color_rec(
@@ -703,7 +788,6 @@ def color_bounded_treewidth(
     piece_bound = cover_piece_bound(theta, lf)
     bound = tree_extension_bound(theta, theta, lf, piece_bound)
     ctx = _Ctx(lf, theta, piece_bound, deep_verify)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), _RECURSION_HEADROOM))
     pieces: List[Coloring] = []
     fresh_node = max(td.nodes) + 1
     for comp in g.connected_components():

@@ -165,6 +165,32 @@ def brute_chain_level(
     return tuple(sorted((tuple(sorted(s)) for s in groups.values()), key=lambda s: s[0]))
 
 
+def lift_zones(cond) -> Dict[int, int]:
+    """Zone of each vertex a condensation lift reaches: for every frontier
+    edge with a nonempty adhesion, the vertices of its part within 3*ell of
+    the adhesion, inside the part, get zone max(1, ceil(d / ell)); a vertex
+    reached from two edges keeps the smaller zone."""
+    import math
+
+    zones: Dict[int, int] = {}
+    for e in cond.u_e:
+        x_e = cond.td.adhesion_of(e)
+        if not x_e:
+            continue
+        part = set(cond.td.subtree_vertices(e))
+        m = nx.MultiGraph()
+        m.add_nodes_from(part)
+        for (u, v, w) in cond.g.edges:
+            if u in part and v in part:
+                m.add_edge(u, v, weight=w)
+        dist = nx.multi_source_dijkstra_path_length(m, set(x_e), weight="weight")
+        for v, d in dist.items():
+            if d <= 3 * cond.ell:
+                zone = max(1, math.ceil(d / cond.ell))
+                zones[v] = min(zones.get(v, zone), zone)
+    return zones
+
+
 def window_segments(
     nodes: Iterable[int],
     paths: Dict[int, Tuple[Tuple[int, ...], ...]],

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wdcolor.graph import GraphError, WeightedGraph, power_graph
-from wdcolor.partition import Coloring, ContractViolation
+from wdcolor.partition import Coloring, ContractViolation, verify_weak_diameter
 from wdcolor.treedec import (
     Condensation,
     Hierarchy,
@@ -578,7 +578,7 @@ def test_lift_path_zones_and_guard_colors():
     assert c.color(1) == 2  # inherits the level-1 hierarchy color
     assert c.color(2) == 1  # first guard zone
     assert c.color(3) == 2  # second guard zone
-    assert res.zone_of[1] == 1 and res.zone_of[2] == 2 and res.zone_of[3] == 3
+    assert oracles.lift_zones(cond) == {0: 1, 1: 1, 2: 2, 3: 3}
     assert res.bound == 128
     assert res.report.ok
 
@@ -621,7 +621,7 @@ def test_lift_rejects_overclaimed_input_diameter():
     with pytest.raises(ContractViolation):
         lift_condensation_coloring(cond, c0, n_claimed=1)
     res = lift_condensation_coloring(cond, c0, n_claimed=2)
-    assert res.n_claimed == 2
+    assert res.bound == con_color_bound(1, 2, 1, 0)
 
 
 def test_lift_big_adhesion_needs_centers():
@@ -687,7 +687,10 @@ def test_lift_random_instances_verify():
         deleted = rng.sample(deletable, k=min(2, len(deletable)))
         res = lift_condensation_coloring(cond, c0, deleted=deleted)
         assert res.report.ok
-        assert res.bound == con_color_bound(2, res.n_claimed, theta, 0)
+        # with no claim, the lift claims the input's measured hops (at least 1)
+        pool0 = set(cond.g0.vertices) - set(deleted)
+        measured = verify_weak_diameter(cond.g0, 2, c0, restrict_to=pool0).max_weak_diameter_hops
+        assert res.bound == con_color_bound(2, max(1, measured), theta, 0)
         for v in cond.t0_vertices - set(deleted):
             assert res.coloring.color(v) == c0.color(v)
         ran += 1
@@ -706,6 +709,8 @@ def test_lift_guard_zones_only_outside_condensed_region():
         m = 3
         c0 = Coloring({v: rng.randint(1, m) for v in cond.g0.vertices}, m)
         res = lift_condensation_coloring(cond, c0)
-        for v, z in res.zone_of.items():
+        zones = oracles.lift_zones(cond)
+        assert zones.keys() - cond.t0_vertices == res.coloring.domain - cond.t0_vertices
+        for v, z in zones.items():
             if z >= 2:
                 assert v not in cond.base_vertices
