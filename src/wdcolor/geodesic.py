@@ -793,10 +793,13 @@ def _run_engine(
     verify the result at the construction's bound."""
     ctx = _EngineCtx(lf, deep_verify)
     limit = 6 * len(g) + _RECURSION_HEADROOM
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
+    old_limit = sys.getrecursionlimit()
     pg = power_graph(g, lf)
-    out = _control_rec(ctx, g, con, zset, c0, centers, None, what, pg)
+    try:
+        sys.setrecursionlimit(max(old_limit, limit))
+        out = _control_rec(ctx, g, con, zset, c0, centers, None, what, pg)
+    finally:
+        sys.setrecursionlimit(old_limit)
     bound = control_extension_bound(con.eta, con.theta, con.mu, lf)
     report = check_weak_diameter(
         g, lf, out, bound, what,

@@ -413,8 +413,6 @@ class SubtreeDecomposition(RootedTreeDecomposition):
         self.bags = _SubtreeMap(base.bags, index, lo, hi, {fresh: adh})
         self.parent = _SubtreeMap(base.parent, index, lo, hi, {fresh: None, c: fresh})
         self.children = _SubtreeMap(base.children, index, lo, hi, {fresh: (c,)})
-        self._subtree_cache = {}
-        self._holders = None
 
     def __len__(self) -> int:
         return self._hi - self._lo + 1

@@ -6,6 +6,25 @@ colors that stand-in one guard level down, lifts the coloring back through
 the condensation, and recurses into each far part with the lifted boundary
 colors.  Every merge re-verifies its claimed bound; the public entry points
 verify the assembled coloring end to end.
+
+Each level costs what its own region costs (its root ball, the bags
+meeting it and the frontier), not what lies below it:
+- A far part is a view, not a copy: a SubgraphView of the graph the
+  recursion was handed and a SubtreeDecomposition of its decomposition,
+  both backed by one SubtreeIndex built once per handed-in pair.  The
+  decomposition is validated where it is handed in; a far part checks
+  only its root bag and its one new tree edge.
+- A far part of a connected level is connected exactly when one search
+  from a root-bag vertex reaches the rest of its root bag, since each of
+  its components meets the root bag; full components are computed only
+  when that search fails.
+- Levels write into one shared coloring, where a vertex written twice
+  must keep its color, and wait on an explicit work stack instead of the
+  call stack.  A level runs its own checks before it pushes its far
+  parts, so it keeps no frame once they are pushed; a split's coverage
+  check and deep verification, which need the parts' colors, wait on the
+  stack below them.  Only the condensed call one guard level down stays a
+  call, at most theta deep, so the recursion limit is never raised.
 """
 
 import functools

@@ -940,3 +940,12 @@ def test_layered_pipeline_rejects_layer_skips():
     g = WeightedGraph(range(3), [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     with pytest.raises(GraphError):
         color_layered(g, 1, [(0,), (1,), (2,)], 1)
+
+
+def test_control_engine_restores_the_recursion_limit():
+    import sys
+
+    before = sys.getrecursionlimit()
+    g, con, centers = construction_on_path(12)
+    color_control_construction(g, 1, con, centers)
+    assert sys.getrecursionlimit() == before

@@ -608,3 +608,201 @@ def test_disconnected_far_part_matches_the_copying_reference(monkeypatch, tail):
     res = color_bounded_treewidth(g, 1, td=td)
     ref, ref_bound = oracles.reference_color_bounded_treewidth(g, 1, td=td)
     assert res.coloring == ref and res.bound == ref_bound
+
+
+# -- cost per level ----------------------------------------------------------------
+
+
+def _materialised_on_unit_path(monkeypatch, n):
+    """What coloring a unit path of n vertices builds or scans: vertices of
+    graphs built, nodes of decompositions built, vertices scanned for
+    components, vertices listed from far-part views, and the traced heap
+    peak."""
+    import tracemalloc
+
+    from wdcolor import treedec
+
+    counts = {"graph vertices": 0, "tree nodes": 0, "component scans": 0, "view listings": 0}
+    fill, init = WeightedGraph._fill, RootedTreeDecomposition.__init__
+    components, listing = WeightedGraph.connected_components, treedec._PartVertices.__iter__
+
+    def counted_fill(self, vset, edges, scale):
+        counts["graph vertices"] += len(vset)
+        return fill(self, vset, edges, scale)
+
+    def counted_init(self, bags, edges, root):
+        counts["tree nodes"] += len(bags)
+        return init(self, bags, edges, root)
+
+    def counted_components(self):
+        counts["component scans"] += len(self)
+        return components(self)
+
+    def counted_listing(self):
+        for v in listing(self):
+            counts["view listings"] += 1
+            yield v
+
+    monkeypatch.setattr(WeightedGraph, "_fill", counted_fill)
+    monkeypatch.setattr(RootedTreeDecomposition, "__init__", counted_init)
+    monkeypatch.setattr(WeightedGraph, "connected_components", counted_components)
+    monkeypatch.setattr(treedec._PartVertices, "__iter__", counted_listing)
+    g = unit_path(n)
+    tracemalloc.start()
+    try:
+        res = color_bounded_treewidth(g, 1)
+        counts["heap peak"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.report.ok
+    return counts
+
+
+def test_path_coloring_work_grows_linearly(monkeypatch):
+    """Four times the vertices may cost at most five times as much of
+    everything the recursion materialises or scans.  A recursion that
+    copies each far part grows these about fifteen-fold."""
+    small = _materialised_on_unit_path(monkeypatch, 200)
+    large = _materialised_on_unit_path(monkeypatch, 800)
+    for key, count in large.items():
+        assert count <= 5 * max(small[key], 1), (key, small[key], count)
+
+
+def test_recursion_limit_is_left_alone():
+    import sys
+
+    before = sys.getrecursionlimit()
+    color_bounded_treewidth(unit_path(40), 1)
+    con = AdhesionConstruction(path_td(40), 2, 2, theta2())
+    color_adhesion_construction(unit_path(40), 1, con)
+    assert sys.getrecursionlimit() == before
+
+
+def test_long_path_colors_at_the_default_recursion_limit():
+    # about 1,250 levels of far parts, more than the default limit of calls
+    import sys
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = color_bounded_treewidth(unit_path(2500), 1)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
+    assert res.report.ok
+    assert res.coloring.domain == frozenset(range(2500))
+
+
+# -- faults the per-level checks must catch ------------------------------------------
+
+
+def _faulty_lift(monkeypatch, fault):
+    """Let `fault(cond, what, assignment)` edit the lifted colors in place."""
+    import dataclasses
+
+    import wdcolor.twcolor as twcolor
+
+    lift = twcolor.lift_condensation_coloring
+
+    def faulty(cond, c0, **kwargs):
+        res = lift(cond, c0, **kwargs)
+        assignment = dict(res.coloring.assignment)
+        fault(cond, kwargs["what"], assignment)
+        return dataclasses.replace(res, coloring=Coloring(assignment, 2))
+
+    monkeypatch.setattr(twcolor, "lift_condensation_coloring", faulty)
+
+
+def test_fault_far_part_size_breaks_the_recursion_measure(monkeypatch):
+    from wdcolor.treedec import SubtreeDecomposition
+
+    monkeypatch.setattr(SubtreeDecomposition, "__len__", lambda self: 10**9)
+    with pytest.raises(ContractViolation, match=r": far part: recursion measure did not decrease"):
+        color_bounded_treewidth(unit_path(40), 1)
+
+
+def test_fault_far_part_root_bag_fails_its_validation(monkeypatch):
+    from wdcolor.treedec import SubtreeDecomposition
+
+    init = SubtreeDecomposition.__init__
+
+    def fat_root(self, index, c, fresh, adh):
+        init(self, index, c, fresh, adh | {0, 1, 2})
+
+    monkeypatch.setattr(SubtreeDecomposition, "__init__", fat_root)
+    with pytest.raises(ContractViolation, match=r"^root bag has \d+ > theta=2 vertices$"):
+        color_bounded_treewidth(unit_path(40), 1)
+
+
+def test_fault_region_vertex_dropped_by_the_lift(monkeypatch):
+    def drop_root(cond, what, assignment):
+        if what == "treewidth coloring: component: lift":
+            del assignment[min(cond.td.bags[cond.td.root])]
+
+    _faulty_lift(monkeypatch, drop_root)
+    with pytest.raises(
+        ContractViolation, match=r"^treewidth coloring: component: assembled coloring misses vertices$"
+    ):
+        color_bounded_treewidth(unit_path(40), 1)
+
+
+def test_fault_far_part_vertex_dropped_by_the_lift(monkeypatch):
+    def drop_part(cond, what, assignment):
+        if what == "treewidth coloring: component: lift":
+            e = cond.u_e[0]
+            inside = set(cond.td.subtree_vertices(e)) - cond.td.adhesion_of(e)
+            del assignment[min(inside & assignment.keys())]
+
+    _faulty_lift(monkeypatch, drop_part)
+    with pytest.raises(ContractViolation, match=r"component: lift left part vertices uncolored"):
+        color_bounded_treewidth(unit_path(40), 1)
+
+
+def test_fault_far_part_recolors_its_precolored_root(monkeypatch):
+    def flip_root(cond, what, assignment):
+        if what.endswith(": far part: lift"):
+            v = min(cond.td.bags[cond.td.root])
+            assignment[v] = 3 - assignment[v]
+
+    _faulty_lift(monkeypatch, flip_root)
+    with pytest.raises(ContractViolation, match=r": far part: precolored vertex \d+ was recolored"):
+        color_bounded_treewidth(unit_path(40), 1)
+
+
+def test_fault_oversized_part_disagrees_with_its_region(monkeypatch):
+    from wdcolor import treedec
+
+    filled = Coloring.filled
+
+    def flip_adhesion(self, vertices):
+        out = filled(self, vertices)
+        if isinstance(vertices, treedec._PartVertices):
+            v = min(vertices.adhesion)
+            out.assignment[v] = 3 - out.assignment[v]
+        return out
+
+    monkeypatch.setattr(Coloring, "filled", flip_adhesion)
+    g = WeightedGraph(range(9), [(i, i + 1, 1) for i in range(8)] + [(6, 8, 1)])
+    bags = [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5, 6, 7}, {6, 7, 8}]
+    td = RootedTreeDecomposition(dict(enumerate(bags)), [(t, t + 1) for t in range(5)], 0)
+    con = AdhesionConstruction(td, 1, 3, cover_piece_bound(3, 1))
+    with pytest.raises(ContractViolation, match=r"^adhesion coloring: colorings disagree on vertex 6$"):
+        color_adhesion_construction(g, 1, con, z=[0], precoloring=Coloring({0: 1}, 2))
+
+
+def test_fault_component_leaves_a_vertex_unwritten(monkeypatch):
+    import wdcolor.twcolor as twcolor
+
+    write = twcolor._write
+
+    def lossy(out, part, what):
+        # vertex 13 lies in a component of the split far part, below its root bag
+        if "far part: component" in what:
+            part = part.restrict(set(part.domain) - {13})
+        write(out, part, what)
+
+    monkeypatch.setattr(twcolor, "_write", lossy)
+    g, td = _split_instance(9)
+    con = AdhesionConstruction(td, 4, 4, cover_piece_bound(4, 1))
+    with pytest.raises(ContractViolation, match=r"^adhesion coloring: far part: far part: component colorings miss vertices$"):
+        color_adhesion_construction(g, 1, con)
