@@ -300,9 +300,9 @@ class SubtreeIndex:
             first[pos[v] + 1] += 1
         for i in range(len(pre)):
             first[i + 1] += first[i]
-        top = [-1] * len(pre)
+        vmax = [-1] * len(pre)
         for v, i in pos.items():
-            top[i] = max(top[i], v)
+            vmax[i] = max(vmax[i], v)
         inf = float("inf")
         wlo = [inf] * len(pre)
         whi = [-1] * len(pre)
@@ -316,11 +316,11 @@ class SubtreeIndex:
         for i in range(len(pre) - 1, 0, -1):
             p = par[i]
             end[p] = max(end[p], end[i])
-            top[p] = max(top[p], top[i])
+            vmax[p] = max(vmax[p], vmax[i])
             wlo[p] = min(wlo[p], wlo[i])
             whi[p] = max(whi[p], whi[i])
         self.pre, self.tin, self.end, self.pos = pre, tin, end, pos
-        self.order, self.first, self.top, self.wlo, self.whi = order, first, top, wlo, whi
+        self.order, self.first, self.vmax, self.wlo, self.whi = order, first, vmax, wlo, whi
 
     def part(self, c: int) -> "_PartVertices":
         """The vertices below the tree edge into c."""
@@ -341,7 +341,7 @@ class SubtreeIndex:
                     lo, hi = min(lo, w), max(hi, w)
         scale = self.g._scale
         wrange = None if hi < 0 else (Fraction(lo, scale), Fraction(hi, scale))
-        top = max(self.top[i], max(adh, default=-1))
+        top = max(self.vmax[i], max(adh, default=-1))
         return SubgraphView(self.g, part, wrange, top), SubtreeDecomposition(self, c, fresh, adh)
 
 
@@ -413,6 +413,7 @@ class SubtreeDecomposition(RootedTreeDecomposition):
         self.bags = _SubtreeMap(base.bags, index, lo, hi, {fresh: adh})
         self.parent = _SubtreeMap(base.parent, index, lo, hi, {fresh: None, c: fresh})
         self.children = _SubtreeMap(base.children, index, lo, hi, {fresh: (c,)})
+        self._subtree_cache: Dict[int, Tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return self._hi - self._lo + 1
@@ -424,11 +425,6 @@ class SubtreeDecomposition(RootedTreeDecomposition):
     @property
     def tree_edges(self) -> Tuple[TreeEdge, ...]:  # type: ignore[override]
         return tuple(sorted((self.parent[t], t) for t in self.bags if t != self.root))
-
-    def subtree_nodes(self, e: TreeEdge) -> Tuple[int, ...]:
-        _, c = self.check_edge(e)
-        i = self.index.tin[c]
-        return tuple(sorted(self.index.pre[i:self.index.end[i]]))
 
     def subtree_vertices(self, e: TreeEdge) -> AbstractSet:
         return self.index.part(self.check_edge(e)[1])

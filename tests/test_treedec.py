@@ -714,3 +714,54 @@ def test_lift_guard_zones_only_outside_condensed_region():
         for v, z in zones.items():
             if z >= 2:
                 assert v not in cond.base_vertices
+
+
+# -- far parts as views ---------------------------------------------------------------
+
+
+def test_far_part_views_match_copies():
+    """Every far part's graph and decomposition views answer as the copies
+    the recursion used to build: g.induced(part) and the subtree's bags
+    and edges under a fresh root holding the adhesion."""
+    from wdcolor.treedec import SubtreeIndex
+
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(40):
+        g, td = random_td_instance(rng, n_vertices=rng.randint(4, 14), n_nodes=rng.randint(2, 8))
+        index = SubtreeIndex(g, td)
+        fresh = max(td.nodes) + 1
+        for e in td.tree_edges:
+            view, tdv = index.far_part(e[1], fresh)
+            part = td.subtree_vertices(e)
+            copy = g.induced(part)
+            assert view.vertices == copy.vertices and len(view) == len(copy)
+            assert view.edges == copy.edges
+            assert view.max_vertex() == copy.max_vertex()
+            assert (view.min_edge_weight(), view.max_edge_weight()) == (
+                copy.min_edge_weight(), copy.max_edge_weight()
+            )
+            assert view.vertex_set() == part and part == view.vertex_set()
+            for v in copy.vertices:
+                assert view.neighbors(v) == copy.neighbors(v)
+                assert view.distances_from([v]) == copy.distances_from([v])
+            assert view.connected_components() == copy.connected_components()
+            keep = set(sorted(part)[::2])
+            assert view.induced(keep).edges == copy.induced(keep).edges
+
+            sub = td.subtree_nodes(e)
+            bags = {t: td.bags[t] for t in sub}
+            bags[fresh] = td.adhesion_of(e)
+            edges = [(p, ch) for (p, ch) in td.tree_edges if p in sub and ch in sub]
+            ref = RootedTreeDecomposition(bags, edges + [(fresh, e[1])], fresh)
+            assert len(tdv) == len(ref) and tdv.nodes == ref.nodes
+            assert tdv.tree_edges == ref.tree_edges
+            assert dict(tdv.bags) == ref.bags and dict(tdv.parent) == ref.parent
+            assert dict(tdv.children) == ref.children
+            for v in copy.vertices:
+                assert sorted(tdv.holders_of(v)) == [t for t in ref.nodes if v in ref.bags[t]]
+            for f in ref.tree_edges:
+                assert tdv.subtree_vertices(f) == ref.subtree_vertices(f)
+                assert tdv.subtree_nodes(f) == ref.subtree_nodes(f)
+            checked += 1
+    assert checked >= 100
