@@ -381,11 +381,9 @@ def _merge_disjoint(parts: Iterable[Coloring], what: str) -> Coloring:
 
 
 class _Level(NamedTuple):
-    """One node of the adhesion recursion, waiting on the work stack.
-
-    far: g and td are views of a far part below a connected level, whose
-    decomposition was validated where it was handed in.  next_node: the
-    first unused tree-node id, max(td.nodes) + 1."""
+    """One node of the adhesion recursion, waiting on the work stack.  A
+    far part below a connected level comes as views: td is then a
+    SubtreeDecomposition."""
 
     g: WeightedGraph
     td: RootedTreeDecomposition
@@ -394,8 +392,6 @@ class _Level(NamedTuple):
     c: Coloring
     parent_measure: Optional[Tuple[int, int]]
     what: str
-    next_node: int
-    far: bool
 
 
 def _color_rec(
@@ -414,9 +410,7 @@ def _color_rec(
     depth.  Deferred checks (a split's coverage, deep verification) go on
     the stack as callables below the levels they wait for."""
     out: Dict[int, int] = {}
-    stack: List[object] = [
-        _Level(g, td, eta, zset, c, parent_measure, what, max(td.nodes) + 1, False)
-    ]
+    stack: List[object] = [_Level(g, td, eta, zset, c, parent_measure, what)]
     while stack:
         item = stack.pop()
         if isinstance(item, _Level):
@@ -430,8 +424,12 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
     """Color one level's region, write it to `out`, and push its far parts."""
     g, td, eta, zset, c, what = lv.g, lv.td, lv.eta, lv.zset, lv.c, lv.what
     lf = ctx.lf
+    far = isinstance(td, SubtreeDecomposition)
+    # fresh tree-node ids start above max(td.nodes), which for a far part
+    # is its fresh root: fresh ids exceed every node of the indexed tree
+    fresh_node = td.root + 1 if far else max(td.nodes) + 1
     con = AdhesionConstruction(td, eta, ctx.theta, ctx.piece_bound)
-    if lv.far and not ctx.deep:
+    if far and not ctx.deep:
         con.validate_far_part()
     else:
         con.validate(g, full=ctx.deep)
@@ -464,7 +462,7 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
         _write(out, _color_flat(ctx, g, td, zset, c, bound, what), what)
         return
 
-    if lv.far:
+    if far:
         # every component of a far part meets its root bag (a vertex off
         # the root bag has all its neighbours in the part), so the part is
         # connected when one search inside it joins the root bag
@@ -474,7 +472,7 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
     else:
         comps = g.connected_components()
     if comps is not None and len(comps) != 1:
-        _color_split(ctx, lv, measure, comps, out, stack)
+        _color_split(ctx, lv, measure, comps, fresh_node, out, stack)
         return
 
     # saturate the precolored set to the full ball around the root bag
@@ -496,7 +494,6 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
     # color the condensed graph beyond the ball one guard level down
     n_prev = tree_extension_bound(eta - 1, ctx.theta, lf, ctx.piece_bound)
     rest0 = g0.vertex_set() - z0
-    fresh_node = lv.next_node
     if rest0:
         bags00 = {t: b - z0 for t, b in td0.bags.items()}
         edges00 = list(td0.tree_edges)
@@ -596,7 +593,7 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
                 )
             continue
         if index is None:
-            index = td.index if isinstance(td, SubtreeDecomposition) else SubtreeIndex(g, td)
+            index = td.index if far else SubtreeIndex(g, td)
         g_e, td_e = index.far_part(e[1], fresh_node)
         part = g_e.vertex_set()
         z_e = frozenset(neighborhood(g_e, x_e, 3 * lf))
@@ -624,9 +621,7 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
             )
             parts.append(functools.partial(_write, out, c_e_full, what))
             continue
-        parts.append(
-            _Level(g_e, td_e, eta, z_e, c_e, measure, what + ": far part", fresh_node + 1, True)
-        )
+        parts.append(_Level(g_e, td_e, eta, z_e, c_e, measure, what + ": far part"))
         fresh_node += 1
     stack.extend(reversed(parts))
 
@@ -697,6 +692,7 @@ def _color_split(
     lv: _Level,
     measure: Tuple[int, int],
     comps: Sequence[Tuple[int, ...]],
+    fresh_node: int,
     out: Dict[int, int],
     stack: List[object],
 ) -> None:
@@ -705,7 +701,6 @@ def _color_split(
     and a check that they covered the level."""
     g, td, zset, c, what = lv.g, lv.td, lv.zset, lv.c, lv.what
     items: List[object] = []
-    fresh_node = lv.next_node
     for comp in comps:
         cs = frozenset(comp)
         td_c = component_decomposition(td, cs, what)
@@ -722,10 +717,7 @@ def _color_split(
             td_c = RootedTreeDecomposition(bags_c, edges_c, fresh_node)
             fresh_node += 1
         items.append(
-            _Level(
-                g_c, td_c, lv.eta, z_c, c.restrict(z_c), measure, what + ": component",
-                max(td_c.nodes) + 1, False,
-            )
+            _Level(g_c, td_c, lv.eta, z_c, c.restrict(z_c), measure, what + ": component")
         )
     stack.append(functools.partial(_check_covered, g, out, what))
     stack.extend(reversed(items))
