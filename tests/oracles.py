@@ -286,7 +286,6 @@ def restrict_tripods(
 # lift, patch and check functions, whose results the rewrite keeps, so the
 # two sides must return the same colouring and bound.
 
-import functools  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 from typing import FrozenSet, Sequence  # noqa: E402
 
@@ -299,7 +298,6 @@ from wdcolor.treedec import (  # noqa: E402
     component_decomposition,
     condense,
     lift_condensation_coloring,
-    validate_td,
 )
 from wdcolor.twcolor import (  # noqa: E402
     AdhesionConstruction,
