@@ -63,3 +63,20 @@ def test_tracer_vacuity_hook_reads_the_check_arguments():
     before((h, 1, c), {"bound": host - 1})
     assert t.counts["verify.vacuous"] == 2
     assert t.counts["verify.skipped"] == 1
+
+
+def test_tracer_sizes_far_part_views():
+    """The adhesion recursion checks colourings on far-part views; the
+    tracer's host size must read them as it reads the copies."""
+    from fractions import Fraction
+
+    from wdcolor.graph import WeightedGraph, power_graph_vertex_count
+    from wdcolor.treedec import RootedTreeDecomposition, SubtreeIndex
+
+    tracer = _load_tracer()
+    g = WeightedGraph(range(6), [(i, i + 1, Fraction(5, 2)) for i in range(5)])
+    td = RootedTreeDecomposition({i: {i, i + 1} for i in range(5)}, [(i, i + 1) for i in range(4)], 0)
+    view, _ = SubtreeIndex(g, td).far_part(2, 5)
+    copy = g.induced(td.subtree_vertices((1, 2)))
+    assert tracer._host_size(view, Fraction(1), None) == power_graph_vertex_count(copy, 1)
+    assert tracer._host_size(view, Fraction(3), None) == len(copy) == 4
