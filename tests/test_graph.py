@@ -29,7 +29,7 @@ from wdcolor.graph import (
 )
 
 import oracles
-from strategies import rationals, weighted_graphs, random_connected_graph
+from strategies import rationals, weighted_graphs, random_connected_graph, random_td_instance
 
 
 def path_graph(weights):
@@ -295,6 +295,47 @@ def test_power_graph_vertex_count_matches_the_built_graph(g, ell):
     assert list(power_graph_new_ids(g, ell)) == [v for v in p.vertices if v not in g.vertex_set()]
 
 
+# ell as a multiple of the heaviest edge: below it (edges are subdivided), at it
+# and above it (no edge is)
+_ELL_FACTORS = st.sampled_from([Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(3, 2)])
+
+
+def _assert_power_graph_matches_the_brute_subdivision(g, ell, ref):
+    """power_graph(g, ell) against the brute subdivision of `ref`, a plain
+    graph with g's vertices and edges: the same vertices, neighbours and
+    metric distance between every pair of power-graph vertices."""
+    p = power_graph(g, ell)
+    sub = oracles.brute_subdivide(ref, ell)
+    dist = oracles.all_pairs_distances(sub)
+    assert p.vertices == sub.vertices
+    for u in sub.vertices:
+        assert p.neighbors(u) == tuple(v for v in sub.vertices if v != u and dist[(u, v)] <= ell)
+        got = p.metric.distances_from([u])
+        assert {v: got.get(v, INF) for v in sub.vertices} == {v: dist[(u, v)] for v in sub.vertices}
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graphs(max_n=7, max_extra_edges=6, connected=False), _ELL_FACTORS)
+def test_power_graph_and_its_host_match_the_brute_subdivision(g, factor):
+    mw = g.max_edge_weight()
+    ell = Fraction(1) if mw is None else mw * factor
+    _assert_power_graph_matches_the_brute_subdivision(g, ell, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), _ELL_FACTORS)
+def test_power_graph_of_a_far_part_view_matches_the_brute_subdivision(seed, factor):
+    from wdcolor.treedec import SubtreeIndex
+
+    rng = random.Random(seed)
+    g, td = random_td_instance(rng, n_vertices=rng.randint(4, 10), n_nodes=rng.randint(2, 6))
+    e = rng.choice(td.tree_edges)
+    view, _ = SubtreeIndex(g, td).far_part(e[1], max(td.nodes) + 1)
+    mw = view.max_edge_weight()
+    ell = Fraction(1) if mw is None else mw * factor
+    _assert_power_graph_matches_the_brute_subdivision(view, ell, g.induced(td.subtree_vertices(e)))
+
+
 def test_power_graph_vertex_count_rejects_bad_scale():
     with pytest.raises(GraphError):
         power_graph_vertex_count(path_graph([1]), 0)
@@ -392,6 +433,17 @@ def test_edge_list_rejects_garbage():
 def test_edge_list_rejects_a_zero_denominator():
     with pytest.raises(GraphError, match="line 2"):
         parse_edge_list("0 1 1\n1 2 1/0\n")
+
+
+def test_edge_list_bad_weight_after_a_repeated_one_names_its_line():
+    with pytest.raises(GraphError, match="line 3"):
+        parse_edge_list("0 1 1/4\n1 2 1/4\n2 3 1/0\n")
+    with pytest.raises(GraphError, match="line 3"):
+        parse_edge_list("0 1 1/4\n1 2 1/4\n2 3 x\n")
+    with pytest.raises(GraphError, match="edge weight must be positive"):
+        parse_edge_list("0 1 0\n1 2 1/4\n2 3 0\n")
+    with pytest.raises(GraphError, match="edge weight must be positive"):
+        parse_edge_list("0 1 -1/4\n1 2 -1/4\n")
 
 
 def test_frac_str_forms():
