@@ -21,6 +21,10 @@ Three searches answer three questions, all on the same integer Dijkstra:
   `neighborhood`, which returns the reached set and builds no Fraction;
 - the diameter of a set: `metric_set_diameter` (`weak_diameter` on top of
   it), a few capped searches and one Fraction at the end.
+
+The scale-ell power graph is measured in a metric host: g itself when no
+edge of g is heavier than ell (the subdivision would only double each
+edge), and the (g, ell)-subdivision otherwise.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ class WeightedGraph:
         elist: List[Tuple[int, int, Fraction]] = []
         for (u, v, w) in edges:
             wf = as_fraction(w)
-            if wf <= 0:
+            if wf.numerator <= 0:
                 raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (wf, u, v))
             if u == v:
                 raise GraphError("self-loop at vertex %s" % (u,))
@@ -235,10 +239,20 @@ class WeightedGraph:
         for s in srcs:
             if s not in self._vset:
                 raise GraphError("unknown source vertex %s" % (s,))
-        rnum = rden = None
-        if radius is not None:
-            r = as_fraction(radius) * self._scale
-            rnum, rden = r.numerator, r.denominator
+        cap = None if radius is None else math.floor(as_fraction(radius) * self._scale)
+        return self._search(srcs, cap, within, targets)
+
+    def _search(
+        self,
+        srcs: Sequence[int],
+        cap: Optional[int],
+        within: Optional[AbstractSet],
+        targets: Optional[Set[int]],
+    ) -> Dict[int, int]:
+        """The Dijkstra loop behind every search, on checked sources and an
+        integer cap in units of 1/scale, so that a caller repeating a search
+        converts its radius once.  Returns the settled vertices in the order
+        they were reached."""
         sadj = self._sadj
         dist: Dict[int, int] = {}
         remaining = set(targets) if targets is not None else None
@@ -246,15 +260,13 @@ class WeightedGraph:
         for s in srcs:
             if within is not None and s not in within:
                 continue
-            if s not in dist or dist[s] > 0:
+            if s not in dist:
                 dist[s] = 0
                 heapq.heappush(heap, (0, s))
-        settled: Set[int] = set()
         while heap:
             d, v = heapq.heappop(heap)
-            if v in settled or dist.get(v, -1) != d:
+            if dist[v] != d:
                 continue
-            settled.add(v)
             if remaining is not None:
                 remaining.discard(v)
                 if not remaining:
@@ -263,12 +275,17 @@ class WeightedGraph:
                 if within is not None and n not in within:
                     continue
                 nd = d + w
-                if rnum is not None and nd * rden > rnum:
+                if cap is not None and nd > cap:
                     continue
                 if n not in dist or nd < dist[n]:
                     dist[n] = nd
                     heapq.heappush(heap, (nd, n))
-        return {v: d for v, d in dist.items() if v in settled}
+        # each heap entry still holding its vertex's distance is a vertex
+        # reached but not settled (only after an early stop)
+        for (d, v) in heap:
+            if dist.get(v) == d:
+                del dist[v]
+        return dist
 
     def shortest_distance(self, u: int, v: int) -> ExtendedDistance:
         """Exact shortest-path distance; INF if u, v are disconnected."""
@@ -364,15 +381,15 @@ class SubgraphView(WeightedGraph):
         sub._fill(ks, self._base._edges_within(ks), self._scale)
         return sub
 
-    def _scaled_distances(
+    def _search(
         self,
-        sources: Iterable[int],
-        radius: object = None,
-        within: Optional[FrozenSet[int]] = None,
-        targets: Optional[Set[int]] = None,
+        srcs: Sequence[int],
+        cap: Optional[int],
+        within: Optional[AbstractSet],
+        targets: Optional[Set[int]],
     ) -> Dict[int, int]:
         inside = self._vset if within is None else _Meet(within, self._vset)
-        return WeightedGraph._scaled_distances(self, sources, radius, inside, targets)
+        return WeightedGraph._search(self, srcs, cap, inside, targets)
 
 
 def require_light_edges(g: WeightedGraph, ell: object) -> None:
@@ -611,29 +628,33 @@ class HopGraph:
 
 
 class PowerGraph(HopGraph):
-    """The simple graph joining vertices of the subdivision at metric
-    distance <= ell; carries its metric host for weak-diameter measurement."""
+    """The simple graph joining vertices of its metric host at metric
+    distance <= ell; carries that host for weak-diameter measurement.  The
+    host is g itself when no edge of g is heavier than ell, and the
+    (g, ell)-subdivision otherwise."""
 
     __slots__ = ("metric",)
 
-    def __init__(self, sub: Subdivision, edges: Iterable[Tuple[int, int]]):
-        super().__init__(sub.graph.vertices, edges)
-        self.metric = sub.graph
+    def __init__(self, host: WeightedGraph, edges: Iterable[Tuple[int, int]]):
+        super().__init__(host.vertices, edges)
+        self.metric = host
 
 
 def power_graph(g: WeightedGraph, ell: object) -> PowerGraph:
-    """(g, ell) power graph: subdivide at ell, join pairs at distance <= ell."""
+    """(g, ell) power graph: subdivide at ell, join pairs at distance <= ell.
+
+    An edge no heavier than ell is not subdivided: its two paths are the
+    edge itself, twice, which changes no distance.  So when no edge is
+    heavier than ell, g itself is the host and no copy is built."""
     lf = as_fraction(ell)
-    if lf <= 0:
-        raise GraphError("power graph scale must be positive")
-    sub = subdivision_graph(g, lf)
-    sg = sub.graph
+    host = subdivision_graph(g, lf).graph if power_graph_new_ids(g, lf) else g
+    cap = math.floor(lf * host._scale)
     edges: List[Tuple[int, int]] = []
-    for v in sg.vertices:
-        for n in sg._scaled_distances([v], radius=lf):
+    for v in host.vertices:
+        for n in host._search((v,), cap, None, None):
             if n > v:
                 edges.append((v, n))
-    return PowerGraph(sub, edges)
+    return PowerGraph(host, edges)
 
 
 # -- edge-list file format ----------------------------------------------------
@@ -667,6 +688,8 @@ def parse_edge_list(text: str) -> WeightedGraph:
     """
     verts: Set[int] = set()
     edges: List[Tuple[int, int, Fraction]] = []
+    # a file repeats a few weight texts over many lines: parse each once
+    weights: Dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -677,7 +700,9 @@ def parse_edge_list(text: str) -> WeightedGraph:
                 verts.add(int(parts[0]))
             elif len(parts) == 3:
                 u, v = int(parts[0]), int(parts[1])
-                w = as_fraction(parts[2])
+                w = weights.get(parts[2])
+                if w is None:
+                    w = weights[parts[2]] = as_fraction(parts[2])
                 verts.add(u)
                 verts.add(v)
                 edges.append((u, v, w))

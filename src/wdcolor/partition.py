@@ -194,8 +194,10 @@ def verify_weak_diameter(
 ) -> VerificationReport:
     """Measure every monochromatic component of the scale-ell power graph.
     Hops are measured in the full power graph, exactly and once per
-    component; the metric diameter is measured in the subdivided graph with
-    every search capped at ell times the hops, which covers every pair.
+    component; the metric diameter is measured in the power graph's metric
+    host (g itself when no edge of g is heavier than ell, the subdivided
+    graph otherwise) with every search capped at ell times the hops, which
+    covers every pair.
 
     restrict_to: only these vertices are grouped into components.
     bound: claimed weak-diameter bound in hops; ok=False if exceeded.

@@ -147,6 +147,53 @@ def test_verify_power_graph_limit_admits_a_host_exactly_at_it(tmp_path, capsys, 
     assert "has 7 vertices, above the limit of 6" in json.loads(err)["error"]["message"]
 
 
+def test_verify_subdivides_only_above_ell_and_parses_each_weight_text_once(tmp_path, capsys, monkeypatch):
+    """Counts, not timings: with no edge heavier than ell, verify builds its
+    power graph over the graph itself, and the edge list parses each distinct
+    weight text once."""
+    import wdcolor.cli as cli
+    import wdcolor.graph as graph
+
+    texts = ["1/4", "1/2", "3/4", "1"]
+    path = tmp_path / "pathw.txt"
+    path.write_text("".join("%d %d %s\n" % (i, i + 1, texts[i % 4]) for i in range(199)))
+    coloring = _write_coloring(tmp_path / "blocks.json", {v: 1 + v // 40 % 2 for v in range(200)})
+    counts = {"subdivisions": 0, "weight parses": 0}
+    parsing = []
+    subdivide, as_fraction, parse = graph.subdivision_graph, graph.as_fraction, graph.parse_edge_list
+
+    def counting_subdivide(*args):
+        counts["subdivisions"] += 1
+        return subdivide(*args)
+
+    def counting_as_fraction(x):
+        if parsing and isinstance(x, str):
+            counts["weight parses"] += 1
+        return as_fraction(x)
+
+    def flagged_parse(text):
+        parsing.append(True)
+        try:
+            return parse(text)
+        finally:
+            parsing.pop()
+
+    monkeypatch.setattr(graph, "subdivision_graph", counting_subdivide)
+    monkeypatch.setattr(graph, "as_fraction", counting_as_fraction)
+    monkeypatch.setattr(cli, "parse_edge_list", flagged_parse)
+    verify = ["verify", "--graph", str(path), "--coloring", coloring, "--ell"]
+    code, _, _ = _main(capsys, verify + ["1"])
+    assert code == 0
+    assert counts["subdivisions"] == 0
+    assert counts["weight parses"] <= len(texts)
+    # at ell = 1/2 the 3/4- and 1-weight edges are subdivided
+    counts.update({"subdivisions": 0, "weight parses": 0})
+    code, _, _ = _main(capsys, verify + ["1/2"])
+    assert code == 0
+    assert counts["subdivisions"] == 1
+    assert counts["weight parses"] <= len(texts)
+
+
 def test_gen_grid_certifies_tripods_only_with_unit_weights(tmp_path, capsys):
     from wdcolor.geodesic import GeodesicCertificate, GeodesicTree
     from wdcolor.graph import parse_edge_list

@@ -117,6 +117,24 @@ def test_distances_match_oracle(g):
                 assert got[v] == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(weighted_graphs(max_n=9, max_extra_edges=8, connected=False), st.data())
+def test_search_stopped_at_its_targets_returns_only_settled_distances(g, data):
+    """A search stops once its targets are settled; what it returns is
+    exact, and is every vertex nearer than the farthest target."""
+    dist = oracles.all_pairs_distances(g)
+    u = data.draw(st.sampled_from(g.vertices))
+    targets = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
+    got = g.distances_from([u], targets=targets)
+    assert all(got[v] == dist[(u, v)] for v in got)
+    reached = [dist[(u, t)] for t in targets if dist[(u, t)] is not INF]
+    assert all(t in got for t in targets if dist[(u, t)] is not INF)
+    if len(reached) == len(targets):
+        far = max(reached)
+        assert {v for v in g.vertices if dist[(u, v)] < far} <= set(got)
+        assert all(d <= far for d in got.values())
+
+
 def test_truncated_search_respects_radius_and_subset():
     g = path_graph([1, 1, 1, 1])
     d = g.distances_from([0], radius=2)
