@@ -127,10 +127,10 @@ def test_search_stopped_at_its_targets_returns_only_settled_distances(g, data):
     targets = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
     got = g.distances_from([u], targets=targets)
     assert all(got[v] == dist[(u, v)] for v in got)
-    reached = [dist[(u, t)] for t in targets if dist[(u, t)] is not INF]
-    assert all(t in got for t in targets if dist[(u, t)] is not INF)
+    reached = [t for t in targets if dist[(u, t)] is not INF]
+    assert all(t in got for t in reached)
     if len(reached) == len(targets):
-        far = max(reached)
+        far = max(dist[(u, t)] for t in reached)
         assert {v for v in g.vertices if dist[(u, v)] < far} <= set(got)
         assert all(d <= far for d in got.values())
 
