@@ -532,6 +532,89 @@ def test_engine_restarts_when_the_root_bag_is_removed(monkeypatch):
     assert hops <= res.bound
 
 
+def _brute_max_hops(g, coloring, ell):
+    """Largest hop diameter of a monochromatic power-graph component of
+    `coloring`, measured by the brute oracles in the full power graph."""
+    power_edges = oracles.brute_power_edges(g, Fraction(ell))
+    vertices = {v for e in power_edges for v in e} | g.vertex_set()
+    hops = 0
+    for color in set(coloring.assignment.values()):
+        keep = {v for v, c in coloring.assignment.items() if c == color}
+        for comp in oracles.brute_hop_components(vertices, power_edges, keep=keep):
+            hops = max(hops, oracles.brute_hop_diameter(vertices, power_edges, comp))
+    return hops
+
+
+def _traced_engine(monkeypatch):
+    """Record every _pick_attach result and every _control_rec label."""
+    import wdcolor.geodesic as geodesic
+
+    picks, labels = [], []
+    pick, rec = geodesic._pick_attach, geodesic._control_rec
+
+    def counted_pick(*args):
+        picks.append(pick(*args))
+        return picks[-1]
+
+    def labelled_rec(*args):
+        labels.append(args[7])
+        return rec(*args)
+
+    monkeypatch.setattr(geodesic, "_pick_attach", counted_pick)
+    monkeypatch.setattr(geodesic, "_control_rec", labelled_rec)
+    return picks, labels
+
+
+def test_engine_restart_attaches_to_a_leaf_within_ell_of_its_adhesion(monkeypatch):
+    # the only node with an unremoved vertex is a childless leaf whose edge
+    # carries two anchors > eta = 1, so _pick_attach passes its first two
+    # cases and takes the third: the leaf hangs under a one-child root whose
+    # bag lies within ell of the adhesion
+    picks, labels = _traced_engine(monkeypatch)
+    g = WeightedGraph(range(3), [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    td = RootedTreeDecomposition({0: {0, 1}, 1: {0, 1, 2}}, [(0, 1)], 0)
+    none = frozenset()
+    con = ControlConstruction(
+        td, frozenset({0, 1}), 1, 2, Fraction(0), Fraction(1),
+        GuardTriple(none, frozenset({0, 1}), none),
+        {(0, 1): GuardTriple(none, none, frozenset({0, 1}))},
+    )
+    assert not td.children[1] and len(con.edge_triples[(0, 1)].anchor) > con.eta
+    res = color_control_construction(g, 1, con, {t: (min(td.bags[t]),) for t in td.nodes})
+    assert picks == [1]
+    assert labels == ["control coloring", "control coloring >restart"]
+    assert res.coloring.assignment == {2: 2}
+    assert res.report.ok
+    assert res.bound == control_extension_bound(1, 2, 0, 1)
+    assert _brute_max_hops(g, res.coloring, 1) == res.report.max_weak_diameter_hops == 0
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_engine_endgame_restarts_inside_a_stalled_far_part(monkeypatch, deep):
+    # a unit path whose middle is removed: the condensed level colors the
+    # zone {0}, and the far part beyond it holds no fresh zone (every edge
+    # guard is removed), so the measure ties and the engine restarts inside
+    # the part from its one untouched vertex, 9
+    picks, labels = _traced_engine(monkeypatch)
+    n = 10
+    g = unit_path(n)
+    td = RootedTreeDecomposition({i: {i, i + 1} for i in range(n - 1)}, [(i, i + 1) for i in range(n - 2)], 0)
+    con = ControlConstruction(
+        td, frozenset(range(1, n - 1)), 1, 2, Fraction(0), Fraction(1),
+        GuardTriple(frozenset({0}), frozenset({1}), frozenset()),
+        {e: GuardTriple(frozenset(), frozenset(), td.adhesion_of(e)) for e in td.tree_edges},
+    )
+    res = color_control_construction(
+        g, 1, con, {t: (min(td.bags[t]),) for t in td.nodes}, deep_verify=deep
+    )
+    assert len(picks) == 1
+    assert labels == ["control coloring", "control coloring >condensed", "control coloring >endgame"]
+    assert res.coloring.assignment == {0: 2, 9: 2}
+    assert res.report.ok
+    assert _brute_max_hops(g, res.coloring, 1) == res.report.max_weak_diameter_hops
+    assert res.report.max_weak_diameter_hops <= res.bound
+
+
 # -- geodesic trees and projections --------------------------------------------
 
 
