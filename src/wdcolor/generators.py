@@ -105,8 +105,12 @@ def gen_path(spec: GeneratorSpec) -> Instance:
     layering = tuple((v,) for v in range(n))
     bags = {0: frozenset({0})}
     bags.update({v: frozenset({v - 1, v}) for v in range(1, n)})
+    g = WeightedGraph(range(n), edges)
     td = RootedTreeDecomposition(bags, [(v - 1, v) for v in range(1, n)], 0)
-    return Instance("path", WeightedGraph(range(n), edges), td=td, layering=layering)
+    rep = validate_td(g, td)
+    if not rep["ok"]:
+        raise GraphError("path certificate failed validation: %s" % rep["failures"][:3])
+    return Instance("path", g, td=td, layering=layering)
 
 
 def gen_cycle(spec: GeneratorSpec) -> Instance:

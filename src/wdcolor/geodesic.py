@@ -10,7 +10,10 @@ graph at a fixed weak-diameter bound.  The engine has two public entries:
 `color_control_construction` takes a construction and its center map,
 `color_centered_bags` derives the construction from a center map.  Each
 checks its own input once, the center map with `_check_centers`, and
-then enters the shared core `_run_engine`.
+then enters the shared core `_run_engine`.  No power graph passes between
+levels: each weak-diameter check inside the engine decides from its host's
+vertex count, computed from the weights, whether its bound is vacuous, and
+builds the power graph of its own host only when it has to measure.
 
 Both slab pipelines run one driver, `_color_slabs`.  Per connected
 component it cuts the graph into two interleaved families of slabs over a
@@ -20,9 +23,10 @@ four.  The pipelines differ only in what they hand the driver.  The planar
 pipeline projects onto root distances of a shortest-path tree and colors a
 window piece through the tripod tree decomposition restricted to it (every
 bag is a union of at most three vertical paths of the tree; the
-decomposition is its own `GeodesicCertificate`).  The layered pipeline
-projects onto eps0 times the layer index and colors a window piece with the
-bounded-treewidth colorer.
+decomposition is its own `GeodesicCertificate`, verified once per component
+by `tripod_decomposition`).  The layered pipeline projects onto eps0 times
+the layer index and colors a window piece with the bounded-treewidth
+colorer.
 """
 
 import bisect
@@ -33,7 +37,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from .graph import (
     GraphError,
-    PowerGraph,
     WeightedGraph,
     as_fraction,
     ceil_frac,
@@ -385,6 +388,37 @@ def _pick_attach(
     )
 
 
+def _fresh_root(
+    ctx: _EngineCtx,
+    g: WeightedGraph,
+    con: ControlConstruction,
+    centers: Dict[int, Tuple[int, ...]],
+    t0: int,
+    v: int,
+    removed: FrozenSet[int],
+    edge_triples: Dict[TreeEdge, GuardTriple],
+    parent_measure: Tuple[int, int],
+    what: str,
+) -> Coloring:
+    """Hang a fresh root bag {v}, centered and guarded by v alone, on node
+    t0 and extend the coloring that gives v color 2 across the re-rooted
+    construction with the given removed set and edge triples."""
+    td = con.td
+    t1 = max(td.nodes) + 1
+    bags = dict(td.bags)
+    bags[t1] = frozenset((v,))
+    td1 = RootedTreeDecomposition(bags, list(td.tree_edges) + [(t1, t0)], t1)
+    triples1 = _rekey_triples(edge_triples, td1, {(t1, t0): GuardTriple.single(v)})
+    con1 = ControlConstruction(
+        td1, removed, con.eta, con.theta, con.mu, ctx.lf, GuardTriple.single(v), triples1
+    )
+    centers1 = dict(centers)
+    centers1[t1] = (v,)
+    return _control_rec(
+        ctx, g, con1, frozenset((v,)), Coloring({v: 2}, 2), centers1, parent_measure, what,
+    )
+
+
 def _color_stars(
     ctx: _EngineCtx,
     g: WeightedGraph,
@@ -394,7 +428,6 @@ def _color_stars(
     centers: Dict[int, Tuple[int, ...]],
     level_bound: Fraction,
     what: str,
-    pg: PowerGraph,
 ) -> Coloring:
     """eta = 0: every anchored edge ends in a childless bag, so the tree
     splits along anchor-free edges into stars and each star's bag union is
@@ -452,7 +485,6 @@ def _color_stars(
             sorted(g.vertex_set() - piece),
             cert,
             coloring=c.filled(piece),
-            power=pg,
             what="%s: star piece at node %s" % (what, center_node),
             exact=False,
         )
@@ -462,7 +494,7 @@ def _color_stars(
     out = Coloring(merged, 2)
     check_weak_diameter(
         g, ctx.lf, out, level_bound, "%s: merged star pieces" % what,
-        restrict_to=vfree, power=pg, exact=False,
+        restrict_to=vfree, exact=False,
     )
     return out
 
@@ -476,7 +508,6 @@ def _control_rec(
     centers: Dict[int, Tuple[int, ...]],
     parent_measure: Optional[Tuple[int, int]],
     what: str,
-    pg: Optional[PowerGraph],
 ) -> Coloring:
     con.validate(g, full=ctx.deep)
     _check_centers(g, con.td, centers, con.theta, 3 * con.ell + con.mu, ctx.deep, what)
@@ -496,10 +527,8 @@ def _control_rec(
     level_bound = control_extension_bound(eta, theta, mu, lf)
     if not vfree:
         return Coloring.empty(2)
-    if pg is None:
-        pg = power_graph(g, lf)
     if eta == 0:
-        return _color_stars(ctx, g, con, zset, c, centers, level_bound, what, pg)
+        return _color_stars(ctx, g, con, zset, c, centers, level_bound, what)
     zone = root_anchor - rset
     if not zone:
         # nothing anchors the zone yet: hang a fresh single-vertex root on a
@@ -508,20 +537,9 @@ def _control_rec(
             raise ContractViolation("%s: precolored vertices without an anchored zone" % what)
         cands = [t for t in td.nodes if td.bags[t] - rset]
         t0 = _pick_attach(g, con, cands)
-        v = min(td.bags[t0] - rset)
-        t1 = max(td.nodes) + 1
-        bags = dict(td.bags)
-        bags[t1] = frozenset((v,))
-        td1 = RootedTreeDecomposition(bags, list(td.tree_edges) + [(t1, t0)], t1)
-        triples1 = _rekey_triples(con.edge_triples, td1, {(t1, t0): GuardTriple.single(v)})
-        con1 = ControlConstruction(
-            td1, rset, eta, theta, mu, lf, GuardTriple.single(v), triples1
-        )
-        centers1 = dict(centers)
-        centers1[t1] = (v,)
-        return _control_rec(
-            ctx, g, con1, frozenset((v,)), Coloring({v: 2}, 2), centers1,
-            measure, what + " >restart", pg,
+        return _fresh_root(
+            ctx, g, con, centers, t0, min(td.bags[t0] - rset), rset, con.edge_triples,
+            measure, what + " >restart",
         )
     z_ball = frozenset(neighborhood(g, sorted(zone), 3 * lf + mu))
     zsat = z_ball - rset
@@ -536,7 +554,7 @@ def _control_rec(
         if centered_bound(theta, 3 * lf + mu, lf) > level_bound:
             raise ContractViolation("%s: centered shortcut bound exceeds the level bound" % what)
         res = centered_color(
-            g, lf, sorted(rset), cert, coloring=c_sat, power=pg,
+            g, lf, sorted(rset), cert, coloring=c_sat,
             what="%s: zone-saturated finish" % what, exact=False,
         )
         return res.coloring
@@ -584,10 +602,9 @@ def _control_rec(
     con0 = ControlConstruction(
         td0, rp, eta - 1, theta, mu, lf, derive(con.root_triple, r_root), triples0
     )
-    pg0 = power_graph(g0, lf)
     c0 = _control_rec(
         ctx, g0, con0, frozenset(), Coloring.empty(2), centers0,
-        measure, what + " >condensed", pg0,
+        measure, what + " >condensed",
     )
     if not zsat <= rp:
         raise ContractViolation("%s: the zone escaped the patch region" % what)
@@ -598,8 +615,7 @@ def _control_rec(
     )
     patched = patch_colorings(
         g0, lf, cert, sorted(rset & v0), c_z, c0,
-        n_claimed=nf_prev, power=pg0,
-        what="%s: zone patch" % what, exact=False,
+        n_claimed=nf_prev, what="%s: zone patch" % what, exact=False,
     )
     big_centers: Dict[TreeEdge, List[int]] = {}
     for e in u_edges:
@@ -608,7 +624,7 @@ def _control_rec(
     lr = lift_condensation_coloring(
         cond, patched.coloring, deleted=sorted(rset),
         centers_per_big_adhesion=big_centers, n_claimed=patched.bound,
-        power=pg, what="%s: zone lift" % what, exact=False,
+        what="%s: zone lift" % what, exact=False,
     )
     if lr.bound != level_bound:
         raise ContractViolation(
@@ -677,7 +693,7 @@ def _control_rec(
             zstar = z_e - rstar
             sub = _control_rec(
                 ctx, g, con_star, zstar, cprime.filled(zstar), centers_star,
-                measure_sat, what + " >far", pg,
+                measure_sat, what + " >far",
             )
             if not part_free <= sub.domain:
                 raise ContractViolation("%s: far coloring misses part of edge %s" % (what, e))
@@ -694,23 +710,13 @@ def _control_rec(
             v_star = min(leftover)
             cands = [t for t in td.subtree_nodes(e) if v_star in td.bags[t]]
             t0 = _pick_attach(g, con, cands)
-            t1 = max(td.nodes) + 1
-            bags1 = dict(td.bags)
-            bags1[t1] = frozenset((v_star,))
-            td1 = RootedTreeDecomposition(bags1, list(td.tree_edges) + [(t1, t0)], t1)
             r1 = frozenset(z_ball | rset)
-            derived1: Dict[TreeEdge, GuardTriple] = {}
-            for fe, t2 in con.edge_triples.items():
-                derived1[fe] = GuardTriple(t2.free - r1, t2.removed, t2.free | t2.both)
-            triples1 = _rekey_triples(derived1, td1, {(t1, t0): GuardTriple.single(v_star)})
-            con1 = ControlConstruction(
-                td1, r1, eta, theta, mu, lf, GuardTriple.single(v_star), triples1
-            )
-            centers1 = dict(centers)
-            centers1[t1] = (v_star,)
-            sub = _control_rec(
-                ctx, g, con1, frozenset((v_star,)), Coloring({v_star: 2}, 2), centers1,
-                measure_sat, what + " >endgame", pg,
+            derived1 = {
+                fe: GuardTriple(t2.free - r1, t2.removed, t2.free | t2.both)
+                for fe, t2 in con.edge_triples.items()
+            }
+            sub = _fresh_root(
+                ctx, g, con, centers, t0, v_star, r1, derived1, measure_sat, what + " >endgame",
             )
             if not part_free <= sub.domain:
                 raise ContractViolation("%s: endgame coloring misses part of edge %s" % (what, e))
@@ -728,7 +734,7 @@ def _control_rec(
     if ctx.deep:
         check_weak_diameter(
             g, lf, result, level_bound, "%s: level check" % what,
-            restrict_to=vfree, power=pg, exact=False,
+            restrict_to=vfree, exact=False,
         )
     return result
 
@@ -794,16 +800,15 @@ def _run_engine(
     ctx = _EngineCtx(lf, deep_verify)
     limit = 6 * len(g) + _RECURSION_HEADROOM
     old_limit = sys.getrecursionlimit()
-    pg = power_graph(g, lf)
     try:
         sys.setrecursionlimit(max(old_limit, limit))
-        out = _control_rec(ctx, g, con, zset, c0, centers, None, what, pg)
+        out = _control_rec(ctx, g, con, zset, c0, centers, None, what)
     finally:
         sys.setrecursionlimit(old_limit)
     bound = control_extension_bound(con.eta, con.theta, con.mu, lf)
     report = check_weak_diameter(
         g, lf, out, bound, what,
-        restrict_to=g.vertex_set() - con.removed, power=pg, exact=exact_check,
+        restrict_to=g.vertex_set() - con.removed, exact=exact_check,
     )
     return ColorResult(out, bound, report)
 
@@ -1041,13 +1046,26 @@ def tripod_decomposition(
     tree: GeodesicTree,
 ) -> GeodesicCertificate:
     """Tree decomposition of a connected embedded graph into bags made of at
-    most three vertical paths of `tree`.
+    most three vertical paths of `tree`, returned as a certificate that has
+    been verified against g (`GeodesicCertificate.verify`), so callers need
+    not verify it again.
 
     Faces longer than a triangle are star-triangulated with throwaway apex
     vertices (leaves of the tree, stripped from the output).  The recursion
     walks wedges: regions bounded by two root paths and an edge, split at
     the apex of the boundary face.  Trees need no rotation system.
     """
+    cert = _build_tripods(g, rotation, tree)
+    cert.verify(g)
+    return cert
+
+
+def _build_tripods(
+    g: WeightedGraph,
+    rotation: Optional[Dict[int, Sequence[int]]],
+    tree: GeodesicTree,
+) -> GeodesicCertificate:
+    """tripod_decomposition before its certificate is verified."""
     _check_simple(g)
     verts = list(g.vertices)
     if not verts:
@@ -1169,11 +1187,7 @@ def tripod_decomposition(
         raise ContractViolation(
             "wedge recursion covered %d of %d faces" % (len(faces_done), len(third) // 3)
         )
-    td = RootedTreeDecomposition(bags2, td_edges, root_node)
-    rep = validate_td(g, td)
-    if not rep["ok"]:
-        raise ContractViolation("tripod decomposition invalid: %s" % rep["failures"][:3])
-    return GeodesicCertificate(tree, td, paths2)
+    return GeodesicCertificate(tree, RootedTreeDecomposition(bags2, td_edges, root_node), paths2)
 
 
 # -- slabs --------------------------------------------------------------------
@@ -1278,7 +1292,6 @@ def combine_slab_colorings(
     ell: object,
     system: SlabSystem,
     slab_colorings: Sequence[SlabColoring],
-    power: Optional[PowerGraph] = None,
     what: str = "slab combination",
 ) -> Tuple[Coloring, Fraction]:
     """Four-color the graph from per-slab two-colorings: every vertex keeps
@@ -1299,9 +1312,8 @@ def combine_slab_colorings(
             raise ContractViolation("%s: owner slab left vertex %s uncolored" % (what, v))
         assign[v] = sc.coloring.assignment[v] + (2 if fam == "b" else 0)
     combined = Coloring(assign, 4)
-    pgr = power if power is not None else power_graph(g, lf)
     slab_at = {(s.family, s.index): s for s in system.slabs}
-    for comp in monochromatic_components(pgr, combined, within=g.vertex_set()):
+    for comp in monochromatic_components(power_graph(g, lf), combined, within=g.vertex_set()):
         fam, idx = system.owner_of[comp[0]]
         slab = slab_at.get((fam, idx)) or system.slab_of(fam, idx)  # slab_of names a missing slab
         for v in comp:
@@ -1514,7 +1526,6 @@ def color_planar(
         tree = bfs_geodesic_tree(gc, gc.vertices[0])
         rot_c = None if rotation is None else {v: rotation[v] for v in gc.vertices if v in rotation}
         cert = tripod_decomposition(gc, rot_c, tree)
-        cert.verify(gc)
 
         def window_colorer(system: SlabSystem, slab: Slab) -> WindowColorer:
             window_segs = _window_segments(cert, set(slab.window))

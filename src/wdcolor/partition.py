@@ -204,24 +204,22 @@ def verify_weak_diameter(
     exact: with exact=False and a bound no smaller than the host vertex
         count minus one, the bound holds for every connected component and
         the per-component measurement is skipped; the report then carries
-        only what was measured (no stats, zero maxima).  Without `power`
-        this is decided from the host vertex count, computed in O(E) from
-        the weights, and the power graph is never built.
+        only what was measured (no stats, zero maxima).  The host vertex
+        count is computed in O(E) from the weights, so a skipped check
+        never builds the power graph.
+    power: a prebuilt power_graph(g, ell) to measure in, for callers that
+        measure several colorings of one graph; built here when needed.
     """
     lf = as_fraction(ell)
     bf: Optional[Fraction] = as_fraction(bound) if bound is not None else None
     bound_hops = None if bf is None else int(bf)  # floor: hop counts are integers
     if not exact and bound_hops is not None:
-        if power is not None:
-            host, in_host = len(power.vertices), power.has_vertex
-        else:
-            vset, new_ids = g.vertex_set(), power_graph_new_ids(g, lf)
-            host = len(vset) + len(new_ids)
+        vset, new_ids = g.vertex_set(), power_graph_new_ids(g, lf)
 
-            def in_host(v: int) -> bool:
-                return v in vset or v in new_ids
+        def in_host(v: int) -> bool:
+            return v in vset or v in new_ids
 
-        if bound_hops >= host - 1:
+        if bound_hops >= len(vset) + len(new_ids) - 1:
             # each component is connected inside the host, so its hop diameter
             # stays below the host vertex count and the bound holds unmeasured
             return VerificationReport(
@@ -281,13 +279,10 @@ def check_weak_diameter(
     bound: object,
     what: str,
     restrict_to: Optional[Iterable[int]] = None,
-    power: Optional[PowerGraph] = None,
     exact: bool = True,
 ) -> VerificationReport:
     """verify_weak_diameter that raises ContractViolation on failure."""
-    report = verify_weak_diameter(
-        g, ell, coloring, restrict_to=restrict_to, bound=bound, power=power, exact=exact,
-    )
+    report = verify_weak_diameter(g, ell, coloring, restrict_to=restrict_to, bound=bound, exact=exact)
     if not report.ok:
         raise ContractViolation(
             "%s: weak diameter %d hops exceeds claimed bound %s"
@@ -297,15 +292,14 @@ def check_weak_diameter(
 
 
 def coloring_to_partition(
-    g: WeightedGraph, r: object, coloring: Coloring, n_bound: object,
-    power: Optional[PowerGraph] = None,
+    g: WeightedGraph, r: object, coloring: Coloring, n_bound: object
 ) -> PartitionFamily:
     """Traces of monochromatic power-graph components on V(g), grouped by
     color: within one collection sets are > r separated and every set has
     weak diameter <= r * n_bound in (g, weights).  Both re-verified."""
     rf = as_fraction(r)
     nf = as_fraction(n_bound)
-    p = power if power is not None else power_graph(g, rf)
+    p = power_graph(g, rf)
     if not p.vertex_set() <= coloring.domain:
         missing = sorted(p.vertex_set() - coloring.domain)
         raise GraphError("coloring must cover the power graph; missing %s" % missing[:5])
@@ -356,10 +350,7 @@ def verify_partition_family(g: WeightedGraph, fam: PartitionFamily) -> None:
                 ) from None
 
 
-def partition_to_coloring(
-    g: WeightedGraph, ell: object, fam: PartitionFamily,
-    power: Optional[PowerGraph] = None,
-) -> Coloring:
+def partition_to_coloring(g: WeightedGraph, ell: object, fam: PartitionFamily) -> Coloring:
     """Least-collection-index coloring of a separated family.
 
     Requires cover of V(g) and separation > ell; checks that every
@@ -377,8 +368,7 @@ def partition_to_coloring(
     if gap:
         raise GraphError("family does not cover vertices %s" % sorted(gap)[:5])
     c = Coloring(assignment, fam.num_collections)
-    p = power if power is not None else power_graph(g, lf)
-    comps = monochromatic_components(p, c, within=g.vertex_set())
+    comps = monochromatic_components(power_graph(g, lf), c, within=g.vertex_set())
     for comp in comps:
         color = c.color(comp[0])
         coll = fam.collections[color - 1]

@@ -18,7 +18,6 @@ from typing import Iterable, List, Optional, Tuple
 
 from wdcolor.graph import (
     GraphError,
-    PowerGraph,
     WeightedGraph,
     as_fraction,
     ceil_frac,
@@ -128,7 +127,6 @@ def patch_colorings(
     c_z: Optional[Coloring],
     c: Coloring,
     n_claimed: object = 1,
-    power: Optional[PowerGraph] = None,
     what: str = "patch",
     exact: bool = True,
 ) -> ColorResult:
@@ -152,7 +150,7 @@ def patch_colorings(
     bound = patch_bound(cert.k, cert.radius, lf, n_claimed)
     keep = g.vertex_set() - rset
     report = check_weak_diameter(
-        g, lf, merged, bound=bound, what=what, restrict_to=keep, power=power, exact=exact
+        g, lf, merged, bound=bound, what=what, restrict_to=keep, exact=exact
     )
     return ColorResult(merged, bound, report)
 
@@ -169,7 +167,6 @@ def centered_color(
     deleted: Iterable[int],
     cert: CenterCertificate,
     coloring: Optional[Coloring] = None,
-    power: Optional[PowerGraph] = None,
     what: str = "centered",
     exact: bool = True,
 ) -> ColorResult:
@@ -188,7 +185,7 @@ def centered_color(
     bound = centered_bound(cert.k, cert.radius, lf)
     keep = g.vertex_set() - rset
     report = check_weak_diameter(
-        g, lf, coloring, bound=bound, what=what, restrict_to=keep, power=power, exact=exact
+        g, lf, coloring, bound=bound, what=what, restrict_to=keep, exact=exact
     )
     return ColorResult(coloring, bound, report)
 

@@ -25,7 +25,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from wdcolor.graph import (
     GraphError,
-    PowerGraph,
     SubgraphView,
     WeightedGraph,
     as_fraction,
@@ -805,7 +804,6 @@ def lift_condensation_coloring(
     deleted: Iterable[int] = (),
     centers_per_big_adhesion: Optional[Dict[TreeEdge, Iterable[int]]] = None,
     n_claimed: object = None,
-    power: Optional[PowerGraph] = None,
     what: str = "condensation lift",
     exact: bool = True,
 ) -> ColorResult:
@@ -887,8 +885,7 @@ def lift_condensation_coloring(
     coloring = Coloring(assignment, max(2, c0.num_colors))
     bound = con_color_bound(lf, nf, cond.theta, cond.mu)
     report = check_weak_diameter(
-        g, lf, coloring, bound=bound, what=what, restrict_to=domain, power=power,
-        exact=exact,
+        g, lf, coloring, bound=bound, what=what, restrict_to=domain, exact=exact
     )
     return ColorResult(coloring, bound, report)
 

@@ -118,6 +118,32 @@ def test_verify_rejects_ids_that_are_not_graph_vertices(tmp_path, capsys):
     assert json.loads(out)["failure"] == "coloring names 2 ids that are not graph vertices: [-4, 7]"
 
 
+def test_verify_rejects_a_negative_bound_on_an_empty_graph(tmp_path, capsys):
+    graph = tmp_path / "empty.txt"
+    graph.write_text("")
+    coloring = _write_coloring(tmp_path / "empty.json", {})
+    verify = ["verify", "--graph", str(graph), "--ell", "1", "--coloring", coloring]
+    code, out, _ = _main(capsys, verify + ["--bound", "0"])
+    assert code == 0 and json.loads(out)["ok"]
+    code, out, err = _main(capsys, verify + ["--bound", "-1"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "invalid-input"
+
+
+def test_verify_rejects_a_negative_bound_as_input_not_as_a_failed_check(tmp_path, capsys):
+    graph = tmp_path / "path.txt"
+    graph.write_text("0 1 1\n1 2 1\n")
+    coloring = _write_coloring(tmp_path / "split.json", {0: 1, 1: 2, 2: 1})
+    verify = ["verify", "--graph", str(graph), "--ell", "1", "--coloring", coloring]
+    code, out, _ = _main(capsys, verify + ["--bound", "0"])
+    assert code == 0 and json.loads(out)["measured"]["maxWeakDiameterHops"] == 0
+    for bound in ("-1", "-1/2"):
+        code, out, err = _main(capsys, verify + ["--bound=" + bound])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-input" and "nonnegative" in error["message"]
+
+
 def test_verify_refuses_a_power_graph_above_the_limit(tmp_path, capsys):
     # one edge of weight 10**9 at ell = 1 asks for 2 * 10**9 power vertices
     graph = tmp_path / "heavy.txt"
@@ -292,6 +318,29 @@ def test_run_partition(tmp_path, capsys):
     assert report["r"] == "1"
     covered = {v for coll in report["partition"]["collections"] for part in coll for v in part}
     assert covered == set(range(20))
+
+
+def test_run_partition_verifies_its_family_once(tmp_path, capsys, monkeypatch):
+    """A count, not a timing: coloring_to_partition verifies the family it
+    returns, and the pipeline does not verify it again."""
+    import sys
+
+    import wdcolor.partition as partition
+
+    original = partition.verify_partition_family
+    calls = []
+
+    def counting(g, fam):
+        calls.append(fam)
+        return original(g, fam)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wdcolor") and getattr(module, "verify_partition_family", None) is original:
+            monkeypatch.setattr(module, "verify_partition_family", counting)
+    g = _gen(capsys, tmp_path, "sp", ["random-series-parallel", "--n", "20", "--seed", "3"])
+    code, out, _ = _main(capsys, ["run", "partition", "--graph", g + ".txt", "--r", "1"])
+    assert code == 0 and json.loads(out)["ok"]
+    assert len(calls) == 1
 
 
 def test_dilation_two_scales(tmp_path, capsys):

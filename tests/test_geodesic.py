@@ -997,6 +997,55 @@ def test_planar_pipeline_handles_disconnected_input():
     assert res.report.ok and res.coloring.domain == big.vertex_set()
 
 
+def _record_calls(monkeypatch, name):
+    """Wrap the wdcolor function `name` in every module namespace that binds
+    it; returns the list that collects each call's positional arguments."""
+    import sys
+
+    calls = []
+    original = getattr(sys.modules["wdcolor.geodesic"], name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("wdcolor") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_planar_grid_builds_two_power_graphs(monkeypatch):
+    """A count, not a timing: every check inside the control engine is
+    vacuous and decided from the host vertex count, so only the slab
+    combiner and the final check build a power graph."""
+    inst = generate(GeneratorSpec(family="grid", rows=10, cols=10))
+    built = _record_calls(monkeypatch, "power_graph")
+    res = color_planar(inst.graph, 1, inst.rotation)
+    assert res.report.ok and res.report.per_component
+    assert [len(g) for g, _ in built] == [100, 100]
+
+
+def test_planar_grid_validates_its_tripod_decomposition_once(monkeypatch):
+    """A count, not a timing: tripod_decomposition returns a verified
+    certificate, and color_planar does not verify it again."""
+    import wdcolor.geodesic as geodesic
+
+    inst = generate(GeneratorSpec(family="grid", rows=10, cols=10))
+    validated = _record_calls(monkeypatch, "validate_td")
+    certs = []
+    tripods = geodesic.tripod_decomposition
+
+    def kept(*args):
+        certs.append(tripods(*args))
+        return certs[-1]
+
+    monkeypatch.setattr(geodesic, "tripod_decomposition", kept)
+    assert color_planar(inst.graph, 1, inst.rotation).report.ok
+    assert len(certs) == 1
+    assert sum(1 for _, td in validated if td is certs[0].td) == 1
+
+
 def test_layered_pipeline_on_grid_rows():
     inst = generate(GeneratorSpec(family="grid", rows=6, cols=6))
     res = color_layered(inst.graph, 1, inst.layering, 1)

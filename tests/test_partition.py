@@ -179,7 +179,7 @@ def test_partition_separation_proved_by_adjacency():
         p = power_graph(g, r)
         c = Coloring({v: rng.randint(1, 3) for v in p.vertices}, 3)
         report = verify_weak_diameter(g, r, c, power=p)
-        fam = coloring_to_partition(g, r, c, report.max_weak_diameter_hops, power=p)
+        fam = coloring_to_partition(g, r, c, report.max_weak_diameter_hops)
         verify_partition_family(g, fam)  # raises on any violation
 
 
