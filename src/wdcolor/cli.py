@@ -17,6 +17,7 @@ MAX_POWER_VERTICES (10**6) vertices.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -445,9 +446,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+#: A negative value: a minus sign, then a digit or a point.  argparse takes
+#: one that is not a plain number, such as -1/2, for an option.
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_values(argv: Sequence[str]) -> List[str]:
+    """Write '--bound -1/2' as '--bound=-1/2', so that a negative rational
+    after its option reaches the value checks and their JSON error, not
+    argparse's usage error.  Every long option but --help takes a value."""
+    out: List[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and "=" not in prev and prev not in ("--", "--help")
+        if takes_value and _NEGATIVE_VALUE.match(arg):
+            out[-1] = prev + "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except CliError as exc:

@@ -20,11 +20,18 @@ Three searches answer three questions, all on the same integer Dijkstra:
 - membership within a radius ("is every vertex of S within r of C?"):
   `neighborhood`, which returns the reached set and builds no Fraction;
 - the diameter of a set: `metric_set_diameter` (`weak_diameter` on top of
-  it), a few capped searches and one Fraction at the end.
+  it), a few capped searches and one Fraction at the end.  A caller that
+  has proved a bound on every distance in the set, as a weak-diameter
+  check has from the hops, passes it as the starting bound of
+  `set_diameter`, with a first source; where the bound is met, one search
+  ends the run.
 
 The scale-ell power graph is measured in a metric host: g itself when no
 edge of g is heavier than ell (the subdivision would only double each
-edge), and the (g, ell)-subdivision otherwise.
+edge), and the (g, ell)-subdivision otherwise.  Its edges come from one
+search per host vertex capped at ell, except when every edge of g weighs
+in (ell/2, ell]: then no two edges fit within ell and the edges are g's
+own, read off the edge list.
 """
 
 from __future__ import annotations
@@ -407,10 +414,17 @@ def neighborhood(g: WeightedGraph, s: Iterable[int], r: object) -> Set[int]:
     return set(g._scaled_distances(s, radius=rf))
 
 
-def set_diameter(members: Sequence[int], search: Callable[[int], Dict[int, int]]) -> int:
+def set_diameter(
+    members: Sequence[int],
+    search: Callable[[int], Dict[int, int]],
+    bound: object = INF,
+    first: Optional[int] = None,
+) -> Tuple[int, Optional[int]]:
     """Exact max distance between two members, from a few searches instead
-    of one per member.  `search(u)` maps vertices to their integer distance
-    from u in some metric and must reach every member.
+    of one per member, and a member whose eccentricity it is (an end of a
+    farthest pair; None for an empty set).  `search(u)` maps vertices to
+    their integer distance from u in some metric and must reach every
+    member.
 
     The eccentricity-bounding method of Takes & Kosters, "Determining the
     diameter of small world networks" (CIKM 2011): each member w keeps
@@ -422,46 +436,67 @@ def set_diameter(members: Sequence[int], search: Callable[[int], Dict[int, int]]
     No lo exceeds the diameter, so once hi[w] <= max lo, w cannot be an end
     of a longer pair and drops out.  When none are left, every member's
     eccentricity is at most max lo, which is therefore the diameter.
-    Sources alternate between the largest hi and the smallest lo, ties to
-    the smallest vertex id.  Raises ContractViolation when a search misses
-    a member.
+
+    bound: every hi starts here.  It must be a proven upper bound on every
+        distance between two members; then a first search whose
+        eccentricity reaches it ends the run.  INF when nothing is known.
+    first: the first source, such as an end of a farthest pair in a metric
+        that bounds this one.  After it, sources alternate between the
+        smallest lo and the largest hi; without it they start with the
+        largest hi.  Ties go to the smallest vertex id.
+    Raises ContractViolation when a search misses a member.
     """
     if len(members) <= 1:
-        return 0
+        return 0, (members[0] if members else None)
     lo: Dict[int, int] = dict.fromkeys(members, 0)
-    hi: Dict[int, float] = dict.fromkeys(members, INF)
+    hi: Dict[int, object] = dict.fromkeys(members, bound)
     live = set(members)
-    best = 0
-    widest = True
+    best, end = 0, members[0]
+    widest = first is None
+    u = first
     while live:
-        if widest:
-            u = min(live, key=lambda w: (-hi[w], w))
-        else:
-            u = min(live, key=lambda w: (lo[w], w))
-        widest = not widest
+        if u is None:
+            if widest:
+                u = min(live, key=lambda w: (-hi[w], w))
+            else:
+                u = min(live, key=lambda w: (lo[w], w))
+            widest = not widest
         d = search(u)
         try:
             e = max(d[w] for w in members)
         except KeyError as exc:
             raise ContractViolation("search from %s does not reach member %s" % (u, exc.args[0])) from None
-        best = max(best, e)
+        if e > best:
+            best, end = e, u
         for w in live:
             dw = d[w]
             lo[w] = max(lo[w], dw, e - dw)
             hi[w] = min(hi[w], e + dw)
         live = {w for w in live if hi[w] > best}
-    return best
+        u = None
+    return best, end
 
 
-def metric_set_diameter(g: WeightedGraph, members: Sequence[int], radius: object = None) -> Fraction:
+def metric_set_diameter(
+    g: WeightedGraph,
+    members: Sequence[int],
+    radius: object = None,
+    proven: bool = False,
+    first: Optional[int] = None,
+) -> Fraction:
     """Exact max distance in g between two of `members`, each search capped
     at `radius`; set_diameter on integer distances, one Fraction at the end.
-    Raises ContractViolation when a member is out of reach."""
+    proven: the radius bounds every distance between two members, so it is
+    also set_diameter's starting bound; otherwise it only caps the searches.
+    first: set_diameter's first source.  Raises ContractViolation when a
+    member is out of reach."""
     targets = set(members)
-    return Fraction(
-        set_diameter(members, lambda u: g._scaled_distances([u], radius=radius, targets=targets)),
-        g._scale,
+    cap = None if radius is None else math.floor(as_fraction(radius) * g._scale)
+    bound = cap if proven and cap is not None else INF
+    diameter, _ = set_diameter(
+        members, lambda u: g._scaled_distances([u], radius=radius, targets=targets), bound, first
     )
+    return Fraction(diameter, g._scale)
 
 
 def weak_diameter(g: WeightedGraph, s: Iterable[int]) -> ExtendedDistance:
@@ -645,8 +680,15 @@ def power_graph(g: WeightedGraph, ell: object) -> PowerGraph:
 
     An edge no heavier than ell is not subdivided: its two paths are the
     edge itself, twice, which changes no distance.  So when no edge is
-    heavier than ell, g itself is the host and no copy is built."""
+    heavier than ell, g itself is the host and no copy is built.  If, in
+    addition, every edge is heavier than ell/2, no path of two or more
+    edges fits within ell, and the power graph is g's own adjacency, read
+    off its edge list with no search.  Otherwise one search per host
+    vertex, capped at ell, finds the pairs."""
     lf = as_fraction(ell)
+    wr = g._weight_range()
+    if lf > 0 and (wr is None or wr[1] <= lf < 2 * wr[0]):
+        return PowerGraph(g, [(u, v) for (u, v, _) in g.edges])
     host = subdivision_graph(g, lf).graph if power_graph_new_ids(g, lf) else g
     cap = math.floor(lf * host._scale)
     edges: List[Tuple[int, int]] = []

@@ -196,8 +196,13 @@ def verify_weak_diameter(
     Hops are measured in the full power graph, exactly and once per
     component; the metric diameter is measured in the power graph's metric
     host (g itself when no edge of g is heavier than ell, the subdivided
-    graph otherwise) with every search capped at ell times the hops, which
-    covers every pair.
+    graph otherwise).  Each power-graph hop joins two host vertices at
+    metric distance at most ell, so two members H hops apart are at most
+    ell*H apart in the host: with H the component's hop diameter, ell*H
+    bounds every member's metric eccentricity.  That bound caps every
+    metric search and seeds set_diameter, which starts from an end of the
+    farthest hop pair; where the metric is ell times the hops, the first
+    search meets the bound and is the only one.
 
     restrict_to: only these vertices are grouped into components.
     bound: claimed weak-diameter bound in hops; ok=False if exceeded.
@@ -243,8 +248,8 @@ def verify_weak_diameter(
     max_metric = Fraction(0)
     for comp in comps:
         members = set(comp)
-        hops = set_diameter(comp, lambda u: p.hop_distances([u], targets=members))
-        metric = metric_set_diameter(p.metric, comp, None if hops == 0 else lf * hops)
+        hops, end = set_diameter(comp, lambda u: p.hop_distances([u], targets=members))
+        metric = metric_set_diameter(p.metric, comp, lf * hops, proven=True, first=end)
         stats.append(ComponentStat(len(comp), comp[0], hops, metric))
         max_hops = max(max_hops, hops)
         max_metric = max(max_metric, metric)

@@ -144,6 +144,28 @@ def test_verify_rejects_a_negative_bound_as_input_not_as_a_failed_check(tmp_path
         assert error["code"] == "invalid-input" and "nonnegative" in error["message"]
 
 
+def test_verify_reads_a_negative_rational_bound_after_a_space(tmp_path, capsys):
+    # argparse alone takes "-1/2" for an option and exits with its usage text
+    graph = tmp_path / "path.txt"
+    graph.write_text("0 1 1\n1 2 1\n")
+    coloring = _write_coloring(tmp_path / "split.json", {0: 1, 1: 2, 2: 1})
+    verify = ["verify", "--graph", str(graph), "--ell", "1", "--coloring", coloring]
+    code, out, err = _main(capsys, verify + ["--bound", "-1/2"])
+    assert code == 2 and out == ""
+    assert _main(capsys, verify + ["--bound=-1/2"])[2] == err
+    assert json.loads(err)["error"] == {"code": "invalid-input", "message": "bound must be nonnegative, got -1/2"}
+
+
+def test_run_reads_a_negative_rational_ell_after_a_space(tmp_path, capsys):
+    graph = tmp_path / "path.txt"
+    graph.write_text("0 1 1\n1 2 1\n")
+    run = ["run", "tw", "--graph", str(graph)]
+    code, out, err = _main(capsys, run + ["--ell", "-1/2"])
+    assert code == 2 and out == ""
+    assert _main(capsys, run + ["--ell=-1/2"])[2] == err
+    assert json.loads(err)["error"]["code"] == "precondition-failed"
+
+
 def test_verify_refuses_a_power_graph_above_the_limit(tmp_path, capsys):
     # one edge of weight 10**9 at ell = 1 asks for 2 * 10**9 power vertices
     graph = tmp_path / "heavy.txt"

@@ -412,6 +412,73 @@ def test_engine_star_case_without_budget():
     assert res.coloring.domain == g.vertex_set()
 
 
+def anchored_star_instance():
+    """eta = 0 with anchored leaf edges: node 0 (bag {0, 1}) has anchored
+    leaves 1 and 2 and a loose child 3, which has an anchored leaf 4.  The
+    anchored edges join the nodes into the stars {0, 1, 2} and {3, 4}."""
+    g = WeightedGraph(range(7), [(0, 1, 1), (1, 2, 1), (0, 3, 1), (4, 5, 1), (5, 6, 1)])
+    bags = {0: {0, 1}, 1: {1, 2}, 2: {0, 3}, 3: {4, 5}, 4: {5, 6}}
+    td = RootedTreeDecomposition(bags, [(0, 1), (0, 2), (0, 3), (3, 4)], 0)
+    empty = frozenset()
+    triples = {e: GuardTriple(td.adhesion_of(e), empty, empty) for e in td.tree_edges}
+    triples[(0, 3)] = GuardTriple(empty, empty, empty)
+    con = ControlConstruction(
+        td, empty, 0, 1, Fraction(1), Fraction(1), GuardTriple.single(0), triples
+    )
+    centers = {0: (0,), 1: (1,), 2: (0,), 3: (4,), 4: (5,)}
+    return g, con, centers
+
+
+def test_engine_star_case_joins_anchored_leaves_under_one_node(monkeypatch):
+    import wdcolor.geodesic as geodesic
+
+    g, con, centers = anchored_star_instance()
+    pieces = []
+    centered = geodesic.centered_color
+
+    def recording(g, ell, removed, cert, **kwargs):
+        pieces.append((kwargs["what"].rsplit(" ", 1)[1], tuple(cert.covered)))
+        return centered(g, ell, removed, cert, **kwargs)
+
+    monkeypatch.setattr(geodesic, "centered_color", recording)
+    res = color_control_construction(g, 1, con, bag_centers=centers)
+    # one piece per star, each centred at the star's middle node
+    assert pieces == [("0", (0, 1, 2, 3)), ("3", (4, 5, 6))]
+    assert res.bound == control_extension_bound(0, 1, 1, 1)
+    c = res.coloring
+    assert c.domain == g.vertex_set() and set(c.assignment.values()) <= {1, 2}
+    p_edges = oracles.brute_power_edges(g, Fraction(1))
+    same = [(u, v) for (u, v) in p_edges if c.color(u) == c.color(v)]
+    comps = oracles.brute_hop_components(g.vertices, same)
+    hops = [oracles.brute_hop_diameter(g.vertices, p_edges, comp) for comp in comps]
+    assert res.report.ok and res.report.max_weak_diameter_hops == max(hops) <= res.bound
+    assert sorted(s.size for s in res.report.per_component) == sorted(len(comp) for comp in comps)
+
+
+def test_star_case_rejects_anchored_edges_that_are_not_a_star():
+    import wdcolor.geodesic as geodesic
+
+    # the anchored edges (0, 3) and (3, 4) chain three nodes: no node is
+    # the one middle of them all
+    g, con, centers = anchored_star_instance()
+    triples = dict(con.edge_triples)
+    triples[(0, 3)] = GuardTriple(frozenset({4}), frozenset(), frozenset())
+    bags = {t: set(con.td.bags[t]) for t in con.td.nodes}
+    bags[0] |= {4}
+    td = RootedTreeDecomposition(bags, con.td.tree_edges, 0)
+    chain = ControlConstruction(td, con.removed, 0, 1, con.mu, con.ell, con.root_triple, triples)
+    # the structural check refuses it before the engine starts ...
+    with pytest.raises(ContractViolation, match="lower end has children"):
+        color_control_construction(g, 1, chain, bag_centers=centers)
+    # ... and the star joiner refuses it on its own
+    ctx = geodesic._EngineCtx(Fraction(1), False)
+    bound = control_extension_bound(0, 1, 1, 1)
+    with pytest.raises(ContractViolation, match="star around one node"):
+        geodesic._color_stars(
+            ctx, g, chain, frozenset(), Coloring.empty(2), centers, bound, "chain"
+        )
+
+
 def test_engine_keeps_the_precolored_zone():
     g, con, centers = construction_on_path(16)
     z = {0, 1}

@@ -208,10 +208,23 @@ def test_set_diameter_raises_when_a_search_misses_a_member():
     dist = {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}, 2: {2: 0}}
     with pytest.raises(ContractViolation, match="from 0 does not reach member 2"):
         set_diameter([0, 1, 2], dist.__getitem__)
-    assert set_diameter([0, 1], dist.__getitem__) == 1
+    assert set_diameter([0, 1], dist.__getitem__) == (1, 0)
     g = WeightedGraph([0, 1, 2], [(0, 1, Fraction(1, 3))])
     assert weak_diameter(g, {0, 1}) == Fraction(1, 3)
     assert weak_diameter(g, {0, 1, 2}) is INF
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_graphs(max_n=8, max_extra_edges=6), st.data())
+def test_set_diameter_from_a_valid_bound_and_any_start_is_the_brute_maximum(g, data):
+    dist = oracles.all_pairs_distances(g)
+    members = sorted(data.draw(st.sets(st.sampled_from(g.vertices), min_size=1)))
+    ecc = {u: max(dist[(u, w)] for w in members) for u in members}
+    diameter = max(ecc.values())
+    bound = diameter + data.draw(st.sampled_from([0, Fraction(1, 3), 2, INF]))
+    first = data.draw(st.sampled_from(members + [None]))
+    got, end = set_diameter(members, lambda u: {w: dist[(u, w)] for w in g.vertices}, bound, first)
+    assert got == diameter and ecc[end] == diameter
 
 
 @settings(max_examples=40, deadline=None)
@@ -332,26 +345,53 @@ def _assert_power_graph_matches_the_brute_subdivision(g, ell, ref):
         assert {v: got.get(v, INF) for v in sub.vertices} == {v: dist[(u, v)] for v in sub.vertices}
 
 
+def _upper_half(g):
+    """g with the heaviest weight added to every weight: at ell = the new
+    heaviest weight, every weight lies in (ell/2, ell], where no two edges
+    fit within ell and power_graph reads its edges off the edge list."""
+    mw = g.max_edge_weight() or 0
+    return WeightedGraph(g.vertices, [(u, v, w + mw) for (u, v, w) in g.edges])
+
+
 @settings(max_examples=60, deadline=None)
-@given(weighted_graphs(max_n=7, max_extra_edges=6, connected=False), _ELL_FACTORS)
-def test_power_graph_and_its_host_match_the_brute_subdivision(g, factor):
+@given(weighted_graphs(max_n=7, max_extra_edges=6, connected=False), _ELL_FACTORS, st.booleans())
+def test_power_graph_and_its_host_match_the_brute_subdivision(g, factor, halves):
+    if halves:
+        g, factor = _upper_half(g), 1
     mw = g.max_edge_weight()
     ell = Fraction(1) if mw is None else mw * factor
     _assert_power_graph_matches_the_brute_subdivision(g, ell, g)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32), _ELL_FACTORS)
-def test_power_graph_of_a_far_part_view_matches_the_brute_subdivision(seed, factor):
+@given(st.integers(min_value=0, max_value=2**32), _ELL_FACTORS, st.booleans())
+def test_power_graph_of_a_far_part_view_matches_the_brute_subdivision(seed, factor, halves):
     from wdcolor.treedec import SubtreeIndex
 
     rng = random.Random(seed)
     g, td = random_td_instance(rng, n_vertices=rng.randint(4, 10), n_nodes=rng.randint(2, 6))
+    if halves:
+        g, factor = _upper_half(g), 1
     e = rng.choice(td.tree_edges)
     view, _ = SubtreeIndex(g, td).far_part(e[1], max(td.nodes) + 1)
     mw = view.max_edge_weight()
     ell = Fraction(1) if mw is None else mw * factor
     _assert_power_graph_matches_the_brute_subdivision(view, ell, g.induced(td.subtree_vertices(e)))
+
+
+def test_power_graph_of_a_unit_grid_runs_no_search(monkeypatch):
+    g = unit_grid(5, 6)
+    searches = []
+    search = WeightedGraph._search
+
+    def counting(self, *args):
+        searches.append(args)
+        return search(self, *args)
+
+    monkeypatch.setattr(WeightedGraph, "_search", counting)
+    p = power_graph(g, 1)
+    assert searches == [] and p.metric is g
+    assert set(p.edge_list()) == oracles.brute_power_edges(g, Fraction(1))
 
 
 def test_power_graph_vertex_count_rejects_bad_scale():

@@ -502,6 +502,35 @@ def test_each_component_takes_a_few_searches(monkeypatch):
     report = verify_weak_diameter(g, 1, block_coloring(200, 40), bound=39, power=p)
     assert report.ok and [s.hops for s in report.per_component] == [39] * 5
     assert [s.metric for s in report.per_component] == [39] * 5
-    for kind, srcs in sources.items():
-        per_block = [sum(1 for u in srcs if u // 40 == b) for b in range(5)]
-        assert all(1 <= k <= 4 for k in per_block), (kind, per_block)
+    per_block = {kind: [sum(1 for u in srcs if u // 40 == b) for b in range(5)] for kind, srcs in sources.items()}
+    assert all(1 <= k <= 4 for k in per_block["hops"]), per_block
+    # the metric is ell times the hops here, so the first search meets the
+    # seeded bound and ends the metric run
+    assert per_block["metric"] == [1] * 5, per_block
+
+
+def test_a_unit_grid_check_takes_one_metric_search_per_component(monkeypatch):
+    # 4x4 checkerboard blocks of a 9x9 grid: full blocks, 4x1 strips and a
+    # single corner vertex, which needs no search
+    rows, cols, block = 9, 9, 4
+    edges = [(v, v + 1, 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols, 1) for v in range(rows * cols - cols)]
+    g = WeightedGraph(range(rows * cols), edges)
+    c = Coloring({v: (v // cols // block + v % cols // block) % 2 + 1 for v in g.vertices}, 2)
+    sources = []
+    search = WeightedGraph._search
+
+    def counting(self, srcs, *args):
+        sources.extend(srcs)
+        return search(self, srcs, *args)
+
+    monkeypatch.setattr(WeightedGraph, "_search", counting)
+    report = verify_weak_diameter(g, 1, c)
+
+    def block_of(v):
+        return v // cols // block, v % cols // block
+
+    assert len(report.per_component) == 9
+    assert [s.metric for s in report.per_component] == [s.hops for s in report.per_component]
+    multi = [block_of(s.min_vertex) for s in report.per_component if s.size >= 2]
+    assert sorted(block_of(u) for u in sources) == sorted(multi) and len(multi) == 8
