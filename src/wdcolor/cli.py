@@ -121,6 +121,14 @@ def _parse_frac(text: str, what: str) -> Fraction:
         raise CliError("parse-error", "bad %s value %r" % (what, text))
 
 
+def _parse_scale(text: str, flag: str) -> Fraction:
+    """The value of a scale flag (--ell, --r): a positive rational."""
+    value = _parse_frac(text, flag)
+    if value <= 0:
+        raise CliError("invalid-input", "--%s must be positive, got %s" % (flag, frac_str(value)))
+    return value
+
+
 def coloring_to_json(c: Coloring) -> dict:
     return {
         "num_colors": c.num_colors,
@@ -267,7 +275,7 @@ def _run_layered(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> di
 def _run_partition(args: argparse.Namespace, g: WeightedGraph) -> dict:
     if not args.r:
         raise CliError("invalid-input", "partition pipeline needs --r")
-    rf = _parse_frac(args.r, "r")
+    rf = _parse_scale(args.r, "r")
     res = color_bounded_treewidth(g, rf)
     family = coloring_to_partition(g, rf, res.coloring, res.bound)
     return {
@@ -332,7 +340,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             if not args.ell:
                 raise CliError("invalid-input", "pipeline %s needs --ell" % args.pipeline)
-            lf = _parse_frac(args.ell, "ell")
+            lf = _parse_scale(args.ell, "ell")
             if args.pipeline == "tw":
                 extra = _run_tw(args, g, lf)
             elif args.pipeline == "planar":

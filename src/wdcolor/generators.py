@@ -107,9 +107,7 @@ def gen_path(spec: GeneratorSpec) -> Instance:
     bags.update({v: frozenset({v - 1, v}) for v in range(1, n)})
     g = WeightedGraph(range(n), edges)
     td = RootedTreeDecomposition(bags, [(v - 1, v) for v in range(1, n)], 0)
-    rep = validate_td(g, td)
-    if not rep["ok"]:
-        raise GraphError("path certificate failed validation: %s" % rep["failures"][:3])
+    validate_td(g, td, "path certificate failed validation")
     return Instance("path", g, td=td, layering=layering)
 
 
@@ -195,9 +193,7 @@ def gen_grid(spec: GeneratorSpec) -> Instance:
     layering = tuple(tuple(vid(i, j) for j in range(cols)) for i in range(rows))
     g = WeightedGraph(range(rows * cols), edges)
     tripods = _grid_tripods(rows, cols)
-    rep = validate_td(g, tripods.td)
-    if not rep["ok"]:
-        raise GraphError("grid tripod certificate failed validation: %s" % rep["failures"][:3])
+    validate_td(g, tripods.td, "grid tripod certificate failed validation")
     unit = all(w == 1 for w in ws)
     return Instance(
         "grid", g, td=tripods.td, rotation=rotation, layering=layering,
@@ -232,9 +228,7 @@ def gen_ktree(spec: GeneratorSpec) -> Instance:
     td = RootedTreeDecomposition(bags, td_edges, 0)
     if td.width != k:
         raise GraphError("ktree construction drifted from width %d" % k)
-    rep = validate_td(g, td)
-    if not rep["ok"]:
-        raise GraphError("ktree certificate failed validation: %s" % rep["failures"][:3])
+    validate_td(g, td, "ktree certificate failed validation")
     return Instance("ktree", g, td=td)
 
 

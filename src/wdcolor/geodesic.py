@@ -186,9 +186,7 @@ class ControlConstruction:
         if not full:
             return
         require_light_edges(g, self.ell)
-        rep = validate_td(g, self.td)
-        if not rep["ok"]:
-            raise ContractViolation("tree decomposition invalid: %s" % rep["failures"][:3])
+        validate_td(g, self.td, "tree decomposition invalid")
         # each distinct guard set's mu-ball is searched once per call
         balls: Dict[FrozenSet[int], Set[int]] = {}
 
@@ -548,16 +546,17 @@ def _control_rec(
     c_sat = c.filled(zsat)
     measure_sat = (eta, (len(vfree) - len(zsat)) + far_count)
     if vfree <= zsat:
-        # the zone ball swallows everything: the uncolored part is centered
-        # at the zone anchors and any coloring of it meets the bound
-        cert = CenterCertificate.build(g, sorted(zone), 3 * lf + mu, covered=sorted(vfree), k=theta)
-        if centered_bound(theta, 3 * lf + mu, lf) > level_bound:
+        # the zone ball swallows everything: the uncolored part lies within
+        # 3*ell+mu of the zone anchors, at most theta of them (validated
+        # above), so any coloring of it meets the centered bound
+        centered = centered_bound(theta, 3 * lf + mu, lf)
+        if centered > level_bound:
             raise ContractViolation("%s: centered shortcut bound exceeds the level bound" % what)
-        res = centered_color(
-            g, lf, sorted(rset), cert, coloring=c_sat,
-            what="%s: zone-saturated finish" % what, exact=False,
+        check_weak_diameter(
+            g, lf, c_sat, centered, "%s: zone-saturated finish" % what,
+            restrict_to=vfree, exact=False,
         )
-        return res.coloring
+        return c_sat
     # main branch: condense everything beyond the zone's bag neighborhood,
     # color the condensed graph one budget level down, patch the zone over
     # the result, lift the patched coloring back, then finish the far parts
@@ -567,6 +566,7 @@ def _control_rec(
     cond = condense(g, td, u_edges, (), lf, theta, a_prev + mu)
     g0, td0 = cond.g0, cond.td0
     r_zs: Dict[TreeEdge, FrozenSet[int]] = {}
+    zx_balls: Dict[FrozenSet[int], Set[int]] = {}  # edges may share a zone adhesion
     for e in td0.tree_edges:
         if e in cond.shortcut_parts:
             r_zs[e] = frozenset()
@@ -574,7 +574,9 @@ def _control_rec(
         zx = td.adhesion_of(e) & z_ball
         if not zx:
             raise ContractViolation("%s: zone-internal edge %s misses the zone ball" % (what, e))
-        hits = con.edge_triples[e].anchor & neighborhood(g, zx, mu)
+        if zx not in zx_balls:
+            zx_balls[zx] = neighborhood(g, zx, mu)
+        hits = con.edge_triples[e].anchor & zx_balls[zx]
         if not hits:
             raise ContractViolation("%s: edge %s has no guard within mu of the zone" % (what, e))
         r_zs[e] = hits
@@ -622,8 +624,7 @@ def _control_rec(
         if len(td.adhesion_of(e)) > theta:
             big_centers[e] = sorted(con.edge_triples[e].all_guards)
     lr = lift_condensation_coloring(
-        cond, patched.coloring, deleted=sorted(rset),
-        centers_per_big_adhesion=big_centers, n_claimed=patched.bound,
+        cond, patched, deleted=sorted(rset), centers_per_big_adhesion=big_centers,
         what="%s: zone lift" % what, exact=False,
     )
     if lr.bound != level_bound:
@@ -968,9 +969,7 @@ class GeodesicCertificate:
                 raise ContractViolation("certified distance of %s is off" % v)
             if tree.dist[p] + w != tree.dist[v]:
                 raise ContractViolation("tree edge into %s is not on a shortest path" % v)
-        rep = validate_td(g, self.td)
-        if not rep["ok"]:
-            raise ContractViolation("certified decomposition invalid: %s" % rep["failures"][:3])
+        validate_td(g, self.td, "certified decomposition invalid")
         if set(self.paths) != set(self.td.nodes):
             raise ContractViolation("certificate paths do not cover the nodes")
         for t in self.td.nodes:

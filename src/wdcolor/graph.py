@@ -41,7 +41,6 @@ import heapq
 import math
 import re
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -517,19 +516,6 @@ def weak_diameter(g: WeightedGraph, s: Iterable[int]) -> ExtendedDistance:
 # -- subdivision graph ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subdivision:
-    """The graph (g, r)-subdivision together with its bookkeeping.
-
-    graph: the subdivided weighted graph; original vertex ids unchanged.
-    edge_paths: per original edge, the two replacement paths as vertex
-        tuples running from the first end to the second.
-    """
-
-    graph: WeightedGraph
-    edge_paths: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
-
-
 def _subdivision_plan(g: WeightedGraph, rf: Fraction) -> Tuple[List[int], range]:
     """How subdivision_graph(g, rf) subdivides: ceil(w / rf) for each edge
     of g in edge order, the number of edges on each of its two replacement
@@ -562,13 +548,14 @@ def power_graph_vertex_count(g: WeightedGraph, ell: object) -> int:
     return len(g.vertices) + len(power_graph_new_ids(g, ell))
 
 
-def subdivision_graph(g: WeightedGraph, r: object) -> Subdivision:
+def subdivision_graph(g: WeightedGraph, r: object) -> WeightedGraph:
     """Replace each edge by two internally disjoint paths of ceil(w/r) edges.
 
     On the path leaving end x the edge at x gets weight w - r*(ceil(w/r)-1)
     and all others get weight r, so every new weight lies in (0, r] and each
     path has length exactly w.  Distances between original vertices are
-    preserved exactly.
+    preserved exactly.  Original vertex ids are unchanged; inner vertices
+    take the ids _subdivision_plan gives, path by path in edge order.
     """
     rf = as_fraction(r)
     if rf <= 0:
@@ -577,27 +564,19 @@ def subdivision_graph(g: WeightedGraph, r: object) -> Subdivision:
     lengths, new_ids = _subdivision_plan(g, rf)
     next_ids = iter(new_ids)
     edges: List[Tuple[int, int, Fraction]] = []
-    paths: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
     for (u, v, w), k in zip(g.edges, lengths):
         first = w - rf * (k - 1)
-        pair: List[Tuple[int, ...]] = []
         for (a, b) in ((u, v), (v, u)):
-            path = [a]
             prev = a
             wt = first
             for _ in range(k - 1):
                 nid = next(next_ids)
                 verts.append(nid)
                 edges.append((prev, nid, wt))
-                path.append(nid)
                 prev = nid
                 wt = rf
             edges.append((prev, b, wt))
-            path.append(b)
-            pair.append(tuple(path))
-        paths.append((pair[0], pair[1]))
-    sub = WeightedGraph(verts, edges)
-    return Subdivision(sub, tuple(paths))
+    return WeightedGraph(verts, edges)
 
 
 # -- hop graphs (power graphs live here) -------------------------------------
@@ -689,7 +668,7 @@ def power_graph(g: WeightedGraph, ell: object) -> PowerGraph:
     wr = g._weight_range()
     if lf > 0 and (wr is None or wr[1] <= lf < 2 * wr[0]):
         return PowerGraph(g, [(u, v) for (u, v, _) in g.edges])
-    host = subdivision_graph(g, lf).graph if power_graph_new_ids(g, lf) else g
+    host = subdivision_graph(g, lf) if power_graph_new_ids(g, lf) else g
     cap = math.floor(lf * host._scale)
     edges: List[Tuple[int, int]] = []
     for v in host.vertices:

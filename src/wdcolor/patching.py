@@ -6,13 +6,14 @@ of at most k centers may receive an arbitrary coloring, and gluing it onto
 a certified coloring of the rest multiplies the weak-diameter bound by a
 computable factor.  Each merge recomputes the bound exactly and re-verifies
 the merged coloring against it before returning; the bound is never trusted
-on faith.
+on faith.  The centering is checked once, when its CenterCertificate is
+built in one graph; the merges accept it for that graph object only.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
@@ -80,12 +81,17 @@ def control_radii(theta: int, mu: object, ell: object, count: int) -> List[Fract
 
 @dataclass(frozen=True)
 class CenterCertificate:
-    """Witness that a set is within distance `radius` of at most k centers."""
+    """Witness that a set is within distance `radius` of at most k centers.
+
+    `build` checks the witness in a graph and records that graph object in
+    `graph`; a certificate made any other way has no graph, and the merges
+    below accept a certificate only for the graph it was checked in."""
 
     centers: Tuple[int, ...]
     radius: Fraction
     covered: Tuple[int, ...]
     k: int
+    graph: Optional[WeightedGraph] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def build(
@@ -99,24 +105,26 @@ class CenterCertificate:
         rf = as_fraction(radius)
         zs = tuple(sorted(set(covered)))
         kk = len(cs) if k is None else k
+        if len(cs) > kk:
+            raise ContractViolation(
+                "certificate lists %d centers but claims k=%d" % (len(cs), kk)
+            )
+        if zs:
+            reach = neighborhood(g, cs, rf) if cs else set()
+            stray = set(zs) - reach
+            if stray:
+                raise ContractViolation(
+                    "certificate coverage fails: %s beyond distance %s of the centers"
+                    % (sorted(stray)[:5], rf)
+                )
         cert = CenterCertificate(cs, rf, zs, kk)
-        cert.verify(g)
+        object.__setattr__(cert, "graph", g)
         return cert
 
-    def verify(self, g: WeightedGraph) -> None:
-        if len(self.centers) > self.k:
-            raise ContractViolation(
-                "certificate lists %d centers but claims k=%d" % (len(self.centers), self.k)
-            )
-        if not self.covered:
-            return
-        reach = neighborhood(g, self.centers, self.radius) if self.centers else set()
-        stray = set(self.covered) - reach
-        if stray:
-            raise ContractViolation(
-                "certificate coverage fails: %s beyond distance %s of the centers"
-                % (sorted(stray)[:5], self.radius)
-            )
+    def require_graph(self, g: WeightedGraph, what: str) -> None:
+        """Raise GraphError unless the certificate was checked in g itself."""
+        if self.graph is not g:
+            raise GraphError("%s: the center certificate was not checked in this graph" % what)
 
 
 def patch_colorings(
@@ -137,12 +145,12 @@ def patch_colorings(
     Z-deleted one.  Returns c union c_Z restricted away from `deleted`,
     re-verified at patch_bound(cert.k, cert.radius, ell, n_claimed) in the
     full power graph.  Without c_Z, Z takes color 1 and the merge keeps
-    c's color count.
+    c's color count.  cert must have been built on g itself.
     """
     lf = as_fraction(ell)
     require_light_edges(g, lf)
+    cert.require_graph(g, what)
     rset = set(deleted)
-    cert.verify(g)
     z = set(cert.covered)
     if c_z is None:
         c_z = Coloring.constant(z, c.num_colors)
@@ -171,10 +179,12 @@ def centered_color(
     exact: bool = True,
 ) -> ColorResult:
     """Color everything outside `deleted` (one color unless a coloring is
-    given); any such coloring has weak diameter at most centered_bound."""
+    given); any such coloring has weak diameter at most centered_bound.
+    cert must have been built on g itself and cover everything outside
+    `deleted`."""
     lf = as_fraction(ell)
+    cert.require_graph(g, what)
     rset = set(deleted)
-    cert.verify(g)
     missing = (g.vertex_set() - rset) - set(cert.covered)
     if missing:
         raise ContractViolation(

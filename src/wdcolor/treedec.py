@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Type
 
 from wdcolor.graph import (
     GraphError,
@@ -39,7 +39,6 @@ from wdcolor.partition import (
     ColorResult,
     ContractViolation,
     check_weak_diameter,
-    verify_weak_diameter,
 )
 from wdcolor.patching import CenterCertificate
 
@@ -196,9 +195,16 @@ class RootedTreeDecomposition:
         return RootedTreeDecomposition(bags, edges, root)
 
 
-def validate_td(g: WeightedGraph, td: RootedTreeDecomposition) -> dict:
-    """Check the decomposition axioms; returns {"ok", "failures"} and never
-    raises.
+def validate_td(
+    g: WeightedGraph,
+    td: RootedTreeDecomposition,
+    what: str,
+    error: Type[Exception] = ContractViolation,
+) -> None:
+    """Check the decomposition axioms.  On failure raise `error` with the
+    message "what: " and every failure found, joined by "; ".  A
+    decomposition built by the library fails with ContractViolation; a
+    caller checking one the user supplied passes GraphError.
 
     One pass over the bags maps each vertex to the nodes holding it; an
     edge is covered when its ends share a holder, and a vertex's holders
@@ -228,7 +234,8 @@ def validate_td(g: WeightedGraph, td: RootedTreeDecomposition) -> dict:
         if sum(1 for t in hs if parent[t] not in hs) != 1:
             failures.append("bags containing vertex %s are not connected in the tree" % (v,))
             break
-    return {"ok": not failures, "failures": failures}
+    if failures:
+        raise error("%s: %s" % (what, "; ".join(failures)))
 
 
 def ball_region(
@@ -783,11 +790,7 @@ def condense(
             bags0[e[1]] = shortcut_parts[e].reach
     edges0 = [(td.parent[t], t) for t in t0_nodes if t != td.root] + list(frontier)
     td0 = RootedTreeDecomposition(bags0, edges0, td.root)
-    rep0 = validate_td(g0, td0)
-    if not rep0["ok"]:
-        raise ContractViolation(
-            "condensed decomposition invalid: %s" % "; ".join(rep0["failures"][:3])
-        )
+    validate_td(g0, td0, "condensed decomposition invalid")
     for e in frontier:
         if td0.adhesion_of(e) != td.adhesion_of(e):
             raise ContractViolation("condensed leaf %s changed its adhesion" % (e,))
@@ -800,14 +803,19 @@ def condense(
 
 def lift_condensation_coloring(
     cond: Condensation,
-    c0: Coloring,
+    patched: ColorResult,
     deleted: Iterable[int] = (),
     centers_per_big_adhesion: Optional[Dict[TreeEdge, Iterable[int]]] = None,
-    n_claimed: object = None,
     what: str = "condensation lift",
     exact: bool = True,
 ) -> ColorResult:
-    """Pull a coloring of the condensed graph back to the frontier zone.
+    """Pull a checked coloring of the condensed graph back to the frontier zone.
+
+    `patched` is the result of checking a coloring c0 of the condensed
+    graph, as patch_colorings returns it: its report measures c0 over
+    V(G0) minus `deleted` in the power graph of G0.  Its bound is the
+    claimed input bound n and its report the input measurement; the lift
+    checks that the report holds at n and does not measure c0 again.
 
     Vertices of the root side and the fringe keep their condensed color; a
     vertex at distance d of an adhesion with a hierarchy inherits the color
@@ -815,9 +823,10 @@ def lift_condensation_coloring(
     ceil(d/eps); the two outer zones (distance in (ell,2*ell] and
     (2*ell,3*ell] of an adhesion) take guard colors 1 and 2, so the result
     has at least two colors and as many as c0 has.  It is re-verified at the
-    lift bound.
+    lift bound con_color_bound(ell, n, theta, mu).
     """
     g, td, lf = cond.g, cond.td, cond.ell
+    c0 = patched.coloring
     rset = set(deleted)
     if rset - g.vertex_set():
         raise GraphError("deleted set contains unknown vertices")
@@ -836,13 +845,9 @@ def lift_condensation_coloring(
         raise GraphError(
             "input coloring misses condensed vertices %s" % sorted(uncolored)[:5]
         )
-    claimed = None if n_claimed is None else as_fraction(n_claimed)
-    rep0 = verify_weak_diameter(
-        cond.g0, lf, c0, restrict_to=pool0, bound=claimed, exact=exact
-    )
+    rep0, nf = patched.report, patched.bound
     measured0 = Fraction(max(1, rep0.max_weak_diameter_hops))
-    nf = measured0 if claimed is None else claimed
-    if measured0 > nf or not rep0.ok:
+    if measured0 > nf or not rep0.ok or rep0.bound != nf:
         raise ContractViolation(
             "%s: input coloring measures %s hops, claimed %s" % (what, measured0, frac_str(nf))
         )

@@ -18,6 +18,11 @@ meeting it and the frontier), not what lies below it:
   from a root-bag vertex reaches the rest of its root bag, since each of
   its components meets the root bag; full components are computed only
   when that search fails.
+- Each ball is searched once: a far part's ball is its precolored set,
+  which its parent searched around the part's root bag in the part's
+  view.  A ball covering its level is checked at the centered bound with
+  no certificate, validation having capped the root bag at theta; and
+  the lift takes the ball patch's checked result instead of re-measuring.
 - Levels write into one shared coloring, where a vertex written twice
   must keep its color, and wait on an explicit work stack instead of the
   call stack.  A level runs its own checks before it pushes its far
@@ -43,7 +48,6 @@ from .partition import (
 from .patching import (
     CenterCertificate,
     centered_bound,
-    centered_color,
     patch_bound,
     patch_colorings,
     vertex_cover_bound,
@@ -214,11 +218,7 @@ def compute_tree_decomposition(
     if len(g) <= exact_max:
         width, order = _exact_order(adj, order, width)
     td = _order_to_td(g, order)
-    rep = validate_td(g, td)
-    if not rep["ok"]:
-        raise ContractViolation(
-            "elimination decomposition failed validation: %s" % "; ".join(rep["failures"][:3])
-        )
+    validate_td(g, td, "elimination decomposition failed validation")
     return td
 
 
@@ -258,11 +258,7 @@ class AdhesionConstruction:
         tree edge and is checked by validate_far_part instead."""
         self._check_root()
         if full:
-            rep = validate_td(g, self.td)
-            if not rep["ok"]:
-                raise ContractViolation(
-                    "invalid decomposition: %s" % "; ".join(rep["failures"][:3])
-                )
+            validate_td(g, self.td, "invalid decomposition")
         for e in self.td.tree_edges:
             self._check_edge(e)
 
@@ -438,11 +434,14 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
     if c.domain != zset:
         raise GraphError("%s: precoloring domain differs from the precolored set" % what)
     root_bag = td.bags[td.root]
-    ball = frozenset(neighborhood(g, root_bag, 3 * lf))
-    if zset - ball:
-        raise ContractViolation(
-            "%s: precolored set reaches beyond distance 3*ell of the root bag" % what
-        )
+    if far:
+        ball = zset  # searched by the parent, see the module notes
+    else:
+        ball = frozenset(neighborhood(g, root_bag, 3 * lf))
+        if zset - ball:
+            raise ContractViolation(
+                "%s: precolored set reaches beyond distance 3*ell of the root bag" % what
+            )
     measure = (eta, len(td) + (len(g) - len(zset)) + len(g))
     if lv.parent_measure is not None and not measure < lv.parent_measure:
         raise ContractViolation(
@@ -450,11 +449,13 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
             % (what, lv.parent_measure, measure)
         )
     bound = tree_extension_bound(eta, ctx.theta, lf, ctx.piece_bound)
+    # the root bag holds at most theta vertices (validated above), so once
+    # the ball is all of g, any coloring of g meets the centered bound
+    centered = centered_bound(ctx.theta, 3 * lf, lf)
 
     # everything already precolored: the root bag centers the whole graph
     if zset == g.vertex_set():
-        cert = CenterCertificate.build(g, sorted(root_bag), 3 * lf, sorted(zset), ctx.theta)
-        centered_color(g, lf, (), cert, coloring=c, what=what + ": fully precolored", exact=False)
+        check_weak_diameter(g, lf, c, bound=centered, what=what + ": fully precolored", exact=False)
         _write(out, c, what)
         return
 
@@ -479,8 +480,7 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
     z0 = ball
     c_sat = c.filled(z0)
     if z0 == g.vertex_set():
-        cert = CenterCertificate.build(g, sorted(root_bag), 3 * lf, sorted(z0), ctx.theta)
-        centered_color(g, lf, (), cert, coloring=c_sat, what=what + ": saturated ball", exact=False)
+        check_weak_diameter(g, lf, c_sat, bound=centered, what=what + ": saturated ball", exact=False)
         _write(out, c_sat, what)
         return
 
@@ -557,10 +557,7 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
     lift_claim = patch_bound(ctx.theta, 3 * lf, lf, n_prev)
     if mr.bound != lift_claim:
         raise ContractViolation("%s: patch bound bookkeeping drifted" % what)
-    lr = lift_condensation_coloring(
-        cond, mr.coloring, n_claimed=lift_claim, what=what + ": lift",
-        exact=False,
-    )
+    lr = lift_condensation_coloring(cond, mr, what=what + ": lift", exact=False)
     if lr.bound != bound:
         raise ContractViolation(
             "%s: lift bound %s differs from the level bound %s"
@@ -791,9 +788,7 @@ def color_bounded_treewidth(
     if td is None:
         td = compute_tree_decomposition(g)
     else:
-        rep = validate_td(g, td)
-        if not rep["ok"]:
-            raise GraphError("invalid decomposition: %s" % "; ".join(rep["failures"][:3]))
+        validate_td(g, td, "invalid decomposition", GraphError)
     width = max(td.width, 0)
     theta = width + 1
     piece_bound = cover_piece_bound(theta, lf)

@@ -455,10 +455,7 @@ def _color_rec(
     lift_claim = patch_bound(ctx.theta, 3 * lf, lf, n_prev)
     if mr.bound != lift_claim:
         raise ContractViolation("%s: patch bound bookkeeping drifted" % what)
-    lr = lift_condensation_coloring(
-        cond, mr.coloring, n_claimed=lift_claim, what=what + ": lift",
-        exact=False,
-    )
+    lr = lift_condensation_coloring(cond, mr, what=what + ": lift", exact=False)
     if lr.bound != bound:
         raise ContractViolation(
             "%s: lift bound %s differs from the level bound %s"

@@ -163,7 +163,26 @@ def test_run_reads_a_negative_rational_ell_after_a_space(tmp_path, capsys):
     code, out, err = _main(capsys, run + ["--ell", "-1/2"])
     assert code == 2 and out == ""
     assert _main(capsys, run + ["--ell=-1/2"])[2] == err
-    assert json.loads(err)["error"]["code"] == "precondition-failed"
+    assert json.loads(err)["error"]["code"] == "invalid-input"
+
+
+@pytest.mark.parametrize("value", ["0", "-1/2"])
+@pytest.mark.parametrize("pipeline", ["tw", "planar", "layered", "partition", "verify"])
+def test_a_non_positive_scale_is_bad_input_named_by_its_flag(tmp_path, capsys, pipeline, value):
+    graph = tmp_path / "path.txt"
+    graph.write_text("0 1 1\n1 2 1\n")
+    flag = "--r" if pipeline == "partition" else "--ell"
+    if pipeline == "verify":
+        coloring = _write_coloring(tmp_path / "split.json", {0: 1, 1: 2, 2: 1})
+        argv = ["verify", "--coloring", coloring]
+    else:
+        argv = ["run", pipeline]
+    code, out, err = _main(capsys, argv + ["--graph", str(graph), flag, value])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "invalid-input",
+        "message": "%s must be positive, got %s" % (flag, value),
+    }
 
 
 def test_verify_refuses_a_power_graph_above_the_limit(tmp_path, capsys):

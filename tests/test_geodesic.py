@@ -317,7 +317,7 @@ def test_centered_bags_on_grid_band_decomposition():
     g = grid_graph(rows, cols)
     bags = {j: {j, j + 1, j + cols, j + cols + 1} for j in range(cols - 1)}
     td = RootedTreeDecomposition(bags, [(j - 1, j) for j in range(1, cols - 1)], 0)
-    assert validate_td(g, td)["ok"]
+    validate_td(g, td, "geodesic test")
     centers = {j: (j,) for j in range(cols - 1)}
     res = color_centered_bags(g, 1, td, centers, 2)
     assert res.report.ok and res.coloring.num_colors == 2
@@ -750,7 +750,7 @@ def test_tripods_on_triangle():
     tree = bfs_geodesic_tree(g, 0)
     trip = tripod_decomposition(g, rotation, tree)
     trip.verify(g)
-    assert validate_td(g, trip.td)["ok"]
+    validate_td(g, trip.td, "geodesic test")
 
 
 def test_tripods_on_square_need_triangulation():
@@ -1110,7 +1110,7 @@ def test_planar_grid_validates_its_tripod_decomposition_once(monkeypatch):
     monkeypatch.setattr(geodesic, "tripod_decomposition", kept)
     assert color_planar(inst.graph, 1, inst.rotation).report.ok
     assert len(certs) == 1
-    assert sum(1 for _, td in validated if td is certs[0].td) == 1
+    assert sum(1 for _, td, _ in validated if td is certs[0].td) == 1
 
 
 def test_layered_pipeline_on_grid_rows():

@@ -240,32 +240,27 @@ def test_weak_diameter_matches_oracle(g, s):
 def test_subdivision_weight5_r2():
     g = WeightedGraph([0, 1], [(0, 1, 5)])
     sub = subdivision_graph(g, 2)
-    p0, p1 = sub.edge_paths[0]
-    assert len(p0) == 4 and len(p1) == 4  # 3 edges each
-    # weights from the designated end: 1, 2, 2
-    wmap = {}
-    for (u, v, w) in sub.graph.edges:
-        wmap[(u, v)] = w
-        wmap[(v, u)] = w
-    for path, end in ((p0, 0), (p1, 1)):
-        assert path[0] == end
-        ws = [wmap[(path[i], path[i + 1])] for i in range(3)]
+    # inner ids run on from max(V) + 1, one path after the other
+    assert sorted(sub.vertices) == list(range(6)) and len(sub.edges) == 6
+    weight = {frozenset((u, v)): w for (u, v, w) in sub.edges}
+    for path in ((0, 2, 3, 1), (1, 4, 5, 0)):
+        # weights from the designated end: 1, 2, 2
+        ws = [weight[frozenset(path[i:i + 2])] for i in range(3)]
         assert ws == [Fraction(1), Fraction(2), Fraction(2)]
-        assert sum(ws) == 5
 
 
 def test_subdivision_duplicates_when_weight_at_most_r():
     g = WeightedGraph([0, 1], [(0, 1, 2)])
     sub = subdivision_graph(g, 2)
-    assert len(sub.graph) == 2
-    assert sorted(w for (_, _, w) in sub.graph.edges) == [2, 2]
+    assert len(sub) == 2
+    assert sorted(w for (_, _, w) in sub.edges) == [2, 2]
 
 
 def test_subdivision_weights_in_range():
     g = random_connected_graph(random.Random(3), 8, 5)
     r = Fraction(3, 4)
     sub = subdivision_graph(g, r)
-    assert all(0 < w <= r for (_, _, w) in sub.graph.edges)
+    assert all(0 < w <= r for (_, _, w) in sub.edges)
 
 
 def test_subdivision_rejects_bad_r():
@@ -280,7 +275,7 @@ def test_subdivision_preserves_distances(g, r):
     sub = subdivision_graph(g, r)
     for u in g.vertices:
         dg = g.distances_from([u])
-        ds = sub.graph.distances_from([u])
+        ds = sub.distances_from([u])
         for v in g.vertices:
             assert dg.get(v) == ds.get(v)
 

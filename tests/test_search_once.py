@@ -1,0 +1,132 @@
+"""Counts, not timings: each engine level searches each ball once and checks
+each colouring once.
+
+A reach search is a `graph.neighborhood` call, keyed by its graph object,
+source set and radius.  A check is a `partition.verify_weak_diameter` call,
+keyed by its graph object, scale, colouring, pool and bound.  A call
+repeats when an earlier call in the same run had the same key."""
+
+from __future__ import annotations
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from wdcolor.generators import GeneratorSpec, generate
+from wdcolor.geodesic import color_layered, color_planar
+from wdcolor.graph import GraphError, WeightedGraph, as_fraction
+from wdcolor.partition import Coloring
+from wdcolor.patching import CenterCertificate, centered_color, patch_colorings
+from wdcolor.twcolor import color_bounded_treewidth
+
+
+class _RepeatCounter:
+    """Wraps `neighborhood` and `verify_weak_diameter` in every wdcolor
+    module that binds them and counts calls and repeats.  It holds every
+    graph it keys on, so that no key outlives its graph: CPython would
+    otherwise give a later graph the id of a freed one."""
+
+    def __init__(self, monkeypatch):
+        self.graphs = []
+        self.keys = {"searches": set(), "checks": set()}
+        self.calls = {"searches": 0, "checks": 0}
+        self.repeats = {"searches": 0, "checks": 0}
+        self._wrap(monkeypatch, "neighborhood", "searches", self._search_key)
+        self._wrap(monkeypatch, "verify_weak_diameter", "checks", self._check_key)
+
+    def _search_key(self, g, s, r):
+        return (id(g), frozenset(s), as_fraction(r))
+
+    def _check_key(self, g, ell, coloring, restrict_to=None, bound=None, **_):
+        pool = None if restrict_to is None else frozenset(restrict_to)
+        claim = None if bound is None else as_fraction(bound)
+        items = frozenset(coloring.assignment.items())
+        return (id(g), as_fraction(ell), items, coloring.num_colors, pool, claim)
+
+    def _wrap(self, monkeypatch, name, kind, key_of):
+        original = getattr(sys.modules["wdcolor.partition"], name)
+
+        def counted(g, *args, **kwargs):
+            self.graphs.append(g)
+            key = key_of(g, *args, **kwargs)
+            self.calls[kind] += 1
+            if key in self.keys[kind]:
+                self.repeats[kind] += 1
+            self.keys[kind].add(key)
+            return original(g, *args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("wdcolor") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+
+def _tw_inputs():
+    yield generate(GeneratorSpec(family="path", n=480)).graph
+    yield generate(GeneratorSpec(family="ktree", n=80, k=3, seed=3)).graph
+    yield generate(GeneratorSpec(family="random-series-parallel", n=80, seed=4)).graph
+
+
+def test_treewidth_engine_searches_each_ball_and_checks_each_coloring_once(monkeypatch):
+    counter = _RepeatCounter(monkeypatch)
+    for g in _tw_inputs():
+        assert color_bounded_treewidth(g, 1).report.ok
+    assert counter.calls["searches"] > 0 and counter.calls["checks"] > 0
+    assert counter.repeats == {"searches": 0, "checks": 0}
+
+
+def test_control_engine_searches_each_ball_and_checks_each_coloring_once(monkeypatch):
+    counter = _RepeatCounter(monkeypatch)
+    grid = generate(GeneratorSpec(family="grid", rows=10, cols=10))
+    assert color_planar(grid.graph, 1, grid.rotation).report.ok
+    layered = generate(GeneratorSpec(family="grid", rows=12, cols=12))
+    assert color_layered(layered.graph, 1, layered.layering, 1).report.ok
+    assert counter.calls["searches"] > 0 and counter.calls["checks"] > 0
+    assert counter.repeats == {"searches": 0, "checks": 0}
+
+
+def test_control_engine_far_branch_searches_each_ball_once(monkeypatch):
+    """The unit 30x30 grid takes the control engine's far branch.  Only its
+    searches are counted: when a top level's lift colors everything, the
+    engine's final check repeats that lift's check."""
+    import wdcolor.geodesic as geodesic
+
+    labels = []
+    control_rec = geodesic._control_rec
+
+    def recording(*args):
+        labels.append(args[-1])
+        return control_rec(*args)
+
+    monkeypatch.setattr(geodesic, "_control_rec", recording)
+    counter = _RepeatCounter(monkeypatch)
+    grid = generate(GeneratorSpec(family="grid", rows=30, cols=30))
+    assert color_planar(grid.graph, 1, grid.rotation).report.ok
+    assert any(label.endswith(">far") for label in labels)
+    assert counter.calls["searches"] > 0 and counter.repeats["searches"] == 0
+
+
+def _unit_path(n):
+    return WeightedGraph(range(n), [(i, i + 1, 1) for i in range(n - 1)])
+
+
+def test_a_certificate_is_accepted_only_in_the_graph_it_was_built_on():
+    g = _unit_path(5)
+    twin = _unit_path(5)
+    cert = CenterCertificate.build(g, [2], 2, range(5))
+    c = Coloring.constant({0, 1, 3, 4}, 1)
+    with pytest.raises(GraphError, match="not checked in this graph"):
+        patch_colorings(twin, 1, cert, (), None, c)
+    with pytest.raises(GraphError, match="not checked in this graph"):
+        centered_color(twin, 1, (), cert)
+    assert patch_colorings(g, 1, cert, (), None, c).report.ok
+    assert centered_color(g, 1, (), cert).report.ok
+    assert cert.graph is g
+
+
+def test_a_certificate_made_without_build_is_accepted_nowhere():
+    g = _unit_path(3)
+    cert = CenterCertificate((1,), Fraction(1), (0, 1, 2), 1)
+    with pytest.raises(GraphError, match="not checked in this graph"):
+        centered_color(g, 1, (), cert)
+    assert cert.graph is None

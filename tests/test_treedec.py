@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wdcolor.graph import GraphError, WeightedGraph, power_graph
-from wdcolor.partition import Coloring, ContractViolation, verify_weak_diameter
+from wdcolor.partition import Coloring, ColorResult, ContractViolation, verify_weak_diameter
 from wdcolor.treedec import (
     Condensation,
     Hierarchy,
@@ -62,7 +62,7 @@ def star_td(leaves=4):
 def test_single_bag_valid_full_width():
     g = unit_star(4)
     td = RootedTreeDecomposition({0: range(5)}, [], 0)
-    assert validate_td(g, td)["ok"]
+    validate_td(g, td, "treedec test")
     assert td.width == 4
     assert td.adhesion == 0
 
@@ -70,7 +70,7 @@ def test_single_bag_valid_full_width():
 def test_path_of_bags_width_one():
     g = unit_path(6)
     td = path_td(6)
-    assert validate_td(g, td)["ok"]
+    validate_td(g, td, "treedec test")
     assert td.width == 1
     assert td.adhesion == 1
     assert td.adhesion_of((2, 3)) == frozenset({3})
@@ -80,26 +80,34 @@ def test_dropped_edge_named():
     g = unit_path(4)
     bags = {0: {0, 1}, 1: {1, 2}, 2: {3}}  # edge (2,3) in no bag
     td = RootedTreeDecomposition(bags, [(0, 1), (1, 2)], 0)
-    rep = validate_td(g, td)
-    assert not rep["ok"]
-    assert rep["failures"] == ["edge (2,3) is in no bag"]
+    with pytest.raises(ContractViolation, match=r"^td: edge \(2,3\) is in no bag$"):
+        validate_td(g, td, "td")
 
 
 def test_disconnected_holder_set_flagged():
     g = WeightedGraph(range(3), [(0, 1, 1), (1, 2, 1)])
     bags = {0: {0, 1}, 1: {1, 2}, 2: {2, 0}}  # vertex 0 in bags 0 and 2 only
     td = RootedTreeDecomposition(bags, [(0, 1), (1, 2)], 0)
-    rep = validate_td(g, td)
-    assert not rep["ok"]
-    assert rep["failures"] == ["bags containing vertex 0 are not connected in the tree"]
+    with pytest.raises(ContractViolation, match=r"^td: bags containing vertex 0 are not connected in the tree$"):
+        validate_td(g, td, "td")
 
 
 def test_vertex_outside_graph_flagged():
     g = unit_path(3)
     td = RootedTreeDecomposition({0: {0, 1, 2, 9}}, [], 0)
-    rep = validate_td(g, td)
-    assert not rep["ok"]
-    assert rep["failures"] == ["bags contain unknown vertices: [9]"]
+    with pytest.raises(ContractViolation, match=r"^td: bags contain unknown vertices: \[9\]$"):
+        validate_td(g, td, "td")
+
+
+def test_validate_td_joins_every_failure_and_raises_the_callers_error():
+    g = unit_path(4)
+    td = RootedTreeDecomposition({0: {0, 1, 9}, 1: {1, 2}}, [(0, 1)], 0)
+    with pytest.raises(
+        GraphError,
+        match=r"^user td: vertices not in any bag: \[3\]; bags contain unknown vertices: \[9\]; "
+        r"edge \(2,3\) is in no bag$",
+    ):
+        validate_td(g, td, "user td", GraphError)
 
 
 def test_tree_shape_rejected():
@@ -180,8 +188,7 @@ def test_generator_produces_valid_decompositions():
     rng = random.Random(7)
     for _ in range(50):
         g, td = random_td_instance(rng)
-        rep = validate_td(g, td)
-        assert rep["ok"], rep["failures"]
+        validate_td(g, td, "random td")
 
 
 def _validate_td_by_scanning(g, td):
@@ -244,9 +251,14 @@ def test_validate_td_matches_the_scanning_reference(seed, corruption):
         bags = {t: b - {v} for t, b in bags.items()}
     g = WeightedGraph(g.vertices, edges)
     td = RootedTreeDecomposition(bags, td.tree_edges, td.root)
-    rep = validate_td(g, td)
-    assert rep == _validate_td_by_scanning(g, td)
-    assert rep["ok"] == (corruption == "valid")
+    ref = _validate_td_by_scanning(g, td)
+    assert ref["ok"] == (corruption == "valid")
+    if ref["ok"]:
+        validate_td(g, td, "td")
+        return
+    with pytest.raises(ContractViolation) as failed:
+        validate_td(g, td, "td")
+    assert str(failed.value) == "td: " + "; ".join(ref["failures"])
 
 
 # -- adhesion partition chains -------------------------------------------------
@@ -554,12 +566,23 @@ def test_lift_bound_rejects_bad_parameters():
 # -- coloring lift ---------------------------------------------------------------
 
 
+def _checked(cond, c0, deleted=(), bound=None):
+    """c0 with its check over V(G0) minus `deleted`, as patch_colorings
+    hands a coloring to the lift: at `bound`, or at the measured hops (at
+    least 1) when no bound is given."""
+    pool0 = (cond.g0.vertex_set() - set(deleted)) & c0.domain
+    if bound is None:
+        bound = max(1, verify_weak_diameter(cond.g0, cond.ell, c0, restrict_to=pool0).max_weak_diameter_hops)
+    bound = Fraction(bound)
+    return ColorResult(c0, bound, verify_weak_diameter(cond.g0, cond.ell, c0, restrict_to=pool0, bound=bound))
+
+
 def test_lift_empty_frontier_returns_input():
     g = unit_path(5)
     td = path_td(5)
     cond = condense(g, td, [], [], 1, 1, 0)
     c0 = Coloring({v: v % 2 + 1 for v in range(5)}, 2)
-    res = lift_condensation_coloring(cond, c0)
+    res = lift_condensation_coloring(cond, _checked(cond, c0))
     assert res.coloring.domain == frozenset(range(5))
     assert all(res.coloring.color(v) == c0.color(v) for v in range(5))
     assert res.report.ok
@@ -571,7 +594,7 @@ def test_lift_path_zones_and_guard_colors():
     cond = condense(g, td, [(0, 1)], [(0, 1)], 1, 1, 0)
     assert cond.g0.vertex_set() == {0, 7}
     c0 = Coloring({0: 1, 7: 2}, 2)
-    res = lift_condensation_coloring(cond, c0)
+    res = lift_condensation_coloring(cond, _checked(cond, c0))
     c = res.coloring
     assert c.domain == frozenset({0, 1, 2, 3})
     assert c.color(0) == 1
@@ -588,7 +611,7 @@ def test_lift_agrees_with_input_on_kept_side():
     td = star_td(4)
     cond = condense(g, td, [(0, 1)], [(0, 1)], 1, 1, 0)
     c0 = Coloring({0: 2, 2: 1, 3: 2, 4: 1, 5: 1}, 2)
-    res = lift_condensation_coloring(cond, c0)
+    res = lift_condensation_coloring(cond, _checked(cond, c0))
     for v in (0, 2, 3, 4):
         assert res.coloring.color(v) == c0.color(v)
     assert res.coloring.color(1) == c0.color(5)
@@ -599,7 +622,7 @@ def test_lift_deleted_vertices_uncolored():
     td = star_td(4)
     cond = condense(g, td, [(0, 1)], [(0, 1)], 1, 1, 0)
     c0 = Coloring.constant({0, 2, 3, 4, 5}, 2)
-    res = lift_condensation_coloring(cond, c0, deleted=[3])
+    res = lift_condensation_coloring(cond, _checked(cond, c0, [3]), deleted=[3])
     assert 3 not in res.coloring.domain
     assert res.coloring.domain == frozenset({0, 1, 2, 4})
 
@@ -610,7 +633,7 @@ def test_lift_requires_total_input_coloring():
     cond = condense(g, td, [(0, 1)], [(0, 1)], 1, 1, 0)
     c0 = Coloring.constant({0, 2, 3}, 2)  # misses 4 and the hierarchy vertex
     with pytest.raises(GraphError):
-        lift_condensation_coloring(cond, c0)
+        lift_condensation_coloring(cond, _checked(cond, c0))
 
 
 def test_lift_rejects_overclaimed_input_diameter():
@@ -619,9 +642,13 @@ def test_lift_rejects_overclaimed_input_diameter():
     cond = condense(g, td, [(0, 1)], [(0, 1)], 1, 1, 0)
     c0 = Coloring.constant({0, 2, 3, 4, 5}, 2)  # one component, 2 hops leaf-to-leaf
     with pytest.raises(ContractViolation):
-        lift_condensation_coloring(cond, c0, n_claimed=1)
-    res = lift_condensation_coloring(cond, c0, n_claimed=2)
+        lift_condensation_coloring(cond, _checked(cond, c0, bound=1))
+    res = lift_condensation_coloring(cond, _checked(cond, c0, bound=2))
     assert res.bound == con_color_bound(1, 2, 1, 0)
+    # a result is claimed at the bound its report was checked at
+    checked = _checked(cond, c0, bound=2)
+    with pytest.raises(ContractViolation, match="input coloring measures 2 hops, claimed 3"):
+        lift_condensation_coloring(cond, dataclasses.replace(checked, bound=Fraction(3)))
 
 
 def test_lift_big_adhesion_needs_centers():
@@ -630,14 +657,14 @@ def test_lift_big_adhesion_needs_centers():
     cond = condense(g, td, [(0, 1)], [], 1, 1, 1)  # |X_e| = 2 > theta = 1
     c0 = Coloring({0: 1, 1: 2, 2: 1}, 2)
     with pytest.raises(GraphError):
-        lift_condensation_coloring(cond, c0)
+        lift_condensation_coloring(cond, _checked(cond, c0))
     with pytest.raises(ContractViolation):
         # radius-1 ball around {1} misses nothing, but around {0}... use a far center
         lift_condensation_coloring(
-            cond, c0, centers_per_big_adhesion={(0, 1): [2]}
+            cond, _checked(cond, c0), centers_per_big_adhesion={(0, 1): [2]}
         )
     res = lift_condensation_coloring(
-        cond, c0, centers_per_big_adhesion={(0, 1): [0]}
+        cond, _checked(cond, c0), centers_per_big_adhesion={(0, 1): [0]}
     )
     assert res.report.ok
 
@@ -651,13 +678,13 @@ def test_lift_names_missing_distant_and_surplus_big_adhesion_centers():
     cond = condense(g, td, [(0, 1)], [], 1, 1, 1)
     c0 = Coloring({0: 1, 1: 2, 2: 1}, 2)
     with pytest.raises(GraphError, match=r"adhesion of \(0, 1\) exceeds theta and has no center certificate"):
-        lift_condensation_coloring(cond, c0, centers_per_big_adhesion={})
+        lift_condensation_coloring(cond, _checked(cond, c0), centers_per_big_adhesion={})
     with pytest.raises(ContractViolation, match=r"miss \[0, 1\] at radius 1|coverage fails: \[0, 1\] beyond distance 1"):
-        lift_condensation_coloring(cond, c0, centers_per_big_adhesion={(0, 1): []})
+        lift_condensation_coloring(cond, _checked(cond, c0), centers_per_big_adhesion={(0, 1): []})
     with pytest.raises(ContractViolation, match=r"miss \[0\] at radius 1|coverage fails: \[0\] beyond distance 1"):
-        lift_condensation_coloring(cond, c0, centers_per_big_adhesion={(0, 1): [2]})
+        lift_condensation_coloring(cond, _checked(cond, c0), centers_per_big_adhesion={(0, 1): [2]})
     with pytest.raises(ContractViolation, match=r"larger than theta|lists 2 centers but claims k=1"):
-        lift_condensation_coloring(cond, c0, centers_per_big_adhesion={(0, 1): [0, 1]})
+        lift_condensation_coloring(cond, _checked(cond, c0), centers_per_big_adhesion={(0, 1): [0, 1]})
 
 
 def test_lift_center_set_must_stay_small():
@@ -667,7 +694,7 @@ def test_lift_center_set_must_stay_small():
     c0 = Coloring({0: 1, 1: 2, 2: 1}, 2)
     with pytest.raises(ContractViolation):
         lift_condensation_coloring(
-            cond, c0, centers_per_big_adhesion={(0, 1): [0, 1]}
+            cond, _checked(cond, c0), centers_per_big_adhesion={(0, 1): [0, 1]}
         )
 
 
@@ -685,9 +712,9 @@ def test_lift_random_instances_verify():
         c0 = Coloring({v: rng.randint(1, m) for v in cond.g0.vertices}, m)
         deletable = sorted(cond.g.vertex_set())
         deleted = rng.sample(deletable, k=min(2, len(deletable)))
-        res = lift_condensation_coloring(cond, c0, deleted=deleted)
+        res = lift_condensation_coloring(cond, _checked(cond, c0, deleted), deleted=deleted)
         assert res.report.ok
-        # with no claim, the lift claims the input's measured hops (at least 1)
+        # the input is claimed at its measured hops (at least 1)
         pool0 = set(cond.g0.vertices) - set(deleted)
         measured = verify_weak_diameter(cond.g0, 2, c0, restrict_to=pool0).max_weak_diameter_hops
         assert res.bound == con_color_bound(2, max(1, measured), theta, 0)
@@ -708,7 +735,7 @@ def test_lift_guard_zones_only_outside_condensed_region():
         cond = condense(g, td, frontier, frontier, 2, theta, 0)
         m = 3
         c0 = Coloring({v: rng.randint(1, m) for v in cond.g0.vertices}, m)
-        res = lift_condensation_coloring(cond, c0)
+        res = lift_condensation_coloring(cond, _checked(cond, c0))
         zones = oracles.lift_zones(cond)
         assert zones.keys() - cond.t0_vertices == res.coloring.domain - cond.t0_vertices
         for v, z in zones.items():
