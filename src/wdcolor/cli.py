@@ -122,7 +122,8 @@ def _parse_frac(text: str, what: str) -> Fraction:
 
 
 def _parse_scale(text: str, flag: str) -> Fraction:
-    """The value of a scale flag (--ell, --r): a positive rational."""
+    """The value of a scale flag (--ell, --r, --eps0, each of --scales): a
+    positive rational."""
     value = _parse_frac(text, flag)
     if value <= 0:
         raise CliError("invalid-input", "--%s must be positive, got %s" % (flag, frac_str(value)))
@@ -257,11 +258,9 @@ def _run_layered(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> di
         raise CliError("invalid-input", "layered pipeline needs --layers FILE")
     if not args.eps0:
         raise CliError("invalid-input", "layered pipeline needs --eps0")
+    eps0 = _parse_scale(args.eps0, "eps0")
     layering = _load_certificate(args.layers, "layering", layering_from_json)
-    res = color_layered(
-        g, lf, layering, _parse_frac(args.eps0, "eps0"),
-        slab_width_factor=args.slab_width_factor,
-    )
+    res = color_layered(g, lf, layering, eps0, slab_width_factor=args.slab_width_factor)
     return {
         "ell": frac_str(lf),
         "colors": res.report.colors,
@@ -377,7 +376,7 @@ def cmd_dilation(args: argparse.Namespace) -> int:
     if not args.graph:
         raise CliError("invalid-input", "dilation needs --graph FILE")
     g = _load_graph(args.graph)
-    scales = [_parse_frac(s, "scale") for s in (args.scales.split(",") if args.scales else DEFAULT_SCALES)]
+    scales = [_parse_scale(s, "scales") for s in (args.scales.split(",") if args.scales else DEFAULT_SCALES)]
 
     def pipeline(gg: WeightedGraph, sf: Fraction):
         return color_bounded_treewidth(_scale_weights(gg, sf), sf).report

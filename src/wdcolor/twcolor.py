@@ -95,18 +95,32 @@ def _elimination_width(adj: Dict[int, Set[int]], order: Sequence[int]) -> int:
     return width
 
 
-def _fill_key(work: Dict[int, Set[int]], v: int) -> Tuple[int, int, int]:
-    ns = sorted(work[v])
-    fill = sum(1 for i, a in enumerate(ns) for b in ns[i + 1:] if b not in work[a])
-    return (fill, len(ns), v)
+def _common(x: Set[int], y: Set[int]) -> Set[int]:
+    """The members of both sets.  Every adjacency test min-fill makes goes
+    through here, one per member of the smaller set."""
+    return x & y
 
 
 def _min_fill_order(adj: Dict[int, Set[int]]) -> List[int]:
-    """Repeatedly eliminate the vertex of least (fill, degree, id).  Keys
-    sit in a lazy heap; eliminating v changes only the keys of N(v) and of
-    their neighbours, so only those are recomputed."""
+    """Repeatedly eliminate the vertex of least (fill, degree, id), where
+    fill(v) counts the non-adjacent pairs in N(v).  Keys sit in a lazy heap.
+
+    Fill is counted once, from the edges among each neighbourhood, then
+    kept up to date through each elimination of a vertex v:
+    - removing v lowers fill(u) for each u in N(v) by |N(u) \\ N[v]|;
+    - adding a fill edge {a, b} lowers fill(w) by 1 for each common
+      neighbour w of a and b, and raises fill(a) by |N(a) \\ N(b)| and
+      fill(b) by |N(b) \\ N(a)|, in the adjacency just before the edge.
+    So an elimination costs one intersection per neighbour of v and one per
+    fill edge, and only a vertex whose (fill, degree) changed gets a new
+    heap key."""
     work = {v: set(ns) for v, ns in adj.items()}
-    key = {v: _fill_key(work, v) for v in work}
+    fill: Dict[int, int] = {}
+    for v, ns in work.items():
+        # each edge among N(v) is met from both of its ends
+        inner = sum(len(_common(ns, work[u])) for u in ns) // 2
+        fill[v] = len(ns) * (len(ns) - 1) // 2 - inner
+    key = {v: (fill[v], len(ns), v) for v, ns in work.items()}
     heap = list(key.values())
     heapq.heapify(heap)
     order: List[int] = []
@@ -117,13 +131,31 @@ def _min_fill_order(adj: Dict[int, Set[int]]) -> List[int]:
             continue
         del key[v]
         order.append(v)
-        ns = _eliminate_in_place(work, v)
-        stale = set(ns)
-        for a in ns:
-            stale |= work[a]
-        for u in stale:
-            key[u] = _fill_key(work, u)
-            heapq.heappush(heap, key[u])
+        ns = work.pop(v)
+        touched = set(ns)
+        missing: List[Tuple[int, int]] = []
+        for u in ns:
+            nu = work[u]
+            nu.discard(v)
+            inside = _common(nu, ns)
+            fill[u] -= len(nu) - len(inside)
+            if k[0]:  # N(v) is not a clique yet
+                missing.extend((u, b) for b in ns - inside if b > u)
+        for a, b in missing:
+            na, nb = work[a], work[b]
+            both = _common(na, nb)
+            for w in both:
+                fill[w] -= 1
+            touched |= both
+            fill[a] += len(na) - len(both)
+            fill[b] += len(nb) - len(both)
+            na.add(b)
+            nb.add(a)
+        for u in touched:
+            new = (fill[u], len(work[u]), u)
+            if new != key[u]:
+                key[u] = new
+                heapq.heappush(heap, new)
     return order
 
 
@@ -214,9 +246,8 @@ def compute_tree_decomposition(
         return RootedTreeDecomposition({0: ()}, [], 0)
     adj = _simple_adjacency(g)
     order = _min_fill_order(adj)
-    width = _elimination_width(adj, order)
     if len(g) <= exact_max:
-        width, order = _exact_order(adj, order, width)
+        _, order = _exact_order(adj, order, _elimination_width(adj, order))
     td = _order_to_td(g, order)
     validate_td(g, td, "elimination decomposition failed validation")
     return td

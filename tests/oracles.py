@@ -662,3 +662,55 @@ def reference_color_bounded_treewidth(g, ell, td=None):
         )
     out = _merge_disjoint(pieces, "treewidth coloring")
     return out, tree_extension_bound(theta, theta, lf, piece_bound)
+
+
+# -- min-fill, copied before fill counts were kept -------------------------------
+#
+# Reference for `twcolor._min_fill_order`: the lazy heap as it stood when
+# every vertex within two steps of an eliminated one had its fill recounted
+# from scratch.  The keys are the same (fill, degree, id), so the two sides
+# must give the same order.
+
+import heapq  # noqa: E402
+
+
+def _reference_eliminate_in_place(work: Dict[int, Set[int]], v: int) -> Set[int]:
+    ns = work.pop(v)
+    for a in ns:
+        nbrs = work[a]
+        nbrs.discard(v)
+        nbrs |= ns
+        nbrs.discard(a)
+    return ns
+
+
+def _reference_fill_key(work: Dict[int, Set[int]], v: int) -> Tuple[int, int, int]:
+    ns = sorted(work[v])
+    fill = sum(1 for i, a in enumerate(ns) for b in ns[i + 1:] if b not in work[a])
+    return (fill, len(ns), v)
+
+
+def reference_min_fill_order(adj: Dict[int, Set[int]]) -> List[int]:
+    """Repeatedly eliminate the vertex of least (fill, degree, id).  Keys
+    sit in a lazy heap; eliminating v changes only the keys of N(v) and of
+    their neighbours, so only those are recomputed."""
+    work = {v: set(ns) for v, ns in adj.items()}
+    key = {v: _reference_fill_key(work, v) for v in work}
+    heap = list(key.values())
+    heapq.heapify(heap)
+    order: List[int] = []
+    while work:
+        k = heapq.heappop(heap)
+        v = k[2]
+        if key.get(v) != k:
+            continue
+        del key[v]
+        order.append(v)
+        ns = _reference_eliminate_in_place(work, v)
+        stale = set(ns)
+        for a in ns:
+            stale |= work[a]
+        for u in stale:
+            key[u] = _reference_fill_key(work, u)
+            heapq.heappush(heap, key[u])
+    return order

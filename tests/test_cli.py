@@ -185,6 +185,23 @@ def test_a_non_positive_scale_is_bad_input_named_by_its_flag(tmp_path, capsys, p
     }
 
 
+@pytest.mark.parametrize("value", ["0", "-1/2"])
+@pytest.mark.parametrize("flag", ["--eps0", "--scales"])
+def test_a_non_positive_resolution_or_sweep_scale_is_bad_input(tmp_path, capsys, flag, value):
+    prefix = str(tmp_path / "grid")
+    assert _main(capsys, ["gen", "grid", "--rows", "3", "--cols", "3", "--out", prefix])[0] == 0
+    if flag == "--eps0":
+        argv = ["run", "layered", "--ell", "1", "--layers", prefix + ".layers.json", flag, value]
+    else:
+        argv = ["dilation", flag, value]
+    code, out, err = _main(capsys, argv + ["--graph", prefix + ".txt"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "invalid-input",
+        "message": "%s must be positive, got %s" % (flag, value),
+    }
+
+
 def test_verify_refuses_a_power_graph_above_the_limit(tmp_path, capsys):
     # one edge of weight 10**9 at ell = 1 asks for 2 * 10**9 power vertices
     graph = tmp_path / "heavy.txt"

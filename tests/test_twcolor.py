@@ -539,6 +539,62 @@ def test_min_fill_order_matches_the_copying_reference(n, density, rnd):
     assert _elimination_width(adj, order) == width
 
 
+def _instance_adjacency(family, n=0, k=2, seed=0, side=0):
+    from wdcolor.generators import GeneratorSpec, generate
+    from wdcolor.twcolor import _simple_adjacency
+
+    spec = GeneratorSpec(family, n=n, k=k, seed=seed, rows=side, cols=side)
+    return _simple_adjacency(generate(spec).graph)
+
+
+@pytest.mark.parametrize(
+    "family, n, k, seed, side",
+    [
+        ("ktree", 300, 2, 1, 0),
+        ("ktree", 300, 2, 2, 0),
+        ("ktree", 300, 3, 1, 0),
+        ("ktree", 300, 3, 2, 0),
+        ("random-series-parallel", 300, 2, 1, 0),
+        ("random-series-parallel", 300, 2, 2, 0),
+        ("grid", 0, 2, 0, 12),
+        ("grid", 0, 2, 0, 20),
+    ],
+)
+def test_min_fill_order_matches_the_recounting_reference(family, n, k, seed, side):
+    """Kept fill counts give the order of recounting each stale vertex, on
+    inputs large enough to grow hubs (k-trees) and to add fill (grids)."""
+    from wdcolor.twcolor import _min_fill_order
+
+    adj = _instance_adjacency(family, n=n, k=k, seed=seed, side=side)
+    assert _min_fill_order(adj) == oracles.reference_min_fill_order(adj)
+
+
+def _min_fill_pair_tests(monkeypatch, n, seed):
+    import wdcolor.twcolor as twcolor
+
+    count = 0
+    common = twcolor._common
+
+    def counted(x, y):
+        nonlocal count
+        count += min(len(x), len(y))
+        return common(x, y)
+
+    monkeypatch.setattr(twcolor, "_common", counted)
+    twcolor._min_fill_order(_instance_adjacency("ktree", n=n, k=3, seed=seed))
+    return count
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_min_fill_work_grows_linearly_on_3_trees(monkeypatch, seed):
+    """Four times the vertices may cost at most five times the adjacency
+    tests.  Recounting each stale vertex's fill grows them 17- to 22-fold,
+    because random 3-trees grow hubs."""
+    small = _min_fill_pair_tests(monkeypatch, 250, seed)
+    large = _min_fill_pair_tests(monkeypatch, 1000, seed)
+    assert 0 < large <= 5 * small, (small, large)
+
+
 # -- the recursion against its reference copy ------------------------------------
 
 
