@@ -332,6 +332,10 @@ def _run_verify(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dic
 def cmd_run(args: argparse.Namespace) -> int:
     if not args.graph:
         raise CliError("invalid-input", "run needs --graph FILE")
+    if args.pipeline in ("planar", "layered") and args.slab_width_factor < 4:
+        raise CliError(
+            "invalid-input", "--slab-width-factor must be at least 4, got %d" % args.slab_width_factor
+        )
     g = _load_graph(args.graph)
     try:
         if args.pipeline == "partition":

@@ -22,11 +22,12 @@ piece of each padded window, and offsets one family by two colors to get
 four.  The pipelines differ only in what they hand the driver.  The planar
 pipeline projects onto root distances of a shortest-path tree and colors a
 window piece through the tripod tree decomposition restricted to it (every
-bag is a union of at most three vertical paths of the tree; the
-decomposition is its own `GeodesicCertificate`, verified once per component
-by `tripod_decomposition`).  The layered pipeline projects onto eps0 times
-the layer index and colors a window piece with the bounded-treewidth
-colorer.
+bag is a union of at most three vertical paths of the tree).  Per component,
+`tripod_decomposition` builds that decomposition, contracts every bag that
+sits inside a neighbour's, and verifies the contracted result once as its
+own `GeodesicCertificate`; each window piece slices and contracts that small
+certificate again.  The layered pipeline projects onto eps0 times the layer
+index and colors a window piece with the bounded-treewidth colorer.
 """
 
 import bisect
@@ -1045,16 +1046,21 @@ def tripod_decomposition(
     tree: GeodesicTree,
 ) -> GeodesicCertificate:
     """Tree decomposition of a connected embedded graph into bags made of at
-    most three vertical paths of `tree`, returned as a certificate that has
-    been verified against g (`GeodesicCertificate.verify`), so callers need
-    not verify it again.
+    most three vertical paths of `tree`, returned as a contracted
+    certificate that has been verified against g
+    (`GeodesicCertificate.verify`), so callers need not verify it again.
 
     Faces longer than a triangle are star-triangulated with throwaway apex
     vertices (leaves of the tree, stripped from the output).  The recursion
     walks wedges: regions bounded by two root paths and an edge, split at
-    the apex of the boundary face.  Trees need no rotation system.
+    the apex of the boundary face.  Trees need no rotation system.  Every
+    node whose bag sits inside a neighbour's is then contracted away
+    (`_contract`); each surviving node keeps its own paths.  On a unit grid
+    this leaves one node per pair of adjacent columns.
     """
-    cert = _build_tripods(g, rotation, tree)
+    full = _build_tripods(g, rotation, tree)
+    td = _contract(full.td, full.td.bags)
+    cert = GeodesicCertificate(tree, td, {t: full.paths[t] for t in td.nodes})
     cert.verify(g)
     return cert
 
@@ -1064,7 +1070,9 @@ def _build_tripods(
     rotation: Optional[Dict[int, Sequence[int]]],
     tree: GeodesicTree,
 ) -> GeodesicCertificate:
-    """tripod_decomposition before its certificate is verified."""
+    """tripod_decomposition before its certificate is contracted and
+    verified: one node per wedge visited and one per face split, each
+    listing the root paths of its corners."""
     _check_simple(g)
     verts = list(g.vertices)
     if not verts:
@@ -1187,6 +1195,43 @@ def _build_tripods(
             "wedge recursion covered %d of %d faces" % (len(faces_done), len(third) // 3)
         )
     return GeodesicCertificate(tree, RootedTreeDecomposition(bags2, td_edges, root_node), paths2)
+
+
+def _contract(
+    td: RootedTreeDecomposition, bags: Dict[int, FrozenSet[int]]
+) -> RootedTreeDecomposition:
+    """td's tree carrying `bags` instead of its own, with every node whose
+    bag sits inside a neighbour's absorbed into that neighbour, which keeps
+    its node id.  Tree edges are taken last first, so the same input keeps
+    the same ids."""
+    alive = set(td.nodes)
+    adj: Dict[int, Set[int]] = {t: set() for t in alive}
+    for (p, ch) in td.tree_edges:
+        adj[p].add(ch)
+        adj[ch].add(p)
+    root = td.root
+    work = list(td.tree_edges)
+    while work:
+        a, b = work.pop()
+        if a not in alive or b not in adj[a]:
+            continue
+        # absorb b into a below; flip first if a's bag is the smaller one
+        if bags[a] <= bags[b]:
+            a, b = b, a
+        elif not bags[b] <= bags[a]:
+            continue
+        adj[a].discard(b)
+        for n in adj[b]:
+            adj[n].discard(b)
+            if n != a:
+                adj[n].add(a)
+                adj[a].add(n)
+                work.append((a, n))
+        alive.discard(b)
+        if root == b:
+            root = a
+    edges = [(t, n) for t in alive for n in adj[t] if t < n]
+    return RootedTreeDecomposition({t: bags[t] for t in alive}, edges, root)
 
 
 # -- slabs --------------------------------------------------------------------
@@ -1389,28 +1434,17 @@ def _window_segments(
     trip: GeodesicCertificate, wset: Set[int]
 ) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
     """Per node, the window slices of its certified paths.  The projection
-    is monotone along every path, so each slice must be contiguous.
-
-    The certificate is built and verified once per component; this runs
-    once per slab.  Nodes share paths (each lists the root paths of its
-    corners), so each distinct path is sliced once per slab and every node
-    that lists it gets the same slice object.  A path is keyed by its
-    bottom vertex and length, which fix it because `verify` has checked
-    every path as a parent chain."""
-    sliced: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    is monotone along every path, so each slice must be contiguous."""
     segs: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
     for t in trip.td.nodes:
         out: List[Tuple[int, ...]] = []
         for path in trip.paths[t]:
-            key = (path[0], len(path))
-            sl = sliced.get(key)
-            if sl is None:
-                idx = [i for i, v in enumerate(path) if v in wset]
-                if idx and idx[-1] - idx[0] != len(idx) - 1:
-                    raise ContractViolation("a path's window slice is not contiguous")
-                sl = sliced[key] = tuple(path[idx[0]:idx[-1] + 1]) if idx else ()
-            if sl:
-                out.append(sl)
+            idx = [i for i, v in enumerate(path) if v in wset]
+            if not idx:
+                continue
+            if idx[-1] - idx[0] != len(idx) - 1:
+                raise ContractViolation("a path's window slice is not contiguous")
+            out.append(tuple(path[idx[0]:idx[-1] + 1]))
         segs[t] = tuple(out)
     return segs
 
@@ -1422,82 +1456,22 @@ def _restrict_tripods(
 ) -> Tuple[RootedTreeDecomposition, Dict[int, Tuple[int, ...]]]:
     """Keep only the window slices inside one window component, contract
     redundant nodes away, and return the pruned decomposition together with
-    its min-projection path centers.
-
-    Runs once per window piece.  Each distinct slice, keyed like its path
-    by bottom vertex and length, is classified once per piece as inside
-    `keep` or disjoint from it, and each distinct set of kept slices makes
-    one bag and one center tuple, shared by every node that keeps it.  The
-    contraction still walks the whole component's decomposition."""
-    inside: Dict[Tuple[int, int], bool] = {}
-    made: Dict[Tuple[Tuple[int, int], ...], Tuple[FrozenSet[int], Tuple[int, ...]]] = {
-        (): (frozenset(), ())
-    }
+    its min-projection path centers.  Runs once per window piece, over the
+    component's contracted certificate."""
     bags: Dict[int, FrozenSet[int]] = {}
     tops: Dict[int, Tuple[int, ...]] = {}
     for t in trip.td.nodes:
         kept: List[Tuple[int, ...]] = []
-        keys: List[Tuple[int, int]] = []
         for sl in window_segs[t]:
-            key = (sl[0], len(sl))
-            ok = inside.get(key)
-            if ok is None:
-                n_in = len(keep.intersection(sl))
-                if 0 < n_in < len(sl):
-                    raise ContractViolation("a window slice straddles two window components")
-                ok = inside[key] = n_in > 0
-            if ok:
+            n_in = len(keep.intersection(sl))
+            if 0 < n_in < len(sl):
+                raise ContractViolation("a window slice straddles two window components")
+            if n_in:
                 kept.append(sl)
-                keys.append(key)
-        bkey = tuple(keys)
-        bag_tops = made.get(bkey)
-        if bag_tops is None:
-            bag_tops = made[bkey] = (
-                frozenset(v for s in kept for v in s),
-                tuple(sorted({s[-1] for s in kept})),
-            )
-        bags[t], tops[t] = bag_tops
-    alive = set(trip.td.nodes)
-    adj: Dict[int, Set[int]] = {t: set() for t in alive}
-    for (p, ch) in trip.td.tree_edges:
-        adj[p].add(ch)
-        adj[ch].add(p)
-    root = trip.td.root
-    work = list(trip.td.tree_edges)
-    while work:
-        a, b = work.pop()
-        if a not in alive or b not in alive or b not in adj[a]:
-            continue
-        # absorb b into a below; flip first if a's bag is the smaller one
-        # (neighbours often share one bag object, which settles it at once)
-        bag_a, bag_b = bags[a], bags[b]
-        if bag_a is bag_b or bag_a <= bag_b:
-            a, b = b, a
-        elif not bag_b <= bag_a:
-            continue
-        adj[a].discard(b)
-        for n in adj[b]:
-            adj[n].discard(b)
-            if n != a:
-                adj[n].add(a)
-                adj[a].add(n)
-                work.append((a, n))
-        alive.discard(b)
-        if root == b:
-            root = a
-    seen = {root}
-    edges: List[TreeEdge] = []
-    queue = [root]
-    for t in queue:
-        for n in sorted(adj[t]):
-            if n not in seen:
-                seen.add(n)
-                edges.append((t, n))
-                queue.append(n)
-    if seen != alive:
-        raise ContractViolation("slab restriction disconnected the decomposition")
-    td = RootedTreeDecomposition({t: bags[t] for t in alive}, edges, root)
-    return td, {t: tops[t] for t in alive}
+        bags[t] = frozenset(v for s in kept for v in s)
+        tops[t] = tuple(sorted({s[-1] for s in kept}))
+    td = _contract(trip.td, bags)
+    return td, {t: tops[t] for t in td.nodes}
 
 
 def color_planar(

@@ -1,5 +1,5 @@
 """Colorings, monochromatic components, weak-diameter verification, and the
-conversions between power-graph colorings and separated partition families.
+conversion from a power-graph coloring to a separated partition family.
 
 Verification is never skipped: every converter re-checks the object it
 returns and raises ContractViolation naming the offender when a claimed
@@ -353,36 +353,6 @@ def verify_partition_family(g: WeightedGraph, fam: PartitionFamily) -> None:
                     "collection %d set %d: weak diameter exceeds %s (%s)"
                     % (ci, si, frac_str(fam.diameter_bound), exc)
                 ) from None
-
-
-def partition_to_coloring(g: WeightedGraph, ell: object, fam: PartitionFamily) -> Coloring:
-    """Least-collection-index coloring of a separated family.
-
-    Requires cover of V(g) and separation > ell; checks that every
-    monochromatic power-graph component stays inside a single set."""
-    lf = as_fraction(ell)
-    if fam.r < lf:
-        raise GraphError("family separation scale %s below ell %s" % (fam.r, lf))
-    assignment: Dict[int, int] = {}
-    for ci, coll in enumerate(fam.collections, 1):
-        for si, part in enumerate(coll):
-            for v in part:
-                if v not in assignment:
-                    assignment[v] = ci
-    gap = g.vertex_set() - set(assignment)
-    if gap:
-        raise GraphError("family does not cover vertices %s" % sorted(gap)[:5])
-    c = Coloring(assignment, fam.num_collections)
-    comps = monochromatic_components(power_graph(g, lf), c, within=g.vertex_set())
-    for comp in comps:
-        color = c.color(comp[0])
-        coll = fam.collections[color - 1]
-        if not any(set(comp) <= part for part in coll):
-            raise ContractViolation(
-                "component with min vertex %s spans sets of collection %d"
-                % (comp[0], color)
-            )
-    return c
 
 
 def measure_dilation(

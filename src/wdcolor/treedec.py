@@ -923,32 +923,3 @@ def _hierarchy_color_vertex(
         elif dy is not None and dy <= reach:
             raise ContractViolation("vertex %s reaches two level-%d parts" % (v, j_v))
     return att.vertex_ids[(j_v, y_v)]
-
-
-def check_quasi_isometry(g: WeightedGraph, cond: Condensation) -> None:
-    """Exhaustive distance comparison between the graph and its condensation
-    on the shared vertices: short distances never grow, and condensed
-    distances stretch back by at most 4*(3*theta+1)*(theta+mu/ell).  Meant
-    for small instances."""
-    shared = sorted(cond.base_vertices & g.vertex_set())
-    lift_factor = 4 * (3 * cond.theta + 1) * (cond.theta + cond.mu / cond.ell)
-    horizon = 3 * cond.ell + cond.mu
-    for x in shared:
-        dg = g.distances_from([x])
-        d0 = cond.g0.distances_from([x])
-        for y in shared:
-            if y <= x:
-                continue
-            a, b = dg.get(y), d0.get(y)
-            if a is not None and a <= horizon:
-                if b is None or b > a:
-                    raise ContractViolation(
-                        "distance (%s,%s): %s in the graph but %s condensed"
-                        % (x, y, frac_str(a), "inf" if b is None else frac_str(b))
-                    )
-            if b is not None:
-                if a is None or a > lift_factor * b:
-                    raise ContractViolation(
-                        "distance (%s,%s): %s condensed lifts beyond factor %s"
-                        % (x, y, frac_str(b), frac_str(lift_factor))
-                    )

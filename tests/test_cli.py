@@ -202,6 +202,32 @@ def test_a_non_positive_resolution_or_sweep_scale_is_bad_input(tmp_path, capsys,
     }
 
 
+@pytest.mark.parametrize("value", ["3", "0", "-2"])
+@pytest.mark.parametrize("pipeline", ["planar", "layered"])
+def test_a_slab_width_factor_below_4_is_bad_input_before_any_pipeline_work(
+    tmp_path, capsys, monkeypatch, pipeline, value
+):
+    import wdcolor.geodesic as geodesic
+
+    built = []
+    monkeypatch.setattr(geodesic, "tripod_decomposition", lambda *args: built.append(args))
+    monkeypatch.setattr(geodesic, "layering_projection", lambda *args: built.append(args))
+    prefix = str(tmp_path / "grid")
+    assert _main(capsys, ["gen", "grid", "--rows", "4", "--cols", "4", "--out", prefix])[0] == 0
+    if pipeline == "planar":
+        inputs = ["--rotation", prefix + ".rotation.json"]
+    else:
+        inputs = ["--layers", prefix + ".layers.json", "--eps0", "1"]
+    argv = ["run", pipeline, "--graph", prefix + ".txt", "--ell", "1", "--slab-width-factor", value]
+    code, out, err = _main(capsys, argv + inputs)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "invalid-input",
+        "message": "--slab-width-factor must be at least 4, got %s" % value,
+    }
+    assert built == []
+
+
 def test_verify_refuses_a_power_graph_above_the_limit(tmp_path, capsys):
     # one edge of weight 10**9 at ell = 1 asks for 2 * 10**9 power vertices
     graph = tmp_path / "heavy.txt"

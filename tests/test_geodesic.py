@@ -984,6 +984,54 @@ def test_window_restriction_matches_the_reference(instance, factor):
             assert centers == ref_centers
 
 
+def _over_bags(td, centers):
+    """A restricted decomposition with its node ids forgotten: the node
+    count, each bag's centres, the tree as pairs of bags, and the root bag."""
+    return (
+        len(td),
+        {td.bags[t]: centers[t] for t in td.nodes},
+        {frozenset((td.bags[p], td.bags[c])) for (p, c) in td.tree_edges},
+        td.bags[td.root],
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(planar_instances(), st.sampled_from((4, 8)))
+def test_restricting_the_contracted_certificate_matches_restricting_the_full_one(instance, factor):
+    from wdcolor.geodesic import _build_tripods, _restrict_tripods, _window_segments
+
+    g, rotation = instance
+    tree = bfs_geodesic_tree(g, g.vertices[0])
+    full = _build_tripods(g, rotation, tree)
+    cert = tripod_decomposition(g, rotation, tree)
+    assert len(cert.td) <= len(full.td)
+    system = make_slabs(g, 1, tree.dist, slab_width_factor=factor)
+    for slab in system.slabs:
+        wset = set(slab.window)
+        segs, full_segs = _window_segments(cert, wset), _window_segments(full, wset)
+        for comp in g.induced(slab.window).connected_components():
+            keep = set(comp)
+            assert _over_bags(*_restrict_tripods(cert, segs, keep)) == _over_bags(
+                *_restrict_tripods(full, full_segs, keep)
+            )
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (3, 7), (7, 3), (10, 10), (20, 13)])
+def test_unit_grid_certificate_is_the_column_comb(rows, cols):
+    """A count guard: the contracted certificate of a unit grid keeps one
+    node per pair of adjacent columns, the bags `generators._grid_tripods`
+    builds, in the same path."""
+    from wdcolor.generators import _grid_tripods
+
+    inst = generate(GeneratorSpec(family="grid", rows=rows, cols=cols))
+    cert = tripod_decomposition(inst.graph, inst.rotation, bfs_geodesic_tree(inst.graph, 0))
+    comb = _grid_tripods(rows, cols)
+    assert len(cert.td) == cols - 1
+    tree_over_bags = lambda td: {frozenset((td.bags[p], td.bags[c])) for (p, c) in td.tree_edges}
+    assert set(cert.td.bags.values()) == set(comb.td.bags.values())
+    assert tree_over_bags(cert.td) == tree_over_bags(comb.td)
+
+
 # -- pipelines --------------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdcolor.graph import HopGraph, WeightedGraph, ceil_frac, frac_str, power_graph
+from wdcolor.graph import HopGraph, WeightedGraph, frac_str, power_graph
 from wdcolor.partition import (
     Coloring,
     ComponentStat,
@@ -19,7 +19,6 @@ from wdcolor.partition import (
     coloring_to_partition,
     measure_dilation,
     monochromatic_components,
-    partition_to_coloring,
     verify_partition_family,
     verify_weak_diameter,
 )
@@ -242,63 +241,6 @@ def test_partition_family_flags_sets_within_r():
     fam = PartitionFamily(((frozenset({0}), frozenset({1})),), Fraction(1), Fraction(1))
     with pytest.raises(ContractViolation, match=r"collection 1: sets 0 and 1 within distance 1 \(vertex 1\)"):
         verify_partition_family(g, fam)
-
-
-# -- partition_to_coloring ------------------------------------------------------
-
-
-def test_min_rule_prefers_earlier_collection():
-    g = WeightedGraph([0], [])
-    fam = PartitionFamily(
-        (
-            tuple(),
-            (frozenset({0}),),
-            (frozenset({0}),),
-        ),
-        Fraction(2),
-        Fraction(0),
-    )
-    c = partition_to_coloring(g, 1, fam)
-    assert c.color(0) == 2
-
-
-def test_partition_round_trip_on_path():
-    g = unit_path(10)
-    c = block_coloring(10, 3)
-    fam = coloring_to_partition(g, 1, c, 2)
-    c2 = partition_to_coloring(g, 1, fam)
-    # every new component sits inside one family set
-    p = power_graph(g, 1)
-    for comp in monochromatic_components(p, c2, within=g.vertex_set()):
-        assert any(
-            set(comp) <= part
-            for part in fam.collections[c2.color(comp[0]) - 1]
-        )
-    # coloring equals block parity on this instance
-    assert all(c2.color(v) == c.color(v) for v in range(10))
-
-
-def test_partition_to_coloring_requires_cover():
-    g = unit_path(3)
-    fam = PartitionFamily(((frozenset({0, 1}),),), Fraction(1), Fraction(1))
-    with pytest.raises(Exception):
-        partition_to_coloring(g, 1, fam)
-
-
-def test_partition_to_coloring_hop_bound():
-    g = unit_path(12)
-    c = block_coloring(12, 4)
-    fam = coloring_to_partition(g, 2, c, 2)
-    c2 = partition_to_coloring(g, 2, fam)
-    report = verify_weak_diameter(g, 2, c2, restrict_to=g.vertex_set())
-    assert report.max_weak_diameter_hops <= ceil_frac(2 * fam.diameter_bound / 2)
-
-
-def test_separated_singletons_all_one_color():
-    g = WeightedGraph([0, 1], [(0, 1, 10)])
-    fam = PartitionFamily(((frozenset({0}), frozenset({1})),), Fraction(5), Fraction(0))
-    c = partition_to_coloring(g, 1, fam)
-    assert set(c.assignment.values()) == {1}
 
 
 # -- dilation harness ------------------------------------------------------------

@@ -20,7 +20,6 @@ from wdcolor.treedec import (
     adhesion_partition_chain,
     ball_region,
     build_hierarchy,
-    check_quasi_isometry,
     component_decomposition,
     con_color_bound,
     condense,
@@ -532,7 +531,7 @@ def test_quasi_isometry_on_random_condensations():
         theta = max([1] + [len(td.adhesion_of(e)) for e in frontier])
         mu = Fraction(rng.randint(0, 4), 2)
         cond = condense(g, td, frontier, prime, 2, theta, mu)
-        check_quasi_isometry(g, cond)
+        oracles.check_quasi_isometry(g, cond)
         checked += 1
     assert checked >= 20
 
@@ -545,7 +544,7 @@ def test_quasi_isometry_catches_missing_edges():
         cond, g0=WeightedGraph(cond.g0.vertices, [])
     )
     with pytest.raises(ContractViolation):
-        check_quasi_isometry(g, broken)
+        oracles.check_quasi_isometry(g, broken)
 
 
 # -- lift bound -----------------------------------------------------------------
