@@ -23,14 +23,18 @@ four.  The pipelines differ only in what they hand the driver.  The planar
 pipeline projects onto root distances of a shortest-path tree and colors a
 window piece through the tripod tree decomposition restricted to it (every
 bag is a union of at most three vertical paths of the tree).  Per component,
-`tripod_decomposition` builds that decomposition, contracts every bag that
-sits inside a neighbour's, and verifies the contracted result once as its
-own `GeodesicCertificate`; each window piece slices and contracts that small
-certificate again.  The layered pipeline projects onto eps0 times the layer
-index and colors a window piece with the bounded-treewidth colorer.
+`tripod_decomposition` runs the wedge recursion recording each node by its
+at most three corners, contracts every node whose bag sits inside a
+neighbour's by an ancestor test on the corners, builds paths and bags for
+the survivors only, and verifies that small result once as its own
+`GeodesicCertificate`; each window piece slices and contracts it again.
+The layered pipeline projects onto eps0 times the layer index and colors a
+window piece with the bounded-treewidth colorer.  `make_slabs` cuts on
+integers: projection, weights and widths scaled by one common denominator.
 """
 
 import bisect
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1053,26 +1057,17 @@ def tripod_decomposition(
     Faces longer than a triangle are star-triangulated with throwaway apex
     vertices (leaves of the tree, stripped from the output).  The recursion
     walks wedges: regions bounded by two root paths and an edge, split at
-    the apex of the boundary face.  Trees need no rotation system.  Every
-    node whose bag sits inside a neighbour's is then contracted away
-    (`_contract`); each surviving node keeps its own paths.  On a unit grid
-    this leaves one node per pair of adjacent columns.
+    the apex of the boundary face, with one node per wedge visited and one
+    per face split.  A node's bag is the union of its corners' root paths
+    (an apex stands for the face vertex it hangs from), so the recursion
+    records only the corners.  Every node whose bag sits inside a
+    neighbour's is then contracted away (`_contract`), which the corners
+    decide alone: a bag holds another iff each corner of the other is an
+    ancestor-or-self of one of its corners, an interval test on the
+    preorder of `tree`.  Only the surviving nodes get paths and bags.
+    Trees need no rotation system.  On a unit grid this leaves one node per
+    pair of adjacent columns.
     """
-    full = _build_tripods(g, rotation, tree)
-    td = _contract(full.td, full.td.bags)
-    cert = GeodesicCertificate(tree, td, {t: full.paths[t] for t in td.nodes})
-    cert.verify(g)
-    return cert
-
-
-def _build_tripods(
-    g: WeightedGraph,
-    rotation: Optional[Dict[int, Sequence[int]]],
-    tree: GeodesicTree,
-) -> GeodesicCertificate:
-    """tripod_decomposition before its certificate is contracted and
-    verified: one node per wedge visited and one per face split, each
-    listing the root paths of its corners."""
     _check_simple(g)
     verts = list(g.vertices)
     if not verts:
@@ -1080,28 +1075,90 @@ def _build_tripods(
     if not g.is_connected():
         raise GraphError("tripod decomposition needs a connected graph")
     root = tree.root
+    paths: Dict[int, Tuple[Tuple[int, ...], ...]]
     if len(verts) == 1:
         td = RootedTreeDecomposition({0: frozenset(verts)}, [], 0)
-        return GeodesicCertificate(tree, td, {0: (tuple(verts),)})
-    if len(g.edges) == len(verts) - 1:
-        bags = {root: frozenset((root,))}
-        edges: List[TreeEdge] = []
-        paths: Dict[int, Tuple[Tuple[int, ...], ...]] = {root: ((root,),)}
-        for v in verts:
-            if v == root:
-                continue
-            p = tree.parent[v]
-            bags[v] = frozenset((v, p))
-            edges.append((p, v))
-            paths[v] = ((v, p),)
-        td = RootedTreeDecomposition(bags, edges, root)
-        return GeodesicCertificate(tree, td, paths)
+        paths = {0: (tuple(verts),)}
+    elif len(g.edges) == len(verts) - 1:
+        # a tree: one node per vertex v holding its tree edge (v, parent)
+        ends = {v: (v, tree.parent[v]) for v in verts if v != root}
+        ends[root] = (root,)
+        bags = {v: frozenset(ps) for v, ps in ends.items()}
+        alive, edges, top = _contract(
+            verts, sorted((tree.parent[v], v) for v in verts if v != root), root,
+            lambda s, t: bags[s] <= bags[t],
+        )
+        td = RootedTreeDecomposition({t: bags[t] for t in alive}, edges, top)
+        paths = {t: (ends[t],) for t in alive}
+    else:
+        order, rank, end = _preorder(tree, verts)
+        corners, tree_edges = _wedge_corners(g, rotation, tree, rank)
+
+        def within(s: int, t: int) -> bool:
+            tops = corners[t]
+            for c in corners[s]:
+                e = end[c]
+                for x in tops:
+                    if c <= x < e:
+                        break
+                else:
+                    return False
+            return True
+
+        alive, edges, top = _contract(range(len(corners)), sorted(tree_edges), 0, within)
+        paths = {t: tuple(_root_path(tree, order[c]) for c in corners[t]) for t in alive}
+        td = RootedTreeDecomposition(
+            {t: frozenset(v for p in paths[t] for v in p) for t in alive}, edges, top
+        )
+    cert = GeodesicCertificate(tree, td, paths)
+    cert.verify(g)
+    return cert
+
+
+def _preorder(
+    tree: GeodesicTree, verts: Sequence[int]
+) -> Tuple[List[int], Dict[int, int], List[int]]:
+    """The vertices of `tree` in preorder, each vertex's position there, and
+    per position i the end of the subtree starting there: the vertex at i
+    is an ancestor-or-self of the one at j iff i <= j < end[i]."""
+    children: Dict[int, List[int]] = {v: [] for v in verts}
+    if tree.root not in children:
+        raise ContractViolation("certificate root is not a vertex")
+    for v in verts:
+        p = tree.parent.get(v)
+        if v != tree.root and p in children:
+            children[p].append(v)
+    order: List[int] = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(children[v])
+    if len(order) != len(verts):
+        raise ContractViolation("certificate tree does not cover the vertices")
+    end = list(range(1, len(order) + 1))
+    rank = {v: i for i, v in enumerate(order)}
+    for i in range(len(order) - 1, 0, -1):
+        p = rank[tree.parent[order[i]]]
+        end[p] = max(end[p], end[i])
+    return order, rank, end
+
+
+def _wedge_corners(
+    g: WeightedGraph,
+    rotation: Optional[Dict[int, Sequence[int]]],
+    tree: GeodesicTree,
+    rank: Dict[int, int],
+) -> Tuple[List[Tuple[int, ...]], List[TreeEdge]]:
+    """The wedge recursion of `tripod_decomposition` on a graph with a
+    cycle: per node id (from 0, the root node), the ranks of its distinct
+    corners, and the (parent, child) edges between node ids."""
     if rotation is None:
         raise GraphError("a rotation system is required once the graph has cycles")
     faces = _trace_faces(g, rotation)
     third: Dict[Tuple[int, int], int] = {}
     star_parent: Dict[int, int] = {}
-    next_star = max(verts) + 1
+    next_star = max(g.vertices) + 1
     star_edges = 0
     for face in faces:
         k = len(face)
@@ -1124,52 +1181,26 @@ def _build_tripods(
         raise ContractViolation("triangulation left directed edges uncovered")
     parent_h: Dict[int, Optional[int]] = dict(tree.parent)
     parent_h.update(star_parent)
-    tree_pairs = {
-        frozenset((v, p)) for v, p in parent_h.items() if p is not None
-    }
-    path_cache: Dict[int, Tuple[int, ...]] = {root: (root,)}
 
-    def rp(x: int) -> Tuple[int, ...]:
-        stackx = []
-        while x not in path_cache:
-            stackx.append(x)
-            x = parent_h[x]
-        for y in reversed(stackx):
-            path_cache[y] = (y,) + path_cache[parent_h[y]]
-        return path_cache[stackx[0]] if stackx else path_cache[x]
+    def tree_pair(x: int, y: int) -> bool:
+        return parent_h.get(x) == y or parent_h.get(y) == x
 
-    def real_path(x: int) -> Tuple[int, ...]:
-        p = rp(x)
-        return p[1:] if x in star_parent else p
+    corners: List[Tuple[int, ...]] = []
+    tree_edges: List[TreeEdge] = []
 
-    bags2: Dict[int, FrozenSet[int]] = {}
-    paths2: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-    td_edges: List[TreeEdge] = []
-    counter = [0]
-
-    def new_node(corners: Tuple[int, ...], parent_node: Optional[int]) -> int:
-        nid = counter[0]
-        counter[0] += 1
-        ps: List[Tuple[int, ...]] = []
-        for x in corners:
-            px = real_path(x)
-            if px and px not in ps:
-                ps.append(px)
-        bag: Set[int] = set()
-        for px in ps:
-            bag.update(px)
-        bags2[nid] = frozenset(bag)
-        paths2[nid] = tuple(ps)
+    def new_node(ends: Tuple[int, ...], parent_node: Optional[int]) -> int:
+        nid = len(corners)
+        real: List[int] = []
+        for x in ends:
+            r = rank[star_parent.get(x, x)]
+            if r not in real:
+                real.append(r)
+        corners.append(tuple(real))
         if parent_node is not None:
-            td_edges.append((parent_node, nid))
+            tree_edges.append((parent_node, nid))
         return nid
 
-    nontree = sorted(
-        (min(u, v), max(u, v))
-        for (u, v, _) in g.edges
-        if frozenset((u, v)) not in tree_pairs
-    )
-    a0, b0 = nontree[0]
+    a0, b0 = min((min(u, v), max(u, v)) for (u, v, _) in g.edges if not tree_pair(u, v))
     root_node = new_node((a0, b0), None)
     stack: List[Tuple[int, int, int]] = [(b0, a0, root_node), (a0, b0, root_node)]
     seen_states: Set[Tuple[int, int]] = {(a0, b0), (b0, a0)}
@@ -1184,7 +1215,7 @@ def _build_tripods(
         faces_done.add(key)
         mnode = new_node((a, b, w), snode)
         for (x, y) in ((a, w), (w, b)):
-            if frozenset((x, y)) in tree_pairs:
+            if tree_pair(x, y):
                 continue
             if (x, y) in seen_states:
                 raise ContractViolation("wedge recursion met the same directed edge twice")
@@ -1194,31 +1225,42 @@ def _build_tripods(
         raise ContractViolation(
             "wedge recursion covered %d of %d faces" % (len(faces_done), len(third) // 3)
         )
-    return GeodesicCertificate(tree, RootedTreeDecomposition(bags2, td_edges, root_node), paths2)
+    return corners, tree_edges
+
+
+def _root_path(tree: GeodesicTree, v: int) -> Tuple[int, ...]:
+    """v's path up `tree` to the root, bottom first."""
+    path = [v]
+    while path[-1] != tree.root:
+        path.append(tree.parent[path[-1]])
+    return tuple(path)
 
 
 def _contract(
-    td: RootedTreeDecomposition, bags: Dict[int, FrozenSet[int]]
-) -> RootedTreeDecomposition:
-    """td's tree carrying `bags` instead of its own, with every node whose
-    bag sits inside a neighbour's absorbed into that neighbour, which keeps
-    its node id.  Tree edges are taken last first, so the same input keeps
-    the same ids."""
-    alive = set(td.nodes)
+    nodes: Iterable[int],
+    tree_edges: Sequence[TreeEdge],
+    root: int,
+    within: Callable[[int, int], bool],
+) -> Tuple[Set[int], List[TreeEdge], int]:
+    """The tree on `nodes` given by `tree_edges` and `root`, with every node
+    whose bag sits inside a neighbour's absorbed into that neighbour, which
+    keeps its node id; `within(s, t)` says whether s's bag sits inside t's.
+    Tree edges are taken last first, so the same input keeps the same ids.
+    Returns the surviving nodes, the edges between them and the root."""
+    alive = set(nodes)
     adj: Dict[int, Set[int]] = {t: set() for t in alive}
-    for (p, ch) in td.tree_edges:
+    for (p, ch) in tree_edges:
         adj[p].add(ch)
         adj[ch].add(p)
-    root = td.root
-    work = list(td.tree_edges)
+    work = list(tree_edges)
     while work:
         a, b = work.pop()
         if a not in alive or b not in adj[a]:
             continue
         # absorb b into a below; flip first if a's bag is the smaller one
-        if bags[a] <= bags[b]:
+        if within(a, b):
             a, b = b, a
-        elif not bags[b] <= bags[a]:
+        elif not within(b, a):
             continue
         adj[a].discard(b)
         for n in adj[b]:
@@ -1231,7 +1273,7 @@ def _contract(
         if root == b:
             root = a
     edges = [(t, n) for t in alive for n in adj[t] if t < n]
-    return RootedTreeDecomposition({t: bags[t] for t in alive}, edges, root)
+    return alive, edges, root
 
 
 # -- slabs --------------------------------------------------------------------
@@ -1280,7 +1322,9 @@ def make_slabs(
     slab_width_factor: object = 8,
 ) -> SlabSystem:
     """Cut the projection range into two slab families, each slab padded by
-    2*ell on both sides."""
+    2*ell on both sides.  The cut runs on integers: the projection, the
+    weights, the width and its half are all scaled once by one common
+    denominator."""
     lf = as_fraction(ell)
     if lf <= 0:
         raise GraphError("slab scale must be positive")
@@ -1289,33 +1333,46 @@ def make_slabs(
         raise GraphError("slab width must be at least 4*ell")
     width = swf * lf
     pad = 2 * lf
+    half = width / 2
     missing = g.vertex_set() - set(projection)
     if missing:
         raise GraphError("projection misses vertices %s" % sorted(missing)[:5])
-    for (u, v, w) in g.edges:
-        if abs(projection[u] - projection[v]) > w:
+    edges = g.edges
+    dens = {half.denominator, pad.denominator}
+    dens.update(projection[v].denominator for v in g.vertices)
+    dens.update(w.denominator for (_, _, w) in edges)
+    scale = math.lcm(*dens)
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    proj = {v: scaled(projection[v]) for v in g.vertices}
+    for (u, v, w) in edges:
+        if abs(proj[u] - proj[v]) > scaled(w):
             raise GraphError("projection is not 1-Lipschitz across edge (%s, %s)" % (u, v))
-    half = width / 2
+    wid, hf, pd = scaled(width), scaled(half), scaled(pad)
     owner_of: Dict[int, Tuple[str, int]] = {}
     owned: Dict[Tuple[str, int], List[int]] = {}
     for v in g.vertices:
-        f = projection[v]
-        j = (f / width).__floor__()
-        depth_a = min(f - j * width, (j + 1) * width - f)
-        k = ((f - half) / width).__floor__()
-        depth_b = min(f - (k * width + half), (k + 1) * width + half - f)
+        f = proj[v]
+        j = f // wid
+        depth_a = min(f - j * wid, (j + 1) * wid - f)
+        k = (f - hf) // wid
+        depth_b = min(f - (k * wid + hf), (k + 1) * wid + hf - f)
         key = ("a", j) if depth_a >= depth_b else ("b", k)
         owner_of[v] = key
         owned.setdefault(key, []).append(v)
-    by_f = sorted(g.vertices, key=lambda v: (projection[v], v))
-    fvals = [projection[v] for v in by_f]
+    by_f = sorted(g.vertices, key=lambda v: (proj[v], v))
+    fvals = [proj[v] for v in by_f]
     slabs: List[Slab] = []
     for (family, index) in sorted(owned):
-        lo = index * width + (half if family == "b" else 0)
+        shift = family == "b"
+        lo = index * width + (half if shift else 0)
         hi = lo + width
         wlo, whi = lo - pad, hi + pad
-        left = bisect.bisect_left(fvals, wlo)
-        right = bisect.bisect_left(fvals, whi)
+        lo_i = index * wid + (hf if shift else 0)
+        left = bisect.bisect_left(fvals, lo_i - pd)
+        right = bisect.bisect_left(fvals, lo_i + wid + pd)
         window = tuple(sorted(by_f[left:right]))
         slabs.append(
             Slab(family, index, lo, hi, wlo, whi, tuple(sorted(owned[(family, index)])), window)
@@ -1470,7 +1527,10 @@ def _restrict_tripods(
                 kept.append(sl)
         bags[t] = frozenset(v for s in kept for v in s)
         tops[t] = tuple(sorted({s[-1] for s in kept}))
-    td = _contract(trip.td, bags)
+    alive, edges, root = _contract(
+        trip.td.nodes, trip.td.tree_edges, trip.td.root, lambda s, t: bags[s] <= bags[t]
+    )
+    td = RootedTreeDecomposition({t: bags[t] for t in alive}, edges, root)
     return td, {t: tops[t] for t in td.nodes}
 
 

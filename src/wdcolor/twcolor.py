@@ -36,7 +36,7 @@ import functools
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .graph import GraphError, WeightedGraph, as_fraction, frac_str, neighborhood, require_light_edges
 from .partition import (
@@ -407,6 +407,30 @@ def _merge_disjoint(parts: Iterable[Coloring], what: str) -> Coloring:
     return Coloring(out, 2)
 
 
+class _Label:
+    """A far part's label, kept as its parent's label and one suffix and
+    rendered only when a message formats it, so a level d far parts deep
+    builds no text of length d.  Adding a suffix makes another label."""
+
+    __slots__ = ("parent", "suffix")
+
+    def __init__(self, parent: "Union[str, _Label]", suffix: str) -> None:
+        self.parent = parent
+        self.suffix = suffix
+
+    def __add__(self, suffix: str) -> "_Label":
+        return _Label(self, suffix)
+
+    def __str__(self) -> str:
+        parts = []
+        label: Union[str, _Label] = self
+        while isinstance(label, _Label):
+            parts.append(label.suffix)
+            label = label.parent
+        parts.append(label)
+        return "".join(reversed(parts))
+
+
 class _Level(NamedTuple):
     """One node of the adhesion recursion, waiting on the work stack.  A
     far part below a connected level comes as views: td is then a
@@ -418,7 +442,7 @@ class _Level(NamedTuple):
     zset: FrozenSet[int]
     c: Coloring
     parent_measure: Optional[Tuple[int, int]]
-    what: str
+    what: Union[str, _Label]
 
 
 def _color_rec(
@@ -649,7 +673,7 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
             )
             parts.append(functools.partial(_write, out, c_e_full, what))
             continue
-        parts.append(_Level(g_e, td_e, eta, z_e, c_e, measure, what + ": far part"))
+        parts.append(_Level(g_e, td_e, eta, z_e, c_e, measure, _Label(what, ": far part")))
         fresh_node += 1
     stack.extend(reversed(parts))
 

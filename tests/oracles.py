@@ -743,3 +743,201 @@ def reference_min_fill_order(adj: Dict[int, Set[int]]) -> List[int]:
             key[u] = _reference_fill_key(work, u)
             heapq.heappush(heap, key[u])
     return order
+
+
+# -- the tripod builder and the slab cutter, copied before their rewrite ------
+#
+# `full_tripods` is `geodesic.tripod_decomposition`'s wedge recursion as it
+# stood when every node listed the whole root paths of its corners and the
+# contraction ran on that full decomposition afterwards.
+# `reference_make_slabs` is `geodesic.make_slabs` as it stood when it cut on
+# `Fraction` projections.
+
+import bisect  # noqa: E402
+
+from wdcolor.geodesic import (  # noqa: E402
+    GeodesicCertificate,
+    GeodesicTree,
+    Slab,
+    SlabSystem,
+    _check_simple,
+    _trace_faces,
+)
+
+
+def full_tripods(
+    g: WeightedGraph,
+    rotation: Optional[Dict[int, Sequence[int]]],
+    tree: GeodesicTree,
+) -> GeodesicCertificate:
+    """The uncontracted, unverified tripod decomposition: one node per wedge
+    visited and one per face split, each listing the root paths of its
+    corners."""
+    _check_simple(g)
+    verts = list(g.vertices)
+    if not verts:
+        raise GraphError("nothing to decompose")
+    if not g.is_connected():
+        raise GraphError("tripod decomposition needs a connected graph")
+    root = tree.root
+    if len(verts) == 1:
+        td = RootedTreeDecomposition({0: frozenset(verts)}, [], 0)
+        return GeodesicCertificate(tree, td, {0: (tuple(verts),)})
+    if len(g.edges) == len(verts) - 1:
+        bags = {root: frozenset((root,))}
+        edges: List[Tuple[int, int]] = []
+        paths: Dict[int, Tuple[Tuple[int, ...], ...]] = {root: ((root,),)}
+        for v in verts:
+            if v == root:
+                continue
+            p = tree.parent[v]
+            bags[v] = frozenset((v, p))
+            edges.append((p, v))
+            paths[v] = ((v, p),)
+        td = RootedTreeDecomposition(bags, edges, root)
+        return GeodesicCertificate(tree, td, paths)
+    if rotation is None:
+        raise GraphError("a rotation system is required once the graph has cycles")
+    faces = _trace_faces(g, rotation)
+    third: Dict[Tuple[int, int], int] = {}
+    star_parent: Dict[int, int] = {}
+    next_star = max(verts) + 1
+    star_edges = 0
+    for face in faces:
+        k = len(face)
+        if k == 3:
+            a, b, ccc = face
+            third[(a, b)] = ccc
+            third[(b, ccc)] = a
+            third[(ccc, a)] = b
+        else:
+            s = next_star
+            next_star += 1
+            star_parent[s] = face[0]
+            star_edges += k
+            for i in range(k):
+                x, y = face[i], face[(i + 1) % k]
+                third[(x, y)] = s
+                third[(y, s)] = x
+                third[(s, x)] = y
+    if len(third) != 2 * (len(g.edges) + star_edges):
+        raise ContractViolation("triangulation left directed edges uncovered")
+    parent_h: Dict[int, Optional[int]] = dict(tree.parent)
+    parent_h.update(star_parent)
+    tree_pairs = {frozenset((v, p)) for v, p in parent_h.items() if p is not None}
+    path_cache: Dict[int, Tuple[int, ...]] = {root: (root,)}
+
+    def rp(x: int) -> Tuple[int, ...]:
+        stackx = []
+        while x not in path_cache:
+            stackx.append(x)
+            x = parent_h[x]
+        for y in reversed(stackx):
+            path_cache[y] = (y,) + path_cache[parent_h[y]]
+        return path_cache[stackx[0]] if stackx else path_cache[x]
+
+    def real_path(x: int) -> Tuple[int, ...]:
+        p = rp(x)
+        return p[1:] if x in star_parent else p
+
+    bags2: Dict[int, FrozenSet[int]] = {}
+    paths2: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+    td_edges: List[Tuple[int, int]] = []
+    counter = [0]
+
+    def new_node(corners: Tuple[int, ...], parent_node: Optional[int]) -> int:
+        nid = counter[0]
+        counter[0] += 1
+        ps: List[Tuple[int, ...]] = []
+        for x in corners:
+            px = real_path(x)
+            if px and px not in ps:
+                ps.append(px)
+        bag: Set[int] = set()
+        for px in ps:
+            bag.update(px)
+        bags2[nid] = frozenset(bag)
+        paths2[nid] = tuple(ps)
+        if parent_node is not None:
+            td_edges.append((parent_node, nid))
+        return nid
+
+    nontree = sorted(
+        (min(u, v), max(u, v)) for (u, v, _) in g.edges if frozenset((u, v)) not in tree_pairs
+    )
+    a0, b0 = nontree[0]
+    root_node = new_node((a0, b0), None)
+    stack: List[Tuple[int, int, int]] = [(b0, a0, root_node), (a0, b0, root_node)]
+    seen_states: Set[Tuple[int, int]] = {(a0, b0), (b0, a0)}
+    faces_done: Set[Tuple[int, int, int]] = set()
+    while stack:
+        a, b, pnode = stack.pop()
+        snode = new_node((a, b), pnode)
+        w = third[(a, b)]
+        key = min(((a, b, w), (b, w, a), (w, a, b)))
+        if key in faces_done:
+            raise ContractViolation("wedge recursion met the same face twice")
+        faces_done.add(key)
+        mnode = new_node((a, b, w), snode)
+        for (x, y) in ((a, w), (w, b)):
+            if frozenset((x, y)) in tree_pairs:
+                continue
+            if (x, y) in seen_states:
+                raise ContractViolation("wedge recursion met the same directed edge twice")
+            seen_states.add((x, y))
+            stack.append((x, y, mnode))
+    if 3 * len(faces_done) != len(third):
+        raise ContractViolation(
+            "wedge recursion covered %d of %d faces" % (len(faces_done), len(third) // 3)
+        )
+    return GeodesicCertificate(tree, RootedTreeDecomposition(bags2, td_edges, root_node), paths2)
+
+
+def reference_make_slabs(
+    g: WeightedGraph,
+    ell: object,
+    projection: Dict[int, Fraction],
+    slab_width_factor: object = 8,
+) -> SlabSystem:
+    """Cut the projection range into two slab families with `Fraction`
+    arithmetic throughout."""
+    lf = as_fraction(ell)
+    if lf <= 0:
+        raise GraphError("slab scale must be positive")
+    swf = as_fraction(slab_width_factor)
+    if swf < 4:
+        raise GraphError("slab width must be at least 4*ell")
+    width = swf * lf
+    pad = 2 * lf
+    missing = g.vertex_set() - set(projection)
+    if missing:
+        raise GraphError("projection misses vertices %s" % sorted(missing)[:5])
+    for (u, v, w) in g.edges:
+        if abs(projection[u] - projection[v]) > w:
+            raise GraphError("projection is not 1-Lipschitz across edge (%s, %s)" % (u, v))
+    half = width / 2
+    owner_of: Dict[int, Tuple[str, int]] = {}
+    owned: Dict[Tuple[str, int], List[int]] = {}
+    for v in g.vertices:
+        f = projection[v]
+        j = (f / width).__floor__()
+        depth_a = min(f - j * width, (j + 1) * width - f)
+        k = ((f - half) / width).__floor__()
+        depth_b = min(f - (k * width + half), (k + 1) * width + half - f)
+        key = ("a", j) if depth_a >= depth_b else ("b", k)
+        owner_of[v] = key
+        owned.setdefault(key, []).append(v)
+    by_f = sorted(g.vertices, key=lambda v: (projection[v], v))
+    fvals = [projection[v] for v in by_f]
+    slabs: List[Slab] = []
+    for (family, index) in sorted(owned):
+        lo = index * width + (half if family == "b" else 0)
+        hi = lo + width
+        wlo, whi = lo - pad, hi + pad
+        left = bisect.bisect_left(fvals, wlo)
+        right = bisect.bisect_left(fvals, whi)
+        window = tuple(sorted(by_f[left:right]))
+        slabs.append(
+            Slab(family, index, lo, hi, wlo, whi, tuple(sorted(owned[(family, index)])), window)
+        )
+    return SlabSystem(lf, width, pad, dict(projection), tuple(slabs), owner_of)

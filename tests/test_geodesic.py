@@ -862,6 +862,60 @@ def test_slabs_reject_narrow_width():
         make_slabs(g, 1, bfs_geodesic_tree(g, 0).dist, slab_width_factor=3)
 
 
+@st.composite
+def slab_inputs(draw):
+    """A graph and a 1-Lipschitz projection of it: root distances of a
+    random tree-plus-chords graph whose weights have denominators 1, 3, 4
+    or 7, shifted by a rational offset, or eps0 = 1/3 times the row index
+    of a grid."""
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        inst = generate(GeneratorSpec(family="grid", rows=rows, cols=cols))
+        return inst.graph, layering_projection(inst.graph, inst.layering, Fraction(1, 3))
+    n = draw(st.integers(1, 25))
+
+    def weight():
+        return Fraction(draw(st.integers(1, 12)), draw(st.sampled_from((1, 3, 4, 7))))
+
+    edges = [(draw(st.integers(0, v - 1)), v, weight()) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            edges.append((u, v, weight()))
+    g = WeightedGraph(range(n), edges)
+    offset = Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from((1, 2, 3, 5))))
+    return g, {v: d + offset for v, d in bfs_geodesic_tree(g, 0).dist.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    slab_inputs(),
+    st.sampled_from((1, Fraction(1, 3), Fraction(5, 2), Fraction(2, 7))),
+    st.sampled_from((4, 5, 8, Fraction(9, 2), Fraction(17, 4))),
+)
+def test_slabs_cut_on_integers_match_the_fraction_reference(instance, ell, factor):
+    g, proj = instance
+    assert make_slabs(g, ell, proj, factor) == oracles.reference_make_slabs(g, ell, proj, factor)
+
+
+def test_slabs_reject_a_lipschitz_break_of_one_scaled_step():
+    """The last edge's projection gap exceeds its weight by 1/scale, the
+    smallest step of the common denominator the cut scales by."""
+    import math
+
+    g = WeightedGraph(range(4), [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 4)), (2, 3, Fraction(1, 7))])
+    proj = dict(bfs_geodesic_tree(g, 0).dist)
+    factor = 5  # at ell 1: width/2 = 5/2 and pad 2
+    scale = math.lcm(2, *(f.denominator for f in proj.values()), *(w.denominator for (_, _, w) in g.edges))
+    assert scale == 84
+    assert make_slabs(g, 1, proj, factor) == oracles.reference_make_slabs(g, 1, proj, factor)
+    proj[3] += Fraction(1, scale)
+    for cut in (make_slabs, oracles.reference_make_slabs):
+        with pytest.raises(GraphError) as err:
+            cut(g, 1, proj, factor)
+        assert str(err.value) == "projection is not 1-Lipschitz across edge (2, 3)"
+
+
 def test_combine_rejects_missing_slab():
     g = unit_path(40)
     system = make_slabs(g, 1, bfs_geodesic_tree(g, 0).dist)
@@ -998,11 +1052,11 @@ def _over_bags(td, centers):
 @settings(max_examples=12, deadline=None)
 @given(planar_instances(), st.sampled_from((4, 8)))
 def test_restricting_the_contracted_certificate_matches_restricting_the_full_one(instance, factor):
-    from wdcolor.geodesic import _build_tripods, _restrict_tripods, _window_segments
+    from wdcolor.geodesic import _restrict_tripods, _window_segments
 
     g, rotation = instance
     tree = bfs_geodesic_tree(g, g.vertices[0])
-    full = _build_tripods(g, rotation, tree)
+    full = oracles.full_tripods(g, rotation, tree)
     cert = tripod_decomposition(g, rotation, tree)
     assert len(cert.td) <= len(full.td)
     system = make_slabs(g, 1, tree.dist, slab_width_factor=factor)
@@ -1014,6 +1068,53 @@ def test_restricting_the_contracted_certificate_matches_restricting_the_full_one
             assert _over_bags(*_restrict_tripods(cert, segs, keep)) == _over_bags(
                 *_restrict_tripods(full, full_segs, keep)
             )
+
+
+def _assert_contracted_reference(g, rotation):
+    """tripod_decomposition equals the reference's full decomposition after
+    `_contract` on plain bag inclusion: the same node ids, bags, paths,
+    root and tree edges."""
+    from wdcolor.geodesic import _contract
+
+    tree = bfs_geodesic_tree(g, g.vertices[0])
+    cert = tripod_decomposition(g, rotation, tree)
+    full = oracles.full_tripods(g, rotation, tree)
+    bags = full.td.bags
+    alive, edges, root = _contract(
+        full.td.nodes, full.td.tree_edges, full.td.root, lambda s, t: bags[s] <= bags[t]
+    )
+    assert cert.td.nodes == tuple(sorted(alive))
+    assert cert.td.bags == {t: bags[t] for t in alive}
+    assert cert.paths == {t: full.paths[t] for t in alive}
+    assert cert.td.root == root
+    assert {frozenset(e) for e in cert.td.tree_edges} == {frozenset(e) for e in edges}
+
+
+@settings(max_examples=25, deadline=None)
+@given(planar_instances())
+def test_tripod_decomposition_is_the_contracted_reference(instance):
+    _assert_contracted_reference(*instance)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec(family="grid", rows=3, cols=7),
+        GeneratorSpec(family="grid", rows=10, cols=10),
+        GeneratorSpec(family="grid", rows=30, cols=30),
+        GeneratorSpec(family="random-planar-triangulation", n=2000, seed=1),
+    ],
+    ids=["grid3x7", "grid10x10", "grid30x30", "triangulation2000"],
+)
+def test_tripod_decomposition_is_the_contracted_reference_at_size(spec):
+    inst = generate(spec)
+    _assert_contracted_reference(inst.graph, inst.rotation)
+
+
+def test_tripod_decomposition_of_a_tree_is_the_contracted_reference():
+    g = WeightedGraph(range(7), [(0, 1, 1), (0, 2, 1), (1, 3, 1), (1, 4, 1), (2, 5, 1), (2, 6, 1)])
+    _assert_contracted_reference(g, None)
+    _assert_contracted_reference(WeightedGraph([0], []), None)
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 7), (7, 3), (10, 10), (20, 13)])
@@ -1030,6 +1131,26 @@ def test_unit_grid_certificate_is_the_column_comb(rows, cols):
     tree_over_bags = lambda td: {frozenset((td.bags[p], td.bags[c])) for (p, c) in td.tree_edges}
     assert set(cert.td.bags.values()) == set(comb.td.bags.values())
     assert tree_over_bags(cert.td) == tree_over_bags(comb.td)
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 7), (7, 3), (10, 10), (20, 13)])
+def test_tripod_decomposition_never_builds_the_full_decomposition(monkeypatch, rows, cols):
+    """A count guard: on a unit grid, every decomposition that
+    tripod_decomposition constructs has at most cols - 1 nodes, so the
+    wedge recursion's absorbed nodes never get one."""
+    import wdcolor.geodesic as geodesic
+
+    sizes = []
+
+    class Counted(RootedTreeDecomposition):
+        def __init__(self, bags, edges, root):
+            sizes.append(len(bags))
+            super().__init__(bags, edges, root)
+
+    monkeypatch.setattr(geodesic, "RootedTreeDecomposition", Counted)
+    inst = generate(GeneratorSpec(family="grid", rows=rows, cols=cols))
+    tripod_decomposition(inst.graph, inst.rotation, bfs_geodesic_tree(inst.graph, 0))
+    assert sizes and max(sizes) <= cols - 1
 
 
 # -- pipelines --------------------------------------------------------------------

@@ -237,18 +237,19 @@ def test_flat_two_star_measured():
 
 
 def _record_whats(monkeypatch):
-    """Labels of every merge and check the adhesion recursion runs."""
+    """Labels of every merge and check the adhesion recursion runs, as
+    the text its messages would show."""
     import wdcolor.twcolor as twcolor
 
     whats = []
     patch, check = twcolor.patch_colorings, twcolor.check_weak_diameter
 
     def recorded_patch(*args, **kwargs):
-        whats.append(kwargs["what"])
+        whats.append(str(kwargs["what"]))
         return patch(*args, **kwargs)
 
     def recorded_check(*args, **kwargs):
-        whats.append(kwargs["what"])
+        whats.append(str(kwargs["what"]))
         return check(*args, **kwargs)
 
     monkeypatch.setattr(twcolor, "patch_colorings", recorded_patch)
@@ -752,7 +753,8 @@ def test_long_path_colors_at_the_default_recursion_limit():
 
 
 def _faulty_lift(monkeypatch, fault):
-    """Let `fault(cond, what, assignment)` edit the lifted colors in place."""
+    """Let `fault(cond, what, assignment)` edit the lifted colors in place;
+    `what` is the lift's label as text."""
     import dataclasses
 
     import wdcolor.twcolor as twcolor
@@ -762,7 +764,7 @@ def _faulty_lift(monkeypatch, fault):
     def faulty(cond, c0, **kwargs):
         res = lift(cond, c0, **kwargs)
         assignment = dict(res.coloring.assignment)
-        fault(cond, kwargs["what"], assignment)
+        fault(cond, str(kwargs["what"]), assignment)
         return dataclasses.replace(res, coloring=Coloring(assignment, 2))
 
     monkeypatch.setattr(twcolor, "lift_condensation_coloring", faulty)
@@ -824,6 +826,22 @@ def test_fault_far_part_recolors_its_precolored_root(monkeypatch):
         color_bounded_treewidth(unit_path(40), 1)
 
 
+def test_fault_two_far_parts_deep_renders_its_full_label(monkeypatch):
+    """Far-part labels are rendered only when a message is formatted; the
+    message two far parts down still spells out the whole label."""
+    def flip_root(cond, what, assignment):
+        if what == "treewidth coloring: component: far part: far part: lift":
+            v = min(cond.td.bags[cond.td.root])
+            assignment[v] = 3 - assignment[v]
+
+    _faulty_lift(monkeypatch, flip_root)
+    with pytest.raises(ContractViolation) as err:
+        color_bounded_treewidth(unit_path(40), 1)
+    assert str(err.value) == (
+        "treewidth coloring: component: far part: far part: precolored vertex 9 was recolored"
+    )
+
+
 def test_fault_oversized_part_disagrees_with_its_region(monkeypatch):
     from wdcolor import treedec
 
@@ -852,7 +870,7 @@ def test_fault_component_leaves_a_vertex_unwritten(monkeypatch):
 
     def lossy(out, part, what):
         # vertex 13 lies in a component of the split far part, below its root bag
-        if "far part: component" in what:
+        if "far part: component" in str(what):
             part = part.restrict(set(part.domain) - {13})
         write(out, part, what)
 
