@@ -8,7 +8,8 @@ measured values are the useful numbers.  Exit status is nonzero exactly when
 something failed: 1 for a failed verification, 2 for bad input.
 
 `run planar` and `run layered` go through one slab driver; the only slab
-setting is --slab-width-factor, and every slab is padded by 2*ell.  A tree
+setting is --slab-width-factor, the slab width in units of ell, a rational
+of at least 4 such as 9/2, and every slab is padded by 2*ell.  A tree
 decomposition that `run tw`, `run partition` or `dilation` computes itself
 comes from an exhaustive search up to 20 vertices and min-fill beyond.
 `verify` exits 2 before building a power graph of more than
@@ -332,10 +333,11 @@ def _run_verify(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dic
 def cmd_run(args: argparse.Namespace) -> int:
     if not args.graph:
         raise CliError("invalid-input", "run needs --graph FILE")
-    if args.pipeline in ("planar", "layered") and args.slab_width_factor < 4:
-        raise CliError(
-            "invalid-input", "--slab-width-factor must be at least 4, got %d" % args.slab_width_factor
-        )
+    if args.pipeline in ("planar", "layered"):
+        swf = _parse_frac(args.slab_width_factor, "slab-width-factor")
+        if swf < 4:
+            raise CliError("invalid-input", "--slab-width-factor must be at least 4, got %s" % frac_str(swf))
+        args.slab_width_factor = swf
     g = _load_graph(args.graph)
     try:
         if args.pipeline == "partition":
@@ -436,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--bound", help="weak-diameter bound in hops for verify")
     run.add_argument("--seed", type=int, default=0, help="seed echoed in the report")
     run.add_argument("--out", help="also write the report to this file")
-    run.add_argument("--slab-width-factor", type=int, default=8, help="slab width in units of ell, at least 4")
+    run.add_argument("--slab-width-factor", default="8", help="slab width in units of ell, a rational of at least 4")
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="shorthand for: run verify")

@@ -27,7 +27,8 @@ bag is a union of at most three vertical paths of the tree).  Per component,
 at most three corners, contracts every node whose bag sits inside a
 neighbour's by an ancestor test on the corners, builds paths and bags for
 the survivors only, and verifies that small result once as its own
-`GeodesicCertificate`; each window piece slices and contracts it again.
+`GeodesicCertificate`; each window piece cuts that certificate's paths to
+the window and to the piece in one pass and contracts it again.
 The layered pipeline projects onto eps0 times the layer index and colors a
 window piece with the bounded-treewidth colorer.  `make_slabs` cuts on
 integers: projection, weights and widths scaled by one common denominator.
@@ -653,7 +654,7 @@ def _control_rec(
         if part & (root_anchor - rset):
             raise ContractViolation("%s: far part %s contains zone anchors" % (what, e))
         x_e = td.adhesion_of(e)
-        z_e = frozenset(neighborhood(g.induced(part), x_e, 3 * lf))
+        z_e = frozenset(g.distances_from(x_e, radius=3 * lf, within=part))
         wset = tri.all_guards & neighborhood(g, z_e - rset, 3 * lf + mu)
         rstar = frozenset(((part & (rset | root_anchor)) - wset) | (vset - part))
         if rstar & (part - rset):
@@ -1440,10 +1441,6 @@ class SlabColorResult(ColorResult):
     systems: Tuple[SlabSystem, ...]
 
 
-# A window colorer two-colors one connected piece of a padded slab window.
-WindowColorer = Callable[[WeightedGraph], ColorResult]
-
-
 def _color_slabs(
     g: WeightedGraph,
     lf: Fraction,
@@ -1451,30 +1448,29 @@ def _color_slabs(
     what: str,
     prepare: Callable[
         [WeightedGraph],
-        Tuple[Dict[int, Fraction], Callable[[SlabSystem, Slab], WindowColorer]],
+        Tuple[Dict[int, Fraction], Callable[[SlabSystem, Slab, WeightedGraph], ColorResult]],
     ],
 ) -> SlabColorResult:
     """The slab scheme both pipelines share.  Per connected component gc,
-    `prepare(gc)` returns gc's 1-Lipschitz projection and a function that,
-    given the slab system and one slab, returns the colorer of that slab's
-    window pieces.  Each piece is a connected component of the padded
-    window; the pieces' two-colorings make the slab's coloring, the two
-    families combine into four colors, and the whole coloring is checked
-    against the combined bound."""
+    `prepare(gc)` returns gc's 1-Lipschitz projection and the function
+    `color_piece(system, slab, piece)` that two-colors one piece of a slab's
+    padded window.  Each piece is a connected component of the window; the
+    pieces' two-colorings make the slab's coloring, the two families combine
+    into four colors, and the whole coloring is checked against the combined
+    bound."""
     assign: Dict[int, int] = {}
     bound = Fraction(0)
     systems: List[SlabSystem] = []
     for comp in g.connected_components():
         gc = g.induced(comp)
-        projection, window_colorer = prepare(gc)
+        projection, color_piece = prepare(gc)
         system = make_slabs(gc, lf, projection, slab_width_factor)
         scs: List[SlabColoring] = []
         for slab in system.slabs:
-            color_piece = window_colorer(system, slab)
             slab_assign: Dict[int, int] = {}
             slab_bound = Fraction(0)
             for kcomp in gc.induced(slab.window).connected_components():
-                res = color_piece(gc.induced(kcomp))
+                res = color_piece(system, slab, gc.induced(kcomp))
                 slab_assign.update(res.coloring.assignment)
                 slab_bound = max(slab_bound, res.bound)
             scs.append(SlabColoring(slab.family, slab.index, Coloring(slab_assign, 2), slab_bound))
@@ -1487,40 +1483,31 @@ def _color_slabs(
     return SlabColorResult(coloring, bound, report, tuple(systems))
 
 
-def _window_segments(
-    trip: GeodesicCertificate, wset: Set[int]
-) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
-    """Per node, the window slices of its certified paths.  The projection
-    is monotone along every path, so each slice must be contiguous."""
-    segs: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+def _restrict_tripods(
+    trip: GeodesicCertificate,
+    window: Iterable[int],
+    piece: Set[int],
+) -> Tuple[RootedTreeDecomposition, Dict[int, Tuple[int, ...]]]:
+    """Cut every certified path to the padded window, keep the slices inside
+    one window piece (a connected component of the window), contract
+    redundant nodes away, and return the pruned decomposition together with
+    its min-projection path centers.  The projection is monotone along every
+    path, so each window slice must be contiguous, and a slice lies in one
+    piece or misses it.  Runs once per window piece, over the component's
+    contracted certificate."""
+    wset = set(window)
+    bags: Dict[int, FrozenSet[int]] = {}
+    tops: Dict[int, Tuple[int, ...]] = {}
     for t in trip.td.nodes:
-        out: List[Tuple[int, ...]] = []
+        kept: List[Tuple[int, ...]] = []
         for path in trip.paths[t]:
             idx = [i for i, v in enumerate(path) if v in wset]
             if not idx:
                 continue
             if idx[-1] - idx[0] != len(idx) - 1:
                 raise ContractViolation("a path's window slice is not contiguous")
-            out.append(tuple(path[idx[0]:idx[-1] + 1]))
-        segs[t] = tuple(out)
-    return segs
-
-
-def _restrict_tripods(
-    trip: GeodesicCertificate,
-    window_segs: Dict[int, Tuple[Tuple[int, ...], ...]],
-    keep: Set[int],
-) -> Tuple[RootedTreeDecomposition, Dict[int, Tuple[int, ...]]]:
-    """Keep only the window slices inside one window component, contract
-    redundant nodes away, and return the pruned decomposition together with
-    its min-projection path centers.  Runs once per window piece, over the
-    component's contracted certificate."""
-    bags: Dict[int, FrozenSet[int]] = {}
-    tops: Dict[int, Tuple[int, ...]] = {}
-    for t in trip.td.nodes:
-        kept: List[Tuple[int, ...]] = []
-        for sl in window_segs[t]:
-            n_in = len(keep.intersection(sl))
+            sl = path[idx[0]:idx[-1] + 1]
+            n_in = len(piece.intersection(sl))
             if 0 < n_in < len(sl):
                 raise ContractViolation("a window slice straddles two window components")
             if n_in:
@@ -1547,9 +1534,11 @@ def color_planar(
 
     Per connected component: a geodesic tree from the smallest vertex, whose
     root distances are the slab projection, and a tripod decomposition over
-    the rotation system, re-verified as a certificate.  Each padded window
-    piece is colored by the guarded-bags engine over the tripods restricted
-    to it.
+    the rotation system, contracted and verified as a certificate.  Each
+    padded window piece is colored by the guarded-bags engine over the
+    certificate restricted to it: `_restrict_tripods` cuts every certified
+    path to the window and to the piece in one pass and contracts the
+    result.
     """
     lf = as_fraction(ell)
     _check_simple(g)
@@ -1560,21 +1549,15 @@ def color_planar(
         rot_c = None if rotation is None else {v: rotation[v] for v in gc.vertices if v in rotation}
         cert = tripod_decomposition(gc, rot_c, tree)
 
-        def window_colorer(system: SlabSystem, slab: Slab) -> WindowColorer:
-            window_segs = _window_segments(cert, set(slab.window))
-            radius = system.width + 2 * system.pad
-            label = "%s: slab %s%d" % (what, slab.family, slab.index)
+        def color_piece(system: SlabSystem, slab: Slab, gk: WeightedGraph) -> ColorResult:
+            tdk, centersk = _restrict_tripods(cert, slab.window, gk.vertex_set())
+            return color_centered_bags(
+                gk, lf, tdk, centersk, system.width + 2 * system.pad,
+                deep_verify=deep_verify, exact_check=False,
+                what="%s: slab %s%d" % (what, slab.family, slab.index),
+            )
 
-            def color_piece(gk: WeightedGraph) -> ColorResult:
-                tdk, centersk = _restrict_tripods(cert, window_segs, gk.vertex_set())
-                return color_centered_bags(
-                    gk, lf, tdk, centersk, radius,
-                    deep_verify=deep_verify, exact_check=False, what=label,
-                )
-
-            return color_piece
-
-        return dict(tree.dist), window_colorer
+        return dict(tree.dist), color_piece
 
     return _color_slabs(g, lf, slab_width_factor, what, prepare)
 
@@ -1599,10 +1582,10 @@ def color_layered(
     require_light_edges(g, lf)
     projection = layering_projection(g, layering, ef)
 
-    def color_piece(gk: WeightedGraph) -> ColorResult:
+    def color_piece(system: SlabSystem, slab: Slab, gk: WeightedGraph) -> ColorResult:
         return color_bounded_treewidth(gk, lf, deep_verify=deep_verify, exact_check=False)
 
     def prepare(gc: WeightedGraph):
-        return {v: projection[v] for v in gc.vertices}, lambda system, slab: color_piece
+        return {v: projection[v] for v in gc.vertices}, color_piece
 
     return _color_slabs(g, lf, slab_width_factor, what, prepare)

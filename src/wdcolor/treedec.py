@@ -740,14 +740,13 @@ def condense(
             continue
         x_e = td.adhesion_of(e)
         part = td.subtree_vertices(e)
-        g_e = g.induced(part)
-        reach = frozenset(neighborhood(g_e, x_e, lf))
+        reach = frozenset(g.distances_from(x_e, radius=lf, within=part))
         base |= reach
         fringe = sorted(reach - x_e)
         fset = set(fringe)
         shortcuts: List[Tuple[int, int, Fraction]] = []
         for u in fringe:
-            du = g_e.distances_from([u], radius=3 * lf + mf)
+            du = g.distances_from([u], radius=3 * lf + mf, within=part)
             for v, d in du.items():
                 if v in fset and v > u:
                     shortcuts.append((u, v, lf * d / (3 * lf + mf)))

@@ -226,7 +226,8 @@ def window_segments(
     wset: Set[int],
 ) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
     """Per node, the window slices of its certified paths, rescanning every
-    path of every node.  Reference for `geodesic._window_segments`."""
+    path of every node.  With `restrict_tripods`, the reference for
+    `geodesic._restrict_tripods`."""
     segs: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
     for t in nodes:
         out: List[Tuple[int, ...]] = []
@@ -248,11 +249,11 @@ def restrict_tripods(
     window_segs: Dict[int, Tuple[Tuple[int, ...], ...]],
     keep: Set[int],
 ) -> Tuple[Dict[int, frozenset], List[Tuple[int, int]], int, Dict[int, Tuple[int, ...]]]:
-    """Reference for `geodesic._restrict_tripods`, node by node and slice by
-    slice: keep the slices inside `keep`, contract every node whose bag sits
-    inside a neighbour's, and return the surviving bags, the tree edges in
-    breadth-first order from the surviving root, that root, and each node's
-    centres (the top of each kept slice)."""
+    """With `window_segments`, the reference for `geodesic._restrict_tripods`,
+    node by node and slice by slice: keep the slices inside `keep`, contract
+    every node whose bag sits inside a neighbour's, and return the surviving
+    bags, the tree edges in breadth-first order from the surviving root,
+    that root, and each node's centres (the top of each kept slice)."""
     segs: Dict[int, List[Tuple[int, ...]]] = {}
     bags: Dict[int, frozenset] = {}
     for t in nodes:

@@ -228,6 +228,51 @@ def test_a_slab_width_factor_below_4_is_bad_input_before_any_pipeline_work(
     assert built == []
 
 
+@pytest.mark.parametrize("pipeline", ["planar", "layered"])
+def test_a_rational_slab_width_factor_runs_and_verifies(tmp_path, capsys, monkeypatch, pipeline):
+    import wdcolor.geodesic as geodesic
+
+    factors = []
+    make_slabs = geodesic.make_slabs
+
+    def recorded(g, ell, projection, slab_width_factor):
+        factors.append(slab_width_factor)
+        return make_slabs(g, ell, projection, slab_width_factor)
+
+    monkeypatch.setattr(geodesic, "make_slabs", recorded)
+    prefix = str(tmp_path / "grid")
+    assert _main(capsys, ["gen", "grid", "--rows", "10", "--cols", "10", "--out", prefix])[0] == 0
+    if pipeline == "planar":
+        inputs = ["--rotation", prefix + ".rotation.json"]
+    else:
+        inputs = ["--layers", prefix + ".layers.json", "--eps0", "1"]
+    argv = ["run", pipeline, "--graph", prefix + ".txt", "--ell", "1", "--slab-width-factor", "9/2"]
+    code, out, _ = _main(capsys, argv + inputs)
+    assert code == 0
+    assert factors == [Fraction(9, 2)]
+    report = json.loads(out)
+    assert report["ok"]
+    hops = report["measured"]["maxWeakDiameterHops"]
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text(json.dumps(report["coloring"]))
+    verify = ["verify", "--graph", prefix + ".txt", "--ell", "1", "--coloring", str(coloring)]
+    assert _main(capsys, verify + ["--bound", str(hops)])[0] == 0
+    assert _main(capsys, verify + ["--bound", str(hops - 1)])[0] == 1
+
+
+def test_a_slab_width_factor_that_is_no_rational_is_a_parse_error(tmp_path, capsys):
+    prefix = str(tmp_path / "grid")
+    assert _main(capsys, ["gen", "grid", "--rows", "4", "--cols", "4", "--out", prefix])[0] == 0
+    argv = ["run", "planar", "--graph", prefix + ".txt", "--ell", "1",
+            "--rotation", prefix + ".rotation.json", "--slab-width-factor", "abc"]
+    code, out, err = _main(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "parse-error",
+        "message": "bad slab-width-factor value 'abc'",
+    }
+
+
 def test_verify_refuses_a_power_graph_above_the_limit(tmp_path, capsys):
     # one edge of weight 10**9 at ell = 1 asks for 2 * 10**9 power vertices
     graph = tmp_path / "heavy.txt"

@@ -656,6 +656,35 @@ def test_engine_restart_attaches_to_a_leaf_within_ell_of_its_adhesion(monkeypatc
     assert _brute_max_hops(g, res.coloring, 1) == res.report.max_weak_diameter_hops == 0
 
 
+def test_engine_restart_attaches_to_a_childless_root(monkeypatch):
+    # one bag holds the whole path and its middle is removed: the root
+    # triple anchors nothing, so the engine restarts, and the only candidate
+    # node is the root itself, childless and parentless, which _pick_attach
+    # returns from its second case
+    import wdcolor.geodesic as geodesic
+
+    picks = []
+    pick = geodesic._pick_attach
+
+    def spied_pick(g, con, candidates):
+        t = pick(g, con, candidates)
+        picks.append((t, con.td.parent[t], con.td.children[t]))
+        return t
+
+    monkeypatch.setattr(geodesic, "_pick_attach", spied_pick)
+    g = unit_path(3)
+    td = RootedTreeDecomposition({0: {0, 1, 2}}, [], 0)
+    none = frozenset()
+    con = ControlConstruction(
+        td, frozenset({1}), 1, 1, Fraction(1), Fraction(1), GuardTriple(none, none, frozenset({1})), {}
+    )
+    res = color_control_construction(g, 1, con, {0: [1]})
+    assert picks == [(0, None, ())]
+    assert res.coloring.assignment == {0: 2, 2: 2}
+    assert res.report.ok
+    assert _brute_max_hops(g, res.coloring, 1) == res.report.max_weak_diameter_hops
+
+
 @pytest.mark.parametrize("deep", [False, True])
 def test_engine_endgame_restarts_inside_a_stalled_far_part(monkeypatch, deep):
     # a unit path whose middle is removed: the condensed level colors the
@@ -969,26 +998,26 @@ def path_certificate(n):
 def test_window_slice_must_be_contiguous():
     # the path 4-3-2-1-0 is in the window at 4 and 3, leaves it at 2 and
     # re-enters at 1
-    from wdcolor.geodesic import _window_segments
+    from wdcolor.geodesic import _restrict_tripods
 
     cert = path_certificate(5)
-    assert _window_segments(cert, {4, 3, 2}) == {0: ((4, 3, 2),)}
+    td, centers = _restrict_tripods(cert, {4, 3, 2}, {4, 3, 2})
+    assert td.bags == {0: frozenset({4, 3, 2})} and centers == {0: (2,)}
     with pytest.raises(ContractViolation, match="a path's window slice is not contiguous"):
-        _window_segments(cert, {4, 3, 1})
+        _restrict_tripods(cert, {4, 3, 1}, {4, 3})
 
 
 @pytest.mark.parametrize("keep", [{4, 3}, {1, 0}])
 def test_window_slice_must_not_straddle_window_components(keep):
     # keep {4, 3} holds the slice's bottom but not all of it; keep {1, 0}
     # misses the bottom yet holds part of the slice
-    from wdcolor.geodesic import _restrict_tripods, _window_segments
+    from wdcolor.geodesic import _restrict_tripods
 
     cert = path_certificate(5)
-    segs = _window_segments(cert, set(range(5)))
-    td, centers = _restrict_tripods(cert, segs, set(range(5)))
+    td, centers = _restrict_tripods(cert, range(5), set(range(5)))
     assert td.bags == {0: frozenset(range(5))} and centers == {0: (0,)}
     with pytest.raises(ContractViolation, match="a window slice straddles two window components"):
-        _restrict_tripods(cert, segs, keep)
+        _restrict_tripods(cert, range(5), keep)
 
 
 @st.composite
@@ -1014,7 +1043,7 @@ def planar_instances(draw):
 @settings(max_examples=12, deadline=None)
 @given(planar_instances(), st.sampled_from((4, 8)))
 def test_window_restriction_matches_the_reference(instance, factor):
-    from wdcolor.geodesic import _restrict_tripods, _window_segments
+    from wdcolor.geodesic import _restrict_tripods
 
     g, rotation = instance
     tree = bfs_geodesic_tree(g, g.vertices[0])
@@ -1022,13 +1051,10 @@ def test_window_restriction_matches_the_reference(instance, factor):
     cert.verify(g)
     system = make_slabs(g, 1, tree.dist, slab_width_factor=factor)
     for slab in system.slabs:
-        wset = set(slab.window)
-        segs = _window_segments(cert, wset)
-        ref_segs = oracles.window_segments(cert.td.nodes, cert.paths, wset)
-        assert segs == ref_segs
+        ref_segs = oracles.window_segments(cert.td.nodes, cert.paths, set(slab.window))
         for comp in g.induced(slab.window).connected_components():
             keep = set(comp)
-            td, centers = _restrict_tripods(cert, segs, keep)
+            td, centers = _restrict_tripods(cert, slab.window, keep)
             bags, edges, root, ref_centers = oracles.restrict_tripods(
                 cert.td.nodes, cert.td.tree_edges, cert.td.root, ref_segs, keep
             )
@@ -1052,7 +1078,7 @@ def _over_bags(td, centers):
 @settings(max_examples=12, deadline=None)
 @given(planar_instances(), st.sampled_from((4, 8)))
 def test_restricting_the_contracted_certificate_matches_restricting_the_full_one(instance, factor):
-    from wdcolor.geodesic import _restrict_tripods, _window_segments
+    from wdcolor.geodesic import _restrict_tripods
 
     g, rotation = instance
     tree = bfs_geodesic_tree(g, g.vertices[0])
@@ -1061,12 +1087,10 @@ def test_restricting_the_contracted_certificate_matches_restricting_the_full_one
     assert len(cert.td) <= len(full.td)
     system = make_slabs(g, 1, tree.dist, slab_width_factor=factor)
     for slab in system.slabs:
-        wset = set(slab.window)
-        segs, full_segs = _window_segments(cert, wset), _window_segments(full, wset)
         for comp in g.induced(slab.window).connected_components():
             keep = set(comp)
-            assert _over_bags(*_restrict_tripods(cert, segs, keep)) == _over_bags(
-                *_restrict_tripods(full, full_segs, keep)
+            assert _over_bags(*_restrict_tripods(cert, slab.window, keep)) == _over_bags(
+                *_restrict_tripods(full, slab.window, keep)
             )
 
 

@@ -1,5 +1,5 @@
 """Counts, not timings: each engine level searches each ball once and checks
-each colouring once.
+each colouring once, and copies no part of a graph only to search inside it.
 
 A reach search is a `graph.neighborhood` call, keyed by its graph object,
 source set and radius.  A check is a `partition.verify_weak_diameter` call,
@@ -104,6 +104,50 @@ def test_control_engine_far_branch_searches_each_ball_once(monkeypatch):
     assert color_planar(grid.graph, 1, grid.rotation).report.ok
     assert any(label.endswith(">far") for label in labels)
     assert counter.calls["searches"] > 0 and counter.repeats["searches"] == 0
+
+
+def test_planar_windows_search_parts_without_copying_them(monkeypatch):
+    """On the unit 30x30 grid, which reaches the far branch and condenses
+    shortcut parts: `condense` copies only its base graph, `_control_rec`
+    copies no part to search inside it, and each window piece restricts
+    the tripod certificate once.  Copies are `induced` calls, counted by
+    the function that makes them."""
+    import wdcolor.geodesic as geodesic
+    from wdcolor.graph import SubgraphView
+
+    copies = {}
+    for cls in (WeightedGraph, SubgraphView):
+        def counted(self, keep, _induced=cls.__dict__["induced"]):
+            caller = sys._getframe(1).f_code.co_name
+            copies[caller] = copies.get(caller, 0) + 1
+            return _induced(self, keep)
+
+        monkeypatch.setattr(cls, "induced", counted)
+    condensations, restrictions = [], []
+    condense, restrict = geodesic.condense, geodesic._restrict_tripods
+
+    def recorded_condense(*args, **kwargs):
+        condensations.append(condense(*args, **kwargs))
+        return condensations[-1]
+
+    def recorded_restrict(*args):
+        restrictions.append(args)
+        return restrict(*args)
+
+    monkeypatch.setattr(geodesic, "condense", recorded_condense)
+    monkeypatch.setattr(geodesic, "_restrict_tripods", recorded_restrict)
+    grid = generate(GeneratorSpec(family="grid", rows=30, cols=30))
+    res = color_planar(grid.graph, 1, grid.rotation)
+    assert res.report.ok
+    assert any(c.shortcut_parts for c in condensations)
+    assert copies.get("condense") == len(condensations)
+    assert "_control_rec" not in copies
+    pieces = sum(
+        len(grid.graph.induced(slab.window).connected_components())
+        for system in res.systems
+        for slab in system.slabs
+    )
+    assert len(restrictions) == pieces
 
 
 def _unit_path(n):
