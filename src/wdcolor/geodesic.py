@@ -886,25 +886,36 @@ class GeodesicTree:
 
 def bfs_geodesic_tree(g: WeightedGraph, root: int) -> GeodesicTree:
     """Exact-distance shortest-path tree from root; the parent is always the
-    smallest-id neighbor lying on some shortest path."""
+    smallest-id neighbor lying on some shortest path.
+
+    Distances come from one search in units of 1/scale: g's level search
+    (a BFS) when every edge weighs the same, its heap search otherwise
+    (WeightedGraph._search), which give the same distances.  Parents are
+    picked on those integers and the scaled weights, and each distance
+    becomes a Fraction once, at the end."""
     if root not in g.vertex_set():
         raise GraphError("unknown root %s" % (root,))
-    dist = g.distances_from([root])
-    missing = g.vertex_set() - set(dist)
+    sdist = g._scaled_distances([root])
+    missing = g.vertex_set() - set(sdist)
     if missing:
         raise GraphError("graph is disconnected; unreached %s" % sorted(missing)[:5])
+    sadj = g._sadj
     parent: Dict[int, Optional[int]] = {root: None}
     for v in g.vertices:
         if v == root:
             continue
+        dv = sdist[v]
         best: Optional[int] = None
-        for (u, w) in g.neighbors(v):
-            if dist[u] + w == dist[v] and (best is None or u < best):
+        for (u, w) in sadj[v]:
+            # a neighbour outside a view is unreached, so it has no distance
+            du = sdist.get(u)
+            if du is not None and du + w == dv and (best is None or u < best):
                 best = u
         if best is None:
             raise ContractViolation("no predecessor reproduces the distance of %s" % v)
         parent[v] = best
-    return GeodesicTree(root, parent, dist)
+    scale = g._scale
+    return GeodesicTree(root, parent, {v: Fraction(d, scale) for v, d in sdist.items()})
 
 
 def layering_projection(
@@ -1469,8 +1480,11 @@ def _color_slabs(
         for slab in system.slabs:
             slab_assign: Dict[int, int] = {}
             slab_bound = Fraction(0)
-            for kcomp in gc.induced(slab.window).connected_components():
-                res = color_piece(system, slab, gc.induced(kcomp))
+            window = gc.induced(slab.window)
+            pieces = window.connected_components()
+            for kcomp in pieces:
+                # a one-piece window is its own piece: no second copy
+                res = color_piece(system, slab, window if len(pieces) == 1 else gc.induced(kcomp))
                 slab_assign.update(res.coloring.assignment)
                 slab_bound = max(slab_bound, res.bound)
             scs.append(SlabColoring(slab.family, slab.index, Coloring(slab_assign, 2), slab_bound))

@@ -14,7 +14,9 @@ filters it by membership in S, so a search inside S costs what it reaches,
 not what g holds.  S only needs a fast membership test and a size, and
 the view's weight range and largest vertex id come from its maker.
 
-Three searches answer three questions, all on the same integer Dijkstra:
+Three searches answer three questions, all on the same integer search,
+which runs by levels (a BFS) when every edge weighs the same and as a heap
+Dijkstra otherwise, with the same result (see `WeightedGraph._search`):
 - exact distances: `WeightedGraph.distances_from`, one Fraction per
   reached vertex, only where a caller reads the values;
 - membership within a radius ("is every vertex of S within r of C?"):
@@ -101,7 +103,7 @@ class WeightedGraph:
     nonnegative integers and need not be contiguous.
     """
 
-    __slots__ = ("vertices", "edges", "_vset", "_adj", "_scale", "_sadj", "_wrange", "_inc")
+    __slots__ = ("vertices", "edges", "_vset", "_adj", "_scale", "_sadj", "_wrange", "_step", "_inc")
 
     def __init__(
         self,
@@ -137,15 +139,23 @@ class WeightedGraph:
         self._scale = scale
         adj: Dict[int, List[Tuple[int, Fraction]]] = {v: [] for v in self.vertices}
         sadj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in self.vertices}
-        for (u, v, w) in edges:
-            s = w.numerator * (scale // w.denominator)
+        scaled = [w.numerator * (scale // w.denominator) for (_, _, w) in edges]
+        for (u, v, w), s in zip(edges, scaled):
             adj[u].append((v, w))
             adj[v].append((u, w))
             sadj[u].append((v, s))
             sadj[v].append((u, s))
         self._adj = adj
         self._sadj = sadj
+        # the weight range, recorded once, and `_step`: the scaled weight of
+        # every edge when all weigh the same, which the level search steps
+        # by (any step serves a graph with no edge), None when weights differ
         self._wrange: Optional[Tuple[Fraction, Fraction]] = None
+        self._step: Optional[int] = 1
+        if scaled:
+            lo, hi = min(scaled), max(scaled)
+            self._wrange = (Fraction(lo, scale), Fraction(hi, scale))
+            self._step = lo if lo == hi else None
         self._inc: Optional[Dict[int, List[int]]] = None
 
     # -- basic queries ----------------------------------------------------
@@ -167,10 +177,7 @@ class WeightedGraph:
         return self.vertices[-1] if self.vertices else -1
 
     def _weight_range(self) -> Optional[Tuple[Fraction, Fraction]]:
-        # computed once, on the integer-scaled weights
-        if self._wrange is None and self.edges:
-            ws = [s for nbrs in self._sadj.values() for (_, s) in nbrs]
-            self._wrange = (Fraction(min(ws), self._scale), Fraction(max(ws), self._scale))
+        """(smallest, largest) edge weight, or None for an edgeless graph."""
         return self._wrange
 
     def min_edge_weight(self) -> Optional[Fraction]:
@@ -255,10 +262,23 @@ class WeightedGraph:
         within: Optional[AbstractSet],
         targets: Optional[Set[int]],
     ) -> Dict[int, int]:
-        """The Dijkstra loop behind every search, on checked sources and an
-        integer cap in units of 1/scale, so that a caller repeating a search
+        """The loop behind every search, on checked sources and an integer
+        cap in units of 1/scale, so that a caller repeating a search
         converts its radius once.  Returns the settled vertices in the order
-        they were reached."""
+        they were reached.
+
+        Two loops give that result, and the graph's weights alone pick one:
+        when every edge weighs the same, or there is no edge (`_step`; for
+        a view, its edges), `_level_search`, a BFS one level at a time;
+        otherwise the binary-heap Dijkstra below.  With one weight the two agree
+        exactly.  No distance improves once set, and the heap pops every
+        vertex k steps out, all at one distance, after every vertex k-1
+        steps out and in vertex-id order.  So settling each level in id
+        order reaches, caps and stops at the same vertices in the same
+        order, and gives the same dict."""
+        step = self._step
+        if step is not None:
+            return _level_search(self._sadj, srcs, cap, within, targets, step)
         sadj = self._sadj
         dist: Dict[int, int] = {}
         remaining = set(targets) if targets is not None else None
@@ -317,6 +337,50 @@ class WeightedGraph:
         return len(self) <= 1 or len(self.connected_components()) == 1
 
 
+def _level_search(
+    sadj: Dict[int, List[Tuple[int, int]]],
+    srcs: Sequence[int],
+    cap: Optional[int],
+    within: Optional[AbstractSet],
+    targets: Optional[Set[int]],
+    step: int,
+) -> Dict[int, int]:
+    """WeightedGraph._search on a graph whose every edge weighs `step` (in
+    units of 1/scale): the vertices k steps out are settled in id order at
+    distance k*step, and the next level is reached from them only within
+    the cap.  A `targets` stop keeps what the heap had settled then: every
+    earlier level and this level up to the last target.  What the heap
+    still held, the rest of this level, is dropped, and the next level has
+    not been reached yet."""
+    dist: Dict[int, int] = {}
+    for s in srcs:
+        if s not in dist and (within is None or s in within):
+            dist[s] = 0
+    remaining = set(targets) if targets is not None else None
+    level = sorted(dist)
+    d = 0
+    while level:
+        if remaining is not None:
+            for i, v in enumerate(level):
+                remaining.discard(v)
+                if not remaining:
+                    for u in level[i + 1:]:
+                        del dist[u]
+                    return dist
+        d += step
+        if cap is not None and d > cap:
+            break
+        nxt: List[int] = []
+        for v in level:
+            for (n, _) in sadj[v]:
+                if n not in dist and (within is None or n in within):
+                    dist[n] = d
+                    nxt.append(n)
+        nxt.sort()
+        level = nxt
+    return dist
+
+
 class _Meet:
     """Membership in two vertex sets at once."""
 
@@ -354,6 +418,11 @@ class SubgraphView(WeightedGraph):
         self._sadj = base._sadj
         self._scale = base._scale
         self._wrange = weight_range
+        if weight_range is None:
+            self._step = 1
+        else:
+            lo, hi = weight_range
+            self._step = (lo * base._scale).numerator if lo == hi else None
         self._inc = None
         self._top = top
 
@@ -374,9 +443,6 @@ class SubgraphView(WeightedGraph):
     def neighbors(self, v: int) -> List[Tuple[int, Fraction]]:
         vset = self._vset
         return [(n, w) for (n, w) in self._adj[v] if n in vset]
-
-    def _weight_range(self) -> Optional[Tuple[Fraction, Fraction]]:
-        return self._wrange
 
     def induced(self, keep: Iterable[int]) -> WeightedGraph:
         ks = set(keep)

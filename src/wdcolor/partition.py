@@ -204,6 +204,14 @@ def verify_weak_diameter(
     farthest hop pair; where the metric is ell times the hops, the first
     search meets the bound and is the only one.
 
+    No metric search runs at all when the host is g itself, every edge of
+    g weighs the same w and ell < 2w.  Then the power graph is g's own
+    adjacency, so a hop is an edge of weight w, and hop distances are
+    graph distances over w: the metric diameter is exactly w times the
+    hops.  The searches that do run use g's level search when its edges
+    all weigh the same and the heap search otherwise (graph.WeightedGraph
+    ._search), with the same result.
+
     restrict_to: only these vertices are grouped into components.
     bound: claimed weak-diameter bound in hops; ok=False if exceeded.
     exact: with exact=False and a bound no smaller than the host vertex
@@ -243,13 +251,19 @@ def verify_weak_diameter(
         pool &= set(restrict_to)
     pool &= coloring.domain
     comps = monochromatic_components(p, coloring, within=pool)
+    wr = g._weight_range()
+    # the metric per hop when a hop is one edge of g's single weight
+    hop_weight = wr[0] if p.metric is g and wr is not None and wr[0] == wr[1] and lf < 2 * wr[0] else None
     stats: List[ComponentStat] = []
     max_hops = 0
     max_metric = Fraction(0)
     for comp in comps:
         members = set(comp)
         hops, end = set_diameter(comp, lambda u: p.hop_distances([u], targets=members))
-        metric = metric_set_diameter(p.metric, comp, lf * hops, proven=True, first=end)
+        if hop_weight is not None:
+            metric = hop_weight * hops
+        else:
+            metric = metric_set_diameter(p.metric, comp, lf * hops, proven=True, first=end)
         stats.append(ComponentStat(len(comp), comp[0], hops, metric))
         max_hops = max(max_hops, hops)
         max_metric = max(max_metric, metric)

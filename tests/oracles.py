@@ -942,3 +942,76 @@ def reference_make_slabs(
             Slab(family, index, lo, hi, wlo, whi, tuple(sorted(owned[(family, index)])), window)
         )
     return SlabSystem(lf, width, pad, dict(projection), tuple(slabs), owner_of)
+
+
+# The binary-heap Dijkstra that ran every search before uniform-weight graphs
+# got their level search, and the geodesic tree that added a `Fraction` on
+# every edge.  On one edge weight the level search must return the heap's
+# dict, in the heap's order; the integer geodesic tree must equal this one on
+# any weights.
+
+
+def heap_search(
+    g: WeightedGraph,
+    srcs: Sequence[int],
+    cap: Optional[int],
+    within,
+    targets: Optional[Set[int]],
+) -> Dict[int, int]:
+    """WeightedGraph._search as a heap loop, on g's scaled adjacency.  For a
+    view, pass its vertex set met with `within` as `within`."""
+    sadj = g._sadj
+    dist: Dict[int, int] = {}
+    remaining = set(targets) if targets is not None else None
+    heap: List[Tuple[int, int]] = []
+    for s in srcs:
+        if within is not None and s not in within:
+            continue
+        if s not in dist:
+            dist[s] = 0
+            heapq.heappush(heap, (0, s))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if dist[v] != d:
+            continue
+        if remaining is not None:
+            remaining.discard(v)
+            if not remaining:
+                break
+        for (n, w) in sadj[v]:
+            if within is not None and n not in within:
+                continue
+            nd = d + w
+            if cap is not None and nd > cap:
+                continue
+            if n not in dist or nd < dist[n]:
+                dist[n] = nd
+                heapq.heappush(heap, (nd, n))
+    # each heap entry still holding its vertex's distance is a vertex
+    # reached but not settled (only after an early stop)
+    for (d, v) in heap:
+        if dist.get(v) == d:
+            del dist[v]
+    return dist
+
+
+def reference_bfs_geodesic_tree(g: WeightedGraph, root: int) -> GeodesicTree:
+    """bfs_geodesic_tree with `Fraction` distances and weights throughout."""
+    if root not in g.vertex_set():
+        raise GraphError("unknown root %s" % (root,))
+    dist = g.distances_from([root])
+    missing = g.vertex_set() - set(dist)
+    if missing:
+        raise GraphError("graph is disconnected; unreached %s" % sorted(missing)[:5])
+    parent: Dict[int, Optional[int]] = {root: None}
+    for v in g.vertices:
+        if v == root:
+            continue
+        best: Optional[int] = None
+        for (u, w) in g.neighbors(v):
+            if dist[u] + w == dist[v] and (best is None or u < best):
+                best = u
+        if best is None:
+            raise ContractViolation("no predecessor reproduces the distance of %s" % v)
+        parent[v] = best
+    return GeodesicTree(root, parent, dist)

@@ -38,7 +38,7 @@ from wdcolor.geodesic import (
 from wdcolor.generators import GeneratorSpec, generate
 
 import oracles
-from strategies import random_connected_graph
+from strategies import random_connected_graph, weighted_graphs
 
 
 def unit_path(n):
@@ -737,6 +737,18 @@ def test_geodesic_tree_distances_match_oracle():
         dist = oracles.all_pairs_distances(g)
         for v in g.vertices:
             assert tree.dist[v] == dist[(0, v)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_graphs(max_n=10, max_extra_edges=10), st.data())
+def test_geodesic_tree_on_integers_matches_the_fraction_reference(g, data):
+    """Parents picked on scaled integers and distances built once at the
+    end equal the tree that added a Fraction on every edge, dict order
+    included, on mixed weights and on one weight."""
+    root = data.draw(st.sampled_from(g.vertices))
+    got, want = bfs_geodesic_tree(g, root), oracles.reference_bfs_geodesic_tree(g, root)
+    assert got.root == want.root and got.parent == want.parent
+    assert list(got.dist.items()) == list(want.dist.items())
 
 
 def test_geodesic_tree_rejects_disconnected():

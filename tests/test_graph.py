@@ -13,6 +13,7 @@ from wdcolor.graph import (
     INF,
     ContractViolation,
     GraphError,
+    SubgraphView,
     WeightedGraph,
     as_fraction,
     ceil_frac,
@@ -133,6 +134,76 @@ def test_search_stopped_at_its_targets_returns_only_settled_distances(g, data):
         far = max(dist[(u, t)] for t in reached)
         assert {v for v in g.vertices if dist[(u, v)] < far} <= set(got)
         assert all(d <= far for d in got.values())
+
+
+_ONE_WEIGHT = st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(5, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ONE_WEIGHT, st.integers(min_value=1, max_value=12), st.data())
+def test_level_search_returns_the_heap_search_dict_in_its_order(w, n, data):
+    """On one edge weight the level search settles, caps and stops as the
+    heap loop did: the same dict, in the same insertion order.  The graph
+    searched is a uniform graph, a view of a uniform base, a view of a
+    mixed-weight base whose own edges weigh w, or a uniform induced
+    subgraph of a mixed-weight graph (which keeps that graph's scale)."""
+    # a spanning tree over the ids in random order, so that adjacency lists
+    # and levels are out of id order, plus chords and parallel edges
+    order = data.draw(st.permutations(range(n)))
+    pairs = [(order[data.draw(st.integers(0, i - 1))], order[i]) for i in range(1, n)]
+    pairs += data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    pairs = [(u, v) for (u, v) in pairs if u != v]
+    kind = data.draw(st.sampled_from(["graph", "view", "mixed-view", "induced"]))
+    inner = set(range(n)) if kind == "graph" else data.draw(st.sets(st.integers(0, n - 1)))
+    other = data.draw(st.sampled_from([Fraction(1, 2), Fraction(2, 7), Fraction(3)]).filter(lambda x: x != w))
+    heavy = kind in ("mixed-view", "induced")
+    base = WeightedGraph(
+        range(n), [(u, v, w if (u in inner and v in inner) or not heavy else other) for (u, v) in pairs]
+    )
+    if kind == "graph":
+        h = base
+    elif kind == "induced":
+        h = base.induced(inner)
+    else:
+        has_edge = any(u in inner and v in inner for (u, v) in pairs)
+        h = SubgraphView(base, frozenset(inner), (w, w) if has_edge else None, max(inner, default=-1))
+    step = h._step
+    assert step is not None
+    k = data.draw(st.integers(0, 6))
+    # no cap, 0, below one step, at a step, and between two steps
+    cap = data.draw(st.sampled_from([None, 0, step - 1, k * step, k * step + step // 2, (k + 1) * step - 1]))
+    # repeats, and base vertices outside a view; a copy holds its own only
+    pool = sorted(h.vertex_set()) if kind == "induced" else list(range(n))
+    srcs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)) if pool else []
+    within = data.draw(st.none() | st.frozensets(st.integers(0, n - 1), min_size=n // 2))
+    # empty, unreachable (n is no vertex), or any set
+    targets = data.draw(st.none() | st.just(set()) | st.sets(st.integers(0, n)))
+    if kind in ("view", "mixed-view"):
+        inside = frozenset(v for v in inner if within is None or v in within)
+    else:
+        inside = within
+    want = oracles.heap_search(h, srcs, cap, inside, targets)
+    assert list(h._search(srcs, cap, within, targets).items()) == list(want.items())
+
+
+def test_level_search_stops_mid_level_at_its_last_target():
+    """From a corner of a unit 5x5 grid, the last target 6 is the second
+    vertex of the level two steps out: 10 on that level and the vertices
+    already reached three steps out are dropped, as the heap drops them."""
+    g = unit_grid(5, 5)
+    got = g._search([0], None, None, {5, 6})
+    assert list(got.items()) == [(0, 0), (1, 1), (5, 1), (2, 2), (6, 2)]
+    assert list(got.items()) == list(oracles.heap_search(g, [0], None, None, {5, 6}).items())
+
+
+def test_the_search_loop_follows_the_weights():
+    """`_step` is set, and the level search runs, unless two edges weigh
+    differently; a copy keeps its parent's scale."""
+    assert unit_grid(3, 3)._step == 1
+    assert path_graph([Fraction(1, 3), Fraction(1, 3)])._step == 1
+    assert path_graph([Fraction(1, 2), Fraction(1, 3)])._step is None
+    assert path_graph([Fraction(1, 2), Fraction(1, 3)]).induced([0, 1])._step == 3
+    assert WeightedGraph([0])._step == 1
 
 
 def test_truncated_search_respects_radius_and_subset():

@@ -426,8 +426,6 @@ def test_component_diameters_match_the_per_member_reference(ell, n, data):
 
 def test_each_component_takes_a_few_searches(monkeypatch):
     # five components of 40 vertices; a search per member would be 40 each
-    g = unit_path(200)
-    p = power_graph(g, 1)
     sources = {"hops": [], "metric": []}
     hop_search, metric_search = HopGraph.hop_distances, WeightedGraph._scaled_distances
 
@@ -441,24 +439,34 @@ def test_each_component_takes_a_few_searches(monkeypatch):
 
     monkeypatch.setattr(HopGraph, "hop_distances", counting_hops)
     monkeypatch.setattr(WeightedGraph, "_scaled_distances", counting_metric)
-    report = verify_weak_diameter(g, 1, block_coloring(200, 40), bound=39, power=p)
-    assert report.ok and [s.hops for s in report.per_component] == [39] * 5
-    assert [s.metric for s in report.per_component] == [39] * 5
-    per_block = {kind: [sum(1 for u in srcs if u // 40 == b) for b in range(5)] for kind, srcs in sources.items()}
-    assert all(1 <= k <= 4 for k in per_block["hops"]), per_block
-    # the metric is ell times the hops here, so the first search meets the
-    # seeded bound and ends the metric run
-    assert per_block["metric"] == [1] * 5, per_block
+    # on the unit path a hop is one edge of weight 1, so the metric is read
+    # off the hops with no search.  With 3/4 on the edges between blocks,
+    # the weights differ and the metric is searched, but it is still ell
+    # times the hops, so the first search meets the seeded bound and ends
+    # the metric run.
+    between_blocks = {1: 0, Fraction(3, 4): 1}
+    for between, metric_searches in between_blocks.items():
+        g = WeightedGraph(range(200), [(i, i + 1, 1 if (i + 1) % 40 else between) for i in range(199)])
+        p = power_graph(g, 1)
+        sources["hops"].clear()
+        sources["metric"].clear()
+        report = verify_weak_diameter(g, 1, block_coloring(200, 40), bound=39, power=p)
+        assert report.ok and [s.hops for s in report.per_component] == [39] * 5
+        assert [s.metric for s in report.per_component] == [39] * 5
+        per_block = {kind: [sum(1 for u in srcs if u // 40 == b) for b in range(5)] for kind, srcs in sources.items()}
+        assert all(1 <= k <= 4 for k in per_block["hops"]), per_block
+        assert per_block["metric"] == [metric_searches] * 5, (between, per_block)
 
 
-def test_a_unit_grid_check_takes_one_metric_search_per_component(monkeypatch):
+def test_a_grid_check_takes_at_most_one_metric_search_per_component(monkeypatch):
     # 4x4 checkerboard blocks of a 9x9 grid: full blocks, 4x1 strips and a
     # single corner vertex, which needs no search
     rows, cols, block = 9, 9, 4
-    edges = [(v, v + 1, 1) for v in range(rows * cols) if (v + 1) % cols]
-    edges += [(v, v + cols, 1) for v in range(rows * cols - cols)]
-    g = WeightedGraph(range(rows * cols), edges)
-    c = Coloring({v: (v // cols // block + v % cols // block) % 2 + 1 for v in g.vertices}, 2)
+
+    def block_of(v):
+        return v // cols // block, v % cols // block
+
+    c = Coloring({v: sum(block_of(v)) % 2 + 1 for v in range(rows * cols)}, 2)
     sources = []
     search = WeightedGraph._search
 
@@ -467,12 +475,22 @@ def test_a_unit_grid_check_takes_one_metric_search_per_component(monkeypatch):
         return search(self, srcs, *args)
 
     monkeypatch.setattr(WeightedGraph, "_search", counting)
-    report = verify_weak_diameter(g, 1, c)
-
-    def block_of(v):
-        return v // cols // block, v % cols // block
-
-    assert len(report.per_component) == 9
-    assert [s.metric for s in report.per_component] == [s.hops for s in report.per_component]
-    multi = [block_of(s.min_vertex) for s in report.per_component if s.size >= 2]
-    assert sorted(block_of(u) for u in sources) == sorted(multi) and len(multi) == 8
+    # on the unit grid the metric is read off the hops with no search.  With
+    # 3/4 on the edges between blocks, a path that leaves a block is longer
+    # than one inside it, so the metric is still ell times the hops and one
+    # search per block of two or more vertices meets the seeded bound.
+    between_blocks = {1: 0, Fraction(3, 4): 1}
+    for between, metric_searches in between_blocks.items():
+        edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+        edges += [(v, v + cols) for v in range(rows * cols - cols)]
+        g = WeightedGraph(
+            range(rows * cols),
+            [(u, v, 1 if block_of(u) == block_of(v) else between) for (u, v) in edges],
+        )
+        sources.clear()
+        report = verify_weak_diameter(g, 1, c)
+        assert len(report.per_component) == 9
+        assert [s.metric for s in report.per_component] == [s.hops for s in report.per_component]
+        multi = [block_of(s.min_vertex) for s in report.per_component if s.size >= 2]
+        assert len(multi) == 8
+        assert sorted(block_of(u) for u in sources) == sorted(multi * metric_searches), between

@@ -148,6 +148,38 @@ def test_planar_windows_search_parts_without_copying_them(monkeypatch):
         for slab in system.slabs
     )
     assert len(restrictions) == pieces
+    # one copy of the component, and one per slab window: every window is
+    # one piece here, and a one-piece window is coloured as it is
+    assert pieces == 16 and copies.get("_color_slabs") == 17
+
+
+def test_unit_weight_planar_runs_push_nothing_onto_a_heap(monkeypatch):
+    """Every search on a graph whose edges all weigh the same runs by levels,
+    so `color_planar` on the unit 20x20 grid pushes no heap entry.  On the
+    weighted 12x12 overlay the weights differ and the heap search runs."""
+    import heapq
+
+    import wdcolor.graph as graph
+    from wdcolor.generators import overlay_random_weights
+
+    pushes = []
+
+    class CountingHeapq:
+        heappop = staticmethod(heapq.heappop)
+
+        @staticmethod
+        def heappush(heap, item):
+            pushes.append(item)
+            heapq.heappush(heap, item)
+
+    monkeypatch.setattr(graph, "heapq", CountingHeapq)
+    grid = generate(GeneratorSpec(family="grid", rows=20, cols=20))
+    assert color_planar(grid.graph, 1, grid.rotation).report.ok
+    assert pushes == []
+    small = generate(GeneratorSpec(family="grid", rows=12, cols=12))
+    weighted = overlay_random_weights(small.graph, 3, Fraction(1, 4), 1, 4)
+    assert color_planar(weighted, 1, small.rotation).report.ok
+    assert len(pushes) > 0
 
 
 def _unit_path(n):
