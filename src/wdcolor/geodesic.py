@@ -888,11 +888,13 @@ def bfs_geodesic_tree(g: WeightedGraph, root: int) -> GeodesicTree:
     """Exact-distance shortest-path tree from root; the parent is always the
     smallest-id neighbor lying on some shortest path.
 
-    Distances come from one search in units of 1/scale: g's level search
-    (a BFS) when every edge weighs the same, its heap search otherwise
-    (WeightedGraph._search), which give the same distances.  Parents are
-    picked on those integers and the scaled weights, and each distance
-    becomes a Fraction once, at the end."""
+    Distances come from one search in units of 1/scale,
+    WeightedGraph._search: a BFS by levels when every edge weighs the same,
+    a heap Dijkstra otherwise.  They agree exactly, since with one weight
+    the heap settles the vertices level by level and each level in
+    vertex-id order, which is the order the BFS takes.  Parents are picked
+    on those integers and the scaled weights, and each distance becomes a
+    Fraction once, at the end."""
     if root not in g.vertex_set():
         raise GraphError("unknown root %s" % (root,))
     sdist = g._scaled_distances([root])

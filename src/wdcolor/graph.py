@@ -270,10 +270,10 @@ class WeightedGraph:
         Two loops give that result, and the graph's weights alone pick one:
         when every edge weighs the same, or there is no edge (`_step`; for
         a view, its edges), `_level_search`, a BFS one level at a time;
-        otherwise the binary-heap Dijkstra below.  With one weight the two agree
-        exactly.  No distance improves once set, and the heap pops every
-        vertex k steps out, all at one distance, after every vertex k-1
-        steps out and in vertex-id order.  So settling each level in id
+        otherwise the binary-heap Dijkstra below.  With one weight the two
+        agree exactly.  No distance improves once set, and the heap pops
+        every vertex k steps out, all at one distance, after every vertex
+        k-1 steps out and in vertex-id order.  So settling each level in id
         order reaches, caps and stops at the same vertices in the same
         order, and gives the same dict."""
         step = self._step
@@ -400,8 +400,9 @@ class SubgraphView(WeightedGraph):
     demand, at the cost of S.
 
     vset: S, a set with fast membership and len; weight_range: the
-    (smallest, largest) weight of an edge inside S, or None; top: the
-    largest id in S, or -1."""
+    (smallest, largest) weight of an edge inside S, or None, where a single
+    value makes the view search by levels; top: the largest id in S, or
+    -1."""
 
     __slots__ = ("_base", "_top")
 

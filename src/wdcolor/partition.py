@@ -208,9 +208,11 @@ def verify_weak_diameter(
     g weighs the same w and ell < 2w.  Then the power graph is g's own
     adjacency, so a hop is an edge of weight w, and hop distances are
     graph distances over w: the metric diameter is exactly w times the
-    hops.  The searches that do run use g's level search when its edges
-    all weigh the same and the heap search otherwise (graph.WeightedGraph
-    ._search), with the same result.
+    hops.  The metric searches that do run are graph.WeightedGraph._search:
+    a BFS by levels when every edge of the host weighs the same, a heap
+    Dijkstra otherwise.  They agree exactly, since with one weight the
+    heap settles the vertices level by level and each level in vertex-id
+    order, which is the order the BFS takes.
 
     restrict_to: only these vertices are grouped into components.
     bound: claimed weak-diameter bound in hops; ok=False if exceeded.
@@ -252,16 +254,16 @@ def verify_weak_diameter(
     pool &= coloring.domain
     comps = monochromatic_components(p, coloring, within=pool)
     wr = g._weight_range()
-    # the metric per hop when a hop is one edge of g's single weight
-    hop_weight = wr[0] if p.metric is g and wr is not None and wr[0] == wr[1] and lf < 2 * wr[0] else None
+    # every hop is one edge of g's single weight wr[0]
+    one_edge_hops = p.metric is g and wr is not None and wr[0] == wr[1] and lf < 2 * wr[0]
     stats: List[ComponentStat] = []
     max_hops = 0
     max_metric = Fraction(0)
     for comp in comps:
         members = set(comp)
         hops, end = set_diameter(comp, lambda u: p.hop_distances([u], targets=members))
-        if hop_weight is not None:
-            metric = hop_weight * hops
+        if one_edge_hops:
+            metric = wr[0] * hops
         else:
             metric = metric_set_diameter(p.metric, comp, lf * hops, proven=True, first=end)
         stats.append(ComponentStat(len(comp), comp[0], hops, metric))
