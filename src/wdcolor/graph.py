@@ -9,10 +9,19 @@ scale, so no weight is parsed, validated or multiplied as a Fraction
 again.  Graphs are immutable after construction and every operation here
 is a pure function.
 
-A `SubgraphView` is g[S] without the copy: it keeps g's adjacency and
-filters it by membership in S, so a search inside S costs what it reaches,
-not what g holds.  S only needs a fast membership test and a size, and
-the view's weight range and largest vertex id come from its maker.
+Each graph holds two adjacencies.  The integer one (`_sadj`), which every
+search runs on, is built eagerly with the graph.  The Fraction one behind
+`neighbors` is built lazily, on the first `neighbors` call, and kept; only
+certificate checks and adhesion chains read it, so the read path of a
+weak-diameter check never builds it.  `parse_edge_list` checks each line as
+it reads it and builds the graph from those checked edges, as `induced`
+does; the public constructor checks its arguments itself.
+
+A `SubgraphView` is g[S] without the copy: it keeps g's adjacencies (its
+Fraction adjacency is g's own, built on g) and filters them by membership
+in S, so a search inside S costs what it reaches, not what g holds.  S
+only needs a fast membership test and a size, and the view's weight range
+and largest vertex id come from its maker.
 
 Three searches answer three questions, all on the same integer search,
 which runs by levels (a BFS) when every edge weighs the same and as a heap
@@ -132,21 +141,20 @@ class WeightedGraph:
 
     def _fill(self, vset: Set[int], edges: Tuple[Tuple[int, int, Fraction], ...], scale: int) -> None:
         """Set every field from validated edges and a multiple of their
-        weights' common denominator."""
+        weights' common denominator.  Only the integer adjacency `_sadj`,
+        which every search runs on, is built here; the Fraction adjacency
+        behind `neighbors` waits for its first use (`_fraction_adjacency`)."""
         self.vertices: Tuple[int, ...] = tuple(sorted(vset))
         self.edges: Tuple[Tuple[int, int, Fraction], ...] = edges
         self._vset: FrozenSet[int] = frozenset(vset)
         self._scale = scale
-        adj: Dict[int, List[Tuple[int, Fraction]]] = {v: [] for v in self.vertices}
         sadj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in self.vertices}
         scaled = [w.numerator * (scale // w.denominator) for (_, _, w) in edges]
-        for (u, v, w), s in zip(edges, scaled):
-            adj[u].append((v, w))
-            adj[v].append((u, w))
+        for (u, v, _), s in zip(edges, scaled):
             sadj[u].append((v, s))
             sadj[v].append((u, s))
-        self._adj = adj
         self._sadj = sadj
+        self._adj: Optional[Dict[int, List[Tuple[int, Fraction]]]] = None
         # the weight range, recorded once, and `_step`: the scaled weight of
         # every edge when all weigh the same, which the level search steps
         # by (any step serves a graph with no edge), None when weights differ
@@ -170,7 +178,22 @@ class WeightedGraph:
         return self._vset
 
     def neighbors(self, v: int) -> List[Tuple[int, Fraction]]:
-        return self._adj[v]
+        """(neighbour, exact weight) for each edge at v, in edge order.  The
+        Fraction adjacency it reads is built on the first call, not with
+        the graph: only certificate checks and adhesion chains read it."""
+        return self._fraction_adjacency()[v]
+
+    def _fraction_adjacency(self) -> Dict[int, List[Tuple[int, Fraction]]]:
+        """Each vertex's (neighbour, weight) list, the edges taken in edge
+        order; built on first use and kept."""
+        adj = self._adj
+        if adj is None:
+            adj = {v: [] for v in self.vertices}
+            for (u, v, w) in self.edges:
+                adj[u].append((v, w))
+                adj[v].append((u, w))
+            self._adj = adj
+        return adj
 
     def max_vertex(self) -> int:
         """The largest vertex id, -1 for the empty graph."""
@@ -415,7 +438,6 @@ class SubgraphView(WeightedGraph):
     ):
         self._base = base
         self._vset = vset
-        self._adj = base._adj
         self._sadj = base._sadj
         self._scale = base._scale
         self._wrange = weight_range
@@ -443,7 +465,12 @@ class SubgraphView(WeightedGraph):
 
     def neighbors(self, v: int) -> List[Tuple[int, Fraction]]:
         vset = self._vset
-        return [(n, w) for (n, w) in self._adj[v] if n in vset]
+        return [(n, w) for (n, w) in self._fraction_adjacency()[v] if n in vset]
+
+    def _fraction_adjacency(self) -> Dict[int, List[Tuple[int, Fraction]]]:
+        """The base's Fraction adjacency, unfiltered: a view builds none of
+        its own."""
+        return self._base._fraction_adjacency()
 
     def induced(self, keep: Iterable[int]) -> WeightedGraph:
         ks = set(keep)
@@ -510,13 +537,16 @@ def set_diameter(
         that bounds this one.  After it, sources alternate between the
         smallest lo and the largest hi; without it they start with the
         largest hi.  Ties go to the smallest vertex id.
+    Each search result updates lo and hi with plain comparisons and keeps
+    the members still live in the same pass.  Only the integer distances
+    `search` returns are read, so no Fraction adjacency is built for it.
     Raises ContractViolation when a search misses a member.
     """
     if len(members) <= 1:
         return 0, (members[0] if members else None)
     lo: Dict[int, int] = dict.fromkeys(members, 0)
     hi: Dict[int, object] = dict.fromkeys(members, bound)
-    live = set(members)
+    live = list(lo)
     best, end = 0, members[0]
     widest = first is None
     u = first
@@ -529,16 +559,28 @@ def set_diameter(
             widest = not widest
         d = search(u)
         try:
-            e = max(d[w] for w in members)
+            e = max(map(d.__getitem__, members))
         except KeyError as exc:
             raise ContractViolation("search from %s does not reach member %s" % (u, exc.args[0])) from None
         if e > best:
             best, end = e, u
+        kept: List[int] = []
         for w in live:
             dw = d[w]
-            lo[w] = max(lo[w], dw, e - dw)
-            hi[w] = min(hi[w], e + dw)
-        live = {w for w in live if hi[w] > best}
+            low = lo[w]
+            if dw > low:
+                low = dw
+            if e - dw > low:
+                low = e - dw
+            lo[w] = low
+            high = e + dw
+            if high < hi[w]:
+                hi[w] = high
+            else:
+                high = hi[w]
+            if high > best:
+                kept.append(w)
+        live = kept
         u = None
     return best, end
 
@@ -686,10 +728,14 @@ class HopGraph:
         sources: Iterable[int],
         targets: Optional[Set[int]] = None,
     ) -> Dict[int, int]:
-        """BFS hop distances, stopping early once all targets are reached."""
+        """BFS hop distances, stopping early once all targets are reached.
+        Reached targets are struck off once per level, and the stop is
+        tested between levels, so the whole level holding the last target
+        is returned."""
         frontier = list(sources)
         dist: Dict[int, int] = {s: 0 for s in frontier}
         remaining = set(targets) - set(frontier) if targets is not None else None
+        adj = self._adj
         depth = 0
         while frontier:
             if remaining is not None and not remaining:
@@ -697,13 +743,12 @@ class HopGraph:
             depth += 1
             nxt: List[int] = []
             for v in frontier:
-                for n in self._adj[v]:
-                    if n in dist:
-                        continue
-                    dist[n] = depth
-                    nxt.append(n)
-                    if remaining is not None:
-                        remaining.discard(n)
+                for n in adj[v]:
+                    if n not in dist:
+                        dist[n] = depth
+                        nxt.append(n)
+            if remaining is not None:
+                remaining.difference_update(nxt)
             frontier = nxt
         return dist
 
@@ -773,24 +818,45 @@ def parse_edge_list(text: str) -> WeightedGraph:
 
     One edge per line, weight a decimal or p/q rational; '#' starts a
     comment; a line holding a single vertex id declares an isolated vertex.
+
+    Each line is checked as it is read, and the first bad line raises
+    GraphError("edge list line N: ...").  On a line, in this order: the
+    field count, the ids parse as integers, the weight text parses as a
+    rational, no id is negative, the weight is positive, and u != v.  A
+    weight text is parsed and checked once, on its first line.  The graph
+    is then built from these checked edges through `WeightedGraph._fill`,
+    at the scale the distinct weights' denominators give, as `induced`
+    builds from its parent's checked edges: the integer adjacency at once,
+    the Fraction adjacency behind `neighbors` on first use.
     """
     verts: Set[int] = set()
     edges: List[Tuple[int, int, Fraction]] = []
-    # a file repeats a few weight texts over many lines: parse each once
+    # a file repeats a few weight texts over many lines: parse and check each once
     weights: Dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
         try:
             if len(parts) == 1:
-                verts.add(int(parts[0]))
+                v = int(parts[0])
+                if v < 0:
+                    raise GraphError("vertex ids must be nonnegative integers, got %r" % (v,))
+                verts.add(v)
             elif len(parts) == 3:
                 u, v = int(parts[0]), int(parts[1])
                 w = weights.get(parts[2])
-                if w is None:
-                    w = weights[parts[2]] = as_fraction(parts[2])
+                fresh = w is None
+                if fresh:
+                    w = as_fraction(parts[2])
+                if u < 0 or v < 0:
+                    raise GraphError("vertex ids must be nonnegative integers, got %r" % (u if u < 0 else v,))
+                if fresh:
+                    if w.numerator <= 0:
+                        raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (w, u, v))
+                    weights[parts[2]] = w
+                if u == v:
+                    raise GraphError("self-loop at vertex %s" % (u,))
                 verts.add(u)
                 verts.add(v)
                 edges.append((u, v, w))
@@ -798,7 +864,12 @@ def parse_edge_list(text: str) -> WeightedGraph:
                 raise ValueError("expected 'u v w' or a bare vertex id")
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise GraphError("edge list line %d: %s" % (lineno, exc)) from exc
-    return WeightedGraph(verts, edges)
+    scale = 1
+    for w in weights.values():
+        scale = _lcm(scale, w.denominator)
+    g = WeightedGraph.__new__(WeightedGraph)
+    g._fill(verts, tuple(edges), scale)
+    return g
 
 
 def write_edge_list(g: WeightedGraph) -> str:

@@ -735,21 +735,25 @@ def condense(
     base: Set[int] = set(t0_vertices)
     shortcut_parts: Dict[TreeEdge, ShortcutAttachment] = {}
     extra_edges: List[Tuple[int, int, Fraction]] = []
+    # the shortcut searches run on g's integer distances s = d * scale, and
+    # a kept shortcut weighs lf * d / (3 lf + mu) = s * per_unit
+    span = 3 * lf + mf
+    per_unit = lf / (span * g._scale)
     for e in frontier:
         if e in prime:
             continue
         x_e = td.adhesion_of(e)
         part = td.subtree_vertices(e)
-        reach = frozenset(g.distances_from(x_e, radius=lf, within=part))
+        reach = frozenset(g._scaled_distances(x_e, radius=lf, within=part))
         base |= reach
         fringe = sorted(reach - x_e)
         fset = set(fringe)
         shortcuts: List[Tuple[int, int, Fraction]] = []
         for u in fringe:
-            du = g.distances_from([u], radius=3 * lf + mf, within=part)
-            for v, d in du.items():
+            du = g._scaled_distances([u], radius=span, within=part)
+            for v, s in du.items():
                 if v in fset and v > u:
-                    shortcuts.append((u, v, lf * d / (3 * lf + mf)))
+                    shortcuts.append((u, v, per_unit * s))
         shortcuts.sort()
         extra_edges.extend(shortcuts)
         shortcut_parts[e] = ShortcutAttachment(x_e, part, reach, tuple(shortcuts))

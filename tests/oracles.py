@@ -1015,3 +1015,100 @@ def reference_bfs_geodesic_tree(g: WeightedGraph, root: int) -> GeodesicTree:
             raise ContractViolation("no predecessor reproduces the distance of %s" % v)
         parent[v] = best
     return GeodesicTree(root, parent, dist)
+
+
+# The read path before ingest was checked line by line and the diameter
+# loops were tightened: the edge-list parser that validated twice (once per
+# line, once more in WeightedGraph.__init__), the BFS that discarded each
+# reached target on its own, and the Takes-Kosters loop on builtin min and
+# max.  The rewritten functions must give the same graphs, dicts, sources
+# and results.
+
+
+def reference_parse_edge_list(text: str) -> WeightedGraph:
+    """Parse the "u v w" edge-list format.
+
+    One edge per line, weight a decimal or p/q rational; '#' starts a
+    comment; a line holding a single vertex id declares an isolated vertex.
+    """
+    verts: Set[int] = set()
+    edges: List[Tuple[int, int, Fraction]] = []
+    # a file repeats a few weight texts over many lines: parse each once
+    weights: Dict[str, Fraction] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            if len(parts) == 1:
+                verts.add(int(parts[0]))
+            elif len(parts) == 3:
+                u, v = int(parts[0]), int(parts[1])
+                w = weights.get(parts[2])
+                if w is None:
+                    w = weights[parts[2]] = as_fraction(parts[2])
+                verts.add(u)
+                verts.add(v)
+                edges.append((u, v, w))
+            else:
+                raise ValueError("expected 'u v w' or a bare vertex id")
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise GraphError("edge list line %d: %s" % (lineno, exc)) from exc
+    return WeightedGraph(verts, edges)
+
+
+def reference_hop_distances(h, sources, targets=None) -> Dict[int, int]:
+    """HopGraph.hop_distances, each reached target discarded as it is reached."""
+    frontier = list(sources)
+    dist: Dict[int, int] = {s: 0 for s in frontier}
+    remaining = set(targets) - set(frontier) if targets is not None else None
+    depth = 0
+    while frontier:
+        if remaining is not None and not remaining:
+            break
+        depth += 1
+        nxt: List[int] = []
+        for v in frontier:
+            for n in h.neighbors(v):
+                if n in dist:
+                    continue
+                dist[n] = depth
+                nxt.append(n)
+                if remaining is not None:
+                    remaining.discard(n)
+        frontier = nxt
+    return dist
+
+
+def reference_set_diameter(members, search, bound=INF, first=None):
+    """graph.set_diameter with builtin min and max on every member."""
+    if len(members) <= 1:
+        return 0, (members[0] if members else None)
+    lo: Dict[int, int] = dict.fromkeys(members, 0)
+    hi: Dict[int, object] = dict.fromkeys(members, bound)
+    live = set(members)
+    best, end = 0, members[0]
+    widest = first is None
+    u = first
+    while live:
+        if u is None:
+            if widest:
+                u = min(live, key=lambda w: (-hi[w], w))
+            else:
+                u = min(live, key=lambda w: (lo[w], w))
+            widest = not widest
+        d = search(u)
+        try:
+            e = max(d[w] for w in members)
+        except KeyError as exc:
+            raise ContractViolation("search from %s does not reach member %s" % (u, exc.args[0])) from None
+        if e > best:
+            best, end = e, u
+        for w in live:
+            dw = d[w]
+            lo[w] = max(lo[w], dw, e - dw)
+            hi[w] = min(hi[w], e + dw)
+        live = {w for w in live if hi[w] > best}
+        u = None
+    return best, end

@@ -503,6 +503,58 @@ def test_zero_denominator_weight_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1 1\n1 -2 1\n", "edge list line 2: vertex ids must be nonnegative integers, got -2"),
+        ("0 1 1\n\n1 1 1\n", "edge list line 3: self-loop at vertex 1"),
+        ("0 1 1\n1 2 0/3\n", "edge list line 2: edge weight must be positive, got 0 on (1,2)"),
+    ],
+)
+def test_a_rejected_edge_names_its_line_in_the_parse_error(tmp_path, capsys, text, message):
+    graph = tmp_path / "bad.txt"
+    graph.write_text(text)
+    code, out, err = _main(capsys, ["run", "tw", "--graph", str(graph), "--ell", "1"])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "parse-error"
+    assert error["message"] == "bad graph file %s: %s" % (graph, message)
+
+
+def test_verify_on_a_unit_grid_builds_no_fraction_adjacency(tmp_path, capsys, monkeypatch):
+    """Counts, not timings: verify reads only integer adjacencies, so the
+    Fraction adjacency behind `neighbors` is never built."""
+    import wdcolor.graph as graph
+
+    side = 20
+    lines = []
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                lines.append("%d %d 1\n" % (r * side + c, r * side + c + 1))
+            if r + 1 < side:
+                lines.append("%d %d 1\n" % (r * side + c, (r + 1) * side + c))
+    path = tmp_path / "grid.txt"
+    path.write_text("".join(lines))
+    blocks = {r * side + c: 1 + (r // 5 + c // 5) % 2 for r in range(side) for c in range(side)}
+    coloring = _write_coloring(tmp_path / "blocks.json", blocks)
+    builds = []
+    build = graph.WeightedGraph._fraction_adjacency
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(graph.WeightedGraph, "_fraction_adjacency", counting)
+    verify = ["verify", "--graph", str(path), "--ell", "1", "--coloring", coloring]
+    code, out, _ = _main(capsys, verify)
+    assert code == 0
+    hops = json.loads(out)["measured"]["maxWeakDiameterHops"]
+    assert _main(capsys, verify + ["--bound", str(hops - 1)])[0] == 1
+    assert builds == []
+
+
+@pytest.mark.parametrize(
     "coloring",
     [
         {"num_colors": 2, "assignment": [1, 2]},

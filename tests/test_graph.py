@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -568,6 +569,128 @@ def test_edge_list_bad_weight_after_a_repeated_one_names_its_line():
         parse_edge_list("0 1 0\n1 2 1/4\n2 3 0\n")
     with pytest.raises(GraphError, match="edge weight must be positive"):
         parse_edge_list("0 1 -1/4\n1 2 -1/4\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1 1\n-1 2 1\n", "edge list line 2: vertex ids must be nonnegative integers, got -1"),
+        ("0 1 1\n# comment\n-4\n", "edge list line 3: vertex ids must be nonnegative integers, got -4"),
+        ("0 1 1\n2 2 1/2\n", "edge list line 2: self-loop at vertex 2"),
+        ("0 1 1\n1 2 0\n", "edge list line 2: edge weight must be positive, got 0 on (1,2)"),
+        ("0 1 1\n1 2 -3/4\n2 2 1\n", "edge list line 2: edge weight must be positive, got -3/4 on (1,2)"),
+    ],
+)
+def test_edge_list_rejections_name_the_first_bad_line(text, message):
+    with pytest.raises(GraphError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
+_WEIGHT_TEXTS = st.sampled_from(["1", "2", "3/4", "0.75", "6/8", "1/3", "0.5", "5/2", "2.25", "7"])
+
+
+@st.composite
+def edge_list_texts(draw, valid: bool = True):
+    """Edge-list files: edges with decimal and p/q weights (some repeated),
+    bare ids, comments, blank lines; with valid=False a line may also hold
+    a negative id, a self-loop or a non-positive weight."""
+    ids = st.integers(min_value=0, max_value=9)
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "repeat", "bare", "comment", "blank", "bad"]))
+        if kind == "repeat" and any(len(x.split()) == 3 for x in lines):
+            lines.append(draw(st.sampled_from([x for x in lines if len(x.split()) == 3])))
+        elif kind in ("edge", "repeat"):
+            u, v = draw(ids), draw(ids)
+            if u != v:
+                tail = draw(st.sampled_from(["", "  # note", "\t"]))
+                lines.append("%d %d %s%s" % (u, v, draw(_WEIGHT_TEXTS), tail))
+        elif kind == "bare":
+            lines.append(" %d " % draw(ids))
+        elif kind == "comment":
+            lines.append("# a comment")
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   "])))
+        elif not valid:
+            lines.append(draw(st.sampled_from(["-1 2 1", "3 3 1/2", "1 2 0", "1 2 -0.5", "-2", "1 2"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts(valid=False))
+def test_one_pass_ingest_builds_the_graph_the_two_pass_parser_built(text):
+    try:
+        want = oracles.reference_parse_edge_list(text)
+    except GraphError:
+        with pytest.raises(GraphError, match="^edge list line "):
+            parse_edge_list(text)
+        return
+    got = parse_edge_list(text)
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    assert got._scale == want._scale
+    assert got._sadj == want._sadj
+    assert (got.min_edge_weight(), got.max_edge_weight()) == (want.min_edge_weight(), want.max_edge_weight())
+    assert got._step == want._step
+
+
+def _eager_adjacency(vertices, edges):
+    adj = {v: [] for v in vertices}
+    for (u, v, w) in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_graphs(max_n=10, max_extra_edges=12, connected=False), st.data())
+def test_lazy_neighbors_equal_an_eager_adjacency_in_order(g, data):
+    """The Fraction adjacency is built on the first neighbors() call, on a
+    graph, an induced copy and a view alike; a view builds none of its own."""
+    keep = data.draw(st.frozensets(st.sampled_from(g.vertices)))
+    inside = [(u, v, w) for (u, v, w) in g.edges if u in keep and v in keep]
+    wrange = (min(w for *_, w in inside), max(w for *_, w in inside)) if inside else None
+    view = SubgraphView(g, keep, wrange, max(keep, default=-1))
+    h = g.induced(keep)
+    assert g._adj is None and h._adj is None
+    for graph in (view, h, g):
+        want = _eager_adjacency(graph.vertices, graph.edges)
+        assert {v: graph.neighbors(v) for v in graph.vertices} == want
+    assert g._adj is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_graphs(max_n=9, max_extra_edges=8, connected=False), rationals(max_num=6, max_den=4), st.data())
+def test_hop_diameters_search_the_sources_they_searched_before(g, ell, data):
+    """set_diameter on hop_distances picks the same sources in the same order
+    and returns the same (diameter, end) as the loops it replaced."""
+    p = power_graph(g, ell)
+    members = sorted(data.draw(st.sets(st.sampled_from(p.vertices), min_size=1)))
+    targets = set(members)
+    seen = {"new": [], "ref": []}
+
+    def search(u):
+        seen["new"].append(u)
+        return p.hop_distances([u], targets=targets)
+
+    def ref_search(u):
+        seen["ref"].append(u)
+        return oracles.reference_hop_distances(p, [u], targets=targets)
+
+    bound = data.draw(st.sampled_from([INF, len(p.vertices)]))
+    first = data.draw(st.sampled_from(members + [None]))
+    try:
+        want = oracles.reference_set_diameter(members, ref_search, bound, first)
+    except ContractViolation as exc:
+        with pytest.raises(ContractViolation, match=re.escape(str(exc))):
+            set_diameter(members, search, bound, first)
+        return
+    assert set_diameter(members, search, bound, first) == want
+    assert seen["new"] == seen["ref"]
+    for u in seen["new"]:
+        got = p.hop_distances([u], targets=targets)
+        assert list(got.items()) == list(oracles.reference_hop_distances(p, [u], targets=targets).items())
 
 
 def test_frac_str_forms():
