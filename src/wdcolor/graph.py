@@ -822,12 +822,12 @@ def parse_edge_list(text: str) -> WeightedGraph:
     Each line is checked as it is read, and the first bad line raises
     GraphError("edge list line N: ...").  On a line, in this order: the
     field count, the ids parse as integers, the weight text parses as a
-    rational, no id is negative, the weight is positive, and u != v.  A
-    weight text is parsed and checked once, on its first line.  The graph
-    is then built from these checked edges through `WeightedGraph._fill`,
-    at the scale the distinct weights' denominators give, as `induced`
-    builds from its parent's checked edges: the integer adjacency at once,
-    the Fraction adjacency behind `neighbors` on first use.
+    rational and is positive (once per distinct text, on its first line),
+    no id is negative, and u != v.  The graph is then built from these
+    checked edges through `WeightedGraph._fill`, at the scale the distinct
+    weights' denominators give, as `induced` builds from its parent's
+    checked edges: the integer adjacency at once, the Fraction adjacency
+    behind `neighbors` on first use.
     """
     verts: Set[int] = set()
     edges: List[Tuple[int, int, Fraction]] = []
@@ -846,15 +846,13 @@ def parse_edge_list(text: str) -> WeightedGraph:
             elif len(parts) == 3:
                 u, v = int(parts[0]), int(parts[1])
                 w = weights.get(parts[2])
-                fresh = w is None
-                if fresh:
+                if w is None:
                     w = as_fraction(parts[2])
-                if u < 0 or v < 0:
-                    raise GraphError("vertex ids must be nonnegative integers, got %r" % (u if u < 0 else v,))
-                if fresh:
                     if w.numerator <= 0:
                         raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (w, u, v))
                     weights[parts[2]] = w
+                if u < 0 or v < 0:
+                    raise GraphError("vertex ids must be nonnegative integers, got %r" % (u if u < 0 else v,))
                 if u == v:
                     raise GraphError("self-loop at vertex %s" % (u,))
                 verts.add(u)

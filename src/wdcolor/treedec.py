@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from collections.abc import Mapping
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
@@ -735,9 +736,11 @@ def condense(
     base: Set[int] = set(t0_vertices)
     shortcut_parts: Dict[TreeEdge, ShortcutAttachment] = {}
     extra_edges: List[Tuple[int, int, Fraction]] = []
-    # the shortcut searches run on g's integer distances s = d * scale, and
-    # a kept shortcut weighs lf * d / (3 lf + mu) = s * per_unit
+    # the shortcut searches run on g's integer distances s = d * scale, capped
+    # at (3 lf + mu) * scale, and a kept shortcut weighs lf * d / (3 lf + mu),
+    # that is s * per_unit
     span = 3 * lf + mf
+    cap = math.floor(span * g._scale)
     per_unit = lf / (span * g._scale)
     for e in frontier:
         if e in prime:
@@ -750,7 +753,7 @@ def condense(
         fset = set(fringe)
         shortcuts: List[Tuple[int, int, Fraction]] = []
         for u in fringe:
-            du = g._scaled_distances([u], radius=span, within=part)
+            du = g._search((u,), cap, part, None)
             for v, s in du.items():
                 if v in fset and v > u:
                     shortcuts.append((u, v, per_unit * s))
