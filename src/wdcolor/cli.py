@@ -14,6 +14,10 @@ decomposition that `run tw`, `run partition` or `dilation` computes itself
 comes from an exhaustive search up to 20 vertices and min-fill beyond.
 `verify` exits 2 before building a power graph of more than
 MAX_POWER_VERTICES (10**6) vertices.
+
+A process builds one argument parser, on the first call of `main`, and
+every later call reuses it; each call parses into a fresh namespace, so no
+value carries over from one call to the next.
 """
 
 import argparse
@@ -479,9 +483,15 @@ def _attach_negative_values(argv: Sequence[str]) -> List[str]:
     return out
 
 
+#: The parser `main` builds on its first call and reuses.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except CliError as exc:

@@ -97,6 +97,15 @@ def _lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
 
 
+def _weight_scale(edges: Iterable[Tuple[int, int, Fraction]]) -> int:
+    """The least common denominator of the edges' weights, reading each
+    weight object once."""
+    scale = 1
+    for w in {id(w): w for (_, _, w) in edges}.values():
+        scale = _lcm(scale, w.denominator)
+    return scale
+
+
 class GraphError(ValueError):
     """Invalid graph input (unknown vertex, bad weight, bad parameter)."""
 
@@ -134,23 +143,26 @@ class WeightedGraph:
             if u not in vset or v not in vset:
                 raise GraphError("edge (%s,%s) references an unknown vertex" % (u, v))
             elist.append((u, v, wf))
-        scale = 1
-        for (_, _, w) in elist:
-            scale = _lcm(scale, w.denominator)
-        self._fill(vset, tuple(elist), scale)
+        self._fill(vset, tuple(elist), _weight_scale(elist))
 
     def _fill(self, vset: Set[int], edges: Tuple[Tuple[int, int, Fraction], ...], scale: int) -> None:
         """Set every field from validated edges and a multiple of their
         weights' common denominator.  Only the integer adjacency `_sadj`,
         which every search runs on, is built here; the Fraction adjacency
-        behind `neighbors` waits for its first use (`_fraction_adjacency`)."""
+        behind `neighbors` waits for its first use (`_fraction_adjacency`).
+        Edges share a few weight objects (one per distinct text in a
+        parsed file, the parent's in a copy), so each object is scaled
+        once, found by its id."""
         self.vertices: Tuple[int, ...] = tuple(sorted(vset))
         self.edges: Tuple[Tuple[int, int, Fraction], ...] = edges
         self._vset: FrozenSet[int] = frozenset(vset)
         self._scale = scale
         sadj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in self.vertices}
-        scaled = [w.numerator * (scale // w.denominator) for (_, _, w) in edges]
-        for (u, v, _), s in zip(edges, scaled):
+        scaled: Dict[int, int] = {}
+        for (u, v, w) in edges:
+            s = scaled.get(id(w))
+            if s is None:
+                s = scaled[id(w)] = w.numerator * (scale // w.denominator)
             sadj[u].append((v, s))
             sadj[v].append((u, s))
         self._sadj = sadj
@@ -161,7 +173,7 @@ class WeightedGraph:
         self._wrange: Optional[Tuple[Fraction, Fraction]] = None
         self._step: Optional[int] = 1
         if scaled:
-            lo, hi = min(scaled), max(scaled)
+            lo, hi = min(scaled.values()), max(scaled.values())
             self._wrange = (Fraction(lo, scale), Fraction(hi, scale))
             self._step = lo if lo == hi else None
         self._inc: Optional[Dict[int, List[int]]] = None
@@ -242,6 +254,34 @@ class WeightedGraph:
         edges, inc = self.edges, self._inc
         ids = {i for u in keep for i in inc[u] if edges[i][0] in keep and edges[i][1] in keep}
         return tuple(edges[i] for i in sorted(ids))
+
+    def _induced_plus(
+        self,
+        keep: Set[int],
+        vertices: Set[int],
+        extra: Sequence[Tuple[int, int, Fraction]],
+    ) -> "WeightedGraph":
+        """The graph WeightedGraph(vertices, induced(keep).edges + extra)
+        builds, without the copy: the edges inside `keep` are this graph's,
+        checked when it was built, and come off its incidence index in edge
+        order; only `extra` is checked, as the constructor checks an edge.
+        `vertices` holds `keep` and nonnegative ids only; the scale is the
+        constructor's, the least common denominator of the new graph's
+        own weights."""
+        unknown = [v for v in keep if v not in self._vset]
+        if unknown:
+            raise GraphError("induced() got unknown vertices %s" % sorted(unknown))
+        for (u, v, w) in extra:
+            if w.numerator <= 0:
+                raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (w, u, v))
+            if u == v:
+                raise GraphError("self-loop at vertex %s" % (u,))
+            if u not in vertices or v not in vertices:
+                raise GraphError("edge (%s,%s) references an unknown vertex" % (u, v))
+        edges = self._edges_within(keep) + tuple(extra)
+        out = WeightedGraph.__new__(WeightedGraph)
+        out._fill(vertices, edges, _weight_scale(edges))
+        return out
 
     # -- metric ------------------------------------------------------------
 
@@ -455,7 +495,7 @@ class SubgraphView(WeightedGraph):
 
     @property
     def edges(self) -> Tuple[Tuple[int, int, Fraction], ...]:  # type: ignore[override]
-        return self._base._edges_within(self._vset)
+        return self._edges_within(self._vset)
 
     def __len__(self) -> int:
         return len(self._vset)
@@ -478,8 +518,13 @@ class SubgraphView(WeightedGraph):
         if unknown:
             raise GraphError("induced() got unknown vertices %s" % sorted(unknown))
         sub = WeightedGraph.__new__(WeightedGraph)
-        sub._fill(ks, self._base._edges_within(ks), self._scale)
+        sub._fill(ks, self._edges_within(ks), self._scale)
         return sub
+
+    def _edges_within(self, keep: AbstractSet) -> Tuple[Tuple[int, int, Fraction], ...]:
+        """The base's edges inside `keep`, a subset of S, off the base's
+        index."""
+        return self._base._edges_within(keep)
 
     def _search(
         self,

@@ -16,23 +16,25 @@ SubtreeIndex), and a condensation then costs what its region costs.
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import math
 from collections.abc import Mapping
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 from wdcolor.graph import (
     GraphError,
+    _lcm,
+    _weight_scale,
     SubgraphView,
     WeightedGraph,
     as_fraction,
     ceil_frac,
     frac_str,
     json_int,
-    neighborhood,
     require_light_edges,
 )
 from wdcolor.partition import (
@@ -260,14 +262,47 @@ def component_decomposition(
 ) -> RootedTreeDecomposition:
     """The nodes whose bags meet one connected component, with their bags
     cut down to it, rooted at the topmost of them."""
-    cs = frozenset(comp)
-    keep = {t for t in td.nodes if td.bags[t] & cs}
-    tops = [t for t in keep if td.parent[t] not in keep]
+    return next(component_decompositions(td, [comp], what))
+
+
+def component_decompositions(
+    td: RootedTreeDecomposition, comps: Sequence[Iterable[int]], what: str
+) -> Iterator[RootedTreeDecomposition]:
+    """component_decomposition of each of the disjoint vertex sets `comps`,
+    in order, from one pass over td: each node is filed under the
+    components its bag meets, with its bag cut down to each, as it is
+    read.  Each decomposition is built, and checked to span a subtree,
+    when it is asked for; the iterator then lets go of what it filed for
+    that component, so a caller coloring one component at a time holds no
+    second copy of it."""
+    sets = [frozenset(comp) for comp in comps]
+    comp_of = {v: i for i, cs in enumerate(sets) for v in cs}
+    keep: List[Set[int]] = [set() for _ in sets]
+    cut: List[Dict[int, FrozenSet[int]]] = [{} for _ in sets]
+    bags = td.bags
+    for t in td.nodes:
+        bag = bags[t]
+        for i in {comp_of[v] for v in bag if v in comp_of}:
+            keep[i].add(t)
+            cut[i][t] = bag & sets[i]
+    del sets, comp_of
+    keep.reverse()
+    cut.reverse()
+    while keep:
+        yield _cut_decomposition(td, keep.pop(), cut.pop(), what)
+
+
+def _cut_decomposition(
+    td: RootedTreeDecomposition, kept: Set[int], bags: Dict[int, FrozenSet[int]], what: str
+) -> RootedTreeDecomposition:
+    """The nodes `kept` of td with their cut `bags`, rooted at the one of
+    them whose parent is not kept."""
+    parent = td.parent
+    tops = [t for t in kept if parent[t] not in kept]
     if len(tops) != 1:
         raise ContractViolation("%s: component bags do not span a subtree" % what)
-    bags = {t: td.bags[t] & cs for t in keep}
-    edges = [(p, ch) for (p, ch) in td.tree_edges if p in keep and ch in keep]
-    return RootedTreeDecomposition(bags, edges, tops[0])
+    edges = sorted((parent[t], t) for t in kept if parent[t] in kept)
+    return RootedTreeDecomposition({t: bags[t] for t in kept}, edges, tops[0])
 
 
 class SubtreeIndex:
@@ -597,35 +632,75 @@ class Hierarchy:
     def base(self) -> List[HVertex]:
         return [(0, y) for y in self.parts[0]]
 
-    def _as_weighted_graph(self) -> Tuple[WeightedGraph, Dict[HVertex, int]]:
-        vs = self.vertices()
-        ids = {v: i for i, v in enumerate(sorted(vs, key=lambda v: (v[0], min(v[1]) if v[1] else -1)))}
-        edges = [(ids[a], ids[b], w) for (a, b, w) in self.edges]
-        return WeightedGraph(ids.values(), edges), ids
-
     def verify(self) -> None:
+        """Check the forest's invariants on its own edge list, with no graph
+        built: every edge weighs in (0, ell/2]; every vertex lies within
+        ell/2 of the base; in each component, the smallest vertex reaches
+        the whole component within ell; and there are at most |B|**2
+        non-base vertices.  Distances are exact integers in units of
+        1/scale, scale the least common denominator of the weights and
+        ell/2.  Vertices are numbered in (level, smallest member) order,
+        components come in the order of their smallest ids and each is read
+        in id order, so a failure names the distance that the same searches
+        on the forest as a WeightedGraph over those ids would."""
         half = self.ell / 2
+        scale = _lcm(half.denominator, _weight_scale(self.edges))
+        half_s = half.numerator * (scale // half.denominator)
+        scaled = {id(w): w.numerator * (scale // w.denominator) for (_, _, w) in self.edges}
         for (_, _, w) in self.edges:
-            if not 0 < w <= half:
+            if not 0 < scaled[id(w)] <= half_s:
                 raise ContractViolation("hierarchy edge weight %s outside (0, %s]" % (w, half))
         if not self.ground:
             return
-        h, ids = self._as_weighted_graph()
-        reach = neighborhood(h, [ids[v] for v in self.base()], half)
-        if reach != set(ids.values()):
+        vs = self.vertices()
+        ids = {v: i for i, v in enumerate(sorted(vs, key=lambda v: (v[0], min(v[1]) if v[1] else -1)))}
+        adj: Dict[int, List[Tuple[int, int]]] = {i: [] for i in ids.values()}
+        for (a, b, s) in [(ids[a], ids[b], scaled[id(w)]) for (a, b, w) in self.edges]:
+            if a == b:
+                raise GraphError("self-loop at vertex %s" % (a,))
+            adj[a].append((b, s))
+            adj[b].append((a, s))
+        if len(_forest_distances(adj, [ids[v] for v in self.base()], half_s)) != len(adj):
             raise ContractViolation("hierarchy vertex farther than %s from the base" % (half,))
-        for comp in h.connected_components():
-            src = comp[0]
-            dist = h.distances_from([src], within=comp)
-            for v in comp:
-                if dist[v] > self.ell:
+        ell_s = 2 * half_s
+        seen: Set[int] = set()
+        for src in sorted(adj):
+            if src in seen:
+                continue
+            dist = _forest_distances(adj, [src], None)
+            seen.update(dist)
+            for v in sorted(dist):
+                if dist[v] > ell_s:
                     raise ContractViolation(
-                        "hierarchy component pair at distance %s > %s" % (frac_str(dist[v]), self.ell)
+                        "hierarchy component pair at distance %s > %s"
+                        % (frac_str(Fraction(dist[v], scale)), self.ell)
                     )
         n_base = len(self.parts[0])
         n_upper = sum(len(self.parts[i]) for i in self.levels if i != 0)
         if n_upper > n_base * n_base:
             raise ContractViolation("hierarchy has %d non-base vertices > |B|^2 = %d" % (n_upper, n_base**2))
+
+
+def _forest_distances(
+    adj: Dict[int, List[Tuple[int, int]]], sources: Iterable[int], cap: Optional[int]
+) -> Dict[int, int]:
+    """Distances from `sources` over a small adjacency with integer weights,
+    up to `cap` (None: no cap), by a heap Dijkstra."""
+    dist = dict.fromkeys(sources, 0)
+    heap = [(0, s) for s in dist]
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != dist[v]:
+            continue
+        for (n, w) in adj[v]:
+            nd = d + w
+            if cap is not None and nd > cap:
+                continue
+            if n not in dist or nd < dist[n]:
+                dist[n] = nd
+                heapq.heappush(heap, (nd, n))
+    return dist
 
 
 def build_hierarchy(chain: PartitionChain, ell: object, theta: int, mu: object) -> Hierarchy:
@@ -700,6 +775,13 @@ def condense(
     per frontier edge, either an attached hierarchy forest (u_e_prime) or
     the radius-ell fringe with distance-scaled shortcut edges.
 
+    The condensed graph g0 is built once, with no copy of g's part in it:
+    its base edges are g's own edges inside the base, read off g's
+    incidence index in edge order (g's base graph for a view), and only
+    the shortcut and hierarchy edges are checked, as the WeightedGraph
+    constructor checks an edge.  g0's fields are those the constructor
+    gives WeightedGraph(V(G0), base edges + new edges).
+
     The condensed graph comes with a validated decomposition td0: the root
     side's bags, plus one leaf per frontier edge, at the edge's child node,
     holding the edge's hierarchy vertices or its fringe reach.  Every leaf
@@ -725,27 +807,28 @@ def condense(
             raise GraphError(
                 "frontier edge (%s,%s) hangs below another frontier edge" % (p, c)
             )
+    adhesions = {e: td.adhesion_of(e) for e in frontier}
     for e in prime:
-        if len(td.adhesion_of(e)) > theta:
+        if len(adhesions[e]) > theta:
             raise GraphError("adhesion of %s has more than theta=%d vertices" % (e, theta))
     ew = g.min_edge_weight()
     eps = ew if ew is not None else lf
-    max_level = ceil_frac((3 * lf + mf) / eps)
+    span = 3 * lf + mf
+    max_level = ceil_frac(span / eps)
 
     t0_vertices = td.bag_union(t0_nodes)
     base: Set[int] = set(t0_vertices)
     shortcut_parts: Dict[TreeEdge, ShortcutAttachment] = {}
     extra_edges: List[Tuple[int, int, Fraction]] = []
-    # the shortcut searches run on g's integer distances s = d * scale, capped
-    # at (3 lf + mu) * scale, and a kept shortcut weighs lf * d / (3 lf + mu),
-    # that is s * per_unit
-    span = 3 * lf + mf
-    cap = math.floor(span * g._scale)
-    per_unit = lf / (span * g._scale)
-    for e in frontier:
-        if e in prime:
-            continue
-        x_e = td.adhesion_of(e)
+    shortcut_edges = [e for e in frontier if e not in prime]
+    if shortcut_edges:
+        # the shortcut searches run on g's integer distances s = d * scale,
+        # capped at (3 lf + mu) * scale, and a kept shortcut weighs
+        # lf * d / (3 lf + mu), that is s * per_unit
+        cap = math.floor(span * g._scale)
+        per_unit = lf / (span * g._scale)
+    for e in shortcut_edges:
+        x_e = adhesions[e]
         part = td.subtree_vertices(e)
         reach = frozenset(g._scaled_distances(x_e, radius=lf, within=part))
         base |= reach
@@ -764,7 +847,7 @@ def condense(
     hierarchies: Dict[TreeEdge, HierarchyAttachment] = {}
     next_id = g.max_vertex() + 1
     for e in prime:
-        x_e = td.adhesion_of(e)
+        x_e = adhesions[e]
         part = td.subtree_vertices(e)
         chain = adhesion_partition_chain(g, td, e, eps, max_level)
         hier = build_hierarchy(chain, lf, theta, mf)
@@ -783,8 +866,7 @@ def condense(
     vertices = set(base)
     for att in hierarchies.values():
         vertices.update(att.vertex_ids.values())
-    base_graph = g.induced(base)
-    g0 = WeightedGraph(vertices, list(base_graph.edges) + extra_edges)
+    g0 = g._induced_plus(base, vertices, extra_edges)
     mw0 = g0.max_edge_weight()
     if mw0 is not None and mw0 > lf:
         raise ContractViolation("condensed graph carries weight %s > ell" % (mw0,))
@@ -798,7 +880,7 @@ def condense(
     td0 = RootedTreeDecomposition(bags0, edges0, td.root)
     validate_td(g0, td0, "condensed decomposition invalid")
     for e in frontier:
-        if td0.adhesion_of(e) != td.adhesion_of(e):
+        if td0.adhesion_of(e) != adhesions[e]:
             raise ContractViolation("condensed leaf %s changed its adhesion" % (e,))
     return Condensation(
         g=g, td=td, g0=g0, td0=td0, u_e=frontier, ell=lf, theta=theta, mu=mf,
@@ -830,6 +912,14 @@ def lift_condensation_coloring(
     (2*ell,3*ell] of an adhesion) take guard colors 1 and 2, so the result
     has at least two colors and as many as c0 has.  It is re-verified at the
     lift bound con_color_bound(ell, n, theta, mu).
+
+    Each frontier edge costs one search per adhesion vertex when it has a
+    hierarchy: the distances to X_e are the least of those single-source
+    distances, the same dict the multi-source search gives.  A shortcut
+    part, whose colors need no single-source distance, runs the one
+    multi-source search instead.  Distances stay the searches' integers
+    (units of 1/scale), and zones and levels come from integer divisions,
+    so no Fraction is built per reached vertex.
     """
     g, td, lf = cond.g, cond.td, cond.ell
     c0 = patched.coloring
@@ -862,6 +952,10 @@ def lift_condensation_coloring(
     for v in cond.t0_vertices:
         if v not in rset:
             assignment[v] = c0.color(v)
+    # distances stay integers in units of 1/scale: the zone of a distance
+    # d is ceil(d / (ell * scale)), one integer division
+    radius, scale = 3 * lf, g._scale
+    zone_den, zone_num = lf.denominator, scale * lf.numerator
     for e in cond.u_e:
         x_e = td.adhesion_of(e)
         if not x_e:
@@ -871,14 +965,21 @@ def lift_condensation_coloring(
             if e in cond.hierarchies
             else cond.shortcut_parts[e].part_vertices
         )
-        dist = g.distances_from(sorted(x_e), radius=3 * lf, within=part)
         att = cond.hierarchies.get(e)
-        per_source: Dict[int, Dict[int, Fraction]] = {}
-        if att is not None:
+        per_source: Dict[int, Dict[int, int]] = {}
+        if att is None:
+            dist = g._scaled_distances(sorted(x_e), radius=radius, within=part)
+        else:
+            # the multi-source distance is the least single-source one, and
+            # each single source is searched anyway for the hierarchy colors
+            dist = {}
             for x in sorted(x_e):
-                per_source[x] = g.distances_from([x], radius=3 * lf, within=part)
+                per_source[x] = dx = g._scaled_distances([x], radius=radius, within=part)
+                for v, d in dx.items():
+                    if v not in dist or d < dist[v]:
+                        dist[v] = d
         for v, d in sorted(dist.items()):
-            zone = max(1, ceil_frac(d / lf))
+            zone = max(1, -(-d * zone_den // zone_num))
             if v in rset or (v in assignment and zone == 1):
                 continue
             if zone == 1:
@@ -889,7 +990,7 @@ def lift_condensation_coloring(
                         raise ContractViolation(
                             "fringe vertex %s of %s missing from the condensed graph" % (v, e)
                         )
-                    assignment[v] = c0.color(_hierarchy_color_vertex(cond, att, per_source, v, d))
+                    assignment[v] = c0.color(_hierarchy_color_vertex(cond, att, per_source, v, d, scale))
             elif v not in assignment:
                 assignment[v] = zone - 1
     domain = set(assignment)
@@ -904,15 +1005,19 @@ def lift_condensation_coloring(
 def _hierarchy_color_vertex(
     cond: Condensation,
     att: HierarchyAttachment,
-    per_source: Dict[int, Dict[int, Fraction]],
+    per_source: Dict[int, Dict[int, int]],
     v: int,
-    d: Fraction,
+    d: int,
+    scale: int,
 ) -> int:
     """The condensed vertex whose color a fringe vertex inherits: the part,
     at the deepest recorded level not above ceil(d/eps), holding the nearest
     adhesion vertex.  Nearness ties break by ascending vertex id, and the
-    part is checked to be the only one within reach."""
-    p_v = max(1, ceil_frac(d / cond.eps))
+    part is checked to be the only one within reach.  Distances are in
+    units of 1/scale, so each comparison with a multiple of eps is one
+    integer comparison."""
+    num, den = cond.eps.numerator * scale, cond.eps.denominator
+    p_v = max(1, -(-d * den // num))
     j_v = max(i for i in att.hierarchy.levels if i <= p_v)
     nearest = min(
         (x for x in per_source if v in per_source[x]),
@@ -920,12 +1025,13 @@ def _hierarchy_color_vertex(
     )
     parts = att.chain.partition_at(j_v)
     y_v = next(y for y in parts if nearest in y)
-    reach = p_v * cond.eps
+    # dy <= p_v * eps, in units of 1/scale
+    reach = p_v * num
     for y in parts:
         dy = min((per_source[x][v] for x in y if v in per_source[x]), default=None)
         if y == y_v:
-            if dy is None or dy > reach:
+            if dy is None or dy * den > reach:
                 raise ContractViolation("nearest part of %s is out of reach" % (v,))
-        elif dy is not None and dy <= reach:
+        elif dy is not None and dy * den <= reach:
             raise ContractViolation("vertex %s reaches two level-%d parts" % (v, j_v))
     return att.vertex_ids[(j_v, y_v)]

@@ -58,7 +58,7 @@ from .treedec import (
     SubtreeIndex,
     TreeEdge,
     ball_region,
-    component_decomposition,
+    component_decompositions,
     con_color_bound,
     condense,
     lift_condensation_coloring,
@@ -750,12 +750,12 @@ def _color_split(
 ) -> None:
     """Push each connected component with its own restricted decomposition,
     adding a one-vertex root bag to components the root bag does not meet,
-    and a check that they covered the level."""
+    and a check that they covered the level.  The decompositions come from
+    one pass over the level's decomposition, not one per component."""
     g, td, zset, c, what = lv.g, lv.td, lv.zset, lv.c, lv.what
     items: List[object] = []
-    for comp in comps:
+    for comp, td_c in zip(comps, component_decompositions(td, comps, what)):
         cs = frozenset(comp)
-        td_c = component_decomposition(td, cs, what)
         g_c = g.induced(cs)
         z_c = zset & cs
         if td.root not in td_c.bags:
@@ -851,8 +851,8 @@ def color_bounded_treewidth(
     ctx = _Ctx(lf, theta, piece_bound, deep_verify)
     pieces: List[Coloring] = []
     fresh_node = max(td.nodes) + 1
-    for comp in g.connected_components():
-        td_c = component_decomposition(td, comp, "treewidth coloring")
+    comps = g.connected_components()
+    for comp, td_c in zip(comps, component_decompositions(td, comps, "treewidth coloring")):
         g_c = g.induced(comp)
         if len(td_c) == 1:
             pieces.append(_paint_piece(ctx, g_c, "treewidth coloring: single bag"))

@@ -325,7 +325,6 @@ from wdcolor.patching import CenterCertificate, centered_color, patch_bound, pat
 from wdcolor.treedec import (  # noqa: E402
     RootedTreeDecomposition,
     ball_region,
-    component_decomposition,
     condense,
     lift_condensation_coloring,
 )
@@ -623,7 +622,7 @@ def _color_split(
     fresh_node = max(td.nodes) + 1
     for comp in comps:
         cs = frozenset(comp)
-        td_c = component_decomposition(td, cs, what)
+        td_c = reference_component_decomposition(td, cs, what)
         g_c = g.induced(cs)
         z_c = zset & cs
         if td.root not in td_c.bags:
@@ -675,7 +674,7 @@ def reference_color_bounded_treewidth(g, ell, td=None):
     pieces: List[Coloring] = []
     fresh_node = max(td.nodes) + 1
     for comp in g.connected_components():
-        td_c = component_decomposition(td, comp, "treewidth coloring")
+        td_c = reference_component_decomposition(td, comp, "treewidth coloring")
         g_c = g.induced(comp)
         if len(td_c) == 1:
             pieces.append(_paint_piece(ctx, g_c, "treewidth coloring: single bag"))
@@ -1112,3 +1111,79 @@ def reference_set_diameter(members, search, bound=INF, first=None):
         live = {w for w in live if hi[w] > best}
         u = None
     return best, end
+
+
+# -- the adhesion level before its fixed costs were cut ------------------------
+#
+# The hierarchy check that built a WeightedGraph over the forest, the
+# condensed graph built from a copy of the base (`induced`) through the
+# public constructor, and the per-component decomposition that scanned the
+# whole decomposition once per component.  The rewritten code must give the
+# same verdicts and messages, the same graph fields and the same
+# decompositions.
+
+
+def reference_hierarchy_graph(h) -> Tuple[WeightedGraph, Dict[object, int]]:
+    """The forest as a WeightedGraph, vertices numbered in (level, smallest
+    member) order, and that numbering."""
+    vs = h.vertices()
+    ids = {v: i for i, v in enumerate(sorted(vs, key=lambda v: (v[0], min(v[1]) if v[1] else -1)))}
+    edges = [(ids[a], ids[b], w) for (a, b, w) in h.edges]
+    return WeightedGraph(ids.values(), edges), ids
+
+
+def reference_hierarchy_verify(h) -> None:
+    """Hierarchy.verify on a WeightedGraph over the forest."""
+    half = h.ell / 2
+    for (_, _, w) in h.edges:
+        if not 0 < w <= half:
+            raise ContractViolation("hierarchy edge weight %s outside (0, %s]" % (w, half))
+    if not h.ground:
+        return
+    g, ids = reference_hierarchy_graph(h)
+    reach = neighborhood(g, [ids[v] for v in h.base()], half)
+    if reach != set(ids.values()):
+        raise ContractViolation("hierarchy vertex farther than %s from the base" % (half,))
+    for comp in g.connected_components():
+        src = comp[0]
+        dist = g.distances_from([src], within=comp)
+        for v in comp:
+            if dist[v] > h.ell:
+                raise ContractViolation(
+                    "hierarchy component pair at distance %s > %s" % (frac_str(dist[v]), h.ell)
+                )
+    n_base = len(h.parts[0])
+    n_upper = sum(len(h.parts[i]) for i in h.levels if i != 0)
+    if n_upper > n_base * n_base:
+        raise ContractViolation("hierarchy has %d non-base vertices > |B|^2 = %d" % (n_upper, n_base**2))
+
+
+def reference_condensed_graph(cond) -> WeightedGraph:
+    """A condensation's graph as condense built it: a copy of g on the base,
+    its edges followed by the shortcut edges in frontier order and then the
+    hierarchy edges, through the public constructor."""
+    extra: List[Tuple[int, int, Fraction]] = []
+    for e in cond.u_e:
+        if e in cond.shortcut_parts:
+            extra.extend(cond.shortcut_parts[e].shortcuts)
+    for e in cond.u_e:
+        if e in cond.hierarchies:
+            att = cond.hierarchies[e]
+            extra.extend((att.vertex_ids[a], att.vertex_ids[b], w) for (a, b, w) in att.hierarchy.edges)
+    vertices = set(cond.base_vertices)
+    for att in cond.hierarchies.values():
+        vertices.update(att.vertex_ids.values())
+    base_graph = cond.g.induced(cond.base_vertices)
+    return WeightedGraph(vertices, list(base_graph.edges) + extra)
+
+
+def reference_component_decomposition(td, comp, what):
+    """treedec.component_decomposition, scanning every node and tree edge."""
+    cs = frozenset(comp)
+    keep = {t for t in td.nodes if td.bags[t] & cs}
+    tops = [t for t in keep if td.parent[t] not in keep]
+    if len(tops) != 1:
+        raise ContractViolation("%s: component bags do not span a subtree" % what)
+    bags = {t: td.bags[t] & cs for t in keep}
+    edges = [(p, ch) for (p, ch) in td.tree_edges if p in keep and ch in keep]
+    return RootedTreeDecomposition(bags, edges, tops[0])

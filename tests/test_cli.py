@@ -396,6 +396,40 @@ def test_every_flag_has_help_and_no_removed_setting_is_left():
         assert not flags & {"--padding", "--exact-td-max"}, name
 
 
+def test_main_builds_one_parser_across_gen_run_and_verify(tmp_path, capsys, monkeypatch):
+    """A process builds the argument parser once, on the first call of
+    `main`; later calls, whatever their command, reuse it, and each parses
+    into a fresh namespace, so a repeated run writes the same report."""
+    import wdcolor.cli as cli
+
+    built = []
+    build = cli._build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    prefix = str(tmp_path / "sp")
+    assert _main(capsys, ["gen", "random-series-parallel", "--n", "30", "--seed", "2", "--out", prefix])[0] == 0
+    run = ["run", "tw", "--graph", prefix + ".txt", "--ell", "1"]
+    code, first, _ = _main(capsys, run)
+    assert code == 0
+    report = json.loads(first)
+    coloring = str(tmp_path / "coloring.json")
+    with open(coloring, "w") as fh:
+        json.dump(report["coloring"], fh)
+    hops = report["measured"]["maxWeakDiameterHops"]
+    verify = ["verify", "--graph", prefix + ".txt", "--ell", "1", "--coloring", coloring, "--bound"]
+    assert _main(capsys, verify + [str(hops)])[0] == 0
+    assert _main(capsys, verify + [str(hops - 1)])[0] == 1
+    code, _, err = _main(capsys, run[:-1] + ["0"])
+    assert code == 2 and json.loads(err)["error"]["code"] == "invalid-input"
+    assert _main(capsys, run) == (0, first, "")
+    assert built == [1]
+
+
 def _gen(capsys, tmp_path, name, argv):
     prefix = str(tmp_path / name)
     code, _, _ = _main(capsys, ["gen"] + argv + ["--out", prefix])

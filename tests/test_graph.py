@@ -530,6 +530,31 @@ def test_induced_at_the_parent_scale_returns_plain_distances():
         g.induced([7])
 
 
+@pytest.mark.parametrize(
+    "keep, extra, message",
+    [
+        ({0, 1, 2}, (1, 5, Fraction(0)), "edge weight must be positive, got 0 on (1,5)"),
+        ({0, 1, 2}, (5, 5, Fraction(1, 2)), "self-loop at vertex 5"),
+        ({0, 1, 2}, (1, 3, Fraction(1, 2)), "edge (1,3) references an unknown vertex"),
+        ({0, 1, 9}, (1, 5, Fraction(1, 2)), "induced() got unknown vertices [9]"),
+    ],
+)
+@pytest.mark.parametrize("on_view", [False, True])
+def test_a_graph_built_onto_the_host_checks_what_the_constructor_checked(keep, extra, message, on_view):
+    """_induced_plus builds WeightedGraph(vertices, induced(keep).edges +
+    extra) without the copy; a bad new edge or an unknown kept vertex fails
+    with the message the copy or the constructor gave."""
+    g = WeightedGraph(range(5), [(0, 1, Fraction(1, 3)), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
+    if on_view:
+        g = SubgraphView(g, frozenset(range(4)), (Fraction(1, 3), Fraction(1)), 3)
+    vertices = (keep & set(range(5))) | {5}
+    with pytest.raises(GraphError) as ref:
+        WeightedGraph(vertices, list(g.induced(keep).edges) + [extra])
+    with pytest.raises(GraphError) as got:
+        g._induced_plus(keep, vertices, [extra])
+    assert str(got.value) == str(ref.value) == message
+
+
 # -- edge-list round trip ------------------------------------------------------
 
 

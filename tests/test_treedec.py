@@ -20,7 +20,9 @@ from wdcolor.treedec import (
     adhesion_partition_chain,
     ball_region,
     build_hierarchy,
+    SubtreeIndex,
     component_decomposition,
+    component_decompositions,
     con_color_bound,
     condense,
     lift_condensation_coloring,
@@ -170,6 +172,46 @@ def test_component_decomposition_cuts_bags_and_reroots():
     assert sub.bags == {0: {2}, 2: {2, 3}}
     with pytest.raises(ContractViolation, match="span a subtree"):
         component_decomposition(td, [1, 3], "t")
+
+
+def _td_fields(td):
+    return (
+        list(td.bags.items()), td.root, td.nodes, td.tree_edges,
+        list(td.parent.items()), list(td.children.items()),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["components", "groups", "view"]))
+def test_component_decompositions_match_the_scanning_reference(seed, kind):
+    """One pass over the decomposition gives, component by component, the
+    decomposition the per-component scan gave, with its bags in the same
+    order, or the same failure at the same component."""
+    rng = random.Random(seed)
+    g, td = random_td_instance(
+        rng, n_vertices=rng.randint(2, 14), n_nodes=rng.randint(1, 8), edges_per_bag=rng.randint(0, 2)
+    )
+    if kind == "view" and td.tree_edges:
+        g, td = SubtreeIndex(g, td).far_part(rng.choice(td.tree_edges)[1], max(td.nodes) + 1)
+    if kind == "groups":
+        groups = [[] for _ in range(rng.randint(1, 4))]
+        for v in g.vertices:
+            rng.choice(groups).append(v)
+        comps = [tuple(c) for c in groups]
+    else:
+        comps = g.connected_components()
+    got, ref = [], []
+    try:
+        for td_c in component_decompositions(td, comps, "t"):
+            got.append(_td_fields(td_c))
+    except ContractViolation as exc:
+        got.append(str(exc))
+    try:
+        for comp in comps:
+            ref.append(_td_fields(oracles.reference_component_decomposition(td, comp, "t")))
+    except ContractViolation as exc:
+        ref.append(str(exc))
+    assert got == ref
 
 
 def test_json_round_trip():
@@ -353,7 +395,7 @@ def test_hierarchy_three_unmerged_singletons():
     h = build_hierarchy(chain, 2, 1, 0)
     assert len(h.vertices()) == 6
     assert len(h.edges) == 3
-    g, _ = h._as_weighted_graph()
+    g, _ = oracles.reference_hierarchy_graph(h)
     comps = g.connected_components()
     assert sorted(len(c) for c in comps) == [2, 2, 2]
 
@@ -409,6 +451,108 @@ def test_hierarchy_invariants_on_random_chains():
             assert n_upper <= n_base * n_base
             built += 1
     assert built > 50
+
+
+@st.composite
+def hierarchies(draw):
+    """A hierarchy as build_hierarchy assembles it from a random chain of
+    coarsening partitions, not yet checked."""
+    from unittest import mock
+
+    k = draw(st.integers(min_value=1, max_value=5))
+    ground = sorted(draw(st.sets(st.integers(min_value=0, max_value=40), min_size=k, max_size=k)))
+    max_level = draw(st.integers(min_value=1, max_value=8))
+    groups = [frozenset([x]) for x in ground]
+    parts = {0: tuple(groups)}
+    for level in range(1, max_level + 1):
+        if len(groups) > 1 and draw(st.booleans()):
+            i, j = sorted(draw(st.lists(st.integers(0, len(groups) - 1), min_size=2, max_size=2, unique=True)))
+            groups = groups[:i] + groups[i + 1:j] + groups[j + 1:] + [groups[i] | groups[j]]
+            parts[level] = tuple(sorted(groups, key=min))
+    eps = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    chain = PartitionChain(tuple(ground), eps, max_level, parts)
+    ell = eps * draw(st.integers(1, 3))
+    theta = draw(st.integers(1, 4))
+    mu = Fraction(draw(st.integers(0, 6)), 2)
+    with mock.patch.object(Hierarchy, "verify", lambda self: None):
+        return build_hierarchy(chain, ell, theta, mu)
+
+
+def _verdict(check, h):
+    try:
+        check(h)
+    except (ContractViolation, GraphError, KeyError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_hierarchy_verify_builds_no_graph(monkeypatch):
+    rng = random.Random(5)
+    chains = []
+    for _ in range(20):
+        g, td = random_td_instance(rng, n_vertices=10, n_nodes=5)
+        eps = g.min_edge_weight() or Fraction(2)
+        chains.extend(adhesion_partition_chain(g, td, e, eps, 6) for e in td.tree_edges)
+    built = []
+    fill = WeightedGraph._fill
+    monkeypatch.setattr(WeightedGraph, "_fill", lambda *a: built.append(1) or fill(*a))
+    for chain in chains:
+        build_hierarchy(chain, Fraction(2), 3, Fraction(1, 2))
+    assert len(chains) > 40 and built == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(hierarchies())
+def test_hierarchy_verify_agrees_with_the_graph_check(h):
+    assert _verdict(Hierarchy.verify, h) == _verdict(oracles.reference_hierarchy_verify, h)
+
+
+_BROKEN = {
+    "weight": "hierarchy edge weight ",
+    "reach": "hierarchy vertex farther than ",
+    "pair": "hierarchy component pair at distance ",
+    "count": "hierarchy has ",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(hierarchies(), st.sampled_from(sorted(_BROKEN)), st.data())
+def test_hierarchy_verify_names_each_broken_kind_as_the_graph_check(h, kind, data):
+    assume(_verdict(oracles.reference_hierarchy_verify, h) is None)
+    half = h.ell / 2
+    top = max(h.levels) + 1
+    base = h.base()
+    if kind == "weight":
+        i = data.draw(st.integers(0, len(h.edges) - 1))
+        a, b, _ = h.edges[i]
+        w = data.draw(st.sampled_from([Fraction(0), half + Fraction(1, 7), -half]))
+        h = dataclasses.replace(h, edges=h.edges[:i] + ((a, b, w),) + h.edges[i + 1:])
+    elif kind == "reach":
+        # a part linked to nothing
+        stray = frozenset({-1})
+        h = dataclasses.replace(
+            h, levels=h.levels + (top,), parts={**h.parts, top: (stray,)},
+        )
+    elif kind == "pair":
+        # consecutive base vertices bridged at ell/2 each way: every vertex
+        # is within ell/2 of the base, the ends of the chain 2*ell apart
+        assume(len(base) >= 3)
+        bridges = tuple(x[1] | y[1] for x, y in zip(base, base[1:]))
+        edges = tuple(
+            (end, (top, bridge), half)
+            for (x, y), bridge in zip(zip(base, base[1:]), bridges)
+            for end in (x, y)
+        )
+        h = dataclasses.replace(h, levels=(0, top), parts={0: h.parts[0], top: bridges}, edges=edges)
+    else:
+        # exactly |B|**2 + 1 upper parts, each one light edge from the first
+        # base vertex
+        extra = tuple(frozenset({-1 - i}) for i in range(len(base) ** 2 + 1))
+        edges = tuple((base[0], (top, y), half / 4) for y in extra)
+        h = dataclasses.replace(h, levels=(0, top), parts={0: h.parts[0], top: extra}, edges=edges)
+    verdict = _verdict(Hierarchy.verify, h)
+    assert verdict == _verdict(oracles.reference_hierarchy_verify, h)
+    assert verdict[0] is ContractViolation and verdict[1].startswith(_BROKEN[kind]), verdict
 
 
 # -- condensation ---------------------------------------------------------------
@@ -518,6 +662,34 @@ def frontier_split(rng, td, prime_share=1.0):
     frontier = [(0, c) for c in td.children[0]]
     prime = [e for e in frontier if rng.random() < prime_share]
     return frontier, prime
+
+
+def _graph_fields(g):
+    return (g.vertices, g.edges, g._scale, g._sadj, g._wrange, g._step)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_condensed_graph_is_the_one_the_constructor_built(seed, on_view):
+    """condense builds g0 from the host's own edges and checks only the new
+    ones; its fields are those of the copy-and-construct build, on a plain
+    graph and on a far-part view, where they also equal a copy's."""
+    rng = random.Random(seed)
+    g, td = random_td_instance(rng, n_vertices=rng.randint(3, 14), n_nodes=rng.randint(2, 8))
+    if on_view:
+        g, td = SubtreeIndex(g, td).far_part(rng.choice(td.tree_edges)[1], max(td.nodes) + 1)
+    region = [td.root]
+    for t in region:
+        region.extend(ch for ch in td.children[t] if rng.random() < 0.5)
+    frontier = [(t, ch) for t in region for ch in td.children[t] if ch not in region]
+    prime = [e for e in frontier if rng.random() < 0.5]
+    theta = max([1] + [len(td.adhesion_of(e)) for e in frontier])
+    mu = Fraction(rng.randint(0, 4), 2)
+    cond = condense(g, td, frontier, prime, 2, theta, mu)
+    assert _graph_fields(cond.g0) == _graph_fields(oracles.reference_condensed_graph(cond))
+    if on_view:
+        copy = condense(g.induced(g.vertex_set()), td, frontier, prime, 2, theta, mu)
+        assert _graph_fields(copy.g0) == _graph_fields(cond.g0)
 
 
 def test_quasi_isometry_on_random_condensations():

@@ -674,6 +674,7 @@ def _materialised_on_unit_path(monkeypatch, n):
     graphs built, nodes of decompositions built, vertices scanned for
     components, vertices listed from far-part views, and the traced heap
     peak."""
+    import gc
     import tracemalloc
 
     from wdcolor import treedec
@@ -699,17 +700,23 @@ def _materialised_on_unit_path(monkeypatch, n):
             counts["view listings"] += 1
             yield v
 
-    monkeypatch.setattr(WeightedGraph, "_fill", counted_fill)
-    monkeypatch.setattr(RootedTreeDecomposition, "__init__", counted_init)
-    monkeypatch.setattr(WeightedGraph, "connected_components", counted_components)
-    monkeypatch.setattr(treedec._PartVertices, "__iter__", counted_listing)
     g = unit_path(n)
-    tracemalloc.start()
-    try:
-        res = color_bounded_treewidth(g, 1)
-        counts["heap peak"] = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the counters are undone on return, so that a later measurement wraps
+    # the originals and counts into its own dict only
+    with monkeypatch.context() as patched:
+        patched.setattr(WeightedGraph, "_fill", counted_fill)
+        patched.setattr(RootedTreeDecomposition, "__init__", counted_init)
+        patched.setattr(WeightedGraph, "connected_components", counted_components)
+        patched.setattr(treedec._PartVertices, "__iter__", counted_listing)
+        # a full collection empties the interpreter's free lists, so each
+        # size allocates from the same state, whatever ran before it
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = color_bounded_treewidth(g, 1)
+            counts["heap peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert res.report.ok
     return counts
 
@@ -717,11 +724,94 @@ def _materialised_on_unit_path(monkeypatch, n):
 def test_path_coloring_work_grows_linearly(monkeypatch):
     """Four times the vertices may cost at most five times as much of
     everything the recursion materialises or scans.  A recursion that
-    copies each far part grows these about fifteen-fold."""
+    copies each far part grows these about fifteen-fold.  One path is
+    colored first, unmeasured, so that both sizes are measured warm (the
+    first coloring in a process fills caches that later ones find full),
+    and each size starts from a full collection, which empties the free
+    lists that earlier code left behind and that would otherwise serve
+    part of the smaller size's heap untraced."""
+    assert color_bounded_treewidth(unit_path(200), 1).report.ok
     small = _materialised_on_unit_path(monkeypatch, 200)
     large = _materialised_on_unit_path(monkeypatch, 800)
     for key, count in large.items():
         assert count <= 5 * max(small[key], 1), (key, small[key], count)
+
+
+def test_lift_searches_once_per_adhesion_vertex(monkeypatch):
+    """On the unit path n=480 every frontier edge has a hierarchy, and each
+    lift runs one search per adhesion vertex of its frontier, no more: the
+    distances to the adhesion are the least of the single-source ones."""
+    import sys
+
+    import wdcolor.twcolor as twcolor
+
+    searches = []
+    scaled_distances = WeightedGraph._scaled_distances
+
+    def counted(self, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "lift_condensation_coloring":
+            searches.append(1)
+        return scaled_distances(self, *args, **kwargs)
+
+    lifts = []
+    lift = twcolor.lift_condensation_coloring
+
+    def recorded(cond, *args, **kwargs):
+        before = len(searches)
+        res = lift(cond, *args, **kwargs)
+        lifts.append((cond, len(searches) - before))
+        return res
+
+    monkeypatch.setattr(WeightedGraph, "_scaled_distances", counted)
+    monkeypatch.setattr(twcolor, "lift_condensation_coloring", recorded)
+    assert color_bounded_treewidth(unit_path(480), 1).report.ok
+    assert len(lifts) > 100
+    for cond, n_searches in lifts:
+        assert set(cond.hierarchies) == set(cond.u_e)
+        assert n_searches == sum(len(cond.td.adhesion_of(e)) for e in cond.u_e)
+
+
+def test_a_split_reads_each_bag_of_its_decomposition_once(monkeypatch):
+    """A level that splits into components files each node of its
+    decomposition under the components its bag meets in one pass: it reads
+    each bag once, however many components there are."""
+    from collections.abc import Mapping
+
+    import wdcolor.twcolor as twcolor
+    from wdcolor.generators import GeneratorSpec, generate
+
+    class CountingBags(Mapping):
+        def __init__(self, bags):
+            self.bags, self.reads = bags, 0
+
+        def __getitem__(self, t):
+            self.reads += 1
+            return self.bags[t]
+
+        def __iter__(self):
+            return iter(self.bags)
+
+        def __len__(self):
+            return len(self.bags)
+
+    scans = []
+    split = twcolor.component_decompositions
+
+    def counted(td, comps, what):
+        bags = td.bags
+        td.bags = counting = CountingBags(bags)
+        try:
+            out = list(split(td, comps, what))
+        finally:
+            td.bags = bags
+        scans.append((counting.reads, len(td), len(comps)))
+        return iter(out)
+
+    monkeypatch.setattr(twcolor, "component_decompositions", counted)
+    g = generate(GeneratorSpec(family="random-series-parallel", n=80, seed=4)).graph
+    assert color_bounded_treewidth(g, 1).report.ok
+    assert max(n for (_, _, n) in scans) >= 4
+    assert [reads for (reads, _, _) in scans] == [size for (_, size, _) in scans]
 
 
 def test_recursion_limit_is_left_alone():
