@@ -654,7 +654,7 @@ def _control_rec(
         if part & (root_anchor - rset):
             raise ContractViolation("%s: far part %s contains zone anchors" % (what, e))
         x_e = td.adhesion_of(e)
-        z_e = frozenset(g.distances_from(x_e, radius=3 * lf, within=part))
+        z_e = frozenset(g._scaled_distances(x_e, radius=3 * lf, within=part))
         wset = tri.all_guards & neighborhood(g, z_e - rset, 3 * lf + mu)
         rstar = frozenset(((part & (rset | root_anchor)) - wset) | (vset - part))
         if rstar & (part - rset):
@@ -966,12 +966,18 @@ class GeodesicCertificate:
     paths: Dict[int, Tuple[Tuple[int, ...], ...]]
 
     def verify(self, g: WeightedGraph) -> None:
+        """Check the tree, then the decomposition and its paths.  The tree is
+        checked on g's integer distances and scaled weights (units of
+        1/scale): a certified distance p/q equals a distance d/scale
+        exactly when p*scale == d*q, so no Fraction is built."""
         tree = self.tree
-        if tree.root not in g.vertex_set():
+        vset = g.vertex_set()
+        if tree.root not in vset:
             raise ContractViolation("certificate root is not a vertex")
-        dist = g.distances_from([tree.root])
-        if set(tree.dist) != g.vertex_set() or set(tree.parent) != g.vertex_set():
+        dist = g._scaled_distances([tree.root])
+        if set(tree.dist) != vset or set(tree.parent) != vset:
             raise ContractViolation("certificate tree does not cover the vertices")
+        scale, sadj = g._scale, g._sadj
         for v in g.vertices:
             if v == tree.root:
                 if tree.parent[v] is not None or tree.dist[v] != 0:
@@ -979,14 +985,16 @@ class GeodesicCertificate:
                 continue
             p = tree.parent[v]
             w = None
-            for (u, wu) in g.neighbors(v):
-                if u == p and (w is None or wu < w):
-                    w = wu
+            if p in vset:
+                for (u, wu) in sadj[v]:
+                    if u == p and (w is None or wu < w):
+                        w = wu
             if w is None:
                 raise ContractViolation("tree parent of %s is not a neighbor" % v)
-            if tree.dist[v] != dist[v]:
+            dv, dp = tree.dist[v], tree.dist[p]
+            if dv.numerator * scale != dist[v] * dv.denominator:
                 raise ContractViolation("certified distance of %s is off" % v)
-            if tree.dist[p] + w != tree.dist[v]:
+            if dp.numerator * scale != (dist[v] - w) * dp.denominator:
                 raise ContractViolation("tree edge into %s is not on a shortest path" % v)
         validate_td(g, self.td, "certified decomposition invalid")
         if set(self.paths) != set(self.td.nodes):
@@ -1023,12 +1031,14 @@ def _trace_faces(
 ) -> List[Tuple[int, ...]]:
     """Face walks of the rotation system; checks the Euler count and that
     every face walk is a simple cycle."""
-    if set(rotation) != set(g.vertex_set()):
+    vset = g.vertex_set()
+    if set(rotation) != vset:
         raise GraphError("rotation system must cover the vertices exactly")
     succ: Dict[Tuple[int, int], int] = {}
     for v in g.vertices:
         order = tuple(rotation[v])
-        around = sorted(n for (n, _) in g.neighbors(v))
+        # a view shares its base's adjacency, so its neighbours are filtered
+        around = sorted(n for (n, _) in g._sadj[v] if n in vset)
         if sorted(order) != around or len(set(order)) != len(order):
             raise GraphError("rotation at %s does not list its neighbors exactly once" % v)
         k = len(order)

@@ -9,19 +9,18 @@ scale, so no weight is parsed, validated or multiplied as a Fraction
 again.  Graphs are immutable after construction and every operation here
 is a pure function.
 
-Each graph holds two adjacencies.  The integer one (`_sadj`), which every
-search runs on, is built eagerly with the graph.  The Fraction one behind
-`neighbors` is built lazily, on the first `neighbors` call, and kept; only
-certificate checks and adhesion chains read it, so the read path of a
-weak-diameter check never builds it.  `parse_edge_list` checks each line as
-it reads it and builds the graph from those checked edges, as `induced`
-does; the public constructor checks its arguments itself.
+Each graph holds one adjacency, the integer one (`_sadj`), built with the
+graph; every search and every check in the package reads it.  `neighbors`
+derives (neighbour, exact weight) pairs from it on demand, for callers
+outside the package.  `parse_edge_list` checks each line as it reads it
+and builds the graph from those checked edges, as `induced` does; the
+public constructor checks its arguments itself.
 
-A `SubgraphView` is g[S] without the copy: it keeps g's adjacencies (its
-Fraction adjacency is g's own, built on g) and filters them by membership
-in S, so a search inside S costs what it reaches, not what g holds.  S
-only needs a fast membership test and a size, and the view's weight range
-and largest vertex id come from its maker.
+A `SubgraphView` is g[S] without the copy: it keeps g's adjacency,
+unfiltered, and filters it by membership in S as it reads it, so a search
+inside S costs what it reaches, not what g holds.  S only needs a fast
+membership test and a size, and the view's weight range and largest
+vertex id come from its maker.
 
 Three searches answer three questions, all on the same integer search,
 which runs by levels (a BFS) when every edge weighs the same and as a heap
@@ -121,7 +120,7 @@ class WeightedGraph:
     nonnegative integers and need not be contiguous.
     """
 
-    __slots__ = ("vertices", "edges", "_vset", "_adj", "_scale", "_sadj", "_wrange", "_step", "_inc")
+    __slots__ = ("vertices", "edges", "_vset", "_scale", "_sadj", "_wrange", "_step", "_inc")
 
     def __init__(
         self,
@@ -147,12 +146,11 @@ class WeightedGraph:
 
     def _fill(self, vset: Set[int], edges: Tuple[Tuple[int, int, Fraction], ...], scale: int) -> None:
         """Set every field from validated edges and a multiple of their
-        weights' common denominator.  Only the integer adjacency `_sadj`,
-        which every search runs on, is built here; the Fraction adjacency
-        behind `neighbors` waits for its first use (`_fraction_adjacency`).
-        Edges share a few weight objects (one per distinct text in a
-        parsed file, the parent's in a copy), so each object is scaled
-        once, found by its id."""
+        weights' common denominator: the integer adjacency `_sadj` holds
+        each vertex's (neighbour, scaled weight) list in edge order.  Edges
+        share a few weight objects (one per distinct text in a parsed file,
+        the parent's in a copy), so each object is scaled once, found by
+        its id."""
         self.vertices: Tuple[int, ...] = tuple(sorted(vset))
         self.edges: Tuple[Tuple[int, int, Fraction], ...] = edges
         self._vset: FrozenSet[int] = frozenset(vset)
@@ -166,7 +164,6 @@ class WeightedGraph:
             sadj[u].append((v, s))
             sadj[v].append((u, s))
         self._sadj = sadj
-        self._adj: Optional[Dict[int, List[Tuple[int, Fraction]]]] = None
         # the weight range, recorded once, and `_step`: the scaled weight of
         # every edge when all weigh the same, which the level search steps
         # by (any step serves a graph with no edge), None when weights differ
@@ -190,22 +187,10 @@ class WeightedGraph:
         return self._vset
 
     def neighbors(self, v: int) -> List[Tuple[int, Fraction]]:
-        """(neighbour, exact weight) for each edge at v, in edge order.  The
-        Fraction adjacency it reads is built on the first call, not with
-        the graph: only certificate checks and adhesion chains read it."""
-        return self._fraction_adjacency()[v]
-
-    def _fraction_adjacency(self) -> Dict[int, List[Tuple[int, Fraction]]]:
-        """Each vertex's (neighbour, weight) list, the edges taken in edge
-        order; built on first use and kept."""
-        adj = self._adj
-        if adj is None:
-            adj = {v: [] for v in self.vertices}
-            for (u, v, w) in self.edges:
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-            self._adj = adj
-        return adj
+        """(neighbour, exact weight) for each edge at v, in edge order,
+        derived from the integer adjacency on each call."""
+        scale = self._scale
+        return [(n, Fraction(s, scale)) for (n, s) in self._sadj[v]]
 
     def max_vertex(self) -> int:
         """The largest vertex id, -1 for the empty graph."""
@@ -504,13 +489,8 @@ class SubgraphView(WeightedGraph):
         return self._top
 
     def neighbors(self, v: int) -> List[Tuple[int, Fraction]]:
-        vset = self._vset
-        return [(n, w) for (n, w) in self._fraction_adjacency()[v] if n in vset]
-
-    def _fraction_adjacency(self) -> Dict[int, List[Tuple[int, Fraction]]]:
-        """The base's Fraction adjacency, unfiltered: a view builds none of
-        its own."""
-        return self._base._fraction_adjacency()
+        scale, vset = self._scale, self._vset
+        return [(n, Fraction(s, scale)) for (n, s) in self._sadj[v] if n in vset]
 
     def induced(self, keep: Iterable[int]) -> WeightedGraph:
         ks = set(keep)
@@ -584,7 +564,7 @@ def set_diameter(
         largest hi.  Ties go to the smallest vertex id.
     Each search result updates lo and hi with plain comparisons and keeps
     the members still live in the same pass.  Only the integer distances
-    `search` returns are read, so no Fraction adjacency is built for it.
+    `search` returns are read, so no Fraction is built per reached vertex.
     Raises ContractViolation when a search misses a member.
     """
     if len(members) <= 1:
@@ -871,8 +851,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
     no id is negative, and u != v.  The graph is then built from these
     checked edges through `WeightedGraph._fill`, at the scale the distinct
     weights' denominators give, as `induced` builds from its parent's
-    checked edges: the integer adjacency at once, the Fraction adjacency
-    behind `neighbors` on first use.
+    checked edges.
     """
     verts: Set[int] = set()
     edges: List[Tuple[int, int, Fraction]] = []

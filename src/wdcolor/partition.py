@@ -8,6 +8,7 @@ bound fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -227,7 +228,7 @@ def verify_weak_diameter(
     """
     lf = as_fraction(ell)
     bf: Optional[Fraction] = as_fraction(bound) if bound is not None else None
-    bound_hops = None if bf is None else int(bf)  # floor: hop counts are integers
+    bound_hops = None if bf is None else math.floor(bf)  # hop counts are integers
     if not exact and bound_hops is not None:
         vset, new_ids = g.vertex_set(), power_graph_new_ids(g, lf)
 

@@ -7,6 +7,12 @@ grows, and parts with a large adhesion become direct shortcut edges.  A
 coloring of the condensed graph then lifts back to a zone around the
 frontier with a computable weak-diameter bound.
 
+A forest (`Hierarchy`) is the only record of its adhesion's partitions:
+`adhesion_hierarchy` finds them in one union-find sweep over the part's
+integer distances, keeps each level where two parts merge as a layer of
+the forest, and checks the partitions and the forest together.  The lift
+reads a vertex's part off the forest's layer.
+
 Everything a condensation reads of the graph and the decomposition lies in
 the tree region above the frontier or within a bounded radius below it.
 So the graph and decomposition may be views of a far part (see
@@ -477,49 +483,6 @@ class SubtreeDecomposition(RootedTreeDecomposition):
         return inside + ((self.root,) if v in self.bags[self.root] else ())
 
 
-@dataclass(frozen=True)
-class PartitionChain:
-    """Partitions of a ground set indexed by level; level 0 is singletons,
-    each level refines the next, and only change points are stored."""
-
-    ground: Tuple[int, ...]
-    eps: Fraction
-    max_level: int
-    partitions: Dict[int, Tuple[FrozenSet[int], ...]]  # change levels (and 0) -> parts
-
-    def partition_at(self, i: int) -> Tuple[FrozenSet[int], ...]:
-        if i < 0 or i > self.max_level:
-            raise GraphError("level %s outside 0..%s" % (i, self.max_level))
-        best = max(k for k in self.partitions if k <= i)
-        return self.partitions[best]
-
-    @property
-    def change_levels(self) -> Tuple[int, ...]:
-        return tuple(sorted(k for k in self.partitions if k > 0))
-
-    def verify(self) -> None:
-        if 0 not in self.partitions:
-            raise ContractViolation("chain misses level 0")
-        if self.partitions[0] != tuple(frozenset([x]) for x in self.ground):
-            raise ContractViolation("level 0 is not the singleton partition")
-        levels = sorted(self.partitions)
-        gset = set(self.ground)
-        for k in levels:
-            parts = self.partitions[k]
-            seen: Set[int] = set()
-            for part in parts:
-                if part & seen:
-                    raise ContractViolation("level %s parts overlap" % (k,))
-                seen |= part
-            if seen != gset:
-                raise ContractViolation("level %s does not cover the ground set" % (k,))
-        for a, b in zip(levels, levels[1:]):
-            coarse = {x: i for i, part in enumerate(self.partitions[b]) for x in part}
-            for part in self.partitions[a]:
-                if len({coarse[x] for x in part}) != 1:
-                    raise ContractViolation("level %s does not refine level %s" % (a, b))
-
-
 class _DSU:
     def __init__(self, items: Iterable[int]):
         self.up = {x: x for x in items}
@@ -530,82 +493,10 @@ class _DSU:
             x = self.up[x]
         return x
 
-    def union(self, a: int, b: int) -> bool:
+    def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self.up[rb] = ra
-        return True
-
-
-def adhesion_partition_chain(
-    g: WeightedGraph, td: RootedTreeDecomposition, e: TreeEdge, eps: object, max_level: int
-) -> PartitionChain:
-    """Level-i partition of the adhesion X_e: two members are together when a
-    path inside the subtree part joins them using only vertices within i*eps
-    of X_e and edges of weight at most i*eps.
-
-    A path works at level i exactly when its bottleneck (the largest of its
-    vertex distances to X_e and its edge weights) is at most i*eps, so the
-    change levels come out of one bottleneck union-find sweep over the
-    edges that the search within the part reaches.
-    """
-    ef = as_fraction(eps)
-    if ef <= 0 or max_level < 0:
-        raise GraphError("need positive eps and nonnegative max level")
-    td.check_edge(e)
-    x_e = td.adhesion_of(e)
-    part = td.subtree_vertices(e)
-    ground = tuple(sorted(x_e))
-    parts0 = tuple(frozenset([x]) for x in ground)
-    partitions: Dict[int, Tuple[FrozenSet[int], ...]] = {0: parts0}
-    if len(ground) > 1 and max_level > 0:
-        radius = ef * max_level
-        dist = g.distances_from(ground, radius=radius, within=part)
-        events: List[Tuple[Fraction, int, int]] = []
-        for u, du in dist.items():
-            for (v, w) in g.neighbors(u):
-                if u < v and v in dist:
-                    t = max(w, du, dist[v])
-                    if t <= radius:
-                        events.append((t, u, v))
-        events.sort()
-        dsu = _DSU(dist.keys())
-        marks = {x: x for x in ground}  # DSU root -> min ground member, where present
-
-        def snapshot() -> Tuple[FrozenSet[int], ...]:
-            groups: Dict[int, Set[int]] = {}
-            for x in ground:
-                groups.setdefault(dsu.find(x), set()).add(x)
-            return tuple(sorted((frozenset(s) for s in groups.values()), key=min))
-
-        idx = 0
-        while idx < len(events):
-            t = events[idx][0]
-            level = max(1, ceil_frac(t / ef))
-            if level > max_level:
-                break
-            changed = False
-            while idx < len(events) and max(1, ceil_frac(events[idx][0] / ef)) == level:
-                _, u, v = events[idx]
-                ru, rv = dsu.find(u), dsu.find(v)
-                if ru != rv:
-                    mu_, mv_ = marks.get(ru), marks.get(rv)
-                    dsu.union(u, v)
-                    r = dsu.find(u)
-                    if mu_ is not None and mv_ is not None:
-                        changed = True
-                    keep = [m for m in (mu_, mv_) if m is not None]
-                    if keep:
-                        marks[r] = min(keep)
-                idx += 1
-            if changed:
-                partitions[level] = snapshot()
-    chain = PartitionChain(ground, ef, max_level, partitions)
-    chain.verify()
-    return chain
+        if ra != rb:
+            self.up[max(ra, rb)] = min(ra, rb)
 
 
 HVertex = Tuple[int, FrozenSet[int]]  # (level, part)
@@ -613,7 +504,8 @@ HVertex = Tuple[int, FrozenSet[int]]  # (level, part)
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Layered forest over the change levels of a partition chain.  Level-0
+    """Layered forest over the partitions of a ground set (an adhesion) at
+    levels 0 and 1 and at each level where two parts merge.  Level-0
     vertices (the base B) are the singletons of the ground set; each part
     links to its parent at the next recorded level."""
 
@@ -633,8 +525,12 @@ class Hierarchy:
         return [(0, y) for y in self.parts[0]]
 
     def verify(self) -> None:
-        """Check the forest's invariants on its own edge list, with no graph
-        built: every edge weighs in (0, ell/2]; every vertex lies within
+        """Check the partitions, then the forest.  The recorded levels hold
+        level 0, which is the singletons of the ground set; each level's
+        parts partition the ground set; and each level refines the next.
+
+        The forest's invariants are checked on its own edge list, with no
+        graph built: every edge weighs in (0, ell/2]; every vertex lies within
         ell/2 of the base; in each component, the smallest vertex reaches
         the whole component within ell; and there are at most |B|**2
         non-base vertices.  Distances are exact integers in units of
@@ -643,6 +539,7 @@ class Hierarchy:
         components come in the order of their smallest ids and each is read
         in id order, so a failure names the distance that the same searches
         on the forest as a WeightedGraph over those ids would."""
+        self._verify_partitions()
         half = self.ell / 2
         scale = _lcm(half.denominator, _weight_scale(self.edges))
         half_s = half.numerator * (scale // half.denominator)
@@ -680,6 +577,27 @@ class Hierarchy:
         if n_upper > n_base * n_base:
             raise ContractViolation("hierarchy has %d non-base vertices > |B|^2 = %d" % (n_upper, n_base**2))
 
+    def _verify_partitions(self) -> None:
+        if 0 not in self.levels:
+            raise ContractViolation("chain misses level 0")
+        if self.parts[0] != tuple(frozenset([x]) for x in self.ground):
+            raise ContractViolation("level 0 is not the singleton partition")
+        levels = sorted(self.levels)
+        gset = set(self.ground)
+        for k in levels:
+            seen: Set[int] = set()
+            for part in self.parts[k]:
+                if part & seen:
+                    raise ContractViolation("level %s parts overlap" % (k,))
+                seen |= part
+            if seen != gset:
+                raise ContractViolation("level %s does not cover the ground set" % (k,))
+        for a, b in zip(levels, levels[1:]):
+            coarse = {x: i for i, part in enumerate(self.parts[b]) for x in part}
+            for part in self.parts[a]:
+                if len({coarse[x] for x in part}) != 1:
+                    raise ContractViolation("level %s does not refine level %s" % (a, b))
+
 
 def _forest_distances(
     adj: Dict[int, List[Tuple[int, int]]], sources: Iterable[int], cap: Optional[int]
@@ -703,27 +621,77 @@ def _forest_distances(
     return dist
 
 
-def build_hierarchy(chain: PartitionChain, ell: object, theta: int, mu: object) -> Hierarchy:
-    """Assemble the layered forest for a chain; levels are {0,1} plus the
-    chain's change levels, edge weights (j-i)*eps / (8*(theta+mu/ell))."""
+def adhesion_hierarchy(
+    g: WeightedGraph,
+    td: RootedTreeDecomposition,
+    e: TreeEdge,
+    eps: object,
+    max_level: int,
+    ell: object,
+    theta: int,
+    mu: object,
+) -> Hierarchy:
+    """The checked layered forest of the adhesion X_e below e.
+
+    Its level-i partition of X_e puts two members together when a path
+    inside the subtree part joins them using only vertices within i*eps of
+    X_e and edges of weight at most i*eps.  A path works at level i exactly
+    when its bottleneck (the largest of its vertex distances to X_e and its
+    edge weights) is at most i*eps, so the levels where parts merge come
+    out of one bottleneck union-find sweep over the edges that the search
+    within the part reaches.  The sweep runs on the search's integers, in
+    units of 1/scale: a bottleneck t lies at level max(1, ceil(t*den /
+    (num*scale))) for eps = num/den.
+
+    The forest's levels are 0, 1 and each merge level up to max_level; its
+    edges join each part to the part holding it one recorded level up and
+    weigh (j-i)*eps / (8*(theta+mu/ell))."""
+    ef = as_fraction(eps)
+    if ef <= 0 or max_level < 0:
+        raise GraphError("need positive eps and nonnegative max level")
+    td.check_edge(e)
     lf = as_fraction(ell)
     mf = as_fraction(mu)
-    if chain.eps > lf:
-        raise GraphError("eps %s exceeds ell %s" % (chain.eps, lf))
+    if ef > lf:
+        raise GraphError("eps %s exceeds ell %s" % (ef, lf))
     if theta < 1 or mf < 0:
         raise GraphError("need theta >= 1 and mu >= 0")
-    if chain.max_level < 1:
+    if max_level < 1:
         raise GraphError("hierarchy needs a chain reaching level 1")
-    levels = tuple(sorted({0, 1} | {i for i in chain.change_levels if 1 <= i <= chain.max_level}))
-    parts = {i: chain.partition_at(i) for i in levels}
-    unit = chain.eps / (8 * (theta + mf / lf))
+    ground = tuple(sorted(td.adhesion_of(e)))
+    parts: Dict[int, Tuple[FrozenSet[int], ...]] = {0: tuple(frozenset([x]) for x in ground)}
+    if len(ground) > 1:
+        radius = ef * max_level
+        cap = math.floor(radius * g._scale)
+        dist = g._scaled_distances(ground, radius=radius, within=td.subtree_vertices(e))
+        num, den = ef.numerator * g._scale, ef.denominator
+        # each reached edge, filed under the level of its bottleneck; a
+        # neighbour outside the part, or outside a view, is unreached
+        joins: Dict[int, List[Tuple[int, int]]] = {}
+        for u, du in dist.items():
+            for (v, w) in g._sadj[u]:
+                if u < v and v in dist:
+                    t = max(w, du, dist[v])
+                    if t <= cap:
+                        joins.setdefault(max(1, -(-t * den // num)), []).append((u, v))
+        dsu = _DSU(dist)
+        for level in sorted(joins):
+            for (u, v) in joins[level]:
+                dsu.union(u, v)
+            groups: Dict[int, List[int]] = {}
+            for x in ground:
+                groups.setdefault(dsu.find(x), []).append(x)
+            if len(groups) < len(parts[max(parts)]):
+                parts[level] = tuple(frozenset(y) for y in sorted(groups.values()))
+    parts.setdefault(1, parts[0])
+    levels = tuple(sorted(parts))
+    unit = ef / (8 * (theta + mf / lf))
     edges: List[Tuple[HVertex, HVertex, Fraction]] = []
     for i, j in zip(levels, levels[1:]):
         parent_of = {x: yj for yj in parts[j] for x in yj}
         for yi in parts[i]:
-            yj = parent_of[min(yi)]
-            edges.append(((i, yi), (j, yj), (j - i) * unit))
-    h = Hierarchy(chain.ground, levels, parts, tuple(edges), lf, chain.eps, theta, mf)
+            edges.append(((i, yi), (j, parent_of[min(yi)]), (j - i) * unit))
+    h = Hierarchy(ground, levels, parts, tuple(edges), lf, ef, theta, mf)
     h.verify()
     return h
 
@@ -732,7 +700,6 @@ def build_hierarchy(chain: PartitionChain, ell: object, theta: int, mu: object) 
 class HierarchyAttachment:
     adhesion: FrozenSet[int]
     part_vertices: FrozenSet[int]
-    chain: PartitionChain
     hierarchy: Hierarchy
     vertex_ids: Dict[HVertex, int]  # level-0 parts map to original vertex ids
 
@@ -849,8 +816,7 @@ def condense(
     for e in prime:
         x_e = adhesions[e]
         part = td.subtree_vertices(e)
-        chain = adhesion_partition_chain(g, td, e, eps, max_level)
-        hier = build_hierarchy(chain, lf, theta, mf)
+        hier = adhesion_hierarchy(g, td, e, eps, max_level, lf, theta, mf)
         ids: Dict[HVertex, int] = {}
         for i in hier.levels:
             for y in hier.parts[i]:
@@ -861,7 +827,7 @@ def condense(
                     next_id += 1
         for (a, b, w) in hier.edges:
             extra_edges.append((ids[a], ids[b], w))
-        hierarchies[e] = HierarchyAttachment(x_e, part, chain, hier, ids)
+        hierarchies[e] = HierarchyAttachment(x_e, part, hier, ids)
 
     vertices = set(base)
     for att in hierarchies.values():
@@ -1023,7 +989,7 @@ def _hierarchy_color_vertex(
         (x for x in per_source if v in per_source[x]),
         key=lambda x: (per_source[x][v], x),
     )
-    parts = att.chain.partition_at(j_v)
+    parts = att.hierarchy.parts[j_v]
     y_v = next(y for y in parts if nearest in y)
     # dy <= p_v * eps, in units of 1/scale
     reach = p_v * num

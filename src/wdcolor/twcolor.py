@@ -523,7 +523,7 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
         # the root bag has all its neighbours in the part), so the part is
         # connected when one search inside it joins the root bag
         x = sorted(root_bag)
-        reached = g.distances_from(x[:1], targets=set(x))
+        reached = g._scaled_distances(x[:1], targets=set(x))
         comps = None if len(reached.keys() & root_bag) == len(x) else g.connected_components()
     else:
         comps = g.connected_components()

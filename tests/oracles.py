@@ -1133,7 +1133,9 @@ def reference_hierarchy_graph(h) -> Tuple[WeightedGraph, Dict[object, int]]:
 
 
 def reference_hierarchy_verify(h) -> None:
-    """Hierarchy.verify on a WeightedGraph over the forest."""
+    """Hierarchy.verify as the partition chain's check followed by the
+    forest's check on a WeightedGraph over the forest."""
+    PartitionChain(h.ground, h.eps, max(h.levels, default=0), {i: h.parts[i] for i in h.levels}).verify()
     half = h.ell / 2
     for (_, _, w) in h.edges:
         if not 0 < w <= half:
@@ -1187,3 +1189,167 @@ def reference_component_decomposition(td, comp, what):
     bags = {t: td.bags[t] & cs for t in keep}
     edges = [(p, ch) for (p, ch) in td.tree_edges if p in keep and ch in keep]
     return RootedTreeDecomposition(bags, edges, tops[0])
+
+
+# -- the partition chain and the Fraction adjacency --------------------------
+#
+# Before the forest became the only record of an adhesion's partitions, a
+# `PartitionChain` held them, found by a union-find sweep on Fraction
+# distances and the graph's Fraction adjacency, and the forest was built
+# from the chain.  The certificate's tree check read the same adjacency.
+# The rewritten code runs on the integer adhesion and must give the same
+# forests, and the same exception type and first message.
+
+import math  # noqa: E402
+
+from wdcolor.treedec import Hierarchy, TreeEdge, _DSU  # noqa: E402
+
+
+@dataclass(frozen=True)
+class PartitionChain:
+    """Partitions of a ground set indexed by level; level 0 is singletons,
+    each level refines the next, and only change points are stored."""
+
+    ground: Tuple[int, ...]
+    eps: Fraction
+    max_level: int
+    partitions: Dict[int, Tuple[FrozenSet[int], ...]]  # change levels (and 0) -> parts
+
+    def partition_at(self, i: int) -> Tuple[FrozenSet[int], ...]:
+        if i < 0 or i > self.max_level:
+            raise GraphError("level %s outside 0..%s" % (i, self.max_level))
+        best = max(k for k in self.partitions if k <= i)
+        return self.partitions[best]
+
+    @property
+    def change_levels(self) -> Tuple[int, ...]:
+        return tuple(sorted(k for k in self.partitions if k > 0))
+
+    def verify(self) -> None:
+        if 0 not in self.partitions:
+            raise ContractViolation("chain misses level 0")
+        if self.partitions[0] != tuple(frozenset([x]) for x in self.ground):
+            raise ContractViolation("level 0 is not the singleton partition")
+        levels = sorted(self.partitions)
+        gset = set(self.ground)
+        for k in levels:
+            parts = self.partitions[k]
+            seen: Set[int] = set()
+            for part in parts:
+                if part & seen:
+                    raise ContractViolation("level %s parts overlap" % (k,))
+                seen |= part
+            if seen != gset:
+                raise ContractViolation("level %s does not cover the ground set" % (k,))
+        for a, b in zip(levels, levels[1:]):
+            coarse = {x: i for i, part in enumerate(self.partitions[b]) for x in part}
+            for part in self.partitions[a]:
+                if len({coarse[x] for x in part}) != 1:
+                    raise ContractViolation("level %s does not refine level %s" % (a, b))
+
+
+def reference_adhesion_partition_chain(
+    g: WeightedGraph, td: RootedTreeDecomposition, e: TreeEdge, eps: object, max_level: int
+) -> PartitionChain:
+    """The bottleneck union-find sweep on Fraction distances and weights."""
+    ef = as_fraction(eps)
+    if ef <= 0 or max_level < 0:
+        raise GraphError("need positive eps and nonnegative max level")
+    td.check_edge(e)
+    x_e = td.adhesion_of(e)
+    part = td.subtree_vertices(e)
+    ground = tuple(sorted(x_e))
+    partitions: Dict[int, Tuple[FrozenSet[int], ...]] = {0: tuple(frozenset([x]) for x in ground)}
+    if len(ground) > 1 and max_level > 0:
+        radius = ef * max_level
+        dist = g.distances_from(ground, radius=radius, within=part)
+        events: List[Tuple[Fraction, int, int]] = []
+        for u, du in dist.items():
+            for (v, w) in g.neighbors(u):
+                if u < v and v in dist:
+                    t = max(w, du, dist[v])
+                    if t <= radius:
+                        events.append((t, u, v))
+        events.sort()
+        dsu = _DSU(dist.keys())
+        marks = {x: x for x in ground}
+
+        def snapshot() -> Tuple[FrozenSet[int], ...]:
+            groups: Dict[int, Set[int]] = {}
+            for x in ground:
+                groups.setdefault(dsu.find(x), set()).add(x)
+            return tuple(sorted((frozenset(s) for s in groups.values()), key=min))
+
+        idx = 0
+        while idx < len(events):
+            level = max(1, math.ceil(events[idx][0] / ef))
+            if level > max_level:
+                break
+            changed = False
+            while idx < len(events) and max(1, math.ceil(events[idx][0] / ef)) == level:
+                _, u, v = events[idx]
+                ru, rv = dsu.find(u), dsu.find(v)
+                if ru != rv:
+                    mu_, mv_ = marks.get(ru), marks.get(rv)
+                    dsu.union(u, v)
+                    r = dsu.find(u)
+                    if mu_ is not None and mv_ is not None:
+                        changed = True
+                    keep = [m for m in (mu_, mv_) if m is not None]
+                    if keep:
+                        marks[r] = min(keep)
+                idx += 1
+            if changed:
+                partitions[level] = snapshot()
+    chain = PartitionChain(ground, ef, max_level, partitions)
+    chain.verify()
+    return chain
+
+
+def reference_build_hierarchy(chain: PartitionChain, ell: object, theta: int, mu: object) -> Hierarchy:
+    """The forest assembled from a chain, not checked: levels {0, 1} plus the
+    chain's change levels, edge weights (j-i)*eps / (8*(theta+mu/ell))."""
+    lf = as_fraction(ell)
+    mf = as_fraction(mu)
+    if chain.eps > lf:
+        raise GraphError("eps %s exceeds ell %s" % (chain.eps, lf))
+    if theta < 1 or mf < 0:
+        raise GraphError("need theta >= 1 and mu >= 0")
+    if chain.max_level < 1:
+        raise GraphError("hierarchy needs a chain reaching level 1")
+    levels = tuple(sorted({0, 1} | {i for i in chain.change_levels if 1 <= i <= chain.max_level}))
+    parts = {i: chain.partition_at(i) for i in levels}
+    unit = chain.eps / (8 * (theta + mf / lf))
+    edges = []
+    for i, j in zip(levels, levels[1:]):
+        parent_of = {x: yj for yj in parts[j] for x in yj}
+        for yi in parts[i]:
+            edges.append(((i, yi), (j, parent_of[min(yi)]), (j - i) * unit))
+    return Hierarchy(chain.ground, levels, parts, tuple(edges), lf, chain.eps, theta, mf)
+
+
+def reference_certificate_tree_check(cert, g: WeightedGraph) -> None:
+    """The tree part of GeodesicCertificate.verify, on Fraction distances
+    and the Fraction weights `neighbors` gives."""
+    tree = cert.tree
+    if tree.root not in g.vertex_set():
+        raise ContractViolation("certificate root is not a vertex")
+    dist = g.distances_from([tree.root])
+    if set(tree.dist) != g.vertex_set() or set(tree.parent) != g.vertex_set():
+        raise ContractViolation("certificate tree does not cover the vertices")
+    for v in g.vertices:
+        if v == tree.root:
+            if tree.parent[v] is not None or tree.dist[v] != 0:
+                raise ContractViolation("certificate root data is wrong")
+            continue
+        p = tree.parent[v]
+        w = None
+        for (u, wu) in g.neighbors(v):
+            if u == p and (w is None or wu < w):
+                w = wu
+        if w is None:
+            raise ContractViolation("tree parent of %s is not a neighbor" % v)
+        if tree.dist[v] != dist[v]:
+            raise ContractViolation("certified distance of %s is off" % v)
+        if tree.dist[p] + w != tree.dist[v]:
+            raise ContractViolation("tree edge into %s is not on a shortest path" % v)

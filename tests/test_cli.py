@@ -555,37 +555,52 @@ def test_a_rejected_edge_names_its_line_in_the_parse_error(tmp_path, capsys, tex
     assert error["message"] == "bad graph file %s: %s" % (graph, message)
 
 
-def test_verify_on_a_unit_grid_builds_no_fraction_adjacency(tmp_path, capsys, monkeypatch):
-    """Counts, not timings: verify reads only integer adjacencies, so the
-    Fraction adjacency behind `neighbors` is never built."""
+def test_pipelines_and_verify_read_only_the_integer_adjacency(tmp_path, capsys, monkeypatch):
+    """Counts, not timings: run tw on a weighted 2-tree, run planar on a
+    weighted 12x12 grid, run layered, run partition and verify (at the
+    measured hops and one below) search and read adjacencies on integers
+    only, so none calls `neighbors` or `distances_from`.  The runs are
+    checked to reach the code that read the Fraction adjacency: adhesion
+    hierarchies, certificate checks and face tracing."""
+    import wdcolor.geodesic as geodesic
     import wdcolor.graph as graph
+    import wdcolor.treedec as treedec
 
-    side = 20
-    lines = []
-    for r in range(side):
-        for c in range(side):
-            if c + 1 < side:
-                lines.append("%d %d 1\n" % (r * side + c, r * side + c + 1))
-            if r + 1 < side:
-                lines.append("%d %d 1\n" % (r * side + c, (r + 1) * side + c))
-    path = tmp_path / "grid.txt"
-    path.write_text("".join(lines))
-    blocks = {r * side + c: 1 + (r // 5 + c // 5) % 2 for r in range(side) for c in range(side)}
-    coloring = _write_coloring(tmp_path / "blocks.json", blocks)
-    builds = []
-    build = graph.WeightedGraph._fraction_adjacency
+    def spy(owner, name, log):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: log.append(name) or original(*a, **k))
 
-    def counting(self):
-        builds.append(self)
-        return build(self)
+    calls, reached = [], []
+    for owner in (graph.WeightedGraph, graph.SubgraphView):
+        spy(owner, "neighbors", calls)
+    spy(graph.WeightedGraph, "distances_from", calls)
+    spy(treedec, "adhesion_hierarchy", reached)
+    spy(geodesic, "_trace_faces", reached)
+    spy(geodesic.GeodesicCertificate, "verify", reached)
 
-    monkeypatch.setattr(graph.WeightedGraph, "_fraction_adjacency", counting)
-    verify = ["verify", "--graph", str(path), "--ell", "1", "--coloring", coloring]
-    code, out, _ = _main(capsys, verify)
+    kt = _gen(capsys, tmp_path, "kt", ["ktree", "--n", "200", "--k", "2", "--seed", "3", "--weight-lo", "1/4",
+                                       "--weight-hi", "1", "--weight-den", "4"])
+    grid = _gen(capsys, tmp_path, "grid", ["grid", "--rows", "12", "--cols", "12"])
+    gridw = _gen(capsys, tmp_path, "gridw", ["random-weights-overlay", "--base", grid + ".txt", "--seed", "1",
+                                             "--weight-lo", "1/4", "--weight-hi", "1", "--weight-den", "4"])
+    code, out, _ = _main(capsys, ["run", "tw", "--graph", kt + ".txt", "--ell", "1"])
     assert code == 0
-    hops = json.loads(out)["measured"]["maxWeakDiameterHops"]
-    assert _main(capsys, verify + ["--bound", str(hops - 1)])[0] == 1
-    assert builds == []
+    report = json.loads(out)
+    coloring = tmp_path / "kt.coloring.json"
+    coloring.write_text(json.dumps(report["coloring"]))
+    hops = report["measured"]["maxWeakDiameterHops"]
+    verify = ["verify", "--graph", kt + ".txt", "--ell", "1", "--coloring", str(coloring), "--bound"]
+    assert _main(capsys, verify + [str(hops)])[0] == 0
+    assert _main(capsys, verify + [str(hops - 1)])[0] == 1
+    runs = [
+        ["run", "planar", "--graph", gridw + ".txt", "--ell", "1", "--rotation", grid + ".rotation.json"],
+        ["run", "layered", "--graph", grid + ".txt", "--ell", "1", "--eps0", "1", "--layers", grid + ".layers.json"],
+        ["run", "partition", "--graph", kt + ".txt", "--r", "1"],
+    ]
+    for argv in runs:
+        assert _main(capsys, argv)[0] == 0, argv
+    assert calls == []
+    assert {"adhesion_hierarchy", "_trace_faces", "verify"} <= set(reached)
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wdcolor.graph import GraphError, WeightedGraph, neighborhood
+from wdcolor.graph import GraphError, SubgraphView, WeightedGraph, neighborhood
 from wdcolor.partition import Coloring, ContractViolation
 from wdcolor.treedec import RootedTreeDecomposition, validate_td
 from wdcolor.twcolor import (
@@ -22,6 +22,7 @@ from wdcolor.twcolor import (
 from wdcolor.geodesic import (
     ControlConstruction,
     GeodesicCertificate,
+    GeodesicTree,
     GuardTriple,
     bfs_geodesic_tree,
     centered_bags_bound,
@@ -858,6 +859,67 @@ def test_certificate_flags_tampered_paths():
     broken[some] = ((99,),)
     with pytest.raises(ContractViolation):
         GeodesicCertificate(tree, trip.td, broken).verify(g)
+
+
+def _tree_verdict(check):
+    try:
+        check()
+    except (ContractViolation, KeyError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_graphs(max_n=9, max_extra_edges=8), st.sampled_from(["shift", "stranger", "detour", "root"]), st.data())
+def test_certificate_tree_check_fails_as_the_fraction_check(g, corruption, data):
+    """A corrupted geodesic tree fails the integer tree check with the
+    exception type and first message of the check on Fraction distances and
+    weights: a distance shifted by 1/3, a parent that is not a neighbour
+    (for a view, possibly a neighbour outside it), a parent off every
+    shortest path, and bad root data.  Graphs are whole or views of a ball,
+    whose shortest paths stay inside it."""
+    host = g
+    if data.draw(st.booleans()):
+        center = data.draw(st.sampled_from(g.vertices))
+        ball = frozenset(neighborhood(g, [center], data.draw(st.sampled_from([1, 2, 3]))))
+        inside = [w for (u, v, w) in g.edges if u in ball and v in ball]
+        g = SubgraphView(g, ball, (min(inside), max(inside)) if inside else None, max(ball))
+    root = data.draw(st.sampled_from(g.vertices))
+    tree = bfs_geodesic_tree(g, root)
+    parent, dist = dict(tree.parent), dict(tree.dist)
+    others = [v for v in g.vertices if v != root]
+    if corruption == "root":
+        variant = data.draw(st.sampled_from(["absent", "parent", "distance"]))
+        if variant == "absent":
+            root = host.max_vertex() + 1
+        elif variant == "parent":
+            assume(others)
+            parent[root] = data.draw(st.sampled_from(others))
+        else:
+            dist[root] = Fraction(1, 3)
+    else:
+        assume(others)
+        v = data.draw(st.sampled_from(others))
+        adjacent = {n for (n, _) in g.neighbors(v)}
+        if corruption == "shift":
+            dist[v] += Fraction(1, 3)
+        elif corruption == "stranger":
+            # for a view, a neighbour in its base but outside it when there is one
+            strangers = [u for (u, _) in host.neighbors(v) if u not in adjacent]
+            if not strangers or data.draw(st.booleans()):
+                strangers = [u for u in host.vertices if u != v and u not in adjacent]
+            assume(strangers)
+            parent[v] = data.draw(st.sampled_from(strangers))
+        else:
+            detours = [u for u in sorted(adjacent) if all(dist[u] + w != dist[v] for (n, w) in g.neighbors(v) if n == u)]
+            assume(detours)
+            parent[v] = data.draw(st.sampled_from(detours))
+    cert = GeodesicCertificate(
+        GeodesicTree(root, parent, dist), RootedTreeDecomposition({0: g.vertex_set()}, [], 0), {0: ()}
+    )
+    want = _tree_verdict(lambda: oracles.reference_certificate_tree_check(cert, g))
+    assert want is not None and want[0] is ContractViolation
+    assert _tree_verdict(lambda: cert.verify(g)) == want
 
 
 # -- slabs -----------------------------------------------------------------------

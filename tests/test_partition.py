@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdcolor.graph import HopGraph, WeightedGraph, frac_str, power_graph
+from wdcolor.graph import HopGraph, WeightedGraph, frac_str, power_graph, power_graph_vertex_count
 from wdcolor.partition import (
     Coloring,
     ComponentStat,
@@ -336,6 +336,34 @@ def test_check_below_the_host_size_still_builds_and_measures(monkeypatch):
     report = verify_weak_diameter(g, 1, Coloring.constant(range(6), 2), bound=4, exact=False)
     assert calls == [6]
     assert not report.ok and report.max_weak_diameter_hops == 5
+
+
+def test_a_negative_fractional_bound_fails_a_single_vertex_whether_exact_or_not():
+    # the bound is floored to hops: -1/2 is below -1 + 1, so nothing is skipped
+    g = WeightedGraph([0], [])
+    for exact in (True, False):
+        report = verify_weak_diameter(g, 1, Coloring({0: 1}, 1), bound=Fraction(-1, 2), exact=exact)
+        assert not report.ok, exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weighted_graphs(max_n=4, max_extra_edges=4, connected=False),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]),
+    st.data(),
+)
+def test_the_inexact_verdict_is_the_exact_one(g, ell, whole, part, data):
+    """With exact=False the bound may stand unmeasured, but the verdict is
+    the one the measurement gives, for every rational bound, negative ones
+    included.  Bounds lie within 2 of 0 or of the host's vertex count minus
+    one, where the unmeasured branch starts."""
+    colors = data.draw(st.integers(min_value=1, max_value=3))
+    c = Coloring({v: data.draw(st.integers(min_value=1, max_value=colors)) for v in g.vertices}, colors)
+    bound = data.draw(st.sampled_from([0, power_graph_vertex_count(g, ell) - 1])) + whole + part
+    exact = verify_weak_diameter(g, ell, c, bound=bound, exact=True)
+    assert verify_weak_diameter(g, ell, c, bound=bound, exact=False).ok == exact.ok
 
 
 # -- component diameters from a few searches ------------------------------------

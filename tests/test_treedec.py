@@ -1,4 +1,4 @@
-"""Tree decompositions, partition chains, hierarchies, condensation, lift."""
+"""Tree decompositions, adhesion hierarchies, condensation, lift."""
 
 from __future__ import annotations
 
@@ -15,11 +15,9 @@ from wdcolor.partition import Coloring, ColorResult, ContractViolation, verify_w
 from wdcolor.treedec import (
     Condensation,
     Hierarchy,
-    PartitionChain,
     RootedTreeDecomposition,
-    adhesion_partition_chain,
+    adhesion_hierarchy,
     ball_region,
-    build_hierarchy,
     SubtreeIndex,
     component_decomposition,
     component_decompositions,
@@ -302,52 +300,64 @@ def test_validate_td_matches_the_scanning_reference(seed, corruption):
     assert str(failed.value) == "td: " + "; ".join(ref["failures"])
 
 
-# -- adhesion partition chains -------------------------------------------------
+# -- adhesion partitions ------------------------------------------------------
+
+
+def _partitions(g, td, e, eps, max_level):
+    """The hierarchy of e at ell 2 and theta 8: a theta large enough that
+    every forest these tests build, up to max_level 8, passes its checks."""
+    return adhesion_hierarchy(g, td, e, eps, max_level, 2, 8, 0)
+
+
+def _part_at(h, i):
+    """The hierarchy's partition at level i: its deepest recorded level not
+    above i."""
+    return h.parts[max(k for k in h.levels if k <= i)]
 
 
 def test_chain_singleton_adhesion_never_changes():
     g = unit_star(4)
     td = star_td(4)
-    chain = adhesion_partition_chain(g, td, (0, 1), 1, 5)
-    assert chain.change_levels == ()
-    assert chain.partition_at(5) == (frozenset({0}),)
+    h = _partitions(g, td, (0, 1), 1, 5)
+    assert h.levels == (0, 1)
+    assert _part_at(h, 5) == (frozenset({0}),)
 
 
 def test_chain_two_vertices_merge_at_level_one():
     # X_e = {0,2} joined inside the part by the path 0-1-2 of eps-weight edges
     g = unit_path(3)
     td = RootedTreeDecomposition({0: {0, 2}, 1: {0, 1, 2}}, [(0, 1)], 0)
-    chain = adhesion_partition_chain(g, td, (0, 1), 1, 3)
-    assert chain.change_levels == (1,)
-    assert chain.partition_at(0) == (frozenset({0}), frozenset({2}))
-    assert chain.partition_at(1) == (frozenset({0, 2}),)
+    h = _partitions(g, td, (0, 1), 1, 3)
+    assert h.levels == (0, 1)
+    assert h.parts[0] == (frozenset({0}), frozenset({2}))
+    assert h.parts[1] == (frozenset({0, 2}),)
 
 
 def test_chain_disconnected_sides_never_merge():
     g = WeightedGraph(range(4), [(0, 2, 1), (1, 3, 1)])
     td = RootedTreeDecomposition({0: {0, 1}, 1: {0, 1, 2, 3}}, [(0, 1)], 0)
-    chain = adhesion_partition_chain(g, td, (0, 1), 1, 10)
-    assert chain.change_levels == ()
-    assert chain.partition_at(10) == (frozenset({0}), frozenset({1}))
+    h = _partitions(g, td, (0, 1), 1, 10)
+    assert h.levels == (0, 1)
+    assert _part_at(h, 10) == (frozenset({0}), frozenset({1}))
 
 
 def test_chain_merge_level_respects_ceiling():
     # interior vertex at distance 3/2, eps = 1: bottleneck 3/2 -> level 2
     g = WeightedGraph(range(3), [(0, 1, Fraction(3, 2)), (1, 2, 1)])
     td = RootedTreeDecomposition({0: {0, 2}, 1: {0, 1, 2}}, [(0, 1)], 0)
-    chain = adhesion_partition_chain(g, td, (0, 1), 1, 4)
-    assert chain.change_levels == (2,)
-    assert chain.partition_at(1) == (frozenset({0}), frozenset({2}))
-    assert chain.partition_at(2) == (frozenset({0, 2}),)
+    h = _partitions(g, td, (0, 1), 1, 4)
+    assert h.levels == (0, 1, 2)
+    assert h.parts[1] == (frozenset({0}), frozenset({2}))
+    assert h.parts[2] == (frozenset({0, 2}),)
 
 
 def test_chain_rejects_bad_parameters():
     g = unit_star(2)
     td = star_td(2)
     with pytest.raises(GraphError):
-        adhesion_partition_chain(g, td, (0, 1), 0, 3)
+        _partitions(g, td, (0, 1), 0, 3)
     with pytest.raises(GraphError):
-        adhesion_partition_chain(g, td, (1, 0), 1, 3)
+        _partitions(g, td, (1, 0), 1, 3)
 
 
 def test_chain_matches_brute_force_levels():
@@ -357,70 +367,151 @@ def test_chain_matches_brute_force_levels():
         eps = g.min_edge_weight() or Fraction(2)
         max_level = 8
         for e in td.tree_edges:
-            chain = adhesion_partition_chain(g, td, e, eps, max_level)
-            chain.verify()
+            h = _partitions(g, td, e, eps, max_level)
             ground = sorted(td.adhesion_of(e))
             part = set(td.subtree_vertices(e))
             probe = {0, 1, max_level}
-            for cl in chain.change_levels:
+            for cl in h.levels:
                 probe.update({cl - 1, cl})
             for i in sorted(p for p in probe if 0 <= p <= max_level):
                 expected = oracles.brute_chain_level(g, part, ground, eps, i)
-                ours = tuple(sorted((tuple(sorted(y)) for y in chain.partition_at(i))))
+                ours = tuple(sorted((tuple(sorted(y)) for y in _part_at(h, i))))
                 assert ours == expected, (e, i, ours, expected)
+
+
+def _sweep_verdict(build):
+    try:
+        return build()
+    except (ContractViolation, GraphError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_hierarchy(g, td, e, eps, max_level, ell, theta, mu):
+    """The chain on Fraction distances, the forest built from it (each level's
+    parts are the chain's partition_at) and checked as the library checked
+    it then: the chain's checks, then the forest's."""
+    chain = oracles.reference_adhesion_partition_chain(g, td, e, eps, max_level)
+    h = oracles.reference_build_hierarchy(chain, ell, theta, mu)
+    oracles.reference_hierarchy_verify(h)
+    return h
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hierarchy_equals_the_fraction_chain_reference(data):
+    """The integer sweep gives the levels and parts the Fraction chain's
+    partition_at gives, and the same forest, or the same exception type and
+    message, on decompositions with quarter weights and on their far-part
+    views, at eps values whose denominator need not divide the scale."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    g, td = random_td_instance(rng, n_vertices=rng.randint(3, 12), n_nodes=rng.randint(2, 6), weight_den=4)
+    assume(td.tree_edges)
+    if data.draw(st.booleans()):
+        c = data.draw(st.sampled_from(td.tree_edges))[1]
+        g, td = SubtreeIndex(g, td).far_part(c, max(td.nodes) + 1)
+    e = data.draw(st.sampled_from(td.tree_edges))
+    eps = data.draw(st.sampled_from(
+        [w for w in (g.min_edge_weight(), g.max_edge_weight()) if w is not None]
+        + [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 4), Fraction(3)]
+    ))
+    max_level = data.draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
+    theta = data.draw(st.integers(1, 8))
+    mu = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3)]))
+    args = (g, td, e, eps, max_level, Fraction(2), theta, mu)
+    assert _sweep_verdict(lambda: adhesion_hierarchy(*args)) == _sweep_verdict(lambda: _reference_hierarchy(*args))
 
 
 # -- hierarchies ----------------------------------------------------------------
 
 
-def manual_chain(ground, eps, max_level, extra=None):
-    parts = {0: tuple(frozenset([x]) for x in sorted(ground))}
-    if extra:
-        parts.update(extra)
-    return PartitionChain(tuple(sorted(ground)), Fraction(eps), max_level, parts)
-
-
 def test_hierarchy_single_vertex_shape():
-    chain = manual_chain([5], 1, 4)
-    h = build_hierarchy(chain, 2, 3, 1)
+    g = unit_star(4)
+    td = star_td(4)
+    h = adhesion_hierarchy(g, td, (0, 1), 1, 4, 2, 3, 1)
     assert h.levels == (0, 1)
     assert len(h.vertices()) == 2
     ((a, b, w),) = h.edges
-    assert a == (0, frozenset({5})) and b == (1, frozenset({5}))
+    assert a == (0, frozenset({0})) and b == (1, frozenset({0}))
     assert w == Fraction(1) / (8 * (3 + Fraction(1, 2)))
 
 
 def test_hierarchy_three_unmerged_singletons():
-    chain = manual_chain([1, 2, 3], 1, 5)
-    h = build_hierarchy(chain, 2, 1, 0)
+    # the adhesion {1, 2, 3} hangs three separate edges into the part
+    g = WeightedGraph(range(7), [(1, 4, 1), (2, 5, 1), (3, 6, 1)])
+    td = RootedTreeDecomposition({0: {0, 1, 2, 3}, 1: {1, 2, 3, 4, 5, 6}}, [(0, 1)], 0)
+    h = adhesion_hierarchy(g, td, (0, 1), 1, 5, 2, 1, 0)
     assert len(h.vertices()) == 6
     assert len(h.edges) == 3
-    g, _ = oracles.reference_hierarchy_graph(h)
-    comps = g.connected_components()
+    forest, _ = oracles.reference_hierarchy_graph(h)
+    comps = forest.connected_components()
     assert sorted(len(c) for c in comps) == [2, 2, 2]
 
 
 def test_hierarchy_merge_produces_forest_with_join():
-    merged = {2: (frozenset({1, 2}), frozenset({3}))}
-    chain = manual_chain([1, 2, 3], 1, 5, merged)
-    h = build_hierarchy(chain, 4, 1, 0)
+    # 1 and 2 share an edge of weight 2, so they merge at level 2; 3 stays apart
+    g = WeightedGraph(range(1, 5), [(1, 2, 2), (3, 4, 1)])
+    td = RootedTreeDecomposition({0: {1, 2, 3}, 1: {1, 2, 3, 4}}, [(0, 1)], 0)
+    h = adhesion_hierarchy(g, td, (0, 1), 1, 5, 4, 1, 0)
     assert h.levels == (0, 1, 2)
     # level 1 still singletons, level 2 has the merged part
-    assert len(h.parts[1]) == 3 and len(h.parts[2]) == 2
+    assert h.parts[1] == (frozenset({1}), frozenset({2}), frozenset({3}))
+    assert h.parts[2] == (frozenset({1, 2}), frozenset({3}))
     weights = sorted(w for (_, _, w) in h.edges)
     assert weights == [Fraction(1, 8)] * 6  # three 0->1 edges, three 1->2 edges
 
 
 def test_hierarchy_rejects_eps_above_ell():
-    chain = manual_chain([1], 3, 2)
-    with pytest.raises(GraphError):
-        build_hierarchy(chain, 1, 1, 0)
+    with pytest.raises(GraphError, match="eps 3 exceeds ell 1"):
+        adhesion_hierarchy(unit_star(2), star_td(2), (0, 1), 3, 2, 1, 1, 0)
 
 
 def test_hierarchy_needs_level_one():
-    chain = manual_chain([1], 1, 0)
-    with pytest.raises(GraphError):
-        build_hierarchy(chain, 2, 1, 0)
+    with pytest.raises(GraphError, match="hierarchy needs a chain reaching level 1"):
+        adhesion_hierarchy(unit_star(2), star_td(2), (0, 1), 1, 0, 2, 1, 0)
+
+
+def _hand_built(ground, parts):
+    """A hierarchy over hand-built partitions, one edge of weight 1/8 from
+    each part to the part holding its smallest member one level up (or
+    none, where no part holds it)."""
+    levels = tuple(sorted(parts))
+    edges = []
+    for i, j in zip(levels, levels[1:]):
+        for y in parts[i]:
+            up = [z for z in parts[j] if min(y) in z]
+            if up:
+                edges.append(((i, y), (j, up[0]), Fraction(1, 8)))
+    return Hierarchy(tuple(ground), levels, parts, tuple(edges), Fraction(2), Fraction(1), 1, Fraction(0))
+
+
+_S = frozenset
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ({1: (_S({1}), _S({2}), _S({3}))}, "chain misses level 0"),
+        ({0: (_S({1, 2}), _S({3})), 1: (_S({1, 2}), _S({3}))}, "level 0 is not the singleton partition"),
+        ({0: (_S({1}), _S({2}), _S({3})), 1: (_S({1, 2}), _S({2, 3}))}, "level 1 parts overlap"),
+        ({0: (_S({1}), _S({2}), _S({3})), 1: (_S({1}), _S({3}))}, "level 1 does not cover the ground set"),
+        (
+            {0: (_S({1}), _S({2}), _S({3})), 1: (_S({1, 2}), _S({3})), 2: (_S({1, 3}), _S({2}))},
+            "level 1 does not refine level 2",
+        ),
+    ],
+    ids=["no-level-0", "level-0-not-singletons", "overlap", "missing-vertex", "no-refinement"],
+)
+def test_hierarchy_verify_names_each_broken_partition(parts, message):
+    """Each partition check fires with the message the chain's check gave,
+    before any forest check."""
+    h = _hand_built([1, 2, 3], parts)
+    with pytest.raises(ContractViolation) as failed:
+        h.verify()
+    assert str(failed.value) == message
+    chain = oracles.PartitionChain(h.ground, h.eps, max(parts), parts)
+    with pytest.raises(ContractViolation) as reference:
+        chain.verify()
+    assert str(reference.value) == message
 
 
 def test_hierarchy_flags_a_vertex_beyond_half_ell_of_the_base():
@@ -444,8 +535,7 @@ def test_hierarchy_invariants_on_random_chains():
         theta = rng.randint(1, 5)
         mu = Fraction(rng.randint(0, 8), 4)
         for e in td.tree_edges:
-            chain = adhesion_partition_chain(g, td, e, eps, 6)
-            h = build_hierarchy(chain, Fraction(2), theta, mu)  # verify() built in
+            h = adhesion_hierarchy(g, td, e, eps, 6, Fraction(2), theta, mu)  # verify() built in
             n_base = len(h.parts[0])
             n_upper = sum(len(h.parts[i]) for i in h.levels if i != 0)
             assert n_upper <= n_base * n_base
@@ -455,10 +545,8 @@ def test_hierarchy_invariants_on_random_chains():
 
 @st.composite
 def hierarchies(draw):
-    """A hierarchy as build_hierarchy assembles it from a random chain of
+    """A hierarchy as the library assembles it from a random chain of
     coarsening partitions, not yet checked."""
-    from unittest import mock
-
     k = draw(st.integers(min_value=1, max_value=5))
     ground = sorted(draw(st.sets(st.integers(min_value=0, max_value=40), min_size=k, max_size=k)))
     max_level = draw(st.integers(min_value=1, max_value=8))
@@ -470,12 +558,11 @@ def hierarchies(draw):
             groups = groups[:i] + groups[i + 1:j] + groups[j + 1:] + [groups[i] | groups[j]]
             parts[level] = tuple(sorted(groups, key=min))
     eps = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-    chain = PartitionChain(tuple(ground), eps, max_level, parts)
+    chain = oracles.PartitionChain(tuple(ground), eps, max_level, parts)
     ell = eps * draw(st.integers(1, 3))
     theta = draw(st.integers(1, 4))
     mu = Fraction(draw(st.integers(0, 6)), 2)
-    with mock.patch.object(Hierarchy, "verify", lambda self: None):
-        return build_hierarchy(chain, ell, theta, mu)
+    return oracles.reference_build_hierarchy(chain, ell, theta, mu)
 
 
 def _verdict(check, h):
@@ -487,18 +574,19 @@ def _verdict(check, h):
 
 
 def test_hierarchy_verify_builds_no_graph(monkeypatch):
+    """Neither the sweep nor the check builds a graph."""
     rng = random.Random(5)
-    chains = []
-    for _ in range(20):
-        g, td = random_td_instance(rng, n_vertices=10, n_nodes=5)
-        eps = g.min_edge_weight() or Fraction(2)
-        chains.extend(adhesion_partition_chain(g, td, e, eps, 6) for e in td.tree_edges)
+    instances = [random_td_instance(rng, n_vertices=10, n_nodes=5) for _ in range(20)]
     built = []
     fill = WeightedGraph._fill
     monkeypatch.setattr(WeightedGraph, "_fill", lambda *a: built.append(1) or fill(*a))
-    for chain in chains:
-        build_hierarchy(chain, Fraction(2), 3, Fraction(1, 2))
-    assert len(chains) > 40 and built == []
+    count = 0
+    for g, td in instances:
+        eps = g.min_edge_weight() or Fraction(2)
+        for e in td.tree_edges:
+            adhesion_hierarchy(g, td, e, eps, 6, Fraction(2), 3, Fraction(1, 2))
+            count += 1
+    assert count > 40 and built == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -522,34 +610,37 @@ def test_hierarchy_verify_names_each_broken_kind_as_the_graph_check(h, kind, dat
     half = h.ell / 2
     top = max(h.levels) + 1
     base = h.base()
+    whole = frozenset(h.ground)
     if kind == "weight":
         i = data.draw(st.integers(0, len(h.edges) - 1))
         a, b, _ = h.edges[i]
         w = data.draw(st.sampled_from([Fraction(0), half + Fraction(1, 7), -half]))
         h = dataclasses.replace(h, edges=h.edges[:i] + ((a, b, w),) + h.edges[i + 1:])
     elif kind == "reach":
-        # a part linked to nothing
-        stray = frozenset({-1})
+        # a level holding the whole ground set as one part, linked to nothing
         h = dataclasses.replace(
-            h, levels=h.levels + (top,), parts={**h.parts, top: (stray,)},
+            h, levels=h.levels + (top,), parts={**h.parts, top: (whole,)},
         )
     elif kind == "pair":
-        # consecutive base vertices bridged at ell/2 each way: every vertex
-        # is within ell/2 of the base, the ends of the chain 2*ell apart
+        # consecutive base vertices bridged at ell/2 each way, each bridge
+        # the whole ground set at a level of its own: every vertex is within
+        # ell/2 of the base, the ends of the chain 2*ell apart
         assume(len(base) >= 3)
-        bridges = tuple(x[1] | y[1] for x, y in zip(base, base[1:]))
+        bridges = range(top, top + len(base) - 1)
         edges = tuple(
-            (end, (top, bridge), half)
-            for (x, y), bridge in zip(zip(base, base[1:]), bridges)
+            (end, (level, whole), half)
+            for (x, y), level in zip(zip(base, base[1:]), bridges)
             for end in (x, y)
         )
-        h = dataclasses.replace(h, levels=(0, top), parts={0: h.parts[0], top: bridges}, edges=edges)
+        parts = {0: h.parts[0], **{level: (whole,) for level in bridges}}
+        h = dataclasses.replace(h, levels=(0,) + tuple(bridges), parts=parts, edges=edges)
     else:
-        # exactly |B|**2 + 1 upper parts, each one light edge from the first
-        # base vertex
-        extra = tuple(frozenset({-1 - i}) for i in range(len(base) ** 2 + 1))
-        edges = tuple((base[0], (top, y), half / 4) for y in extra)
-        h = dataclasses.replace(h, levels=(0, top), parts={0: h.parts[0], top: extra}, edges=edges)
+        # exactly |B|**2 + 1 upper vertices, the whole ground set at levels
+        # of their own, each one light edge from the first base vertex
+        extra = range(top, top + len(base) ** 2 + 1)
+        edges = tuple((base[0], (level, whole), half / 4) for level in extra)
+        parts = {0: h.parts[0], **{level: (whole,) for level in extra}}
+        h = dataclasses.replace(h, levels=(0,) + tuple(extra), parts=parts, edges=edges)
     verdict = _verdict(Hierarchy.verify, h)
     assert verdict == _verdict(oracles.reference_hierarchy_verify, h)
     assert verdict[0] is ContractViolation and verdict[1].startswith(_BROKEN[kind]), verdict
