@@ -12,9 +12,12 @@ is a pure function.
 Each graph holds one adjacency, the integer one (`_sadj`), built with the
 graph; every search and every check in the package reads it.  `neighbors`
 derives (neighbour, exact weight) pairs from it on demand, for callers
-outside the package.  `parse_edge_list` checks each line as it reads it
-and builds the graph from those checked edges, as `induced` does; the
-public constructor checks its arguments itself.
+outside the package.  The weight range is kept in the same units
+(`_wrange`), and a radius becomes an integer search cap by one integer
+division (`_scaled_cap`), so weight tests and caps build no Fraction.
+`parse_edge_list` checks each line as it reads it and builds the graph
+from those checked edges, as `induced` does; the public constructor
+checks its arguments itself.
 
 A `SubgraphView` is g[S] without the copy: it keeps g's adjacency,
 unfiltered, and filters it by membership in S as it reads it, so a search
@@ -96,6 +99,16 @@ def _lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
 
 
+def _scaled_cap(radius: object, scale: int) -> int:
+    """floor(radius * scale) for a nonnegative rational radius, from its
+    numerator and denominator: one integer division, no Fraction built.
+    A negative radius holds no vertex, not even a source, and is refused."""
+    r = as_fraction(radius)
+    if r.numerator < 0:
+        raise GraphError("search radius must be nonnegative, got %s" % (frac_str(r),))
+    return r.numerator * scale // r.denominator
+
+
 def _weight_scale(edges: Iterable[Tuple[int, int, Fraction]]) -> int:
     """The least common denominator of the edges' weights, reading each
     weight object once."""
@@ -164,16 +177,18 @@ class WeightedGraph:
             sadj[u].append((v, s))
             sadj[v].append((u, s))
         self._sadj = sadj
-        # the weight range, recorded once, and `_step`: the scaled weight of
-        # every edge when all weigh the same, which the level search steps
-        # by (any step serves a graph with no edge), None when weights differ
-        self._wrange: Optional[Tuple[Fraction, Fraction]] = None
-        self._step: Optional[int] = 1
-        if scaled:
-            lo, hi = min(scaled.values()), max(scaled.values())
-            self._wrange = (Fraction(lo, scale), Fraction(hi, scale))
-            self._step = lo if lo == hi else None
+        self._set_range((min(scaled.values()), max(scaled.values())) if scaled else None)
         self._inc: Optional[Dict[int, List[int]]] = None
+
+    def _set_range(self, srange: Optional[Tuple[int, int]]) -> None:
+        """Record the weight range in units of 1/scale (`_wrange`, None for
+        no edge) and `_step`: the scaled weight of every edge when all weigh
+        the same, which the level search steps by (any step serves a graph
+        with no edge), None when weights differ.  An exact weight is built
+        from it only when asked for (`min_edge_weight`, `max_edge_weight`);
+        the package's own weight tests compare integers."""
+        self._wrange = srange
+        self._step = 1 if srange is None else (srange[0] if srange[0] == srange[1] else None)
 
     # -- basic queries ----------------------------------------------------
 
@@ -196,18 +211,27 @@ class WeightedGraph:
         """The largest vertex id, -1 for the empty graph."""
         return self.vertices[-1] if self.vertices else -1
 
-    def _weight_range(self) -> Optional[Tuple[Fraction, Fraction]]:
-        """(smallest, largest) edge weight, or None for an edgeless graph."""
-        return self._wrange
+    def _no_heavier_than(self, lf: Fraction) -> bool:
+        """No edge weighs more than lf: one integer comparison."""
+        r = self._wrange
+        return r is None or r[1] * lf.denominator <= lf.numerator * self._scale
+
+    def _one_hop_per_edge(self, lf: Fraction) -> bool:
+        """Every edge weighs in (lf/2, lf], so no path of two edges fits
+        within lf: integer comparisons."""
+        r = self._wrange
+        return r is None or (
+            self._no_heavier_than(lf) and lf.numerator * self._scale < 2 * r[0] * lf.denominator
+        )
 
     def min_edge_weight(self) -> Optional[Fraction]:
         """Smallest edge weight, or None for an edgeless graph."""
-        r = self._weight_range()
-        return None if r is None else r[0]
+        r = self._wrange
+        return None if r is None else Fraction(r[0], self._scale)
 
     def max_edge_weight(self) -> Optional[Fraction]:
-        r = self._weight_range()
-        return None if r is None else r[1]
+        r = self._wrange
+        return None if r is None else Fraction(r[1], self._scale)
 
     # -- derived graphs ----------------------------------------------------
 
@@ -295,12 +319,14 @@ class WeightedGraph:
         targets: Optional[Set[int]] = None,
     ) -> Dict[int, int]:
         """distances_from in units of 1/scale: the exact integers the search
-        adds, before any Fraction is built."""
+        adds, before any Fraction is built.  The radius becomes the integer
+        cap floor(radius * scale) by one integer division of its numerator
+        (`_scaled_cap`); a negative radius raises GraphError."""
         srcs = [s for s in sources]
         for s in srcs:
             if s not in self._vset:
                 raise GraphError("unknown source vertex %s" % (s,))
-        cap = None if radius is None else math.floor(as_fraction(radius) * self._scale)
+        cap = None if radius is None else _scaled_cap(radius, self._scale)
         return self._search(srcs, cap, within, targets)
 
     def _search(
@@ -447,10 +473,10 @@ class SubgraphView(WeightedGraph):
     would, with the same tie-breaking; `vertices` and `edges` are listed on
     demand, at the cost of S.
 
-    vset: S, a set with fast membership and len; weight_range: the
-    (smallest, largest) weight of an edge inside S, or None, where a single
-    value makes the view search by levels; top: the largest id in S, or
-    -1."""
+    vset: S, a set with fast membership and len; srange: the (smallest,
+    largest) weight of an edge inside S in units of g's 1/scale, or None,
+    where a single value makes the view search by levels; top: the largest
+    id in S, or -1."""
 
     __slots__ = ("_base", "_top")
 
@@ -458,19 +484,14 @@ class SubgraphView(WeightedGraph):
         self,
         base: WeightedGraph,
         vset: AbstractSet,
-        weight_range: Optional[Tuple[Fraction, Fraction]],
+        srange: Optional[Tuple[int, int]],
         top: int,
     ):
         self._base = base
         self._vset = vset
         self._sadj = base._sadj
         self._scale = base._scale
-        self._wrange = weight_range
-        if weight_range is None:
-            self._step = 1
-        else:
-            lo, hi = weight_range
-            self._step = (lo * base._scale).numerator if lo == hi else None
+        self._set_range(srange)
         self._inc = None
         self._top = top
 
@@ -519,17 +540,15 @@ class SubgraphView(WeightedGraph):
 
 def require_light_edges(g: WeightedGraph, ell: object) -> None:
     """Raise GraphError when an edge of g weighs more than ell."""
-    mw = g.max_edge_weight()
-    if mw is not None and mw > ell:
+    if not g._no_heavier_than(as_fraction(ell)):
+        mw = g.max_edge_weight()
         raise GraphError("edge weight %s exceeds ell %s" % (frac_str(mw), frac_str(ell)))
 
 
 def neighborhood(g: WeightedGraph, s: Iterable[int], r: object) -> Set[int]:
-    """All vertices at distance <= r from the set s (s itself included)."""
-    rf = as_fraction(r)
-    if rf < 0:
-        raise GraphError("neighborhood radius must be nonnegative")
-    return set(g._scaled_distances(s, radius=rf))
+    """All vertices at distance <= r from the set s (s itself included).
+    A negative r raises the search's GraphError."""
+    return set(g._scaled_distances(s, radius=r))
 
 
 def set_diameter(
@@ -622,12 +641,14 @@ def metric_set_diameter(
     proven: the radius bounds every distance between two members, so it is
     also set_diameter's starting bound; otherwise it only caps the searches.
     first: set_diameter's first source.  Raises ContractViolation when a
-    member is out of reach."""
+    member is out of reach, and the search's GraphError when a search
+    runs with a negative radius."""
     targets = set(members)
-    cap = None if radius is None else math.floor(as_fraction(radius) * g._scale)
+    rf = None if radius is None else as_fraction(radius)
+    cap = None if rf is None else rf.numerator * g._scale // rf.denominator
     bound = cap if proven and cap is not None else INF
     diameter, _ = set_diameter(
-        members, lambda u: g._scaled_distances([u], radius=radius, targets=targets), bound, first
+        members, lambda u: g._scaled_distances([u], radius=rf, targets=targets), bound, first
     )
     return Fraction(diameter, g._scale)
 
@@ -668,10 +689,9 @@ def power_graph_new_ids(g: WeightedGraph, ell: object) -> range:
     so none when no edge is heavier than ell, which the weight range tells
     without a scan."""
     lf = as_fraction(ell)
-    if lf <= 0:
+    if lf.numerator <= 0:
         raise GraphError("power graph scale must be positive")
-    mw = g.max_edge_weight()
-    if mw is None or mw <= lf:
+    if g._no_heavier_than(lf):
         lo = g.max_vertex() + 1
         return range(lo, lo)
     return _subdivision_plan(g, lf)[1]
@@ -802,11 +822,10 @@ def power_graph(g: WeightedGraph, ell: object) -> PowerGraph:
     off its edge list with no search.  Otherwise one search per host
     vertex, capped at ell, finds the pairs."""
     lf = as_fraction(ell)
-    wr = g._weight_range()
-    if lf > 0 and (wr is None or wr[1] <= lf < 2 * wr[0]):
+    if lf.numerator > 0 and g._one_hop_per_edge(lf):
         return PowerGraph(g, [(u, v) for (u, v, _) in g.edges])
     host = subdivision_graph(g, lf) if power_graph_new_ids(g, lf) else g
-    cap = math.floor(lf * host._scale)
+    cap = _scaled_cap(lf, host._scale)
     edges: List[Tuple[int, int]] = []
     for v in host.vertices:
         for n in host._search((v,), cap, None, None):

@@ -8,7 +8,6 @@ bound fails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -27,6 +26,10 @@ from wdcolor.graph import (
     power_graph_new_ids,
     set_diameter,
 )
+
+
+#: The zero metric of a report that measured nothing; Fractions are immutable, so one serves all.
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -228,7 +231,8 @@ def verify_weak_diameter(
     """
     lf = as_fraction(ell)
     bf: Optional[Fraction] = as_fraction(bound) if bound is not None else None
-    bound_hops = None if bf is None else math.floor(bf)  # hop counts are integers
+    # hop counts are integers: the floor of the bound is what they meet
+    bound_hops = None if bf is None else bf.numerator // bf.denominator
     if not exact and bound_hops is not None:
         vset, new_ids = g.vertex_set(), power_graph_new_ids(g, lf)
 
@@ -241,10 +245,10 @@ def verify_weak_diameter(
             return VerificationReport(
                 colors=_colors_in_host(coloring, restrict_to, in_host),
                 max_weak_diameter_hops=0,
-                max_weak_diameter_metric=Fraction(0),
+                max_weak_diameter_metric=_ZERO,
                 separation_ok=True,
                 bound=bf,
-                ratio=Fraction(0),
+                ratio=_ZERO,
                 per_component=(),
                 ok=True,
             )
@@ -254,17 +258,18 @@ def verify_weak_diameter(
         pool &= set(restrict_to)
     pool &= coloring.domain
     comps = monochromatic_components(p, coloring, within=pool)
-    wr = g._weight_range()
-    # every hop is one edge of g's single weight wr[0]
-    one_edge_hops = p.metric is g and wr is not None and wr[0] == wr[1] and lf < 2 * wr[0]
+    # every hop is one edge of g's single weight, g._step in units of 1/scale
+    one_edge_hops = (
+        p.metric is g and g._wrange is not None and g._step is not None and g._one_hop_per_edge(lf)
+    )
     stats: List[ComponentStat] = []
     max_hops = 0
-    max_metric = Fraction(0)
+    max_metric = _ZERO
     for comp in comps:
         members = set(comp)
         hops, end = set_diameter(comp, lambda u: p.hop_distances([u], targets=members))
         if one_edge_hops:
-            metric = wr[0] * hops
+            metric = Fraction(g._step * hops, g._scale)
         else:
             metric = metric_set_diameter(p.metric, comp, lf * hops, proven=True, first=end)
         stats.append(ComponentStat(len(comp), comp[0], hops, metric))

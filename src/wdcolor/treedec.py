@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import heapq
 import json
-import math
 from collections.abc import Mapping
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
@@ -38,7 +37,6 @@ from wdcolor.graph import (
     SubgraphView,
     WeightedGraph,
     as_fraction,
-    ceil_frac,
     frac_str,
     json_int,
     require_light_edges,
@@ -111,6 +109,50 @@ class RootedTreeDecomposition:
         )
         self._subtree_cache: Dict[int, Tuple[int, ...]] = {}
         self._holders: Optional[Dict[int, Tuple[int, ...]]] = None
+
+    @classmethod
+    def _derived(
+        cls,
+        bags: Dict[int, FrozenSet[int]],
+        parent: Dict[int, Optional[int]],
+        children: Dict[int, Tuple[int, ...]],
+        nodes: Tuple[int, ...],
+        tree_edges: Tuple[TreeEdge, ...],
+        root: int,
+    ) -> "RootedTreeDecomposition":
+        """A decomposition over a tree already checked, from every field
+        the constructor would compute for it: no check and no search."""
+        td = cls.__new__(cls)
+        td.bags, td.root, td.parent, td.children = bags, root, parent, children
+        td.nodes, td.tree_edges = nodes, tree_edges
+        td._subtree_cache = {}
+        td._holders = None
+        return td
+
+    def _rebagged(
+        self, bags: Dict[int, FrozenSet[int]], top: Optional[int] = None
+    ) -> "RootedTreeDecomposition":
+        """This tree with other bags, frozensets keyed by node.  Without
+        `top` it is RootedTreeDecomposition(bags, tree_edges, root), and
+        shares this tree's fields.  With `top`, a fresh node id that `bags`
+        also covers, it is RootedTreeDecomposition(bags, tree_edges +
+        [(top, root)], top): this tree under one more root."""
+        if top is None:
+            return self._derived(
+                bags, self.parent, self.children, self.nodes, self.tree_edges, self.root
+            )
+        if top in self.parent:
+            raise GraphError("node id %s already used" % (top,))
+        parent = dict(self.parent)
+        parent[self.root], parent[top] = top, None
+        children = dict(self.children)
+        children[top] = (self.root,)
+        return self._derived(
+            bags, parent, children,
+            tuple(sorted(self.nodes + (top,))),
+            tuple(sorted(self.tree_edges + ((top, self.root),))),
+            top,
+        )
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -387,10 +429,9 @@ class SubtreeIndex:
             for (b, w) in sadj[a]:
                 if a < b and b in adh:
                     lo, hi = min(lo, w), max(hi, w)
-        scale = self.g._scale
-        wrange = None if hi < 0 else (Fraction(lo, scale), Fraction(hi, scale))
         top = max(self.vmax[i], max(adh, default=-1))
-        return SubgraphView(self.g, part, wrange, top), SubtreeDecomposition(self, c, fresh, adh)
+        view = SubgraphView(self.g, part, None if hi < 0 else (lo, hi), top)
+        return view, SubtreeDecomposition(self, c, fresh, adh)
 
 
 class _PartVertices(AbstractSet):
@@ -423,20 +464,21 @@ class _SubtreeMap(Mapping):
     """A node-keyed map of an indexed decomposition, cut down to the
     preorder interval [lo, hi), with a few entries replaced or added."""
 
-    __slots__ = ("_base", "_index", "_lo", "_hi", "_extra")
+    __slots__ = ("_base", "_index", "_tin", "_lo", "_hi", "_extra")
 
     def __init__(self, base: Mapping, index: SubtreeIndex, lo: int, hi: int, extra: dict):
         self._base, self._index, self._lo, self._hi, self._extra = base, index, lo, hi, extra
+        self._tin = index.tin
 
     def __getitem__(self, t: int):
         if t in self._extra:
             return self._extra[t]
-        if self._lo <= self._index.tin.get(t, -1) < self._hi:
+        if self._lo <= self._tin.get(t, -1) < self._hi:
             return self._base[t]
         raise KeyError(t)
 
     def _added(self) -> List[int]:
-        return [t for t in self._extra if not self._lo <= self._index.tin.get(t, -1) < self._hi]
+        return [t for t in self._extra if not self._lo <= self._tin.get(t, -1) < self._hi]
 
     def __iter__(self):
         yield from self._index.pre[self._lo:self._hi]
@@ -450,7 +492,8 @@ class SubtreeDecomposition(RootedTreeDecomposition):
     """The subtree of an indexed decomposition below node c, under a fresh
     root node whose bag is c's adhesion to its parent: a view built in
     O(1).  Its one tree edge not in the indexed decomposition is
-    (fresh, c); every other edge keeps its bags and children."""
+    (fresh, c); every other edge keeps its bags and children, so an edge
+    is checked, and its adhesion read, off the indexed tree directly."""
 
     def __init__(self, index: SubtreeIndex, c: int, fresh: int, adh: FrozenSet[int]):
         base = index.td
@@ -458,6 +501,7 @@ class SubtreeDecomposition(RootedTreeDecomposition):
             raise GraphError("node id %s already used" % (fresh,))
         lo, hi = index.tin[c], index.end[index.tin[c]]
         self.index, self.root, self._lo, self._hi = index, fresh, lo, hi
+        self._top, self._adh = c, adh
         self.bags = _SubtreeMap(base.bags, index, lo, hi, {fresh: adh})
         self.parent = _SubtreeMap(base.parent, index, lo, hi, {fresh: None, c: fresh})
         self.children = _SubtreeMap(base.children, index, lo, hi, {fresh: (c,)})
@@ -465,6 +509,23 @@ class SubtreeDecomposition(RootedTreeDecomposition):
 
     def __len__(self) -> int:
         return self._hi - self._lo + 1
+
+    def check_edge(self, e: TreeEdge) -> TreeEdge:
+        """One preorder interval test: (fresh root, c) is the new edge, and
+        any other edge is the indexed tree's, strictly inside c's interval."""
+        p, ch = e
+        if ch == self._top:
+            ok = p == self.root
+        else:
+            ok = self._lo < self.index.tin.get(ch, -1) < self._hi and self.index.td.parent[ch] == p
+        if not ok:
+            raise GraphError("(%s,%s) is not a (parent, child) tree edge" % (p, ch))
+        return (p, ch)
+
+    def adhesion_of(self, e: TreeEdge) -> FrozenSet[int]:
+        p, ch = self.check_edge(e)
+        bags = self.index.td.bags
+        return (self._adh if p == self.root else bags[p]) & bags[ch]
 
     @property
     def nodes(self) -> Tuple[int, ...]:  # type: ignore[override]
@@ -540,13 +601,15 @@ class Hierarchy:
         in id order, so a failure names the distance that the same searches
         on the forest as a WeightedGraph over those ids would."""
         self._verify_partitions()
-        half = self.ell / 2
-        scale = _lcm(half.denominator, _weight_scale(self.edges))
-        half_s = half.numerator * (scale // half.denominator)
+        # ell/2 = ell.numerator / half_den, not reduced: any common multiple
+        # of the denominators serves as the scale
+        half_den = 2 * self.ell.denominator
+        scale = _lcm(half_den, _weight_scale(self.edges))
+        half_s = self.ell.numerator * (scale // half_den)
         scaled = {id(w): w.numerator * (scale // w.denominator) for (_, _, w) in self.edges}
         for (_, _, w) in self.edges:
             if not 0 < scaled[id(w)] <= half_s:
-                raise ContractViolation("hierarchy edge weight %s outside (0, %s]" % (w, half))
+                raise ContractViolation("hierarchy edge weight %s outside (0, %s]" % (w, self.ell / 2))
         if not self.ground:
             return
         vs = self.vertices()
@@ -558,7 +621,7 @@ class Hierarchy:
             adj[a].append((b, s))
             adj[b].append((a, s))
         if len(_forest_distances(adj, [ids[v] for v in self.base()], half_s)) != len(adj):
-            raise ContractViolation("hierarchy vertex farther than %s from the base" % (half,))
+            raise ContractViolation("hierarchy vertex farther than %s from the base" % (self.ell / 2,))
         ell_s = 2 * half_s
         seen: Set[int] = set()
         for src in sorted(adj):
@@ -647,14 +710,15 @@ def adhesion_hierarchy(
     edges join each part to the part holding it one recorded level up and
     weigh (j-i)*eps / (8*(theta+mu/ell))."""
     ef = as_fraction(eps)
-    if ef <= 0 or max_level < 0:
+    if ef.numerator <= 0 or max_level < 0:
         raise GraphError("need positive eps and nonnegative max level")
     td.check_edge(e)
     lf = as_fraction(ell)
     mf = as_fraction(mu)
-    if ef > lf:
+    # parameter checks and the unit weight on numerators and denominators
+    if ef.numerator * lf.denominator > lf.numerator * ef.denominator:
         raise GraphError("eps %s exceeds ell %s" % (ef, lf))
-    if theta < 1 or mf < 0:
+    if theta < 1 or mf.numerator < 0:
         raise GraphError("need theta >= 1 and mu >= 0")
     if max_level < 1:
         raise GraphError("hierarchy needs a chain reaching level 1")
@@ -662,7 +726,7 @@ def adhesion_hierarchy(
     parts: Dict[int, Tuple[FrozenSet[int], ...]] = {0: tuple(frozenset([x]) for x in ground)}
     if len(ground) > 1:
         radius = ef * max_level
-        cap = math.floor(radius * g._scale)
+        cap = radius.numerator * g._scale // radius.denominator
         dist = g._scaled_distances(ground, radius=radius, within=td.subtree_vertices(e))
         num, den = ef.numerator * g._scale, ef.denominator
         # each reached edge, filed under the level of its bottleneck; a
@@ -685,12 +749,17 @@ def adhesion_hierarchy(
                 parts[level] = tuple(frozenset(y) for y in sorted(groups.values()))
     parts.setdefault(1, parts[0])
     levels = tuple(sorted(parts))
-    unit = ef / (8 * (theta + mf / lf))
+    # eps / (8*(theta + mu/ell)), with ell >= eps > 0
+    lm = lf.numerator * mf.denominator
+    unit = Fraction(
+        ef.numerator * lm, 8 * ef.denominator * (theta * lm + mf.numerator * lf.denominator)
+    )
     edges: List[Tuple[HVertex, HVertex, Fraction]] = []
     for i, j in zip(levels, levels[1:]):
         parent_of = {x: yj for yj in parts[j] for x in yj}
+        w = unit if j - i == 1 else (j - i) * unit
         for yi in parts[i]:
-            edges.append(((i, yi), (j, parent_of[min(yi)]), (j - i) * unit))
+            edges.append(((i, yi), (j, parent_of[min(yi)]), w))
     h = Hierarchy(ground, levels, parts, tuple(edges), lf, ef, theta, mf)
     h.verify()
     return h
@@ -755,7 +824,7 @@ def condense(
     keeps the adhesion its edge has in td."""
     lf = as_fraction(ell)
     mf = as_fraction(mu)
-    if theta < 1 or lf <= 0 or mf < 0:
+    if theta < 1 or lf.numerator <= 0 or mf.numerator < 0:
         raise GraphError("need theta >= 1, ell > 0, mu >= 0")
     require_light_edges(g, lf)
     frontier = tuple(sorted(td.check_edge(e) for e in set(u_e)))
@@ -780,8 +849,10 @@ def condense(
             raise GraphError("adhesion of %s has more than theta=%d vertices" % (e, theta))
     ew = g.min_edge_weight()
     eps = ew if ew is not None else lf
-    span = 3 * lf + mf
-    max_level = ceil_frac(span / eps)
+    # max_level = ceil((3 ell + mu) / eps), on numerators and denominators
+    span_num = 3 * lf.numerator * mf.denominator + mf.numerator * lf.denominator
+    span_den = lf.denominator * mf.denominator
+    max_level = -(-span_num * eps.denominator // (span_den * eps.numerator))
 
     t0_vertices = td.bag_union(t0_nodes)
     base: Set[int] = set(t0_vertices)
@@ -792,8 +863,8 @@ def condense(
         # the shortcut searches run on g's integer distances s = d * scale,
         # capped at (3 lf + mu) * scale, and a kept shortcut weighs
         # lf * d / (3 lf + mu), that is s * per_unit
-        cap = math.floor(span * g._scale)
-        per_unit = lf / (span * g._scale)
+        cap = span_num * g._scale // span_den
+        per_unit = lf * Fraction(span_den, span_num * g._scale)
     for e in shortcut_edges:
         x_e = adhesions[e]
         part = td.subtree_vertices(e)
@@ -833,17 +904,9 @@ def condense(
     for att in hierarchies.values():
         vertices.update(att.vertex_ids.values())
     g0 = g._induced_plus(base, vertices, extra_edges)
-    mw0 = g0.max_edge_weight()
-    if mw0 is not None and mw0 > lf:
-        raise ContractViolation("condensed graph carries weight %s > ell" % (mw0,))
-    bags0: Dict[int, FrozenSet[int]] = {t: td.bags[t] for t in t0_nodes}
-    for e in frontier:
-        if e in hierarchies:
-            bags0[e[1]] = frozenset(hierarchies[e].vertex_ids.values())
-        else:
-            bags0[e[1]] = shortcut_parts[e].reach
-    edges0 = [(td.parent[t], t) for t in t0_nodes if t != td.root] + list(frontier)
-    td0 = RootedTreeDecomposition(bags0, edges0, td.root)
+    if not g0._no_heavier_than(lf):
+        raise ContractViolation("condensed graph carries weight %s > ell" % (g0.max_edge_weight(),))
+    td0 = _condensed_decomposition(td, t0_nodes, frontier, hierarchies, shortcut_parts)
     validate_td(g0, td0, "condensed decomposition invalid")
     for e in frontier:
         if td0.adhesion_of(e) != adhesions[e]:
@@ -852,6 +915,35 @@ def condense(
         g=g, td=td, g0=g0, td0=td0, u_e=frontier, ell=lf, theta=theta, mu=mf,
         eps=eps, t0_vertices=t0_vertices, base_vertices=frozenset(base),
         hierarchies=hierarchies, shortcut_parts=shortcut_parts,
+    )
+
+
+def _condensed_decomposition(
+    td: RootedTreeDecomposition,
+    t0_nodes: Tuple[int, ...],
+    frontier: Tuple[TreeEdge, ...],
+    hierarchies: Dict[TreeEdge, HierarchyAttachment],
+    shortcut_parts: Dict[TreeEdge, ShortcutAttachment],
+) -> RootedTreeDecomposition:
+    """td's root side with one leaf per frontier edge, at the edge's child
+    node: what RootedTreeDecomposition(bags0, root-side edges + frontier,
+    td.root) gives, read off td's tree with no search.  Every child of a
+    root-side node is root-side or a frontier child, so a root-side node
+    keeps its children and a leaf has none."""
+    bags0: Dict[int, FrozenSet[int]] = {t: td.bags[t] for t in t0_nodes}
+    parent0: Dict[int, Optional[int]] = {t: td.parent[t] for t in t0_nodes}
+    children0: Dict[int, Tuple[int, ...]] = {t: td.children[t] for t in t0_nodes}
+    for e in frontier:
+        p, c = e
+        if e in hierarchies:
+            bags0[c] = frozenset(hierarchies[e].vertex_ids.values())
+        else:
+            bags0[c] = shortcut_parts[e].reach
+        parent0[c] = p
+        children0[c] = ()
+    edges0 = tuple(sorted((parent0[t], t) for t in parent0 if t != td.root))
+    return RootedTreeDecomposition._derived(
+        bags0, parent0, children0, tuple(sorted(parent0)), edges0, td.root
     )
 
 
@@ -908,8 +1000,8 @@ def lift_condensation_coloring(
             "input coloring misses condensed vertices %s" % sorted(uncolored)[:5]
         )
     rep0, nf = patched.report, patched.bound
-    measured0 = Fraction(max(1, rep0.max_weak_diameter_hops))
-    if measured0 > nf or not rep0.ok or rep0.bound != nf:
+    measured0 = max(1, rep0.max_weak_diameter_hops)
+    if measured0 * nf.denominator > nf.numerator or not rep0.ok or rep0.bound != nf:
         raise ContractViolation(
             "%s: input coloring measures %s hops, claimed %s" % (what, measured0, frac_str(nf))
         )

@@ -30,11 +30,15 @@ meeting it and the frontier), not what lies below it:
   check and deep verification, which need the parts' colors, wait on the
   stack below them.  Only the condensed call one guard level down stays a
   call, at most theta deep, so the recursion limit is never raised.
+- A level's bounds depend only on its guard level, theta, ell and the
+  piece bound, so they are computed once per run (_Ctx) and read off that
+  table; the condensed far side's decomposition is the condensed tree's,
+  derived from it rather than rebuilt.
 """
 
 import functools
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
@@ -378,12 +382,45 @@ class TwColorResult(ColorResult):
     theta: int
 
 
+#: The adhesion engine condenses with no deleted set: mu = 0, one object for every level.
+_NO_MU = Fraction(0)
+
+
 @dataclass
 class _Ctx:
+    """What every level of one run reads.  A level's bounds depend only on
+    its guard level eta and on theta, ell and the piece bound, which are
+    fixed for the run, so this per-run table holds them all, computed once:
+    a level reads its entries instead of calling the memoised bound
+    functions, each call of which hashes Fractions of many digits.
+    - level_bound[eta] = tree_extension_bound(eta, theta, ell, piece_bound)
+      for eta = 0..theta, the bound a level of guard eta is checked at;
+    - centered = centered_bound(theta, 3*ell, ell), the bound of any
+      coloring once the root bag's ball is the whole graph;
+    - lift_claim[eta] = patch_bound(theta, 3*ell, ell, level_bound[eta-1])
+      for eta >= 1 (None at 0), the ball patch's bound, which the lift
+      raises to level_bound[eta];
+    - r3 = 3*ell, the radius of the root bag's ball."""
+
     lf: Fraction
     theta: int
     piece_bound: Fraction
     deep: bool
+    r3: Fraction = field(init=False)
+    level_bound: Tuple[Fraction, ...] = field(init=False)
+    centered: Fraction = field(init=False)
+    lift_claim: Tuple[Optional[Fraction], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        lf, theta = self.lf, self.theta
+        self.r3 = 3 * lf
+        self.level_bound = tuple(
+            tree_extension_bound(eta, theta, lf, self.piece_bound) for eta in range(theta + 1)
+        )
+        self.centered = centered_bound(theta, self.r3, lf)
+        self.lift_claim = (None,) + tuple(
+            patch_bound(theta, self.r3, lf, n) for n in self.level_bound[:-1]
+        )
 
 
 def _paint_piece(ctx: _Ctx, h: WeightedGraph, what: str) -> Coloring:
@@ -472,9 +509,11 @@ def _color_rec(
 
 
 def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]) -> None:
-    """Color one level's region, write it to `out`, and push its far parts."""
+    """Color one level's region, write it to `out`, and push its far parts.
+    Every bound and the ball radius come off the run's table in ctx (see
+    _Ctx), so a level computes no bound and no radius of its own."""
     g, td, eta, zset, c, what = lv.g, lv.td, lv.eta, lv.zset, lv.c, lv.what
-    lf = ctx.lf
+    lf, r3 = ctx.lf, ctx.r3
     far = isinstance(td, SubtreeDecomposition)
     # fresh tree-node ids start above max(td.nodes), which for a far part
     # is its fresh root: fresh ids exceed every node of the indexed tree
@@ -492,7 +531,7 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
     if far:
         ball = zset  # searched by the parent, see the module notes
     else:
-        ball = frozenset(neighborhood(g, root_bag, 3 * lf))
+        ball = frozenset(neighborhood(g, root_bag, r3))
         if zset - ball:
             raise ContractViolation(
                 "%s: precolored set reaches beyond distance 3*ell of the root bag" % what
@@ -503,10 +542,10 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
             "%s: recursion measure did not decrease (%s -> %s)"
             % (what, lv.parent_measure, measure)
         )
-    bound = tree_extension_bound(eta, ctx.theta, lf, ctx.piece_bound)
+    bound = ctx.level_bound[eta]
     # the root bag holds at most theta vertices (validated above), so once
     # the ball is all of g, any coloring of g meets the centered bound
-    centered = centered_bound(ctx.theta, 3 * lf, lf)
+    centered = ctx.centered
 
     # everything already precolored: the root bag centers the whole graph
     if zset == g.vertex_set():
@@ -541,52 +580,20 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
 
     # the tree region whose bags meet the ball, and the frontier leaving it
     _, u_e = ball_region(td, z0, what)
-    cond = condense(g, td, u_e, u_e, lf, ctx.theta, 0)
+    cond = condense(g, td, u_e, u_e, lf, ctx.theta, _NO_MU)
     g0, td0 = cond.g0, cond.td0
     if z0 - g0.vertex_set():
         raise ContractViolation("%s: ball leaks out of the condensed graph" % what)
 
     # color the condensed graph beyond the ball one guard level down
-    n_prev = tree_extension_bound(eta - 1, ctx.theta, lf, ctx.piece_bound)
+    n_prev = ctx.level_bound[eta - 1]
     rest0 = g0.vertex_set() - z0
     if rest0:
-        bags00 = {t: b - z0 for t, b in td0.bags.items()}
-        edges00 = list(td0.tree_edges)
-        root00 = td0.root
+        top: Optional[int] = None
         if eta - 1 >= 1:
-            # pull one far vertex up to a fresh root; all bags strictly
-            # between the root and its holder are empty, so adhesions stay 1
-            dist0 = {td0.root: 0}
-            frontier = [td0.root]
-            t_far: Optional[int] = None
-            while frontier and t_far is None:
-                hits = [t for t in frontier if bags00[t]]
-                if hits:
-                    t_far = min(hits)
-                    break
-                step: List[int] = []
-                for t in frontier:
-                    for ch in td0.children[t]:
-                        if ch not in dist0:
-                            dist0[ch] = dist0[t] + 1
-                            step.append(ch)
-                frontier = sorted(step)
-            if t_far is None:
-                raise ContractViolation("%s: no far vertex found outside the ball" % what)
-            v0 = min(bags00[t_far])
-            t = td0.parent[t_far]
-            while t is not None:
-                if bags00[t]:
-                    raise ContractViolation(
-                        "%s: nonempty bag strictly between root and its far holder" % what
-                    )
-                bags00[t] = frozenset({v0})
-                t = td0.parent[t]
-            root00 = fresh_node
-            bags00[root00] = frozenset({v0})
-            edges00.append((root00, td0.root))
+            top = fresh_node
             fresh_node += 1
-        td00 = RootedTreeDecomposition(bags00, edges00, root00)
+        td00 = _far_side_decomposition(td0, z0, top, what)
         # a call, not a stack entry: it nests at most eta <= theta deep
         c0_rest = _color_rec(
             ctx,
@@ -602,15 +609,14 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
         c0_rest = Coloring.empty(2)
 
     # glue the saturated ball colors over the condensed coloring
-    cert0 = CenterCertificate.build(g0, sorted(root_bag), 3 * lf, sorted(z0), ctx.theta)
+    cert0 = CenterCertificate.build(g0, sorted(root_bag), r3, sorted(z0), ctx.theta)
     mr = patch_colorings(
         g0, lf, cert0, (), c_sat, c0_rest,
         n_claimed=n_prev, what=what + ": ball patch", exact=False,
     )
 
     # lift the condensed coloring back to the graph around the region
-    lift_claim = patch_bound(ctx.theta, 3 * lf, lf, n_prev)
-    if mr.bound != lift_claim:
+    if mr.bound != ctx.lift_claim[eta]:
         raise ContractViolation("%s: patch bound bookkeeping drifted" % what)
     lr = lift_condensation_coloring(cond, mr, what=what + ": lift", exact=False)
     if lr.bound != bound:
@@ -648,7 +654,7 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
             index = td.index if far else SubtreeIndex(g, td)
         g_e, td_e = index.far_part(e[1], fresh_node)
         part = g_e.vertex_set()
-        z_e = frozenset(neighborhood(g_e, x_e, 3 * lf))
+        z_e = frozenset(neighborhood(g_e, x_e, r3))
         missing = z_e - c3.domain
         if missing:
             raise ContractViolation(
@@ -676,6 +682,50 @@ def _color_level(ctx: _Ctx, lv: _Level, out: Dict[int, int], stack: List[object]
         parts.append(_Level(g_e, td_e, eta, z_e, c_e, measure, _Label(what, ": far part")))
         fresh_node += 1
     stack.extend(reversed(parts))
+
+
+def _far_side_decomposition(
+    td0: RootedTreeDecomposition, z0: FrozenSet[int], top: Optional[int], what: str
+) -> RootedTreeDecomposition:
+    """The decomposition of the condensed graph beyond the ball z0: td0's
+    tree with z0 removed from every bag.  With a fresh node id `top` (when
+    the level below still has guard levels), one far vertex is pulled up to
+    a new root `top` above td0's root, and onto every bag between them.
+    The tree is td0's, plus that one root edge, so it is derived from td0
+    (RootedTreeDecomposition._rebagged), not rebuilt and checked again."""
+    bags00 = {t: b - z0 for t, b in td0.bags.items()}
+    if top is None:
+        return td0._rebagged(bags00)
+    # pull the far vertex up to the fresh root; all bags strictly between
+    # the root and its holder are empty, so adhesions stay 1
+    dist0 = {td0.root: 0}
+    frontier = [td0.root]
+    t_far: Optional[int] = None
+    while frontier and t_far is None:
+        hits = [t for t in frontier if bags00[t]]
+        if hits:
+            t_far = min(hits)
+            break
+        step: List[int] = []
+        for t in frontier:
+            for ch in td0.children[t]:
+                if ch not in dist0:
+                    dist0[ch] = dist0[t] + 1
+                    step.append(ch)
+        frontier = sorted(step)
+    if t_far is None:
+        raise ContractViolation("%s: no far vertex found outside the ball" % what)
+    v0 = min(bags00[t_far])
+    t = td0.parent[t_far]
+    while t is not None:
+        if bags00[t]:
+            raise ContractViolation(
+                "%s: nonempty bag strictly between root and its far holder" % what
+            )
+        bags00[t] = frozenset({v0})
+        t = td0.parent[t]
+    bags00[top] = frozenset({v0})
+    return td0._rebagged(bags00, top)
 
 
 def _check_assembled(
@@ -720,7 +770,7 @@ def _color_flat(
             h = g.induced(verts)
             cp = _paint_piece(ctx, g.induced(verts - zset), what + ": root piece")
             cert = CenterCertificate.build(
-                h, sorted(td.bags[td.root]), 3 * lf, sorted(zset), ctx.theta
+                h, sorted(td.bags[td.root]), ctx.r3, sorted(zset), ctx.theta
             )
             mr = patch_colorings(
                 h, lf, cert, (), c, cp,
@@ -814,7 +864,7 @@ def color_adhesion_construction(
         Coloring(dict(precoloring.assignment), 2),
         None, "adhesion coloring",
     )
-    bound = tree_extension_bound(con.eta, con.theta, lf, con.piece_bound)
+    bound = ctx.level_bound[con.eta]
     report = check_weak_diameter(
         g, lf, out, bound=bound, what="adhesion coloring", exact=exact_check
     )
@@ -846,9 +896,8 @@ def color_bounded_treewidth(
         validate_td(g, td, "invalid decomposition", GraphError)
     width = max(td.width, 0)
     theta = width + 1
-    piece_bound = cover_piece_bound(theta, lf)
-    bound = tree_extension_bound(theta, theta, lf, piece_bound)
-    ctx = _Ctx(lf, theta, piece_bound, deep_verify)
+    ctx = _Ctx(lf, theta, cover_piece_bound(theta, lf), deep_verify)
+    bound = ctx.level_bound[theta]
     pieces: List[Coloring] = []
     fresh_node = max(td.nodes) + 1
     comps = g.connected_components()

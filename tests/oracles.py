@@ -344,6 +344,51 @@ class _Ctx:
     deep: bool
 
 
+def reference_far_side_decomposition(
+    td0: RootedTreeDecomposition, z0: FrozenSet[int], top: Optional[int], what: str
+) -> RootedTreeDecomposition:
+    """The condensed far side's decomposition as the adhesion engine built
+    it before it derived the tree from td0's: td0's bags minus z0 and, with
+    a fresh id `top`, one far vertex pulled up to a new root `top`, all
+    through the RootedTreeDecomposition constructor."""
+    bags00 = {t: b - z0 for t, b in td0.bags.items()}
+    edges00 = list(td0.tree_edges)
+    root00 = td0.root
+    if top is not None:
+        # pull one far vertex up to a fresh root; all bags strictly
+        # between the root and its holder are empty, so adhesions stay 1
+        dist0 = {td0.root: 0}
+        frontier = [td0.root]
+        t_far: Optional[int] = None
+        while frontier and t_far is None:
+            hits = [t for t in frontier if bags00[t]]
+            if hits:
+                t_far = min(hits)
+                break
+            step: List[int] = []
+            for t in frontier:
+                for ch in td0.children[t]:
+                    if ch not in dist0:
+                        dist0[ch] = dist0[t] + 1
+                        step.append(ch)
+            frontier = sorted(step)
+        if t_far is None:
+            raise ContractViolation("%s: no far vertex found outside the ball" % what)
+        v0 = min(bags00[t_far])
+        t = td0.parent[t_far]
+        while t is not None:
+            if bags00[t]:
+                raise ContractViolation(
+                    "%s: nonempty bag strictly between root and its far holder" % what
+                )
+            bags00[t] = frozenset({v0})
+            t = td0.parent[t]
+        root00 = top
+        bags00[root00] = frozenset({v0})
+        edges00.append((root00, td0.root))
+    return RootedTreeDecomposition(bags00, edges00, root00)
+
+
 def _paint_piece(ctx: _Ctx, h: WeightedGraph, what: str) -> Coloring:
     c = Coloring.constant(h.vertex_set(), 2)
     check_weak_diameter(h, ctx.lf, c, bound=ctx.piece_bound, what=what, exact=False)
@@ -423,43 +468,11 @@ def _color_rec(
     rest0 = g0.vertex_set() - z0
     fresh_node = max(td.nodes) + 1
     if rest0:
-        bags00 = {t: b - z0 for t, b in td0.bags.items()}
-        edges00 = list(td0.tree_edges)
-        root00 = td0.root
+        top = None
         if eta - 1 >= 1:
-            # pull one far vertex up to a fresh root; all bags strictly
-            # between the root and its holder are empty, so adhesions stay 1
-            dist0 = {td0.root: 0}
-            frontier = [td0.root]
-            t_far: Optional[int] = None
-            while frontier and t_far is None:
-                hits = [t for t in frontier if bags00[t]]
-                if hits:
-                    t_far = min(hits)
-                    break
-                step: List[int] = []
-                for t in frontier:
-                    for ch in td0.children[t]:
-                        if ch not in dist0:
-                            dist0[ch] = dist0[t] + 1
-                            step.append(ch)
-                frontier = sorted(step)
-            if t_far is None:
-                raise ContractViolation("%s: no far vertex found outside the ball" % what)
-            v0 = min(bags00[t_far])
-            t = td0.parent[t_far]
-            while t is not None:
-                if bags00[t]:
-                    raise ContractViolation(
-                        "%s: nonempty bag strictly between root and its far holder" % what
-                    )
-                bags00[t] = frozenset({v0})
-                t = td0.parent[t]
-            root00 = fresh_node
-            bags00[root00] = frozenset({v0})
-            edges00.append((root00, td0.root))
+            top = fresh_node
             fresh_node += 1
-        td00 = RootedTreeDecomposition(bags00, edges00, root00)
+        td00 = reference_far_side_decomposition(td0, z0, top, what)
         c0_rest = _color_rec(
             ctx,
             g0.without(z0),
@@ -1177,6 +1190,25 @@ def reference_condensed_graph(cond) -> WeightedGraph:
         vertices.update(att.vertex_ids.values())
     base_graph = cond.g.induced(cond.base_vertices)
     return WeightedGraph(vertices, list(base_graph.edges) + extra)
+
+
+def reference_condensed_decomposition(cond) -> RootedTreeDecomposition:
+    """A condensation's decomposition as condense built it: the root side's
+    bags and tree edges, one leaf per frontier edge, through the
+    constructor."""
+    td, cut = cond.td, set(cond.u_e)
+    reached = [td.root]
+    for t in reached:
+        reached.extend(ch for ch in td.children[t] if (t, ch) not in cut)
+    t0_nodes = sorted(reached)
+    bags0 = {t: td.bags[t] for t in t0_nodes}
+    for e in cond.u_e:
+        if e in cond.hierarchies:
+            bags0[e[1]] = frozenset(cond.hierarchies[e].vertex_ids.values())
+        else:
+            bags0[e[1]] = cond.shortcut_parts[e].reach
+    edges0 = [(td.parent[t], t) for t in t0_nodes if t != td.root] + list(cond.u_e)
+    return RootedTreeDecomposition(bags0, edges0, td.root)
 
 
 def reference_component_decomposition(td, comp, what):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -16,6 +17,7 @@ from wdcolor.graph import (
     GraphError,
     SubgraphView,
     WeightedGraph,
+    _scaled_cap,
     as_fraction,
     ceil_frac,
     frac_str,
@@ -167,7 +169,8 @@ def test_level_search_returns_the_heap_search_dict_in_its_order(w, n, data):
         h = base.induced(inner)
     else:
         has_edge = any(u in inner and v in inner for (u, v) in pairs)
-        h = SubgraphView(base, frozenset(inner), (w, w) if has_edge else None, max(inner, default=-1))
+        s = (w * base._scale).numerator
+        h = SubgraphView(base, frozenset(inner), (s, s) if has_edge else None, max(inner, default=-1))
     step = h._step
     assert step is not None
     k = data.draw(st.integers(0, 6))
@@ -213,6 +216,37 @@ def test_truncated_search_respects_radius_and_subset():
     assert set(d) == {0, 1, 2}
     d2 = g.distances_from([0], within=frozenset({0, 1}))
     assert set(d2) == {0, 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=1, max_value=10**4),
+    st.sampled_from([Fraction, str]),
+)
+def test_integer_cap_is_the_floor_of_the_scaled_radius(num, den, scale, form):
+    """The search cap comes from the radius's numerator and denominator by
+    one integer division; it is floor(r * scale) for every rational radius,
+    whichever form the radius takes."""
+    r = Fraction(num, den)
+    assert _scaled_cap(form(r), scale) == math.floor(r * scale)
+
+
+@pytest.mark.parametrize("radius", [-1, "-1/2", Fraction(-1, 3)])
+def test_a_negative_radius_is_refused_by_every_search_entry(radius):
+    """No vertex lies within a negative radius, not even a source: both
+    search entries refuse one with neighborhood's error, where they used
+    to return the source at distance 0."""
+    g = path_graph([1, Fraction(1, 2)])
+    message = r"^search radius must be nonnegative, got -"
+    with pytest.raises(GraphError, match=message):
+        g.distances_from([0], radius=radius)
+    with pytest.raises(GraphError, match=message):
+        g._scaled_distances([0], radius=radius)
+    with pytest.raises(GraphError, match=message):
+        neighborhood(g, [0], radius)
+    assert g.distances_from([0], radius=0) == {0: 0}
 
 
 # -- neighborhoods ----------------------------------------------------------
@@ -546,7 +580,7 @@ def test_a_graph_built_onto_the_host_checks_what_the_constructor_checked(keep, e
     with the message the copy or the constructor gave."""
     g = WeightedGraph(range(5), [(0, 1, Fraction(1, 3)), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
     if on_view:
-        g = SubgraphView(g, frozenset(range(4)), (Fraction(1, 3), Fraction(1)), 3)
+        g = SubgraphView(g, frozenset(range(4)), (1, 3), 3)  # weights 1/3 and 1 at scale 3
     vertices = (keep & set(range(5))) | {5}
     with pytest.raises(GraphError) as ref:
         WeightedGraph(vertices, list(g.induced(keep).edges) + [extra])
@@ -678,9 +712,8 @@ def test_lazy_neighbors_equal_an_eager_adjacency_in_order(g, data):
     Fraction adjacency's, in edge order, and a view drops its base's
     neighbours outside it."""
     keep = data.draw(st.frozensets(st.sampled_from(g.vertices)))
-    inside = [(u, v, w) for (u, v, w) in g.edges if u in keep and v in keep]
-    wrange = (min(w for *_, w in inside), max(w for *_, w in inside)) if inside else None
-    view = SubgraphView(g, keep, wrange, max(keep, default=-1))
+    inside = [(w * g._scale).numerator for (u, v, w) in g.edges if u in keep and v in keep]
+    view = SubgraphView(g, keep, (min(inside), max(inside)) if inside else None, max(keep, default=-1))
     h = g.induced(keep)
     for graph in (view, h, g):
         want = _eager_adjacency(graph.vertices, graph.edges)

@@ -764,7 +764,8 @@ def _graph_fields(g):
 def test_condensed_graph_is_the_one_the_constructor_built(seed, on_view):
     """condense builds g0 from the host's own edges and checks only the new
     ones; its fields are those of the copy-and-construct build, on a plain
-    graph and on a far-part view, where they also equal a copy's."""
+    graph and on a far-part view, where they also equal a copy's.  td0,
+    read off td's tree, has every field the constructor gives it."""
     rng = random.Random(seed)
     g, td = random_td_instance(rng, n_vertices=rng.randint(3, 14), n_nodes=rng.randint(2, 8))
     if on_view:
@@ -778,6 +779,9 @@ def test_condensed_graph_is_the_one_the_constructor_built(seed, on_view):
     mu = Fraction(rng.randint(0, 4), 2)
     cond = condense(g, td, frontier, prime, 2, theta, mu)
     assert _graph_fields(cond.g0) == _graph_fields(oracles.reference_condensed_graph(cond))
+    want = oracles.reference_condensed_decomposition(cond)
+    for name in ("bags", "parent", "children", "nodes", "tree_edges", "root"):
+        assert getattr(cond.td0, name) == getattr(want, name), name
     if on_view:
         copy = condense(g.induced(g.vertex_set()), td, frontier, prime, 2, theta, mu)
         assert _graph_fields(copy.g0) == _graph_fields(cond.g0)
@@ -1011,7 +1015,9 @@ def test_lift_guard_zones_only_outside_condensed_region():
 def test_far_part_views_match_copies():
     """Every far part's graph and decomposition views answer as the copies
     the recursion used to build: g.induced(part) and the subtree's bags
-    and edges under a fresh root holding the adhesion."""
+    and edges under a fresh root holding the adhesion.  The view checks
+    an edge and reads its adhesion off the indexed tree, and keeps its
+    weight range in the copy's integer units."""
     from wdcolor.treedec import SubtreeIndex
 
     rng = random.Random(41)
@@ -1052,5 +1058,13 @@ def test_far_part_views_match_copies():
             for f in ref.tree_edges:
                 assert tdv.subtree_vertices(f) == ref.subtree_vertices(f)
                 assert tdv.subtree_nodes(f) == ref.subtree_nodes(f)
+                assert tdv.adhesion_of(f) == ref.adhesion_of(f)
+            # every pair that is no (parent, child) edge of the part fails alike
+            for a in td.nodes + (fresh,):
+                for b in td.nodes + (fresh,):
+                    if ref.parent.get(b) != a:
+                        with pytest.raises(GraphError, match=r"is not a \(parent, child\) tree edge"):
+                            tdv.check_edge((a, b))
+            assert (view._wrange, view._step) == (copy._wrange, copy._step)
             checked += 1
     assert checked >= 100

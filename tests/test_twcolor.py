@@ -969,3 +969,107 @@ def test_fault_component_leaves_a_vertex_unwritten(monkeypatch):
     con = AdhesionConstruction(td, 4, 4, cover_piece_bound(4, 1))
     with pytest.raises(ContractViolation, match=r"^adhesion coloring: far part: far part: component colorings miss vertices$"):
         color_adhesion_construction(g, 1, con)
+
+
+# -- the per-run table and the derived far-side decomposition ------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(5, 4), Fraction(7, 3)]),
+)
+def test_run_table_equals_the_bound_functions(theta, ell):
+    """Each entry of the per-run table is the bound a level used to compute
+    for itself, called here past the caches."""
+    from wdcolor.twcolor import _Ctx
+
+    piece_bound = cover_piece_bound(theta, ell)
+    ctx = _Ctx(ell, theta, piece_bound, False)
+    tree_bound = tree_extension_bound.__wrapped__
+    assert ctx.r3 == 3 * ell
+    assert ctx.centered == centered_bound.__wrapped__(theta, 3 * ell, ell)
+    assert len(ctx.level_bound) == len(ctx.lift_claim) == theta + 1
+    assert ctx.lift_claim[0] is None
+    for eta in range(theta + 1):
+        assert ctx.level_bound[eta] == tree_bound(eta, theta, ell, piece_bound)
+        if eta >= 1:
+            n_prev = tree_bound(eta - 1, theta, ell, piece_bound)
+            assert ctx.lift_claim[eta] == patch_bound.__wrapped__(theta, 3 * ell, ell, n_prev)
+            # the lift raises the ball patch's claim to the level's bound
+            assert con_color_bound(ell, ctx.lift_claim[eta], theta, 0) == ctx.level_bound[eta]
+
+
+@st.composite
+def _condensed_trees(draw):
+    """A rooted decomposition over random node ids, a ball z0 and, half the
+    time, a fresh root id above every node."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    edges = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
+    vertices = range(draw(st.integers(min_value=1, max_value=10)))
+    bags = {t: draw(st.frozensets(st.sampled_from(vertices), max_size=4)) for t in ids}
+    td0 = RootedTreeDecomposition(bags, edges, draw(st.sampled_from(ids)))
+    z0 = draw(st.frozensets(st.sampled_from(vertices)))
+    top = draw(st.none() | st.integers(max(ids) + 1, max(ids) + 5))
+    return td0, z0, top
+
+
+@settings(max_examples=300, deadline=None)
+@given(_condensed_trees())
+def test_far_side_decomposition_equals_the_rebuilt_one(inst):
+    """The far side's decomposition, derived from td0's tree, has every
+    field the constructor gives it (oracles keeps that construction), with
+    and without a fresh root; where the construction fails, both fail
+    alike."""
+    from wdcolor.twcolor import _far_side_decomposition
+
+    td0, z0, top = inst
+    try:
+        want = oracles.reference_far_side_decomposition(td0, z0, top, "far side")
+    except ContractViolation as exc:
+        with pytest.raises(ContractViolation) as err:
+            _far_side_decomposition(td0, z0, top, "far side")
+        assert str(err.value) == str(exc)
+        return
+    got = _far_side_decomposition(td0, z0, top, "far side")
+    assert got.bags == want.bags
+    assert got.parent == want.parent
+    assert got.children == want.children
+    assert got.nodes == want.nodes
+    assert got.tree_edges == want.tree_edges
+    assert got.root == want.root
+    assert len(got) == len(want)
+    assert got.all_vertices() == want.all_vertices()
+    assert [got.holders_of(v) for v in range(10)] == [want.holders_of(v) for v in range(10)]
+
+
+def _fractions_built(monkeypatch, n):
+    """Fraction objects constructed while colouring a unit path of n
+    vertices."""
+    new = Fraction.__new__
+    count = [0]
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    g = unit_path(n)
+    with monkeypatch.context() as patched:
+        patched.setattr(Fraction, "__new__", staticmethod(counted))
+        res = color_bounded_treewidth(g, 1)
+    assert res.report.ok
+    return count[0]
+
+
+def test_path_coloring_builds_few_fractions(monkeypatch):
+    """A level computes no bound and no radius of its own: the bounds come
+    off the run's table, and caps, levels and weight ranges stay integers.
+    Colouring the unit path n=480 built 4,415 Fractions and n=960 8,855
+    when each level computed them; it builds 598 and 1,198 on CPython
+    3.11, about five per condensation, and one fewer on 3.12 and 3.13,
+    where arithmetic results bypass the constructor."""
+    assert color_bounded_treewidth(unit_path(480), 1).report.ok
+    small = _fractions_built(monkeypatch, 480)
+    large = _fractions_built(monkeypatch, 960)
+    assert small <= 720 and large <= 1440, (small, large)
