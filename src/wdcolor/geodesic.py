@@ -341,22 +341,13 @@ def _check_centers(
     return ball
 
 
-def _rekey_triples(
-    old: Dict[TreeEdge, GuardTriple],
-    new_td: RootedTreeDecomposition,
-    fresh: Dict[TreeEdge, GuardTriple],
-) -> Dict[TreeEdge, GuardTriple]:
-    """Carry triples over to a re-oriented copy of the same tree."""
-    by_pair = {frozenset(e): tri for e, tri in old.items()}
-    out = dict(fresh)
-    for e in new_td.tree_edges:
-        if e in out:
-            continue
-        tri = by_pair.get(frozenset(e))
-        if tri is None:
-            raise ContractViolation("rebuilt edge %s has no guard triple to inherit" % (e,))
-        out[e] = tri
-    return out
+def _inherited_triple(triples: Dict[TreeEdge, GuardTriple], e: TreeEdge) -> GuardTriple:
+    """The guard triple of tree edge e before a re-rooting, which turns the
+    edges on the path to the old root around: that of e or of e reversed."""
+    tri = triples.get(e) or triples.get((e[1], e[0]))
+    if tri is None:
+        raise ContractViolation("rebuilt edge %s has no guard triple to inherit" % (e,))
+    return tri
 
 
 def _pick_attach(
@@ -409,10 +400,9 @@ def _fresh_root(
     construction with the given removed set and edge triples."""
     td = con.td
     t1 = max(td.nodes) + 1
-    bags = dict(td.bags)
-    bags[t1] = frozenset((v,))
-    td1 = RootedTreeDecomposition(bags, list(td.tree_edges) + [(t1, t0)], t1)
-    triples1 = _rekey_triples(edge_triples, td1, {(t1, t0): GuardTriple.single(v)})
+    td1 = td.rerooted(t1, (v,), t0)
+    triples1 = {(t1, t0): GuardTriple.single(v)}
+    triples1.update((e, _inherited_triple(edge_triples, e)) for e in td1.tree_edges if e != (t1, t0))
     con1 = ControlConstruction(
         td1, removed, con.eta, con.theta, con.mu, ctx.lf, GuardTriple.single(v), triples1
     )
@@ -669,20 +659,15 @@ def _control_rec(
             raise ContractViolation("%s: far measure grew at edge %s" % (what, e))
         q = max(td.nodes) + 1
         if m_new < measure_sat[1]:
-            td_star = td.subdivide_edge(e, q, x_e).reroot(q)
+            td_star = td.rerooted(q, x_e, e)
             below = set(td.subtree_nodes(e))
-            fresh = {
-                (q, e[1]): GuardTriple(tri.free - rstar, tri.removed - wset, tri.free | tri.both),
-                (q, e[0]): GuardTriple(tri.free - rstar, tri.removed - wset, tri.free | tri.both),
-            }
-            triples_star: Dict[TreeEdge, GuardTriple] = dict(fresh)
+            split = GuardTriple(tri.free - rstar, tri.removed - wset, tri.free | tri.both)
+            triples_star: Dict[TreeEdge, GuardTriple] = {(q, e[1]): split, (q, e[0]): split}
             for ne in td_star.tree_edges:
                 if ne in triples_star:
                     continue
                 # re-rooting at q flips only edges above e, so ne[0] tells the side
-                t2 = con.edge_triples.get(ne)
-                if t2 is None:
-                    t2 = con.edge_triples[(ne[1], ne[0])]
+                t2 = _inherited_triple(con.edge_triples, ne)
                 if ne[0] in below:
                     triples_star[ne] = GuardTriple(
                         t2.free - rstar, t2.removed - wset, t2.free | t2.both

@@ -17,6 +17,13 @@ Everything a condensation reads of the graph and the decomposition lies in
 the tree region above the frontier or within a bounded radius below it.
 So the graph and decomposition may be views of a far part (see
 SubtreeIndex), and a condensation then costs what its region costs.
+
+The constructor searches and checks only trees that come from outside a
+checked tree: an elimination order, a cut to one component, tripods, a
+JSON file or a generator.  Every other tree is derived from one already
+held, with no search: `rerooted` hangs a fresh root on a node or on a
+subdivided edge, `_rebagged` swaps the bags, and a condensation keeps the
+root side.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from collections.abc import Mapping
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type, Union
 
 from wdcolor.graph import (
     GraphError,
@@ -129,29 +136,51 @@ class RootedTreeDecomposition:
         td._holders = None
         return td
 
-    def _rebagged(
-        self, bags: Dict[int, FrozenSet[int]], top: Optional[int] = None
-    ) -> "RootedTreeDecomposition":
-        """This tree with other bags, frozensets keyed by node.  Without
-        `top` it is RootedTreeDecomposition(bags, tree_edges, root), and
-        shares this tree's fields.  With `top`, a fresh node id that `bags`
-        also covers, it is RootedTreeDecomposition(bags, tree_edges +
-        [(top, root)], top): this tree under one more root."""
-        if top is None:
-            return self._derived(
-                bags, self.parent, self.children, self.nodes, self.tree_edges, self.root
-            )
-        if top in self.parent:
-            raise GraphError("node id %s already used" % (top,))
-        parent = dict(self.parent)
-        parent[self.root], parent[top] = top, None
-        children = dict(self.children)
-        children[top] = (self.root,)
+    def _rebagged(self, bags: Dict[int, FrozenSet[int]]) -> "RootedTreeDecomposition":
+        """This tree with other bags, frozensets keyed by node: what
+        RootedTreeDecomposition(bags, tree_edges, root) gives, sharing this
+        tree's fields."""
         return self._derived(
-            bags, parent, children,
-            tuple(sorted(self.nodes + (top,))),
-            tuple(sorted(self.tree_edges + ((top, self.root),))),
-            top,
+            bags, self.parent, self.children, self.nodes, self.tree_edges, self.root
+        )
+
+    def rerooted(self, top: int, bag: Iterable[int], at: Union[int, TreeEdge]) -> "RootedTreeDecomposition":
+        """This tree with one more node `top`, holding `bag`, as its root:
+        hung on `at` if `at` is a node, subdividing `at` if it is a (parent,
+        child) tree edge.  Every field is what the constructor gives for
+        this tree's bags and edges with that change, rooted at `top`; but
+        the tree is not searched or checked again, for only the nodes on
+        the path from `at` up to the old root, and a subdivided edge's
+        child, change parent."""
+        if top in self.bags:
+            raise GraphError("node id %s already used" % (top,))
+        parent, children = dict(self.parent), dict(self.children)
+        parent[top], changed = None, []
+        if isinstance(at, tuple):
+            t, below = self.check_edge(at)
+            parent[below] = top
+            changed.append(below)
+            children[top] = tuple(sorted(at))
+        elif at in self.bags:
+            t, below, children[top] = at, None, (at,)
+        else:
+            raise GraphError("unknown node %s" % (at,))
+        # each node on the path takes the one below it as its parent, and
+        # its old parent as a child
+        up = top
+        while t is not None:
+            p = self.parent[t]
+            kids = [s for s in self.children[t] if s != below]
+            children[t] = tuple(sorted(kids if p is None else kids + [p]))
+            parent[t] = up
+            changed.append(t)
+            up, below, t = t, t, p
+        old = {(self.parent[t], t) for t in changed}
+        edges = [e for e in self.tree_edges if e not in old] + [(parent[t], t) for t in changed]
+        bags = dict(self.bags)
+        bags[top] = frozenset(bag)
+        return RootedTreeDecomposition._derived(
+            bags, parent, children, tuple(sorted(self.nodes + (top,))), tuple(sorted(edges)), top
         )
 
     def __len__(self) -> int:
@@ -209,22 +238,6 @@ class RootedTreeDecomposition:
             return 0
         return max(len(self.adhesion_of(e)) for e in self.tree_edges)
 
-    def reroot(self, new_root: int) -> "RootedTreeDecomposition":
-        if new_root not in self.bags:
-            raise GraphError("unknown node %s" % (new_root,))
-        und = [(p, c) for (p, c) in self.tree_edges]
-        return RootedTreeDecomposition(dict(self.bags), und, new_root)
-
-    def subdivide_edge(self, e: TreeEdge, new_node: int, bag: Iterable[int]) -> "RootedTreeDecomposition":
-        p, c = self.check_edge(e)
-        if new_node in self.bags:
-            raise GraphError("node id %s already used" % (new_node,))
-        bags = dict(self.bags)
-        bags[new_node] = frozenset(bag)
-        edges = [(a, b) for (a, b) in self.tree_edges if (a, b) != (p, c)]
-        edges += [(p, new_node), (new_node, c)]
-        return RootedTreeDecomposition(bags, edges, self.root)
-
     def to_json_dict(self) -> dict:
         return {
             "nodes": [{"id": t, "bag": sorted(self.bags[t])} for t in self.nodes],
@@ -235,14 +248,19 @@ class RootedTreeDecomposition:
     @staticmethod
     def from_json_dict(data: dict) -> "RootedTreeDecomposition":
         try:
-            bags = {
-                json_int(nd["id"], "node id"): [json_int(v, "bag member") for v in nd["bag"]]
+            nodes = [
+                (json_int(nd["id"], "node id"), [json_int(v, "bag member") for v in nd["bag"]])
                 for nd in data["nodes"]
-            }
+            ]
             edges = [(json_int(a, "tree edge end"), json_int(b, "tree edge end")) for a, b in data["edges"]]
             root = json_int(data["root"], "root")
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError("malformed tree-decomposition JSON: %s" % (exc,))
+        bags: Dict[int, List[int]] = {}
+        for t, bag in nodes:
+            if t in bags:
+                raise GraphError("tree-decomposition node id %s appears twice" % (t,))
+            bags[t] = bag
         return RootedTreeDecomposition(bags, edges, root)
 
 

@@ -692,7 +692,7 @@ def _far_side_decomposition(
     the level below still has guard levels), one far vertex is pulled up to
     a new root `top` above td0's root, and onto every bag between them.
     The tree is td0's, plus that one root edge, so it is derived from td0
-    (RootedTreeDecomposition._rebagged), not rebuilt and checked again."""
+    (_rebagged, then rerooted), not rebuilt and checked again."""
     bags00 = {t: b - z0 for t, b in td0.bags.items()}
     if top is None:
         return td0._rebagged(bags00)
@@ -724,8 +724,7 @@ def _far_side_decomposition(
             )
         bags00[t] = frozenset({v0})
         t = td0.parent[t]
-    bags00[top] = frozenset({v0})
-    return td0._rebagged(bags00, top)
+    return td0._rebagged(bags00).rerooted(top, (v0,), td0.root)
 
 
 def _check_assembled(
@@ -813,10 +812,7 @@ def _color_split(
                 raise ContractViolation(
                     "%s: precolored vertices in a component away from the root" % what
                 )
-            bags_c = dict(td_c.bags)
-            bags_c[fresh_node] = frozenset({min(td_c.bags[td_c.root])})
-            edges_c = list(td_c.tree_edges) + [(fresh_node, td_c.root)]
-            td_c = RootedTreeDecomposition(bags_c, edges_c, fresh_node)
+            td_c = td_c.rerooted(fresh_node, (min(td_c.bags[td_c.root]),), td_c.root)
             fresh_node += 1
         items.append(
             _Level(g_c, td_c, lv.eta, z_c, c.restrict(z_c), measure, what + ": component")
@@ -910,7 +906,7 @@ def color_bounded_treewidth(
         x0 = td_c.adhesion_of(e0)
         if not x0:
             raise ContractViolation("empty shared set inside a connected component")
-        td_c = td_c.subdivide_edge(e0, fresh_node, x0).reroot(fresh_node)
+        td_c = td_c.rerooted(fresh_node, x0, e0)
         fresh_node += 1
         pieces.append(
             _color_rec(

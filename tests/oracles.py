@@ -336,6 +336,42 @@ from wdcolor.twcolor import (  # noqa: E402
 )
 
 
+def reference_reroot(td: RootedTreeDecomposition, new_root: int) -> RootedTreeDecomposition:
+    """The same tree rooted at another of its nodes, rebuilt through the
+    constructor."""
+    if new_root not in td.bags:
+        raise GraphError("unknown node %s" % (new_root,))
+    return RootedTreeDecomposition(dict(td.bags), list(td.tree_edges), new_root)
+
+
+def reference_subdivide_edge(td: RootedTreeDecomposition, e, new_node: int, bag) -> RootedTreeDecomposition:
+    """The tree edge e = (p, c) replaced by (p, new_node) and (new_node, c),
+    with new_node holding `bag`, rebuilt through the constructor."""
+    p, c = td.check_edge(e)
+    if new_node in td.bags:
+        raise GraphError("node id %s already used" % (new_node,))
+    bags = dict(td.bags)
+    bags[new_node] = frozenset(bag)
+    edges = [(a, b) for (a, b) in td.tree_edges if (a, b) != (p, c)]
+    edges += [(p, new_node), (new_node, c)]
+    return RootedTreeDecomposition(bags, edges, td.root)
+
+
+def reference_rerooted(td: RootedTreeDecomposition, top: int, bag, at) -> RootedTreeDecomposition:
+    """RootedTreeDecomposition.rerooted through the constructor: `top`
+    subdivides the tree edge `at`, or hangs on the node `at`, and is the
+    root."""
+    if isinstance(at, tuple):
+        return reference_reroot(reference_subdivide_edge(td, at, top, bag), top)
+    if top in td.bags:
+        raise GraphError("node id %s already used" % (top,))
+    if at not in td.bags:
+        raise GraphError("unknown node %s" % (at,))
+    bags = dict(td.bags)
+    bags[top] = frozenset(bag)
+    return RootedTreeDecomposition(bags, list(td.tree_edges) + [(top, at)], top)
+
+
 @dataclass
 class _Ctx:
     lf: Fraction
@@ -694,7 +730,7 @@ def reference_color_bounded_treewidth(g, ell, td=None):
             continue
         e0 = min(td_c.tree_edges)
         x0 = td_c.adhesion_of(e0)
-        td_c = td_c.subdivide_edge(e0, fresh_node, x0).reroot(fresh_node)
+        td_c = reference_reroot(reference_subdivide_edge(td_c, e0, fresh_node, x0), fresh_node)
         fresh_node += 1
         pieces.append(
             _color_rec(

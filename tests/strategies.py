@@ -39,6 +39,21 @@ def weighted_graphs(draw, max_n: int = 12, max_extra_edges: int = 14, connected:
     return WeightedGraph(range(n), edges)
 
 
+@st.composite
+def rooted_trees(draw, max_nodes: int = 12, max_vertices: int = 10):
+    """A RootedTreeDecomposition over random node ids, with random bags of
+    small vertex ids and a random root, so that tree edges point either way
+    from the order in which they were drawn."""
+    from wdcolor.treedec import RootedTreeDecomposition
+
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    edges = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
+    vertices = range(draw(st.integers(min_value=1, max_value=max_vertices)))
+    bags = {t: draw(st.frozensets(st.sampled_from(vertices), max_size=4)) for t in ids}
+    return RootedTreeDecomposition(bags, edges, draw(st.sampled_from(ids)))
+
+
 def random_connected_graph(
     rng: random.Random,
     n: int,

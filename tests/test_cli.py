@@ -650,6 +650,57 @@ def test_run_tw_rejects_a_fractional_bag_member(tmp_path, capsys):
     assert "bag member must be a JSON integer" in error["message"]
 
 
+def test_run_tw_rejects_a_repeated_node_id(tmp_path, capsys):
+    """Two nodes with one id are a parse error naming the id, not a tree
+    that silently keeps the last of them."""
+    graph = tmp_path / "edge.txt"
+    graph.write_text("0 1 1\n")
+    td = tmp_path / "td.json"
+    td.write_text(json.dumps({
+        "nodes": [{"id": 0, "bag": [0]}, {"id": 0, "bag": [0, 1]}],
+        "edges": [],
+        "root": 0,
+    }))
+    code, out, err = _main(
+        capsys, ["run", "tw", "--graph", str(graph), "--ell", "1", "--td", str(td)]
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "parse-error"
+    assert "node id 0 appears twice" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "family, run, built",
+    [
+        (["path", "--n", "480"], ["tw"], 2),
+        (["grid", "--rows", "30", "--cols", "30"], ["planar", "--rotation", "{}.rotation.json"], 17),
+        (["grid", "--rows", "12", "--cols", "12"], ["layered", "--eps0", "1", "--layers", "{}.layers.json"], 20),
+    ],
+)
+def test_a_run_builds_few_decompositions_through_the_constructor(tmp_path, capsys, monkeypatch, family, run, built):
+    """A count: the constructor builds only the trees that come from
+    outside a checked tree (an elimination order, a cut, tripods), and each
+    re-rooted tree is derived from the one it re-roots.  Building each
+    re-rooting through the constructor gives 4, 27 and 30."""
+    from wdcolor.treedec import RootedTreeDecomposition
+
+    g = _gen(capsys, tmp_path, "g", family)
+    init = RootedTreeDecomposition.__init__
+    calls = []
+
+    def counted(self, bags, edges, root):
+        calls.append(root)
+        init(self, bags, edges, root)
+
+    monkeypatch.setattr(RootedTreeDecomposition, "__init__", counted)
+    argv = ["run", run[0], "--graph", g + ".txt", "--ell", "1"] + [a.format(g) for a in run[1:]]
+    code, out, _ = _main(capsys, argv)
+    assert code == 0 and json.loads(out)["ok"]
+    assert len(calls) == built
+
+
 def _grid4_with(capsys, tmp_path, suffix, mutate):
     """The generated 4x4 grid, and its certificate file `suffix` rewritten
     by `mutate`."""

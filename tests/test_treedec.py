@@ -28,7 +28,7 @@ from wdcolor.treedec import (
 )
 
 import oracles
-from strategies import random_td_instance
+from strategies import random_td_instance, rooted_trees
 
 
 def unit_path(n):
@@ -138,20 +138,60 @@ def test_subtree_and_bag_union():
 
 def test_reroot_preserves_bags_and_edges():
     td = path_td(5)
-    rerooted = td.reroot(3)
-    assert rerooted.root == 3
-    assert rerooted.bags == td.bags
-    assert set(map(frozenset, rerooted.tree_edges)) == set(map(frozenset, td.tree_edges))
-    assert rerooted.parent[2] == 3
+    rerooted = td.rerooted(9, {3, 4}, 3)
+    assert rerooted.root == 9 and rerooted.children[9] == (3,)
+    assert {t: b for t, b in rerooted.bags.items() if t != 9} == td.bags
+    assert set(map(frozenset, rerooted.tree_edges)) == set(map(frozenset, td.tree_edges)) | {frozenset({9, 3})}
+    assert rerooted.parent[2] == 3 and rerooted.parent[3] == 9
+    with pytest.raises(GraphError, match="unknown node 7"):
+        td.rerooted(9, {3}, 7)
 
 
 def test_subdivide_edge():
     td = path_td(4)
-    sub = td.subdivide_edge((1, 2), 9, {2, 3})
+    sub = td.rerooted(9, {2, 3}, (1, 2))
     assert sub.bags[9] == frozenset({2, 3})
-    assert sub.parent[9] == 1 and sub.parent[2] == 9
-    with pytest.raises(GraphError):
-        td.subdivide_edge((1, 2), 0, {2})  # id already used
+    assert sub.root == 9 and sub.children[9] == (1, 2)
+    assert sub.parent[1] == 9 and sub.parent[2] == 9 and sub.parent[0] == 1
+    with pytest.raises(GraphError, match="already used"):
+        td.rerooted(0, {2}, (1, 2))
+    with pytest.raises(GraphError, match="not a .parent, child. tree edge"):
+        td.rerooted(9, {2}, (2, 1))
+
+
+def _tree_fields(td):
+    return td.bags, td.parent, td.children, td.nodes, td.tree_edges, td.root
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_trees(), st.frozensets(st.integers(0, 9), max_size=4), st.integers(1, 3))
+def test_rerooted_equals_the_rebuilt_tree(td, bag, gap):
+    """At every node and every tree edge, rerooted has every field the
+    constructor gives the tree with the fresh root added, with its bags in
+    the same order, leaves the tree it was derived from as it was, and can
+    be rerooted again; a used id, an unknown node and a pair that is no
+    (parent, child) tree edge are refused."""
+    before = [dict(f) if isinstance(f, dict) else f for f in _tree_fields(td)]
+    top = max(td.nodes) + gap
+    for at in td.nodes + td.tree_edges:
+        got = td.rerooted(top, bag, at)
+        want = oracles.reference_rerooted(td, top, bag, at)
+        assert _tree_fields(got) == _tree_fields(want)
+        assert list(got.bags) == list(want.bags) and list(got.children) == list(want.children)
+        again = got.rerooted(top + 1, bag, got.tree_edges[-1])
+        assert _tree_fields(again) == _tree_fields(
+            oracles.reference_rerooted(want, top + 1, bag, want.tree_edges[-1])
+        )
+    assert list(_tree_fields(td)) == before
+    with pytest.raises(GraphError, match="already used"):
+        td.rerooted(td.root, bag, td.root)
+    with pytest.raises(GraphError, match="unknown node"):
+        td.rerooted(top, bag, top + 1)
+    for (p, c) in td.tree_edges:
+        with pytest.raises(GraphError, match="tree edge"):
+            td.rerooted(top, bag, (c, p))
+    with pytest.raises(GraphError, match="tree edge"):
+        td.rerooted(top, bag, (td.root, td.root))
 
 
 def test_ball_region_and_its_frontier():

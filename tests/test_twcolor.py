@@ -24,7 +24,7 @@ from wdcolor.twcolor import (
 )
 
 import oracles
-from strategies import random_connected_graph, weighted_graphs
+from strategies import random_connected_graph, rooted_trees, weighted_graphs
 
 
 def unit_path(n):
@@ -1004,14 +1004,9 @@ def test_run_table_equals_the_bound_functions(theta, ell):
 def _condensed_trees(draw):
     """A rooted decomposition over random node ids, a ball z0 and, half the
     time, a fresh root id above every node."""
-    n = draw(st.integers(min_value=1, max_value=12))
-    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
-    edges = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
-    vertices = range(draw(st.integers(min_value=1, max_value=10)))
-    bags = {t: draw(st.frozensets(st.sampled_from(vertices), max_size=4)) for t in ids}
-    td0 = RootedTreeDecomposition(bags, edges, draw(st.sampled_from(ids)))
-    z0 = draw(st.frozensets(st.sampled_from(vertices)))
-    top = draw(st.none() | st.integers(max(ids) + 1, max(ids) + 5))
+    td0 = draw(rooted_trees())
+    z0 = draw(st.frozensets(st.integers(0, 9)))
+    top = draw(st.none() | st.integers(max(td0.nodes) + 1, max(td0.nodes) + 5))
     return td0, z0, top
 
 
