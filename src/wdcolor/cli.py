@@ -386,7 +386,9 @@ def cmd_dilation(args: argparse.Namespace) -> int:
     if not args.graph:
         raise CliError("invalid-input", "dilation needs --graph FILE")
     g = _load_graph(args.graph)
-    scales = [_parse_scale(s, "scales") for s in (args.scales.split(",") if args.scales else DEFAULT_SCALES)]
+    # a given --scales, the empty one included, is a list to parse
+    texts = DEFAULT_SCALES if args.scales is None else args.scales.split(",")
+    scales = [_parse_scale(s, "scales") for s in texts]
 
     def pipeline(gg: WeightedGraph, sf: Fraction):
         return color_bounded_treewidth(_scale_weights(gg, sf), sf).report

@@ -45,7 +45,6 @@ from .graph import (
     GraphError,
     WeightedGraph,
     as_fraction,
-    ceil_frac,
     frac_str,
     neighborhood,
     power_graph,
@@ -739,8 +738,6 @@ def color_control_construction(
     z: Iterable[int] = (),
     precoloring: Optional[Coloring] = None,
     deep_verify: bool = False,
-    exact_check: bool = True,
-    what: str = "control coloring",
 ) -> ColorResult:
     """Extend a coloring of the guarded zone to all of V - removed.
 
@@ -757,7 +754,7 @@ def color_control_construction(
         raise GraphError("scale %s does not match the construction's %s" % (frac_str(lf), frac_str(con.ell)))
     con.validate(g, full=True)
     centers = {t: tuple(sorted(set(cs))) for t, cs in bag_centers.items()}
-    _check_centers(g, con.td, centers, con.theta, 3 * lf + con.mu, True, what)
+    _check_centers(g, con.td, centers, con.theta, 3 * lf + con.mu, True, "control coloring")
     zf = frozenset(z)
     unknown = zf - g.vertex_set()
     if unknown:
@@ -772,7 +769,7 @@ def color_control_construction(
         raise GraphError("precoloring uses more than 2 colors")
     zset = zf - con.removed
     c0 = Coloring({v: precoloring.assignment[v] for v in zset}, 2)
-    return _run_engine(g, lf, con, zset, c0, centers, deep_verify, exact_check, what)
+    return _run_engine(g, lf, con, zset, c0, centers, deep_verify, True, "control coloring")
 
 
 def _run_engine(
@@ -812,7 +809,6 @@ def color_centered_bags(
     centers: Dict[int, Iterable[int]],
     radius: object,
     removed: Iterable[int] = (),
-    deep_verify: bool = False,
     exact_check: bool = True,
     what: str = "centered bags",
 ) -> ColorResult:
@@ -853,7 +849,7 @@ def color_centered_bags(
     )
     con.validate(g, full=True)
     return _run_engine(
-        g, lf, con, frozenset(), Coloring.empty(2), cmap, deep_verify, exact_check, what
+        g, lf, con, frozenset(), Coloring.empty(2), cmap, False, exact_check, what
     )
 
 
@@ -1011,21 +1007,32 @@ def _check_simple(g: WeightedGraph) -> None:
         seen.add(key)
 
 
+def _check_rotation(g: WeightedGraph, rotation: Dict[int, Sequence[int]]) -> None:
+    """Every vertex the rotation system names is g's, and its order lists
+    its neighbours in g exactly once.  A vertex it misses is not checked."""
+    vset = g.vertex_set()
+    alien = set(rotation) - vset
+    if alien:
+        raise GraphError("rotation names unknown vertices %s" % sorted(alien)[:5])
+    for v in sorted(rotation):
+        order = rotation[v]
+        # a view shares its base's adjacency, so its neighbours are filtered
+        around = sorted(n for (n, _) in g._sadj[v] if n in vset)
+        if sorted(order) != around or len(set(order)) != len(order):
+            raise GraphError("rotation at %s does not list its neighbors exactly once" % v)
+
+
 def _trace_faces(
     g: WeightedGraph, rotation: Dict[int, Sequence[int]]
 ) -> List[Tuple[int, ...]]:
     """Face walks of the rotation system; checks the Euler count and that
     every face walk is a simple cycle."""
-    vset = g.vertex_set()
-    if set(rotation) != vset:
+    if set(rotation) != g.vertex_set():
         raise GraphError("rotation system must cover the vertices exactly")
+    _check_rotation(g, rotation)
     succ: Dict[Tuple[int, int], int] = {}
     for v in g.vertices:
         order = tuple(rotation[v])
-        # a view shares its base's adjacency, so its neighbours are filtered
-        around = sorted(n for (n, _) in g._sadj[v] if n in vset)
-        if sorted(order) != around or len(set(order)) != len(order):
-            raise GraphError("rotation at %s does not list its neighbors exactly once" % v)
         k = len(order)
         for i, u in enumerate(order):
             succ[(v, u)] = order[(i + 1) % k]
@@ -1437,7 +1444,7 @@ def combine_slab_colorings(
                     "%s: a monochromatic component leaves its padded slab" % what
                 )
     worst = max((sc.bound for sc in slab_colorings), default=Fraction(0))
-    bound = worst + 2 * ceil_frac(system.pad / lf)
+    bound = worst + 2 * math.ceil(system.pad / lf)
     return combined, bound
 
 
@@ -1537,15 +1544,16 @@ def color_planar(
     ell: object,
     rotation: Optional[Dict[int, Sequence[int]]],
     slab_width_factor: object = 8,
-    deep_verify: bool = False,
-    what: str = "planar coloring",
 ) -> SlabColorResult:
     """Four-color an embedded planar graph so every monochromatic component
     of the scale-ell power graph has bounded weak diameter.
 
     Per connected component: a geodesic tree from the smallest vertex, whose
     root distances are the slab projection, and a tripod decomposition over
-    the rotation system, contracted and verified as a certificate.  Each
+    the rotation system, contracted and verified as a certificate.  The
+    rotation system is checked once, for the whole graph: it names only
+    vertices of g, each with its neighbours in some order; a vertex it
+    misses is an error only in a component with a cycle.  Each
     padded window piece is colored by the guarded-bags engine over the
     certificate restricted to it: `_restrict_tripods` cuts every certified
     path to the window and to the piece in one pass and contracts the
@@ -1554,6 +1562,8 @@ def color_planar(
     lf = as_fraction(ell)
     _check_simple(g)
     require_light_edges(g, lf)
+    if rotation is not None:
+        _check_rotation(g, rotation)
 
     def prepare(gc: WeightedGraph):
         tree = bfs_geodesic_tree(gc, gc.vertices[0])
@@ -1563,14 +1573,13 @@ def color_planar(
         def color_piece(system: SlabSystem, slab: Slab, gk: WeightedGraph) -> ColorResult:
             tdk, centersk = _restrict_tripods(cert, slab.window, gk.vertex_set())
             return color_centered_bags(
-                gk, lf, tdk, centersk, system.width + 2 * system.pad,
-                deep_verify=deep_verify, exact_check=False,
-                what="%s: slab %s%d" % (what, slab.family, slab.index),
+                gk, lf, tdk, centersk, system.width + 2 * system.pad, exact_check=False,
+                what="planar coloring: slab %s%d" % (slab.family, slab.index),
             )
 
         return dict(tree.dist), color_piece
 
-    return _color_slabs(g, lf, slab_width_factor, what, prepare)
+    return _color_slabs(g, lf, slab_width_factor, "planar coloring", prepare)
 
 
 def color_layered(
@@ -1579,8 +1588,6 @@ def color_layered(
     layering: Sequence[Iterable[int]],
     eps0: object,
     slab_width_factor: object = 8,
-    deep_verify: bool = False,
-    what: str = "layered coloring",
 ) -> SlabColorResult:
     """Four-color a layered graph: slabs over the layering projection, and
     the bounded-treewidth colorer on each padded window piece.  Weights must
@@ -1594,9 +1601,9 @@ def color_layered(
     projection = layering_projection(g, layering, ef)
 
     def color_piece(system: SlabSystem, slab: Slab, gk: WeightedGraph) -> ColorResult:
-        return color_bounded_treewidth(gk, lf, deep_verify=deep_verify, exact_check=False)
+        return color_bounded_treewidth(gk, lf, exact_check=False)
 
     def prepare(gc: WeightedGraph):
         return {v: projection[v] for v in gc.vertices}, color_piece
 
-    return _color_slabs(g, lf, slab_width_factor, what, prepare)
+    return _color_slabs(g, lf, slab_width_factor, "layered coloring", prepare)

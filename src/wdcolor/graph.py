@@ -25,9 +25,10 @@ inside S costs what it reaches, not what g holds.  S only needs a fast
 membership test and a size, and the view's weight range and largest
 vertex id come from its maker.
 
-Three searches answer three questions, all on the same integer search,
-which runs by levels (a BFS) when every edge weighs the same and as a heap
-Dijkstra otherwise, with the same result (see `WeightedGraph._search`):
+Three searches answer three questions, all on the same integer search
+(`WeightedGraph._search`).  It runs by levels (`_level_search`, a BFS) when
+every edge weighs the same and as a heap Dijkstra (`_heap_search`)
+otherwise, with the same result:
 - exact distances: `WeightedGraph.distances_from`, one Fraction per
   reached vertex, only where a caller reads the values;
 - membership within a radius ("is every vertex of S within r of C?"):
@@ -38,6 +39,9 @@ Dijkstra otherwise, with the same result (see `WeightedGraph._search`):
   check has from the hops, passes it as the starting bound of
   `set_diameter`, with a first source; where the bound is met, one search
   ends the run.
+`_heap_search` reads a bare integer adjacency, so a check that holds one
+without a graph (a hierarchy's forest, see `treedec.Hierarchy.verify`)
+searches it with the same loop.
 
 The scale-ell power graph is measured in a metric host: g itself when no
 edge of g is heavier than ell (the subdivision would only double each
@@ -90,15 +94,6 @@ def frac_str(x: object) -> str:
     return num if f.denominator == 1 else "%s/%s" % (num, decimal.Decimal(f.denominator))
 
 
-def ceil_frac(x: Fraction) -> int:
-    """Exact ceiling of a rational."""
-    return math.ceil(x)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 def _scaled_cap(radius: object, scale: int) -> int:
     """floor(radius * scale) for a nonnegative rational radius, from its
     numerator and denominator: one integer division, no Fraction built.
@@ -114,7 +109,7 @@ def _weight_scale(edges: Iterable[Tuple[int, int, Fraction]]) -> int:
     weight object once."""
     scale = 1
     for w in {id(w): w for (_, _, w) in edges}.values():
-        scale = _lcm(scale, w.denominator)
+        scale = math.lcm(scale, w.denominator)
     return scale
 
 
@@ -344,48 +339,16 @@ class WeightedGraph:
         Two loops give that result, and the graph's weights alone pick one:
         when every edge weighs the same, or there is no edge (`_step`; for
         a view, its edges), `_level_search`, a BFS one level at a time;
-        otherwise the binary-heap Dijkstra below.  With one weight the two
-        agree exactly.  No distance improves once set, and the heap pops
-        every vertex k steps out, all at one distance, after every vertex
-        k-1 steps out and in vertex-id order.  So settling each level in id
-        order reaches, caps and stops at the same vertices in the same
+        otherwise `_heap_search`, a binary-heap Dijkstra.  With one weight
+        the two agree exactly.  No distance improves once set, and the heap
+        pops every vertex k steps out, all at one distance, after every
+        vertex k-1 steps out and in vertex-id order.  So settling each level
+        in id order reaches, caps and stops at the same vertices in the same
         order, and gives the same dict."""
         step = self._step
         if step is not None:
             return _level_search(self._sadj, srcs, cap, within, targets, step)
-        sadj = self._sadj
-        dist: Dict[int, int] = {}
-        remaining = set(targets) if targets is not None else None
-        heap: List[Tuple[int, int]] = []
-        for s in srcs:
-            if within is not None and s not in within:
-                continue
-            if s not in dist:
-                dist[s] = 0
-                heapq.heappush(heap, (0, s))
-        while heap:
-            d, v = heapq.heappop(heap)
-            if dist[v] != d:
-                continue
-            if remaining is not None:
-                remaining.discard(v)
-                if not remaining:
-                    break
-            for (n, w) in sadj[v]:
-                if within is not None and n not in within:
-                    continue
-                nd = d + w
-                if cap is not None and nd > cap:
-                    continue
-                if n not in dist or nd < dist[n]:
-                    dist[n] = nd
-                    heapq.heappush(heap, (nd, n))
-        # each heap entry still holding its vertex's distance is a vertex
-        # reached but not settled (only after an early stop)
-        for (d, v) in heap:
-            if dist.get(v) == d:
-                del dist[v]
-        return dist
+        return _heap_search(self._sadj, srcs, cap, within, targets)
 
     def shortest_distance(self, u: int, v: int) -> ExtendedDistance:
         """Exact shortest-path distance; INF if u, v are disconnected."""
@@ -409,6 +372,51 @@ class WeightedGraph:
 
     def is_connected(self) -> bool:
         return len(self) <= 1 or len(self.connected_components()) == 1
+
+
+def _heap_search(
+    sadj: Dict[int, List[Tuple[int, int]]],
+    srcs: Sequence[int],
+    cap: Optional[int],
+    within: Optional[AbstractSet],
+    targets: Optional[Set[int]],
+) -> Dict[int, int]:
+    """WeightedGraph._search by a binary-heap Dijkstra over an integer
+    adjacency: the settled vertices in the order they were reached, each
+    within `cap` (None: no cap) and inside `within` (None: anywhere),
+    stopping once every vertex of `targets` is settled."""
+    dist: Dict[int, int] = {}
+    remaining = set(targets) if targets is not None else None
+    heap: List[Tuple[int, int]] = []
+    for s in srcs:
+        if within is not None and s not in within:
+            continue
+        if s not in dist:
+            dist[s] = 0
+            heapq.heappush(heap, (0, s))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if dist[v] != d:
+            continue
+        if remaining is not None:
+            remaining.discard(v)
+            if not remaining:
+                break
+        for (n, w) in sadj[v]:
+            if within is not None and n not in within:
+                continue
+            nd = d + w
+            if cap is not None and nd > cap:
+                continue
+            if n not in dist or nd < dist[n]:
+                dist[n] = nd
+                heapq.heappush(heap, (nd, n))
+    # each heap entry still holding its vertex's distance is a vertex
+    # reached but not settled (only after an early stop)
+    for (d, v) in heap:
+        if dist.get(v) == d:
+            del dist[v]
+    return dist
 
 
 def _level_search(
@@ -907,7 +915,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
             raise GraphError("edge list line %d: %s" % (lineno, exc)) from exc
     scale = 1
     for w in weights.values():
-        scale = _lcm(scale, w.denominator)
+        scale = math.lcm(scale, w.denominator)
     g = WeightedGraph.__new__(WeightedGraph)
     g._fill(verts, tuple(edges), scale)
     return g

@@ -13,6 +13,7 @@ built in one graph; the merges accept it for that graph object only.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
@@ -21,7 +22,6 @@ from wdcolor.graph import (
     GraphError,
     WeightedGraph,
     as_fraction,
-    ceil_frac,
     neighborhood,
     require_light_edges,
 )
@@ -57,10 +57,10 @@ def patch_bound(k: int, r: object, ell: object, n: object) -> Fraction:
         raise GraphError("ell and N must be positive")
     if rf < 0:
         raise GraphError("radius r must be nonnegative")
-    step = 2 * ceil_frac(2 * (lf + rf) / lf)
+    step = 2 * math.ceil(2 * (lf + rf) / lf)
     y = nf
     for _ in range(k):
-        y = ceil_frac(Fraction(4) / lf * (lf + rf + lf * y)) + y
+        y = math.ceil(Fraction(4) / lf * (lf + rf + lf * y)) + y
     return 2 ** k * y + step * (2 ** k - 1)
 
 

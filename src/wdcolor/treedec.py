@@ -13,6 +13,16 @@ integer distances, keeps each level where two parts merge as a layer of
 the forest, and checks the partitions and the forest together.  The lift
 reads a vertex's part off the forest's layer.
 
+A forest is numbered once, in the condensed graph's ids, and has no other
+numbering: a level-0 part is its ground vertex, and the upper parts take
+the free ids from the first one `condense` passes, in (level, part) order,
+each level's parts sorted by their smallest member.  So `condense` adds
+the forest's edges to the condensed graph as they are, the condensed
+decomposition's leaf holds the forest's ids, and the lift reads a part's
+id off `Hierarchy.ids`.  These ids sort in (level, smallest member) order,
+so the forest's check searches its id adjacency directly, with the graph's
+own heap loop (`graph._heap_search`).
+
 Everything a condensation reads of the graph and the decomposition lies in
 the tree region above the frontier or within a bounded radius below it.
 So the graph and decomposition may be views of a far part (see
@@ -29,8 +39,8 @@ root side.
 from __future__ import annotations
 
 import functools
-import heapq
 import json
+import math
 from collections.abc import Mapping
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
@@ -39,7 +49,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from wdcolor.graph import (
     GraphError,
-    _lcm,
+    _heap_search,
     _weight_scale,
     SubgraphView,
     WeightedGraph,
@@ -578,30 +588,25 @@ class _DSU:
             self.up[max(ra, rb)] = min(ra, rb)
 
 
-HVertex = Tuple[int, FrozenSet[int]]  # (level, part)
-
-
 @dataclass(frozen=True)
 class Hierarchy:
     """Layered forest over the partitions of a ground set (an adhesion) at
     levels 0 and 1 and at each level where two parts merge.  Level-0
     vertices (the base B) are the singletons of the ground set; each part
-    links to its parent at the next recorded level."""
+    links to its parent at the next recorded level.  Each level's parts
+    have vertex ids, aligned with `parts`, and the edges join ids: a
+    level-0 part's id is its ground vertex, and the upper parts count up
+    from a first free id in (level, part) order."""
 
     ground: Tuple[int, ...]
     levels: Tuple[int, ...]
     parts: Dict[int, Tuple[FrozenSet[int], ...]]
-    edges: Tuple[Tuple[HVertex, HVertex, Fraction], ...]
+    ids: Dict[int, Tuple[int, ...]]
+    edges: Tuple[Tuple[int, int, Fraction], ...]
     ell: Fraction
     eps: Fraction
     theta: int
     mu: Fraction
-
-    def vertices(self) -> List[HVertex]:
-        return [(i, y) for i in self.levels for y in self.parts[i]]
-
-    def base(self) -> List[HVertex]:
-        return [(0, y) for y in self.parts[0]]
 
     def verify(self) -> None:
         """Check the partitions, then the forest.  The recorded levels hold
@@ -614,15 +619,14 @@ class Hierarchy:
         the whole component within ell; and there are at most |B|**2
         non-base vertices.  Distances are exact integers in units of
         1/scale, scale the least common denominator of the weights and
-        ell/2.  Vertices are numbered in (level, smallest member) order,
-        components come in the order of their smallest ids and each is read
-        in id order, so a failure names the distance that the same searches
-        on the forest as a WeightedGraph over those ids would."""
+        ell/2.  Components come in the order of their smallest ids and each
+        is read in id order, so a failure names the distance that the same
+        searches on the forest as a WeightedGraph over its ids would."""
         self._verify_partitions()
         # ell/2 = ell.numerator / half_den, not reduced: any common multiple
         # of the denominators serves as the scale
         half_den = 2 * self.ell.denominator
-        scale = _lcm(half_den, _weight_scale(self.edges))
+        scale = math.lcm(half_den, _weight_scale(self.edges))
         half_s = self.ell.numerator * (scale // half_den)
         scaled = {id(w): w.numerator * (scale // w.denominator) for (_, _, w) in self.edges}
         for (_, _, w) in self.edges:
@@ -630,22 +634,21 @@ class Hierarchy:
                 raise ContractViolation("hierarchy edge weight %s outside (0, %s]" % (w, self.ell / 2))
         if not self.ground:
             return
-        vs = self.vertices()
-        ids = {v: i for i, v in enumerate(sorted(vs, key=lambda v: (v[0], min(v[1]) if v[1] else -1)))}
-        adj: Dict[int, List[Tuple[int, int]]] = {i: [] for i in ids.values()}
-        for (a, b, s) in [(ids[a], ids[b], scaled[id(w)]) for (a, b, w) in self.edges]:
+        adj: Dict[int, List[Tuple[int, int]]] = {v: [] for i in self.levels for v in self.ids[i]}
+        for (a, b, w) in self.edges:
             if a == b:
                 raise GraphError("self-loop at vertex %s" % (a,))
+            s = scaled[id(w)]
             adj[a].append((b, s))
             adj[b].append((a, s))
-        if len(_forest_distances(adj, [ids[v] for v in self.base()], half_s)) != len(adj):
+        if len(_heap_search(adj, self.ids[0], half_s, None, None)) != len(adj):
             raise ContractViolation("hierarchy vertex farther than %s from the base" % (self.ell / 2,))
         ell_s = 2 * half_s
         seen: Set[int] = set()
         for src in sorted(adj):
             if src in seen:
                 continue
-            dist = _forest_distances(adj, [src], None)
+            dist = _heap_search(adj, (src,), None, None, None)
             seen.update(dist)
             for v in sorted(dist):
                 if dist[v] > ell_s:
@@ -680,28 +683,6 @@ class Hierarchy:
                     raise ContractViolation("level %s does not refine level %s" % (a, b))
 
 
-def _forest_distances(
-    adj: Dict[int, List[Tuple[int, int]]], sources: Iterable[int], cap: Optional[int]
-) -> Dict[int, int]:
-    """Distances from `sources` over a small adjacency with integer weights,
-    up to `cap` (None: no cap), by a heap Dijkstra."""
-    dist = dict.fromkeys(sources, 0)
-    heap = [(0, s) for s in dist]
-    heapq.heapify(heap)
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d != dist[v]:
-            continue
-        for (n, w) in adj[v]:
-            nd = d + w
-            if cap is not None and nd > cap:
-                continue
-            if n not in dist or nd < dist[n]:
-                dist[n] = nd
-                heapq.heappush(heap, (nd, n))
-    return dist
-
-
 def adhesion_hierarchy(
     g: WeightedGraph,
     td: RootedTreeDecomposition,
@@ -711,8 +692,10 @@ def adhesion_hierarchy(
     ell: object,
     theta: int,
     mu: object,
+    next_id: int,
 ) -> Hierarchy:
-    """The checked layered forest of the adhesion X_e below e.
+    """The checked layered forest of the adhesion X_e below e, its upper
+    parts numbered from the free vertex id `next_id` on.
 
     Its level-i partition of X_e puts two members together when a path
     inside the subtree part joins them using only vertices within i*eps of
@@ -740,6 +723,8 @@ def adhesion_hierarchy(
         raise GraphError("need theta >= 1 and mu >= 0")
     if max_level < 1:
         raise GraphError("hierarchy needs a chain reaching level 1")
+    if next_id <= g.max_vertex():
+        raise GraphError("hierarchy id %s is a vertex id of the graph" % (next_id,))
     ground = tuple(sorted(td.adhesion_of(e)))
     parts: Dict[int, Tuple[FrozenSet[int], ...]] = {0: tuple(frozenset([x]) for x in ground)}
     if len(ground) > 1:
@@ -772,28 +757,29 @@ def adhesion_hierarchy(
     unit = Fraction(
         ef.numerator * lm, 8 * ef.denominator * (theta * lm + mf.numerator * lf.denominator)
     )
-    edges: List[Tuple[HVertex, HVertex, Fraction]] = []
+    ids: Dict[int, Tuple[int, ...]] = {0: ground}
+    for i in levels[1:]:
+        ids[i] = tuple(range(next_id, next_id + len(parts[i])))
+        next_id += len(parts[i])
+    edges: List[Tuple[int, int, Fraction]] = []
     for i, j in zip(levels, levels[1:]):
-        parent_of = {x: yj for yj in parts[j] for x in yj}
+        id_of = {x: yid for yj, yid in zip(parts[j], ids[j]) for x in yj}
         w = unit if j - i == 1 else (j - i) * unit
-        for yi in parts[i]:
-            edges.append(((i, yi), (j, parent_of[min(yi)]), w))
-    h = Hierarchy(ground, levels, parts, tuple(edges), lf, ef, theta, mf)
+        for yi, yid in zip(parts[i], ids[i]):
+            edges.append((yid, id_of[min(yi)], w))
+    h = Hierarchy(ground, levels, parts, ids, tuple(edges), lf, ef, theta, mf)
     h.verify()
     return h
 
 
 @dataclass(frozen=True)
 class HierarchyAttachment:
-    adhesion: FrozenSet[int]
     part_vertices: FrozenSet[int]
     hierarchy: Hierarchy
-    vertex_ids: Dict[HVertex, int]  # level-0 parts map to original vertex ids
 
 
 @dataclass(frozen=True)
 class ShortcutAttachment:
-    adhesion: FrozenSet[int]
     part_vertices: FrozenSet[int]
     reach: FrozenSet[int]  # ball of radius ell around X_e inside the part
     shortcuts: Tuple[Tuple[int, int, Fraction], ...]
@@ -898,29 +884,18 @@ def condense(
                     shortcuts.append((u, v, per_unit * s))
         shortcuts.sort()
         extra_edges.extend(shortcuts)
-        shortcut_parts[e] = ShortcutAttachment(x_e, part, reach, tuple(shortcuts))
+        shortcut_parts[e] = ShortcutAttachment(part, reach, tuple(shortcuts))
 
     hierarchies: Dict[TreeEdge, HierarchyAttachment] = {}
+    vertices = set(base)
     next_id = g.max_vertex() + 1
     for e in prime:
-        x_e = adhesions[e]
-        part = td.subtree_vertices(e)
-        hier = adhesion_hierarchy(g, td, e, eps, max_level, lf, theta, mf)
-        ids: Dict[HVertex, int] = {}
-        for i in hier.levels:
-            for y in hier.parts[i]:
-                if i == 0:
-                    ids[(0, y)] = min(y)
-                else:
-                    ids[(i, y)] = next_id
-                    next_id += 1
-        for (a, b, w) in hier.edges:
-            extra_edges.append((ids[a], ids[b], w))
-        hierarchies[e] = HierarchyAttachment(x_e, part, hier, ids)
+        hier = adhesion_hierarchy(g, td, e, eps, max_level, lf, theta, mf, next_id)
+        extra_edges.extend(hier.edges)
+        next_id += sum(len(hier.ids[i]) for i in hier.levels[1:])
+        vertices.update(*hier.ids.values())
+        hierarchies[e] = HierarchyAttachment(td.subtree_vertices(e), hier)
 
-    vertices = set(base)
-    for att in hierarchies.values():
-        vertices.update(att.vertex_ids.values())
     g0 = g._induced_plus(base, vertices, extra_edges)
     if not g0._no_heavier_than(lf):
         raise ContractViolation("condensed graph carries weight %s > ell" % (g0.max_edge_weight(),))
@@ -954,7 +929,7 @@ def _condensed_decomposition(
     for e in frontier:
         p, c = e
         if e in hierarchies:
-            bags0[c] = frozenset(hierarchies[e].vertex_ids.values())
+            bags0[c] = frozenset().union(*hierarchies[e].hierarchy.ids.values())
         else:
             bags0[c] = shortcut_parts[e].reach
         parent0[c] = p
@@ -1100,14 +1075,14 @@ def _hierarchy_color_vertex(
         key=lambda x: (per_source[x][v], x),
     )
     parts = att.hierarchy.parts[j_v]
-    y_v = next(y for y in parts if nearest in y)
+    k_v = next(k for k, y in enumerate(parts) if nearest in y)
     # dy <= p_v * eps, in units of 1/scale
     reach = p_v * num
-    for y in parts:
+    for k, y in enumerate(parts):
         dy = min((per_source[x][v] for x in y if v in per_source[x]), default=None)
-        if y == y_v:
+        if k == k_v:
             if dy is None or dy * den > reach:
                 raise ContractViolation("nearest part of %s is out of reach" % (v,))
         elif dy is not None and dy * den <= reach:
             raise ContractViolation("vertex %s reaches two level-%d parts" % (v, j_v))
-    return att.vertex_ids[(j_v, y_v)]
+    return att.hierarchy.ids[j_v][k_v]

@@ -1172,13 +1172,9 @@ def reference_set_diameter(members, search, bound=INF, first=None):
 # decompositions.
 
 
-def reference_hierarchy_graph(h) -> Tuple[WeightedGraph, Dict[object, int]]:
-    """The forest as a WeightedGraph, vertices numbered in (level, smallest
-    member) order, and that numbering."""
-    vs = h.vertices()
-    ids = {v: i for i, v in enumerate(sorted(vs, key=lambda v: (v[0], min(v[1]) if v[1] else -1)))}
-    edges = [(ids[a], ids[b], w) for (a, b, w) in h.edges]
-    return WeightedGraph(ids.values(), edges), ids
+def reference_hierarchy_graph(h) -> WeightedGraph:
+    """The forest as a WeightedGraph over its ids."""
+    return WeightedGraph([v for i in h.levels for v in h.ids[i]], h.edges)
 
 
 def reference_hierarchy_verify(h) -> None:
@@ -1191,9 +1187,9 @@ def reference_hierarchy_verify(h) -> None:
             raise ContractViolation("hierarchy edge weight %s outside (0, %s]" % (w, half))
     if not h.ground:
         return
-    g, ids = reference_hierarchy_graph(h)
-    reach = neighborhood(g, [ids[v] for v in h.base()], half)
-    if reach != set(ids.values()):
+    g = reference_hierarchy_graph(h)
+    reach = neighborhood(g, h.ids[0], half)
+    if reach != g.vertex_set():
         raise ContractViolation("hierarchy vertex farther than %s from the base" % (half,))
     for comp in g.connected_components():
         src = comp[0]
@@ -1217,13 +1213,12 @@ def reference_condensed_graph(cond) -> WeightedGraph:
     for e in cond.u_e:
         if e in cond.shortcut_parts:
             extra.extend(cond.shortcut_parts[e].shortcuts)
+    vertices = set(cond.base_vertices)
     for e in cond.u_e:
         if e in cond.hierarchies:
-            att = cond.hierarchies[e]
-            extra.extend((att.vertex_ids[a], att.vertex_ids[b], w) for (a, b, w) in att.hierarchy.edges)
-    vertices = set(cond.base_vertices)
-    for att in cond.hierarchies.values():
-        vertices.update(att.vertex_ids.values())
+            h = cond.hierarchies[e].hierarchy
+            extra.extend(h.edges)
+            vertices.update(v for i in h.levels for v in h.ids[i])
     base_graph = cond.g.induced(cond.base_vertices)
     return WeightedGraph(vertices, list(base_graph.edges) + extra)
 
@@ -1240,7 +1235,8 @@ def reference_condensed_decomposition(cond) -> RootedTreeDecomposition:
     bags0 = {t: td.bags[t] for t in t0_nodes}
     for e in cond.u_e:
         if e in cond.hierarchies:
-            bags0[e[1]] = frozenset(cond.hierarchies[e].vertex_ids.values())
+            h = cond.hierarchies[e].hierarchy
+            bags0[e[1]] = frozenset(v for i in h.levels for v in h.ids[i])
         else:
             bags0[e[1]] = cond.shortcut_parts[e].reach
     edges0 = [(td.parent[t], t) for t in t0_nodes if t != td.root] + list(cond.u_e)
@@ -1374,9 +1370,42 @@ def reference_adhesion_partition_chain(
     return chain
 
 
-def reference_build_hierarchy(chain: PartitionChain, ell: object, theta: int, mu: object) -> Hierarchy:
+def reference_hierarchy_ids(
+    levels: Sequence[int], parts: Dict[int, Tuple[FrozenSet[int], ...]], next_id: int
+) -> Dict[Tuple[int, FrozenSet[int]], int]:
+    """The ids condense gave a forest's (level, part) vertices: a level-0
+    part its member, and each upper part the next free id from next_id on,
+    in (level, part) order."""
+    ids: Dict[Tuple[int, FrozenSet[int]], int] = {}
+    for i in levels:
+        for y in parts[i]:
+            if i == 0:
+                ids[(0, y)] = min(y)
+            else:
+                ids[(i, y)] = next_id
+                next_id += 1
+    return ids
+
+
+def reference_forest_edges(
+    levels: Sequence[int], parts: Dict[int, Tuple[FrozenSet[int], ...]], unit: Fraction
+) -> List[Tuple[Tuple[int, FrozenSet[int]], Tuple[int, FrozenSet[int]], Fraction]]:
+    """The forest's edges between (level, part) vertices: each part to the
+    part holding its smallest member one recorded level up, at (j-i)*unit."""
+    edges = []
+    for i, j in zip(levels, levels[1:]):
+        parent_of = {x: yj for yj in parts[j] for x in yj}
+        for yi in parts[i]:
+            edges.append(((i, yi), (j, parent_of[min(yi)]), (j - i) * unit))
+    return edges
+
+
+def reference_build_hierarchy(
+    chain: PartitionChain, ell: object, theta: int, mu: object, next_id: int
+) -> Hierarchy:
     """The forest assembled from a chain, not checked: levels {0, 1} plus the
-    chain's change levels, edge weights (j-i)*eps / (8*(theta+mu/ell))."""
+    chain's change levels, edge weights (j-i)*eps / (8*(theta+mu/ell)), the
+    vertices numbered by `reference_hierarchy_ids`."""
     lf = as_fraction(ell)
     mf = as_fraction(mu)
     if chain.eps > lf:
@@ -1388,12 +1417,10 @@ def reference_build_hierarchy(chain: PartitionChain, ell: object, theta: int, mu
     levels = tuple(sorted({0, 1} | {i for i in chain.change_levels if 1 <= i <= chain.max_level}))
     parts = {i: chain.partition_at(i) for i in levels}
     unit = chain.eps / (8 * (theta + mf / lf))
-    edges = []
-    for i, j in zip(levels, levels[1:]):
-        parent_of = {x: yj for yj in parts[j] for x in yj}
-        for yi in parts[i]:
-            edges.append(((i, yi), (j, parent_of[min(yi)]), (j - i) * unit))
-    return Hierarchy(chain.ground, levels, parts, tuple(edges), lf, chain.eps, theta, mf)
+    ids = reference_hierarchy_ids(levels, parts, next_id)
+    edges = tuple((ids[a], ids[b], w) for (a, b, w) in reference_forest_edges(levels, parts, unit))
+    per_level = {i: tuple(ids[(i, y)] for y in parts[i]) for i in levels}
+    return Hierarchy(chain.ground, levels, parts, per_level, edges, lf, chain.eps, theta, mf)
 
 
 def reference_certificate_tree_check(cert, g: WeightedGraph) -> None:

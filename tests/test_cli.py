@@ -513,6 +513,16 @@ def test_dilation_two_scales(tmp_path, capsys):
     assert report["scale_covariant"]
 
 
+def test_dilation_refuses_empty_scales(tmp_path, capsys):
+    """A given --scales is a list to parse, the empty one included: it holds
+    one empty value, a parse error as in "1,,2", not the default sweep."""
+    g = _gen(capsys, tmp_path, "sp", ["random-series-parallel", "--n", "20", "--seed", "3"])
+    for value in ("", "1,,2"):
+        code, out, err = _main(capsys, ["dilation", "--graph", g + ".txt", "--scales", value])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"code": "parse-error", "message": "bad scales value ''"}
+
+
 def test_run_tw_with_a_wide_supplied_decomposition(tmp_path, capsys):
     # the 16x16 grid's own decomposition has width 45: the bound recursion
     # runs 46**2 levels deep and the proved bound has over 4300 digits
@@ -737,6 +747,46 @@ def test_run_planar_rejects_a_non_integer_rotation(tmp_path, capsys, mutate):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["code"] == "parse-error"
+
+
+def _planar_refusal(capsys, tmp_path, graph, rotation):
+    """Run planar on `graph` with the rotation object `rotation`: it must
+    exit 2 with a precondition failure, whose message is returned."""
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps({"rotation": rotation}))
+    code, out, err = _main(capsys, ["run", "planar", "--graph", graph, "--ell", "1", "--rotation", str(path)])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "precondition-failed"
+    return error["message"]
+
+
+def test_run_planar_rejects_a_rotation_naming_an_unknown_vertex(tmp_path, capsys):
+    """A rotation system is checked once, for the whole graph, as a layering
+    is: an entry for a vertex the graph does not have is refused, on a grid
+    and on a path, whose tree branch never reads the rotation."""
+    grid = _gen(capsys, tmp_path, "g12", ["grid", "--rows", "12", "--cols", "12"])
+    rotation = json.loads(pathlib.Path(grid + ".rotation.json").read_text())["rotation"]
+    message = _planar_refusal(capsys, tmp_path, grid + ".txt", {**rotation, "999": [5, 7]})
+    assert message == "rotation names unknown vertices [999]"
+    path = tmp_path / "path.txt"
+    path.write_text("0 1 1\n1 2 1\n")
+    message = _planar_refusal(capsys, tmp_path, str(path), {"0": [2], "1": [0], "7": [1]})
+    assert message == "rotation names unknown vertices [7]"
+
+
+def test_run_planar_rejects_a_wrong_order_on_a_tree(tmp_path, capsys):
+    """The order at every vertex the rotation names must list that vertex's
+    neighbours, in a component with no cycle too; a vertex it does not name
+    is read only where a component needs the rotation."""
+    path = tmp_path / "path.txt"
+    path.write_text("0 1 1\n1 2 1\n")
+    message = _planar_refusal(capsys, tmp_path, str(path), {"0": [2], "1": [0, 2]})
+    assert message == "rotation at 0 does not list its neighbors exactly once"
+    rot = tmp_path / "partial.json"
+    rot.write_text(json.dumps({"rotation": {"1": [2, 0]}}))
+    argv = ["run", "planar", "--graph", str(path), "--ell", "1", "--rotation", str(rot)]
+    assert _main(capsys, argv)[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,9 @@ from wdcolor.graph import (
     GraphError,
     SubgraphView,
     WeightedGraph,
+    _heap_search,
     _scaled_cap,
     as_fraction,
-    ceil_frac,
     frac_str,
     neighborhood,
     parse_edge_list,
@@ -188,6 +189,29 @@ def test_level_search_returns_the_heap_search_dict_in_its_order(w, n, data):
         inside = within
     want = oracles.heap_search(h, srcs, cap, inside, targets)
     assert list(h._search(srcs, cap, within, targets).items()) == list(want.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_heap_search_is_the_heap_loop_on_a_bare_adjacency(n, data):
+    """`_heap_search` on a random integer adjacency that no graph holds
+    (ids out of order and with gaps, parallel edges) settles, caps and
+    stops as the heap loop does: the same dict, in the same order, with and
+    without a cap, a `within` set and targets."""
+    ids = data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    vertex = st.sampled_from(ids)
+    sadj = {v: [] for v in ids}
+    for (u, v, w) in data.draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 9)), max_size=3 * n)):
+        if u != v:
+            sadj[u].append((v, w))
+            sadj[v].append((u, w))
+    srcs = data.draw(st.lists(vertex, min_size=1, max_size=4))
+    cap = data.draw(st.none() | st.integers(0, 30))
+    within = data.draw(st.none() | st.frozensets(vertex))
+    # empty, unreachable (41 is no vertex), or any set
+    targets = data.draw(st.none() | st.just(set()) | st.sets(st.sampled_from(ids + [41])))
+    want = oracles.heap_search(SimpleNamespace(_sadj=sadj), srcs, cap, within, targets)
+    assert list(_heap_search(sadj, srcs, cap, within, targets).items()) == list(want.items())
 
 
 def test_level_search_stops_mid_level_at_its_last_target():
@@ -514,7 +538,7 @@ def test_hop_bound_from_metric_distance():
             dh = p.hop_distances([u])
             for v in g.vertices:
                 k = dm[v]
-                bound = ceil_frac(2 * k / ell)
+                bound = math.ceil(2 * k / ell)
                 assert dh[v] <= bound
 
 

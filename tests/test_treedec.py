@@ -346,7 +346,7 @@ def test_validate_td_matches_the_scanning_reference(seed, corruption):
 def _partitions(g, td, e, eps, max_level):
     """The hierarchy of e at ell 2 and theta 8: a theta large enough that
     every forest these tests build, up to max_level 8, passes its checks."""
-    return adhesion_hierarchy(g, td, e, eps, max_level, 2, 8, 0)
+    return adhesion_hierarchy(g, td, e, eps, max_level, 2, 8, 0, g.max_vertex() + 1)
 
 
 def _part_at(h, i):
@@ -426,12 +426,13 @@ def _sweep_verdict(build):
         return type(exc), str(exc)
 
 
-def _reference_hierarchy(g, td, e, eps, max_level, ell, theta, mu):
+def _reference_hierarchy(g, td, e, eps, max_level, ell, theta, mu, next_id):
     """The chain on Fraction distances, the forest built from it (each level's
-    parts are the chain's partition_at) and checked as the library checked
-    it then: the chain's checks, then the forest's."""
+    parts are the chain's partition_at, its vertices numbered as condense
+    numbered them) and checked as the library checked it then: the chain's
+    checks, then the forest's."""
     chain = oracles.reference_adhesion_partition_chain(g, td, e, eps, max_level)
-    h = oracles.reference_build_hierarchy(chain, ell, theta, mu)
+    h = oracles.reference_build_hierarchy(chain, ell, theta, mu, next_id)
     oracles.reference_hierarchy_verify(h)
     return h
 
@@ -457,7 +458,8 @@ def test_hierarchy_equals_the_fraction_chain_reference(data):
     max_level = data.draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
     theta = data.draw(st.integers(1, 8))
     mu = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3)]))
-    args = (g, td, e, eps, max_level, Fraction(2), theta, mu)
+    next_id = g.max_vertex() + 1 + data.draw(st.integers(0, 3))
+    args = (g, td, e, eps, max_level, Fraction(2), theta, mu, next_id)
     assert _sweep_verdict(lambda: adhesion_hierarchy(*args)) == _sweep_verdict(lambda: _reference_hierarchy(*args))
 
 
@@ -467,11 +469,11 @@ def test_hierarchy_equals_the_fraction_chain_reference(data):
 def test_hierarchy_single_vertex_shape():
     g = unit_star(4)
     td = star_td(4)
-    h = adhesion_hierarchy(g, td, (0, 1), 1, 4, 2, 3, 1)
+    h = adhesion_hierarchy(g, td, (0, 1), 1, 4, 2, 3, 1, 5)
     assert h.levels == (0, 1)
-    assert len(h.vertices()) == 2
+    assert h.ids == {0: (0,), 1: (5,)}
     ((a, b, w),) = h.edges
-    assert a == (0, frozenset({0})) and b == (1, frozenset({0}))
+    assert a == 0 and b == 5
     assert w == Fraction(1) / (8 * (3 + Fraction(1, 2)))
 
 
@@ -479,10 +481,10 @@ def test_hierarchy_three_unmerged_singletons():
     # the adhesion {1, 2, 3} hangs three separate edges into the part
     g = WeightedGraph(range(7), [(1, 4, 1), (2, 5, 1), (3, 6, 1)])
     td = RootedTreeDecomposition({0: {0, 1, 2, 3}, 1: {1, 2, 3, 4, 5, 6}}, [(0, 1)], 0)
-    h = adhesion_hierarchy(g, td, (0, 1), 1, 5, 2, 1, 0)
-    assert len(h.vertices()) == 6
+    h = adhesion_hierarchy(g, td, (0, 1), 1, 5, 2, 1, 0, 7)
+    assert h.ids == {0: (1, 2, 3), 1: (7, 8, 9)}
     assert len(h.edges) == 3
-    forest, _ = oracles.reference_hierarchy_graph(h)
+    forest = oracles.reference_hierarchy_graph(h)
     comps = forest.connected_components()
     assert sorted(len(c) for c in comps) == [2, 2, 2]
 
@@ -491,37 +493,53 @@ def test_hierarchy_merge_produces_forest_with_join():
     # 1 and 2 share an edge of weight 2, so they merge at level 2; 3 stays apart
     g = WeightedGraph(range(1, 5), [(1, 2, 2), (3, 4, 1)])
     td = RootedTreeDecomposition({0: {1, 2, 3}, 1: {1, 2, 3, 4}}, [(0, 1)], 0)
-    h = adhesion_hierarchy(g, td, (0, 1), 1, 5, 4, 1, 0)
+    h = adhesion_hierarchy(g, td, (0, 1), 1, 5, 4, 1, 0, 5)
     assert h.levels == (0, 1, 2)
     # level 1 still singletons, level 2 has the merged part
     assert h.parts[1] == (frozenset({1}), frozenset({2}), frozenset({3}))
     assert h.parts[2] == (frozenset({1, 2}), frozenset({3}))
-    weights = sorted(w for (_, _, w) in h.edges)
-    assert weights == [Fraction(1, 8)] * 6  # three 0->1 edges, three 1->2 edges
+    # the upper parts count up from 5 level by level: {1}, {2}, {3} at
+    # level 1, then {1, 2} and {3} at level 2
+    assert h.ids == {0: (1, 2, 3), 1: (5, 6, 7), 2: (8, 9)}
+    assert h.edges == tuple(
+        (a, b, Fraction(1, 8)) for (a, b) in [(1, 5), (2, 6), (3, 7), (5, 8), (6, 8), (7, 9)]
+    )
 
 
 def test_hierarchy_rejects_eps_above_ell():
     with pytest.raises(GraphError, match="eps 3 exceeds ell 1"):
-        adhesion_hierarchy(unit_star(2), star_td(2), (0, 1), 3, 2, 1, 1, 0)
+        adhesion_hierarchy(unit_star(2), star_td(2), (0, 1), 3, 2, 1, 1, 0, 3)
 
 
 def test_hierarchy_needs_level_one():
     with pytest.raises(GraphError, match="hierarchy needs a chain reaching level 1"):
-        adhesion_hierarchy(unit_star(2), star_td(2), (0, 1), 1, 0, 2, 1, 0)
+        adhesion_hierarchy(unit_star(2), star_td(2), (0, 1), 1, 0, 2, 1, 0, 3)
+
+
+def test_hierarchy_ids_start_above_the_graph():
+    with pytest.raises(GraphError, match="hierarchy id 2 is a vertex id of the graph"):
+        adhesion_hierarchy(unit_star(2), star_td(2), (0, 1), 1, 2, 2, 1, 0, 2)
+    h = adhesion_hierarchy(unit_star(2), star_td(2), (0, 1), 1, 2, 2, 1, 0, 3)
+    assert h.ids == {0: (0,), 1: (3,)}
 
 
 def _hand_built(ground, parts):
-    """A hierarchy over hand-built partitions, one edge of weight 1/8 from
-    each part to the part holding its smallest member one level up (or
-    none, where no part holds it)."""
+    """A hierarchy over hand-built partitions, numbered as condense numbers
+    a forest, with one edge of weight 1/8 from each part to the part
+    holding its smallest member one level up (or none, where no part holds
+    it)."""
     levels = tuple(sorted(parts))
+    ids = oracles.reference_hierarchy_ids(levels, parts, max(ground) + 1)
     edges = []
     for i, j in zip(levels, levels[1:]):
         for y in parts[i]:
             up = [z for z in parts[j] if min(y) in z]
             if up:
-                edges.append(((i, y), (j, up[0]), Fraction(1, 8)))
-    return Hierarchy(tuple(ground), levels, parts, tuple(edges), Fraction(2), Fraction(1), 1, Fraction(0))
+                edges.append((ids[(i, y)], ids[(j, up[0])], Fraction(1, 8)))
+    per_level = {i: tuple(ids[(i, y)] for y in parts[i]) for i in levels}
+    return Hierarchy(
+        tuple(ground), levels, parts, per_level, tuple(edges), Fraction(2), Fraction(1), 1, Fraction(0)
+    )
 
 
 _S = frozenset
@@ -558,8 +576,8 @@ def test_hierarchy_flags_a_vertex_beyond_half_ell_of_the_base():
     # two hops of ell/2 take the level-2 vertex to distance ell > ell/2
     y = frozenset({0})
     h = Hierarchy(
-        (0,), (0, 1, 2), {0: (y,), 1: (y,), 2: (y,)},
-        (((0, y), (1, y), Fraction(1, 2)), ((1, y), (2, y), Fraction(1, 2))),
+        (0,), (0, 1, 2), {0: (y,), 1: (y,), 2: (y,)}, {0: (0,), 1: (1,), 2: (2,)},
+        ((0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2))),
         Fraction(1), Fraction(1), 1, Fraction(0),
     )
     with pytest.raises(ContractViolation, match="hierarchy vertex farther than 1/2 from the base"):
@@ -575,7 +593,7 @@ def test_hierarchy_invariants_on_random_chains():
         theta = rng.randint(1, 5)
         mu = Fraction(rng.randint(0, 8), 4)
         for e in td.tree_edges:
-            h = adhesion_hierarchy(g, td, e, eps, 6, Fraction(2), theta, mu)  # verify() built in
+            h = adhesion_hierarchy(g, td, e, eps, 6, Fraction(2), theta, mu, g.max_vertex() + 1)  # verify() built in
             n_base = len(h.parts[0])
             n_upper = sum(len(h.parts[i]) for i in h.levels if i != 0)
             assert n_upper <= n_base * n_base
@@ -586,7 +604,8 @@ def test_hierarchy_invariants_on_random_chains():
 @st.composite
 def hierarchies(draw):
     """A hierarchy as the library assembles it from a random chain of
-    coarsening partitions, not yet checked."""
+    coarsening partitions, numbered from a free id above the ground set,
+    not yet checked."""
     k = draw(st.integers(min_value=1, max_value=5))
     ground = sorted(draw(st.sets(st.integers(min_value=0, max_value=40), min_size=k, max_size=k)))
     max_level = draw(st.integers(min_value=1, max_value=8))
@@ -602,7 +621,8 @@ def hierarchies(draw):
     ell = eps * draw(st.integers(1, 3))
     theta = draw(st.integers(1, 4))
     mu = Fraction(draw(st.integers(0, 6)), 2)
-    return oracles.reference_build_hierarchy(chain, ell, theta, mu)
+    next_id = ground[-1] + 1 + draw(st.integers(0, 3))
+    return oracles.reference_build_hierarchy(chain, ell, theta, mu, next_id)
 
 
 def _verdict(check, h):
@@ -624,7 +644,7 @@ def test_hierarchy_verify_builds_no_graph(monkeypatch):
     for g, td in instances:
         eps = g.min_edge_weight() or Fraction(2)
         for e in td.tree_edges:
-            adhesion_hierarchy(g, td, e, eps, 6, Fraction(2), 3, Fraction(1, 2))
+            adhesion_hierarchy(g, td, e, eps, 6, Fraction(2), 3, Fraction(1, 2), g.max_vertex() + 1)
             count += 1
     assert count > 40 and built == []
 
@@ -649,7 +669,9 @@ def test_hierarchy_verify_names_each_broken_kind_as_the_graph_check(h, kind, dat
     assume(_verdict(oracles.reference_hierarchy_verify, h) is None)
     half = h.ell / 2
     top = max(h.levels) + 1
-    base = h.base()
+    # the new vertices take the free ids above the forest's, level by level
+    fresh = max(v for i in h.levels for v in h.ids[i]) + 1
+    base = h.ids[0]
     whole = frozenset(h.ground)
     if kind == "weight":
         i = data.draw(st.integers(0, len(h.edges) - 1))
@@ -659,7 +681,7 @@ def test_hierarchy_verify_names_each_broken_kind_as_the_graph_check(h, kind, dat
     elif kind == "reach":
         # a level holding the whole ground set as one part, linked to nothing
         h = dataclasses.replace(
-            h, levels=h.levels + (top,), parts={**h.parts, top: (whole,)},
+            h, levels=h.levels + (top,), parts={**h.parts, top: (whole,)}, ids={**h.ids, top: (fresh,)},
         )
     elif kind == "pair":
         # consecutive base vertices bridged at ell/2 each way, each bridge
@@ -668,19 +690,21 @@ def test_hierarchy_verify_names_each_broken_kind_as_the_graph_check(h, kind, dat
         assume(len(base) >= 3)
         bridges = range(top, top + len(base) - 1)
         edges = tuple(
-            (end, (level, whole), half)
-            for (x, y), level in zip(zip(base, base[1:]), bridges)
+            (end, fresh + k, half)
+            for k, (x, y) in enumerate(zip(base, base[1:]))
             for end in (x, y)
         )
         parts = {0: h.parts[0], **{level: (whole,) for level in bridges}}
-        h = dataclasses.replace(h, levels=(0,) + tuple(bridges), parts=parts, edges=edges)
+        ids = {0: base, **{level: (fresh + k,) for k, level in enumerate(bridges)}}
+        h = dataclasses.replace(h, levels=(0,) + tuple(bridges), parts=parts, ids=ids, edges=edges)
     else:
         # exactly |B|**2 + 1 upper vertices, the whole ground set at levels
         # of their own, each one light edge from the first base vertex
         extra = range(top, top + len(base) ** 2 + 1)
-        edges = tuple((base[0], (level, whole), half / 4) for level in extra)
+        edges = tuple((base[0], fresh + k, half / 4) for k in range(len(extra)))
         parts = {0: h.parts[0], **{level: (whole,) for level in extra}}
-        h = dataclasses.replace(h, levels=(0,) + tuple(extra), parts=parts, edges=edges)
+        ids = {0: base, **{level: (fresh + k,) for k, level in enumerate(extra)}}
+        h = dataclasses.replace(h, levels=(0,) + tuple(extra), parts=parts, ids=ids, edges=edges)
     verdict = _verdict(Hierarchy.verify, h)
     assert verdict == _verdict(oracles.reference_hierarchy_verify, h)
     assert verdict[0] is ContractViolation and verdict[1].startswith(_BROKEN[kind]), verdict
@@ -708,9 +732,7 @@ def test_condense_star_single_hierarchy():
     cond = condense(g, td, [(0, 1)], [(0, 1)], 1, 1, 0)
     assert cond.g0.vertex_set() == {0, 2, 3, 4, 5}
     assert (0, 5, Fraction(1, 8)) in normalized_edges(cond.g0)
-    att = cond.hierarchies[(0, 1)]
-    assert att.vertex_ids[(0, frozenset({0}))] == 0
-    assert att.vertex_ids[(1, frozenset({0}))] == 5
+    assert cond.hierarchies[(0, 1)].hierarchy.ids == {0: (0,), 1: (5,)}
     assert cond.base_vertices == frozenset({0, 2, 3, 4})
     # the leaf at the frontier edge's child holds the hierarchy vertices
     assert cond.td0.bags == {0: {0}, 1: {0, 5}, 2: {0, 2}, 3: {0, 3}, 4: {0, 4}}
@@ -795,6 +817,16 @@ def frontier_split(rng, td, prime_share=1.0):
     return frontier, prime
 
 
+def _random_frontier(rng, td, prime_share):
+    """The frontier of a random region grown from the root, each frontier
+    edge taking a hierarchy with probability prime_share."""
+    region = [td.root]
+    for t in region:
+        region.extend(ch for ch in td.children[t] if rng.random() < 0.5)
+    frontier = [(t, ch) for t in region for ch in td.children[t] if ch not in region]
+    return frontier, [e for e in frontier if rng.random() < prime_share]
+
+
 def _graph_fields(g):
     return (g.vertices, g.edges, g._scale, g._sadj, g._wrange, g._step)
 
@@ -810,11 +842,7 @@ def test_condensed_graph_is_the_one_the_constructor_built(seed, on_view):
     g, td = random_td_instance(rng, n_vertices=rng.randint(3, 14), n_nodes=rng.randint(2, 8))
     if on_view:
         g, td = SubtreeIndex(g, td).far_part(rng.choice(td.tree_edges)[1], max(td.nodes) + 1)
-    region = [td.root]
-    for t in region:
-        region.extend(ch for ch in td.children[t] if rng.random() < 0.5)
-    frontier = [(t, ch) for t in region for ch in td.children[t] if ch not in region]
-    prime = [e for e in frontier if rng.random() < 0.5]
+    frontier, prime = _random_frontier(rng, td, 0.5)
     theta = max([1] + [len(td.adhesion_of(e)) for e in frontier])
     mu = Fraction(rng.randint(0, 4), 2)
     cond = condense(g, td, frontier, prime, 2, theta, mu)
@@ -825,6 +853,39 @@ def test_condensed_graph_is_the_one_the_constructor_built(seed, on_view):
     if on_view:
         copy = condense(g.induced(g.vertex_set()), td, frontier, prime, 2, theta, mu)
         assert _graph_fields(copy.g0) == _graph_fields(cond.g0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_hierarchy_ids_are_the_ones_condense_numbered(seed, on_view):
+    """On random weighted decompositions, each hierarchy carries the ids
+    that condense gave its (level, part) vertices: a level-0 part is its
+    ground vertex, and the upper parts take the free ids from above g's
+    largest one, frontier edge by frontier edge, in (level, part) order.
+    Those ids sort in (level, smallest member) order; the forest's edges
+    are the (level, part) edges under that numbering; and g0 is the graph
+    built from them."""
+    rng = random.Random(seed)
+    g, td = random_td_instance(rng, n_vertices=rng.randint(3, 14), n_nodes=rng.randint(2, 8), weight_den=4)
+    if on_view:
+        g, td = SubtreeIndex(g, td).far_part(rng.choice(td.tree_edges)[1], max(td.nodes) + 1)
+    frontier, prime = _random_frontier(rng, td, 0.7)
+    theta = max([1] + [len(td.adhesion_of(e)) for e in frontier])
+    mu = Fraction(rng.randint(0, 4), 2)
+    cond = condense(g, td, frontier, prime, 2, theta, mu)
+    unit = cond.eps / (8 * (theta + mu / cond.ell))
+    next_id = g.max_vertex() + 1
+    for e in cond.u_e:
+        if e not in cond.hierarchies:
+            continue
+        h = cond.hierarchies[e].hierarchy
+        want = oracles.reference_hierarchy_ids(h.levels, h.parts, next_id)
+        next_id += len(want) - len(h.parts[0])
+        assert h.ids == {i: tuple(want[(i, y)] for y in h.parts[i]) for i in h.levels}
+        assert sorted(want.values()) == [want[v] for v in sorted(want, key=lambda v: (v[0], min(v[1])))]
+        forest = oracles.reference_forest_edges(h.levels, h.parts, unit)
+        assert h.edges == tuple((want[a], want[b], w) for (a, b, w) in forest)
+    assert _graph_fields(cond.g0) == _graph_fields(oracles.reference_condensed_graph(cond))
 
 
 def test_quasi_isometry_on_random_condensations():
@@ -921,6 +982,20 @@ def test_lift_agrees_with_input_on_kept_side():
     for v in (0, 2, 3, 4):
         assert res.coloring.color(v) == c0.color(v)
     assert res.coloring.color(1) == c0.color(5)
+
+
+def test_lift_reads_the_part_of_the_nearest_adhesion_vertex():
+    # the adhesion {0, 1} hangs two branches 0-2-3 and 1-4-5 that never
+    # meet, so level 1 has two parts, numbered 6 ({0}) and 7 ({1})
+    g = WeightedGraph(range(6), [(0, 2, 1), (2, 3, 1), (1, 4, 1), (4, 5, 1)])
+    td = RootedTreeDecomposition({0: {0, 1}, 1: set(range(6))}, [(0, 1)], 0)
+    cond = condense(g, td, [(0, 1)], [(0, 1)], 1, 2, 0)
+    assert cond.hierarchies[(0, 1)].hierarchy.ids == {0: (0, 1), 1: (6, 7)}
+    c0 = Coloring({0: 1, 6: 2, 1: 2, 7: 1}, 2)
+    res = lift_condensation_coloring(cond, _checked(cond, c0))
+    assert res.coloring.color(2) == c0.color(6)
+    assert res.coloring.color(4) == c0.color(7)
+    assert res.report.ok
 
 
 def test_lift_deleted_vertices_uncolored():
