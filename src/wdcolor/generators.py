@@ -2,10 +2,10 @@
 
 Every family is driven by one seeded PRNG stream, so a (family, parameters,
 seed) triple always reproduces the same instance byte for byte.  Grids come
-with their row layering, a planar rotation system, a column tree
-decomposition and, with unit weights, its tripod certificate; k-trees come
-with the width-k tree decomposition they grew along; triangulations come
-with their rotation system.
+with their row layering, a planar rotation system, a path decomposition
+into pairs of adjacent columns and, with unit weights, a tripod certificate
+in corner form; k-trees come with the width-k tree decomposition they grew
+along; triangulations come with their rotation system.
 """
 
 import random
@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import GraphError, WeightedGraph, as_fraction, frac_str, json_int, json_int_key
 from .treedec import RootedTreeDecomposition, validate_td
-from .geodesic import GeodesicCertificate, GeodesicTree
+from .tripods import GeodesicCertificate, GeodesicTree
 
 FAMILIES = (
     "path",
@@ -123,13 +123,14 @@ def gen_cycle(spec: GeneratorSpec) -> Instance:
 
 
 def _grid_tripods(rows: int, cols: int) -> GeodesicCertificate:
-    """Column tripod certificate over the comb tree: spine along row 0,
-    teeth down each column; every bag is two full column paths.  The
-    certified root distances i + j hold for unit weights only; the
-    decomposition itself is valid for any weights."""
+    """Column tripod certificate over the comb tree, in corner form: spine
+    along row 0, teeth down each column, and one node per pair of adjacent
+    columns whose corners are the two column bottoms, so each bag is two
+    full column paths with the spine to their left.  The certified root
+    distances i + j hold for unit weights only."""
     vid = lambda i, j: i * cols + j
     parent: Dict[int, Optional[int]] = {0: None}
-    dist: Dict[int, Fraction] = {0: Fraction(0)}
+    dist: Dict[int, Fraction] = {}
     for j in range(1, cols):
         parent[vid(0, j)] = vid(0, j - 1)
     for j in range(cols):
@@ -138,28 +139,24 @@ def _grid_tripods(rows: int, cols: int) -> GeodesicCertificate:
     for i in range(rows):
         for j in range(cols):
             dist[vid(i, j)] = Fraction(i + j)
-    tree = GeodesicTree(0, parent, dist)
-
-    def column_path(j: int) -> Tuple[int, ...]:
-        down = [vid(i, j) for i in range(rows - 1, -1, -1)]
-        spine = [vid(0, t) for t in range(j - 1, -1, -1)]
-        return tuple(down + spine)
-
-    bags: Dict[int, frozenset] = {}
-    paths: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-    edges: List[Tuple[int, int]] = []
+    bottom = [vid(rows - 1, j) for j in range(cols)]
     if cols == 1:
-        bags[0] = frozenset(column_path(0))
-        paths[0] = (column_path(0),)
+        corners = {0: (bottom[0],)}
     else:
-        for t in range(cols - 1):
-            p1, p2 = column_path(t), column_path(t + 1)
-            bags[t] = frozenset(p1) | frozenset(p2)
-            paths[t] = (p1, p2)
-            if t > 0:
-                edges.append((t - 1, t))
-    td = RootedTreeDecomposition(bags, edges, 0)
-    return GeodesicCertificate(tree, td, paths)
+        corners = {t: (bottom[t], bottom[t + 1]) for t in range(cols - 1)}
+    edges = tuple((t - 1, t) for t in range(1, len(corners)))
+    return GeodesicCertificate(GeodesicTree(0, parent, dist), corners, {t: 0 for t in corners}, edges, 0)
+
+
+def _grid_columns(rows: int, cols: int) -> RootedTreeDecomposition:
+    """The path decomposition of a grid whose bags are pairs of adjacent
+    columns: valid for any weights, width 2*rows - 1 (rows - 1 for one
+    column)."""
+    column = lambda j: [i * cols + j for i in range(rows)]
+    if cols == 1:
+        return RootedTreeDecomposition({0: column(0)}, [], 0)
+    bags = {t: column(t) + column(t + 1) for t in range(cols - 1)}
+    return RootedTreeDecomposition(bags, [(t - 1, t) for t in range(1, cols - 1)], 0)
 
 
 def gen_grid(spec: GeneratorSpec) -> Instance:
@@ -192,12 +189,12 @@ def gen_grid(spec: GeneratorSpec) -> Instance:
             rotation[vid(i, j)] = tuple(order)
     layering = tuple(tuple(vid(i, j) for j in range(cols)) for i in range(rows))
     g = WeightedGraph(range(rows * cols), edges)
-    tripods = _grid_tripods(rows, cols)
-    validate_td(g, tripods.td, "grid tripod certificate failed validation")
+    td = _grid_columns(rows, cols)
+    validate_td(g, td, "grid column decomposition failed validation")
     unit = all(w == 1 for w in ws)
     return Instance(
-        "grid", g, td=tripods.td, rotation=rotation, layering=layering,
-        tripods=tripods if unit else None,
+        "grid", g, td=td, rotation=rotation, layering=layering,
+        tripods=_grid_tripods(rows, cols) if unit else None,
     )
 
 
@@ -355,12 +352,17 @@ def layering_from_json(data: dict) -> Tuple[Tuple[int, ...], ...]:
 
 
 def tripods_to_json(cert: GeodesicCertificate) -> dict:
+    """The certificate in corner form: the geodesic tree, and per node its
+    corners and top, the node tree's (parent, child) edges and its root."""
     return {
         "tree": {
             "root": cert.tree.root,
             "parent": {str(v): p for v, p in sorted(cert.tree.parent.items())},
             "dist": {str(v): frac_str(d) for v, d in sorted(cert.tree.dist.items())},
         },
-        "td": cert.td.to_json_dict(),
-        "paths": {str(t): [list(p) for p in ps] for t, ps in sorted(cert.paths.items())},
+        "nodes": [
+            {"id": t, "corners": list(cs), "top": cert.tops[t]} for t, cs in sorted(cert.corners.items())
+        ],
+        "edges": [list(e) for e in cert.tree_edges],
+        "root": cert.root,
     }

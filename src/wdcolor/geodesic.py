@@ -22,16 +22,12 @@ piece of each padded window, and offsets one family by two colors to get
 four.  The pipelines differ only in what they hand the driver.  The planar
 pipeline projects onto root distances of a shortest-path tree and colors a
 window piece through the tripod tree decomposition restricted to it (every
-bag is a union of at most three vertical paths of the tree).  Per component,
-`tripod_decomposition` runs the wedge recursion recording each node by its
-at most three corners, contracts every node whose bag sits inside a
-neighbour's by an ancestor test on the corners, builds paths and bags for
-the survivors only, and verifies that small result once as its own
-`GeodesicCertificate`; each window piece cuts that certificate's paths to
-the window and to the piece in one pass and contracts it again.
-The layered pipeline projects onto eps0 times the layer index and colors a
-window piece with the bounded-treewidth colorer.  `make_slabs` cuts on
-integers: projection, weights and widths scaled by one common denominator.
+bag is a union of at most three vertical paths of the tree): per component
+one certificate from `tripods.tripod_decomposition`, cut to each window
+piece by `tripods._restrict_tripods`.  The layered pipeline projects onto
+eps0 times the layer index and colors a window piece with the
+bounded-treewidth colorer.  `make_slabs` cuts on integers: projection,
+weights and widths scaled by one common denominator.
 """
 
 import bisect
@@ -73,6 +69,15 @@ from .treedec import (
     condense,
     lift_condensation_coloring,
     validate_td,
+)
+from .tripods import (  # GeodesicCertificate: the benchmark tracer finds its verify here
+    GeodesicCertificate,
+    _TripodWindows,
+    _check_rotation,
+    _check_simple,
+    _restrict_tripods,
+    bfs_geodesic_tree,
+    tripod_decomposition,
 )
 from .twcolor import color_bounded_treewidth
 
@@ -393,10 +398,11 @@ def _fresh_root(
     edge_triples: Dict[TreeEdge, GuardTriple],
     parent_measure: Tuple[int, int],
     what: str,
-) -> Coloring:
+) -> Tuple[Coloring, Optional[ColorResult]]:
     """Hang a fresh root bag {v}, centered and guarded by v alone, on node
     t0 and extend the coloring that gives v color 2 across the re-rooted
-    construction with the given removed set and edge triples."""
+    construction with the given removed set and edge triples; returns what
+    `_control_rec` returns for it."""
     td = con.td
     t1 = max(td.nodes) + 1
     td1 = td.rerooted(t1, (v,), t0)
@@ -501,7 +507,11 @@ def _control_rec(
     centers: Dict[int, Tuple[int, ...]],
     parent_measure: Optional[Tuple[int, int]],
     what: str,
-) -> Coloring:
+) -> Tuple[Coloring, Optional[ColorResult]]:
+    """Extend c from zset to all of V - R at the construction's level bound.
+    Returns the coloring and, when the level's lift colored every free
+    vertex with no far part left, that lift's result: a check of the same
+    coloring of g over V - R at the level bound, made with exact=False."""
     con.validate(g, full=ctx.deep)
     _check_centers(g, con.td, centers, con.theta, 3 * con.ell + con.mu, ctx.deep, what)
     td, rset, eta, theta = con.td, con.removed, con.eta, con.theta
@@ -519,9 +529,9 @@ def _control_rec(
         )
     level_bound = control_extension_bound(eta, theta, mu, lf)
     if not vfree:
-        return Coloring.empty(2)
+        return Coloring.empty(2), None
     if eta == 0:
-        return _color_stars(ctx, g, con, zset, c, centers, level_bound, what)
+        return _color_stars(ctx, g, con, zset, c, centers, level_bound, what), None
     zone = root_anchor - rset
     if not zone:
         # nothing anchors the zone yet: hang a fresh single-vertex root on a
@@ -551,7 +561,7 @@ def _control_rec(
             g, lf, c_sat, centered, "%s: zone-saturated finish" % what,
             restrict_to=vfree, exact=False,
         )
-        return c_sat
+        return c_sat, None
     # main branch: condense everything beyond the zone's bag neighborhood,
     # color the condensed graph one budget level down, patch the zone over
     # the result, lift the patched coloring back, then finish the far parts
@@ -602,7 +612,7 @@ def _control_rec(
     c0 = _control_rec(
         ctx, g0, con0, frozenset(), Coloring.empty(2), centers0,
         measure, what + " >condensed",
-    )
+    )[0]
     if not zsat <= rp:
         raise ContractViolation("%s: the zone escaped the patch region" % what)
     covered = rp - rset
@@ -629,6 +639,7 @@ def _control_rec(
         )
     cprime = lr.coloring
     out = dict(cprime.assignment)
+    lifted = lr
     for e in u_edges:
         part = td.subtree_vertices(e)
         part_free = part - rset
@@ -685,7 +696,7 @@ def _control_rec(
             sub = _control_rec(
                 ctx, g, con_star, zstar, cprime.filled(zstar), centers_star,
                 measure_sat, what + " >far",
-            )
+            )[0]
             if not part_free <= sub.domain:
                 raise ContractViolation("%s: far coloring misses part of edge %s" % (what, e))
             c_e = {v: sub.assignment[v] for v in part_free}
@@ -708,10 +719,11 @@ def _control_rec(
             }
             sub = _fresh_root(
                 ctx, g, con, centers, t0, v_star, r1, derived1, measure_sat, what + " >endgame",
-            )
+            )[0]
             if not part_free <= sub.domain:
                 raise ContractViolation("%s: endgame coloring misses part of edge %s" % (what, e))
             c_e = {v: sub.assignment[v] for v in part_free}
+        lifted = None
         for v, col in c_e.items():
             if v in out and out[v] != col:
                 raise ContractViolation("%s: far parts disagree at vertex %s" % (what, v))
@@ -727,7 +739,7 @@ def _control_rec(
             g, lf, result, level_bound, "%s: level check" % what,
             restrict_to=vfree, exact=False,
         )
-    return result
+    return result, lifted
 
 
 def color_control_construction(
@@ -785,16 +797,21 @@ def _run_engine(
 ) -> ColorResult:
     """The engine behind both public entries, once each has checked its
     construction, center map and precoloring: extend c0 from zset and
-    verify the result at the construction's bound."""
+    verify the result at the construction's bound.  When the top level's
+    lift colored everything and the check asked for is not exact, that
+    lift already checked this coloring of g over V - R at this bound, and
+    its report stands."""
     ctx = _EngineCtx(lf, deep_verify)
     limit = 6 * len(g) + _RECURSION_HEADROOM
     old_limit = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(max(old_limit, limit))
-        out = _control_rec(ctx, g, con, zset, c0, centers, None, what)
+        out, lifted = _control_rec(ctx, g, con, zset, c0, centers, None, what)
     finally:
         sys.setrecursionlimit(old_limit)
     bound = control_extension_bound(con.eta, con.theta, con.mu, lf)
+    if lifted is not None and not exact_check and lifted.bound == bound and lifted.coloring == out:
+        return ColorResult(out, bound, lifted.report)
     report = check_weak_diameter(
         g, lf, out, bound, what,
         restrict_to=g.vertex_set() - con.removed, exact=exact_check,
@@ -853,52 +870,7 @@ def color_centered_bags(
     )
 
 
-# -- geodesic trees and tripod decompositions --------------------------------
-
-
-@dataclass(frozen=True)
-class GeodesicTree:
-    """Shortest-path tree: parent links plus exact root distances."""
-
-    root: int
-    parent: Dict[int, Optional[int]]
-    dist: Dict[int, Fraction]
-
-
-def bfs_geodesic_tree(g: WeightedGraph, root: int) -> GeodesicTree:
-    """Exact-distance shortest-path tree from root; the parent is always the
-    smallest-id neighbor lying on some shortest path.
-
-    Distances come from one search in units of 1/scale,
-    WeightedGraph._search: a BFS by levels when every edge weighs the same,
-    a heap Dijkstra otherwise.  They agree exactly, since with one weight
-    the heap settles the vertices level by level and each level in
-    vertex-id order, which is the order the BFS takes.  Parents are picked
-    on those integers and the scaled weights, and each distance becomes a
-    Fraction once, at the end."""
-    if root not in g.vertex_set():
-        raise GraphError("unknown root %s" % (root,))
-    sdist = g._scaled_distances([root])
-    missing = g.vertex_set() - set(sdist)
-    if missing:
-        raise GraphError("graph is disconnected; unreached %s" % sorted(missing)[:5])
-    sadj = g._sadj
-    parent: Dict[int, Optional[int]] = {root: None}
-    for v in g.vertices:
-        if v == root:
-            continue
-        dv = sdist[v]
-        best: Optional[int] = None
-        for (u, w) in sadj[v]:
-            # a neighbour outside a view is unreached, so it has no distance
-            du = sdist.get(u)
-            if du is not None and du + w == dv and (best is None or u < best):
-                best = u
-        if best is None:
-            raise ContractViolation("no predecessor reproduces the distance of %s" % v)
-        parent[v] = best
-    scale = g._scale
-    return GeodesicTree(root, parent, {v: Fraction(d, scale) for v, d in sdist.items()})
+# -- layerings -----------------------------------------------------------------
 
 
 def layering_projection(
@@ -934,362 +906,6 @@ def layering_projection(
                 "edge (%s, %s) is lighter than eps0 across a layer step" % (u, v)
             )
     return {v: ef * i for v, i in idx.items()}
-
-
-@dataclass(frozen=True)
-class GeodesicCertificate:
-    """Checkable witness that a tree decomposition is made of vertical
-    paths of a shortest-path tree: every bag of `td` is the union of the at
-    most three paths (bottom to top) that `paths` lists for its node."""
-
-    tree: GeodesicTree
-    td: RootedTreeDecomposition
-    paths: Dict[int, Tuple[Tuple[int, ...], ...]]
-
-    def verify(self, g: WeightedGraph) -> None:
-        """Check the tree, then the decomposition and its paths.  The tree is
-        checked on g's integer distances and scaled weights (units of
-        1/scale): a certified distance p/q equals a distance d/scale
-        exactly when p*scale == d*q, so no Fraction is built."""
-        tree = self.tree
-        vset = g.vertex_set()
-        if tree.root not in vset:
-            raise ContractViolation("certificate root is not a vertex")
-        dist = g._scaled_distances([tree.root])
-        if set(tree.dist) != vset or set(tree.parent) != vset:
-            raise ContractViolation("certificate tree does not cover the vertices")
-        scale, sadj = g._scale, g._sadj
-        for v in g.vertices:
-            if v == tree.root:
-                if tree.parent[v] is not None or tree.dist[v] != 0:
-                    raise ContractViolation("certificate root data is wrong")
-                continue
-            p = tree.parent[v]
-            w = None
-            if p in vset:
-                for (u, wu) in sadj[v]:
-                    if u == p and (w is None or wu < w):
-                        w = wu
-            if w is None:
-                raise ContractViolation("tree parent of %s is not a neighbor" % v)
-            dv, dp = tree.dist[v], tree.dist[p]
-            if dv.numerator * scale != dist[v] * dv.denominator:
-                raise ContractViolation("certified distance of %s is off" % v)
-            if dp.numerator * scale != (dist[v] - w) * dp.denominator:
-                raise ContractViolation("tree edge into %s is not on a shortest path" % v)
-        validate_td(g, self.td, "certified decomposition invalid")
-        if set(self.paths) != set(self.td.nodes):
-            raise ContractViolation("certificate paths do not cover the nodes")
-        for t in self.td.nodes:
-            ps = self.paths[t]
-            if len(ps) > 3:
-                raise ContractViolation("node %s carries %d > 3 paths" % (t, len(ps)))
-            union: Set[int] = set()
-            for path in ps:
-                if not path:
-                    raise ContractViolation("node %s carries an empty path" % t)
-                for i in range(len(path) - 1):
-                    if tree.parent[path[i]] != path[i + 1]:
-                        raise ContractViolation(
-                            "node %s path breaks the parent chain at %s" % (t, path[i])
-                        )
-                union.update(path)
-            if frozenset(union) != self.td.bags[t]:
-                raise ContractViolation("node %s bag is not the union of its paths" % t)
-
-
-def _check_simple(g: WeightedGraph) -> None:
-    seen: Set[Tuple[int, int]] = set()
-    for (u, v, _) in g.edges:
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphError("parallel edge (%s, %s); the embedding machinery needs a simple graph" % key)
-        seen.add(key)
-
-
-def _check_rotation(g: WeightedGraph, rotation: Dict[int, Sequence[int]]) -> None:
-    """Every vertex the rotation system names is g's, and its order lists
-    its neighbours in g exactly once.  A vertex it misses is not checked."""
-    vset = g.vertex_set()
-    alien = set(rotation) - vset
-    if alien:
-        raise GraphError("rotation names unknown vertices %s" % sorted(alien)[:5])
-    for v in sorted(rotation):
-        order = rotation[v]
-        # a view shares its base's adjacency, so its neighbours are filtered
-        around = sorted(n for (n, _) in g._sadj[v] if n in vset)
-        if sorted(order) != around or len(set(order)) != len(order):
-            raise GraphError("rotation at %s does not list its neighbors exactly once" % v)
-
-
-def _trace_faces(
-    g: WeightedGraph, rotation: Dict[int, Sequence[int]]
-) -> List[Tuple[int, ...]]:
-    """Face walks of the rotation system; checks the Euler count and that
-    every face walk is a simple cycle."""
-    if set(rotation) != g.vertex_set():
-        raise GraphError("rotation system must cover the vertices exactly")
-    _check_rotation(g, rotation)
-    succ: Dict[Tuple[int, int], int] = {}
-    for v in g.vertices:
-        order = tuple(rotation[v])
-        k = len(order)
-        for i, u in enumerate(order):
-            succ[(v, u)] = order[(i + 1) % k]
-    faces: List[Tuple[int, ...]] = []
-    visited: Set[Tuple[int, int]] = set()
-    for start in sorted(succ):
-        if start in visited:
-            continue
-        walk: List[int] = []
-        cur = start
-        while True:
-            visited.add(cur)
-            walk.append(cur[0])
-            cur = (cur[1], succ[(cur[1], cur[0])])
-            if cur == start:
-                break
-        if len(set(walk)) != len(walk):
-            raise GraphError(
-                "a face walk revisits a vertex; the embedding must be 2-connected"
-            )
-        faces.append(tuple(walk))
-    e_count = len(g.edges)
-    if len(g) - e_count + len(faces) != 2:
-        raise GraphError("rotation system does not describe a sphere embedding")
-    return faces
-
-
-def tripod_decomposition(
-    g: WeightedGraph,
-    rotation: Optional[Dict[int, Sequence[int]]],
-    tree: GeodesicTree,
-) -> GeodesicCertificate:
-    """Tree decomposition of a connected embedded graph into bags made of at
-    most three vertical paths of `tree`, returned as a contracted
-    certificate that has been verified against g
-    (`GeodesicCertificate.verify`), so callers need not verify it again.
-
-    Faces longer than a triangle are star-triangulated with throwaway apex
-    vertices (leaves of the tree, stripped from the output).  The recursion
-    walks wedges: regions bounded by two root paths and an edge, split at
-    the apex of the boundary face, with one node per wedge visited and one
-    per face split.  A node's bag is the union of its corners' root paths
-    (an apex stands for the face vertex it hangs from), so the recursion
-    records only the corners.  Every node whose bag sits inside a
-    neighbour's is then contracted away (`_contract`), which the corners
-    decide alone: a bag holds another iff each corner of the other is an
-    ancestor-or-self of one of its corners, an interval test on the
-    preorder of `tree`.  Only the surviving nodes get paths and bags.
-    Trees need no rotation system.  On a unit grid this leaves one node per
-    pair of adjacent columns.
-    """
-    _check_simple(g)
-    verts = list(g.vertices)
-    if not verts:
-        raise GraphError("nothing to decompose")
-    if not g.is_connected():
-        raise GraphError("tripod decomposition needs a connected graph")
-    root = tree.root
-    paths: Dict[int, Tuple[Tuple[int, ...], ...]]
-    if len(verts) == 1:
-        td = RootedTreeDecomposition({0: frozenset(verts)}, [], 0)
-        paths = {0: (tuple(verts),)}
-    elif len(g.edges) == len(verts) - 1:
-        # a tree: one node per vertex v holding its tree edge (v, parent)
-        ends = {v: (v, tree.parent[v]) for v in verts if v != root}
-        ends[root] = (root,)
-        bags = {v: frozenset(ps) for v, ps in ends.items()}
-        alive, edges, top = _contract(
-            verts, sorted((tree.parent[v], v) for v in verts if v != root), root,
-            lambda s, t: bags[s] <= bags[t],
-        )
-        td = RootedTreeDecomposition({t: bags[t] for t in alive}, edges, top)
-        paths = {t: (ends[t],) for t in alive}
-    else:
-        order, rank, end = _preorder(tree, verts)
-        corners, tree_edges = _wedge_corners(g, rotation, tree, rank)
-
-        def within(s: int, t: int) -> bool:
-            tops = corners[t]
-            for c in corners[s]:
-                e = end[c]
-                for x in tops:
-                    if c <= x < e:
-                        break
-                else:
-                    return False
-            return True
-
-        alive, edges, top = _contract(range(len(corners)), sorted(tree_edges), 0, within)
-        paths = {t: tuple(_root_path(tree, order[c]) for c in corners[t]) for t in alive}
-        td = RootedTreeDecomposition(
-            {t: frozenset(v for p in paths[t] for v in p) for t in alive}, edges, top
-        )
-    cert = GeodesicCertificate(tree, td, paths)
-    cert.verify(g)
-    return cert
-
-
-def _preorder(
-    tree: GeodesicTree, verts: Sequence[int]
-) -> Tuple[List[int], Dict[int, int], List[int]]:
-    """The vertices of `tree` in preorder, each vertex's position there, and
-    per position i the end of the subtree starting there: the vertex at i
-    is an ancestor-or-self of the one at j iff i <= j < end[i]."""
-    children: Dict[int, List[int]] = {v: [] for v in verts}
-    if tree.root not in children:
-        raise ContractViolation("certificate root is not a vertex")
-    for v in verts:
-        p = tree.parent.get(v)
-        if v != tree.root and p in children:
-            children[p].append(v)
-    order: List[int] = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-    if len(order) != len(verts):
-        raise ContractViolation("certificate tree does not cover the vertices")
-    end = list(range(1, len(order) + 1))
-    rank = {v: i for i, v in enumerate(order)}
-    for i in range(len(order) - 1, 0, -1):
-        p = rank[tree.parent[order[i]]]
-        end[p] = max(end[p], end[i])
-    return order, rank, end
-
-
-def _wedge_corners(
-    g: WeightedGraph,
-    rotation: Optional[Dict[int, Sequence[int]]],
-    tree: GeodesicTree,
-    rank: Dict[int, int],
-) -> Tuple[List[Tuple[int, ...]], List[TreeEdge]]:
-    """The wedge recursion of `tripod_decomposition` on a graph with a
-    cycle: per node id (from 0, the root node), the ranks of its distinct
-    corners, and the (parent, child) edges between node ids."""
-    if rotation is None:
-        raise GraphError("a rotation system is required once the graph has cycles")
-    faces = _trace_faces(g, rotation)
-    third: Dict[Tuple[int, int], int] = {}
-    star_parent: Dict[int, int] = {}
-    next_star = max(g.vertices) + 1
-    star_edges = 0
-    for face in faces:
-        k = len(face)
-        if k == 3:
-            a, b, ccc = face
-            third[(a, b)] = ccc
-            third[(b, ccc)] = a
-            third[(ccc, a)] = b
-        else:
-            s = next_star
-            next_star += 1
-            star_parent[s] = face[0]
-            star_edges += k
-            for i in range(k):
-                x, y = face[i], face[(i + 1) % k]
-                third[(x, y)] = s
-                third[(y, s)] = x
-                third[(s, x)] = y
-    if len(third) != 2 * (len(g.edges) + star_edges):
-        raise ContractViolation("triangulation left directed edges uncovered")
-    parent_h: Dict[int, Optional[int]] = dict(tree.parent)
-    parent_h.update(star_parent)
-
-    def tree_pair(x: int, y: int) -> bool:
-        return parent_h.get(x) == y or parent_h.get(y) == x
-
-    corners: List[Tuple[int, ...]] = []
-    tree_edges: List[TreeEdge] = []
-
-    def new_node(ends: Tuple[int, ...], parent_node: Optional[int]) -> int:
-        nid = len(corners)
-        real: List[int] = []
-        for x in ends:
-            r = rank[star_parent.get(x, x)]
-            if r not in real:
-                real.append(r)
-        corners.append(tuple(real))
-        if parent_node is not None:
-            tree_edges.append((parent_node, nid))
-        return nid
-
-    a0, b0 = min((min(u, v), max(u, v)) for (u, v, _) in g.edges if not tree_pair(u, v))
-    root_node = new_node((a0, b0), None)
-    stack: List[Tuple[int, int, int]] = [(b0, a0, root_node), (a0, b0, root_node)]
-    seen_states: Set[Tuple[int, int]] = {(a0, b0), (b0, a0)}
-    faces_done: Set[Tuple[int, int, int]] = set()
-    while stack:
-        a, b, pnode = stack.pop()
-        snode = new_node((a, b), pnode)
-        w = third[(a, b)]
-        key = min(((a, b, w), (b, w, a), (w, a, b)))
-        if key in faces_done:
-            raise ContractViolation("wedge recursion met the same face twice")
-        faces_done.add(key)
-        mnode = new_node((a, b, w), snode)
-        for (x, y) in ((a, w), (w, b)):
-            if tree_pair(x, y):
-                continue
-            if (x, y) in seen_states:
-                raise ContractViolation("wedge recursion met the same directed edge twice")
-            seen_states.add((x, y))
-            stack.append((x, y, mnode))
-    if 3 * len(faces_done) != len(third):
-        raise ContractViolation(
-            "wedge recursion covered %d of %d faces" % (len(faces_done), len(third) // 3)
-        )
-    return corners, tree_edges
-
-
-def _root_path(tree: GeodesicTree, v: int) -> Tuple[int, ...]:
-    """v's path up `tree` to the root, bottom first."""
-    path = [v]
-    while path[-1] != tree.root:
-        path.append(tree.parent[path[-1]])
-    return tuple(path)
-
-
-def _contract(
-    nodes: Iterable[int],
-    tree_edges: Sequence[TreeEdge],
-    root: int,
-    within: Callable[[int, int], bool],
-) -> Tuple[Set[int], List[TreeEdge], int]:
-    """The tree on `nodes` given by `tree_edges` and `root`, with every node
-    whose bag sits inside a neighbour's absorbed into that neighbour, which
-    keeps its node id; `within(s, t)` says whether s's bag sits inside t's.
-    Tree edges are taken last first, so the same input keeps the same ids.
-    Returns the surviving nodes, the edges between them and the root."""
-    alive = set(nodes)
-    adj: Dict[int, Set[int]] = {t: set() for t in alive}
-    for (p, ch) in tree_edges:
-        adj[p].add(ch)
-        adj[ch].add(p)
-    work = list(tree_edges)
-    while work:
-        a, b = work.pop()
-        if a not in alive or b not in adj[a]:
-            continue
-        # absorb b into a below; flip first if a's bag is the smaller one
-        if within(a, b):
-            a, b = b, a
-        elif not within(b, a):
-            continue
-        adj[a].discard(b)
-        for n in adj[b]:
-            adj[n].discard(b)
-            if n != a:
-                adj[n].add(a)
-                adj[a].add(n)
-                work.append((a, n))
-        alive.discard(b)
-        if root == b:
-            root = a
-    edges = [(t, n) for t in alive for n in adj[t] if t < n]
-    return alive, edges, root
 
 
 # -- slabs --------------------------------------------------------------------
@@ -1501,44 +1117,6 @@ def _color_slabs(
     return SlabColorResult(coloring, bound, report, tuple(systems))
 
 
-def _restrict_tripods(
-    trip: GeodesicCertificate,
-    window: Iterable[int],
-    piece: Set[int],
-) -> Tuple[RootedTreeDecomposition, Dict[int, Tuple[int, ...]]]:
-    """Cut every certified path to the padded window, keep the slices inside
-    one window piece (a connected component of the window), contract
-    redundant nodes away, and return the pruned decomposition together with
-    its min-projection path centers.  The projection is monotone along every
-    path, so each window slice must be contiguous, and a slice lies in one
-    piece or misses it.  Runs once per window piece, over the component's
-    contracted certificate."""
-    wset = set(window)
-    bags: Dict[int, FrozenSet[int]] = {}
-    tops: Dict[int, Tuple[int, ...]] = {}
-    for t in trip.td.nodes:
-        kept: List[Tuple[int, ...]] = []
-        for path in trip.paths[t]:
-            idx = [i for i, v in enumerate(path) if v in wset]
-            if not idx:
-                continue
-            if idx[-1] - idx[0] != len(idx) - 1:
-                raise ContractViolation("a path's window slice is not contiguous")
-            sl = path[idx[0]:idx[-1] + 1]
-            n_in = len(piece.intersection(sl))
-            if 0 < n_in < len(sl):
-                raise ContractViolation("a window slice straddles two window components")
-            if n_in:
-                kept.append(sl)
-        bags[t] = frozenset(v for s in kept for v in s)
-        tops[t] = tuple(sorted({s[-1] for s in kept}))
-    alive, edges, root = _contract(
-        trip.td.nodes, trip.td.tree_edges, trip.td.root, lambda s, t: bags[s] <= bags[t]
-    )
-    td = RootedTreeDecomposition({t: bags[t] for t in alive}, edges, root)
-    return td, {t: tops[t] for t in td.nodes}
-
-
 def color_planar(
     g: WeightedGraph,
     ell: object,
@@ -1568,10 +1146,12 @@ def color_planar(
     def prepare(gc: WeightedGraph):
         tree = bfs_geodesic_tree(gc, gc.vertices[0])
         rot_c = None if rotation is None else {v: rotation[v] for v in gc.vertices if v in rotation}
-        cert = tripod_decomposition(gc, rot_c, tree)
+        windows = _TripodWindows(tripod_decomposition(gc, rot_c, tree))
 
         def color_piece(system: SlabSystem, slab: Slab, gk: WeightedGraph) -> ColorResult:
-            tdk, centersk = _restrict_tripods(cert, slab.window, gk.vertex_set())
+            tdk, centersk = _restrict_tripods(
+                windows, slab.window_lo, slab.window_hi, gk.vertex_set()
+            )
             return color_centered_bags(
                 gk, lf, tdk, centersk, system.width + 2 * system.pad, exact_check=False,
                 what="planar coloring: slab %s%d" % (slab.family, slab.index),

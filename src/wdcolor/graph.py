@@ -233,13 +233,19 @@ class WeightedGraph:
     def induced(self, keep: Iterable[int]) -> "WeightedGraph":
         """The subgraph on `keep`.  It reuses this graph's checked edges at
         this graph's scale; adjacency lists keep their relative order, so
-        searches break ties as they would here."""
+        searches break ties as they would here.  A small `keep` takes its
+        edges off the incidence index, so that copying many small pieces
+        (a slab's windows) costs their size and not the graph's each time."""
         ks = set(keep)
         unknown = ks - self._vset
         if unknown:
             raise GraphError("induced() got unknown vertices %s" % sorted(unknown))
+        if 8 * len(ks) < len(self._vset):
+            edges = self._edges_within(ks)
+        else:
+            edges = tuple(e for e in self.edges if e[0] in ks and e[1] in ks)
         sub = WeightedGraph.__new__(WeightedGraph)
-        sub._fill(ks, tuple(e for e in self.edges if e[0] in ks and e[1] in ks), self._scale)
+        sub._fill(ks, edges, self._scale)
         return sub
 
     def without(self, drop: Iterable[int]) -> "WeightedGraph":

@@ -227,7 +227,7 @@ def window_segments(
 ) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
     """Per node, the window slices of its certified paths, rescanning every
     path of every node.  With `restrict_tripods`, the reference for
-    `geodesic._restrict_tripods`."""
+    `tripods._restrict_tripods`."""
     segs: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
     for t in nodes:
         out: List[Tuple[int, ...]] = []
@@ -249,7 +249,7 @@ def restrict_tripods(
     window_segs: Dict[int, Tuple[Tuple[int, ...], ...]],
     keep: Set[int],
 ) -> Tuple[Dict[int, frozenset], List[Tuple[int, int]], int, Dict[int, Tuple[int, ...]]]:
-    """With `window_segments`, the reference for `geodesic._restrict_tripods`,
+    """With `window_segments`, the reference for `tripods._restrict_tripods`,
     node by node and slice by slice: keep the slices inside `keep`, contract
     every node whose bag sits inside a neighbour's, and return the surviving
     bags, the tree edges in breadth-first order from the surviving root,
@@ -794,31 +794,115 @@ def reference_min_fill_order(adj: Dict[int, Set[int]]) -> List[int]:
     return order
 
 
-# -- the tripod builder and the slab cutter, copied before their rewrite ------
+# -- the tripod decomposition, its check and the slab cutter, copied before their rewrite
 #
 # `full_tripods` is `geodesic.tripod_decomposition`'s wedge recursion as it
 # stood when every node listed the whole root paths of its corners and the
 # contraction ran on that full decomposition afterwards.
+# `reference_certificate_verify` is `GeodesicCertificate.verify` as it stood
+# when a certificate listed every node's bag and paths.
 # `reference_make_slabs` is `geodesic.make_slabs` as it stood when it cut on
 # `Fraction` projections.
 
 import bisect  # noqa: E402
 
-from wdcolor.geodesic import (  # noqa: E402
-    GeodesicCertificate,
-    GeodesicTree,
-    Slab,
-    SlabSystem,
-    _check_simple,
-    _trace_faces,
-)
+from wdcolor.geodesic import Slab, SlabSystem  # noqa: E402
+from wdcolor.tripods import GeodesicTree, _check_simple, _trace_faces  # noqa: E402
+from wdcolor.treedec import validate_td  # noqa: E402
+
+
+@dataclass(frozen=True)
+class BagTripods:
+    """A tripod decomposition in bag form: every node's bag and the at most
+    three vertical paths (bottom to top) whose union it is."""
+
+    tree: GeodesicTree
+    td: RootedTreeDecomposition
+    paths: Dict[int, Tuple[Tuple[int, ...], ...]]
+
+
+def certificate_paths(cert) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
+    """Each node's paths of a corner-form certificate, bottom to top: from a
+    corner up the tree to the node's top.  A walk that reaches the root, or
+    runs as long as the tree, without meeting the top ends with the top, so
+    that path breaks the parent chain."""
+    tree = cert.tree
+    out: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+    for t, cs in cert.corners.items():
+        top = cert.tops[t]
+        paths = []
+        for c in cs:
+            path = [c]
+            while path[-1] != top and tree.parent.get(path[-1]) is not None and len(path) <= len(tree.parent):
+                path.append(tree.parent[path[-1]])
+            if path[-1] != top:
+                path.append(top)
+            paths.append(tuple(path))
+        out[t] = tuple(paths)
+    return out
+
+
+def certificate_bags(cert) -> BagTripods:
+    """A corner-form certificate with every bag and path listed."""
+    paths = certificate_paths(cert)
+    bags = {t: frozenset(v for p in ps for v in p) for t, ps in paths.items()}
+    return BagTripods(cert.tree, RootedTreeDecomposition(bags, cert.tree_edges, cert.root), paths)
+
+
+def reference_certificate_verify(cert: BagTripods, g: WeightedGraph) -> None:
+    """The tree, the decomposition and every listed path, bag by bag."""
+    tree = cert.tree
+    vset = g.vertex_set()
+    if tree.root not in vset:
+        raise ContractViolation("certificate root is not a vertex")
+    dist = g._scaled_distances([tree.root])
+    if set(tree.dist) != vset or set(tree.parent) != vset:
+        raise ContractViolation("certificate tree does not cover the vertices")
+    scale, sadj = g._scale, g._sadj
+    for v in g.vertices:
+        if v == tree.root:
+            if tree.parent[v] is not None or tree.dist[v] != 0:
+                raise ContractViolation("certificate root data is wrong")
+            continue
+        p = tree.parent[v]
+        w = None
+        if p in vset:
+            for (u, wu) in sadj[v]:
+                if u == p and (w is None or wu < w):
+                    w = wu
+        if w is None:
+            raise ContractViolation("tree parent of %s is not a neighbor" % v)
+        dv, dp = tree.dist[v], tree.dist[p]
+        if dv.numerator * scale != dist[v] * dv.denominator:
+            raise ContractViolation("certified distance of %s is off" % v)
+        if dp.numerator * scale != (dist[v] - w) * dp.denominator:
+            raise ContractViolation("tree edge into %s is not on a shortest path" % v)
+    validate_td(g, cert.td, "certified decomposition invalid")
+    if set(cert.paths) != set(cert.td.nodes):
+        raise ContractViolation("certificate paths do not cover the nodes")
+    for t in cert.td.nodes:
+        ps = cert.paths[t]
+        if len(ps) > 3:
+            raise ContractViolation("node %s carries %d > 3 paths" % (t, len(ps)))
+        union: Set[int] = set()
+        for path in ps:
+            if not path:
+                raise ContractViolation("node %s carries an empty path" % t)
+            for i in range(len(path) - 1):
+                if tree.parent[path[i]] != path[i + 1]:
+                    raise ContractViolation(
+                        "node %s path breaks the parent chain at %s" % (t, path[i])
+                    )
+            union.update(path)
+        if frozenset(union) != cert.td.bags[t]:
+            raise ContractViolation("node %s bag is not the union of its paths" % t)
 
 
 def full_tripods(
     g: WeightedGraph,
     rotation: Optional[Dict[int, Sequence[int]]],
     tree: GeodesicTree,
-) -> GeodesicCertificate:
+) -> BagTripods:
     """The uncontracted, unverified tripod decomposition: one node per wedge
     visited and one per face split, each listing the root paths of its
     corners."""
@@ -831,7 +915,7 @@ def full_tripods(
     root = tree.root
     if len(verts) == 1:
         td = RootedTreeDecomposition({0: frozenset(verts)}, [], 0)
-        return GeodesicCertificate(tree, td, {0: (tuple(verts),)})
+        return BagTripods(tree, td, {0: (tuple(verts),)})
     if len(g.edges) == len(verts) - 1:
         bags = {root: frozenset((root,))}
         edges: List[Tuple[int, int]] = []
@@ -844,7 +928,7 @@ def full_tripods(
             edges.append((p, v))
             paths[v] = ((v, p),)
         td = RootedTreeDecomposition(bags, edges, root)
-        return GeodesicCertificate(tree, td, paths)
+        return BagTripods(tree, td, paths)
     if rotation is None:
         raise GraphError("a rotation system is required once the graph has cycles")
     faces = _trace_faces(g, rotation)
@@ -939,7 +1023,7 @@ def full_tripods(
         raise ContractViolation(
             "wedge recursion covered %d of %d faces" % (len(faces_done), len(third) // 3)
         )
-    return GeodesicCertificate(tree, RootedTreeDecomposition(bags2, td_edges, root_node), paths2)
+    return BagTripods(tree, RootedTreeDecomposition(bags2, td_edges, root_node), paths2)
 
 
 def reference_make_slabs(

@@ -350,9 +350,8 @@ def test_verify_subdivides_only_above_ell_and_parses_each_weight_text_once(tmp_p
 
 
 def test_gen_grid_certifies_tripods_only_with_unit_weights(tmp_path, capsys):
-    from wdcolor.geodesic import GeodesicCertificate, GeodesicTree
+    from wdcolor.tripods import GeodesicCertificate, GeodesicTree
     from wdcolor.graph import parse_edge_list
-    from wdcolor.treedec import RootedTreeDecomposition
 
     weighted = str(tmp_path / "w6")
     code, out, _ = _main(capsys, [
@@ -374,10 +373,15 @@ def test_gen_grid_certifies_tripods_only_with_unit_weights(tmp_path, capsys):
         {int(v): p for v, p in data["tree"]["parent"].items()},
         {int(v): Fraction(d) for v, d in data["tree"]["dist"].items()},
     )
+    # corner form: each node names the bottoms of its two columns and climbs to the root
+    assert [node["corners"] for node in data["nodes"]] == [[30 + t, 31 + t] for t in range(5)]
+    assert {node["top"] for node in data["nodes"]} == {0} and data["root"] == 0
     cert = GeodesicCertificate(
         tree,
-        RootedTreeDecomposition.from_json_dict(data["td"]),
-        {int(t): tuple(tuple(p) for p in ps) for t, ps in data["paths"].items()},
+        {node["id"]: tuple(node["corners"]) for node in data["nodes"]},
+        {node["id"]: node["top"] for node in data["nodes"]},
+        tuple(tuple(e) for e in data["edges"]),
+        data["root"],
     )
     cert.verify(parse_edge_list(pathlib.Path(unit + ".txt").read_text()))
 
@@ -524,11 +528,19 @@ def test_dilation_refuses_empty_scales(tmp_path, capsys):
 
 
 def test_run_tw_with_a_wide_supplied_decomposition(tmp_path, capsys):
-    # the 16x16 grid's own decomposition has width 45: the bound recursion
-    # runs 46**2 levels deep and the proved bound has over 4300 digits
+    # the 16x16 grid's column comb, each bag two columns and the row-0
+    # spine to their left, has width 45: the bound recursion runs 46**2
+    # levels deep and the proved bound has over 4300 digits
+    from wdcolor.treedec import RootedTreeDecomposition
+
     g = _gen(capsys, tmp_path, "g16", ["grid", "--rows", "16", "--cols", "16"])
+    column = lambda j: {16 * i + j for i in range(16)} | set(range(j + 1))
+    comb = RootedTreeDecomposition(
+        {t: column(t) | column(t + 1) for t in range(15)}, [(t - 1, t) for t in range(1, 15)], 0
+    )
+    (tmp_path / "comb.json").write_text(json.dumps(comb.to_json_dict()))
     code, out, _ = _main(
-        capsys, ["run", "tw", "--graph", g + ".txt", "--ell", "1", "--td", g + ".td.json"]
+        capsys, ["run", "tw", "--graph", g + ".txt", "--ell", "1", "--td", str(tmp_path / "comb.json")]
     )
     assert code == 0
     report = json.loads(out)
@@ -572,9 +584,9 @@ def test_pipelines_and_verify_read_only_the_integer_adjacency(tmp_path, capsys, 
     only, so none calls `neighbors` or `distances_from`.  The runs are
     checked to reach the code that read the Fraction adjacency: adhesion
     hierarchies, certificate checks and face tracing."""
-    import wdcolor.geodesic as geodesic
     import wdcolor.graph as graph
     import wdcolor.treedec as treedec
+    import wdcolor.tripods as tripods
 
     def spy(owner, name, log):
         original = getattr(owner, name)
@@ -585,8 +597,8 @@ def test_pipelines_and_verify_read_only_the_integer_adjacency(tmp_path, capsys, 
         spy(owner, "neighbors", calls)
     spy(graph.WeightedGraph, "distances_from", calls)
     spy(treedec, "adhesion_hierarchy", reached)
-    spy(geodesic, "_trace_faces", reached)
-    spy(geodesic.GeodesicCertificate, "verify", reached)
+    spy(tripods, "_trace_faces", reached)
+    spy(tripods.GeodesicCertificate, "verify", reached)
 
     kt = _gen(capsys, tmp_path, "kt", ["ktree", "--n", "200", "--k", "2", "--seed", "3", "--weight-lo", "1/4",
                                        "--weight-hi", "1", "--weight-den", "4"])
@@ -685,15 +697,16 @@ def test_run_tw_rejects_a_repeated_node_id(tmp_path, capsys):
     "family, run, built",
     [
         (["path", "--n", "480"], ["tw"], 2),
-        (["grid", "--rows", "30", "--cols", "30"], ["planar", "--rotation", "{}.rotation.json"], 17),
+        (["grid", "--rows", "30", "--cols", "30"], ["planar", "--rotation", "{}.rotation.json"], 16),
         (["grid", "--rows", "12", "--cols", "12"], ["layered", "--eps0", "1", "--layers", "{}.layers.json"], 20),
     ],
 )
 def test_a_run_builds_few_decompositions_through_the_constructor(tmp_path, capsys, monkeypatch, family, run, built):
     """A count: the constructor builds only the trees that come from
-    outside a checked tree (an elimination order, a cut, tripods), and each
-    re-rooted tree is derived from the one it re-roots.  Building each
-    re-rooting through the constructor gives 4, 27 and 30."""
+    outside a checked tree (an elimination order, a cut, a window's cut of
+    the tripod certificate, which itself lists no bags), and each re-rooted
+    tree is derived from the one it re-roots.  Building each re-rooting
+    through the constructor gives 4, 26 and 30."""
     from wdcolor.treedec import RootedTreeDecomposition
 
     g = _gen(capsys, tmp_path, "g", family)

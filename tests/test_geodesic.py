@@ -21,10 +21,7 @@ from wdcolor.twcolor import (
 )
 from wdcolor.geodesic import (
     ControlConstruction,
-    GeodesicCertificate,
-    GeodesicTree,
     GuardTriple,
-    bfs_geodesic_tree,
     centered_bags_bound,
     color_centered_bags,
     color_control_construction,
@@ -34,8 +31,8 @@ from wdcolor.geodesic import (
     control_extension_bound,
     layering_projection,
     make_slabs,
-    tripod_decomposition,
 )
+from wdcolor.tripods import GeodesicCertificate, GeodesicTree, bfs_geodesic_tree, tripod_decomposition
 from wdcolor.generators import GeneratorSpec, generate
 
 import oracles
@@ -792,7 +789,7 @@ def test_tripods_on_triangle():
     tree = bfs_geodesic_tree(g, 0)
     trip = tripod_decomposition(g, rotation, tree)
     trip.verify(g)
-    validate_td(g, trip.td, "geodesic test")
+    validate_td(g, oracles.certificate_bags(trip).td, "geodesic test")
 
 
 def test_tripods_on_square_need_triangulation():
@@ -808,14 +805,14 @@ def test_tripods_on_tree_need_no_rotation():
     tree = bfs_geodesic_tree(g, 0)
     trip = tripod_decomposition(g, None, tree)
     trip.verify(g)
-    assert trip.td.width <= 1
+    assert oracles.certificate_bags(trip).td.width <= 1
 
 
 def test_tripods_on_single_vertex():
     g = WeightedGraph([0], [])
     tree = bfs_geodesic_tree(g, 0)
     trip = tripod_decomposition(g, None, tree)
-    assert trip.td.bags[trip.td.root] == {0}
+    assert oracles.certificate_bags(trip).td.bags[trip.root] == {0}
 
 
 def test_tripods_reject_parallel_edges():
@@ -854,11 +851,11 @@ def test_certificate_flags_tampered_paths():
     g, rotation = triangle()
     tree = bfs_geodesic_tree(g, 0)
     trip = tripod_decomposition(g, rotation, tree)
-    broken = {t: ps for t, ps in trip.paths.items()}
+    broken = dict(trip.corners)
     some = next(iter(broken))
-    broken[some] = ((99,),)
+    broken[some] = (99,)
     with pytest.raises(ContractViolation):
-        GeodesicCertificate(tree, trip.td, broken).verify(g)
+        GeodesicCertificate(tree, broken, trip.tops, trip.tree_edges, trip.root).verify(g)
 
 
 def _tree_verdict(check):
@@ -914,9 +911,7 @@ def test_certificate_tree_check_fails_as_the_fraction_check(g, corruption, data)
             detours = [u for u in sorted(adjacent) if all(dist[u] + w != dist[v] for (n, w) in g.neighbors(v) if n == u)]
             assume(detours)
             parent[v] = data.draw(st.sampled_from(detours))
-    cert = GeodesicCertificate(
-        GeodesicTree(root, parent, dist), RootedTreeDecomposition({0: g.vertex_set()}, [], 0), {0: ()}
-    )
+    cert = GeodesicCertificate(GeodesicTree(root, parent, dist), {0: ()}, {0: root}, (), 0)
     want = _tree_verdict(lambda: oracles.reference_certificate_tree_check(cert, g))
     assert want is not None and want[0] is ContractViolation
     assert _tree_verdict(lambda: cert.verify(g)) == want
@@ -1060,38 +1055,37 @@ def test_combine_flags_uncolored_owned_vertex():
 
 
 def path_certificate(n):
-    """A unit path with one bag holding the whole certified root path."""
+    """A unit path with one node whose corner, the far end, certifies the
+    whole root path."""
     g = unit_path(n)
     tree = bfs_geodesic_tree(g, 0)
-    td = RootedTreeDecomposition({0: set(range(n))}, [], 0)
-    cert = GeodesicCertificate(tree, td, {0: (tuple(range(n - 1, -1, -1)),)})
+    cert = GeodesicCertificate(tree, {0: (n - 1,)}, {0: 0}, (), 0)
     cert.verify(g)
     return cert
 
 
-def test_window_slice_must_be_contiguous():
-    # the path 4-3-2-1-0 is in the window at 4 and 3, leaves it at 2 and
-    # re-enters at 1
-    from wdcolor.geodesic import _restrict_tripods
+def test_window_slice_is_cut_by_depth():
+    # the path 4-3-2-1-0 meets the window of projections [2, 5) in 4, 3, 2
+    from wdcolor.tripods import _restrict_tripods, _TripodWindows
 
-    cert = path_certificate(5)
-    td, centers = _restrict_tripods(cert, {4, 3, 2}, {4, 3, 2})
+    windows = _TripodWindows(path_certificate(5))
+    td, centers = _restrict_tripods(windows, Fraction(2), Fraction(5), {4, 3, 2})
     assert td.bags == {0: frozenset({4, 3, 2})} and centers == {0: (2,)}
-    with pytest.raises(ContractViolation, match="a path's window slice is not contiguous"):
-        _restrict_tripods(cert, {4, 3, 1}, {4, 3})
+    td, centers = _restrict_tripods(windows, Fraction(3, 2), Fraction(7, 2), {3, 2})
+    assert td.bags == {0: frozenset({3, 2})} and centers == {0: (2,)}
 
 
 @pytest.mark.parametrize("keep", [{4, 3}, {1, 0}])
 def test_window_slice_must_not_straddle_window_components(keep):
     # keep {4, 3} holds the slice's bottom but not all of it; keep {1, 0}
     # misses the bottom yet holds part of the slice
-    from wdcolor.geodesic import _restrict_tripods
+    from wdcolor.tripods import _restrict_tripods, _TripodWindows
 
-    cert = path_certificate(5)
-    td, centers = _restrict_tripods(cert, range(5), set(range(5)))
+    windows = _TripodWindows(path_certificate(5))
+    td, centers = _restrict_tripods(windows, Fraction(0), Fraction(5), set(range(5)))
     assert td.bags == {0: frozenset(range(5))} and centers == {0: (0,)}
     with pytest.raises(ContractViolation, match="a window slice straddles two window components"):
-        _restrict_tripods(cert, range(5), keep)
+        _restrict_tripods(windows, Fraction(0), Fraction(5), keep)
 
 
 @st.composite
@@ -1114,65 +1108,114 @@ def planar_instances(draw):
     return generate(spec, base=inst.graph).graph, inst.rotation
 
 
+def _reference_restriction(full, slab, keep):
+    """`oracles.restrict_tripods` on a bag-form decomposition: every node's
+    every path rescanned for its window slice."""
+    segs = oracles.window_segments(full.td.nodes, full.paths, set(slab.window))
+    return oracles.restrict_tripods(full.td.nodes, full.td.tree_edges, full.td.root, segs, keep)
+
+
 @settings(max_examples=12, deadline=None)
 @given(planar_instances(), st.sampled_from((4, 8)))
 def test_window_restriction_matches_the_reference(instance, factor):
-    from wdcolor.geodesic import _restrict_tripods
+    """Cutting only the nodes whose depth interval meets the window gives
+    the node ids, bags, tree, root and centres of cutting every path of
+    every node and contracting all of them."""
+    from wdcolor.tripods import _restrict_tripods, _TripodWindows
 
     g, rotation = instance
     tree = bfs_geodesic_tree(g, g.vertices[0])
     cert = tripod_decomposition(g, rotation, tree)
-    cert.verify(g)
+    full = oracles.certificate_bags(cert)
+    windows = _TripodWindows(cert)
     system = make_slabs(g, 1, tree.dist, slab_width_factor=factor)
     for slab in system.slabs:
-        ref_segs = oracles.window_segments(cert.td.nodes, cert.paths, set(slab.window))
         for comp in g.induced(slab.window).connected_components():
             keep = set(comp)
-            td, centers = _restrict_tripods(cert, slab.window, keep)
-            bags, edges, root, ref_centers = oracles.restrict_tripods(
-                cert.td.nodes, cert.td.tree_edges, cert.td.root, ref_segs, keep
-            )
+            td, centers = _restrict_tripods(windows, slab.window_lo, slab.window_hi, keep)
+            bags, edges, root, ref_centers = _reference_restriction(full, slab, keep)
             assert td.bags == bags
             assert list(td.tree_edges) == sorted(edges)
             assert td.root == root
             assert centers == ref_centers
 
 
-def _over_bags(td, centers):
+@pytest.mark.parametrize(
+    "rows, cols, seed, ell, factor",
+    [(6, 6, 0, 1, 4), (3, 31, 934491, Fraction(5, 4), Fraction(9, 2))],
+    ids=["spanned", "hanging-copy"],
+)
+def test_window_restriction_matches_the_reference_beyond_the_met_nodes(monkeypatch, rows, cols, seed, ell, factor):
+    """Two weighted grids whose window pieces need more nodes than those
+    their depth interval meets.  On the 6x6 overlay the met nodes of the
+    window b-1 lie apart in the node tree, and the nodes between them join
+    the contraction.  On the 3x31 overlay a met node's bag is one slice
+    whose copies hang off the met nodes, and one of those copies keeps the
+    id."""
+    import wdcolor.tripods as tripods
+
+    spans = []
+    span = tripods._TripodWindows.span
+
+    def recorded(self, held):
+        spans.append((len(held), len(span(self, held))))
+        return span(self, held)
+
+    monkeypatch.setattr(tripods._TripodWindows, "span", recorded)
+    base = generate(GeneratorSpec(family="grid", rows=rows, cols=cols))
+    g = generate(GeneratorSpec(
+        family="random-weights-overlay", seed=seed, weight_lo=Fraction(1, 4), weight_hi=1, weight_den=4,
+    ), base=base.graph).graph
+    tree = bfs_geodesic_tree(g, 0)
+    cert = tripod_decomposition(g, base.rotation, tree)
+    full = oracles.certificate_bags(cert)
+    windows = tripods._TripodWindows(cert)
+    for slab in make_slabs(g, ell, tree.dist, slab_width_factor=factor).slabs:
+        for comp in g.induced(slab.window).connected_components():
+            keep = set(comp)
+            td, centers = tripods._restrict_tripods(windows, slab.window_lo, slab.window_hi, keep)
+            bags, edges, root, ref_centers = _reference_restriction(full, slab, keep)
+            assert (td.bags, list(td.tree_edges), td.root, centers) == (bags, sorted(edges), root, ref_centers)
+    assert any(spanned > held for held, spanned in spans) == (rows == 6)
+
+
+def _over_bags(bags, edges, root, centers):
     """A restricted decomposition with its node ids forgotten: the node
     count, each bag's centres, the tree as pairs of bags, and the root bag."""
     return (
-        len(td),
-        {td.bags[t]: centers[t] for t in td.nodes},
-        {frozenset((td.bags[p], td.bags[c])) for (p, c) in td.tree_edges},
-        td.bags[td.root],
+        len(bags),
+        {bags[t]: centers[t] for t in bags},
+        {frozenset((bags[p], bags[c])) for (p, c) in edges},
+        bags[root],
     )
 
 
 @settings(max_examples=12, deadline=None)
 @given(planar_instances(), st.sampled_from((4, 8)))
 def test_restricting_the_contracted_certificate_matches_restricting_the_full_one(instance, factor):
-    from wdcolor.geodesic import _restrict_tripods
+    from wdcolor.tripods import _restrict_tripods, _TripodWindows
 
     g, rotation = instance
     tree = bfs_geodesic_tree(g, g.vertices[0])
     full = oracles.full_tripods(g, rotation, tree)
     cert = tripod_decomposition(g, rotation, tree)
-    assert len(cert.td) <= len(full.td)
+    assert len(cert.corners) <= len(full.td)
+    windows = _TripodWindows(cert)
     system = make_slabs(g, 1, tree.dist, slab_width_factor=factor)
     for slab in system.slabs:
         for comp in g.induced(slab.window).connected_components():
             keep = set(comp)
-            assert _over_bags(*_restrict_tripods(cert, slab.window, keep)) == _over_bags(
-                *_restrict_tripods(full, slab.window, keep)
+            td, centers = _restrict_tripods(windows, slab.window_lo, slab.window_hi, keep)
+            assert _over_bags(td.bags, td.tree_edges, td.root, centers) == _over_bags(
+                *_reference_restriction(full, slab, keep)
             )
 
 
 def _assert_contracted_reference(g, rotation):
     """tripod_decomposition equals the reference's full decomposition after
-    `_contract` on plain bag inclusion: the same node ids, bags, paths,
-    root and tree edges."""
-    from wdcolor.geodesic import _contract
+    `_contract` on plain bag inclusion: the same node ids, bags, paths
+    (derived from corners), root and tree edges."""
+    from wdcolor.tripods import _contract
 
     tree = bfs_geodesic_tree(g, g.vertices[0])
     cert = tripod_decomposition(g, rotation, tree)
@@ -1181,11 +1224,12 @@ def _assert_contracted_reference(g, rotation):
     alive, edges, root = _contract(
         full.td.nodes, full.td.tree_edges, full.td.root, lambda s, t: bags[s] <= bags[t]
     )
-    assert cert.td.nodes == tuple(sorted(alive))
-    assert cert.td.bags == {t: bags[t] for t in alive}
-    assert cert.paths == {t: full.paths[t] for t in alive}
-    assert cert.td.root == root
-    assert {frozenset(e) for e in cert.td.tree_edges} == {frozenset(e) for e in edges}
+    listed = oracles.certificate_bags(cert)
+    assert sorted(cert.corners) == sorted(alive)
+    assert listed.td.bags == {t: bags[t] for t in alive}
+    assert listed.paths == {t: full.paths[t] for t in alive}
+    assert cert.root == root
+    assert {frozenset(e) for e in cert.tree_edges} == {frozenset(e) for e in edges}
 
 
 @settings(max_examples=25, deadline=None)
@@ -1219,36 +1263,147 @@ def test_tripod_decomposition_of_a_tree_is_the_contracted_reference():
 def test_unit_grid_certificate_is_the_column_comb(rows, cols):
     """A count guard: the contracted certificate of a unit grid keeps one
     node per pair of adjacent columns, the bags `generators._grid_tripods`
-    builds, in the same path."""
+    certifies, in the same path."""
     from wdcolor.generators import _grid_tripods
 
     inst = generate(GeneratorSpec(family="grid", rows=rows, cols=cols))
     cert = tripod_decomposition(inst.graph, inst.rotation, bfs_geodesic_tree(inst.graph, 0))
     comb = _grid_tripods(rows, cols)
-    assert len(cert.td) == cols - 1
+    comb.verify(inst.graph)
+    assert len(cert.corners) == cols - 1
+    listed, comb_listed = oracles.certificate_bags(cert).td, oracles.certificate_bags(comb).td
     tree_over_bags = lambda td: {frozenset((td.bags[p], td.bags[c])) for (p, c) in td.tree_edges}
-    assert set(cert.td.bags.values()) == set(comb.td.bags.values())
-    assert tree_over_bags(cert.td) == tree_over_bags(comb.td)
+    assert set(listed.bags.values()) == set(comb_listed.bags.values())
+    assert tree_over_bags(listed) == tree_over_bags(comb_listed)
 
 
-@pytest.mark.parametrize("rows, cols", [(3, 7), (7, 3), (10, 10), (20, 13)])
+@pytest.mark.parametrize("rows, cols", [(3, 7), (7, 3), (10, 10), (20, 13), (5, 50), (5, 100), (5, 200)])
 def test_tripod_decomposition_never_builds_the_full_decomposition(monkeypatch, rows, cols):
-    """A count guard: on a unit grid, every decomposition that
-    tripod_decomposition constructs has at most cols - 1 nodes, so the
-    wedge recursion's absorbed nodes never get one."""
-    import wdcolor.geodesic as geodesic
+    """A count guard: on a unit grid the certificate keeps at most cols - 1
+    nodes of at most three corners each, and builds no decomposition with
+    bags.  On a 5 x cols grid the wedge recursion, which absorbs a node
+    whose bag sits strictly inside its parent's as it makes it, holds at
+    most 4 * cols nodes; keeping every node would hold about 8 * cols."""
+    import wdcolor.tripods as tripods
 
-    sizes = []
+    built, held = [], []
+    wedges = tripods._wedge_corners
 
     class Counted(RootedTreeDecomposition):
         def __init__(self, bags, edges, root):
-            sizes.append(len(bags))
+            built.append(len(bags))
             super().__init__(bags, edges, root)
 
-    monkeypatch.setattr(geodesic, "RootedTreeDecomposition", Counted)
+    def counted(*args):
+        corners, tree_edges = wedges(*args)
+        held.append(len(corners))
+        return corners, tree_edges
+
+    monkeypatch.setattr(tripods, "RootedTreeDecomposition", Counted)
+    monkeypatch.setattr(tripods, "_wedge_corners", counted)
     inst = generate(GeneratorSpec(family="grid", rows=rows, cols=cols))
-    tripod_decomposition(inst.graph, inst.rotation, bfs_geodesic_tree(inst.graph, 0))
-    assert sizes and max(sizes) <= cols - 1
+    cert = tripod_decomposition(inst.graph, inst.rotation, bfs_geodesic_tree(inst.graph, 0))
+    assert built == [] and len(cert.corners) <= cols - 1
+    assert sum(len(cs) for cs in cert.corners.values()) <= 3 * (cols - 1)
+    if rows == 5:
+        assert held and held[0] <= 4 * cols
+
+
+def test_path_window_pieces_visit_few_nodes(monkeypatch):
+    """A count guard: on a unit path, whose certificate has a node per edge,
+    each window piece cuts and contracts at most twice as many nodes as the
+    window has vertices, not every node of the certificate."""
+    import wdcolor.tripods as tripods
+
+    met, contracted = [], []
+    meeting, contract = tripods._TripodWindows.meeting, tripods._contract
+
+    def counted_meeting(self, wlo, whi):
+        found = meeting(self, wlo, whi)
+        met.append(len(found))
+        return found
+
+    def counted_contract(nodes, *args):
+        nodes = list(nodes)
+        contracted.append(len(nodes))
+        return contract(nodes, *args)
+
+    monkeypatch.setattr(tripods._TripodWindows, "meeting", counted_meeting)
+    monkeypatch.setattr(tripods, "_contract", counted_contract)
+    g = unit_path(2000)
+    res = color_planar(g, 1, None)
+    assert res.report.ok
+    windows = [len(s.window) for s in res.systems[0].slabs]
+    # the certificate's own contraction runs first, over every vertex
+    assert contracted[0] == 2000 and len(contracted) == len(windows) + 1
+    assert len(met) == len(windows)
+    for size, n_met, n_contracted in zip(windows, met, contracted[1:]):
+        assert n_met <= 2 * size and n_contracted <= 2 * size
+
+
+@st.composite
+def planted_certificates(draw):
+    """A small planar instance's certificate with at most one planted
+    fault: a 4th corner, a top no ancestor of a corner, a tree parent that
+    is no neighbour, a lost node edge, a corner moved to another node
+    (running intersection) or dropped (a lost graph edge)."""
+    kind = draw(st.sampled_from(("grid", "triangulation", "tree")))
+    if kind == "grid":
+        inst = generate(GeneratorSpec(family="grid", rows=draw(st.integers(2, 5)), cols=draw(st.integers(2, 5))))
+        g, rotation = inst.graph, inst.rotation
+    elif kind == "triangulation":
+        inst = generate(GeneratorSpec(
+            family="random-planar-triangulation", n=draw(st.integers(4, 25)), seed=draw(st.integers(0, 10**6)),
+        ))
+        g, rotation = inst.graph, inst.rotation
+    else:
+        g, rotation = random_connected_graph(random.Random(draw(st.integers(0, 10**6))), draw(st.integers(2, 12)), 0), None
+    tree = bfs_geodesic_tree(g, g.vertices[0])
+    cert = tripod_decomposition(g, rotation, tree)
+    corners, tops = dict(cert.corners), dict(cert.tops)
+    tree_edges, parent = list(cert.tree_edges), dict(tree.parent)
+    nodes = sorted(corners)
+    verts = list(g.vertices)
+    fault = draw(st.sampled_from(("none", "corner", "top", "parent", "edge", "move", "drop")))
+    if fault == "corner":
+        t = draw(st.sampled_from(nodes))
+        corners[t] = corners[t] + tuple(draw(st.sampled_from(verts)) for _ in range(4 - len(corners[t])))
+    elif fault == "top":
+        t = draw(st.sampled_from(nodes))
+        tops[t] = draw(st.sampled_from(verts))
+    elif fault == "parent":
+        v = draw(st.sampled_from(verts))
+        if v != tree.root:
+            parent[v] = draw(st.sampled_from([u for u in verts if u != v]))
+    elif fault == "edge" and tree_edges:
+        tree_edges.pop(draw(st.integers(0, len(tree_edges) - 1)))
+    elif fault in ("move", "drop"):
+        t = draw(st.sampled_from(nodes))
+        i = draw(st.integers(0, len(corners[t]) - 1))
+        c = corners[t][i]
+        corners[t] = corners[t][:i] + corners[t][i + 1:]
+        if fault == "move":
+            s = draw(st.sampled_from(nodes))
+            corners[s] = corners[s] + (c,)
+    return g, GeodesicCertificate(GeodesicTree(tree.root, parent, tree.dist), corners, tops, tuple(tree_edges), cert.root)
+
+
+def _accepts(check):
+    try:
+        check()
+    except (ContractViolation, GraphError):
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_certificates())
+def test_corner_verify_accepts_exactly_when_the_bag_form_reference_does(instance):
+    """Counting holders by subtree sums over corners decides as listing
+    every bag and path does."""
+    g, cert = instance
+    want = _accepts(lambda: oracles.reference_certificate_verify(oracles.certificate_bags(cert), g))
+    assert _accepts(lambda: cert.verify(g)) == want
 
 
 # -- pipelines --------------------------------------------------------------------
@@ -1366,18 +1521,17 @@ def test_planar_grid_validates_its_tripod_decomposition_once(monkeypatch):
     import wdcolor.geodesic as geodesic
 
     inst = generate(GeneratorSpec(family="grid", rows=10, cols=10))
-    validated = _record_calls(monkeypatch, "validate_td")
-    certs = []
-    tripods = geodesic.tripod_decomposition
+    verified, certs = [], []
+    tripods, verify = geodesic.tripod_decomposition, geodesic.GeodesicCertificate.verify
 
     def kept(*args):
         certs.append(tripods(*args))
         return certs[-1]
 
     monkeypatch.setattr(geodesic, "tripod_decomposition", kept)
+    monkeypatch.setattr(geodesic.GeodesicCertificate, "verify", lambda self, g: verified.append(self) or verify(self, g))
     assert color_planar(inst.graph, 1, inst.rotation).report.ok
-    assert len(certs) == 1
-    assert sum(1 for _, td, _ in validated if td is certs[0].td) == 1
+    assert len(certs) == 1 and verified == certs
 
 
 def test_layered_pipeline_on_grid_rows():
