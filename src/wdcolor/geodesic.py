@@ -72,6 +72,7 @@ from .treedec import (
 )
 from .tripods import (  # GeodesicCertificate: the benchmark tracer finds its verify here
     GeodesicCertificate,
+    _Ranks,
     _TripodWindows,
     _check_rotation,
     _check_simple,
@@ -1092,8 +1093,10 @@ def _color_slabs(
     assign: Dict[int, int] = {}
     bound = Fraction(0)
     systems: List[SlabSystem] = []
-    for comp in g.connected_components():
-        gc = g.induced(comp)
+    comps = g.connected_components()
+    for comp in comps:
+        # a connected graph is its own component: no copy
+        gc = g if len(comps) == 1 else g.induced(comp)
         projection, color_piece = prepare(gc)
         system = make_slabs(gc, lf, projection, slab_width_factor)
         scs: List[SlabColoring] = []
@@ -1133,9 +1136,12 @@ def color_planar(
     vertices of g, each with its neighbours in some order; a vertex it
     misses is an error only in a component with a cycle.  Each
     padded window piece is colored by the guarded-bags engine over the
-    certificate restricted to it: `_restrict_tripods` cuts every certified
-    path to the window and to the piece in one pass and contracts the
-    result.
+    certificate restricted to it: `_restrict_tripods` visits the nodes
+    whose depth interval meets the window (a sweep over `_TripodWindows`,
+    built once per component), the node-tree paths between them and any
+    hanging copies of a surviving bag, cuts their corners' paths to the
+    window and the piece, and contracts them; only if those nodes miss a
+    piece vertex does it cut every node.
     """
     lf = as_fraction(ell)
     _check_simple(g)
@@ -1146,7 +1152,9 @@ def color_planar(
     def prepare(gc: WeightedGraph):
         tree = bfs_geodesic_tree(gc, gc.vertices[0])
         rot_c = None if rotation is None else {v: rotation[v] for v in gc.vertices if v in rotation}
-        windows = _TripodWindows(tripod_decomposition(gc, rot_c, tree))
+        # one preorder of the tree serves the build and the window cuts
+        ranks = _Ranks(tree.root, tree.parent, gc.vertices)
+        windows = _TripodWindows(tripod_decomposition(gc, rot_c, tree, ranks), ranks)
 
         def color_piece(system: SlabSystem, slab: Slab, gk: WeightedGraph) -> ColorResult:
             tdk, centersk = _restrict_tripods(

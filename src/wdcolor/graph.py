@@ -128,7 +128,7 @@ class WeightedGraph:
     nonnegative integers and need not be contiguous.
     """
 
-    __slots__ = ("vertices", "edges", "_vset", "_scale", "_sadj", "_wrange", "_step", "_inc")
+    __slots__ = ("vertices", "edges", "_vset", "_scale", "_sadj", "_wrange", "_step", "_out")
 
     def __init__(
         self,
@@ -173,7 +173,7 @@ class WeightedGraph:
             sadj[v].append((u, s))
         self._sadj = sadj
         self._set_range((min(scaled.values()), max(scaled.values())) if scaled else None)
-        self._inc: Optional[Dict[int, List[int]]] = None
+        self._out: Optional[Dict[int, List[int]]] = None
 
     def _set_range(self, srange: Optional[Tuple[int, int]]) -> None:
         """Record the weight range in units of 1/scale (`_wrange`, None for
@@ -233,19 +233,13 @@ class WeightedGraph:
     def induced(self, keep: Iterable[int]) -> "WeightedGraph":
         """The subgraph on `keep`.  It reuses this graph's checked edges at
         this graph's scale; adjacency lists keep their relative order, so
-        searches break ties as they would here.  A small `keep` takes its
-        edges off the incidence index, so that copying many small pieces
-        (a slab's windows) costs their size and not the graph's each time."""
+        searches break ties as they would here."""
         ks = set(keep)
         unknown = ks - self._vset
         if unknown:
             raise GraphError("induced() got unknown vertices %s" % sorted(unknown))
-        if 8 * len(ks) < len(self._vset):
-            edges = self._edges_within(ks)
-        else:
-            edges = tuple(e for e in self.edges if e[0] in ks and e[1] in ks)
         sub = WeightedGraph.__new__(WeightedGraph)
-        sub._fill(ks, edges, self._scale)
+        sub._fill(ks, self._edges_within(ks), self._scale)
         return sub
 
     def without(self, drop: Iterable[int]) -> "WeightedGraph":
@@ -253,17 +247,20 @@ class WeightedGraph:
         return self.induced(self._vset - ds)
 
     def _edges_within(self, keep: AbstractSet) -> Tuple[Tuple[int, int, Fraction], ...]:
-        """The edges with both ends in `keep`, in edge order, found through
-        the edges incident to `keep` (an index built on first use)."""
-        if self._inc is None:
-            inc: Dict[int, List[int]] = {v: [] for v in self.vertices}
-            for i, (u, v, _) in enumerate(self.edges):
-                inc[u].append(i)
-                inc[v].append(i)
-            self._inc = inc
-        edges, inc = self.edges, self._inc
-        ids = {i for u in keep for i in inc[u] if edges[i][0] in keep and edges[i][1] in keep}
-        return tuple(edges[i] for i in sorted(ids))
+        """The edges with both ends in `keep`, in edge order.  Each edge is
+        listed under its first end (an index built on first use), so only the
+        edges whose first end is in `keep` are looked at, each once:
+        copying a small piece (a slab's window) costs its size, not the
+        graph's."""
+        if self._out is None:
+            out: Dict[int, List[int]] = {v: [] for v in self.vertices}
+            for i, e in enumerate(self.edges):
+                out[e[0]].append(i)
+            self._out = out
+        edges, out = self.edges, self._out
+        ids = [i for u in keep for i in out[u] if edges[i][1] in keep]
+        ids.sort()
+        return tuple([edges[i] for i in ids])
 
     def _induced_plus(
         self,
@@ -273,7 +270,7 @@ class WeightedGraph:
     ) -> "WeightedGraph":
         """The graph WeightedGraph(vertices, induced(keep).edges + extra)
         builds, without the copy: the edges inside `keep` are this graph's,
-        checked when it was built, and come off its incidence index in edge
+        checked when it was built, and come off its edge index in edge
         order; only `extra` is checked, as the constructor checks an edge.
         `vertices` holds `keep` and nonnegative ids only; the scale is the
         constructor's, the least common denominator of the new graph's
@@ -506,7 +503,7 @@ class SubgraphView(WeightedGraph):
         self._sadj = base._sadj
         self._scale = base._scale
         self._set_range(srange)
-        self._inc = None
+        self._out = None
         self._top = top
 
     @property

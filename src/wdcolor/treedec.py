@@ -817,7 +817,7 @@ def condense(
 
     The condensed graph g0 is built once, with no copy of g's part in it:
     its base edges are g's own edges inside the base, read off g's
-    incidence index in edge order (g's base graph for a view), and only
+    edge index in edge order (g's base graph for a view), and only
     the shortcut and hierarchy edges are checked, as the WeightedGraph
     constructor checks an edge.  g0's fields are those the constructor
     gives WeightedGraph(V(G0), base edges + new edges).

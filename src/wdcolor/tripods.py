@@ -359,11 +359,15 @@ def tripod_decomposition(
     g: WeightedGraph,
     rotation: Optional[Dict[int, Sequence[int]]],
     tree: GeodesicTree,
+    ranks: Optional[_Ranks] = None,
 ) -> GeodesicCertificate:
     """Tree decomposition of a connected embedded graph into bags made of at
     most three vertical paths of `tree`, returned as a contracted
     certificate in corner form that has been verified against g
     (`GeodesicCertificate.verify`), so callers need not verify it again.
+    `ranks`, the preorder of `tree` over g's sorted vertices, is built here
+    unless the caller passes the one it keeps for the window cuts; the
+    check builds its own, so a wrong one fails it.
 
     Faces longer than a triangle are star-triangulated with throwaway apex
     vertices (leaves of the tree, stripped from the output).  The recursion
@@ -402,7 +406,7 @@ def tripod_decomposition(
         corners = {t: (t,) for t in alive}
         tops = {t: tops[t] for t in alive}
     else:
-        ranks = _Ranks(root, tree.parent, verts)
+        ranks = ranks or _Ranks(root, tree.parent, verts)
         found, tree_edges = _wedge_corners(g, rotation, tree, ranks)
         alive, edges, top = _contract(sorted(found), sorted(tree_edges), 0, _corner_within(found, ranks.end))
         order = ranks.order
@@ -602,11 +606,12 @@ class _TripodWindows:
     the bag one slice of the paths above that common ancestor, which a
     neighbour holds as well.  `meeting` finds the nodes whose interval
     meets a window by a sweep: windows of one slab family come in rising
-    order, and a lower window starts the sweep again."""
+    order, and a lower window starts the sweep again.  `ranks` is the
+    preorder of the certificate's tree, the one `tripod_decomposition`
+    was given."""
 
-    def __init__(self, cert: GeodesicCertificate):
+    def __init__(self, cert: GeodesicCertificate, ranks: _Ranks):
         tree = cert.tree
-        ranks = _Ranks(tree.root, tree.parent, list(tree.parent))
         end = ranks.end
         scale = math.lcm(*(d.denominator for d in tree.dist.values()))
         depth = [tree.dist[v].numerator * (scale // tree.dist[v].denominator) for v in ranks.order]
@@ -687,8 +692,10 @@ def _restrict_tripods(
     node's top.  A slice lies in one piece or misses it.  The nodes whose
     slices meet the piece are contracted together with the nodes on the
     node tree's paths between them, so that they form a subtree.  A node
-    left out holds one slice, which a neighbour holds as well; should the
-    subtree's bags still miss a vertex of the piece, every node is cut."""
+    left out holds one slice, which a neighbour holds as well; when that
+    slice is a surviving bag, its copies hanging off the subtree join the
+    contraction, since one of them may keep the id.  Should the subtree's
+    bags still miss a vertex of the piece, every node is cut."""
     scale, depth = windows.scale, windows.depth
     wlo = -((-lo.numerator * scale) // lo.denominator)
     whi = -((-hi.numerator * scale) // hi.denominator)

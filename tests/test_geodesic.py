@@ -1054,6 +1054,15 @@ def test_combine_flags_uncolored_owned_vertex():
 # -- window restriction -------------------------------------------------------
 
 
+def tripod_windows(cert):
+    """A certificate's window index over the tree preorder `color_planar`
+    builds once per component."""
+    from wdcolor.tripods import _Ranks, _TripodWindows
+
+    tree = cert.tree
+    return _TripodWindows(cert, _Ranks(tree.root, tree.parent, sorted(tree.parent)))
+
+
 def path_certificate(n):
     """A unit path with one node whose corner, the far end, certifies the
     whole root path."""
@@ -1066,9 +1075,9 @@ def path_certificate(n):
 
 def test_window_slice_is_cut_by_depth():
     # the path 4-3-2-1-0 meets the window of projections [2, 5) in 4, 3, 2
-    from wdcolor.tripods import _restrict_tripods, _TripodWindows
+    from wdcolor.tripods import _restrict_tripods
 
-    windows = _TripodWindows(path_certificate(5))
+    windows = tripod_windows(path_certificate(5))
     td, centers = _restrict_tripods(windows, Fraction(2), Fraction(5), {4, 3, 2})
     assert td.bags == {0: frozenset({4, 3, 2})} and centers == {0: (2,)}
     td, centers = _restrict_tripods(windows, Fraction(3, 2), Fraction(7, 2), {3, 2})
@@ -1079,9 +1088,9 @@ def test_window_slice_is_cut_by_depth():
 def test_window_slice_must_not_straddle_window_components(keep):
     # keep {4, 3} holds the slice's bottom but not all of it; keep {1, 0}
     # misses the bottom yet holds part of the slice
-    from wdcolor.tripods import _restrict_tripods, _TripodWindows
+    from wdcolor.tripods import _restrict_tripods
 
-    windows = _TripodWindows(path_certificate(5))
+    windows = tripod_windows(path_certificate(5))
     td, centers = _restrict_tripods(windows, Fraction(0), Fraction(5), set(range(5)))
     assert td.bags == {0: frozenset(range(5))} and centers == {0: (0,)}
     with pytest.raises(ContractViolation, match="a window slice straddles two window components"):
@@ -1121,13 +1130,13 @@ def test_window_restriction_matches_the_reference(instance, factor):
     """Cutting only the nodes whose depth interval meets the window gives
     the node ids, bags, tree, root and centres of cutting every path of
     every node and contracting all of them."""
-    from wdcolor.tripods import _restrict_tripods, _TripodWindows
+    from wdcolor.tripods import _restrict_tripods
 
     g, rotation = instance
     tree = bfs_geodesic_tree(g, g.vertices[0])
     cert = tripod_decomposition(g, rotation, tree)
     full = oracles.certificate_bags(cert)
-    windows = _TripodWindows(cert)
+    windows = tripod_windows(cert)
     system = make_slabs(g, 1, tree.dist, slab_width_factor=factor)
     for slab in system.slabs:
         for comp in g.induced(slab.window).connected_components():
@@ -1169,7 +1178,7 @@ def test_window_restriction_matches_the_reference_beyond_the_met_nodes(monkeypat
     tree = bfs_geodesic_tree(g, 0)
     cert = tripod_decomposition(g, base.rotation, tree)
     full = oracles.certificate_bags(cert)
-    windows = tripods._TripodWindows(cert)
+    windows = tripod_windows(cert)
     for slab in make_slabs(g, ell, tree.dist, slab_width_factor=factor).slabs:
         for comp in g.induced(slab.window).connected_components():
             keep = set(comp)
@@ -1193,14 +1202,14 @@ def _over_bags(bags, edges, root, centers):
 @settings(max_examples=12, deadline=None)
 @given(planar_instances(), st.sampled_from((4, 8)))
 def test_restricting_the_contracted_certificate_matches_restricting_the_full_one(instance, factor):
-    from wdcolor.tripods import _restrict_tripods, _TripodWindows
+    from wdcolor.tripods import _restrict_tripods
 
     g, rotation = instance
     tree = bfs_geodesic_tree(g, g.vertices[0])
     full = oracles.full_tripods(g, rotation, tree)
     cert = tripod_decomposition(g, rotation, tree)
     assert len(cert.corners) <= len(full.td)
-    windows = _TripodWindows(cert)
+    windows = tripod_windows(cert)
     system = make_slabs(g, 1, tree.dist, slab_width_factor=factor)
     for slab in system.slabs:
         for comp in g.induced(slab.window).connected_components():

@@ -154,9 +154,10 @@ def test_planar_windows_search_parts_without_copying_them(monkeypatch):
         for slab in system.slabs
     )
     assert len(restrictions) == pieces
-    # one copy of the component, and one per slab window: every window is
-    # one piece here, and a one-piece window is coloured as it is
-    assert pieces == 16 and copies.get("_color_slabs") == 17
+    # one copy per slab window and none of the grid, which is its own
+    # component: every window is one piece here, and a one-piece window is
+    # coloured as it is
+    assert pieces == 16 and copies.get("_color_slabs") == 16
 
 
 def test_unit_weight_planar_runs_push_nothing_onto_a_heap(monkeypatch):
