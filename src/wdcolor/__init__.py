@@ -1,6 +1,17 @@
 """Weak-diameter colorings and separated low-diameter partitions of finite
 weighted graphs, with every produced object re-verified against its computed
-bound."""
+bound.
+
+The records the package returns and passes between its layers (Coloring,
+VerificationReport, GuardTriple and the rest) are plain classes with
+`__slots__` and one hand-written `__init__` each, on the base
+`graph.Record`, which makes their fields read-only and compares, hashes
+and prints them by field.  They are not dataclasses because every CLI
+call is its own process, which compiles and imports the package before
+it reads a graph: `dataclasses`, with the `inspect` it loads and the
+methods it generates and compiles for each class, was about a quarter of
+that import.
+"""
 
 from wdcolor.graph import (
     INF,

@@ -13,7 +13,9 @@ of at least 4 such as 9/2, and every slab is padded by 2*ell.  A tree
 decomposition that `run tw`, `run partition` or `dilation` computes itself
 comes from an exhaustive search up to 20 vertices and min-fill beyond.
 `verify` exits 2 before building a power graph of more than
-MAX_POWER_VERTICES (10**6) vertices.
+MAX_POWER_VERTICES (10**6) vertices, and every command exits 2 before
+parsing a rational, in a flag or an edge list, whose text stands for more
+than graph.MAX_RATIONAL_DIGITS (10**5) digits, its exponent counted.
 
 A process builds one argument parser, on the first call of `main`, and
 every later call reuses it; each call parses into a fresh namespace, so no
@@ -36,6 +38,7 @@ from .graph import (
     json_int_key,
     parse_edge_list,
     power_graph_vertex_count,
+    quoted_prefix,
     write_edge_list,
 )
 from .partition import (
@@ -122,8 +125,10 @@ def _load_certificate(path: str, what: str, loader):
 def _parse_frac(text: str, what: str) -> Fraction:
     try:
         return as_fraction(text)
-    except (GraphError, ValueError, ZeroDivisionError):
-        raise CliError("parse-error", "bad %s value %r" % (what, text))
+    except GraphError as exc:
+        raise CliError("parse-error", "bad %s value: %s" % (what, exc))
+    except (ValueError, ZeroDivisionError):
+        raise CliError("parse-error", "bad %s value %s" % (what, quoted_prefix(text)))
 
 
 def _parse_scale(text: str, flag: str) -> Fraction:

@@ -9,11 +9,10 @@ along; triangulations come with their rotation system.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph import GraphError, WeightedGraph, as_fraction, frac_str, json_int, json_int_key
+from .graph import GraphError, Record, WeightedGraph, as_fraction, frac_str, json_int, json_int_key
 from .treedec import RootedTreeDecomposition, validate_td
 from .tripods import GeodesicCertificate, GeodesicTree
 
@@ -28,8 +27,7 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """What to generate: a family, its size knobs, and the weight law.
 
     Weights are uniform rationals k/denominator inside [weight_lo,
@@ -37,35 +35,70 @@ class GeneratorSpec:
     family redraws weights on a base graph supplied separately.
     """
 
-    family: str
-    n: int = 0
-    rows: int = 0
-    cols: int = 0
-    k: int = 2
-    seed: int = 0
-    weight_lo: object = 1
-    weight_hi: object = 1
-    weight_den: int = 1
+    __slots__ = ("family", "n", "rows", "cols", "k", "seed", "weight_lo", "weight_hi", "weight_den")
+
+    def __init__(
+        self,
+        family: str,
+        n: int = 0,
+        rows: int = 0,
+        cols: int = 0,
+        k: int = 2,
+        seed: int = 0,
+        weight_lo: object = 1,
+        weight_hi: object = 1,
+        weight_den: int = 1,
+    ) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "weight_lo", weight_lo)
+        object.__setattr__(self, "weight_hi", weight_hi)
+        object.__setattr__(self, "weight_den", weight_den)
 
 
-@dataclass(frozen=True)
-class Instance:
-    family: str
-    graph: WeightedGraph
-    td: Optional[RootedTreeDecomposition] = None
-    rotation: Optional[Dict[int, Tuple[int, ...]]] = None
-    layering: Optional[Tuple[Tuple[int, ...], ...]] = None
-    tripods: Optional[GeodesicCertificate] = None
+class Instance(Record):
+    __slots__ = ("family", "graph", "td", "rotation", "layering", "tripods")
+
+    def __init__(
+        self,
+        family: str,
+        graph: WeightedGraph,
+        td: Optional[RootedTreeDecomposition] = None,
+        rotation: Optional[Dict[int, Tuple[int, ...]]] = None,
+        layering: Optional[Tuple[Tuple[int, ...], ...]] = None,
+        tripods: Optional[GeodesicCertificate] = None,
+    ) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "td", td)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "layering", layering)
+        object.__setattr__(self, "tripods", tripods)
 
 
-def _draw_weight(rng: random.Random, lo: Fraction, hi: Fraction, den: int) -> Fraction:
+def _draw_weights(rng: random.Random, lo: Fraction, hi: Fraction, den: int, count: int) -> List[Fraction]:
+    """`count` weights k/den, each k drawn by rng.randint over the
+    multiples of 1/den in [lo, hi].  The range is worked out once, and
+    each k's Fraction is built on its first draw and reused after."""
     kmin = -((-lo * den).__floor__())
     kmax = (hi * den).__floor__()
-    if kmin > kmax:
+    if count and kmin > kmax:
         raise GraphError(
             "no multiple of 1/%d lies in [%s, %s]" % (den, frac_str(lo), frac_str(hi))
         )
-    return Fraction(rng.randint(kmin, kmax), den)
+    drawn: Dict[int, Fraction] = {}
+    out: List[Fraction] = []
+    for _ in range(count):
+        k = rng.randint(kmin, kmax)
+        w = drawn.get(k)
+        if w is None:
+            w = drawn[k] = Fraction(k, den)
+        out.append(w)
+    return out
 
 
 def _weights(spec: GeneratorSpec, rng: random.Random, count: int) -> List[Fraction]:
@@ -77,7 +110,7 @@ def _weights(spec: GeneratorSpec, rng: random.Random, count: int) -> List[Fracti
         raise GraphError("weight denominator must be a positive integer")
     if lo == hi:
         return [lo] * count
-    return [_draw_weight(rng, lo, hi, spec.weight_den) for _ in range(count)]
+    return _draw_weights(rng, lo, hi, spec.weight_den, count)
 
 
 def overlay_random_weights(
@@ -91,8 +124,8 @@ def overlay_random_weights(
     if den < 1:
         raise GraphError("weight denominator must be a positive integer")
     rng = random.Random(seed)
-    edges = [(u, v, _draw_weight(rng, lof, hif, den)) for (u, v, _) in g.edges]
-    return WeightedGraph(g.vertices, edges)
+    ws = _draw_weights(rng, lof, hif, den, len(g.edges))
+    return WeightedGraph(g.vertices, [(u, v, w) for (u, v, _), w in zip(g.edges, ws)])
 
 
 def gen_path(spec: GeneratorSpec) -> Instance:

@@ -33,12 +33,12 @@ weights and widths scaled by one common denominator.
 import bisect
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import (
     GraphError,
+    Record,
     WeightedGraph,
     as_fraction,
     frac_str,
@@ -50,6 +50,7 @@ from .partition import (
     Coloring,
     ColorResult,
     ContractViolation,
+    VerificationReport,
     check_weak_diameter,
     monochromatic_components,
 )
@@ -88,8 +89,7 @@ _RECURSION_HEADROOM = 20000
 # -- control constructions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GuardTriple:
+class GuardTriple(Record):
     """Guard sets attached to one site (the root or one tree edge).
 
     free:    guards outside the removed set; together with `both` they must
@@ -99,9 +99,12 @@ class GuardTriple:
     both:    guards usable on either side.
     """
 
-    free: FrozenSet[int]
-    removed: FrozenSet[int]
-    both: FrozenSet[int]
+    __slots__ = ("free", "removed", "both")
+
+    def __init__(self, free: FrozenSet[int], removed: FrozenSet[int], both: FrozenSet[int]) -> None:
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "both", both)
 
     @property
     def anchor(self) -> FrozenSet[int]:
@@ -117,8 +120,7 @@ class GuardTriple:
         return GuardTriple(frozenset((v,)), frozenset(), frozenset((v,)))
 
 
-@dataclass(frozen=True)
-class ControlConstruction:
+class ControlConstruction(Record):
     """Rooted tree decomposition with guard triples for the coloring engine.
 
     removed: vertex set R cut out of the graph; the engine colors V - R and
@@ -130,14 +132,27 @@ class ControlConstruction:
     ell:     coloring scale; also caps edge weights.
     """
 
-    td: RootedTreeDecomposition
-    removed: FrozenSet[int]
-    eta: int
-    theta: int
-    mu: Fraction
-    ell: Fraction
-    root_triple: GuardTriple
-    edge_triples: Dict[TreeEdge, GuardTriple]
+    __slots__ = ("td", "removed", "eta", "theta", "mu", "ell", "root_triple", "edge_triples")
+
+    def __init__(
+        self,
+        td: RootedTreeDecomposition,
+        removed: FrozenSet[int],
+        eta: int,
+        theta: int,
+        mu: Fraction,
+        ell: Fraction,
+        root_triple: GuardTriple,
+        edge_triples: Dict[TreeEdge, GuardTriple],
+    ) -> None:
+        object.__setattr__(self, "td", td)
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "root_triple", root_triple)
+        object.__setattr__(self, "edge_triples", edge_triples)
 
     def _sites(self) -> List[Tuple[object, FrozenSet[int], GuardTriple]]:
         out: List[Tuple[object, FrozenSet[int], GuardTriple]] = [
@@ -297,10 +312,12 @@ def centered_bags_bound(theta: int, radius: object, ell: object) -> Fraction:
 # -- the extension engine ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _EngineCtx:
-    lf: Fraction
-    deep: bool
+class _EngineCtx(Record):
+    __slots__ = ("lf", "deep")
+
+    def __init__(self, lf: Fraction, deep: bool) -> None:
+        object.__setattr__(self, "lf", lf)
+        object.__setattr__(self, "deep", deep)
 
 
 def _check_centers(
@@ -912,20 +929,31 @@ def layering_projection(
 # -- slabs --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Slab:
-    family: str
-    index: int
-    lo: Fraction
-    hi: Fraction
-    window_lo: Fraction
-    window_hi: Fraction
-    owned: Tuple[int, ...]
-    window: Tuple[int, ...]
+class Slab(Record):
+    __slots__ = ("family", "index", "lo", "hi", "window_lo", "window_hi", "owned", "window")
+
+    def __init__(
+        self,
+        family: str,
+        index: int,
+        lo: Fraction,
+        hi: Fraction,
+        window_lo: Fraction,
+        window_hi: Fraction,
+        owned: Tuple[int, ...],
+        window: Tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "window_lo", window_lo)
+        object.__setattr__(self, "window_hi", window_hi)
+        object.__setattr__(self, "owned", owned)
+        object.__setattr__(self, "window", window)
 
 
-@dataclass(frozen=True)
-class SlabSystem:
+class SlabSystem(Record):
     """Two interleaved families of slabs over a 1-Lipschitz projection.
 
     Family a tiles [j*W, (j+1)*W); family b is shifted by W/2.  Every
@@ -934,12 +962,23 @@ class SlabSystem:
     Windows pad each slab by `pad` on both sides.
     """
 
-    ell: Fraction
-    width: Fraction
-    pad: Fraction
-    projection: Dict[int, Fraction]
-    slabs: Tuple[Slab, ...]
-    owner_of: Dict[int, Tuple[str, int]]
+    __slots__ = ("ell", "width", "pad", "projection", "slabs", "owner_of")
+
+    def __init__(
+        self,
+        ell: Fraction,
+        width: Fraction,
+        pad: Fraction,
+        projection: Dict[int, Fraction],
+        slabs: Tuple[Slab, ...],
+        owner_of: Dict[int, Tuple[str, int]],
+    ) -> None:
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "pad", pad)
+        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "slabs", slabs)
+        object.__setattr__(self, "owner_of", owner_of)
 
     def slab_of(self, family: str, index: int) -> Slab:
         for s in self.slabs:
@@ -1013,12 +1052,14 @@ def make_slabs(
     return SlabSystem(lf, width, pad, dict(projection), tuple(slabs), owner_of)
 
 
-@dataclass(frozen=True)
-class SlabColoring:
-    family: str
-    index: int
-    coloring: Coloring
-    bound: Fraction
+class SlabColoring(Record):
+    __slots__ = ("family", "index", "coloring", "bound")
+
+    def __init__(self, family: str, index: int, coloring: Coloring, bound: Fraction) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "bound", bound)
 
 
 def combine_slab_colorings(
@@ -1068,9 +1109,14 @@ def combine_slab_colorings(
 # -- planar and layered pipelines ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class SlabColorResult(ColorResult):
-    systems: Tuple[SlabSystem, ...]
+    __slots__ = ("systems",)
+
+    def __init__(
+        self, coloring: Coloring, bound: Fraction, report: VerificationReport, systems: Tuple[SlabSystem, ...]
+    ) -> None:
+        ColorResult.__init__(self, coloring, bound, report)
+        object.__setattr__(self, "systems", systems)
 
 
 def _color_slabs(

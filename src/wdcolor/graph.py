@@ -69,14 +69,62 @@ INF = math.inf
 ExtendedDistance = object
 
 
+#: Most digits a rational's text may stand for, counted as its length plus
+#: the size of its exponent ("1e3000000" stands for 3,000,009).  Parsing and
+#: formatting grow quadratically with the digits: 10**5 take under a
+#: second, 10**6 over twenty.  The largest values the package writes are
+#: proved bounds, 4,541 digits for a width-45 decomposition.
+MAX_RATIONAL_DIGITS = 100_000
+
+#: str(int) and int(str) refuse integers over the interpreter's int<->str
+#: digit limit, which is never below 640 digits.  An integer under 2000
+#: bits has at most 603 digits, and a text of at most 603 characters holds
+#: no more, so these take the fast conversions under any limit.
+_STR_BITS = 2000
+_STR_CHARS = 603
+
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+_INTEGER_RATIO = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*\Z")
+
+
+def quoted_prefix(text: str, limit: int = 40) -> str:
+    """repr(text), cut to its first `limit` characters and marked '...'
+    when longer, for messages that quote input."""
+    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), after refusing text that stands for more than
+    MAX_RATIONAL_DIGITS digits with a GraphError quoting a prefix of it.
+    An integer or p/q past the int<->str digit limit, as frac_str writes
+    one, is read through Decimal, which has no such limit."""
+    size = len(text)
+    m = _EXPONENT.search(text)
+    if m:
+        exponent = m.group(1).replace("_", "").lstrip("0") or "0"
+        size += int(exponent) if len(exponent) < 10 else 10 ** 10
+    if size > MAX_RATIONAL_DIGITS:
+        raise GraphError(
+            "rational %s stands for more than %d digits" % (quoted_prefix(text), MAX_RATIONAL_DIGITS)
+        )
+    if size > _STR_CHARS:
+        m = _INTEGER_RATIO.match(text)
+        if m:
+            den = m.group(2)
+            return Fraction(int(decimal.Decimal(m.group(1))), int(decimal.Decimal(den)) if den else 1)
+    return Fraction(text)
+
+
 def as_fraction(x: object) -> Fraction:
-    """Coerce ints, strings ("3/4" or "0.75"), and Fractions to Fraction."""
+    """Coerce ints, strings ("3/4" or "0.75"), and Fractions to Fraction.
+    A string standing for more than MAX_RATIONAL_DIGITS digits raises
+    GraphError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return _parse_rational(x)
     if isinstance(x, float):
         raise TypeError("refusing float weight %r; pass a string or Fraction" % (x,))
     raise TypeError("cannot interpret %r as an exact rational" % (x,))
@@ -85,13 +133,18 @@ def as_fraction(x: object) -> Fraction:
 def frac_str(x: object) -> str:
     """Exact decimal text of a rational ("p" or "p/q"), "inf" for INF.
 
-    Decimal formats integers of any length, where str(int) stops at the
-    interpreter's int->str digit limit."""
-    if x == INF:
-        return "inf"
-    f = x if isinstance(x, Fraction) else Fraction(x)
-    num = str(decimal.Decimal(f.numerator))
-    return num if f.denominator == 1 else "%s/%s" % (num, decimal.Decimal(f.denominator))
+    A numerator or denominator of 2000 bits or more is formatted by
+    Decimal, which formats integers of any length, where str(int) stops at
+    the interpreter's int->str digit limit."""
+    if not isinstance(x, Fraction):
+        if x == INF:
+            return "inf"
+        x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if num.bit_length() < _STR_BITS and den.bit_length() < _STR_BITS:
+        return str(num) if den == 1 else "%d/%d" % (num, den)
+    text = str(decimal.Decimal(num))
+    return text if den == 1 else "%s/%s" % (text, decimal.Decimal(den))
 
 
 def _scaled_cap(radius: object, scale: int) -> int:
@@ -119,6 +172,50 @@ class GraphError(ValueError):
 
 class ContractViolation(AssertionError):
     """A produced object failed re-verification against its claimed bound."""
+
+
+class Record:
+    """Base of the package's immutable records.  A record's fields are the
+    `__slots__` of its class and of its bases, base fields first; its own
+    `__init__` sets each one with object.__setattr__, and assigning or
+    deleting a field afterwards raises AttributeError.  Records compare,
+    hash and print by their fields, leaving out those named in `_unlisted`."""
+
+    __slots__ = ()
+
+    _unlisted: Tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__qualname__))
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r of %s" % (name, type(self).__qualname__))
+
+    def _items(self) -> List[Tuple[str, object]]:
+        skip = self._unlisted
+        return [
+            (name, getattr(self, name))
+            for cls in reversed(type(self).__mro__)
+            for name in cls.__dict__.get("__slots__", ())
+            if name not in skip
+        ]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._items() == other._items()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._items()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % item for item in self._items())
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __setstate__(self, state: Tuple[None, Dict[str, object]]) -> None:
+        """Set the slots a copy or an unpickled record arrives with."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class WeightedGraph:

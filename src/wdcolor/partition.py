@@ -8,7 +8,6 @@ bound fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -17,6 +16,7 @@ from wdcolor.graph import (
     GraphError,
     HopGraph,
     PowerGraph,
+    Record,
     WeightedGraph,
     as_fraction,
     frac_str,
@@ -32,17 +32,17 @@ from wdcolor.graph import (
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """Vertex -> color map with colors in 1..num_colors."""
 
-    assignment: Dict[int, int]
-    num_colors: int
+    __slots__ = ("assignment", "num_colors")
 
-    def __post_init__(self):
-        for v, c in self.assignment.items():
-            if not 1 <= c <= self.num_colors:
-                raise GraphError("color %s of vertex %s outside 1..%s" % (c, v, self.num_colors))
+    def __init__(self, assignment: Dict[int, int], num_colors: int) -> None:
+        for v, c in assignment.items():
+            if not 1 <= c <= num_colors:
+                raise GraphError("color %s of vertex %s outside 1..%s" % (c, v, num_colors))
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "num_colors", num_colors)
 
     @property
     def domain(self) -> FrozenSet[int]:
@@ -76,16 +76,20 @@ class Coloring:
         return Coloring({}, num_colors)
 
 
-@dataclass(frozen=True)
-class PartitionFamily:
+class PartitionFamily(Record):
     """m collections of vertex sets with a separation scale and a diameter
     certificate: within one collection distinct sets sit at pairwise distance
     > r, and every set has weak diameter <= diameter_bound, both in the host
     graph the family was extracted from."""
 
-    collections: Tuple[Tuple[FrozenSet[int], ...], ...]
-    r: Fraction
-    diameter_bound: Fraction
+    __slots__ = ("collections", "r", "diameter_bound")
+
+    def __init__(
+        self, collections: Tuple[Tuple[FrozenSet[int], ...], ...], r: Fraction, diameter_bound: Fraction
+    ) -> None:
+        object.__setattr__(self, "collections", collections)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "diameter_bound", diameter_bound)
 
     @property
     def num_collections(self) -> int:
@@ -109,12 +113,14 @@ class PartitionFamily:
         }
 
 
-@dataclass(frozen=True)
-class ComponentStat:
-    size: int
-    min_vertex: int
-    hops: int
-    metric: Fraction
+class ComponentStat(Record):
+    __slots__ = ("size", "min_vertex", "hops", "metric")
+
+    def __init__(self, size: int, min_vertex: int, hops: int, metric: Fraction) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "min_vertex", min_vertex)
+        object.__setattr__(self, "hops", hops)
+        object.__setattr__(self, "metric", metric)
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,16 +131,37 @@ class ComponentStat:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    colors: int
-    max_weak_diameter_hops: int
-    max_weak_diameter_metric: Fraction
-    separation_ok: bool
-    bound: Optional[Fraction]
-    ratio: Fraction
-    per_component: Tuple[ComponentStat, ...]
-    ok: bool
+class VerificationReport(Record):
+    __slots__ = (
+        "colors",
+        "max_weak_diameter_hops",
+        "max_weak_diameter_metric",
+        "separation_ok",
+        "bound",
+        "ratio",
+        "per_component",
+        "ok",
+    )
+
+    def __init__(
+        self,
+        colors: int,
+        max_weak_diameter_hops: int,
+        max_weak_diameter_metric: Fraction,
+        separation_ok: bool,
+        bound: Optional[Fraction],
+        ratio: Fraction,
+        per_component: Tuple[ComponentStat, ...],
+        ok: bool,
+    ) -> None:
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "max_weak_diameter_hops", max_weak_diameter_hops)
+        object.__setattr__(self, "max_weak_diameter_metric", max_weak_diameter_metric)
+        object.__setattr__(self, "separation_ok", separation_ok)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "per_component", per_component)
+        object.__setattr__(self, "ok", ok)
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,13 +176,15 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class ColorResult:
+class ColorResult(Record):
     """A coloring, the bound it was verified at, and that verification."""
 
-    coloring: Coloring
-    bound: Fraction
-    report: VerificationReport
+    __slots__ = ("coloring", "bound", "report")
+
+    def __init__(self, coloring: Coloring, bound: Fraction, report: VerificationReport) -> None:
+        object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "report", report)
 
 
 def monochromatic_components(

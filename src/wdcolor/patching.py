@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
 from wdcolor.graph import (
     GraphError,
+    Record,
     WeightedGraph,
     as_fraction,
     neighborhood,
@@ -79,19 +79,24 @@ def control_radii(theta: int, mu: object, ell: object, count: int) -> List[Fract
     return out
 
 
-@dataclass(frozen=True)
-class CenterCertificate:
+class CenterCertificate(Record):
     """Witness that a set is within distance `radius` of at most k centers.
 
     `build` checks the witness in a graph and records that graph object in
     `graph`; a certificate made any other way has no graph, and the merges
-    below accept a certificate only for the graph it was checked in."""
+    below accept a certificate only for the graph it was checked in.
+    Equality, hashing and repr leave the graph out."""
 
-    centers: Tuple[int, ...]
-    radius: Fraction
-    covered: Tuple[int, ...]
-    k: int
-    graph: Optional[WeightedGraph] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("centers", "radius", "covered", "k", "graph")
+
+    _unlisted = ("graph",)
+
+    def __init__(self, centers: Tuple[int, ...], radius: Fraction, covered: Tuple[int, ...], k: int) -> None:
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "covered", covered)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "graph", None)
 
     @staticmethod
     def build(

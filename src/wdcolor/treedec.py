@@ -43,12 +43,12 @@ import json
 import math
 from collections.abc import Mapping
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type, Union
 
 from wdcolor.graph import (
     GraphError,
+    Record,
     _heap_search,
     _weight_scale,
     SubgraphView,
@@ -588,8 +588,7 @@ class _DSU:
             self.up[max(ra, rb)] = min(ra, rb)
 
 
-@dataclass(frozen=True)
-class Hierarchy:
+class Hierarchy(Record):
     """Layered forest over the partitions of a ground set (an adhesion) at
     levels 0 and 1 and at each level where two parts merge.  Level-0
     vertices (the base B) are the singletons of the ground set; each part
@@ -598,15 +597,29 @@ class Hierarchy:
     level-0 part's id is its ground vertex, and the upper parts count up
     from a first free id in (level, part) order."""
 
-    ground: Tuple[int, ...]
-    levels: Tuple[int, ...]
-    parts: Dict[int, Tuple[FrozenSet[int], ...]]
-    ids: Dict[int, Tuple[int, ...]]
-    edges: Tuple[Tuple[int, int, Fraction], ...]
-    ell: Fraction
-    eps: Fraction
-    theta: int
-    mu: Fraction
+    __slots__ = ("ground", "levels", "parts", "ids", "edges", "ell", "eps", "theta", "mu")
+
+    def __init__(
+        self,
+        ground: Tuple[int, ...],
+        levels: Tuple[int, ...],
+        parts: Dict[int, Tuple[FrozenSet[int], ...]],
+        ids: Dict[int, Tuple[int, ...]],
+        edges: Tuple[Tuple[int, int, Fraction], ...],
+        ell: Fraction,
+        eps: Fraction,
+        theta: int,
+        mu: Fraction,
+    ) -> None:
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "mu", mu)
 
     def verify(self) -> None:
         """Check the partitions, then the forest.  The recorded levels hold
@@ -772,34 +785,74 @@ def adhesion_hierarchy(
     return h
 
 
-@dataclass(frozen=True)
-class HierarchyAttachment:
-    part_vertices: FrozenSet[int]
-    hierarchy: Hierarchy
+class HierarchyAttachment(Record):
+    __slots__ = ("part_vertices", "hierarchy")
+
+    def __init__(self, part_vertices: FrozenSet[int], hierarchy: Hierarchy) -> None:
+        object.__setattr__(self, "part_vertices", part_vertices)
+        object.__setattr__(self, "hierarchy", hierarchy)
 
 
-@dataclass(frozen=True)
-class ShortcutAttachment:
-    part_vertices: FrozenSet[int]
-    reach: FrozenSet[int]  # ball of radius ell around X_e inside the part
-    shortcuts: Tuple[Tuple[int, int, Fraction], ...]
+class ShortcutAttachment(Record):
+    __slots__ = ("part_vertices", "reach", "shortcuts")
+
+    def __init__(
+        self,
+        part_vertices: FrozenSet[int],
+        reach: FrozenSet[int],  # ball of radius ell around X_e inside the part
+        shortcuts: Tuple[Tuple[int, int, Fraction], ...],
+    ) -> None:
+        object.__setattr__(self, "part_vertices", part_vertices)
+        object.__setattr__(self, "reach", reach)
+        object.__setattr__(self, "shortcuts", shortcuts)
 
 
-@dataclass(frozen=True)
-class Condensation:
-    g: WeightedGraph
-    td: RootedTreeDecomposition
-    g0: WeightedGraph
-    td0: RootedTreeDecomposition  # decomposition of g0, see condense
-    u_e: Tuple[TreeEdge, ...]
-    ell: Fraction
-    theta: int
-    mu: Fraction
-    eps: Fraction
-    t0_vertices: FrozenSet[int]
-    base_vertices: FrozenSet[int]  # V(G0) shared with V(G)
-    hierarchies: Dict[TreeEdge, HierarchyAttachment]
-    shortcut_parts: Dict[TreeEdge, ShortcutAttachment]
+class Condensation(Record):
+    __slots__ = (
+        "g",
+        "td",
+        "g0",
+        "td0",
+        "u_e",
+        "ell",
+        "theta",
+        "mu",
+        "eps",
+        "t0_vertices",
+        "base_vertices",
+        "hierarchies",
+        "shortcut_parts",
+    )
+
+    def __init__(
+        self,
+        g: WeightedGraph,
+        td: RootedTreeDecomposition,
+        g0: WeightedGraph,
+        td0: RootedTreeDecomposition,  # decomposition of g0, see condense
+        u_e: Tuple[TreeEdge, ...],
+        ell: Fraction,
+        theta: int,
+        mu: Fraction,
+        eps: Fraction,
+        t0_vertices: FrozenSet[int],
+        base_vertices: FrozenSet[int],  # V(G0) shared with V(G)
+        hierarchies: Dict[TreeEdge, HierarchyAttachment],
+        shortcut_parts: Dict[TreeEdge, ShortcutAttachment],
+    ) -> None:
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "td", td)
+        object.__setattr__(self, "g0", g0)
+        object.__setattr__(self, "td0", td0)
+        object.__setattr__(self, "u_e", u_e)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "t0_vertices", t0_vertices)
+        object.__setattr__(self, "base_vertices", base_vertices)
+        object.__setattr__(self, "hierarchies", hierarchies)
+        object.__setattr__(self, "shortcut_parts", shortcut_parts)
 
 
 def condense(

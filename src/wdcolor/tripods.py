@@ -18,22 +18,23 @@ nodes.
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graph import GraphError, WeightedGraph
+from .graph import GraphError, Record, WeightedGraph
 from .partition import ContractViolation
 from .treedec import RootedTreeDecomposition, TreeEdge
 
 
-@dataclass(frozen=True)
-class GeodesicTree:
+class GeodesicTree(Record):
     """Shortest-path tree: parent links plus exact root distances."""
 
-    root: int
-    parent: Dict[int, Optional[int]]
-    dist: Dict[int, Fraction]
+    __slots__ = ("root", "parent", "dist")
+
+    def __init__(self, root: int, parent: Dict[int, Optional[int]], dist: Dict[int, Fraction]) -> None:
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "dist", dist)
 
 
 def bfs_geodesic_tree(g: WeightedGraph, root: int) -> GeodesicTree:
@@ -142,8 +143,7 @@ def _root_marks(ranks: _Ranks, points: Iterable[int], top: int, sign: int, w: Li
         w[ranks.parent[top]] -= sign
 
 
-@dataclass(frozen=True)
-class GeodesicCertificate:
+class GeodesicCertificate(Record):
     """Checkable witness that a tree decomposition is made of vertical
     paths of a shortest-path tree, in corner form: node t's bag is every
     vertex on a tree path from one of its at most three `corners[t]` up to
@@ -152,11 +152,21 @@ class GeodesicCertificate:
     stands for its root path.  The nodes form a tree by their (parent,
     child) `tree_edges` under `root`."""
 
-    tree: GeodesicTree
-    corners: Dict[int, Tuple[int, ...]]
-    tops: Dict[int, int]
-    tree_edges: Tuple[TreeEdge, ...]
-    root: int
+    __slots__ = ("tree", "corners", "tops", "tree_edges", "root")
+
+    def __init__(
+        self,
+        tree: GeodesicTree,
+        corners: Dict[int, Tuple[int, ...]],
+        tops: Dict[int, int],
+        tree_edges: Tuple[TreeEdge, ...],
+        root: int,
+    ) -> None:
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "corners", corners)
+        object.__setattr__(self, "tops", tops)
+        object.__setattr__(self, "tree_edges", tree_edges)
+        object.__setattr__(self, "root", root)
 
     def verify(self, g: WeightedGraph) -> None:
         """Check the tree, the vertical paths and the decomposition; raises

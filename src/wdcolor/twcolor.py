@@ -38,15 +38,15 @@ meeting it and the frontier), not what lies below it:
 
 import functools
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
-from .graph import GraphError, WeightedGraph, as_fraction, frac_str, neighborhood, require_light_edges
+from .graph import GraphError, Record, WeightedGraph, as_fraction, frac_str, neighborhood, require_light_edges
 from .partition import (
     Coloring,
     ColorResult,
     ContractViolation,
+    VerificationReport,
     check_weak_diameter,
 )
 from .patching import (
@@ -273,17 +273,19 @@ def cover_piece_bound(theta: int, ell: object) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class AdhesionConstruction:
+class AdhesionConstruction(Record):
     """Rooted tree decomposition of adhesion at most theta whose oversized
     adhesions (more than eta shared vertices) occur only on leaf-attached
     edges adding at most theta**2 new vertices.  Every star piece is painted
     with one constant color, checked against piece_bound hops."""
 
-    td: RootedTreeDecomposition
-    eta: int
-    theta: int
-    piece_bound: Fraction
+    __slots__ = ("td", "eta", "theta", "piece_bound")
+
+    def __init__(self, td: RootedTreeDecomposition, eta: int, theta: int, piece_bound: Fraction) -> None:
+        object.__setattr__(self, "td", td)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "piece_bound", piece_bound)
 
     def validate(self, g: WeightedGraph, full: bool = True) -> None:
         """Structural checks, linear in the tree; full validation also
@@ -375,19 +377,29 @@ def treewidth_color_bound(width: int, ell: object) -> Fraction:
 # -- the recursion -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TwColorResult(ColorResult):
-    td: RootedTreeDecomposition
-    width: int
-    theta: int
+    __slots__ = ("td", "width", "theta")
+
+    def __init__(
+        self,
+        coloring: Coloring,
+        bound: Fraction,
+        report: VerificationReport,
+        td: RootedTreeDecomposition,
+        width: int,
+        theta: int,
+    ) -> None:
+        ColorResult.__init__(self, coloring, bound, report)
+        object.__setattr__(self, "td", td)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "theta", theta)
 
 
 #: The adhesion engine condenses with no deleted set: mu = 0, one object for every level.
 _NO_MU = Fraction(0)
 
 
-@dataclass
-class _Ctx:
+class _Ctx(Record):
     """What every level of one run reads.  A level's bounds depend only on
     its guard level eta and on theta, ell and the piece bound, which are
     fixed for the run, so this per-run table holds them all, computed once:
@@ -402,24 +414,20 @@ class _Ctx:
       raises to level_bound[eta];
     - r3 = 3*ell, the radius of the root bag's ball."""
 
-    lf: Fraction
-    theta: int
-    piece_bound: Fraction
-    deep: bool
-    r3: Fraction = field(init=False)
-    level_bound: Tuple[Fraction, ...] = field(init=False)
-    centered: Fraction = field(init=False)
-    lift_claim: Tuple[Optional[Fraction], ...] = field(init=False)
+    __slots__ = ("lf", "theta", "piece_bound", "deep", "r3", "level_bound", "centered", "lift_claim")
 
-    def __post_init__(self) -> None:
-        lf, theta = self.lf, self.theta
-        self.r3 = 3 * lf
-        self.level_bound = tuple(
-            tree_extension_bound(eta, theta, lf, self.piece_bound) for eta in range(theta + 1)
-        )
-        self.centered = centered_bound(theta, self.r3, lf)
-        self.lift_claim = (None,) + tuple(
-            patch_bound(theta, self.r3, lf, n) for n in self.level_bound[:-1]
+    def __init__(self, lf: Fraction, theta: int, piece_bound: Fraction, deep: bool) -> None:
+        r3 = 3 * lf
+        level_bound = tuple(tree_extension_bound(eta, theta, lf, piece_bound) for eta in range(theta + 1))
+        object.__setattr__(self, "lf", lf)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "piece_bound", piece_bound)
+        object.__setattr__(self, "deep", deep)
+        object.__setattr__(self, "r3", r3)
+        object.__setattr__(self, "level_bound", level_bound)
+        object.__setattr__(self, "centered", centered_bound(theta, r3, lf))
+        object.__setattr__(
+            self, "lift_claim", (None,) + tuple(patch_bound(theta, r3, lf, n) for n in level_bound[:-1])
         )
 
 

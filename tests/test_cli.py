@@ -545,7 +545,36 @@ def test_run_tw_with_a_wide_supplied_decomposition(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["ok"] and report["width"] == 45
-    assert len(report["proved_bound"]) > 4300
+    assert len(report["proved_bound"]) == 4541
+    # the bound reads back past the interpreter's int<->str digit limit
+    coloring = tmp_path / "comb.coloring.json"
+    coloring.write_text(json.dumps(report["coloring"]))
+    verify = ["verify", "--graph", g + ".txt", "--ell", "1", "--coloring", str(coloring)]
+    code, out, _ = _main(capsys, verify + ["--bound", report["proved_bound"]])
+    assert code == 0 and json.loads(out)["measured"]["bound"] == report["proved_bound"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--ell", "1e3000000"), ("--ell", "1E-100000"), ("--bound", "7" * 100_001), ("--bound", "1e1_000_000")],
+    ids=["ell 1e3000000", "ell 1E-100000", "bound of 100001 digits", "bound 1e1_000_000"],
+)
+def test_rational_text_of_too_many_digits_exits_2_at_once(tmp_path, capsys, flag, value):
+    """A rational whose text stands for more than MAX_RATIONAL_DIGITS digits
+    is refused before it is parsed, with a message that quotes a prefix."""
+    graph = tmp_path / "iso.txt"
+    graph.write_text("0\n")
+    coloring = _write_coloring(tmp_path / "c.json", {0: 1})
+    values = {"--ell": "1", "--bound": "1", flag: value}
+    argv = ["verify", "--graph", str(graph), "--coloring", coloring]
+    argv += [arg for item in values.items() for arg in item]
+    started = time.perf_counter()
+    code, out, err = _main(capsys, argv)
+    assert time.perf_counter() - started < 5
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "parse-error" and "stands for more than 100000 digits" in error["message"]
+    assert len(error["message"]) < 200
 
 
 def test_zero_denominator_weight_exits_2(tmp_path, capsys):
@@ -564,6 +593,12 @@ def test_zero_denominator_weight_exits_2(tmp_path, capsys):
         ("0 1 1\n1 -2 1\n", "edge list line 2: vertex ids must be nonnegative integers, got -2"),
         ("0 1 1\n\n1 1 1\n", "edge list line 3: self-loop at vertex 1"),
         ("0 1 1\n1 2 0/3\n", "edge list line 2: edge weight must be positive, got 0 on (1,2)"),
+        ("0 1 1e100000\n", "edge list line 1: rational '1e100000' stands for more than 100000 digits"),
+        pytest.param(
+            "0 1 %s\n" % ("9" * 100_001),
+            "edge list line 1: rational '%s'... stands for more than 100000 digits" % ("9" * 40),
+            id="a weight of 100001 digits",
+        ),
     ],
 )
 def test_a_rejected_edge_names_its_line_in_the_parse_error(tmp_path, capsys, text, message):

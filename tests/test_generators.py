@@ -3,6 +3,7 @@ certificate JSON that survives its writer and loader."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -86,3 +87,18 @@ def test_weight_overlay_is_seeded_and_keeps_the_graph(n, seed, den):
     assert g.vertices == base.vertices
     assert [(u, v) for (u, v, _) in g.edges] == [(u, v) for (u, v, _) in base.edges]
     assert all(lo <= w <= hi and (w * den).denominator == 1 for (_, _, w) in g.edges)
+
+
+def test_weighted_files_keep_their_bytes():
+    """Digests of two weighted edge lists as the generators wrote them when
+    each edge's weight range was worked out per draw: a path through
+    `_weights` and a grid through the weight overlay."""
+    path = generate(GeneratorSpec(family="path", n=2000, seed=5, weight_lo=Fraction(1, 4), weight_hi=1, weight_den=4))
+    grid = generate(GeneratorSpec(family="grid", rows=12, cols=12)).graph
+    spec = GeneratorSpec(
+        family="random-weights-overlay", seed=3, weight_lo=Fraction(1, 3), weight_hi=Fraction(5, 2), weight_den=6,
+    )
+    overlay = generate(spec, base=grid)
+    digest = lambda g: hashlib.sha256(write_edge_list(g).encode()).hexdigest()
+    assert digest(path.graph) == "251e0645ef81c9d8684477381996e99f75f1fb7e4b66b29d26fffac68d418d46"
+    assert digest(overlay.graph) == "dcc030772f5fe4cf7e2194f602d0c0bd23491905f6ffa383929c56d60e3adb3e"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 import re
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from wdcolor.graph import (
     INF,
+    MAX_RATIONAL_DIGITS,
     ContractViolation,
     GraphError,
     SubgraphView,
@@ -788,6 +790,35 @@ def test_frac_str_past_the_int_to_str_digit_limit():
     # 10**4400 + 7 has 4401 digits, above the interpreter's default limit of 4300
     assert frac_str(Fraction(10**4400 + 7, 3)) == "1" + "0" * 4399 + "7/3"
     assert frac_str(Fraction(3, 10**4400)) == "3/1" + "0" * 4400
+
+
+#: Positive integers of up to 2,100 bits, about the 2,000 where frac_str turns to Decimal, and
+#: of 14,000 to 16,000 bits (4,215 to 4,817 digits), about str(int)'s default limit of 4,300 digits.
+_BIG_INTS = st.one_of(st.integers(1, 2_100), st.integers(14_000, 16_000)).flatmap(
+    lambda bits: st.integers(2**bits >> 1, 2**bits - 1)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=_BIG_INTS, den=_BIG_INTS, sign=st.sampled_from((1, -1, 0)))
+def test_frac_str_is_the_decimal_form_and_reads_back(num, den, sign):
+    num *= sign
+    f = Fraction(num, den)
+    text = str(decimal.Decimal(f.numerator))
+    if f.denominator != 1:
+        text += "/" + str(decimal.Decimal(f.denominator))
+    assert frac_str(f) == text
+    assert frac_str(num) == str(decimal.Decimal(num))
+    assert as_fraction(text) == f
+
+
+def test_as_fraction_refuses_text_past_max_rational_digits():
+    # the text's length plus its exponent: 7 + 99,993 is the most accepted
+    assert as_fraction("1e99993") == 10**99993
+    assert as_fraction("-1/" + "3" * (MAX_RATIONAL_DIGITS - 3)) < 0
+    for text in ("1e99994", "1E-99994", "1e1" + "0" * 20, "1_0e99_993", "5" * (MAX_RATIONAL_DIGITS + 1)):
+        with pytest.raises(GraphError, match=r"^rational '.{1,40}'(\.\.\.)? stands for more than 100000 digits$"):
+            as_fraction(text)
 
 
 def test_as_fraction_forms():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -673,16 +672,15 @@ def test_hierarchy_verify_names_each_broken_kind_as_the_graph_check(h, kind, dat
     fresh = max(v for i in h.levels for v in h.ids[i]) + 1
     base = h.ids[0]
     whole = frozenset(h.ground)
+    levels, parts, ids, edges = h.levels, h.parts, h.ids, h.edges
     if kind == "weight":
         i = data.draw(st.integers(0, len(h.edges) - 1))
         a, b, _ = h.edges[i]
         w = data.draw(st.sampled_from([Fraction(0), half + Fraction(1, 7), -half]))
-        h = dataclasses.replace(h, edges=h.edges[:i] + ((a, b, w),) + h.edges[i + 1:])
+        edges = h.edges[:i] + ((a, b, w),) + h.edges[i + 1:]
     elif kind == "reach":
         # a level holding the whole ground set as one part, linked to nothing
-        h = dataclasses.replace(
-            h, levels=h.levels + (top,), parts={**h.parts, top: (whole,)}, ids={**h.ids, top: (fresh,)},
-        )
+        levels, parts, ids = h.levels + (top,), {**h.parts, top: (whole,)}, {**h.ids, top: (fresh,)}
     elif kind == "pair":
         # consecutive base vertices bridged at ell/2 each way, each bridge
         # the whole ground set at a level of its own: every vertex is within
@@ -696,7 +694,7 @@ def test_hierarchy_verify_names_each_broken_kind_as_the_graph_check(h, kind, dat
         )
         parts = {0: h.parts[0], **{level: (whole,) for level in bridges}}
         ids = {0: base, **{level: (fresh + k,) for k, level in enumerate(bridges)}}
-        h = dataclasses.replace(h, levels=(0,) + tuple(bridges), parts=parts, ids=ids, edges=edges)
+        levels = (0,) + tuple(bridges)
     else:
         # exactly |B|**2 + 1 upper vertices, the whole ground set at levels
         # of their own, each one light edge from the first base vertex
@@ -704,7 +702,8 @@ def test_hierarchy_verify_names_each_broken_kind_as_the_graph_check(h, kind, dat
         edges = tuple((base[0], fresh + k, half / 4) for k in range(len(extra)))
         parts = {0: h.parts[0], **{level: (whole,) for level in extra}}
         ids = {0: base, **{level: (fresh + k,) for k, level in enumerate(extra)}}
-        h = dataclasses.replace(h, levels=(0,) + tuple(extra), parts=parts, ids=ids, edges=edges)
+        levels = (0,) + tuple(extra)
+    h = Hierarchy(h.ground, levels, parts, ids, edges, h.ell, h.eps, h.theta, h.mu)
     verdict = _verdict(Hierarchy.verify, h)
     assert verdict == _verdict(oracles.reference_hierarchy_verify, h)
     assert verdict[0] is ContractViolation and verdict[1].startswith(_BROKEN[kind]), verdict
@@ -908,8 +907,9 @@ def test_quasi_isometry_catches_missing_edges():
     g = unit_star(4)
     td = star_td(4)
     cond = condense(g, td, [(0, 1)], [(0, 1)], 1, 1, 0)
-    broken = dataclasses.replace(
-        cond, g0=WeightedGraph(cond.g0.vertices, [])
+    broken = Condensation(
+        cond.g, cond.td, WeightedGraph(cond.g0.vertices, []), cond.td0, cond.u_e, cond.ell, cond.theta,
+        cond.mu, cond.eps, cond.t0_vertices, cond.base_vertices, cond.hierarchies, cond.shortcut_parts,
     )
     with pytest.raises(ContractViolation):
         oracles.check_quasi_isometry(g, broken)
@@ -1029,7 +1029,7 @@ def test_lift_rejects_overclaimed_input_diameter():
     # a result is claimed at the bound its report was checked at
     checked = _checked(cond, c0, bound=2)
     with pytest.raises(ContractViolation, match="input coloring measures 2 hops, claimed 3"):
-        lift_condensation_coloring(cond, dataclasses.replace(checked, bound=Fraction(3)))
+        lift_condensation_coloring(cond, ColorResult(checked.coloring, Fraction(3), checked.report))
 
 
 def test_lift_big_adhesion_needs_centers():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wdcolor.graph import GraphError, WeightedGraph
-from wdcolor.partition import Coloring, ContractViolation
+from wdcolor.partition import Coloring, ColorResult, ContractViolation
 from wdcolor.patching import centered_bound, patch_bound, vertex_cover_bound
 from wdcolor.treedec import RootedTreeDecomposition, con_color_bound, validate_td
 from wdcolor.twcolor import (
@@ -845,8 +845,6 @@ def test_long_path_colors_at_the_default_recursion_limit():
 def _faulty_lift(monkeypatch, fault):
     """Let `fault(cond, what, assignment)` edit the lifted colors in place;
     `what` is the lift's label as text."""
-    import dataclasses
-
     import wdcolor.twcolor as twcolor
 
     lift = twcolor.lift_condensation_coloring
@@ -855,7 +853,7 @@ def _faulty_lift(monkeypatch, fault):
         res = lift(cond, c0, **kwargs)
         assignment = dict(res.coloring.assignment)
         fault(cond, str(kwargs["what"]), assignment)
-        return dataclasses.replace(res, coloring=Coloring(assignment, 2))
+        return ColorResult(Coloring(assignment, 2), res.bound, res.report)
 
     monkeypatch.setattr(twcolor, "lift_condensation_coloring", faulty)
 
