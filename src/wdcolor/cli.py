@@ -33,6 +33,7 @@ from .graph import (
     GraphError,
     WeightedGraph,
     as_fraction,
+    cut_frac,
     frac_str,
     json_int,
     json_int_key,
@@ -136,7 +137,7 @@ def _parse_scale(text: str, flag: str) -> Fraction:
     positive rational."""
     value = _parse_frac(text, flag)
     if value <= 0:
-        raise CliError("invalid-input", "--%s must be positive, got %s" % (flag, frac_str(value)))
+        raise CliError("invalid-input", "--%s must be positive, got %s" % (flag, cut_frac(value)))
     return value
 
 
@@ -315,13 +316,13 @@ def _run_verify(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dic
         )
     bound = _parse_frac(args.bound, "bound") if args.bound else None
     if bound is not None and bound < 0:
-        raise CliError("invalid-input", "bound must be nonnegative, got %s" % frac_str(bound))
+        raise CliError("invalid-input", "bound must be nonnegative, got %s" % cut_frac(bound))
     size = power_graph_vertex_count(g, lf)
     if size > MAX_POWER_VERTICES:
         raise CliError(
             "precondition-failed",
             "the power graph at ell=%s has %d vertices, above the limit of %d"
-            % (frac_str(lf), size, MAX_POWER_VERTICES),
+            % (cut_frac(lf), size, MAX_POWER_VERTICES),
         )
     report = verify_weak_diameter(g, lf, coloring, bound=bound)
     payload = {
@@ -345,7 +346,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.pipeline in ("planar", "layered"):
         swf = _parse_frac(args.slab_width_factor, "slab-width-factor")
         if swf < 4:
-            raise CliError("invalid-input", "--slab-width-factor must be at least 4, got %s" % frac_str(swf))
+            raise CliError("invalid-input", "--slab-width-factor must be at least 4, got %s" % cut_frac(swf))
         args.slab_width_factor = swf
     g = _load_graph(args.graph)
     try:

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph import GraphError, Record, WeightedGraph, as_fraction, frac_str, json_int, json_int_key
+from .graph import GraphError, Record, WeightedGraph, as_fraction, cut_frac, frac_str, json_int, json_int_key
 from .treedec import RootedTreeDecomposition, validate_td
 from .tripods import GeodesicCertificate, GeodesicTree
 
@@ -88,7 +88,7 @@ def _draw_weights(rng: random.Random, lo: Fraction, hi: Fraction, den: int, coun
     kmax = (hi * den).__floor__()
     if count and kmin > kmax:
         raise GraphError(
-            "no multiple of 1/%d lies in [%s, %s]" % (den, frac_str(lo), frac_str(hi))
+            "no multiple of 1/%d lies in [%s, %s]" % (den, cut_frac(lo), cut_frac(hi))
         )
     drawn: Dict[int, Fraction] = {}
     out: List[Fraction] = []

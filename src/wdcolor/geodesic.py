@@ -41,6 +41,7 @@ from .graph import (
     Record,
     WeightedGraph,
     as_fraction,
+    cut_frac,
     frac_str,
     neighborhood,
     power_graph,
@@ -781,7 +782,7 @@ def color_control_construction(
     """
     lf = as_fraction(ell)
     if lf != con.ell:
-        raise GraphError("scale %s does not match the construction's %s" % (frac_str(lf), frac_str(con.ell)))
+        raise GraphError("scale %s does not match the construction's %s" % (cut_frac(lf), cut_frac(con.ell)))
     con.validate(g, full=True)
     centers = {t: tuple(sorted(set(cs))) for t, cs in bag_centers.items()}
     _check_centers(g, con.td, centers, con.theta, 3 * lf + con.mu, True, "control coloring")
@@ -1230,7 +1231,7 @@ def color_layered(
     ef = as_fraction(eps0)
     mn = g.min_edge_weight()
     if mn is not None and mn < ef:
-        raise GraphError("edge weight %s is below eps0" % frac_str(mn))
+        raise GraphError("edge weight %s is below eps0" % cut_frac(mn))
     require_light_edges(g, lf)
     projection = layering_projection(g, layering, ef)
 

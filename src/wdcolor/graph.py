@@ -43,12 +43,24 @@ otherwise, with the same result:
 without a graph (a hierarchy's forest, see `treedec.Hierarchy.verify`)
 searches it with the same loop.
 
+Every exact set diameter, in hops or in the metric, is `set_diameter`:
+iFUB (Crescenzi et al., TCS 2013) searches a central member first and
+then the members farthest from it, and stops once no two members left
+can be farther apart than the longest distance found, with the
+eccentricity bounds of Takes and Kosters pruning alongside.  A central
+member comes cheap from the set's own inner graph, where a caller has
+one (a monochromatic component's same-colour edges):
+`central_vertex` sweeps it by BFS, a few times over |C| vertices.  Inner
+hops are never shorter than host hops, so they only choose where to
+start; every distance that counts comes from a host search.
+
 The scale-ell power graph is measured in a metric host: g itself when no
 edge of g is heavier than ell (the subdivision would only double each
-edge), and the (g, ell)-subdivision otherwise.  Its edges come from one
-search per host vertex capped at ell, except when every edge of g weighs
-in (ell/2, ell]: then no two edges fit within ell and the edges are g's
-own, read off the edge list.
+edge), and the (g, ell)-subdivision otherwise.  Each vertex's sorted
+neighbour tuple is written at once: the rest of its ball of radius ell,
+one capped search per host vertex, except when every edge of g weighs in
+(ell/2, ell]; then no two edges fit within ell and the neighbours are
+g's own, read off its adjacency.
 """
 
 from __future__ import annotations
@@ -59,8 +71,11 @@ import math
 import re
 from collections.abc import Set as AbstractSet
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+
+_first = itemgetter(0)
 
 #: Distance of a disconnected pair; compares above every rational.
 INF = math.inf
@@ -84,7 +99,9 @@ _STR_BITS = 2000
 _STR_CHARS = 603
 
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
-_INTEGER_RATIO = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*\Z")
+_DIGITS = r"[0-9](?:_?[0-9])*"
+_INTEGER_RATIO = re.compile(r"\s*([-+]?%s)(?:\s*/\s*(%s))?\s*\Z" % (_DIGITS, _DIGITS))
+_DECIMAL_TEXT = re.compile(r"\s*[-+]?(?:%s(?:\.(?:%s)?)?|\.%s)(?:[eE][-+]?%s)?\s*\Z" % ((_DIGITS,) * 4))
 
 
 def quoted_prefix(text: str, limit: int = 40) -> str:
@@ -93,11 +110,20 @@ def quoted_prefix(text: str, limit: int = 40) -> str:
     return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
 
 
+def cut_frac(x: object, limit: int = 40) -> str:
+    """frac_str(x), cut to its first `limit` characters and marked '...'
+    when longer, for messages that quote a value."""
+    text = frac_str(x)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _parse_rational(text: str) -> Fraction:
     """Fraction(text), after refusing text that stands for more than
     MAX_RATIONAL_DIGITS digits with a GraphError quoting a prefix of it.
-    An integer or p/q past the int<->str digit limit, as frac_str writes
-    one, is read through Decimal, which has no such limit."""
+    Text past the int<->str digit limit is read through Decimal, which has
+    no such limit: an integer or p/q, as frac_str writes one, and decimal
+    text.  Text that is no rational raises ValueError quoting a prefix of
+    it."""
     size = len(text)
     m = _EXPONENT.search(text)
     if m:
@@ -112,7 +138,12 @@ def _parse_rational(text: str) -> Fraction:
         if m:
             den = m.group(2)
             return Fraction(int(decimal.Decimal(m.group(1))), int(decimal.Decimal(den)) if den else 1)
-    return Fraction(text)
+        if _DECIMAL_TEXT.match(text):
+            return Fraction(decimal.Decimal(text))
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ValueError("Invalid literal for Fraction: %s" % quoted_prefix(text)) from None
 
 
 def as_fraction(x: object) -> Fraction:
@@ -153,7 +184,7 @@ def _scaled_cap(radius: object, scale: int) -> int:
     A negative radius holds no vertex, not even a source, and is refused."""
     r = as_fraction(radius)
     if r.numerator < 0:
-        raise GraphError("search radius must be nonnegative, got %s" % (frac_str(r),))
+        raise GraphError("search radius must be nonnegative, got %s" % (cut_frac(r),))
     return r.numerator * scale // r.denominator
 
 
@@ -241,7 +272,7 @@ class WeightedGraph:
         for (u, v, w) in edges:
             wf = as_fraction(w)
             if wf.numerator <= 0:
-                raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (wf, u, v))
+                raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (cut_frac(wf), u, v))
             if u == v:
                 raise GraphError("self-loop at vertex %s" % (u,))
             if u not in vset or v not in vset:
@@ -377,7 +408,7 @@ class WeightedGraph:
             raise GraphError("induced() got unknown vertices %s" % sorted(unknown))
         for (u, v, w) in extra:
             if w.numerator <= 0:
-                raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (w, u, v))
+                raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (cut_frac(w), u, v))
             if u == v:
                 raise GraphError("self-loop at vertex %s" % (u,))
             if u not in vertices or v not in vertices:
@@ -650,7 +681,7 @@ def require_light_edges(g: WeightedGraph, ell: object) -> None:
     """Raise GraphError when an edge of g weighs more than ell."""
     if not g._no_heavier_than(as_fraction(ell)):
         mw = g.max_edge_weight()
-        raise GraphError("edge weight %s exceeds ell %s" % (frac_str(mw), frac_str(ell)))
+        raise GraphError("edge weight %s exceeds ell %s" % (cut_frac(mw), cut_frac(ell)))
 
 
 def neighborhood(g: WeightedGraph, s: Iterable[int], r: object) -> Set[int]:
@@ -664,6 +695,7 @@ def set_diameter(
     search: Callable[[int], Dict[int, int]],
     bound: object = INF,
     first: Optional[int] = None,
+    centre: Optional[int] = None,
 ) -> Tuple[int, Optional[int]]:
     """Exact max distance between two members, from a few searches instead
     of one per member, and a member whose eccentricity it is (an end of a
@@ -671,44 +703,41 @@ def set_diameter(
     their integer distance from u in some metric and must reach every
     member.
 
-    The eccentricity-bounding method of Takes & Kosters, "Determining the
-    diameter of small world networks" (CIKM 2011): each member w keeps
-    bounds lo[w] <= ecc(w) <= hi[w] on its eccentricity within the set.
-    After a search from u with eccentricity e, the triangle inequality
-    gives every member
-        lo[w] = max(lo[w], d(u, w), e - d(u, w)),
+    iFUB (Crescenzi, Grossi, Habib, Lanzi and Marino, "On computing the
+    diameter of real-world undirected graphs", TCS 2013): search a central
+    member c, then the members in decreasing distance from c.  Two members
+    x, y not yet searched are at most d(x, c) + d(c, y) apart, so once the
+    longest distance found reaches the sum of the two largest d(c, .) left,
+    no pair left is longer and the search stops.  The eccentricity bounds
+    of Takes and Kosters (CIKM 2011) prune alongside: each member w keeps
+    hi[w] >= ecc(w), and a search from u with eccentricity e gives
         hi[w] = min(hi[w], e + d(u, w)).
-    No lo exceeds the diameter, so once hi[w] <= max lo, w cannot be an end
-    of a longer pair and drops out.  When none are left, every member's
-    eccentricity is at most max lo, which is therefore the diameter.
+    A member with hi[w] <= best cannot end a longer pair and drops out, and
+    both ends of a longer pair stay in, so the run also stops once fewer
+    than two members are left.  Two members take one search.
 
     bound: every hi starts here.  It must be a proven upper bound on every
-        distance between two members; then a first search whose
-        eccentricity reaches it ends the run.  INF when nothing is known.
+        distance between two members; then a search whose eccentricity
+        reaches it ends the run.  INF when nothing is known.
     first: the first source, such as an end of a farthest pair in a metric
-        that bounds this one.  After it, sources alternate between the
-        smallest lo and the largest hi; without it they start with the
-        largest hi.  Ties go to the smallest vertex id.
-    Each search result updates lo and hi with plain comparisons and keeps
-    the members still live in the same pass.  Only the integer distances
-    `search` returns are read, so no Fraction is built per reached vertex.
-    Raises ContractViolation when a search misses a member.
+        that bounds this one, where it may meet the bound at once.
+        Default: the centre, or the first member when there is none.
+    centre: the member whose distances order the searches after it.
+        Without one, the first search picks it: the member w left that
+        minimises max(d(first, w), e - d(first, w)), a midpoint of the first
+        source's farthest paths.  Ties go to the earlier member.
+    Only the integer distances `search` returns are read, so no Fraction is
+    built per reached vertex.  Raises ContractViolation when a search
+    misses a member.
     """
     if len(members) <= 1:
         return 0, (members[0] if members else None)
-    lo: Dict[int, int] = dict.fromkeys(members, 0)
     hi: Dict[int, object] = dict.fromkeys(members, bound)
-    live = list(lo)
+    live: Sequence[int] = members
     best, end = 0, members[0]
-    widest = first is None
-    u = first
-    while live:
-        if u is None:
-            if widest:
-                u = min(live, key=lambda w: (-hi[w], w))
-            else:
-                u = min(live, key=lambda w: (lo[w], w))
-            widest = not widest
+    key: Optional[Dict[int, int]] = None
+    u = first if first is not None else (centre if centre is not None else members[0])
+    while True:
         d = search(u)
         try:
             e = max(map(d.__getitem__, members))
@@ -716,15 +745,15 @@ def set_diameter(
             raise ContractViolation("search from %s does not reach member %s" % (u, exc.args[0])) from None
         if e > best:
             best, end = e, u
+        if u == centre:
+            key = d
         kept: List[int] = []
+        # the two largest distances from the centre among the members kept,
+        # and the member at the largest; or the most central one, before it
+        top = second = -INF
+        nxt = members[0]
         for w in live:
             dw = d[w]
-            low = lo[w]
-            if dw > low:
-                low = dw
-            if e - dw > low:
-                low = e - dw
-            lo[w] = low
             high = e + dw
             if high < hi[w]:
                 hi[w] = high
@@ -732,9 +761,73 @@ def set_diameter(
                 high = hi[w]
             if high > best:
                 kept.append(w)
+                k = key[w] if key is not None else -max(dw, e - dw)
+                if k > top:
+                    top, second, nxt = k, top, w
+                elif k > second:
+                    second = k
         live = kept
-        u = None
-    return best, end
+        if len(live) < 2:
+            return best, end
+        if key is None:
+            if centre is None:
+                centre = nxt
+            u = centre
+        elif top + second <= best:
+            return best, end
+        else:
+            u = nxt
+
+
+def central_vertex(adj: Dict[int, Sequence[int]], order: Sequence[int], dist: Dict[int, int]) -> int:
+    """A vertex of small eccentricity in the connected graph `adj` (vertex
+    -> neighbours), from the 4-sweep of Crescenzi et al. (TCS 2013), given
+    its first BFS: `order` lists the vertices as it reached them and
+    `dist` holds their hops from order[0].
+
+    Every sweep is a BFS, and lo[v], the largest distance from v to a swept
+    source, is a lower bound on v's eccentricity.  Sources alternate: the
+    last sweep's farthest vertex, then the vertex of least lo, then that
+    one's farthest vertex; a source already swept ends the sweeps, so a
+    path takes two and a grid block three.  The answer is the vertex of
+    least lo after the last sweep.  Ties go to the least total distance to
+    the sources, then to the vertex first in `order`.
+
+    A first BFS at most two hops deep takes no sweep: the set is then at
+    most four hops wide, and its vertex of most neighbours (the first in
+    `order` among equals) serves.  It is next to every other vertex when
+    any vertex is."""
+    if dist[order[-1]] <= 2:
+        return max(order, key=lambda v: len(adj[v]))
+    lo = {v: dist[v] for v in order}
+    total = dict(lo)
+    swept = {order[0]}
+    least, src = order[0], order[-1]
+    for peripheral in (True, False, True):
+        if src in swept:
+            break
+        swept.add(src)
+        hops = {src: 0}
+        queue = [src]
+        for x in queue:
+            h = hops[x] + 1
+            for n in adj[x]:
+                if n not in hops:
+                    hops[n] = h
+                    queue.append(n)
+        low_best: float = INF
+        total_best = 0
+        for x in order:
+            h = hops[x]
+            t = total[x] + h
+            total[x] = t
+            low = lo[x]
+            if h > low:
+                lo[x] = low = h
+            if low < low_best or low == low_best and t < total_best:
+                low_best, total_best, least = low, t, x
+        src = least if peripheral else queue[-1]
+    return least
 
 
 def metric_set_diameter(
@@ -743,20 +836,21 @@ def metric_set_diameter(
     radius: object = None,
     proven: bool = False,
     first: Optional[int] = None,
+    centre: Optional[int] = None,
 ) -> Fraction:
     """Exact max distance in g between two of `members`, each search capped
     at `radius`; set_diameter on integer distances, one Fraction at the end.
     proven: the radius bounds every distance between two members, so it is
     also set_diameter's starting bound; otherwise it only caps the searches.
-    first: set_diameter's first source.  Raises ContractViolation when a
-    member is out of reach, and the search's GraphError when a search
-    runs with a negative radius."""
+    first, centre: set_diameter's first source and centre.  Raises
+    ContractViolation when a member is out of reach, and the search's
+    GraphError when a search runs with a negative radius."""
     targets = set(members)
     rf = None if radius is None else as_fraction(radius)
     cap = None if rf is None else rf.numerator * g._scale // rf.denominator
     bound = cap if proven and cap is not None else INF
     diameter, _ = set_diameter(
-        members, lambda u: g._scaled_distances([u], radius=rf, targets=targets), bound, first
+        members, lambda u: g._scaled_distances([u], radius=rf, targets=targets), bound, first, centre
     )
     return Fraction(diameter, g._scale)
 
@@ -857,9 +951,14 @@ class HopGraph:
                 continue
             adj[u].add(v)
             adj[v].add(u)
-        self.vertices: Tuple[int, ...] = tuple(vs)
-        self._adj: Dict[int, Tuple[int, ...]] = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._vset: FrozenSet[int] = frozenset(vs)
+        self._fill(tuple(vs), {v: tuple(sorted(ns)) for v, ns in adj.items()})
+
+    def _fill(self, vertices: Tuple[int, ...], adj: Dict[int, Tuple[int, ...]]) -> None:
+        """Set the fields from the sorted vertices and each one's sorted
+        neighbour tuple."""
+        self.vertices: Tuple[int, ...] = vertices
+        self._adj: Dict[int, Tuple[int, ...]] = adj
+        self._vset: FrozenSet[int] = frozenset(vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -910,12 +1009,13 @@ class PowerGraph(HopGraph):
     """The simple graph joining vertices of its metric host at metric
     distance <= ell; carries that host for weak-diameter measurement.  The
     host is g itself when no edge of g is heavier than ell, and the
-    (g, ell)-subdivision otherwise."""
+    (g, ell)-subdivision otherwise.  `adj` maps each host vertex to its
+    sorted neighbours, listed in vertex order."""
 
     __slots__ = ("metric",)
 
-    def __init__(self, host: WeightedGraph, edges: Iterable[Tuple[int, int]]):
-        super().__init__(host.vertices, edges)
+    def __init__(self, host: WeightedGraph, adj: Dict[int, Tuple[int, ...]]):
+        self._fill(tuple(adj), adj)
         self.metric = host
 
 
@@ -926,20 +1026,28 @@ def power_graph(g: WeightedGraph, ell: object) -> PowerGraph:
     edge itself, twice, which changes no distance.  So when no edge is
     heavier than ell, g itself is the host and no copy is built.  If, in
     addition, every edge is heavier than ell/2, no path of two or more
-    edges fits within ell, and the power graph is g's own adjacency, read
-    off its edge list with no search.  Otherwise one search per host
-    vertex, capped at ell, finds the pairs."""
+    edges fits within ell, and each vertex's neighbours are its neighbours
+    in g, read off g's adjacency with no search.  Otherwise each host
+    vertex's neighbours are the rest of its ball of radius ell, one capped
+    search each.  Either way each vertex's sorted neighbour tuple is
+    written at once; distances are symmetric, so the balls agree."""
     lf = as_fraction(ell)
     if lf.numerator > 0 and g._one_hop_per_edge(lf):
-        return PowerGraph(g, [(u, v) for (u, v, _) in g.edges])
+        sadj, inside = g._sadj, g._vset
+        if len(sadj) == len(inside):
+            adj = {v: tuple(sorted(set(map(_first, sadj[v])))) for v in g.vertices}
+        else:
+            # a view reads its base's adjacency, which reaches past the view
+            adj = {v: tuple(sorted({n for (n, _) in sadj[v] if n in inside})) for v in g.vertices}
+        return PowerGraph(g, adj)
     host = subdivision_graph(g, lf) if power_graph_new_ids(g, lf) else g
     cap = _scaled_cap(lf, host._scale)
-    edges: List[Tuple[int, int]] = []
+    adj: Dict[int, Tuple[int, ...]] = {}
     for v in host.vertices:
-        for n in host._search((v,), cap, None, None):
-            if n > v:
-                edges.append((v, n))
-    return PowerGraph(host, edges)
+        ball = host._search((v,), cap, None, None)
+        del ball[v]
+        adj[v] = tuple(sorted(ball))
+    return PowerGraph(host, adj)
 
 
 # -- edge-list file format ----------------------------------------------------
@@ -1000,7 +1108,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
                 if w is None:
                     w = as_fraction(parts[2])
                     if w.numerator <= 0:
-                        raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (w, u, v))
+                        raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (cut_frac(w), u, v))
                     weights[parts[2]] = w
                 if u < 0 or v < 0:
                     raise GraphError("vertex ids must be nonnegative integers, got %r" % (u if u < 0 else v,))

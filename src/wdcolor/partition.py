@@ -19,6 +19,8 @@ from wdcolor.graph import (
     Record,
     WeightedGraph,
     as_fraction,
+    central_vertex,
+    cut_frac,
     frac_str,
     metric_set_diameter,
     neighborhood,
@@ -188,31 +190,51 @@ class ColorResult(Record):
 
 
 def monochromatic_components(
-    h: HopGraph, c: Coloring, within: Optional[Iterable[int]] = None
+    h: HopGraph,
+    c: Coloring,
+    within: Optional[Iterable[int]] = None,
+    centres: Optional[List[int]] = None,
 ) -> List[Tuple[int, ...]]:
     """Components of the same-color subgraph of h, each sorted, listed by
-    ascending minimum vertex.  `within` restricts the vertex pool."""
-    pool = set(h.vertices) if within is None else set(within) & set(h.vertices)
-    missing = pool - c.domain
+    ascending minimum vertex.  `within` restricts the vertex pool.
+
+    Each component is walked by a BFS from its least vertex that keeps the
+    component's own same-colour adjacency as it goes.  centres: a list to
+    which a central member of each component is appended, in the order of
+    the components: graph.central_vertex sweeps that inner adjacency,
+    taking the walk as its first sweep.  A component of at most two
+    members appends its least vertex."""
+    vset = h.vertex_set()
+    pool = vset if within is None else vset.intersection(within)
+    colour = c.assignment
+    missing = [v for v in pool if v not in colour]
     if missing:
         raise GraphError("vertices without a color: %s" % sorted(missing)[:5])
-    seen: Set[int] = set()
+    # the pool split by colour: one membership test finds a same-colour neighbour
+    classes: Dict[int, Set[int]] = {}
+    for v in pool:
+        classes.setdefault(colour[v], set()).add(v)
+    # hops from the first vertex of the component, over same-colour edges
+    seen: Dict[int, int] = {}
     out: List[Tuple[int, ...]] = []
     for v in sorted(pool):
         if v in seen:
             continue
-        col = c.color(v)
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for n in h.neighbors(x):
-                if n in pool and n not in seen and c.color(n) == col:
-                    seen.add(n)
-                    comp.append(n)
-                    stack.append(n)
-        out.append(tuple(sorted(comp)))
+        same_colour = classes[colour[v]]
+        seen[v] = 0
+        order = [v]
+        inner: Dict[int, List[int]] = {}
+        for x in order:
+            d = seen[x] + 1
+            same = [n for n in h.neighbors(x) if n in same_colour]
+            inner[x] = same
+            for n in same:
+                if n not in seen:
+                    seen[n] = d
+                    order.append(n)
+        out.append(tuple(sorted(order)))
+        if centres is not None:
+            centres.append(central_vertex(inner, order, seen) if len(order) > 2 else v)
     return out
 
 
@@ -229,13 +251,21 @@ def verify_weak_diameter(
     Hops are measured in the full power graph, exactly and once per
     component; the metric diameter is measured in the power graph's metric
     host (g itself when no edge of g is heavier than ell, the subdivided
-    graph otherwise).  Each power-graph hop joins two host vertices at
-    metric distance at most ell, so two members H hops apart are at most
-    ell*H apart in the host: with H the component's hop diameter, ell*H
-    bounds every member's metric eccentricity.  That bound caps every
-    metric search and seeds set_diameter, which starts from an end of the
-    farthest hop pair; where the metric is ell times the hops, the first
-    search meets the bound and is the only one.
+    graph otherwise).  Both are graph.set_diameter, iFUB from a central
+    member.  The component walk of monochromatic_components keeps each
+    component's same-colour adjacency, and graph.central_vertex sweeps it
+    for that member.  Hops inside the component are never fewer than hops
+    in the power graph, so the sweeps only choose the centre: the hop
+    diameter comes from searches of the whole power graph, the first one
+    from the centre.
+
+    Each power-graph hop joins two host vertices at metric distance at
+    most ell, so two members H hops apart are at most ell*H apart in the
+    host: with H the component's hop diameter, ell*H bounds every member's
+    metric eccentricity.  That bound caps every metric search and seeds
+    set_diameter, which searches an end of the farthest hop pair first;
+    where the metric is ell times the hops, that search meets the bound
+    and is the only one.  Otherwise the hop centre orders the rest.
 
     No metric search runs at all when the host is g itself, every edge of
     g weighs the same w and ell < 2w.  Then the power graph is g's own
@@ -282,11 +312,10 @@ def verify_weak_diameter(
                 ok=True,
             )
     p = power if power is not None else power_graph(g, lf)
-    pool: Set[int] = set(p.vertices)
-    if restrict_to is not None:
-        pool &= set(restrict_to)
-    pool &= coloring.domain
-    comps = monochromatic_components(p, coloring, within=pool)
+    assignment = coloring.assignment
+    pool = {v for v in (p.vertices if restrict_to is None else restrict_to) if v in assignment}
+    centres: List[int] = []
+    comps = monochromatic_components(p, coloring, within=pool, centres=centres)
     # every hop is one edge of g's single weight, g._step in units of 1/scale
     one_edge_hops = (
         p.metric is g and g._wrange is not None and g._step is not None and g._one_hop_per_edge(lf)
@@ -294,13 +323,13 @@ def verify_weak_diameter(
     stats: List[ComponentStat] = []
     max_hops = 0
     max_metric = _ZERO
-    for comp in comps:
+    for comp, centre in zip(comps, centres):
         members = set(comp)
-        hops, end = set_diameter(comp, lambda u: p.hop_distances([u], targets=members))
+        hops, end = set_diameter(comp, lambda u: p.hop_distances([u], targets=members), centre=centre)
         if one_edge_hops:
             metric = Fraction(g._step * hops, g._scale)
         else:
-            metric = metric_set_diameter(p.metric, comp, lf * hops, proven=True, first=end)
+            metric = metric_set_diameter(p.metric, comp, lf * hops, proven=True, first=end, centre=centre)
         stats.append(ComponentStat(len(comp), comp[0], hops, metric))
         max_hops = max(max_hops, hops)
         max_metric = max(max_metric, metric)
@@ -392,7 +421,7 @@ def verify_partition_family(g: WeightedGraph, fam: PartitionFamily) -> None:
             if near:
                 raise ContractViolation(
                     "collection %d: sets %d and %d within distance %s (vertex %s)"
-                    % (ci, si, owner[near[0]], frac_str(fam.r), near[0])
+                    % (ci, si, owner[near[0]], cut_frac(fam.r), near[0])
                 )
         for si, part in enumerate(coll):
             # every search is capped at the bound, so a set wider than the
@@ -402,7 +431,7 @@ def verify_partition_family(g: WeightedGraph, fam: PartitionFamily) -> None:
             except ContractViolation as exc:
                 raise ContractViolation(
                     "collection %d set %d: weak diameter exceeds %s (%s)"
-                    % (ci, si, frac_str(fam.diameter_bound), exc)
+                    % (ci, si, cut_frac(fam.diameter_bound), exc)
                 ) from None
 
 

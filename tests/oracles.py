@@ -1190,6 +1190,20 @@ def reference_parse_edge_list(text: str) -> WeightedGraph:
     return WeightedGraph(verts, edges)
 
 
+def reference_power_graph(g: WeightedGraph, ell: Fraction):
+    """power_graph as it was built from an edge list: g's own edges when
+    every edge weighs in (ell/2, ell], otherwise one search per host vertex
+    capped at ell, each pair listed once, turned into sorted neighbour
+    tuples by HopGraph's constructor."""
+    from wdcolor.graph import HopGraph, power_graph_new_ids, subdivision_graph
+
+    if g._one_hop_per_edge(ell):
+        return HopGraph(g.vertices, [(u, v) for (u, v, _) in g.edges])
+    host = subdivision_graph(g, ell) if power_graph_new_ids(g, ell) else g
+    edges = [(v, n) for v in host.vertices for n in host.distances_from([v], radius=ell) if n > v]
+    return HopGraph(host.vertices, edges)
+
+
 def reference_hop_distances(h, sources, targets=None) -> Dict[int, int]:
     """HopGraph.hop_distances, each reached target discarded as it is reached."""
     frontier = list(sources)
@@ -1214,7 +1228,11 @@ def reference_hop_distances(h, sources, targets=None) -> Dict[int, int]:
 
 
 def reference_set_diameter(members, search, bound=INF, first=None):
-    """graph.set_diameter with builtin min and max on every member."""
+    """The exact set diameter by the eccentricity bounds of Takes and
+    Kosters (CIKM 2011), the routine graph.set_diameter replaced: after
+    `first`, sources alternate between the member of largest upper bound
+    and the one of smallest lower bound, until no member's upper bound
+    exceeds the longest distance found."""
     if len(members) <= 1:
         return 0, (members[0] if members else None)
     lo: Dict[int, int] = dict.fromkeys(members, 0)

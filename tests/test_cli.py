@@ -577,6 +577,28 @@ def test_rational_text_of_too_many_digits_exits_2_at_once(tmp_path, capsys, flag
     assert len(error["message"]) < 200
 
 
+@pytest.mark.parametrize(
+    "weight, flags, code",
+    [
+        ("x" * 50_000, ["--ell", "1"], "parse-error"),
+        ("1e99990", ["--ell", "1"], "precondition-failed"),
+        ("1", ["--ell", "-1e99990"], "invalid-input"),
+        ("1", ["--ell", "1/" + "7" * 5_000], "precondition-failed"),
+        ("-1e99990", ["--ell", "1"], "parse-error"),
+    ],
+    ids=["a weight of 50000 x", "a weight of 1e99990", "ell -1e99990", "ell 1/77...7", "a weight of -1e99990"],
+)
+def test_messages_quote_no_long_input(tmp_path, capsys, weight, flags, code):
+    """A message quotes a prefix of the text or value that it refuses, so
+    its length does not grow with the input's."""
+    graph = tmp_path / "one.txt"
+    graph.write_text("0 1 %s\n" % weight)
+    status, out, err = _main(capsys, ["run", "tw", "--graph", str(graph)] + flags)
+    assert status == 2 and out == ""
+    assert len(err.encode()) < 300, err[:300]
+    assert json.loads(err)["error"]["code"] == code
+
+
 def test_zero_denominator_weight_exits_2(tmp_path, capsys):
     graph = tmp_path / "zero.txt"
     graph.write_text("0 1 1\n1 2 1/0\n")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import decimal
 import math
 import random
-import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,6 +22,7 @@ from wdcolor.graph import (
     _heap_search,
     _scaled_cap,
     as_fraction,
+    central_vertex,
     frac_str,
     neighborhood,
     parse_edge_list,
@@ -445,6 +445,12 @@ def test_power_graph_matches_brute_force(g, ell):
 
 
 @settings(max_examples=80, deadline=None)
+@given(weighted_graphs(max_n=9, max_extra_edges=8, connected=False), rationals(max_num=6, max_den=4))
+def test_power_graph_adjacency_is_the_edge_list_hop_graph(g, ell):
+    _assert_power_graph_is_the_edge_list_hop_graph(g, ell)
+
+
+@settings(max_examples=80, deadline=None)
 @given(weighted_graphs(max_n=7, max_extra_edges=6, connected=False), rationals(max_num=6, max_den=4))
 def test_power_graph_vertex_count_matches_the_built_graph(g, ell):
     # weights run up to 12, so many edges exceed ell and are subdivided
@@ -472,6 +478,15 @@ def _assert_power_graph_matches_the_brute_subdivision(g, ell, ref):
         assert {v: got.get(v, INF) for v in sub.vertices} == {v: dist[(u, v)] for v in sub.vertices}
 
 
+def _assert_power_graph_is_the_edge_list_hop_graph(g, ell):
+    """power_graph's adjacency, written vertex by vertex, is the one
+    HopGraph's constructor builds from the power graph's edge list."""
+    p = power_graph(g, ell)
+    want = oracles.reference_power_graph(g, ell)
+    assert p.vertices == want.vertices and p.vertex_set() == want.vertex_set()
+    assert list(p._adj.items()) == [(v, want.neighbors(v)) for v in want.vertices]
+
+
 def _upper_half(g):
     """g with the heaviest weight added to every weight: at ell = the new
     heaviest weight, every weight lies in (ell/2, ell], where no two edges
@@ -488,6 +503,7 @@ def test_power_graph_and_its_host_match_the_brute_subdivision(g, factor, halves)
     mw = g.max_edge_weight()
     ell = Fraction(1) if mw is None else mw * factor
     _assert_power_graph_matches_the_brute_subdivision(g, ell, g)
+    _assert_power_graph_is_the_edge_list_hop_graph(g, ell)
 
 
 @settings(max_examples=40, deadline=None)
@@ -504,6 +520,7 @@ def test_power_graph_of_a_far_part_view_matches_the_brute_subdivision(seed, fact
     mw = view.max_edge_weight()
     ell = Fraction(1) if mw is None else mw * factor
     _assert_power_graph_matches_the_brute_subdivision(view, ell, g.induced(td.subtree_vertices(e)))
+    _assert_power_graph_is_the_edge_list_hop_graph(view, ell)
 
 
 def test_power_graph_of_a_unit_grid_runs_no_search(monkeypatch):
@@ -746,37 +763,91 @@ def test_lazy_neighbors_equal_an_eager_adjacency_in_order(g, data):
         assert {v: graph.neighbors(v) for v in graph.vertices} == want
 
 
-@settings(max_examples=100, deadline=None)
-@given(weighted_graphs(max_n=9, max_extra_edges=8, connected=False), rationals(max_num=6, max_den=4), st.data())
-def test_hop_diameters_search_the_sources_they_searched_before(g, ell, data):
-    """set_diameter on hop_distances picks the same sources in the same order
-    and returns the same (diameter, end) as the loops it replaced."""
+@settings(max_examples=150, deadline=None)
+@given(
+    weighted_graphs(max_n=9, max_extra_edges=8, connected=False),
+    rationals(max_num=6, max_den=4),
+    st.booleans(),
+    st.data(),
+)
+def test_set_diameter_is_the_reference_diameter_and_the_brute_maximum(g, ell, hops, data):
+    """iFUB from any first source and any centre measures what the
+    Takes-Kosters reference measures, the all-pairs maximum, in hops of a
+    power graph and in its weighted host, with no bound or a valid one.  A
+    set that one search cannot span raises as the reference does."""
     p = power_graph(g, ell)
     members = sorted(data.draw(st.sets(st.sampled_from(p.vertices), min_size=1)))
     targets = set(members)
-    seen = {"new": [], "ref": []}
+    if hops:
+        brute = {u: oracles.reference_hop_distances(p, [u]) for u in members}
+        for u in members:
+            got = p.hop_distances([u], targets=targets)
+            assert list(got.items()) == list(oracles.reference_hop_distances(p, [u], targets=targets).items())
 
-    def search(u):
-        seen["new"].append(u)
-        return p.hop_distances([u], targets=targets)
+        def search(u):
+            return p.hop_distances([u], targets=targets)
+    else:
+        host = p.metric
+        exact = oracles.all_pairs_distances(host)
+        brute = {u: {w: exact[(u, w)] * host._scale for w in host.vertices if exact[(u, w)] != INF} for u in members}
 
-    def ref_search(u):
-        seen["ref"].append(u)
-        return oracles.reference_hop_distances(p, [u], targets=targets)
+        def search(u):
+            return host._scaled_distances([u], targets=targets)
 
-    bound = data.draw(st.sampled_from([INF, len(p.vertices)]))
     first = data.draw(st.sampled_from(members + [None]))
-    try:
-        want = oracles.reference_set_diameter(members, ref_search, bound, first)
-    except ContractViolation as exc:
-        with pytest.raises(ContractViolation, match=re.escape(str(exc))):
-            set_diameter(members, search, bound, first)
+    centre = data.draw(st.sampled_from(members + [None]))
+    if any(w not in brute[members[0]] for w in members):
+        with pytest.raises(ContractViolation, match="does not reach member"):
+            oracles.reference_set_diameter(members, search, INF, first)
+        with pytest.raises(ContractViolation, match="does not reach member"):
+            set_diameter(members, search, INF, first, centre)
         return
-    assert set_diameter(members, search, bound, first) == want
-    assert seen["new"] == seen["ref"]
-    for u in seen["new"]:
-        got = p.hop_distances([u], targets=targets)
-        assert list(got.items()) == list(oracles.reference_hop_distances(p, [u], targets=targets).items())
+    ecc = {u: max(brute[u][w] for w in members) for u in members}
+    diameter = max(ecc.values())
+    bound = data.draw(st.sampled_from([INF, diameter, diameter + 1]))
+    got, end = set_diameter(members, search, bound, first, centre)
+    assert got == diameter == oracles.reference_set_diameter(members, search, bound, first)[0]
+    assert ecc[end] == diameter
+
+
+def test_set_diameter_takes_one_search_for_two_members_and_two_on_a_path():
+    searched = []
+
+    def path_search(u):
+        searched.append(u)
+        return {w: abs(u - w) for w in range(9)}
+
+    assert set_diameter([3, 7], path_search) == (4, 3) and searched == [3]
+    searched.clear()
+    # from the middle, the far end meets every bound left
+    assert set_diameter(list(range(9)), path_search, centre=4) == (8, 0) and searched == [4, 0]
+    searched.clear()
+    # with no centre, the first search's midpoint is searched second
+    assert set_diameter(list(range(9)), path_search) == (8, 0) and searched == [0, 4]
+
+
+def _bfs(adj, source):
+    dist = {source: 0}
+    order = [source]
+    for x in order:
+        for n in adj[x]:
+            if n not in dist:
+                dist[n] = dist[x] + 1
+                order.append(n)
+    return order, dist
+
+
+def test_central_vertex_of_a_grid_block_and_a_path():
+    side = 5
+    grid = {(r, c): [(r + dr, c + dc) for dr, dc in ((-1, 0), (0, -1), (0, 1), (1, 0))
+                     if 0 <= r + dr < side and 0 <= c + dc < side]
+            for r in range(side) for c in range(side)}
+    order, dist = _bfs(grid, (0, 0))
+    assert central_vertex(grid, order, dist) == (2, 2)
+    path = {v: [w for w in (v - 1, v + 1) if 0 <= w < 9] for v in range(9)}
+    for root in (0, 3, 8):
+        order, dist = _bfs(path, root)
+        assert central_vertex(path, order, dist) == 4
 
 
 def test_frac_str_forms():
@@ -819,6 +890,30 @@ def test_as_fraction_refuses_text_past_max_rational_digits():
     for text in ("1e99994", "1E-99994", "1e1" + "0" * 20, "1_0e99_993", "5" * (MAX_RATIONAL_DIGITS + 1)):
         with pytest.raises(GraphError, match=r"^rational '.{1,40}'(\.\.\.)? stands for more than 100000 digits$"):
             as_fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0." + "3" * 5_000,
+        "-" + "7" * 3_000 + "." + "1" * 3_000,
+        " .5" + "0" * 4_999 + "1e-20 ",
+        "1_0" * 2_000 + ".5",
+        "1." + "9" * 700 + "E+800",
+    ],
+    ids=["0.333...", "a long integer part", "spaces, a leading point, an exponent", "underscores", "an exponent"],
+)
+def test_decimal_text_past_the_int_to_str_digit_limit_is_read_exactly(text):
+    # each text is under MAX_RATIONAL_DIGITS but holds more than the interpreter's 4,300-digit limit
+    assert as_fraction(text) == Fraction(decimal.Decimal(text))
+    assert parse_edge_list("0 1 %s\n" % text.strip().lstrip("-")).edges[0][2] == abs(Fraction(decimal.Decimal(text)))
+
+
+def test_text_that_is_no_rational_is_quoted_by_a_prefix():
+    with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: 'x{40}'\.\.\.$"):
+        as_fraction("x" * 50_000)
+    with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: '1/x'$"):
+        as_fraction("1/x")
 
 
 def test_as_fraction_forms():

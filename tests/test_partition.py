@@ -85,6 +85,10 @@ def test_components_match_union_find_oracle(g, m):
     same_color = [(u, v) for (u, v) in p.edge_list() if c.color(u) == c.color(v)]
     theirs = oracles.brute_hop_components(p.vertices, same_color)
     assert sorted(ours) == sorted(theirs)
+    # asking for centres walks the same components and names one member of each
+    centres = []
+    assert monochromatic_components(p, c, centres=centres) == ours
+    assert len(centres) == len(ours) and all(u in comp for u, comp in zip(centres, ours))
 
 
 # -- verify_weak_diameter -------------------------------------------------------
@@ -522,3 +526,65 @@ def test_a_grid_check_takes_at_most_one_metric_search_per_component(monkeypatch)
         multi = [block_of(s.min_vertex) for s in report.per_component if s.size >= 2]
         assert len(multi) == 8
         assert sorted(block_of(u) for u in sources) == sorted(multi * metric_searches), between
+
+
+def _hop_sources(monkeypatch):
+    """The source of every host hop search, in order."""
+    sources = []
+    search = HopGraph.hop_distances
+
+    def counting(self, srcs, *args, **kwargs):
+        sources.extend(srcs)
+        return search(self, srcs, *args, **kwargs)
+
+    monkeypatch.setattr(HopGraph, "hop_distances", counting)
+    return sources
+
+
+def test_a_checkerboard_block_takes_at_most_two_hop_searches(monkeypatch):
+    # 5x5 checkerboard blocks of a unit 23x23 grid: 16 full blocks, strips and a corner
+    side, block = 23, 5
+    g = WeightedGraph(
+        range(side * side),
+        [(v, v + 1, 1) for v in range(side * side) if (v + 1) % side]
+        + [(v, v + side, 1) for v in range(side * side - side)],
+    )
+
+    def block_of(v):
+        return v // side // block, v % side // block
+
+    c = Coloring({v: sum(block_of(v)) % 2 + 1 for v in range(side * side)}, 2)
+    sources = _hop_sources(monkeypatch)
+    report = verify_weak_diameter(g, 1, c)
+    assert report.max_weak_diameter_hops == 8
+    full = [block_of(s.min_vertex) for s in report.per_component if s.size == block * block]
+    assert len(full) == 16
+    per_block = {b: sum(1 for u in sources if block_of(u) == b) for b in full}
+    assert max(per_block.values()) <= 2, per_block
+
+
+def test_the_big_component_of_a_random_3_tree_takes_at_most_ten_hop_searches(monkeypatch):
+    """The count guard of the tree-width pipeline's final check: a random
+    3-tree with n = 2,000 coloured with its own decomposition leaves one
+    monochromatic component of most of the graph, whose exact hop diameter
+    the centre and the iFUB stop settle in a few host searches."""
+    from wdcolor import partition
+    from wdcolor.generators import GeneratorSpec, generate
+    from wdcolor.twcolor import color_bounded_treewidth
+
+    inst = generate(GeneratorSpec(family="ktree", n=2000, k=3, seed=1))
+    measured = []
+    set_diameter = partition.set_diameter
+
+    # partition's own binding: the hop diameters, not the metric ones
+    def counting(members, search, *args, **kwargs):
+        searches = []
+        result = set_diameter(members, lambda u: searches.append(u) or search(u), *args, **kwargs)
+        measured.append((len(members), len(searches)))
+        return result
+
+    monkeypatch.setattr(partition, "set_diameter", counting)
+    res = color_bounded_treewidth(inst.graph, Fraction(1), td=inst.td)
+    assert res.report.ok
+    size, searches = max(measured)
+    assert size >= 1000 and searches <= 10, (size, searches)
