@@ -10,34 +10,39 @@ graph at a fixed weak-diameter bound.  The engine has two public entries:
 `color_control_construction` takes a construction and its center map,
 `color_centered_bags` derives the construction from a center map.  Each
 checks its own input once, the center map with `_check_centers`, and
-then enters the shared core `_run_engine`.  No power graph passes between
-levels: each weak-diameter check inside the engine decides from its host's
-vertex count, computed from the weights, whether its bound is vacuous, and
-builds the power graph of its own host only when it has to measure.
+then enters the shared core `_run_engine`; the engine checks each
+construction it builds once, at the start of the level that colors it.
+`color_centered_bags` checks its construction's guard cover against the
+center balls its center check searched, so it runs no search at the guard
+radius.  A run's level bounds depend only on the budget eta, so the engine
+computes them once per run.  No power graph passes between levels: each
+weak-diameter check inside the engine decides from its host's vertex
+count, computed from the weights, whether its bound is vacuous, and builds
+the power graph of its own host only when it has to measure.
 
 Both slab pipelines run one driver, `_color_slabs`.  Per connected
 component it cuts the graph into two interleaved families of slabs over a
-1-Lipschitz projection, pads every slab by 2*ell, two-colors each connected
-piece of each padded window, and offsets one family by two colors to get
-four.  The pipelines differ only in what they hand the driver.  The planar
-pipeline projects onto root distances of a shortest-path tree and colors a
-window piece through the tripod tree decomposition restricted to it (every
-bag is a union of at most three vertical paths of the tree): per component
-one certificate from `tripods.tripod_decomposition`, cut to each window
-piece by `tripods._restrict_tripods`.  The layered pipeline projects onto
-eps0 times the layer index and colors a window piece with the
-bounded-treewidth colorer.  `make_slabs` cuts on integers: projection,
-weights and widths scaled by one common denominator.
+1-Lipschitz projection (`slabs.make_slabs`), two-colors each connected
+piece of each padded window, and combines the slabs into four colors
+(`slabs.combine_slab_colorings`).  One power graph per component serves
+that combination and the final check.  The pipelines differ only in what
+they hand the driver.  The planar pipeline projects onto root distances of
+a shortest-path tree and colors a window piece through the tripod tree
+decomposition restricted to it (every bag is a union of at most three
+vertical paths of the tree): per component one certificate from
+`tripods.tripod_decomposition`, cut to each window piece by
+`tripods._restrict_tripods`.  The layered pipeline projects onto eps0
+times the layer index and colors a window piece with the bounded-treewidth
+colorer.
 """
 
-import bisect
-import math
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import (
     GraphError,
+    PowerGraph,
     Record,
     WeightedGraph,
     as_fraction,
@@ -53,7 +58,6 @@ from .partition import (
     ContractViolation,
     VerificationReport,
     check_weak_diameter,
-    monochromatic_components,
 )
 from .patching import (
     CenterCertificate,
@@ -72,6 +76,7 @@ from .treedec import (
     lift_condensation_coloring,
     validate_td,
 )
+from .slabs import Slab, SlabColoring, SlabSystem, combine_slab_colorings, make_slabs
 from .tripods import (  # GeodesicCertificate: the benchmark tracer finds its verify here
     GeodesicCertificate,
     _Ranks,
@@ -155,20 +160,33 @@ class ControlConstruction(Record):
         object.__setattr__(self, "root_triple", root_triple)
         object.__setattr__(self, "edge_triples", edge_triples)
 
-    def _sites(self) -> List[Tuple[object, FrozenSet[int], GuardTriple]]:
-        out: List[Tuple[object, FrozenSet[int], GuardTriple]] = [
-            ("root", self.td.bags[self.td.root], self.root_triple)
+    def _sites(self) -> List[Tuple[object, int, FrozenSet[int], GuardTriple]]:
+        """(site, node, bag, triple): the root bag at the root, and each
+        tree edge's adhesion at its upper end."""
+        out: List[Tuple[object, int, FrozenSet[int], GuardTriple]] = [
+            ("root", self.td.root, self.td.bags[self.td.root], self.root_triple)
         ]
         for e in self.td.tree_edges:
-            out.append((e, self.td.adhesion_of(e), self.edge_triples[e]))
+            out.append((e, e[0], self.td.adhesion_of(e), self.edge_triples[e]))
         return out
 
-    def validate(self, g: WeightedGraph, full: bool = True) -> None:
+    def validate(
+        self,
+        g: WeightedGraph,
+        full: bool = True,
+        center_balls: Optional[Tuple[Dict[int, Tuple[int, ...]], Callable[[int], Set[int]]]] = None,
+    ) -> None:
         """Check the construction against g; raises on failure.
 
         Structural checks always run.  `full` adds the metric checks: bag
         coverage by the guards, the two root exclusion balls, and the reach
-        of oversized-anchor edges.
+        of oversized-anchor edges.  Coverage searches the mu-ball of each
+        distinct guard set once, unless `center_balls` = (centers, ball)
+        comes from a checked center map whose `ball(c)` is the radius mu/2
+        ball of center c.  Then a site's vertex counts as covered when it
+        lies in the ball of a center of the site's node that also holds a
+        guard, since it is within 2 * mu/2 = mu of that guard, and no
+        search runs.  A check made that way can only be stricter.
         """
         if self.theta < 1 or not 0 <= self.eta <= self.theta:
             raise GraphError(
@@ -191,7 +209,7 @@ class ControlConstruction(Record):
                 "edge triples do not match the tree edges (missing %s, extra %s)"
                 % (sorted(edges - keys)[:3], sorted(keys - edges)[:3])
             )
-        for site, bag, tri in self._sites():
+        for site, _, bag, tri in self._sites():
             if not tri.free <= bag - self.removed:
                 raise ContractViolation("site %s: free guards leave bag - removed" % (site,))
             if not tri.removed <= bag & self.removed:
@@ -214,25 +232,42 @@ class ControlConstruction(Record):
             return
         require_light_edges(g, self.ell)
         validate_td(g, self.td, "tree decomposition invalid")
-        # each distinct guard set's mu-ball is searched once per call
-        balls: Dict[FrozenSet[int], Set[int]] = {}
+        if center_balls is None:
+            balls: Dict[FrozenSet[int], Set[int]] = {}
 
-        def mu_ball(guards: FrozenSet[int]) -> Set[int]:
-            ball = balls.get(guards)
-            if ball is None:
-                ball = balls[guards] = neighborhood(g, guards, self.mu)
-            return ball
+            def beyond(t: int, need: AbstractSet[int], guards: FrozenSet[int]) -> AbstractSet[int]:
+                ball = balls.get(guards)
+                if ball is None:
+                    ball = balls[guards] = neighborhood(g, guards, self.mu)
+                return need - ball
+        else:
+            centers, ball = center_balls
 
-        for site, bag, tri in self._sites():
-            self._check_cover(mu_ball, site, bag - self.removed, tri.free | tri.both, "free")
-            self._check_cover(mu_ball, site, bag & self.removed, tri.removed | tri.both, "removed")
-        exsets: List[Tuple[TreeEdge, Set[int]]] = []
+            def beyond(t: int, need: AbstractSet[int], guards: FrozenSet[int]) -> AbstractSet[int]:
+                return need.difference(*[b for b in map(ball, centers[t]) if not b.isdisjoint(guards)])
+
+        for site, t, bag, tri in self._sites():
+            for kind, need, guards in (
+                ("free", bag - self.removed, tri.free | tri.both),
+                ("removed", bag & self.removed, tri.removed | tri.both),
+            ):
+                if not need:
+                    continue
+                if not guards:
+                    raise ContractViolation("site %s: no %s-side guards but the bag needs them" % (site, kind))
+                stray = beyond(t, need, guards)
+                if stray:
+                    raise ContractViolation(
+                        "site %s: %s-side vertices %s beyond radius mu of their guards"
+                        % (site, kind, sorted(stray)[:5])
+                    )
+        exsets: List[Tuple[TreeEdge, AbstractSet[int]]] = []
         for e in self.td.tree_edges:
             tri = self.edge_triples[e]
             cand = self.td.adhesion_of(e) & self.removed
             if not cand:
                 continue
-            cand -= mu_ball(tri.both)
+            cand = beyond(e[0], cand, tri.both)
             if cand:
                 exsets.append((e, cand))
         if exsets:
@@ -264,44 +299,29 @@ class ControlConstruction(Record):
                     % (e, sorted(stray)[:5])
                 )
 
-    def _check_cover(
-        self,
-        mu_ball: Callable[[FrozenSet[int]], Set[int]],
-        site: object,
-        need: FrozenSet[int],
-        guards: FrozenSet[int],
-        kind: str,
-    ) -> None:
-        if not need:
-            return
-        if not guards:
-            raise ContractViolation("site %s: no %s-side guards but the bag needs them" % (site, kind))
-        stray = need - mu_ball(guards)
-        if stray:
-            raise ContractViolation(
-                "site %s: %s-side vertices %s beyond radius mu of their guards"
-                % (site, kind, sorted(stray)[:5])
-            )
 
-
-def control_extension_bound(eta: int, theta: int, mu: object, ell: object) -> Fraction:
-    """Weak-diameter bound for extending a zone coloring to a two-coloring
-    along a control construction with the given parameters."""
+def _control_levels(eta: int, theta: int, mu: object, ell: object) -> Tuple[List[Fraction], List[Fraction]]:
+    """The control radii a_0..a_{eta-1}, and control_extension_bound at
+    every budget 0..eta in one pass, each level starting from the one
+    below."""
     mf = as_fraction(mu)
     lf = as_fraction(ell)
     if theta < 1 or not 0 <= eta <= theta:
         raise GraphError("need 1 <= theta and 0 <= eta <= theta")
     if mf < 0 or lf <= 0:
         raise GraphError("need mu >= 0 and ell > 0")
-    val = patch_bound(theta, 4 * lf + mf, lf, 1)
-    if eta == 0:
-        return val
-    radii = control_radii(theta, mf, lf, eta - 1)
-    for x in range(1, eta + 1):
-        a = radii[x - 1]
-        patched = patch_bound(theta, 3 * lf + 3 * mf + a, lf, val)
-        val = con_color_bound(lf, patched, theta, a + mf)
-    return val
+    radii = control_radii(theta, mf, lf, eta - 1) if eta else []
+    bounds = [patch_bound(theta, 4 * lf + mf, lf, 1)]
+    for a in radii:
+        patched = patch_bound(theta, 3 * lf + 3 * mf + a, lf, bounds[-1])
+        bounds.append(con_color_bound(lf, patched, theta, a + mf))
+    return radii, bounds
+
+
+def control_extension_bound(eta: int, theta: int, mu: object, ell: object) -> Fraction:
+    """Weak-diameter bound for extending a zone coloring to a two-coloring
+    along a control construction with the given parameters."""
+    return _control_levels(eta, theta, mu, ell)[1][-1]
 
 
 def centered_bags_bound(theta: int, radius: object, ell: object) -> Fraction:
@@ -314,11 +334,21 @@ def centered_bags_bound(theta: int, radius: object, ell: object) -> Fraction:
 
 
 class _EngineCtx(Record):
-    __slots__ = ("lf", "deep")
+    """What every level of one engine run reads.  The constructions of a
+    run share theta and mu, and a level's bounds depend only on its budget
+    eta, so they are computed once per run: level_bound[eta] is
+    control_extension_bound at eta, radii[eta-1] the condensation radius of
+    a level of budget eta, and centered the zone-saturated finish's bound."""
 
-    def __init__(self, lf: Fraction, deep: bool) -> None:
+    __slots__ = ("lf", "deep", "level_bound", "radii", "centered")
+
+    def __init__(self, lf: Fraction, deep: bool, theta: int, mu: Fraction, eta: int) -> None:
+        radii, level_bound = _control_levels(eta, theta, mu, lf)
         object.__setattr__(self, "lf", lf)
         object.__setattr__(self, "deep", deep)
+        object.__setattr__(self, "level_bound", level_bound)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "centered", centered_bound(theta, 3 * lf + mu, lf))
 
 
 def _check_centers(
@@ -530,9 +560,12 @@ def _control_rec(
     """Extend c from zset to all of V - R at the construction's level bound.
     Returns the coloring and, when the level's lift colored every free
     vertex with no far part left, that lift's result: a check of the same
-    coloring of g over V - R at the level bound, made with exact=False."""
-    con.validate(g, full=ctx.deep)
-    _check_centers(g, con.td, centers, con.theta, 3 * con.ell + con.mu, ctx.deep, what)
+    coloring of g over V - R at the level bound, made with exact=False.
+    Each construction the engine builds (con0, con_star, con1) is checked
+    here once; the top one was checked by its public entry."""
+    if parent_measure is not None:
+        con.validate(g, full=ctx.deep)
+        _check_centers(g, con.td, centers, con.theta, 3 * con.ell + con.mu, ctx.deep, what)
     td, rset, eta, theta = con.td, con.removed, con.eta, con.theta
     lf, mu = ctx.lf, con.mu
     vset = g.vertex_set()
@@ -546,7 +579,7 @@ def _control_rec(
         raise ContractViolation(
             "%s: recursion measure failed to drop (%s -> %s)" % (what, parent_measure, measure)
         )
-    level_bound = control_extension_bound(eta, theta, mu, lf)
+    level_bound = ctx.level_bound[eta]
     if not vfree:
         return Coloring.empty(2), None
     if eta == 0:
@@ -573,7 +606,7 @@ def _control_rec(
         # the zone ball swallows everything: the uncolored part lies within
         # 3*ell+mu of the zone anchors, at most theta of them (validated
         # above), so any coloring of it meets the centered bound
-        centered = centered_bound(theta, 3 * lf + mu, lf)
+        centered = ctx.centered
         if centered > level_bound:
             raise ContractViolation("%s: centered shortcut bound exceeds the level bound" % what)
         check_weak_diameter(
@@ -584,8 +617,8 @@ def _control_rec(
     # main branch: condense everything beyond the zone's bag neighborhood,
     # color the condensed graph one budget level down, patch the zone over
     # the result, lift the patched coloring back, then finish the far parts
-    a_prev = control_radii(theta, mu, lf, eta - 1)[-1]
-    nf_prev = control_extension_bound(eta - 1, theta, mu, lf)
+    a_prev = ctx.radii[eta - 1]
+    nf_prev = ctx.level_bound[eta - 1]
     t0set, u_edges = ball_region(td, z_ball, what)
     cond = condense(g, td, u_edges, (), lf, theta, a_prev + mu)
     g0, td0 = cond.g0, cond.td0
@@ -820,7 +853,7 @@ def _run_engine(
     lift colored everything and the check asked for is not exact, that
     lift already checked this coloring of g over V - R at this bound, and
     its report stands."""
-    ctx = _EngineCtx(lf, deep_verify)
+    ctx = _EngineCtx(lf, deep_verify, con.theta, con.mu, con.eta)
     limit = 6 * len(g) + _RECURSION_HEADROOM
     old_limit = sys.getrecursionlimit()
     try:
@@ -828,7 +861,7 @@ def _run_engine(
         out, lifted = _control_rec(ctx, g, con, zset, c0, centers, None, what)
     finally:
         sys.setrecursionlimit(old_limit)
-    bound = control_extension_bound(con.eta, con.theta, con.mu, lf)
+    bound = ctx.level_bound[con.eta]
     if lifted is not None and not exact_check and lifted.bound == bound and lifted.coloring == out:
         return ColorResult(out, bound, lifted.report)
     report = check_weak_diameter(
@@ -852,10 +885,14 @@ def color_centered_bags(
     `radius` of a few per-node centers.
 
     Per tree edge the parent's centers are re-anchored inside the adhesion
-    (one witness per center that can see the adhesion), which turns the
+    (one witness per center whose ball meets the adhesion), which turns the
     center map into a control construction at mu = 2*radius whose exclusion
     conditions hold vacuously for any removed set.  The map is checked once,
     at `radius`; that also covers every bag within the engine's 3*ell + mu.
+    The construction's cover check reads the center balls that check
+    searched (see ControlConstruction.validate), so no search runs at
+    radius mu: every adhesion vertex lies in the ball of a parent center,
+    and that center's witness lies in the same ball.
     """
     lf = as_fraction(ell)
     rf = as_fraction(radius)
@@ -883,7 +920,7 @@ def color_centered_bags(
     con = ControlConstruction(
         td, frozenset(removed), theta, theta, 2 * rf, lf, root_triple, triples
     )
-    con.validate(g, full=True)
+    con.validate(g, full=True, center_balls=(cmap, ball))
     return _run_engine(
         g, lf, con, frozenset(), Coloring.empty(2), cmap, False, exact_check, what
     )
@@ -927,186 +964,6 @@ def layering_projection(
     return {v: ef * i for v, i in idx.items()}
 
 
-# -- slabs --------------------------------------------------------------------
-
-
-class Slab(Record):
-    __slots__ = ("family", "index", "lo", "hi", "window_lo", "window_hi", "owned", "window")
-
-    def __init__(
-        self,
-        family: str,
-        index: int,
-        lo: Fraction,
-        hi: Fraction,
-        window_lo: Fraction,
-        window_hi: Fraction,
-        owned: Tuple[int, ...],
-        window: Tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "window_lo", window_lo)
-        object.__setattr__(self, "window_hi", window_hi)
-        object.__setattr__(self, "owned", owned)
-        object.__setattr__(self, "window", window)
-
-
-class SlabSystem(Record):
-    """Two interleaved families of slabs over a 1-Lipschitz projection.
-
-    Family a tiles [j*W, (j+1)*W); family b is shifted by W/2.  Every
-    vertex is owned by the family in which it sits deeper (ties go to a),
-    so owned regions of one family are pairwise further than W/2 apart.
-    Windows pad each slab by `pad` on both sides.
-    """
-
-    __slots__ = ("ell", "width", "pad", "projection", "slabs", "owner_of")
-
-    def __init__(
-        self,
-        ell: Fraction,
-        width: Fraction,
-        pad: Fraction,
-        projection: Dict[int, Fraction],
-        slabs: Tuple[Slab, ...],
-        owner_of: Dict[int, Tuple[str, int]],
-    ) -> None:
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "pad", pad)
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "slabs", slabs)
-        object.__setattr__(self, "owner_of", owner_of)
-
-    def slab_of(self, family: str, index: int) -> Slab:
-        for s in self.slabs:
-            if s.family == family and s.index == index:
-                return s
-        raise GraphError("no slab (%s, %s)" % (family, index))
-
-
-def make_slabs(
-    g: WeightedGraph,
-    ell: object,
-    projection: Dict[int, Fraction],
-    slab_width_factor: object = 8,
-) -> SlabSystem:
-    """Cut the projection range into two slab families, each slab padded by
-    2*ell on both sides.  The cut runs on integers: the projection, the
-    weights, the width and its half are all scaled once by one common
-    denominator."""
-    lf = as_fraction(ell)
-    if lf <= 0:
-        raise GraphError("slab scale must be positive")
-    swf = as_fraction(slab_width_factor)
-    if swf < 4:
-        raise GraphError("slab width must be at least 4*ell")
-    width = swf * lf
-    pad = 2 * lf
-    half = width / 2
-    missing = g.vertex_set() - set(projection)
-    if missing:
-        raise GraphError("projection misses vertices %s" % sorted(missing)[:5])
-    edges = g.edges
-    dens = {half.denominator, pad.denominator}
-    dens.update(projection[v].denominator for v in g.vertices)
-    dens.update(w.denominator for (_, _, w) in edges)
-    scale = math.lcm(*dens)
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    proj = {v: scaled(projection[v]) for v in g.vertices}
-    for (u, v, w) in edges:
-        if abs(proj[u] - proj[v]) > scaled(w):
-            raise GraphError("projection is not 1-Lipschitz across edge (%s, %s)" % (u, v))
-    wid, hf, pd = scaled(width), scaled(half), scaled(pad)
-    owner_of: Dict[int, Tuple[str, int]] = {}
-    owned: Dict[Tuple[str, int], List[int]] = {}
-    for v in g.vertices:
-        f = proj[v]
-        j = f // wid
-        depth_a = min(f - j * wid, (j + 1) * wid - f)
-        k = (f - hf) // wid
-        depth_b = min(f - (k * wid + hf), (k + 1) * wid + hf - f)
-        key = ("a", j) if depth_a >= depth_b else ("b", k)
-        owner_of[v] = key
-        owned.setdefault(key, []).append(v)
-    by_f = sorted(g.vertices, key=lambda v: (proj[v], v))
-    fvals = [proj[v] for v in by_f]
-    slabs: List[Slab] = []
-    for (family, index) in sorted(owned):
-        shift = family == "b"
-        lo = index * width + (half if shift else 0)
-        hi = lo + width
-        wlo, whi = lo - pad, hi + pad
-        lo_i = index * wid + (hf if shift else 0)
-        left = bisect.bisect_left(fvals, lo_i - pd)
-        right = bisect.bisect_left(fvals, lo_i + wid + pd)
-        window = tuple(sorted(by_f[left:right]))
-        slabs.append(
-            Slab(family, index, lo, hi, wlo, whi, tuple(sorted(owned[(family, index)])), window)
-        )
-    return SlabSystem(lf, width, pad, dict(projection), tuple(slabs), owner_of)
-
-
-class SlabColoring(Record):
-    __slots__ = ("family", "index", "coloring", "bound")
-
-    def __init__(self, family: str, index: int, coloring: Coloring, bound: Fraction) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "coloring", coloring)
-        object.__setattr__(self, "bound", bound)
-
-
-def combine_slab_colorings(
-    g: WeightedGraph,
-    ell: object,
-    system: SlabSystem,
-    slab_colorings: Sequence[SlabColoring],
-    what: str = "slab combination",
-) -> Tuple[Coloring, Fraction]:
-    """Four-color the graph from per-slab two-colorings: every vertex keeps
-    the color its owner slab gave it, offset by the family.  Checks that
-    each monochromatic power-graph component stays inside one padded slab;
-    the combined bound is the worst slab bound plus two padding hops."""
-    lf = as_fraction(ell)
-    by_key = {(sc.family, sc.index): sc for sc in slab_colorings}
-    assign: Dict[int, int] = {}
-    for v in g.vertices:
-        fam, idx = system.owner_of[v]
-        sc = by_key.get((fam, idx))
-        if sc is None:
-            raise GraphError("%s: no slab coloring for (%s, %s)" % (what, fam, idx))
-        if sc.coloring.num_colors > 2:
-            raise GraphError("%s: slab colorings must use at most 2 colors" % what)
-        if v not in sc.coloring.assignment:
-            raise ContractViolation("%s: owner slab left vertex %s uncolored" % (what, v))
-        assign[v] = sc.coloring.assignment[v] + (2 if fam == "b" else 0)
-    combined = Coloring(assign, 4)
-    slab_at = {(s.family, s.index): s for s in system.slabs}
-    for comp in monochromatic_components(power_graph(g, lf), combined, within=g.vertex_set()):
-        fam, idx = system.owner_of[comp[0]]
-        slab = slab_at.get((fam, idx)) or system.slab_of(fam, idx)  # slab_of names a missing slab
-        for v in comp:
-            if system.owner_of[v] != (fam, idx):
-                raise ContractViolation(
-                    "%s: a monochromatic component crosses slab ownership" % what
-                )
-            f = system.projection[v]
-            if not slab.window_lo <= f < slab.window_hi:
-                raise ContractViolation(
-                    "%s: a monochromatic component leaves its padded slab" % what
-                )
-    worst = max((sc.bound for sc in slab_colorings), default=Fraction(0))
-    bound = worst + 2 * math.ceil(system.pad / lf)
-    return combined, bound
-
-
 # -- planar and layered pipelines ---------------------------------------------
 
 
@@ -1136,10 +993,13 @@ def _color_slabs(
     padded window.  Each piece is a connected component of the window; the
     pieces' two-colorings make the slab's coloring, the two families combine
     into four colors, and the whole coloring is checked against the combined
-    bound."""
+    bound.  One power graph per component serves the combination and the
+    final check: with edges no heavier than ell, the power graph of g is
+    the disjoint union of its components' power graphs."""
     assign: Dict[int, int] = {}
     bound = Fraction(0)
     systems: List[SlabSystem] = []
+    adj: Dict[int, Tuple[int, ...]] = {}
     comps = g.connected_components()
     for comp in comps:
         # a connected graph is its own component: no copy
@@ -1158,12 +1018,16 @@ def _color_slabs(
                 slab_assign.update(res.coloring.assignment)
                 slab_bound = max(slab_bound, res.bound)
             scs.append(SlabColoring(slab.family, slab.index, Coloring(slab_assign, 2), slab_bound))
-        combined, cbound = combine_slab_colorings(gc, lf, system, scs, what=what)
+        power = power_graph(gc, lf)
+        combined, cbound = combine_slab_colorings(gc, lf, system, scs, what=what, power=power)
         assign.update(combined.assignment)
         bound = max(bound, cbound)
         systems.append(system)
+        adj.update(power._adj)
     coloring = Coloring(assign, 4)
-    report = check_weak_diameter(g, lf, coloring, bound, what)
+    if len(comps) != 1:
+        power = PowerGraph(g, {v: adj[v] for v in g.vertices})
+    report = check_weak_diameter(g, lf, coloring, bound, what, power=power)
     return SlabColorResult(coloring, bound, report, tuple(systems))
 
 

@@ -198,11 +198,11 @@ def monochromatic_components(
     """Components of the same-color subgraph of h, each sorted, listed by
     ascending minimum vertex.  `within` restricts the vertex pool.
 
-    Each component is walked by a BFS from its least vertex that keeps the
-    component's own same-colour adjacency as it goes.  centres: a list to
-    which a central member of each component is appended, in the order of
-    the components: graph.central_vertex sweeps that inner adjacency,
-    taking the walk as its first sweep.  A component of at most two
+    Each component is walked by a BFS from its least vertex.  centres: a
+    list to which a central member of each component is appended, in the
+    order of the components.  Only then does the walk keep the component's
+    own same-colour adjacency, which graph.central_vertex sweeps, taking
+    the walk as its first sweep.  A component of at most two
     members appends its least vertex."""
     vset = h.vertex_set()
     pool = vset if within is None else vset.intersection(within)
@@ -223,11 +223,12 @@ def monochromatic_components(
         same_colour = classes[colour[v]]
         seen[v] = 0
         order = [v]
-        inner: Dict[int, List[int]] = {}
+        inner: Optional[Dict[int, List[int]]] = None if centres is None else {}
         for x in order:
             d = seen[x] + 1
             same = [n for n in h.neighbors(x) if n in same_colour]
-            inner[x] = same
+            if inner is not None:
+                inner[x] = same
             for n in same:
                 if n not in seen:
                     seen[n] = d
@@ -286,7 +287,7 @@ def verify_weak_diameter(
         count is computed in O(E) from the weights, so a skipped check
         never builds the power graph.
     power: a prebuilt power_graph(g, ell) to measure in, for callers that
-        measure several colorings of one graph; built here when needed.
+        have built it already; built here when needed.
     """
     lf = as_fraction(ell)
     bf: Optional[Fraction] = as_fraction(bound) if bound is not None else None
@@ -365,9 +366,12 @@ def check_weak_diameter(
     what: str,
     restrict_to: Optional[Iterable[int]] = None,
     exact: bool = True,
+    power: Optional[PowerGraph] = None,
 ) -> VerificationReport:
     """verify_weak_diameter that raises ContractViolation on failure."""
-    report = verify_weak_diameter(g, ell, coloring, restrict_to=restrict_to, bound=bound, exact=exact)
+    report = verify_weak_diameter(
+        g, ell, coloring, restrict_to=restrict_to, bound=bound, power=power, exact=exact
+    )
     if not report.ok:
         raise ContractViolation(
             "%s: weak diameter %d hops exceeds claimed bound %s"

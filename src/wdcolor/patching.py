@@ -13,7 +13,6 @@ built in one graph; the merges accept it for that graph object only.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
@@ -40,13 +39,19 @@ def patch_bound(k: int, r: object, ell: object, n: object) -> Fraction:
     f(0, y) = y and f(x, y) = 2*f(x-1, ceil((4/ell)*(ell+r+ell*y)) + y)
     + 2*ceil(2*(ell+r)/ell), evaluated with exact rational ceilings.
     Unrolled, f(k, n) = 2**k * y_k + step * (2**k - 1) with y_0 = n and
-    y_{i+1} = ceil((4/ell)*(ell+r+ell*y_i)) + y_i, so large k needs no
-    recursion.  Satisfies f(k, n) >= (k+1)*n.
+    y_{i+1} = ceil(4 + 4*r/ell + 4*y_i) + y_i.  With y_i = m_i + phi for a
+    whole m_i, each step maps m_i to 5*m_i + c, c = 4 + ceil(4*r/ell + 4*phi),
+    and keeps phi, so y_k = n + (5**k - 1)/4 * (4*m_0 + c)
+    = n + (5**k - 1)/4 * (4 + ceil(4*(n + r/ell))): a closed form in a few
+    big-integer operations for any k, evaluated on numerators and
+    denominators.  Satisfies f(k, n) >= (k+1)*n.
 
     This and the other pure bounds (centered_bound, vertex_cover_bound,
-    tree_extension_bound, cover_piece_bound, con_color_bound) are memoised.
-    Their keys are typed, so a float argument does not hit the entry of the
-    equal int and still fails; exceptions are not cached.
+    tree_extension_bound, cover_piece_bound, con_color_bound) are memoised:
+    a hit, which hashes the arguments, costs less than this closed form, and
+    it builds no Fraction.  Their keys are typed, so a float argument does
+    not hit the entry of the equal int and still fails; exceptions are not
+    cached.
     """
     if k < 0:
         raise GraphError("center count k must be nonnegative")
@@ -57,11 +62,13 @@ def patch_bound(k: int, r: object, ell: object, n: object) -> Fraction:
         raise GraphError("ell and N must be positive")
     if rf < 0:
         raise GraphError("radius r must be nonnegative")
-    step = 2 * math.ceil(2 * (lf + rf) / lf)
-    y = nf
-    for _ in range(k):
-        y = math.ceil(Fraction(4) / lf * (lf + rf + lf * y)) + y
-    return 2 ** k * y + step * (2 ** k - 1)
+    # on integers, with n = a/b and r/ell = c/d, and one Fraction made
+    a, b = nf.numerator, nf.denominator
+    c, d = rf.numerator * lf.denominator, rf.denominator * lf.numerator
+    step = 4 - 2 * (-2 * c // d)
+    lead = 4 - (-4 * (a * d + c * b) // (b * d))
+    p = 2 ** k
+    return Fraction(p * (a + b * ((5 ** k - 1) // 4) * lead) + b * step * (p - 1), b)
 
 
 def control_radii(theta: int, mu: object, ell: object, count: int) -> List[Fraction]:

@@ -349,7 +349,15 @@ class AdhesionConstruction(Record):
 def tree_extension_bound(eta: int, theta: int, ell: object, n: object) -> Fraction:
     """Hop bound achieved by color_adhesion_construction: the level-0 term
     covers pieces, the patch over the root ball, and bag sizes; each further
-    guard level routes through one condensation round trip."""
+    guard level routes through one condensation round trip, which maps the
+    bound x to con_color_bound(ell, patch_bound(theta, 3*ell, ell, x), theta, 0).
+
+    That map is a + b*patch_bound(theta, 3*ell, ell, x) with
+    b = 8*theta*(3*theta+1) and a = 28*theta + 2*b + 4, and at r = 3*ell a
+    whole x patches to 10**theta*x + 16*(2**theta*(5**theta+3)/4 - 1).  So
+    a whole bound follows x -> alpha + beta*x with beta = b*10**theta, and
+    the remaining levels sum a geometric series.  A bound that is not whole
+    takes its levels one at a time until it is."""
     if not 0 <= eta <= theta:
         raise GraphError("need 0 <= eta <= theta, got eta=%d theta=%d" % (eta, theta))
     lf = as_fraction(ell)
@@ -363,9 +371,13 @@ def tree_extension_bound(eta: int, theta: int, ell: object, n: object) -> Fracti
         + theta * theta
         + theta
     )
-    for _ in range(eta):
+    while eta and out.denominator != 1:
         out = con_color_bound(lf, patch_bound(theta, 3 * lf, lf, out), theta, 0)
-    return out
+        eta -= 1
+    b = 8 * theta * (3 * theta + 1)
+    alpha = 28 * theta + 2 * b + 4 + 16 * b * (2 ** theta * (5 ** theta + 3) // 4 - 1)
+    rise = (b * 10 ** theta) ** eta
+    return rise * out + alpha * (rise - 1) // (b * 10 ** theta - 1)
 
 
 def treewidth_color_bound(width: int, ell: object) -> Fraction:

@@ -1550,3 +1550,36 @@ def reference_certificate_tree_check(cert, g: WeightedGraph) -> None:
             raise ContractViolation("certified distance of %s is off" % v)
         if tree.dist[p] + w != tree.dist[v]:
             raise ContractViolation("tree edge into %s is not on a shortest path" % v)
+
+
+# -- the bound recursions, copied before their closed forms ---------------------
+
+import math  # noqa: E402
+
+from wdcolor.treedec import con_color_bound  # noqa: E402
+
+
+def reference_patch_bound(k: int, r, ell, n) -> Fraction:
+    """patch_bound as a loop of k steps over y_0 = n,
+    y_{i+1} = ceil((4/ell)*(ell+r+ell*y_i)) + y_i."""
+    rf, lf, nf = Fraction(r), Fraction(ell), Fraction(n)
+    step = 2 * math.ceil(2 * (lf + rf) / lf)
+    y = nf
+    for _ in range(k):
+        y = math.ceil(Fraction(4) / lf * (lf + rf + lf * y)) + y
+    return 2 ** k * y + step * (2 ** k - 1)
+
+
+def reference_tree_extension_bound(eta: int, theta: int, ell, n) -> Fraction:
+    """tree_extension_bound as a loop over its eta guard levels."""
+    lf, nf = Fraction(ell), Fraction(n)
+    out = (
+        nf
+        + reference_patch_bound(theta, 3 * lf, lf, 1)
+        + reference_patch_bound(theta, 3 * lf, lf, nf)
+        + theta * theta
+        + theta
+    )
+    for _ in range(eta):
+        out = con_color_bound(lf, reference_patch_bound(theta, 3 * lf, lf, out), theta, 0)
+    return out

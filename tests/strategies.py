@@ -18,6 +18,17 @@ def rationals(draw, min_value: int = 1, max_num: int = 12, max_den: int = 8):
     return Fraction(num, den)
 
 
+def bound_inputs():
+    """Bound arguments N: small fractions, and 60-digit whole and fractional
+    values like the bounds of nested levels."""
+    big = st.integers(min_value=10 ** 59, max_value=10 ** 60 - 1)
+    return st.one_of(
+        rationals(min_value=1, max_num=60, max_den=7),
+        big.map(Fraction),
+        st.builds(Fraction, big, st.integers(min_value=2, max_value=9)),
+    )
+
+
 @st.composite
 def weighted_graphs(draw, max_n: int = 12, max_extra_edges: int = 14, connected: bool = True):
     """Random spanning-tree-plus-chords graphs with small rational weights."""

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wdcolor.graph import GraphError, SubgraphView, WeightedGraph, neighborhood
-from wdcolor.partition import Coloring, ContractViolation
+from wdcolor.partition import Coloring, ContractViolation, verify_weak_diameter
 from wdcolor.treedec import RootedTreeDecomposition, validate_td
 from wdcolor.twcolor import (
     AdhesionConstruction,
@@ -384,6 +384,90 @@ def test_center_and_guard_balls_are_searched_once_per_call(monkeypatch):
     assert searches == [((0,), 1)]
 
 
+def _two_center_construction(guards):
+    """A unit path 0..4 under the bags {0..4} and, below it, {0, 1, 4},
+    whose adhesion {0, 1, 4} the parent's centers 1 and 3 cover at radius
+    1: ball(1) = {0, 1, 2} and ball(3) = {2, 3, 4}.  The edge's guard set is
+    `guards`; color_centered_bags would pick the witnesses {0, 4}.  Returns
+    the graph, the construction at mu = 2 and the checked center balls."""
+    import wdcolor.geodesic as geodesic
+
+    g = unit_path(5)
+    td = RootedTreeDecomposition({0: set(range(5)), 1: {0, 1, 4}}, [(0, 1)], 0)
+    centers = {0: (1, 3), 1: (0, 4)}
+    ball = geodesic._check_centers(g, td, centers, 2, 1, True, "two centers")
+    none = frozenset()
+    con = ControlConstruction(
+        td, none, 2, 2, Fraction(2), Fraction(1), GuardTriple(none, none, frozenset({1, 3})),
+        {(0, 1): GuardTriple(none, none, frozenset(guards))},
+    )
+    return g, con, (centers, ball)
+
+
+def test_center_ball_cover_accepts_the_witnesses_color_centered_bags_picks(monkeypatch):
+    import wdcolor.geodesic as geodesic
+
+    searches = []
+    search = geodesic.neighborhood
+    monkeypatch.setattr(geodesic, "neighborhood", lambda *a: searches.append(a) or search(*a))
+    g, con, balls = _two_center_construction({0, 4})
+    searches.clear()
+    con.validate(g, full=True, center_balls=balls)
+    assert searches == []
+    con.validate(g, full=True)
+    assert len(searches) == 2
+
+
+def test_center_ball_cover_flags_a_guard_set_that_misses_a_center():
+    # the guard 0 witnesses center 1 only, and no center whose ball holds
+    # the adhesion vertex 4 has a witness
+    g, con, balls = _two_center_construction({0})
+    with pytest.raises(ContractViolation, match=r"site \(0, 1\): free-side vertices \[4\] beyond radius mu"):
+        con.validate(g, full=True, center_balls=balls)
+
+
+def test_center_ball_cover_flags_a_witness_outside_its_centers_ball():
+    # the guard 1, put where center 3's witness belongs, lies outside
+    # ball(3): only center 1 counts, and vertex 4 is left uncovered
+    g, con, balls = _two_center_construction({0, 1})
+    with pytest.raises(ContractViolation, match=r"site \(0, 1\): free-side vertices \[4\] beyond radius mu"):
+        con.validate(g, full=True, center_balls=balls)
+
+
+def test_centered_bags_run_no_search_at_the_guard_radius(monkeypatch):
+    """A count, not a timing: color_centered_bags checks its guard cover
+    against the center balls its center check searched, so no validation
+    of its construction searches.  On the unit 10x10 grid, whose window
+    pieces all finish without condensing, `run planar` then runs no search
+    at the guard radius mu = 2 * (slab width + 2 * pad) = 24 at all."""
+    import wdcolor.geodesic as geodesic
+    from wdcolor.graph import as_fraction
+
+    searches, inside = [], []
+    search, validate = geodesic.neighborhood, geodesic.ControlConstruction.validate
+
+    def counted(g, s, r):
+        searches.append((bool(inside), as_fraction(r)))
+        return search(g, s, r)
+
+    def tracked(self, *args, **kwargs):
+        inside.append(self)
+        try:
+            return validate(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(geodesic, "neighborhood", counted)
+    monkeypatch.setattr(geodesic.ControlConstruction, "validate", tracked)
+    g, td, centers = path_centered_instance(30)
+    assert color_centered_bags(g, 1, td, centers, 1).report.ok
+    assert searches and not any(within for within, _ in searches)
+    searches.clear()
+    inst = generate(GeneratorSpec(family="grid", rows=10, cols=10))
+    assert color_planar(inst.graph, 1, inst.rotation).report.ok
+    assert searches and Fraction(24) not in {r for _, r in searches}
+
+
 def test_centered_bags_rejects_partial_center_map():
     g, td, centers = path_centered_instance(8)
     centers = dict(centers)
@@ -469,7 +553,7 @@ def test_star_case_rejects_anchored_edges_that_are_not_a_star():
     with pytest.raises(ContractViolation, match="lower end has children"):
         color_control_construction(g, 1, chain, bag_centers=centers)
     # ... and the star joiner refuses it on its own
-    ctx = geodesic._EngineCtx(Fraction(1), False)
+    ctx = geodesic._EngineCtx(Fraction(1), False, chain.theta, chain.mu, chain.eta)
     bound = control_extension_bound(0, 1, 1, 1)
     with pytest.raises(ContractViolation, match="star around one node"):
         geodesic._color_stars(
@@ -595,6 +679,22 @@ def test_engine_restarts_when_the_root_bag_is_removed(monkeypatch):
             hops = max(hops, oracles.brute_hop_diameter(g.vertices, power_edges, comp))
     assert hops == res.report.max_weak_diameter_hops
     assert hops <= res.bound
+
+
+def test_engine_checks_each_construction_it_builds(monkeypatch):
+    """The public entry checks the construction it is handed, and the
+    engine checks each one it builds at the start of the level that colors
+    it: a restart whose fresh root carries a guard outside its bag is
+    refused there."""
+    import wdcolor.geodesic as geodesic
+
+    def stray_guard(v):
+        return GuardTriple(frozenset({v, -1}), frozenset(), frozenset({v}))
+
+    monkeypatch.setattr(geodesic.GuardTriple, "single", staticmethod(stray_guard))
+    g, td, centers = path_centered_instance(30)
+    with pytest.raises(ContractViolation, match="site root: free guards leave bag - removed"):
+        color_centered_bags(g, 1, td, centers, 1, removed={0})
 
 
 def _brute_max_hops(g, coloring, ell):
@@ -1188,6 +1288,56 @@ def test_window_restriction_matches_the_reference_beyond_the_met_nodes(monkeypat
     assert any(spanned > held for held, spanned in spans) == (rows == 6)
 
 
+def _count_fallbacks(monkeypatch, inst, span=None):
+    """Window pieces of `run planar` on inst at ell = 1, and how many of them
+    `_restrict_tripods` restricts by cutting every node of the certificate:
+    those whose first contraction takes more nodes than the span of the
+    nodes their window meets.  `span` replaces _TripodWindows.span."""
+    import wdcolor.tripods as tripods
+
+    spans, contracted = [], []
+    span = span or tripods._TripodWindows.span
+    contract = tripods._contract
+
+    def recorded_span(self, held):
+        spans.append(span(self, held))
+        return spans[-1]
+
+    def recorded_contract(nodes, *args):
+        contracted.append(nodes)
+        return contract(nodes, *args)
+
+    g = inst.graph
+    tree = bfs_geodesic_tree(g, g.vertices[0])
+    windows = tripod_windows(tripod_decomposition(g, inst.rotation, tree))
+    pieces = fallbacks = 0
+    with monkeypatch.context() as patched:
+        patched.setattr(tripods._TripodWindows, "span", recorded_span)
+        patched.setattr(tripods, "_contract", recorded_contract)
+        for slab in make_slabs(g, 1, tree.dist).slabs:
+            for comp in g.induced(slab.window).connected_components():
+                spans.clear()
+                contracted.clear()
+                tripods._restrict_tripods(windows, slab.window_lo, slab.window_hi, set(comp))
+                pieces += 1
+                fallbacks += len(contracted[0]) > len(spans[0])
+    return pieces, fallbacks
+
+
+def test_window_restriction_never_cuts_every_node_on_grids_and_triangulations(monkeypatch):
+    """A count for the open question whether real inputs reach the branch
+    of `_restrict_tripods` that cuts every node of the certificate, which
+    would make the window cuts quadratic: on unit grids 10/20/40/60 and
+    random triangulations with n = 200 and 1,000 no window piece does.  An
+    empty span forces the branch, and the count sees it."""
+    specs = [GeneratorSpec(family="grid", rows=s, cols=s) for s in (10, 20, 40, 60)]
+    specs += [GeneratorSpec(family="random-planar-triangulation", n=n, seed=1) for n in (200, 1000)]
+    counts = [_count_fallbacks(monkeypatch, generate(spec)) for spec in specs]
+    assert counts == [(6, 0), (10, 0), (20, 0), (30, 0), (2, 0), (2, 0)]
+    forced = _count_fallbacks(monkeypatch, generate(specs[0]), span=lambda self, held: set())
+    assert forced == (6, 6)
+
+
 def _over_bags(bags, edges, root, centers):
     """A restricted decomposition with its node ids forgotten: the node
     count, each bag's centres, the tree as pairs of bags, and the root bag."""
@@ -1513,15 +1663,35 @@ def _record_calls(monkeypatch, name):
     return calls
 
 
-def test_planar_grid_builds_two_power_graphs(monkeypatch):
+def _two_grids(first, second, shift=1000):
+    """Two unit grids side by side, the second with ids shifted, and their
+    rotation systems joined."""
+    a = generate(GeneratorSpec(family="grid", rows=first, cols=first))
+    b = generate(GeneratorSpec(family="grid", rows=second, cols=second))
+    edges = list(a.graph.edges) + [(u + shift, v + shift, w) for (u, v, w) in b.graph.edges]
+    g = WeightedGraph(list(a.graph.vertices) + [v + shift for v in b.graph.vertices], edges)
+    rot = dict(a.rotation)
+    rot.update({v + shift: tuple(u + shift for u in order) for v, order in b.rotation.items()})
+    return g, rot
+
+
+def test_planar_pipeline_builds_one_power_graph_per_component(monkeypatch):
     """A count, not a timing: every check inside the control engine is
-    vacuous and decided from the host vertex count, so only the slab
-    combiner and the final check build a power graph."""
+    vacuous and decided from the host vertex count, and the slab combiner
+    and the final check share one power graph per connected component.
+    With two components the final check reads the union of the two, and
+    reports what a check that builds the whole power graph reports."""
     inst = generate(GeneratorSpec(family="grid", rows=10, cols=10))
     built = _record_calls(monkeypatch, "power_graph")
     res = color_planar(inst.graph, 1, inst.rotation)
     assert res.report.ok and res.report.per_component
-    assert [len(g) for g, _ in built] == [100, 100]
+    assert [len(g) for g, _ in built] == [100]
+    g, rot = _two_grids(10, 6)
+    built.clear()
+    res = color_planar(g, 1, rot)
+    assert [len(h) for h, _ in built] == [100, 36]
+    assert res.report == verify_weak_diameter(g, 1, res.coloring, bound=res.bound)
+    assert res.report.per_component and max(s.min_vertex for s in res.report.per_component) >= 1000
 
 
 def test_planar_grid_validates_its_tripod_decomposition_once(monkeypatch):

@@ -20,7 +20,8 @@ from wdcolor.patching import (
     patch_colorings,
 )
 
-from strategies import random_connected_graph, rationals
+import oracles
+from strategies import bound_inputs, random_connected_graph, rationals
 
 
 def star(leaves=5):
@@ -83,6 +84,17 @@ class TestPatchBound:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_recursion(self, k, r, ell, n):
         assert patch_bound(k, r, ell, n) == recursive_patch_bound(k, r, ell, n)
+
+    @given(
+        k=st.integers(min_value=0, max_value=40),
+        r=rationals(min_value=0, max_num=40, max_den=9),
+        ell=rationals(min_value=1, max_num=40, max_den=9),
+        n=bound_inputs(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_equals_the_loop(self, k, r, ell, n):
+        got, want = patch_bound(k, r, ell, n), oracles.reference_patch_bound(k, r, ell, n)
+        assert got == want and type(got) is type(want)
 
     def test_large_k_needs_no_recursion(self):
         # k = 46**2, the centre count a width-45 decomposition asks for

@@ -42,6 +42,7 @@ def _fields(cls):
 _ARGS = {
     Coloring: ({0: 1, 1: 2}, 2),
     wdcolor.twcolor._Ctx: (Fraction(1), 1, Fraction(3), False),
+    wdcolor.geodesic._EngineCtx: (Fraction(1), False, 1, Fraction(0), 1),
 }
 
 

@@ -24,7 +24,7 @@ from wdcolor.twcolor import (
 )
 
 import oracles
-from strategies import random_connected_graph, rooted_trees, weighted_graphs
+from strategies import bound_inputs, random_connected_graph, rationals, rooted_trees, weighted_graphs
 
 
 def unit_path(n):
@@ -152,6 +152,16 @@ def test_tree_extension_bound_recurrence():
     prev = tree_extension_bound(1, 2, 1, n)
     step = con_color_bound(1, patch_bound(2, 3, 1, prev), 2, 0)
     assert tree_extension_bound(2, 2, 1, n) == step
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), theta=st.integers(min_value=0, max_value=24), ell=rationals(max_num=40, max_den=9))
+def test_tree_extension_bound_closed_form_equals_the_loop(data, theta, ell):
+    eta = data.draw(st.integers(min_value=0, max_value=theta))
+    n = data.draw(bound_inputs())
+    got = tree_extension_bound(eta, theta, ell, n)
+    want = oracles.reference_tree_extension_bound(eta, theta, ell, n)
+    assert got == want and type(got) is type(want)
 
 
 def test_tree_extension_bound_rejects_bad_arguments():
