@@ -30,7 +30,7 @@ they hand the driver.  The planar pipeline projects onto root distances of
 a shortest-path tree and colors a window piece through the tripod tree
 decomposition restricted to it (every bag is a union of at most three
 vertical paths of the tree): per component one certificate from
-`tripods.tripod_decomposition`, cut to each window piece by
+`tripods._tripod_certificate`, cut to each window piece by
 `tripods._restrict_tripods`.  The layered pipeline projects onto eps0
 times the layer index and colors a window piece with the bounded-treewidth
 colorer.
@@ -77,13 +77,14 @@ from .treedec import (
     validate_td,
 )
 from .slabs import Slab, SlabColoring, SlabSystem, combine_slab_colorings, make_slabs
-from .tripods import (  # GeodesicCertificate: the benchmark tracer finds its verify here
+from .tripods import (  # the benchmark tracer finds GeodesicCertificate and tripod_decomposition here
     GeodesicCertificate,
     _Ranks,
     _TripodWindows,
     _check_rotation,
     _check_simple,
     _restrict_tripods,
+    _tripod_certificate,
     bfs_geodesic_tree,
     tripod_decomposition,
 )
@@ -1042,17 +1043,15 @@ def color_planar(
 
     Per connected component: a geodesic tree from the smallest vertex, whose
     root distances are the slab projection, and a tripod decomposition over
-    the rotation system, contracted and verified as a certificate.  The
-    rotation system is checked once, for the whole graph: it names only
-    vertices of g, each with its neighbours in some order; a vertex it
-    misses is an error only in a component with a cycle.  Each
+    the rotation system, contracted and verified as a certificate.  Each
+    input fact is checked once: here, for the whole graph, that g is simple
+    and that the rotation lists each named vertex's neighbours exactly
+    once; the certificate build checks that it covers a component with a
+    cycle and describes a sphere.  A component is connected as the driver
+    splits it off.  Each
     padded window piece is colored by the guarded-bags engine over the
-    certificate restricted to it: `_restrict_tripods` visits the nodes
-    whose depth interval meets the window (a sweep over `_TripodWindows`,
-    built once per component), the node-tree paths between them and any
-    hanging copies of a surviving bag, cuts their corners' paths to the
-    window and the piece, and contracts them; only if those nodes miss a
-    piece vertex does it cut every node.
+    certificate restricted to it (`_restrict_tripods`, over the
+    `_TripodWindows` index built once per component).
     """
     lf = as_fraction(ell)
     _check_simple(g)
@@ -1065,7 +1064,7 @@ def color_planar(
         rot_c = None if rotation is None else {v: rotation[v] for v in gc.vertices if v in rotation}
         # one preorder of the tree serves the build and the window cuts
         ranks = _Ranks(tree.root, tree.parent, gc.vertices)
-        windows = _TripodWindows(tripod_decomposition(gc, rot_c, tree, ranks), ranks)
+        windows = _TripodWindows(_tripod_certificate(gc, rot_c, tree, ranks), ranks)
 
         def color_piece(system: SlabSystem, slab: Slab, gk: WeightedGraph) -> ColorResult:
             tdk, centersk = _restrict_tripods(

@@ -3,12 +3,15 @@ planar pipeline colors through: every bag is a union of at most three
 vertical paths of a shortest-path tree.
 
 `tripod_decomposition` runs the wedge recursion over a component's faces,
-recording each node by its at most three corners.  It absorbs a new node
-into its parent as soon as its bag sits strictly inside the parent's,
-contracts every node left whose bag sits inside a neighbour's, and verifies
-the result once as a `GeodesicCertificate` in corner form: each node keeps
-its corners, each standing for the path up to the node's top, and no bag is
+recording each node by its at most three corners, and verifies the
+contracted result once as a `GeodesicCertificate` in corner form: no bag is
 ever listed, so the certificate's size is linear in the graph's.
+
+The public `tripod_decomposition` checks simplicity, connectivity and the
+rotation's entries; the planar pipeline checks them once per graph.  Both
+run the core, `_tripod_certificate`, which checks the rest: the rotation's
+cover and sphere (`_trace_faces`), the wedge walk and the certificate.
+
 `_TripodWindows` indexes a certificate for slab windows, and each window
 piece (`_restrict_tripods`) visits only the nodes whose integer depth
 interval meets its window, found by a sweep over the windows in slab order,
@@ -292,8 +295,12 @@ class GeodesicCertificate(Record):
                     x = free(x)
 
         def holds(t: int, x: int) -> bool:
-            h = top[t]
-            return h <= x < end[h] and any(x <= c < end[x] for c in pos[t])
+            h, e = top[t], end[x]
+            if h <= x < end[h]:
+                for c in pos[t]:
+                    if x <= c < e:
+                        return True
+            return False
 
         for (u, v, _) in g.edges:
             a, b = rank[u], rank[v]
@@ -330,37 +337,36 @@ def _check_rotation(g: WeightedGraph, rotation: Dict[int, Sequence[int]]) -> Non
 def _trace_faces(
     g: WeightedGraph, rotation: Dict[int, Sequence[int]]
 ) -> List[Tuple[int, ...]]:
-    """Face walks of the rotation system; checks the Euler count and that
-    every face walk is a simple cycle."""
+    """Face walks of a rotation system with checked entries; checks that it
+    covers g's vertices, the Euler count and that each walk is a simple cycle."""
     if set(rotation) != g.vertex_set():
         raise GraphError("rotation system must cover the vertices exactly")
-    _check_rotation(g, rotation)
-    succ: Dict[Tuple[int, int], int] = {}
+    # the dart (a, b) is followed by (b, succ[b][a])
+    succ: Dict[int, Dict[int, int]] = {}
     for v in g.vertices:
         order = tuple(rotation[v])
-        k = len(order)
-        for i, u in enumerate(order):
-            succ[(v, u)] = order[(i + 1) % k]
+        succ[v] = dict(zip(order, order[1:] + order[:1]))
+    unseen = {v: set(out) for v, out in succ.items()}
     faces: List[Tuple[int, ...]] = []
-    visited: Set[Tuple[int, int]] = set()
-    for start in sorted(succ):
-        if start in visited:
-            continue
-        walk: List[int] = []
-        cur = start
-        while True:
-            visited.add(cur)
-            walk.append(cur[0])
-            cur = (cur[1], succ[(cur[1], cur[0])])
-            if cur == start:
-                break
-        if len(set(walk)) != len(walk):
-            raise GraphError(
-                "a face walk revisits a vertex; the embedding must be 2-connected"
-            )
-        faces.append(tuple(walk))
-    e_count = len(g.edges)
-    if len(g) - e_count + len(faces) != 2:
+    # faces start at, and come in the order of, their least darts
+    for v in g.vertices:
+        for u in sorted(succ[v]):
+            if u not in unseen[v]:
+                continue
+            walk: List[int] = []
+            a, b = v, u
+            while True:
+                unseen[a].remove(b)
+                walk.append(a)
+                a, b = b, succ[b][a]
+                if a == v and b == u:
+                    break
+            if len(set(walk)) != len(walk):
+                raise GraphError(
+                    "a face walk revisits a vertex; the embedding must be 2-connected"
+                )
+            faces.append(tuple(walk))
+    if len(g) - len(g.edges) + len(faces) != 2:
         raise GraphError("rotation system does not describe a sphere embedding")
     return faces
 
@@ -379,15 +385,16 @@ def tripod_decomposition(
     unless the caller passes the one it keeps for the window cuts; the
     check builds its own, so a wrong one fails it.
 
+    It checks its input and runs `_tripod_certificate` (module notes).
+
     Faces longer than a triangle are star-triangulated with throwaway apex
     vertices (leaves of the tree, stripped from the output).  The recursion
     walks wedges: regions bounded by two root paths and an edge, split at
     the apex of the boundary face, with one node per wedge visited and one
     per face split.  A node's bag is the union of its corners' root paths
     (an apex stands for the face vertex it hangs from), so the recursion
-    records only the corners, and a bag holds another iff each corner of
-    the other is an ancestor-or-self of one of its corners, an interval
-    test on the preorder of `tree`.  A new node whose bag sits strictly
+    records only the corners and compares bags by an interval test on the
+    preorder of `tree` (`_within`).  A new node whose bag sits strictly
     inside its parent's is absorbed at once (`_wedge_corners`); every node
     left whose bag sits inside a neighbour's is then contracted away
     (`_contract`).  Node ids count creations, absorbed nodes included.
@@ -396,11 +403,23 @@ def tripod_decomposition(
     leaves one node per pair of adjacent columns.
     """
     _check_simple(g)
-    verts = list(g.vertices)
-    if not verts:
+    if not g.vertices:
         raise GraphError("nothing to decompose")
     if not g.is_connected():
         raise GraphError("tripod decomposition needs a connected graph")
+    if rotation is not None:
+        _check_rotation(g, rotation)
+    return _tripod_certificate(g, rotation, tree, ranks)
+
+
+def _tripod_certificate(
+    g: WeightedGraph,
+    rotation: Optional[Dict[int, Sequence[int]]],
+    tree: GeodesicTree,
+    ranks: Optional[_Ranks],
+) -> GeodesicCertificate:
+    """`tripod_decomposition` on an input its caller has checked."""
+    verts = list(g.vertices)
     root = tree.root
     if len(verts) == 1:
         corners, tops, edges, top = {0: (root,)}, {0: root}, [], 0
@@ -418,7 +437,9 @@ def tripod_decomposition(
     else:
         ranks = ranks or _Ranks(root, tree.parent, verts)
         found, tree_edges = _wedge_corners(g, rotation, tree, ranks)
-        alive, edges, top = _contract(sorted(found), sorted(tree_edges), 0, _corner_within(found, ranks.end))
+        alive, edges, top = _contract(
+            sorted(found), sorted(tree_edges), 0, lambda s, t: _within(found[s], found[t], ranks.end)
+        )
         order = ranks.order
         corners = {t: tuple(order[c] for c in found[t]) for t in alive}
         tops = {t: root for t in alive}
@@ -446,25 +467,17 @@ def _oriented(edges: Iterable[TreeEdge], root: int) -> Tuple[TreeEdge, ...]:
     return tuple(sorted(out))
 
 
-def _corner_within(
-    corners: Dict[int, Tuple[int, ...]], end: List[int]
-) -> Callable[[int, int], bool]:
-    """Whether node s's bag sits inside node t's, for bags that are unions
-    of root paths given by corner positions: each corner of s must be an
-    ancestor-or-self of a corner of t."""
-
-    def within(s: int, t: int) -> bool:
-        tops = corners[t]
-        for c in corners[s]:
-            e = end[c]
-            for x in tops:
-                if c <= x < e:
-                    break
-            else:
-                return False
-        return True
-
-    return within
+def _within(cs: Tuple[int, ...], ts: Tuple[int, ...], end: List[int]) -> bool:
+    """Whether the root paths from corner positions cs lie inside those
+    from ts: each corner of cs is an ancestor-or-self of one of ts."""
+    for c in cs:
+        e = end[c]
+        for x in ts:
+            if c <= x < e:
+                break
+        else:
+            return False
+    return True
 
 
 def _wedge_corners(
@@ -478,12 +491,17 @@ def _wedge_corners(
     its distinct corners, and the (parent, child) edges between node ids.
     A new node whose bag sits strictly inside its parent's is absorbed into
     the parent as it is made: it gets an id but no entry, and its children
-    hang on the parent."""
+    hang on the parent.  Each wedge (a, b) takes the three directed edges
+    of the face beyond it out of the face map, so a face or a wedge met
+    twice finds an edge missing."""
     if rotation is None:
         raise GraphError("a rotation system is required once the graph has cycles")
     faces = _trace_faces(g, rotation)
+    end = ranks.end
+    # a star apex hangs from, and stands for, its face's first vertex
+    up: Dict[int, Optional[int]] = dict(tree.parent)
+    pos = dict(ranks.rank)
     third: Dict[Tuple[int, int], int] = {}
-    star_parent: Dict[int, int] = {}
     next_star = max(g.vertices) + 1
     star_edges = 0
     for face in faces:
@@ -496,7 +514,8 @@ def _wedge_corners(
         else:
             s = next_star
             next_star += 1
-            star_parent[s] = face[0]
+            up[s] = face[0]
+            pos[s] = pos[face[0]]
             star_edges += k
             for i in range(k):
                 x, y = face[i], face[(i + 1) % k]
@@ -505,60 +524,39 @@ def _wedge_corners(
                 third[(s, x)] = y
     if len(third) != 2 * (len(g.edges) + star_edges):
         raise ContractViolation("triangulation left directed edges uncovered")
-    parent_h: Dict[int, Optional[int]] = dict(tree.parent)
-    parent_h.update(star_parent)
-
-    def tree_pair(x: int, y: int) -> bool:
-        return parent_h.get(x) == y or parent_h.get(y) == x
-
-    rank = ranks.rank
-    corners: Dict[int, Tuple[int, ...]] = {}
+    a0, b0 = min((min(u, v), max(u, v)) for (u, v, _) in g.edges if up[u] != v and up[v] != u)
+    ra, rb = pos[a0], pos[b0]
+    corners: Dict[int, Tuple[int, ...]] = {0: (ra,) if ra == rb else (ra, rb)}
     tree_edges: List[TreeEdge] = []
-    within = _corner_within(corners, ranks.end)
-    made = [0]
-
-    def new_node(ends: Tuple[int, ...], parent_node: Optional[int]) -> int:
-        nid = made[0]
-        made[0] += 1
-        real: List[int] = []
-        for x in ends:
-            r = rank[star_parent.get(x, x)]
-            if r not in real:
-                real.append(r)
-        corners[nid] = tuple(real)
-        if parent_node is None:
-            return nid
-        if within(nid, parent_node) and not within(parent_node, nid):
-            del corners[nid]
-            return parent_node
-        tree_edges.append((parent_node, nid))
-        return nid
-
-    a0, b0 = min((min(u, v), max(u, v)) for (u, v, _) in g.edges if not tree_pair(u, v))
-    root_node = new_node((a0, b0), None)
-    stack: List[Tuple[int, int, int]] = [(b0, a0, root_node), (a0, b0, root_node)]
-    seen_states: Set[Tuple[int, int]] = {(a0, b0), (b0, a0)}
-    faces_done: Set[Tuple[int, int, int]] = set()
+    made = 1
+    stack: List[Tuple[int, int, int]] = [(b0, a0, 0), (a0, b0, 0)]
     while stack:
-        a, b, pnode = stack.pop()
-        snode = new_node((a, b), pnode)
-        w = third[(a, b)]
-        key = min(((a, b, w), (b, w, a), (w, a, b)))
-        if key in faces_done:
+        a, b, node = stack.pop()
+        w = third.pop((a, b), None)
+        if w is None or third.pop((b, w), None) != a or third.pop((w, a), None) != b:
             raise ContractViolation("wedge recursion met the same face twice")
-        faces_done.add(key)
-        mnode = new_node((a, b, w), snode)
-        for (x, y) in ((a, w), (w, b)):
-            if tree_pair(x, y):
-                continue
-            if (x, y) in seen_states:
-                raise ContractViolation("wedge recursion met the same directed edge twice")
-            seen_states.add((x, y))
-            stack.append((x, y, mnode))
-    if 3 * len(faces_done) != len(third):
-        raise ContractViolation(
-            "wedge recursion covered %d of %d faces" % (len(faces_done), len(third) // 3)
-        )
+        ra, rb, rw = pos[a], pos[b], pos[w]
+        cs = (ra,) if ra == rb else (ra, rb)
+        cm = cs if rw in cs else cs + (rw,)
+        # ids count creations: the wedge's node, then its face's
+        pc = corners[node]
+        if not _within(cs, pc, end) or _within(pc, cs, end):
+            corners[made] = pc = cs
+            tree_edges.append((node, made))
+            node = made
+        if not _within(cm, pc, end) or _within(pc, cm, end):
+            corners[made + 1] = cm
+            tree_edges.append((node, made + 1))
+            node = made + 1
+        made += 2
+        # the wedges beyond the face's other two edges, if not tree edges
+        uw = up[w]
+        if uw != a and up[a] != w:
+            stack.append((a, w, node))
+        if uw != b and up[b] != w:
+            stack.append((w, b, node))
+    if third:
+        raise ContractViolation("wedge recursion missed %d faces" % (len(third) // 3))
     return corners, tree_edges
 
 

@@ -91,23 +91,17 @@ def _eliminate_in_place(work: Dict[int, Set[int]], v: int) -> Set[int]:
     return ns
 
 
-def _elimination_width(adj: Dict[int, Set[int]], order: Sequence[int]) -> int:
-    work = {v: set(ns) for v, ns in adj.items()}
-    width = 0
-    for v in order:
-        width = max(width, len(_eliminate_in_place(work, v)))
-    return width
-
-
 def _common(x: Set[int], y: Set[int]) -> Set[int]:
     """The members of both sets.  Every adjacency test min-fill makes goes
     through here, one per member of the smaller set."""
     return x & y
 
 
-def _min_fill_order(adj: Dict[int, Set[int]]) -> List[int]:
+def _min_fill_order(adj: Dict[int, Set[int]]) -> Dict[int, Set[int]]:
     """Repeatedly eliminate the vertex of least (fill, degree, id), where
-    fill(v) counts the non-adjacent pairs in N(v).  Keys sit in a lazy heap.
+    fill(v) counts the non-adjacent pairs in N(v).  Returns each vertex, in
+    elimination order, with N(v) as it was eliminated.  Keys sit in a lazy
+    heap.
 
     Fill is counted once, from the edges among each neighbourhood, then
     kept up to date through each elimination of a vertex v:
@@ -127,15 +121,14 @@ def _min_fill_order(adj: Dict[int, Set[int]]) -> List[int]:
     key = {v: (fill[v], len(ns), v) for v, ns in work.items()}
     heap = list(key.values())
     heapq.heapify(heap)
-    order: List[int] = []
+    elim: Dict[int, Set[int]] = {}
     while work:
         k = heapq.heappop(heap)
         v = k[2]
         if key.get(v) != k:
             continue
         del key[v]
-        order.append(v)
-        ns = work.pop(v)
+        elim[v] = ns = work.pop(v)
         touched = set(ns)
         missing: List[Tuple[int, int]] = []
         for u in ns:
@@ -160,7 +153,7 @@ def _min_fill_order(adj: Dict[int, Set[int]]) -> List[int]:
             if new != key[u]:
                 key[u] = new
                 heapq.heappush(heap, new)
-    return order
+    return elim
 
 
 def _mmd_lower_bound(adj: Dict[int, Set[int]]) -> int:
@@ -215,29 +208,23 @@ def _exact_order(
     return best_width, best_order
 
 
-def _order_to_td(g: WeightedGraph, order: Sequence[int]) -> RootedTreeDecomposition:
-    """Bags {v} + later fill-neighbors; each bag hangs below its earliest
-    later member, and leftover roots chain up to the final vertex."""
-    pos = {v: i for i, v in enumerate(order)}
-    work = _simple_adjacency(g)
+def _elimination_decomposition(elim: Dict[int, Set[int]]) -> RootedTreeDecomposition:
+    """Bags {v} + N(v), v in elimination order with N(v) as it was
+    eliminated; each hangs below its member eliminated first, and leftover
+    roots chain up to the final vertex."""
+    pos = {v: i for i, v in enumerate(elim)}
     bags: Dict[int, FrozenSet[int]] = {}
-    parent_of: Dict[int, Optional[int]] = {}
-    for v in order:
-        later = {u for u in work[v] if pos[u] > pos[v]}
-        bags[v] = frozenset({v} | later)
-        parent_of[v] = min(later, key=lambda u: pos[u]) if later else None
-        _eliminate_in_place(work, v)
     edges: List[TreeEdge] = []
     prev_root: Optional[int] = None
-    for v in order:
-        p = parent_of[v]
-        if p is not None:
-            edges.append((p, v))
+    for v, ns in elim.items():
+        bags[v] = frozenset({v} | ns)
+        if ns:
+            edges.append((min(ns, key=pos.__getitem__), v))
         else:
             if prev_root is not None:
                 edges.append((v, prev_root))
             prev_root = v
-    return RootedTreeDecomposition(bags, edges, order[-1])
+    return RootedTreeDecomposition(bags, edges, prev_root)
 
 
 def compute_tree_decomposition(
@@ -245,14 +232,18 @@ def compute_tree_decomposition(
     exact_max: int = 20,
 ) -> RootedTreeDecomposition:
     """Rooted tree decomposition from an elimination order: exhaustive search
-    up to exact_max vertices, min-fill heuristic beyond that."""
+    up to exact_max vertices, min-fill heuristic beyond that.  The bags come
+    from the min-fill pass; the exhaustive search's order is eliminated once
+    more."""
     if len(g) == 0:
         return RootedTreeDecomposition({0: ()}, [], 0)
     adj = _simple_adjacency(g)
-    order = _min_fill_order(adj)
+    elim = _min_fill_order(adj)
     if len(g) <= exact_max:
-        _, order = _exact_order(adj, order, _elimination_width(adj, order))
-    td = _order_to_td(g, order)
+        _, order = _exact_order(adj, list(elim), max(len(ns) for ns in elim.values()))
+        work = {v: set(ns) for v, ns in adj.items()}
+        elim = {v: _eliminate_in_place(work, v) for v in order}
+    td = _elimination_decomposition(elim)
     validate_td(g, td, "elimination decomposition failed validation")
     return td
 
@@ -918,7 +909,7 @@ def color_bounded_treewidth(
     fresh_node = max(td.nodes) + 1
     comps = g.connected_components()
     for comp, td_c in zip(comps, component_decompositions(td, comps, "treewidth coloring")):
-        g_c = g.induced(comp)
+        g_c = g if len(comps) == 1 else g.induced(comp)
         if len(td_c) == 1:
             pieces.append(_paint_piece(ctx, g_c, "treewidth coloring: single bag"))
             continue

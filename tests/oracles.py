@@ -330,6 +330,8 @@ from wdcolor.treedec import (  # noqa: E402
 )
 from wdcolor.twcolor import (  # noqa: E402
     AdhesionConstruction,
+    _exact_order,
+    _simple_adjacency,
     compute_tree_decomposition,
     cover_piece_bound,
     tree_extension_bound,
@@ -794,6 +796,49 @@ def reference_min_fill_order(adj: Dict[int, Set[int]]) -> List[int]:
     return order
 
 
+# -- the elimination decomposition, copied before min-fill kept its neighbourhoods
+#
+# Reference for `twcolor.compute_tree_decomposition`: the order is found as
+# there, then eliminated a second time to read off the bags.
+
+
+def reference_order_to_td(g: WeightedGraph, order: Sequence[int]) -> RootedTreeDecomposition:
+    """Bags {v} + later fill-neighbors; each bag hangs below its earliest
+    later member, and leftover roots chain up to the final vertex."""
+    pos = {v: i for i, v in enumerate(order)}
+    work = _simple_adjacency(g)
+    bags: Dict[int, FrozenSet[int]] = {}
+    parent_of: Dict[int, Optional[int]] = {}
+    for v in order:
+        later = {u for u in work[v] if pos[u] > pos[v]}
+        bags[v] = frozenset({v} | later)
+        parent_of[v] = min(later, key=lambda u: pos[u]) if later else None
+        _reference_eliminate_in_place(work, v)
+    edges: List[Tuple[int, int]] = []
+    prev_root: Optional[int] = None
+    for v in order:
+        p = parent_of[v]
+        if p is not None:
+            edges.append((p, v))
+        else:
+            if prev_root is not None:
+                edges.append((v, prev_root))
+            prev_root = v
+    return RootedTreeDecomposition(bags, edges, order[-1])
+
+
+def reference_tree_decomposition(g: WeightedGraph, exact_max: int = 20) -> RootedTreeDecomposition:
+    """The min-fill order, or the exhaustive search's up to exact_max
+    vertices, eliminated again by `reference_order_to_td`."""
+    adj = _simple_adjacency(g)
+    order = reference_min_fill_order(adj)
+    if len(g) <= exact_max:
+        work = {v: set(ns) for v, ns in adj.items()}
+        width = max(len(_reference_eliminate_in_place(work, v)) for v in order)
+        _, order = _exact_order(adj, order, width)
+    return reference_order_to_td(g, order)
+
+
 # -- the tripod decomposition, its check and the slab cutter, copied before their rewrite
 #
 # `full_tripods` is `geodesic.tripod_decomposition`'s wedge recursion as it
@@ -807,7 +852,7 @@ def reference_min_fill_order(adj: Dict[int, Set[int]]) -> List[int]:
 import bisect  # noqa: E402
 
 from wdcolor.geodesic import Slab, SlabSystem  # noqa: E402
-from wdcolor.tripods import GeodesicTree, _check_simple, _trace_faces  # noqa: E402
+from wdcolor.tripods import GeodesicTree, _check_rotation, _check_simple, _trace_faces  # noqa: E402
 from wdcolor.treedec import validate_td  # noqa: E402
 
 
@@ -931,6 +976,7 @@ def full_tripods(
         return BagTripods(tree, td, paths)
     if rotation is None:
         raise GraphError("a rotation system is required once the graph has cycles")
+    _check_rotation(g, rotation)
     faces = _trace_faces(g, rotation)
     third: Dict[Tuple[int, int], int] = {}
     star_parent: Dict[int, int] = {}

@@ -210,7 +210,7 @@ def test_a_slab_width_factor_below_4_is_bad_input_before_any_pipeline_work(
     import wdcolor.geodesic as geodesic
 
     built = []
-    monkeypatch.setattr(geodesic, "tripod_decomposition", lambda *args: built.append(args))
+    monkeypatch.setattr(geodesic, "_tripod_certificate", lambda *args: built.append(args))
     monkeypatch.setattr(geodesic, "layering_projection", lambda *args: built.append(args))
     prefix = str(tmp_path / "grid")
     assert _main(capsys, ["gen", "grid", "--rows", "4", "--cols", "4", "--out", prefix])[0] == 0

@@ -922,6 +922,18 @@ def test_tripods_reject_parallel_edges():
         tripod_decomposition(g, {0: (1,), 1: (0,)}, tree)
 
 
+def test_tripods_reject_a_disconnected_graph():
+    """The planar pipeline hands the certificate build connected components
+    only; called directly, the public entry still searches for that."""
+    g, rotation = triangle()
+    two = WeightedGraph(range(6), list(g.edges) + [(3, 4, 1), (4, 5, 1), (3, 5, 1)])
+    both = {**rotation, 3: (4, 5), 4: (5, 3), 5: (3, 4)}
+    tree = bfs_geodesic_tree(g, 0)
+    far = GeodesicTree(0, {**tree.parent, 3: 0, 4: 3, 5: 3}, {**tree.dist, 3: 1, 4: 2, 5: 2})
+    with pytest.raises(GraphError, match="connected"):
+        tripod_decomposition(two, both, far)
+
+
 def test_tripods_reject_bad_rotation():
     g, rotation = triangle()
     tree = bfs_geodesic_tree(g, 0)
@@ -1695,22 +1707,52 @@ def test_planar_pipeline_builds_one_power_graph_per_component(monkeypatch):
 
 
 def test_planar_grid_validates_its_tripod_decomposition_once(monkeypatch):
-    """A count, not a timing: tripod_decomposition returns a verified
-    certificate, and color_planar does not verify it again."""
+    """A count, not a timing: the certificate build color_planar runs (the
+    core of tripod_decomposition) returns a verified certificate, and
+    color_planar does not verify it again."""
     import wdcolor.geodesic as geodesic
 
     inst = generate(GeneratorSpec(family="grid", rows=10, cols=10))
     verified, certs = [], []
-    tripods, verify = geodesic.tripod_decomposition, geodesic.GeodesicCertificate.verify
+    tripods, verify = geodesic._tripod_certificate, geodesic.GeodesicCertificate.verify
 
     def kept(*args):
         certs.append(tripods(*args))
         return certs[-1]
 
-    monkeypatch.setattr(geodesic, "tripod_decomposition", kept)
+    monkeypatch.setattr(geodesic, "_tripod_certificate", kept)
     monkeypatch.setattr(geodesic.GeodesicCertificate, "verify", lambda self, g: verified.append(self) or verify(self, g))
     assert color_planar(inst.graph, 1, inst.rotation).report.ok
     assert len(certs) == 1 and verified == certs
+
+
+def test_planar_grid_checks_each_input_fact_once(monkeypatch):
+    """A count guard: color_planar checks the rotation system and the
+    graph's simplicity once for the whole graph, and searches no component
+    for connectivity, since the driver split each one off."""
+    import wdcolor.geodesic as geodesic
+    import wdcolor.graph as graph
+    import wdcolor.tripods as tripods
+
+    calls = []
+
+    def counted(name):
+        original = getattr(tripods, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        for owner in (tripods, geodesic):
+            monkeypatch.setattr(owner, name, wrapper)
+
+    counted("_check_rotation")
+    counted("_check_simple")
+    is_connected = graph.WeightedGraph.is_connected
+    monkeypatch.setattr(graph.WeightedGraph, "is_connected", lambda self: calls.append("is_connected") or is_connected(self))
+    inst = generate(GeneratorSpec(family="grid", rows=10, cols=10))
+    assert color_planar(inst.graph, 1, inst.rotation).report.ok
+    assert sorted(calls) == ["_check_rotation", "_check_simple"]
 
 
 def test_layered_pipeline_on_grid_rows():

@@ -1,0 +1,59 @@
+"""Golden report digests: the sha256 of the `run planar`, `run layered` and
+`run tw` reports on small generated instances.  A change that claims
+byte-identical reports is checked here, not only measured: any change to a
+coloring, a bound, a measured diameter or the report's layout moves a
+digest."""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from wdcolor.cli import main
+
+
+@pytest.fixture(scope="module")
+def instances(tmp_path_factory):
+    """Every instance, generated once: name -> path prefix."""
+    tmp = tmp_path_factory.mktemp("golden")
+    specs = {
+        "grid12": ["grid", "--rows", "12", "--cols", "12"],
+        "grid20": ["grid", "--rows", "20", "--cols", "20"],
+        "gridw12": ["random-weights-overlay", "--base", str(tmp / "grid12.txt"), "--seed", "1",
+                    "--weight-lo", "1/4", "--weight-hi", "1", "--weight-den", "4"],
+        "tri200": ["random-planar-triangulation", "--n", "200", "--seed", "1"],
+        "path480": ["path", "--n", "480"],
+        "kt80": ["ktree", "--n", "80", "--k", "3", "--seed", "1"],
+    }
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, args in specs.items():
+            assert main(["gen"] + args + ["--out", str(tmp / name)]) == 0
+    return {name: str(tmp / name) for name in specs}
+
+
+# (pipeline, graph, rotation or layers instance) -> sha256 of the report bytes, as
+# computed before the decompositions were built in one pass
+GOLDEN = {
+    ("layered", "grid12", "grid12"): "5562cfac4a1d41c0c4c35e751ab0e3d36bcaed0e2ca0c4bb870b6bf6f5424936",
+    ("layered", "grid20", "grid20"): "ba87273c14f547969b1e442a15c3a67c55276b1b389b4d78497086b28f06fc62",
+    ("planar", "grid12", "grid12"): "5323b959f1a4889dda07d532b9dc6d231c71455e75e30aa4f0f4125463a982c4",
+    ("planar", "grid20", "grid20"): "53d9cf18f8ab2823c8d0238e07c62bc88f7deb9396373ecc775c9b20a6999640",
+    ("planar", "gridw12", "grid12"): "2b0978c5c4ec6de69f46de5238db3f47f3bf07859fc8820c185c7de1e2d397f3",
+    ("planar", "tri200", "tri200"): "e2a33f3dda7d88641518348e1806aaa2abf6ec0acd5f0d0afc70342a7712a90f",
+    ("tw", "kt80", None): "76a18ee3251436f142f40a1b24e0a4cd92e70247e365796d2db4988a0af221ae",
+    ("tw", "path480", None): "823bdc47073e6610bb16a18c418f1b2e2d3c248352292490a6078b6d9cfa4f81",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN, key=str), ids=lambda k: "-".join(x for x in k if x))
+def test_report_digest_is_pinned(instances, capsys, key):
+    pipeline, graph, extra = key
+    argv = ["run", pipeline, "--graph", instances[graph] + ".txt", "--ell", "1"]
+    if pipeline == "planar":
+        argv += ["--rotation", instances[extra] + ".rotation.json"]
+    elif pipeline == "layered":
+        argv += ["--eps0", "1", "--layers", instances[extra] + ".layers.json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[key]

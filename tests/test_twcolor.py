@@ -124,6 +124,37 @@ def test_td_exact_never_wider_than_heuristic(g):
     assert tight <= wide
 
 
+@settings(max_examples=60, deadline=None)
+@given(weighted_graphs(max_n=30, max_extra_edges=30, connected=False), st.sampled_from([0, 8, 20]))
+def test_td_equals_the_second_elimination_reference(g, exact_max):
+    """The bags min-fill keeps as it eliminates, or the exhaustive order's
+    one elimination, give the decomposition that eliminating the order a
+    second time gave: the same bags, tree edges and root, with n above
+    exact_max and at or below it."""
+    td = compute_tree_decomposition(g, exact_max=exact_max)
+    ref = oracles.reference_tree_decomposition(g, exact_max=exact_max)
+    assert td.bags == ref.bags and td.tree_edges == ref.tree_edges and td.root == ref.root
+
+
+@pytest.mark.parametrize("spec", [("grid", 0, 2, 0, 12), ("ktree", 300, 3, 1, 0), ("path", 40, 2, 0, 0)])
+def test_td_above_exact_max_eliminates_nothing_twice(monkeypatch, spec):
+    """A count guard: above exact_max the decomposition comes from the
+    min-fill pass alone, with no call to `_eliminate_in_place`."""
+    import wdcolor.twcolor as twcolor
+    from wdcolor.generators import GeneratorSpec, generate
+
+    family, n, k, seed, side = spec
+    g = generate(GeneratorSpec(family, n=n, k=k, seed=seed, rows=side, cols=side)).graph
+    assert len(g) > 20
+    calls = []
+    eliminate = twcolor._eliminate_in_place
+    monkeypatch.setattr(twcolor, "_eliminate_in_place", lambda work, v: calls.append(v) or eliminate(work, v))
+    td = compute_tree_decomposition(g)
+    assert calls == []
+    ref = oracles.reference_tree_decomposition(g)
+    assert td.bags == ref.bags and td.tree_edges == ref.tree_edges and td.root == ref.root
+
+
 # -- bound calculators -------------------------------------------------------
 
 
@@ -528,7 +559,7 @@ def _min_fill_order_by_copying(adj):
     st.randoms(use_true_random=False),
 )
 def test_min_fill_order_matches_the_copying_reference(n, density, rnd):
-    from wdcolor.twcolor import _elimination_width, _min_fill_order
+    from wdcolor.twcolor import _min_fill_order
 
     adj = {v: set() for v in range(n)}
     for u in range(n):
@@ -536,18 +567,17 @@ def test_min_fill_order_matches_the_copying_reference(n, density, rnd):
             if rnd.random() < density:
                 adj[u].add(v)
                 adj[v].add(u)
-    order = _min_fill_order(adj)
+    elim = _min_fill_order(adj)
+    order = list(elim)
     assert order == _min_fill_order_by_copying(adj)
-    # width: the largest neighbourhood met along the order, by copying
+    # each neighbourhood kept at elimination is the one met along the order, by copying
     work = {v: set(ns) for v, ns in adj.items()}
-    width = 0
     for v in order:
-        width = max(width, len(work[v]))
+        assert elim[v] == work[v]
         for a in work[v]:
             work[a].discard(v)
             work[a] |= work[v] - {a}
         del work[v]
-    assert _elimination_width(adj, order) == width
 
 
 def _instance_adjacency(family, n=0, k=2, seed=0, side=0):
@@ -577,7 +607,7 @@ def test_min_fill_order_matches_the_recounting_reference(family, n, k, seed, sid
     from wdcolor.twcolor import _min_fill_order
 
     adj = _instance_adjacency(family, n=n, k=k, seed=seed, side=side)
-    assert _min_fill_order(adj) == oracles.reference_min_fill_order(adj)
+    assert list(_min_fill_order(adj)) == oracles.reference_min_fill_order(adj)
 
 
 def _min_fill_pair_tests(monkeypatch, n, seed):
