@@ -29,11 +29,13 @@ So the graph and decomposition may be views of a far part (see
 SubtreeIndex), and a condensation then costs what its region costs.
 
 The constructor searches and checks only trees that come from outside a
-checked tree: an elimination order, a cut to one component, tripods, a
-JSON file or a generator.  Every other tree is derived from one already
-held, with no search: `rerooted` hangs a fresh root on a node or on a
-subdivided edge, `_rebagged` swaps the bags, and a condensation keeps the
-root side.
+checked tree: a cut to one component of a disconnected graph, tripods, a
+JSON file or a generator.  An elimination tree is built in the pass that
+eliminates (`twcolor._elimination_decomposition`), which checks only that
+each parent is eliminated after its child under one root.  Every other
+tree is derived from one already held, with no search: `rerooted` hangs a
+fresh root on a node or on a subdivided edge, `_rebagged` swaps the bags,
+and a condensation keeps the root side.
 """
 
 from __future__ import annotations
@@ -285,34 +287,43 @@ def validate_td(
     decomposition built by the library fails with ContractViolation; a
     caller checking one the user supplied passes GraphError.
 
-    One pass over the bags maps each vertex to the nodes holding it; an
-    edge is covered when its ends share a holder, and a vertex's holders
-    are connected when exactly one of them has its parent outside them."""
+    A vertex's top holders are the nodes holding it whose parent does not,
+    one set difference per node; its holders are connected exactly when
+    it has one.  Two connected holder sets meet exactly when the top of
+    one lies in the other, since the deeper top of two meeting subtrees
+    lies in both.  So an edge whose ends have one top holder each is
+    covered exactly when either end's top bag holds the other end, and
+    only an edge that fails this test, at a vertex with split holders or
+    in no bag, is looked up in every bag."""
+    bags, parent = td.bags, td.parent
+    top: Dict[int, int] = {}
+    split: Set[int] = set()
+    for t, bag in bags.items():
+        p = parent[t]
+        for v in bag if p is None else bag - bags[p]:
+            if v in top:
+                split.add(v)
+            top[v] = t
     failures: List[str] = []
-    holders: Dict[int, Set[int]] = {}
-    for t, bag in td.bags.items():
-        for v in bag:
-            holders.setdefault(v, set()).add(t)
-    covered = holders.keys()
-    missing = g.vertex_set() - covered
+    covered, vset = top.keys(), g.vertex_set()
+    missing = vset - covered
     if missing:
         failures.append("vertices not in any bag: %s" % sorted(missing)[:5])
-    alien = covered - g.vertex_set()
+    alien = covered - vset
     if alien:
         failures.append("bags contain unknown vertices: %s" % sorted(alien)[:5])
-    nobody: Set[int] = set()
     for (u, v, _) in g.edges:
-        if not holders.get(u, nobody) & holders.get(v, nobody):
-            failures.append("edge (%s,%s) is in no bag" % (u, v))
-            break
-    parent = td.parent
-    for v in g.vertices:
-        hs = holders.get(v)
-        if not hs:
+        if v in bags.get(top.get(u), ()) or u in bags.get(top.get(v), ()):
             continue
-        if sum(1 for t in hs if parent[t] not in hs) != 1:
-            failures.append("bags containing vertex %s are not connected in the tree" % (v,))
-            break
+        if any(u in b and v in b for b in bags.values()):
+            continue
+        failures.append("edge (%s,%s) is in no bag" % (u, v))
+        break
+    if split:
+        for v in g.vertices:
+            if v in split:
+                failures.append("bags containing vertex %s are not connected in the tree" % (v,))
+                break
     if failures:
         raise error("%s: %s" % (what, "; ".join(failures)))
 

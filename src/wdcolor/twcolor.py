@@ -208,23 +208,51 @@ def _exact_order(
     return best_width, best_order
 
 
-def _elimination_decomposition(elim: Dict[int, Set[int]]) -> RootedTreeDecomposition:
-    """Bags {v} + N(v), v in elimination order with N(v) as it was
-    eliminated; each hangs below its member eliminated first, and leftover
-    roots chain up to the final vertex."""
-    pos = {v: i for i, v in enumerate(elim)}
-    bags: Dict[int, FrozenSet[int]] = {}
-    edges: List[TreeEdge] = []
+def _elimination_parents(elim: Dict[int, Set[int]], pos: Dict[int, int]) -> Dict[int, Optional[int]]:
+    """Each vertex's parent in the elimination tree, in elimination order:
+    the member of N(v) eliminated first; a vertex eliminated with no
+    neighbour becomes the parent of the root before it, so the roots chain
+    up to the final vertex, which has none."""
+    parent: Dict[int, Optional[int]] = {}
     prev_root: Optional[int] = None
     for v, ns in elim.items():
-        bags[v] = frozenset({v} | ns)
         if ns:
-            edges.append((min(ns, key=pos.__getitem__), v))
+            parent[v] = min(ns, key=pos.__getitem__)
         else:
             if prev_root is not None:
-                edges.append((v, prev_root))
+                parent[prev_root] = v
+            parent[v] = None
             prev_root = v
-    return RootedTreeDecomposition(bags, edges, prev_root)
+    return parent
+
+
+def _elimination_decomposition(elim: Dict[int, Set[int]]) -> RootedTreeDecomposition:
+    """Bags {v} + N(v), v in elimination order with N(v) as it was
+    eliminated, each below its parent (_elimination_parents): what
+    RootedTreeDecomposition(bags, parent edges, final vertex) gives, with no
+    adjacency build or search.  Parents eliminated after their children and
+    a single root make the parent links a tree (Bodlaender and Koster,
+    "Treewidth computations I. Upper bounds", 2010), and that is checked
+    here; the decomposition axioms are validate_td's."""
+    pos = {v: i for i, v in enumerate(elim)}
+    parent = _elimination_parents(elim, pos)
+    nodes = tuple(sorted(elim))
+    roots: List[int] = []
+    children: Dict[int, List[int]] = {v: [] for v in elim}
+    for v in nodes:
+        p = parent[v]
+        if p is None:
+            roots.append(v)
+        elif pos.get(p, -1) > pos[v]:
+            children[p].append(v)
+        else:
+            raise ContractViolation("elimination tree: parent %s of %s is not eliminated after it" % (p, v))
+    if len(roots) != 1:
+        raise ContractViolation("elimination tree has %d roots" % len(roots))
+    bags = {v: frozenset({v} | ns) for v, ns in elim.items()}
+    kids = {v: tuple(cs) for v, cs in children.items()}
+    edges = tuple((p, c) for p in nodes for c in kids[p])
+    return RootedTreeDecomposition._derived(bags, parent, kids, nodes, edges, roots[0])
 
 
 def compute_tree_decomposition(
@@ -234,7 +262,8 @@ def compute_tree_decomposition(
     """Rooted tree decomposition from an elimination order: exhaustive search
     up to exact_max vertices, min-fill heuristic beyond that.  The bags come
     from the min-fill pass; the exhaustive search's order is eliminated once
-    more."""
+    more.  The tree is built in the same pass (_elimination_decomposition),
+    not by the general constructor, and validate_td checks the result."""
     if len(g) == 0:
         return RootedTreeDecomposition({0: ()}, [], 0)
     adj = _simple_adjacency(g)
@@ -892,7 +921,10 @@ def color_bounded_treewidth(
     Each connected component's decomposition gets one tree edge subdivided
     into a fresh root bag (the edge's shared set), which yields a
     construction with all guard levels available; star pieces get the
-    constant coloring certified through the vertex-cover route."""
+    constant coloring certified through the vertex-cover route.  A
+    connected input whose bags are all nonempty is colored on td itself;
+    a disconnected one, or a supplied td with an empty bag, is cut into
+    its components' decompositions in one pass (component_decompositions)."""
     lf = as_fraction(ell)
     if lf <= 0:
         raise GraphError("need ell > 0")
@@ -908,7 +940,13 @@ def color_bounded_treewidth(
     pieces: List[Coloring] = []
     fresh_node = max(td.nodes) + 1
     comps = g.connected_components()
-    for comp, td_c in zip(comps, component_decompositions(td, comps, "treewidth coloring")):
+    if len(comps) == 1 and all(td.bags.values()):
+        # a connected graph's decomposition with no empty bag is its own
+        # component's: the cut would keep every node and bag as they are
+        tds: Iterable[RootedTreeDecomposition] = (td,)
+    else:
+        tds = component_decompositions(td, comps, "treewidth coloring")
+    for comp, td_c in zip(comps, tds):
         g_c = g if len(comps) == 1 else g.induced(comp)
         if len(td_c) == 1:
             pieces.append(_paint_piece(ctx, g_c, "treewidth coloring: single bag"))

@@ -7,6 +7,7 @@ digest."""
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -25,15 +26,34 @@ def instances(tmp_path_factory):
         "tri200": ["random-planar-triangulation", "--n", "200", "--seed", "1"],
         "path480": ["path", "--n", "480"],
         "kt80": ["ktree", "--n", "80", "--k", "3", "--seed", "1"],
+        "ktw100": ["ktree", "--n", "100", "--k", "2", "--seed", "1",
+                   "--weight-lo", "1/4", "--weight-hi", "1", "--weight-den", "4"],
+        "sp80": ["random-series-parallel", "--n", "80", "--seed", "4"],
+        "kt30": ["ktree", "--n", "30", "--k", "2", "--seed", "2"],
     }
     with contextlib.redirect_stdout(io.StringIO()):
         for name, args in specs.items():
             assert main(["gen"] + args + ["--out", str(tmp / name)]) == 0
-    return {name: str(tmp / name) for name in specs}
+    # two components: the 2-tree kt30 and, beside it, the path 480 shifted by 1000
+    far = [line.split() for line in (tmp / "path480.txt").read_text().splitlines()]
+    shifted = "".join("%d %d %s\n" % (int(u) + 1000, int(v) + 1000, w) for u, v, w in far)
+    (tmp / "two.txt").write_text((tmp / "kt30.txt").read_text() + shifted)
+    # kt80's own decomposition, and the same with one more leaf whose bag is empty
+    td = json.loads((tmp / "kt80.td.json").read_text())
+    (tmp / "kt80own.td.json").write_text(json.dumps(td))
+    top = max(node["id"] for node in td["nodes"]) + 1
+    td["nodes"].append({"id": top, "bag": []})
+    td["edges"].append([td["nodes"][-2]["id"], top])
+    (tmp / "kt80empty.td.json").write_text(json.dumps(td))
+    return {name: str(tmp / name) for name in list(specs) + ["two", "kt80own", "kt80empty"]}
 
 
-# (pipeline, graph, rotation or layers instance) -> sha256 of the report bytes, as
-# computed before the decompositions were built in one pass
+# (pipeline, graph, rotation, layers or decomposition instance) -> sha256 of the
+# report bytes, as computed before the decompositions were built in one pass (the
+# planar and layered digests and the first two tw ones), or before the elimination
+# tree was built in its own pass and a connected input colored on its own tree
+# (the other tw ones).  An empty leaf bag changes nothing: kt80empty's digest is
+# kt80own's.
 GOLDEN = {
     ("layered", "grid12", "grid12"): "5562cfac4a1d41c0c4c35e751ab0e3d36bcaed0e2ca0c4bb870b6bf6f5424936",
     ("layered", "grid20", "grid20"): "ba87273c14f547969b1e442a15c3a67c55276b1b389b4d78497086b28f06fc62",
@@ -43,6 +63,11 @@ GOLDEN = {
     ("planar", "tri200", "tri200"): "e2a33f3dda7d88641518348e1806aaa2abf6ec0acd5f0d0afc70342a7712a90f",
     ("tw", "kt80", None): "76a18ee3251436f142f40a1b24e0a4cd92e70247e365796d2db4988a0af221ae",
     ("tw", "path480", None): "823bdc47073e6610bb16a18c418f1b2e2d3c248352292490a6078b6d9cfa4f81",
+    ("tw", "ktw100", None): "8dc8894f44e5492a176085eec4db86b0c20bb2daf35cae5450caffbb35e96bb5",
+    ("tw", "sp80", None): "49f2e11fbf55ef1ff348e52ebde58434da9ec4bc1644a5ccef6c5ad4a2193515",
+    ("tw", "two", None): "b46d2c94f9d7d3a2d33a76a408d41724c4076e564c3da371446d8dd64bbb73af",
+    ("tw", "kt80", "kt80own"): "76a18ee3251436f142f40a1b24e0a4cd92e70247e365796d2db4988a0af221ae",
+    ("tw", "kt80", "kt80empty"): "76a18ee3251436f142f40a1b24e0a4cd92e70247e365796d2db4988a0af221ae",
 }
 
 
@@ -54,6 +79,8 @@ def test_report_digest_is_pinned(instances, capsys, key):
         argv += ["--rotation", instances[extra] + ".rotation.json"]
     elif pipeline == "layered":
         argv += ["--eps0", "1", "--layers", instances[extra] + ".layers.json"]
+    elif extra:
+        argv += ["--td", instances[extra] + ".td.json"]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[key]

@@ -136,6 +136,49 @@ def test_td_equals_the_second_elimination_reference(g, exact_max):
     assert td.bags == ref.bags and td.tree_edges == ref.tree_edges and td.root == ref.root
 
 
+@settings(max_examples=80, deadline=None)
+@given(weighted_graphs(max_n=30, max_extra_edges=30, connected=False))
+def test_elimination_tree_is_the_one_the_constructor_builds(g):
+    """The tree `_elimination_decomposition` fills in the elimination pass
+    has every field the general constructor gives the same bags, parent
+    edges and root: bags and children in the same order, and the parent
+    map equal (the constructor lists it in search order, the pass in
+    elimination order)."""
+    from wdcolor.twcolor import _elimination_decomposition, _min_fill_order, _simple_adjacency
+
+    td = _elimination_decomposition(_min_fill_order(_simple_adjacency(g)))
+    ref = RootedTreeDecomposition(td.bags, [(p, c) for c, p in td.parent.items() if p is not None], td.root)
+    assert list(td.bags.items()) == list(ref.bags.items())
+    assert list(td.children.items()) == list(ref.children.items())
+    assert td.parent == ref.parent
+    assert (td.nodes, td.tree_edges, td.root) == (ref.nodes, ref.tree_edges, ref.root)
+    old = oracles.reference_order_to_td(g, list(_min_fill_order(_simple_adjacency(g))))
+    assert (td.bags, td.parent, td.children) == (old.bags, old.parent, old.children)
+    assert (td.nodes, td.tree_edges, td.root) == (old.nodes, old.tree_edges, old.root)
+
+
+@pytest.mark.parametrize("fault", ["backward parent", "second root"])
+def test_elimination_tree_rejects_parents_that_make_no_tree(monkeypatch, fault):
+    """The one property the elimination tree relies on is checked: each
+    parent is eliminated after its child, and exactly one node is a root."""
+    import wdcolor.twcolor as twcolor
+
+    parents = twcolor._elimination_parents
+
+    def broken(elim, pos):
+        parent = parents(elim, pos)
+        order = list(elim)
+        if fault == "backward parent":
+            parent[order[2]] = order[1]
+        else:
+            parent[order[1]] = None
+        return parent
+
+    monkeypatch.setattr(twcolor, "_elimination_parents", broken)
+    with pytest.raises(ContractViolation, match="elimination tree"):
+        compute_tree_decomposition(grid_graph(4, 4), exact_max=0)
+
+
 @pytest.mark.parametrize("spec", [("grid", 0, 2, 0, 12), ("ktree", 300, 3, 1, 0), ("path", 40, 2, 0, 0)])
 def test_td_above_exact_max_eliminates_nothing_twice(monkeypatch, spec):
     """A count guard: above exact_max the decomposition comes from the
@@ -852,6 +895,37 @@ def test_a_split_reads_each_bag_of_its_decomposition_once(monkeypatch):
     assert color_bounded_treewidth(g, 1).report.ok
     assert max(n for (_, _, n) in scans) >= 4
     assert [reads for (reads, _, _) in scans] == [size for (_, size, _) in scans]
+
+
+def test_only_a_disconnected_input_or_an_empty_bag_cuts_the_top_tree(monkeypatch):
+    """A count guard: color_bounded_treewidth colors a connected input on
+    its own tree, and cuts the tree into its components' decompositions
+    only for a disconnected input or a supplied tree with an empty bag.
+    The path's tree with an empty leaf bag added colors it as its own tree
+    does."""
+    import wdcolor.twcolor as twcolor
+
+    cuts = []
+    split = twcolor.component_decompositions
+
+    def counted(td, comps, what):
+        if what == "treewidth coloring":
+            cuts.append(len(comps))
+        return split(td, comps, what)
+
+    monkeypatch.setattr(twcolor, "component_decompositions", counted)
+    path, td = unit_path(40), path_td(40)
+    plain = color_bounded_treewidth(path, 1, td=td)
+    assert cuts == []
+    assert color_bounded_treewidth(path, 1).report.ok and cuts == []
+    bags = dict(td.bags)
+    bags[100] = ()
+    padded = RootedTreeDecomposition(bags, td.tree_edges + ((38, 100),), td.root)
+    assert color_bounded_treewidth(path, 1, td=padded).coloring == plain.coloring
+    assert cuts == [1]
+    two = WeightedGraph(range(40), [(i, i + 1, 1) for i in range(39) if i != 19])
+    assert color_bounded_treewidth(two, 1).report.ok
+    assert cuts == [1, 2]
 
 
 def test_recursion_limit_is_left_alone():
