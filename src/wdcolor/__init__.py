@@ -3,14 +3,16 @@ weighted graphs, with every produced object re-verified against its computed
 bound.
 
 The records the package returns and passes between its layers (Coloring,
-VerificationReport, GuardTriple and the rest) are plain classes with
-`__slots__` and one hand-written `__init__` each, on the base
-`graph.Record`, which makes their fields read-only and compares, hashes
-and prints them by field.  They are not dataclasses because every CLI
-call is its own process, which compiles and imports the package before
-it reads a graph: `dataclasses`, with the `inspect` it loads and the
-methods it generates and compiles for each class, was about a quarter of
-that import.
+VerificationReport, GuardTriple and the rest) are plain classes that name
+their fields in `__slots__`.  Their base, `graph.Record`, builds each one
+with a single constructor (positional arguments, then keywords, then the
+class's `_defaults`), makes the fields read-only, and compares, hashes
+and prints records by field; only a record that checks or derives its
+fields (Coloring and two per-run tables) has an `__init__` of its own.
+They are not dataclasses because every CLI call is its own process, which
+compiles and imports the package before it reads a graph: `dataclasses`,
+with the `inspect` it loads and the methods it generates and compiles for
+each class, was about a quarter of that import.
 """
 
 from wdcolor.graph import (

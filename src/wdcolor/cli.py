@@ -44,6 +44,7 @@ from .graph import (
 )
 from .partition import (
     Coloring,
+    ColorResult,
     ContractViolation,
     coloring_to_partition,
     measure_dilation,
@@ -228,20 +229,25 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # -- run ------------------------------------------------------------------------
 
 
-def _run_tw(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dict:
-    td = None
-    if args.td:
-        td = _load_certificate(args.td, "decomposition", RootedTreeDecomposition.from_json_dict)
-    res = color_bounded_treewidth(g, lf, td=td)
+def _coloring_report(lf: Fraction, res: ColorResult) -> dict:
+    """The report keys every colouring pipeline writes; a pipeline adds
+    its own (`width`, `slabs`), and `_emit` sorts them all."""
     return {
         "ell": frac_str(lf),
         "colors": res.report.colors,
-        "width": res.width,
         "proved_bound": frac_str(res.bound),
         "measured": res.report.to_json_dict(),
         "coloring": coloring_to_json(res.coloring),
         "ok": res.report.ok,
     }
+
+
+def _run_tw(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dict:
+    td = None
+    if args.td:
+        td = _load_certificate(args.td, "decomposition", RootedTreeDecomposition.from_json_dict)
+    res = color_bounded_treewidth(g, lf, td=td)
+    return dict(_coloring_report(lf, res), width=res.width)
 
 
 def _run_planar(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dict:
@@ -249,19 +255,12 @@ def _run_planar(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dic
     if args.rotation:
         rotation = _load_certificate(args.rotation, "rotation", rotation_from_json)
     res = color_planar(g, lf, rotation, slab_width_factor=args.slab_width_factor)
-    return {
-        "ell": frac_str(lf),
-        "colors": res.report.colors,
-        "proved_bound": frac_str(res.bound),
-        "measured": res.report.to_json_dict(),
-        "coloring": coloring_to_json(res.coloring),
-        "slabs": [
-            {"family": s.family, "index": s.index, "owned": len(s.owned)}
-            for system in res.systems
-            for s in system.slabs
-        ],
-        "ok": res.report.ok,
-    }
+    slabs = [
+        {"family": s.family, "index": s.index, "owned": len(s.owned)}
+        for system in res.systems
+        for s in system.slabs
+    ]
+    return dict(_coloring_report(lf, res), slabs=slabs)
 
 
 def _run_layered(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> dict:
@@ -272,14 +271,7 @@ def _run_layered(args: argparse.Namespace, g: WeightedGraph, lf: Fraction) -> di
     eps0 = _parse_scale(args.eps0, "eps0")
     layering = _load_certificate(args.layers, "layering", layering_from_json)
     res = color_layered(g, lf, layering, eps0, slab_width_factor=args.slab_width_factor)
-    return {
-        "ell": frac_str(lf),
-        "colors": res.report.colors,
-        "proved_bound": frac_str(res.bound),
-        "measured": res.report.to_json_dict(),
-        "coloring": coloring_to_json(res.coloring),
-        "ok": res.report.ok,
-    }
+    return _coloring_report(lf, res)
 
 
 def _run_partition(args: argparse.Namespace, g: WeightedGraph) -> dict:

@@ -37,47 +37,17 @@ class GeneratorSpec(Record):
 
     __slots__ = ("family", "n", "rows", "cols", "k", "seed", "weight_lo", "weight_hi", "weight_den")
 
-    def __init__(
-        self,
-        family: str,
-        n: int = 0,
-        rows: int = 0,
-        cols: int = 0,
-        k: int = 2,
-        seed: int = 0,
-        weight_lo: object = 1,
-        weight_hi: object = 1,
-        weight_den: int = 1,
-    ) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "weight_lo", weight_lo)
-        object.__setattr__(self, "weight_hi", weight_hi)
-        object.__setattr__(self, "weight_den", weight_den)
+    _defaults = {"n": 0, "rows": 0, "cols": 0, "k": 2, "seed": 0, "weight_lo": 1, "weight_hi": 1, "weight_den": 1}
 
 
 class Instance(Record):
+    """A generated graph with the certificates its family comes with: a
+    tree decomposition, a rotation system, a layering and a tripod
+    certificate, each None where the family has none."""
+
     __slots__ = ("family", "graph", "td", "rotation", "layering", "tripods")
 
-    def __init__(
-        self,
-        family: str,
-        graph: WeightedGraph,
-        td: Optional[RootedTreeDecomposition] = None,
-        rotation: Optional[Dict[int, Tuple[int, ...]]] = None,
-        layering: Optional[Tuple[Tuple[int, ...], ...]] = None,
-        tripods: Optional[GeodesicCertificate] = None,
-    ) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "td", td)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "layering", layering)
-        object.__setattr__(self, "tripods", tripods)
+    _defaults = {"td": None, "rotation": None, "layering": None, "tripods": None}
 
 
 def _draw_weights(rng: random.Random, lo: Fraction, hi: Fraction, den: int, count: int) -> List[Fraction]:

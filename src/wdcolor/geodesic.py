@@ -56,7 +56,6 @@ from .partition import (
     Coloring,
     ColorResult,
     ContractViolation,
-    VerificationReport,
     check_weak_diameter,
 )
 from .patching import (
@@ -108,11 +107,6 @@ class GuardTriple(Record):
 
     __slots__ = ("free", "removed", "both")
 
-    def __init__(self, free: FrozenSet[int], removed: FrozenSet[int], both: FrozenSet[int]) -> None:
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "removed", removed)
-        object.__setattr__(self, "both", both)
-
     @property
     def anchor(self) -> FrozenSet[int]:
         """Guards that anchor the colored zone: free | both."""
@@ -140,26 +134,6 @@ class ControlConstruction(Record):
     """
 
     __slots__ = ("td", "removed", "eta", "theta", "mu", "ell", "root_triple", "edge_triples")
-
-    def __init__(
-        self,
-        td: RootedTreeDecomposition,
-        removed: FrozenSet[int],
-        eta: int,
-        theta: int,
-        mu: Fraction,
-        ell: Fraction,
-        root_triple: GuardTriple,
-        edge_triples: Dict[TreeEdge, GuardTriple],
-    ) -> None:
-        object.__setattr__(self, "td", td)
-        object.__setattr__(self, "removed", removed)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "root_triple", root_triple)
-        object.__setattr__(self, "edge_triples", edge_triples)
 
     def _sites(self) -> List[Tuple[object, int, FrozenSet[int], GuardTriple]]:
         """(site, node, bag, triple): the root bag at the root, and each
@@ -970,12 +944,6 @@ def layering_projection(
 
 class SlabColorResult(ColorResult):
     __slots__ = ("systems",)
-
-    def __init__(
-        self, coloring: Coloring, bound: Fraction, report: VerificationReport, systems: Tuple[SlabSystem, ...]
-    ) -> None:
-        ColorResult.__init__(self, coloring, bound, report)
-        object.__setattr__(self, "systems", systems)
 
 
 def _color_slabs(

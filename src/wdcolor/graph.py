@@ -207,14 +207,59 @@ class ContractViolation(AssertionError):
 
 class Record:
     """Base of the package's immutable records.  A record's fields are the
-    `__slots__` of its class and of its bases, base fields first; its own
-    `__init__` sets each one with object.__setattr__, and assigning or
+    `__slots__` of its class and of its bases, base fields first, listed
+    once per class in `_fields`.  `__init__` sets them from positional
+    arguments in that order, then from keywords, then from the class's
+    `_defaults`, through each slot's own setter; a missing field, an
+    unknown keyword or a surplus argument raises TypeError naming the
+    record.  A record that checks or derives its fields defines its own
+    `__init__`, which sets them with object.__setattr__.  Assigning or
     deleting a field afterwards raises AttributeError.  Records compare,
-    hash and print by their fields, leaving out those named in `_unlisted`."""
+    hash and print by their fields, leaving out those named in
+    `_unlisted`."""
 
     __slots__ = ()
 
+    _fields: Tuple[str, ...] = ()
+    _setters: Tuple[Callable[[object, object], None], ...] = ()
+    _defaults: Dict[str, object] = {}
     _unlisted: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for c in reversed(cls.__mro__) for name in vars(c).get("__slots__", ()))
+        # a slot's descriptor sets it past the refusing __setattr__, faster than object.__setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._arguments(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+
+    def _arguments(self, args: Tuple[object, ...], kwargs: Dict[str, object]) -> List[object]:
+        """Every field's value, in field order: the positional arguments,
+        then the keywords, then the class's defaults."""
+        what, fields, defaults = type(self).__qualname__, self._fields, self._defaults
+        if len(args) > len(fields):
+            raise TypeError(
+                "%s takes %d fields (%s), got %d positional arguments"
+                % (what, len(fields), ", ".join(fields), len(args))
+            )
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                values.append(defaults[name])
+            else:
+                raise TypeError("%s missing field %r" % (what, name))
+        for name in kwargs:
+            if name in fields:
+                raise TypeError("%s got field %r by position and by keyword" % (what, name))
+            raise TypeError("%s has no field %r" % (what, name))
+        return values
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__qualname__))
@@ -224,12 +269,7 @@ class Record:
 
     def _items(self) -> List[Tuple[str, object]]:
         skip = self._unlisted
-        return [
-            (name, getattr(self, name))
-            for cls in reversed(type(self).__mro__)
-            for name in cls.__dict__.get("__slots__", ())
-            if name not in skip
-        ]
+        return [(name, getattr(self, name)) for name in self._fields if name not in skip]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -959,12 +999,6 @@ class HopGraph:
         self.vertices: Tuple[int, ...] = vertices
         self._adj: Dict[int, Tuple[int, ...]] = adj
         self._vset: FrozenSet[int] = frozenset(vertices)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self._vset
 
     def vertex_set(self) -> FrozenSet[int]:
         return self._vset

@@ -86,23 +86,9 @@ class PartitionFamily(Record):
 
     __slots__ = ("collections", "r", "diameter_bound")
 
-    def __init__(
-        self, collections: Tuple[Tuple[FrozenSet[int], ...], ...], r: Fraction, diameter_bound: Fraction
-    ) -> None:
-        object.__setattr__(self, "collections", collections)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "diameter_bound", diameter_bound)
-
     @property
     def num_collections(self) -> int:
         return len(self.collections)
-
-    def covered(self) -> Set[int]:
-        out: Set[int] = set()
-        for coll in self.collections:
-            for part in coll:
-                out.update(part)
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -117,12 +103,6 @@ class PartitionFamily(Record):
 
 class ComponentStat(Record):
     __slots__ = ("size", "min_vertex", "hops", "metric")
-
-    def __init__(self, size: int, min_vertex: int, hops: int, metric: Fraction) -> None:
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "min_vertex", min_vertex)
-        object.__setattr__(self, "hops", hops)
-        object.__setattr__(self, "metric", metric)
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,26 +125,6 @@ class VerificationReport(Record):
         "ok",
     )
 
-    def __init__(
-        self,
-        colors: int,
-        max_weak_diameter_hops: int,
-        max_weak_diameter_metric: Fraction,
-        separation_ok: bool,
-        bound: Optional[Fraction],
-        ratio: Fraction,
-        per_component: Tuple[ComponentStat, ...],
-        ok: bool,
-    ) -> None:
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "max_weak_diameter_hops", max_weak_diameter_hops)
-        object.__setattr__(self, "max_weak_diameter_metric", max_weak_diameter_metric)
-        object.__setattr__(self, "separation_ok", separation_ok)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "per_component", per_component)
-        object.__setattr__(self, "ok", ok)
-
     def to_json_dict(self) -> dict:
         return {
             "colors": self.colors,
@@ -182,11 +142,6 @@ class ColorResult(Record):
     """A coloring, the bound it was verified at, and that verification."""
 
     __slots__ = ("coloring", "bound", "report")
-
-    def __init__(self, coloring: Coloring, bound: Fraction, report: VerificationReport) -> None:
-        object.__setattr__(self, "coloring", coloring)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "report", report)
 
 
 def monochromatic_components(
@@ -302,16 +257,9 @@ def verify_weak_diameter(
         if bound_hops >= len(vset) + len(new_ids) - 1:
             # each component is connected inside the host, so its hop diameter
             # stays below the host vertex count and the bound holds unmeasured
-            return VerificationReport(
-                colors=_colors_in_host(coloring, restrict_to, in_host),
-                max_weak_diameter_hops=0,
-                max_weak_diameter_metric=_ZERO,
-                separation_ok=True,
-                bound=bf,
-                ratio=_ZERO,
-                per_component=(),
-                ok=True,
-            )
+            # by position, since every vacuous check returns here: nothing measured, no component listed
+            colors = _colors_in_host(coloring, restrict_to, in_host)
+            return VerificationReport(colors, 0, _ZERO, True, bf, _ZERO, (), True)
     p = power if power is not None else power_graph(g, lf)
     assignment = coloring.assignment
     pool = {v for v in (p.vertices if restrict_to is None else restrict_to) if v in assignment}
@@ -335,16 +283,8 @@ def verify_weak_diameter(
         max_hops = max(max_hops, hops)
         max_metric = max(max_metric, metric)
     colors_used = len({coloring.color(v) for c in comps for v in c})
-    return VerificationReport(
-        colors=colors_used,
-        max_weak_diameter_hops=max_hops,
-        max_weak_diameter_metric=max_metric,
-        separation_ok=True,
-        bound=bf,
-        ratio=max_metric / lf,
-        per_component=tuple(stats),
-        ok=bf is None or max_hops <= bf,
-    )
+    ok = bf is None or max_hops <= bf
+    return VerificationReport(colors_used, max_hops, max_metric, True, bf, max_metric / lf, tuple(stats), ok)
 
 
 def _colors_in_host(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from wdcolor.graph import (
     GraphError,
@@ -98,12 +98,7 @@ class CenterCertificate(Record):
 
     _unlisted = ("graph",)
 
-    def __init__(self, centers: Tuple[int, ...], radius: Fraction, covered: Tuple[int, ...], k: int) -> None:
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "covered", covered)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "graph", None)
+    _defaults = {"graph": None}
 
     @staticmethod
     def build(
@@ -129,9 +124,7 @@ class CenterCertificate(Record):
                     "certificate coverage fails: %s beyond distance %s of the centers"
                     % (sorted(stray)[:5], rf)
                 )
-        cert = CenterCertificate(cs, rf, zs, kk)
-        object.__setattr__(cert, "graph", g)
-        return cert
+        return CenterCertificate(cs, rf, zs, kk, g)
 
     def require_graph(self, g: WeightedGraph, what: str) -> None:
         """Raise GraphError unless the certificate was checked in g itself."""

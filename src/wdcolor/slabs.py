@@ -22,26 +22,6 @@ from .partition import Coloring, ContractViolation, monochromatic_components
 class Slab(Record):
     __slots__ = ("family", "index", "lo", "hi", "window_lo", "window_hi", "owned", "window")
 
-    def __init__(
-        self,
-        family: str,
-        index: int,
-        lo: Fraction,
-        hi: Fraction,
-        window_lo: Fraction,
-        window_hi: Fraction,
-        owned: Tuple[int, ...],
-        window: Tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "window_lo", window_lo)
-        object.__setattr__(self, "window_hi", window_hi)
-        object.__setattr__(self, "owned", owned)
-        object.__setattr__(self, "window", window)
-
 
 class SlabSystem(Record):
     """Two interleaved families of slabs over a 1-Lipschitz projection.
@@ -53,22 +33,6 @@ class SlabSystem(Record):
     """
 
     __slots__ = ("ell", "width", "pad", "projection", "slabs", "owner_of")
-
-    def __init__(
-        self,
-        ell: Fraction,
-        width: Fraction,
-        pad: Fraction,
-        projection: Dict[int, Fraction],
-        slabs: Tuple[Slab, ...],
-        owner_of: Dict[int, Tuple[str, int]],
-    ) -> None:
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "pad", pad)
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "slabs", slabs)
-        object.__setattr__(self, "owner_of", owner_of)
 
     def slab_of(self, family: str, index: int) -> Slab:
         for s in self.slabs:
@@ -144,12 +108,6 @@ def make_slabs(
 
 class SlabColoring(Record):
     __slots__ = ("family", "index", "coloring", "bound")
-
-    def __init__(self, family: str, index: int, coloring: Coloring, bound: Fraction) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "coloring", coloring)
-        object.__setattr__(self, "bound", bound)
 
 
 def combine_slab_colorings(

@@ -610,28 +610,6 @@ class Hierarchy(Record):
 
     __slots__ = ("ground", "levels", "parts", "ids", "edges", "ell", "eps", "theta", "mu")
 
-    def __init__(
-        self,
-        ground: Tuple[int, ...],
-        levels: Tuple[int, ...],
-        parts: Dict[int, Tuple[FrozenSet[int], ...]],
-        ids: Dict[int, Tuple[int, ...]],
-        edges: Tuple[Tuple[int, int, Fraction], ...],
-        ell: Fraction,
-        eps: Fraction,
-        theta: int,
-        mu: Fraction,
-    ) -> None:
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "mu", mu)
-
     def verify(self) -> None:
         """Check the partitions, then the forest.  The recorded levels hold
         level 0, which is the singletons of the ground set; each level's
@@ -799,23 +777,10 @@ def adhesion_hierarchy(
 class HierarchyAttachment(Record):
     __slots__ = ("part_vertices", "hierarchy")
 
-    def __init__(self, part_vertices: FrozenSet[int], hierarchy: Hierarchy) -> None:
-        object.__setattr__(self, "part_vertices", part_vertices)
-        object.__setattr__(self, "hierarchy", hierarchy)
-
 
 class ShortcutAttachment(Record):
+    # reach: the ball of radius ell around X_e inside the part
     __slots__ = ("part_vertices", "reach", "shortcuts")
-
-    def __init__(
-        self,
-        part_vertices: FrozenSet[int],
-        reach: FrozenSet[int],  # ball of radius ell around X_e inside the part
-        shortcuts: Tuple[Tuple[int, int, Fraction], ...],
-    ) -> None:
-        object.__setattr__(self, "part_vertices", part_vertices)
-        object.__setattr__(self, "reach", reach)
-        object.__setattr__(self, "shortcuts", shortcuts)
 
 
 class Condensation(Record):
@@ -823,47 +788,17 @@ class Condensation(Record):
         "g",
         "td",
         "g0",
-        "td0",
+        "td0",  # decomposition of g0, see condense
         "u_e",
         "ell",
         "theta",
         "mu",
         "eps",
         "t0_vertices",
-        "base_vertices",
+        "base_vertices",  # V(G0) shared with V(G)
         "hierarchies",
         "shortcut_parts",
     )
-
-    def __init__(
-        self,
-        g: WeightedGraph,
-        td: RootedTreeDecomposition,
-        g0: WeightedGraph,
-        td0: RootedTreeDecomposition,  # decomposition of g0, see condense
-        u_e: Tuple[TreeEdge, ...],
-        ell: Fraction,
-        theta: int,
-        mu: Fraction,
-        eps: Fraction,
-        t0_vertices: FrozenSet[int],
-        base_vertices: FrozenSet[int],  # V(G0) shared with V(G)
-        hierarchies: Dict[TreeEdge, HierarchyAttachment],
-        shortcut_parts: Dict[TreeEdge, ShortcutAttachment],
-    ) -> None:
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "td", td)
-        object.__setattr__(self, "g0", g0)
-        object.__setattr__(self, "td0", td0)
-        object.__setattr__(self, "u_e", u_e)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "t0_vertices", t0_vertices)
-        object.__setattr__(self, "base_vertices", base_vertices)
-        object.__setattr__(self, "hierarchies", hierarchies)
-        object.__setattr__(self, "shortcut_parts", shortcut_parts)
 
 
 def condense(
@@ -969,9 +904,7 @@ def condense(
         if td0.adhesion_of(e) != adhesions[e]:
             raise ContractViolation("condensed leaf %s changed its adhesion" % (e,))
     return Condensation(
-        g=g, td=td, g0=g0, td0=td0, u_e=frontier, ell=lf, theta=theta, mu=mf,
-        eps=eps, t0_vertices=t0_vertices, base_vertices=frozenset(base),
-        hierarchies=hierarchies, shortcut_parts=shortcut_parts,
+        g, td, g0, td0, frontier, lf, theta, mf, eps, t0_vertices, frozenset(base), hierarchies, shortcut_parts
     )
 
 

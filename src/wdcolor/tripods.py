@@ -34,11 +34,6 @@ class GeodesicTree(Record):
 
     __slots__ = ("root", "parent", "dist")
 
-    def __init__(self, root: int, parent: Dict[int, Optional[int]], dist: Dict[int, Fraction]) -> None:
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "dist", dist)
-
 
 def bfs_geodesic_tree(g: WeightedGraph, root: int) -> GeodesicTree:
     """Exact-distance shortest-path tree from root; the parent is always the
@@ -156,20 +151,6 @@ class GeodesicCertificate(Record):
     child) `tree_edges` under `root`."""
 
     __slots__ = ("tree", "corners", "tops", "tree_edges", "root")
-
-    def __init__(
-        self,
-        tree: GeodesicTree,
-        corners: Dict[int, Tuple[int, ...]],
-        tops: Dict[int, int],
-        tree_edges: Tuple[TreeEdge, ...],
-        root: int,
-    ) -> None:
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "corners", corners)
-        object.__setattr__(self, "tops", tops)
-        object.__setattr__(self, "tree_edges", tree_edges)
-        object.__setattr__(self, "root", root)
 
     def verify(self, g: WeightedGraph) -> None:
         """Check the tree, the vertical paths and the decomposition; raises

@@ -46,7 +46,6 @@ from .partition import (
     Coloring,
     ColorResult,
     ContractViolation,
-    VerificationReport,
     check_weak_diameter,
 )
 from .patching import (
@@ -301,12 +300,6 @@ class AdhesionConstruction(Record):
 
     __slots__ = ("td", "eta", "theta", "piece_bound")
 
-    def __init__(self, td: RootedTreeDecomposition, eta: int, theta: int, piece_bound: Fraction) -> None:
-        object.__setattr__(self, "td", td)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "piece_bound", piece_bound)
-
     def validate(self, g: WeightedGraph, full: bool = True) -> None:
         """Structural checks, linear in the tree; full validation also
         re-checks the decomposition axioms against g.  The adhesion
@@ -341,14 +334,17 @@ class AdhesionConstruction(Record):
             raise ContractViolation("root bag must be nonempty when eta >= 1")
 
     def _check_edge(self, e: TreeEdge) -> None:
+        """Check one edge read off the tree itself, so its adhesion is read
+        off the bags with no edge check; a far part's bags map its fresh
+        root to the adhesion it was cut at."""
         td = self.td
-        x_e = td.adhesion_of(e)
+        p, ch = e
+        x_e = td.bags[p] & td.bags[ch]
         if len(x_e) > self.theta:
             raise ContractViolation(
                 "adhesion of %s has %d > theta=%d vertices" % (e, len(x_e), self.theta)
             )
         if len(x_e) > self.eta:
-            p, ch = e
             new_limit = self.theta * self.theta
             if td.children[ch]:
                 raise ContractViolation(
@@ -411,20 +407,6 @@ def treewidth_color_bound(width: int, ell: object) -> Fraction:
 
 class TwColorResult(ColorResult):
     __slots__ = ("td", "width", "theta")
-
-    def __init__(
-        self,
-        coloring: Coloring,
-        bound: Fraction,
-        report: VerificationReport,
-        td: RootedTreeDecomposition,
-        width: int,
-        theta: int,
-    ) -> None:
-        ColorResult.__init__(self, coloring, bound, report)
-        object.__setattr__(self, "td", td)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "theta", theta)
 
 
 #: The adhesion engine condenses with no deleted set: mu = 0, one object for every level.

@@ -1,12 +1,12 @@
-"""The package's records: plain `__slots__` classes with one hand-written
-`__init__` each, read-only fields, and equality, hashing and repr by
-field; and a package import that loads neither `dataclasses` nor
-`inspect`."""
+"""The package's records: plain `__slots__` classes built by one
+constructor on `graph.Record` from their fields (only a record that checks
+or derives its fields has an `__init__` of its own), with read-only
+fields and equality, hashing and repr by field; and a package import that
+loads neither `dataclasses` nor `inspect`."""
 
 from __future__ import annotations
 
 import copy
-import inspect
 import os
 import pickle
 import subprocess
@@ -17,6 +17,7 @@ import pytest
 
 import wdcolor
 import wdcolor.cli  # noqa: F401  (imports every module that defines a record)
+from wdcolor.generators import GeneratorSpec, Instance
 from wdcolor.graph import Record, WeightedGraph
 from wdcolor.partition import Coloring, ColorResult
 from wdcolor.patching import CenterCertificate
@@ -33,12 +34,12 @@ def _record_classes():
     return sorted((c for c in found if c.__module__.startswith("wdcolor.")), key=lambda c: c.__qualname__)
 
 
-def _fields(cls):
-    return [name for c in reversed(cls.__mro__) for name in vars(c).get("__slots__", ())]
+def _slots(cls):
+    return tuple(name for c in reversed(cls.__mro__) for name in vars(c).get("__slots__", ()))
 
 
-#: Constructor arguments for the records whose __init__ reads its arguments;
-#: every other record is built from one placeholder per parameter.
+#: Constructor arguments for the records with an __init__ of their own;
+#: every other record is built from one placeholder per field.
 _ARGS = {
     Coloring: ({0: 1, 1: 2}, 2),
     wdcolor.twcolor._Ctx: (Fraction(1), 1, Fraction(3), False),
@@ -49,8 +50,7 @@ _ARGS = {
 def _build(cls):
     if cls in _ARGS:
         return cls(*_ARGS[cls]), {}
-    names = list(inspect.signature(cls.__init__).parameters)[1:]
-    given = {name: ("placeholder", name) for name in names}
+    given = {name: ("placeholder", name) for name in cls._fields}
     return cls(**given), given
 
 
@@ -63,7 +63,8 @@ def test_a_record_has_slots_and_read_only_fields(cls):
     assert "__slots__" in vars(cls)
     obj, given = _build(cls)
     assert not hasattr(obj, "__dict__")
-    fields = _fields(cls)
+    fields = _slots(cls)
+    assert cls._fields == fields
     for name in fields:
         before = getattr(obj, name)
         if name in given:
@@ -76,6 +77,47 @@ def test_a_record_has_slots_and_read_only_fields(cls):
     with pytest.raises(AttributeError):
         obj.not_a_field = 1
     assert set(given) <= set(fields)
+
+
+def test_only_records_that_check_or_derive_their_fields_have_an_init():
+    own = sorted(c.__qualname__ for c in _record_classes() if "__init__" in vars(c))
+    assert own == ["Coloring", "_Ctx", "_EngineCtx"]
+
+
+def test_a_record_is_built_by_position_then_keyword():
+    a, b, c = frozenset({1}), frozenset({2}), frozenset({3})
+    built = GuardTriple(a, b, both=c)
+    assert (built.free, built.removed, built.both) == (a, b, c)
+    assert built == GuardTriple(a, b, c) == GuardTriple(both=c, free=a, removed=b)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((frozenset(), frozenset()), {}, "GuardTriple missing field 'both'"),
+        ((), {"free": frozenset(), "removed": frozenset()}, "GuardTriple missing field 'both'"),
+        ((frozenset(),) * 3, {"extra": 1}, "GuardTriple has no field 'extra'"),
+        ((frozenset(),) * 3, {"free": frozenset()}, "GuardTriple got field 'free' by position and by keyword"),
+        ((frozenset(),) * 4, {}, r"GuardTriple takes 3 fields \(free, removed, both\), got 4 positional arguments"),
+    ],
+    ids=["missing", "missing-by-keyword", "unknown-keyword", "twice", "surplus"],
+)
+def test_a_record_refuses_a_missing_unknown_or_surplus_field(args, kwargs, message):
+    with pytest.raises(TypeError, match="^%s$" % message):
+        GuardTriple(*args, **kwargs)
+
+
+def test_a_record_with_defaults_takes_them():
+    assert GeneratorSpec("path") == GeneratorSpec("path", 0, 0, 0, 2, 0, 1, 1, 1)
+    spec = GeneratorSpec("grid", rows=3, cols=4)
+    assert (spec.rows, spec.cols, spec.n, spec.k, spec.weight_den) == (3, 4, 0, 2, 1)
+    g = WeightedGraph(range(2), [(0, 1, 1)])
+    inst = Instance("path", g)
+    assert inst.graph is g and (inst.td, inst.rotation, inst.layering, inst.tripods) == (None,) * 4
+    assert Instance("path", g, rotation={}).rotation == {}
+    with pytest.raises(TypeError, match="^Instance missing field 'graph'$"):
+        Instance("path")
+    assert CenterCertificate((1,), Fraction(1), (0, 2), 1).graph is None
 
 
 def test_records_compare_hash_and_print_by_their_fields():
