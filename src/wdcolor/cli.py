@@ -27,7 +27,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import (
     GraphError,
@@ -81,8 +81,88 @@ class CliError(Exception):
         self.code = code
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def indented_json(obj: object) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
+
+    That call runs json's pure-Python encoder, one generator step per
+    value.  Here the C encoder does the encoding, a few calls per nesting
+    level (`_indented_level`): each dict or list whose values are all
+    scalars (a colouring's assignment, a bag, a rotation order) is encoded
+    with the newline and indent of its level as the item separator, all
+    such containers of one level in one call, and so are the level's bare
+    scalars and each new tuple of sorted keys.  A call's text is cut back
+    into its items at its separators: the separator holds a raw newline,
+    which the encoder never writes inside a string, and a scalar's text
+    never ends in a bracket or brace.  A dict with a key that is no string
+    goes to json.dumps whole, re-indented to its level."""
+    return _indented_level([obj], "\n", {})[0]
+
+
+def _indented_level(objs: List[object], nl: str, memo: Dict[object, object]) -> List[str]:
+    """The indented texts of objs, each written at the level whose line
+    break is `nl`.  `memo` holds one C encoder per item separator and the
+    key texts per key tuple, each made on first use."""
+    inner = nl + "  "
+    sep = "," + inner
+    encode = memo.get(sep)
+    if encode is None:
+        encode = memo[sep] = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
+    texts: List[str] = [""] * len(objs)
+    leaves: List[int] = []
+    flat: Dict[str, List[int]] = {"[]": [], "{}": []}
+    deep: List[Tuple[int, Optional[List[str]], int]] = []
+    pool: List[object] = []
+    for i, x in enumerate(objs):
+        if isinstance(x, dict):
+            brackets, values = "{}", x.values()
+        elif isinstance(x, (list, tuple)):
+            brackets, values = "[]", x
+        else:
+            leaves.append(i)
+            continue
+        if not x:
+            texts[i] = brackets
+        elif set(map(type, values)) <= _SCALAR_TYPES:
+            flat[brackets].append(i)
+        elif brackets == "[]":
+            pool.extend(x)
+            deep.append((i, None, len(pool)))
+        elif set(map(type, x)) != {str}:
+            texts[i] = json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
+        else:
+            keys = tuple(sorted(x))
+            key_texts = memo.get(keys)
+            if key_texts is None:
+                key_texts = memo[keys] = json.dumps(keys, separators=("\n", ":"))[1:-1].split("\n")
+            pool.extend([x[k] for k in keys])
+            deep.append((i, key_texts, len(pool)))
+    if leaves:
+        leaf_texts = json.dumps([objs[i] for i in leaves], separators=("\n", ":"))[1:-1].split("\n")
+        for i, text in zip(leaves, leaf_texts):
+            texts[i] = text
+    for brackets, idx in flat.items():
+        if idx:
+            cut = brackets[1] + sep + brackets[0]
+            for i, body in zip(idx, encode([objs[i] for i in idx])[2:-2].split(cut)):
+                texts[i] = brackets[0] + inner + body + nl + brackets[1]
+    if pool:
+        pool_texts = _indented_level(pool, inner, memo)
+        start = 0
+        for i, key_texts, stop in deep:
+            items = pool_texts[start:stop]
+            if key_texts is None:
+                texts[i] = "[" + inner + sep.join(items) + nl + "]"
+            else:
+                texts[i] = "{" + inner + sep.join([k + ": " + v for k, v in zip(key_texts, items)]) + nl + "}"
+            start = stop
+    return texts
+
+
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = indented_json(payload) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -204,14 +284,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
     save(prefix + ".txt", write_edge_list(inst.graph))
     if inst.td is not None:
-        save(prefix + ".td.json", json.dumps(inst.td.to_json_dict(), sort_keys=True, indent=2) + "\n")
+        save(prefix + ".td.json", indented_json(inst.td.to_json_dict()) + "\n")
     if inst.rotation is not None:
-        save(prefix + ".rotation.json", json.dumps(rotation_to_json(inst.rotation), sort_keys=True, indent=2) + "\n")
+        save(prefix + ".rotation.json", indented_json(rotation_to_json(inst.rotation)) + "\n")
     if inst.layering is not None:
-        save(prefix + ".layers.json", json.dumps(layering_to_json(inst.layering), sort_keys=True, indent=2) + "\n")
+        save(prefix + ".layers.json", indented_json(layering_to_json(inst.layering)) + "\n")
     if inst.tripods is not None:
         inst.tripods.verify(inst.graph)
-        save(prefix + ".tripods.json", json.dumps(tripods_to_json(inst.tripods), sort_keys=True, indent=2) + "\n")
+        save(prefix + ".tripods.json", indented_json(tripods_to_json(inst.tripods)) + "\n")
     _emit(
         {
             "schema": SCHEMA,

@@ -6,11 +6,37 @@ with their row layering, a planar rotation system, a path decomposition
 into pairs of adjacent columns and, with unit weights, a tripod certificate
 in corner form; k-trees come with the width-k tree decomposition they grew
 along; triangulations come with their rotation system.
+
+Each certificate is built in the pass that grows its instance: a path's and
+a grid's decomposition from the node each bag follows, a k-tree's from the
+owner of the clique each vertex is hung on (`RootedTreeDecomposition._grown`,
+which checks only that each parent is made before its child under one
+root; `validate_td` then checks the axioms), a grid's tripod certificate
+from one Fraction per root distance.  Weights come from a few shared
+objects, one per drawn multiple of 1/den, and every later step (the
+graph's check, the grid's unit test, the edge list's and the certificate's
+text) handles each distinct object once.
+
+Costs, for n vertices and m edges:
+- path, cycle, r x c grid: one pass over the vertices and edges, O(n + m);
+- k-tree: O(k) edges and k new cliques per vertex, O(k^2 n);
+- series-parallel graph, triangulation: each vertex draws a uniform live
+  item (an edge to subdivide or double, a face to split) and may take it
+  out.  The live items sit in a `_BlockedList`, which finds and takes out
+  the item at an index in O(log n) steps plus a shift of one block of at
+  most 512 items, so the draws cost O(n log n) in all, where a plain
+  list's scan by value or shift cost O(n) each.  A triangulation also
+  inserts each fresh vertex into its three corners' rotations, at the cost
+  of their degrees.
+`generate` pauses the cyclic garbage collector while an instance grows
+(see there).
 """
 
+import gc
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import GraphError, Record, WeightedGraph, as_fraction, cut_frac, frac_str, json_int, json_int_key
 from .treedec import RootedTreeDecomposition, validate_td
@@ -50,10 +76,88 @@ class Instance(Record):
     _defaults = {"td": None, "rotation": None, "layering": None, "tripods": None}
 
 
+class _BlockedList:
+    """A list that grows at its end and takes out items at any index, with
+    the order and indices of a plain list.  The items sit in sealed blocks
+    of BLOCK items, then an open tail; a Fenwick tree over the sealed
+    blocks' sizes finds the block holding index k in O(log n) steps, and
+    taking an item out shifts only its block.  A list of at most BLOCK
+    items is its tail alone, so a small instance draws from one list."""
+
+    BLOCK = 512
+
+    __slots__ = ("blocks", "tree", "sealed", "tail")
+
+    def __init__(self, items: Iterable[tuple]):
+        self.blocks: List[List[tuple]] = []
+        self.tree: List[int] = [0]  # Fenwick tree, 1-based: tree[i] sums the sizes of blocks (i - lowbit(i), i]
+        self.sealed = 0  # items in sealed blocks
+        self.tail: List[tuple] = []
+        for x in items:
+            self.append(x)
+
+    def __len__(self) -> int:
+        return self.sealed + len(self.tail)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return chain(chain.from_iterable(self.blocks), self.tail)
+
+    def append(self, x: tuple) -> None:
+        tail = self.tail
+        tail.append(x)
+        if len(tail) == self.BLOCK:
+            blocks, tree = self.blocks, self.tree
+            blocks.append(tail)
+            i = len(blocks)
+            size, j, stop = len(tail), i - 1, i - (i & -i)
+            while j > stop:
+                size += tree[j]
+                j -= j & -j
+            tree.append(size)
+            self.sealed += len(tail)
+            self.tail = []
+
+    def _find(self, k: int) -> Tuple[int, int]:
+        """(block, offset) of sealed index k < self.sealed: the Fenwick
+        descent to the last block whose prefix size is at most k."""
+        tree = self.tree
+        n = len(tree) - 1
+        pos, step = 0, 1 << (n.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= n and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            step >>= 1
+        return pos, k
+
+    def __getitem__(self, k: int) -> tuple:
+        if k >= self.sealed:
+            return self.tail[k - self.sealed]
+        b, i = self._find(k)
+        return self.blocks[b][i]
+
+    def pop(self, k: int) -> tuple:
+        if k >= self.sealed:
+            return self.tail.pop(k - self.sealed)
+        b, i = self._find(k)
+        x = self.blocks[b].pop(i)
+        self.sealed -= 1
+        tree = self.tree
+        n = len(tree) - 1
+        j = b + 1
+        while j <= n:
+            tree[j] -= 1
+            j += j & -j
+        return x
+
+
 def _draw_weights(rng: random.Random, lo: Fraction, hi: Fraction, den: int, count: int) -> List[Fraction]:
-    """`count` weights k/den, each k drawn by rng.randint over the
-    multiples of 1/den in [lo, hi].  The range is worked out once, and
-    each k's Fraction is built on its first draw and reused after."""
+    """`count` weights k/den, each k drawn by rng.randrange(kmin, kmax + 1)
+    over the multiples kmin/den .. kmax/den of 1/den in [lo, hi], the call
+    rng.randint(kmin, kmax) makes, so the stream is randint's.  The range
+    is worked out once, and each k's Fraction is built on its first draw
+    and reused after."""
     kmin = -((-lo * den).__floor__())
     kmax = (hi * den).__floor__()
     if count and kmin > kmax:
@@ -62,8 +166,9 @@ def _draw_weights(rng: random.Random, lo: Fraction, hi: Fraction, den: int, coun
         )
     drawn: Dict[int, Fraction] = {}
     out: List[Fraction] = []
+    stop = kmax + 1
     for _ in range(count):
-        k = rng.randint(kmin, kmax)
+        k = rng.randrange(kmin, stop)
         w = drawn.get(k)
         if w is None:
             w = drawn[k] = Fraction(k, den)
@@ -108,8 +213,10 @@ def gen_path(spec: GeneratorSpec) -> Instance:
     layering = tuple((v,) for v in range(n))
     bags = {0: frozenset({0})}
     bags.update({v: frozenset({v - 1, v}) for v in range(1, n)})
+    parent: Dict[int, Optional[int]] = {0: None}
+    parent.update({v: v - 1 for v in range(1, n)})
     g = WeightedGraph(range(n), edges)
-    td = RootedTreeDecomposition(bags, [(v - 1, v) for v in range(1, n)], 0)
+    td = RootedTreeDecomposition._grown(bags, parent)
     validate_td(g, td, "path certificate failed validation")
     return Instance("path", g, td=td, layering=layering)
 
@@ -130,19 +237,17 @@ def _grid_tripods(rows: int, cols: int) -> GeodesicCertificate:
     along row 0, teeth down each column, and one node per pair of adjacent
     columns whose corners are the two column bottoms, so each bag is two
     full column paths with the spine to their left.  The certified root
-    distances i + j hold for unit weights only."""
-    vid = lambda i, j: i * cols + j
+    distances i + j hold for unit weights only; one Fraction is built per
+    distance and shared by every vertex at it."""
     parent: Dict[int, Optional[int]] = {0: None}
-    dist: Dict[int, Fraction] = {}
+    depth = [Fraction(d) for d in range(rows + cols - 1)]
     for j in range(1, cols):
-        parent[vid(0, j)] = vid(0, j - 1)
+        parent[j] = j - 1
     for j in range(cols):
-        for i in range(1, rows):
-            parent[vid(i, j)] = vid(i - 1, j)
-    for i in range(rows):
-        for j in range(cols):
-            dist[vid(i, j)] = Fraction(i + j)
-    bottom = [vid(rows - 1, j) for j in range(cols)]
+        for v in range(j + cols, rows * cols, cols):
+            parent[v] = v - cols
+    dist = {i * cols + j: depth[i + j] for i in range(rows) for j in range(cols)}
+    bottom = [(rows - 1) * cols + j for j in range(cols)]
     if cols == 1:
         corners = {0: (bottom[0],)}
     else:
@@ -153,48 +258,47 @@ def _grid_tripods(rows: int, cols: int) -> GeodesicCertificate:
 
 def _grid_columns(rows: int, cols: int) -> RootedTreeDecomposition:
     """The path decomposition of a grid whose bags are pairs of adjacent
-    columns: valid for any weights, width 2*rows - 1 (rows - 1 for one
-    column)."""
+    columns, each node below the one before: valid for any weights, width
+    2*rows - 1 (rows - 1 for one column)."""
     column = lambda j: [i * cols + j for i in range(rows)]
     if cols == 1:
-        return RootedTreeDecomposition({0: column(0)}, [], 0)
-    bags = {t: column(t) + column(t + 1) for t in range(cols - 1)}
-    return RootedTreeDecomposition(bags, [(t - 1, t) for t in range(1, cols - 1)], 0)
+        return RootedTreeDecomposition._grown({0: frozenset(column(0))}, {0: None})
+    bags = {t: frozenset(column(t) + column(t + 1)) for t in range(cols - 1)}
+    parent: Dict[int, Optional[int]] = {t: t - 1 for t in range(1, cols - 1)}
+    parent[0] = None
+    return RootedTreeDecomposition._grown(bags, parent)
 
 
 def gen_grid(spec: GeneratorSpec) -> Instance:
     rows, cols = spec.rows, spec.cols
     if rows < 1 or cols < 1:
         raise GraphError("grid needs rows >= 1 and cols >= 1")
-    vid = lambda i, j: i * cols + j
     rng = random.Random(spec.seed)
     raw: List[Tuple[int, int]] = []
-    for i in range(rows):
-        for j in range(cols):
-            if j + 1 < cols:
-                raw.append((vid(i, j), vid(i, j + 1)))
-            if i + 1 < rows:
-                raw.append((vid(i, j), vid(i + 1, j)))
-    ws = _weights(spec, rng, len(raw))
-    edges = [(u, v, w) for (u, v), w in zip(raw, ws)]
     rotation: Dict[int, Tuple[int, ...]] = {}
     for i in range(rows):
         for j in range(cols):
+            v = i * cols + j
             order: List[int] = []
             if i > 0:
-                order.append(vid(i - 1, j))
+                order.append(v - cols)
             if j + 1 < cols:
-                order.append(vid(i, j + 1))
+                raw.append((v, v + 1))
+                order.append(v + 1)
             if i + 1 < rows:
-                order.append(vid(i + 1, j))
+                raw.append((v, v + cols))
+                order.append(v + cols)
             if j > 0:
-                order.append(vid(i, j - 1))
-            rotation[vid(i, j)] = tuple(order)
-    layering = tuple(tuple(vid(i, j) for j in range(cols)) for i in range(rows))
+                order.append(v - 1)
+            rotation[v] = tuple(order)
+    ws = _weights(spec, rng, len(raw))
+    edges = [(u, v, w) for (u, v), w in zip(raw, ws)]
+    layering = tuple(tuple(range(i * cols, (i + 1) * cols)) for i in range(rows))
     g = WeightedGraph(range(rows * cols), edges)
     td = _grid_columns(rows, cols)
     validate_td(g, td, "grid column decomposition failed validation")
-    unit = all(w == 1 for w in ws)
+    # the drawn weights share one object per value: compare each object once
+    unit = all(w == 1 for w in {id(w): w for w in ws}.values())
     return Instance(
         "grid", g, td=td, rotation=rotation, layering=layering,
         tripods=_grid_tripods(rows, cols) if unit else None,
@@ -202,30 +306,32 @@ def gen_grid(spec: GeneratorSpec) -> Instance:
 
 
 def gen_ktree(spec: GeneratorSpec) -> Instance:
+    """Random k-tree grown from a (k+1)-clique by hanging each fresh vertex
+    on a uniformly drawn k-clique.  The vertex's bag is the clique and
+    itself, below the bag the clique came from; each clique is kept as a
+    sorted tuple, and the fresh vertex is the largest so far, so the k new
+    cliques it closes are sorted as they are made."""
     n, k = spec.n, spec.k
     if k < 1 or n < k + 1:
         raise GraphError("ktree needs k >= 1 and n >= k + 1")
     rng = random.Random(spec.seed)
-    base = list(range(k + 1))
+    base = tuple(range(k + 1))
     raw: List[Tuple[int, int]] = [(a, b) for ai, a in enumerate(base) for b in base[ai + 1:]]
     bags: Dict[int, frozenset] = {0: frozenset(base)}
-    td_edges: List[Tuple[int, int]] = []
-    cliques: List[Tuple[frozenset, int]] = [
-        (frozenset(base) - {x}, 0) for x in base
+    parent: Dict[int, Optional[int]] = {0: None}
+    cliques: List[Tuple[Tuple[int, ...], int]] = [
+        (base[:i] + base[i + 1:], 0) for i in range(k + 1)
     ]
     for v in range(k + 1, n):
         clique, owner = cliques[rng.randrange(len(cliques))]
-        for u in sorted(clique):
-            raw.append((u, v))
-        node = v
-        bags[node] = clique | {v}
-        td_edges.append((owner, node))
-        for x in sorted(clique):
-            cliques.append(((clique - {x}) | {v}, node))
+        raw.extend([(u, v) for u in clique])
+        bags[v] = frozenset(clique + (v,))
+        parent[v] = owner
+        cliques.extend([(clique[:i] + clique[i + 1:] + (v,), v) for i in range(k)])
     ws = _weights(spec, rng, len(raw))
     edges = [(u, v, w) for (u, v), w in zip(raw, ws)]
     g = WeightedGraph(range(n), edges)
-    td = RootedTreeDecomposition(bags, td_edges, 0)
+    td = RootedTreeDecomposition._grown(bags, parent)
     if td.width != k:
         raise GraphError("ktree construction drifted from width %d" % k)
     validate_td(g, td, "ktree certificate failed validation")
@@ -234,24 +340,19 @@ def gen_ktree(spec: GeneratorSpec) -> Instance:
 
 def gen_series_parallel(spec: GeneratorSpec) -> Instance:
     """Random series-parallel graph grown from one edge by subdividing an
-    edge (series) or doubling it with a fresh 2-path (parallel)."""
+    edge (series) or doubling it with a fresh 2-path (parallel).  Each new
+    pair holds the fresh vertex, so the pairs are distinct and a subdivided
+    edge goes by the index it was drawn at."""
     n = spec.n
     if n < 2:
         raise GraphError("series-parallel needs n >= 2")
     rng = random.Random(spec.seed)
-    pairs: List[Tuple[int, int]] = [(0, 1)]
-    nxt = 2
-    while nxt < n:
-        u, v = pairs[rng.randrange(len(pairs))]
-        w = nxt
-        nxt += 1
-        if rng.random() < 0.5:
-            pairs.remove((u, v))
-            pairs.append((u, w))
-            pairs.append((w, v))
-        else:
-            pairs.append((u, w))
-            pairs.append((w, v))
+    pairs = _BlockedList([(0, 1)])
+    for w in range(2, n):
+        i = rng.randrange(len(pairs))
+        u, v = pairs.pop(i) if rng.random() < 0.5 else pairs[i]
+        pairs.append((u, w))
+        pairs.append((w, v))
     ws = _weights(spec, rng, len(pairs))
     edges = [(u, v, wt) for (u, v), wt in zip(pairs, ws)]
     return Instance("random-series-parallel", WeightedGraph(range(n), edges))
@@ -266,14 +367,16 @@ def gen_triangulation(spec: GeneratorSpec) -> Instance:
         raise GraphError("triangulation needs n >= 3")
     rng = random.Random(spec.seed)
     rotation: Dict[int, List[int]] = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
-    faces: List[Tuple[int, int, int]] = [(0, 1, 2), (0, 2, 1)]
+    faces = _BlockedList([(0, 1, 2), (0, 2, 1)])
     pairs: List[Tuple[int, int]] = [(0, 1), (0, 2), (1, 2)]
     for v in range(3, n):
         a, b, c = faces.pop(rng.randrange(len(faces)))
-        faces.extend([(a, b, v), (b, c, v), (c, a, v)])
+        faces.append((a, b, v))
+        faces.append((b, c, v))
+        faces.append((c, a, v))
         pairs.extend([(a, v), (b, v), (c, v)])
         rotation[v] = [a, c, b]
-        for x, nxt_corner, prev_corner in ((a, b, c), (b, c, a), (c, a, b)):
+        for x, nxt_corner in ((a, b), (b, c), (c, a)):
             order = rotation[x]
             order.insert(order.index(nxt_corner), v)
     ws = _weights(spec, rng, len(pairs))
@@ -286,7 +389,24 @@ def gen_triangulation(spec: GeneratorSpec) -> Instance:
 
 
 def generate(spec: GeneratorSpec, base: Optional[WeightedGraph] = None) -> Instance:
-    """Dispatch a GeneratorSpec; the overlay family needs the base graph."""
+    """Dispatch a GeneratorSpec; the overlay family needs the base graph.
+
+    The cyclic garbage collector is paused while the instance grows and
+    restored after, as it was.  A family makes millions of small tuples,
+    lists and sets that reference no cycle, and the collector would walk
+    the whole growing heap again and again for nothing: at n = 160,000 a
+    triangulation took about twice as long with it running (Python 3.11 on
+    a 2-core VM)."""
+    running = gc.isenabled()
+    gc.disable()
+    try:
+        return _dispatch(spec, base)
+    finally:
+        if running:
+            gc.enable()
+
+
+def _dispatch(spec: GeneratorSpec, base: Optional[WeightedGraph]) -> Instance:
     if spec.family == "path":
         return gen_path(spec)
     if spec.family == "cycle":
@@ -356,12 +476,16 @@ def layering_from_json(data: dict) -> Tuple[Tuple[int, ...], ...]:
 
 def tripods_to_json(cert: GeodesicCertificate) -> dict:
     """The certificate in corner form: the geodesic tree, and per node its
-    corners and top, the node tree's (parent, child) edges and its root."""
+    corners and top, the node tree's (parent, child) edges and its root.
+    Vertices at one distance share its object, so each distance object's
+    text is written once."""
+    shared = {id(d): d for d in cert.tree.dist.values()}
+    texts = {key: frac_str(d) for key, d in shared.items()}
     return {
         "tree": {
             "root": cert.tree.root,
             "parent": {str(v): p for v, p in sorted(cert.tree.parent.items())},
-            "dist": {str(v): frac_str(d) for v, d in sorted(cert.tree.dist.items())},
+            "dist": {str(v): texts[id(d)] for v, d in sorted(cert.tree.dist.items())},
         },
         "nodes": [
             {"id": t, "corners": list(cs), "top": cert.tops[t]} for t, cs in sorted(cert.corners.items())

@@ -303,22 +303,36 @@ class WeightedGraph:
         vertices: Iterable[int] = (),
         edges: Iterable[Tuple[int, int, object]] = (),
     ):
+        """Check and hold the graph.  Edges share a few weight objects (a
+        generator draws one per value, a copy keeps its parent's), so each
+        distinct weight object is coerced and sign-checked once, on the
+        first edge that carries it, and found by its id after; the objects
+        are held for the whole loop, so no id is reused for another value.
+        A bad weight is named on its first edge, as an edge-by-edge check
+        would name it, and an equal weight of another type (a float beside
+        an int) is a distinct object, checked on its own."""
         vset = set()
         for v in vertices:
             if not isinstance(v, int) or v < 0:
                 raise GraphError("vertex ids must be nonnegative integers, got %r" % (v,))
             vset.add(v)
         elist: List[Tuple[int, int, Fraction]] = []
+        checked: Dict[int, Fraction] = {}
+        held: List[object] = []
         for (u, v, w) in edges:
-            wf = as_fraction(w)
-            if wf.numerator <= 0:
-                raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (cut_frac(wf), u, v))
+            wf = checked.get(id(w))
+            if wf is None:
+                wf = as_fraction(w)
+                if wf.numerator <= 0:
+                    raise GraphError("edge weight must be positive, got %s on (%s,%s)" % (cut_frac(wf), u, v))
+                checked[id(w)] = wf
+                held.append(w)
             if u == v:
                 raise GraphError("self-loop at vertex %s" % (u,))
             if u not in vset or v not in vset:
                 raise GraphError("edge (%s,%s) references an unknown vertex" % (u, v))
             elist.append((u, v, wf))
-        self._fill(vset, tuple(elist), _weight_scale(elist))
+        self._fill(vset, tuple(elist), math.lcm(*[wf.denominator for wf in checked.values()]))
 
     def _fill(self, vset: Set[int], edges: Tuple[Tuple[int, int, Fraction], ...], scale: int) -> None:
         """Set every field from validated edges and a multiple of their
@@ -1164,10 +1178,17 @@ def parse_edge_list(text: str) -> WeightedGraph:
 
 
 def write_edge_list(g: WeightedGraph) -> str:
+    """The "u v w" text of g's edges in edge order, then one line per
+    vertex on no edge.  Edges share a few weight objects, so each distinct
+    object's text is made once, found by its id."""
+    texts: Dict[int, str] = {}
     lines: List[str] = []
     touched: Set[int] = set()
     for (u, v, w) in g.edges:
-        lines.append("%d %d %s" % (u, v, frac_str(w)))
+        text = texts.get(id(w))
+        if text is None:
+            text = texts[id(w)] = frac_str(w)
+        lines.append("%d %d %s" % (u, v, text))
         touched.add(u)
         touched.add(v)
     for v in g.vertices:

@@ -29,19 +29,20 @@ So the graph and decomposition may be views of a far part (see
 SubtreeIndex), and a condensation then costs what its region costs.
 
 The constructor searches and checks only trees that come from outside a
-checked tree: a cut to one component of a disconnected graph, tripods, a
-JSON file or a generator.  An elimination tree is built in the pass that
-eliminates (`twcolor._elimination_decomposition`), which checks only that
-each parent is eliminated after its child under one root.  Every other
-tree is derived from one already held, with no search: `rerooted` hangs a
-fresh root on a node or on a subdivided edge, `_rebagged` swaps the bags,
-and a condensation keeps the root side.
+checked tree: a cut to one component of a disconnected graph, tripods or
+a JSON file.  An elimination tree is built in the pass that eliminates
+(`twcolor._elimination_decomposition`), which checks only that each
+parent is eliminated after its child under one root, and a generator's
+tree in the pass that grows it (`RootedTreeDecomposition._grown`), which
+checks only that each parent is made before its child under one root.
+Every other tree is derived from one already held, with no search:
+`rerooted` hangs a fresh root on a node or on a subdivided edge,
+`_rebagged` swaps the bags, and a condensation keeps the root side.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections.abc import Mapping
 from collections.abc import Set as AbstractSet
@@ -147,6 +148,35 @@ class RootedTreeDecomposition:
         td._subtree_cache = {}
         td._holders = None
         return td
+
+    @classmethod
+    def _grown(
+        cls, bags: Dict[int, FrozenSet[int]], parent: Dict[int, Optional[int]]
+    ) -> "RootedTreeDecomposition":
+        """The decomposition a generator grows: `bags` in the order its
+        nodes were made, `parent` each node's parent (None for the root).
+        What RootedTreeDecomposition(bags, parent edges, root) gives, with
+        no adjacency build or search.  Parents made before their children
+        and a single root make the parent links a tree, and that is checked
+        here; the decomposition axioms are validate_td's."""
+        made: Set[int] = set()
+        roots: List[int] = []
+        children: Dict[int, List[int]] = {t: [] for t in bags}
+        for t in bags:
+            p = parent[t]
+            if p is None:
+                roots.append(t)
+            elif p in made:
+                children[p].append(t)
+            else:
+                raise ContractViolation("grown tree: parent %s of %s is not made before it" % (p, t))
+            made.add(t)
+        if len(roots) != 1:
+            raise ContractViolation("grown tree has %d roots" % len(roots))
+        nodes = tuple(sorted(bags))
+        kids = {t: tuple(sorted(cs)) for t, cs in children.items()}
+        edges = tuple((p, c) for p in nodes for c in kids[p])
+        return cls._derived(bags, parent, kids, nodes, edges, roots[0])
 
     def _rebagged(self, bags: Dict[int, FrozenSet[int]]) -> "RootedTreeDecomposition":
         """This tree with other bags, frozensets keyed by node: what

@@ -15,13 +15,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdcolor.cli import main
+from wdcolor.cli import indented_json, main
 
 
 def _main(capsys, argv):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_JSON_VALUES)
+def test_indented_json_matches_json_dumps(obj):
+    """The report writer's bytes are json.dumps(sort_keys=True, indent=2)'s
+    on nested dicts with string keys (escapes and non-ASCII text among
+    them), lists, tuples, scalars and empty containers."""
+    assert indented_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {"a\n\"b": ["\u00e9", "\u2028", "\ud83d\ude00"], "": {}, "z": [[], (), {"k": None}]},
+    {"mixed": {1: "one", 2: [True, False]}, "ints": {3: "x", 1: None, 2: 2.5}},
+    [{"x": 1.5, "y": -0}, (1, [2, (3,)])],
+    "top-level text",
+])
+def test_indented_json_matches_json_dumps_on_fixed_cases(obj):
+    """A few cases a search may not reach: escapes, lone surrogates, dicts
+    with int keys (of scalars, and of a list, sent to json.dumps whole), a
+    bare scalar."""
+    assert indented_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def _write_coloring(path, assignment):

@@ -7,6 +7,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from wdcolor.generators import (
     rotation_to_json,
 )
 from wdcolor.geodesic import bfs_geodesic_tree, layering_projection, tripod_decomposition
-from wdcolor.graph import write_edge_list
+from wdcolor.graph import ContractViolation, GraphError, write_edge_list
 from wdcolor.treedec import RootedTreeDecomposition, validate_td
 
 WEIGHT_LAWS = (
@@ -102,3 +103,88 @@ def test_weighted_files_keep_their_bytes():
     digest = lambda g: hashlib.sha256(write_edge_list(g).encode()).hexdigest()
     assert digest(path.graph) == "251e0645ef81c9d8684477381996e99f75f1fb7e4b66b29d26fffac68d418d46"
     assert digest(overlay.graph) == "dcc030772f5fe4cf7e2194f602d0c0bd23491905f6ffa383929c56d60e3adb3e"
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(family="path", n=1),
+    GeneratorSpec(family="path", n=30, seed=2),
+    GeneratorSpec(family="grid", rows=4, cols=1),
+    GeneratorSpec(family="grid", rows=3, cols=2),
+    GeneratorSpec(family="grid", rows=5, cols=6),
+    GeneratorSpec(family="ktree", n=2, k=1),
+    GeneratorSpec(family="ktree", n=60, k=1, seed=3),
+    GeneratorSpec(family="ktree", n=60, k=2, seed=4),
+    GeneratorSpec(family="ktree", n=60, k=3, seed=5),
+])
+def test_grown_tree_is_the_one_the_constructor_builds(spec):
+    """The tree a generator grows (`RootedTreeDecomposition._grown`) has
+    every field the general constructor gives the same bags, parent edges
+    and root: bags and children in the same order, and the parent map
+    equal (the constructor lists it in search order, the generator in the
+    order it made the nodes)."""
+    td = generate(spec).td
+    ref = RootedTreeDecomposition(td.bags, [(p, c) for c, p in td.parent.items() if p is not None], td.root)
+    assert list(td.bags.items()) == list(ref.bags.items())
+    assert list(td.children.items()) == list(ref.children.items())
+    assert td.parent == ref.parent
+    assert (td.nodes, td.tree_edges, td.root) == (ref.nodes, ref.tree_edges, ref.root)
+
+
+@pytest.mark.parametrize("parent, message", [
+    ({0: None, 1: 2, 2: 1}, "grown tree: parent 2 of 1 is not made before it"),
+    ({0: 0, 1: 0, 2: 1}, "grown tree: parent 0 of 0 is not made before it"),
+    ({0: None, 1: 0, 2: None}, "grown tree has 2 roots"),
+])
+def test_grown_tree_rejects_parents_that_make_no_tree(parent, message):
+    """The one property a grown tree relies on is checked: each parent is
+    made before its child, and exactly one node is a root."""
+    bags = {0: frozenset({0}), 1: frozenset({0, 1}), 2: frozenset({1, 2})}
+    with pytest.raises(ContractViolation, match="^%s$" % message):
+        RootedTreeDecomposition._grown(bags, parent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    block=st.integers(min_value=1, max_value=6),
+    start=st.integers(min_value=0, max_value=8),
+    ops=st.lists(st.tuples(st.sampled_from(("append", "get", "pop")), st.integers(min_value=0, max_value=10**6)),
+                 max_size=120),
+)
+def test_blocked_list_acts_as_a_plain_list(block, start, ops):
+    """Appends, reads and pops by index give a plain list's items in a
+    plain list's order, across many sealed blocks and the open tail."""
+    from wdcolor.generators import _BlockedList
+
+    class Small(_BlockedList):
+        BLOCK = block
+
+    plain = [(i,) for i in range(start)]
+    blocked = Small(plain)
+    for n, (op, x) in enumerate(ops):
+        if op == "append" or not plain:
+            plain.append((start + n,))
+            blocked.append((start + n,))
+        elif op == "get":
+            assert blocked[x % len(plain)] == plain[x % len(plain)]
+        else:
+            assert blocked.pop(x % len(plain)) == plain.pop(x % len(plain))
+        assert len(blocked) == len(plain)
+    assert list(blocked) == plain
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_generate_leaves_the_collector_as_it_found_it(enabled):
+    """generate pauses the cyclic collector while an instance grows and
+    restores it after, on success and on a refused spec alike."""
+    import gc
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        generate(GeneratorSpec(family="grid", rows=3, cols=3))
+        assert gc.isenabled() == enabled
+        with pytest.raises(GraphError):
+            generate(GeneratorSpec(family="cycle", n=2))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -86,6 +86,36 @@ def test_rejects_float_weight():
         WeightedGraph([0, 1], [(0, 1, 0.5)])
 
 
+def test_a_repeated_bad_weight_is_named_on_its_first_edge():
+    """Each weight object is checked once, on the first edge carrying it,
+    and that edge is the one the message names."""
+    bad = Fraction(-1, 2)
+    with pytest.raises(GraphError, match=r"^edge weight must be positive, got -1/2 on \(1,2\)$"):
+        WeightedGraph(range(4), [(0, 1, 1), (1, 2, bad), (2, 3, bad), (3, 0, bad)])
+    zero = 0
+    with pytest.raises(GraphError, match=r"^edge weight must be positive, got 0 on \(2,3\)$"):
+        WeightedGraph(range(4), [(0, 1, 1), (1, 2, 1), (2, 3, zero), (3, 0, zero)])
+
+
+def test_a_float_weight_is_refused_after_an_equal_int_weight():
+    """An equal float is another object, so the int's check does not pass
+    it: 1.0 after 1, and 1e20 after 10**20."""
+    with pytest.raises(TypeError, match="refusing float weight 1.0"):
+        WeightedGraph(range(3), [(0, 1, 1), (1, 2, 1.0)])
+    big = 10 ** 20
+    with pytest.raises(TypeError, match="refusing float weight 1e"):
+        WeightedGraph(range(3), [(0, 1, big), (1, 2, float(big))])
+
+
+def test_fresh_weight_objects_keep_their_values():
+    """A generator of fresh weight texts may hand out an id that a freed
+    text had; the constructor holds every weight object it has checked, so
+    no id stands for two values."""
+    n = 300
+    g = WeightedGraph(range(n), ((v, v + 1, "%d/7" % (v + 1)) for v in range(n - 1)))
+    assert [w for (_, _, w) in g.edges] == [Fraction(v + 1, 7) for v in range(n - 1)]
+
+
 # -- distances --------------------------------------------------------------
 
 
