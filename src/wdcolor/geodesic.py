@@ -50,6 +50,7 @@ from .graph import (
     frac_str,
     neighborhood,
     power_graph,
+    reached,
     require_light_edges,
 )
 from .partition import (
@@ -155,13 +156,19 @@ class ControlConstruction(Record):
 
         Structural checks always run.  `full` adds the metric checks: bag
         coverage by the guards, the two root exclusion balls, and the reach
-        of oversized-anchor edges.  Coverage searches the mu-ball of each
-        distinct guard set once, unless `center_balls` = (centers, ball)
-        comes from a checked center map whose `ball(c)` is the radius mu/2
-        ball of center c.  Then a site's vertex counts as covered when it
-        lies in the ball of a center of the site's node that also holds a
-        guard, since it is within 2 * mu/2 = mu of that guard, and no
-        search runs.  A check made that way can only be stricter.
+        of oversized-anchor edges.  Every one of them asks only whether
+        named vertices lie in a ball, so each search stops at its targets
+        (`reached`) and none reads a whole ball.  Coverage searches the
+        mu-ball of each distinct guard set once, with every vertex a site
+        or an exclusion check asks of that set as targets, unless
+        `center_balls` = (centers, ball) comes from a checked center map
+        whose `ball(c)` is the radius mu/2 ball of center c.  Then a site's
+        vertex counts as covered when it lies in the ball of a center of
+        the site's node that also holds a guard, since it is within
+        2 * mu/2 = mu of that guard, and no search runs.  A check made that
+        way can only be stricter.  The two exclusion balls target the
+        removed adhesion vertices no guard covers, and an oversized-anchor
+        edge's ball the bag at its lower end.
         """
         if self.theta < 1 or not 0 <= self.eta <= self.theta:
             raise GraphError(
@@ -207,57 +214,63 @@ class ControlConstruction(Record):
             return
         require_light_edges(g, self.ell)
         validate_td(g, self.td, "tree decomposition invalid")
+        covers: List[Tuple[object, str, int, FrozenSet[int], FrozenSet[int]]] = []
+        for site, t, bag, tri in self._sites():
+            for kind, need, guards in (
+                ("free", bag - self.removed, tri.free | tri.both),
+                ("removed", bag & self.removed, tri.removed | tri.both),
+            ):
+                if need:
+                    covers.append((site, kind, t, need, guards))
+        unguarded: List[Tuple[TreeEdge, FrozenSet[int], FrozenSet[int]]] = []
+        for e in self.td.tree_edges:
+            cand = self.td.adhesion_of(e) & self.removed
+            if cand:
+                unguarded.append((e, cand, self.edge_triples[e].both))
         if center_balls is None:
-            balls: Dict[FrozenSet[int], Set[int]] = {}
+            asked: Dict[FrozenSet[int], Set[int]] = {}
+            for _, _, _, need, guards in covers:
+                asked.setdefault(guards, set()).update(need)
+            for _, cand, both in unguarded:
+                asked.setdefault(both, set()).update(cand)
+            near = {guards: reached(g, guards, self.mu, need) for guards, need in asked.items()}
 
             def beyond(t: int, need: AbstractSet[int], guards: FrozenSet[int]) -> AbstractSet[int]:
-                ball = balls.get(guards)
-                if ball is None:
-                    ball = balls[guards] = neighborhood(g, guards, self.mu)
-                return need - ball
+                return need - near[guards]
         else:
             centers, ball = center_balls
 
             def beyond(t: int, need: AbstractSet[int], guards: FrozenSet[int]) -> AbstractSet[int]:
                 return need.difference(*[b for b in map(ball, centers[t]) if not b.isdisjoint(guards)])
 
-        for site, t, bag, tri in self._sites():
-            for kind, need, guards in (
-                ("free", bag - self.removed, tri.free | tri.both),
-                ("removed", bag & self.removed, tri.removed | tri.both),
-            ):
-                if not need:
-                    continue
-                if not guards:
-                    raise ContractViolation("site %s: no %s-side guards but the bag needs them" % (site, kind))
-                stray = beyond(t, need, guards)
-                if stray:
-                    raise ContractViolation(
-                        "site %s: %s-side vertices %s beyond radius mu of their guards"
-                        % (site, kind, sorted(stray)[:5])
-                    )
+        for site, kind, t, need, guards in covers:
+            if not guards:
+                raise ContractViolation("site %s: no %s-side guards but the bag needs them" % (site, kind))
+            stray = beyond(t, need, guards)
+            if stray:
+                raise ContractViolation(
+                    "site %s: %s-side vertices %s beyond radius mu of their guards"
+                    % (site, kind, sorted(stray)[:5])
+                )
         exsets: List[Tuple[TreeEdge, AbstractSet[int]]] = []
-        for e in self.td.tree_edges:
-            tri = self.edge_triples[e]
-            cand = self.td.adhesion_of(e) & self.removed
-            if not cand:
-                continue
-            cand = beyond(e[0], cand, tri.both)
-            if cand:
-                exsets.append((e, cand))
+        for e, cand, both in unguarded:
+            rest = beyond(e[0], cand, both)
+            if rest:
+                exsets.append((e, rest))
         if exsets:
             anchor = self.root_triple.anchor
-            ball_zone = neighborhood(g, anchor - self.removed, 3 * self.ell + self.mu)
+            named = set().union(*[cand for _, cand in exsets])
+            near_zone = reached(g, anchor - self.removed, 3 * self.ell + self.mu, named)
             a_eta = control_radii(self.theta, self.mu, self.ell, self.eta)[-1]
-            ball_far = neighborhood(g, vset - (self.removed | anchor), a_eta)
+            near_far = reached(g, vset - (self.removed | anchor), a_eta, named)
             for e, cand in exsets:
-                hit = cand & ball_zone
+                hit = cand & near_zone
                 if hit:
                     raise ContractViolation(
                         "edge %s: unguarded removed vertices %s sit near the root zone"
                         % (e, sorted(hit)[:5])
                     )
-                hit = cand & ball_far
+                hit = cand & near_far
                 if hit:
                     raise ContractViolation(
                         "edge %s: unguarded removed vertices %s sit near unanchored territory"
@@ -267,7 +280,8 @@ class ControlConstruction(Record):
             tri = self.edge_triples[e]
             if len(tri.anchor) <= self.eta:
                 continue
-            stray = self.td.bags[e[1]] - neighborhood(g, self.td.adhesion_of(e), self.ell)
+            end_bag = self.td.bags[e[1]]
+            stray = end_bag - reached(g, self.td.adhesion_of(e), self.ell, end_bag)
             if stray:
                 raise ContractViolation(
                     "edge %s exceeds eta but its end bag strays %s beyond radius ell"
@@ -403,7 +417,7 @@ def _pick_attach(
         if p is None or p != td.root or len(td.children[p]) != 1:
             continue
         x_e = td.adhesion_of((p, t))
-        if x_e and td.bags[p] <= neighborhood(g, x_e, con.ell):
+        if x_e and td.bags[p] <= reached(g, x_e, con.ell, td.bags[p]):
             return t
     raise ContractViolation(
         "no safe attachment node: every candidate is a leaf whose tree edge "
@@ -537,7 +551,15 @@ def _control_rec(
     vertex with no far part left, that lift's result: a check of the same
     coloring of g over V - R at the level bound, made with exact=False.
     Each construction the engine builds (con0, con_star, con1) is checked
-    here once; the top one was checked by its public entry."""
+    here once; the top one was checked by its public entry.
+
+    Three checks here ask only whether named vertices lie in a ball, and
+    their searches stop once those are settled (`reached`): the guard hits
+    of the zone adhesions, one search per distinct adhesion with the
+    anchors of all its edges as targets; the free guards promoted near the
+    patch region rp; and the far branch's guard set wset.  The zone ball
+    `z_ball`, rp and each far part's fringe z_e are read as whole sets,
+    and so are searched whole."""
     if parent_measure is not None:
         con.validate(g, full=ctx.deep)
         _check_centers(g, con.td, centers, con.theta, 3 * con.ell + con.mu, ctx.deep, what)
@@ -597,18 +619,20 @@ def _control_rec(
     t0set, u_edges = ball_region(td, z_ball, what)
     cond = condense(g, td, u_edges, (), lf, theta, a_prev + mu)
     g0, td0 = cond.g0, cond.td0
-    r_zs: Dict[TreeEdge, FrozenSet[int]] = {}
-    zx_balls: Dict[FrozenSet[int], Set[int]] = {}  # edges may share a zone adhesion
-    for e in td0.tree_edges:
-        if e in cond.shortcut_parts:
-            r_zs[e] = frozenset()
-            continue
-        zx = td.adhesion_of(e) & z_ball
+    # edges may share a zone adhesion: one search per distinct one, until
+    # the anchors of all its edges are settled
+    zxs = {e: td.adhesion_of(e) & z_ball for e in td0.tree_edges if e not in cond.shortcut_parts}
+    zx_anchors: Dict[FrozenSet[int], Set[int]] = {}
+    for e, zx in zxs.items():
+        zx_anchors.setdefault(zx, set()).update(con.edge_triples[e].anchor)
+    zx_near: Dict[FrozenSet[int], Set[int]] = {}
+    r_zs: Dict[TreeEdge, FrozenSet[int]] = dict.fromkeys(cond.shortcut_parts, frozenset())
+    for e, zx in zxs.items():
         if not zx:
             raise ContractViolation("%s: zone-internal edge %s misses the zone ball" % (what, e))
-        if zx not in zx_balls:
-            zx_balls[zx] = neighborhood(g, zx, mu)
-        hits = con.edge_triples[e].anchor & zx_balls[zx]
+        if zx not in zx_near:
+            zx_near[zx] = reached(g, zx, mu, zx_anchors[zx])
+        hits = con.edge_triples[e].anchor & zx_near[zx]
         if not hits:
             raise ContractViolation("%s: edge %s has no guard within mu of the zone" % (what, e))
         r_zs[e] = hits
@@ -620,10 +644,12 @@ def _control_rec(
     if not all_rz <= v0:
         raise ContractViolation("%s: zone guards fell outside the condensed graph" % what)
     rp = frozenset((rset & v0) | neighborhood(g0, sorted(all_rz), a_prev + mu))
-    ball_rp_mu = neighborhood(g0, rp, mu)
+    # a free guard within mu of rp is promoted to a shared one
+    free_guards = set(con.root_triple.free).union(*[con.edge_triples[e].free for e in td0.tree_edges])
+    promotable = reached(g0, rp, mu, free_guards)
 
     def derive(tri: GuardTriple, r_z: FrozenSet[int]) -> GuardTriple:
-        promoted = frozenset(v for v in tri.free if v in ball_rp_mu)
+        promoted = frozenset(v for v in tri.free if v in promotable)
         return GuardTriple(tri.free - rp, tri.removed | r_z, (tri.both | promoted) - r_z)
 
     triples0: Dict[TreeEdge, GuardTriple] = {}
@@ -682,7 +708,7 @@ def _control_rec(
             raise ContractViolation("%s: far part %s contains zone anchors" % (what, e))
         x_e = td.adhesion_of(e)
         z_e = frozenset(g._scaled_distances(x_e, radius=3 * lf, within=part))
-        wset = tri.all_guards & neighborhood(g, z_e - rset, 3 * lf + mu)
+        wset = frozenset(reached(g, z_e - rset, 3 * lf + mu, tri.all_guards))
         rstar = frozenset(((part & (rset | root_anchor)) - wset) | (vset - part))
         if rstar & (part - rset):
             raise ContractViolation("%s: far guard set bit into the part itself" % what)
@@ -798,7 +824,7 @@ def color_control_construction(
     unknown = zf - g.vertex_set()
     if unknown:
         raise GraphError("precolored vertices %s are not in the graph" % sorted(unknown)[:5])
-    if not zf <= neighborhood(g, con.root_triple.anchor - con.removed, 3 * lf + con.mu):
+    if not zf <= reached(g, con.root_triple.anchor - con.removed, 3 * lf + con.mu, zf):
         raise GraphError("the precolored set must sit inside the guarded zone ball")
     if precoloring is None:
         precoloring = Coloring.constant(zf, 2, color=2)

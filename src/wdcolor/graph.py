@@ -32,7 +32,9 @@ otherwise, with the same result:
 - exact distances: `WeightedGraph.distances_from`, one Fraction per
   reached vertex, only where a caller reads the values;
 - membership within a radius ("is every vertex of S within r of C?"):
-  `neighborhood`, which returns the reached set and builds no Fraction;
+  `reached` when the check names its vertices, which stops once they are
+  all settled, and `neighborhood` when the caller reads the whole ball;
+  neither builds a Fraction;
 - the diameter of a set: `metric_set_diameter` (`weak_diameter` on top of
   it), a few capped searches and one Fraction at the end.  A caller that
   has proved a bound on every distance in the set, as a weak-diameter
@@ -742,6 +744,20 @@ def neighborhood(g: WeightedGraph, s: Iterable[int], r: object) -> Set[int]:
     """All vertices at distance <= r from the set s (s itself included).
     A negative r raises the search's GraphError."""
     return set(g._scaled_distances(s, radius=r))
+
+
+def reached(g: WeightedGraph, sources: Iterable[int], radius: object, targets: Iterable[int]) -> Set[int]:
+    """The members of `targets` within distance `radius` of the set
+    `sources`: set(targets) & neighborhood(g, sources, radius), from one
+    search that stops once every target is settled.  A check that asks
+    only whether named vertices lie in a ball pays for the part of the
+    ball it reaches before the last of them; a target out of reach, or
+    outside g, lets the search run to the radius, as `neighborhood` does.
+    An empty target set runs no search and checks nothing."""
+    want = set(targets)
+    if not want:
+        return want
+    return want.intersection(g._scaled_distances(sources, radius=radius, targets=want))
 
 
 def set_diameter(

@@ -21,7 +21,7 @@ from wdcolor.graph import (
     Record,
     WeightedGraph,
     as_fraction,
-    neighborhood,
+    reached,
     require_light_edges,
 )
 from wdcolor.partition import (
@@ -108,6 +108,10 @@ class CenterCertificate(Record):
         covered: Iterable[int],
         k: Optional[int] = None,
     ) -> "CenterCertificate":
+        """Check the witness in g and record g: at most k centers, and
+        every covered vertex within `radius` of them.  The coverage search
+        stops once every covered vertex is settled (`reached`), so a
+        covered set that fills the whole ball still pays for all of it."""
         cs = tuple(sorted(set(centers)))
         rf = as_fraction(radius)
         zs = tuple(sorted(set(covered)))
@@ -116,14 +120,12 @@ class CenterCertificate(Record):
             raise ContractViolation(
                 "certificate lists %d centers but claims k=%d" % (len(cs), kk)
             )
-        if zs:
-            reach = neighborhood(g, cs, rf) if cs else set()
-            stray = set(zs) - reach
-            if stray:
-                raise ContractViolation(
-                    "certificate coverage fails: %s beyond distance %s of the centers"
-                    % (sorted(stray)[:5], rf)
-                )
+        stray = set(zs) - (reached(g, cs, rf, zs) if cs else set())
+        if stray:
+            raise ContractViolation(
+                "certificate coverage fails: %s beyond distance %s of the centers"
+                % (sorted(stray)[:5], rf)
+            )
         return CenterCertificate(cs, rf, zs, kk, g)
 
     def require_graph(self, g: WeightedGraph, what: str) -> None:

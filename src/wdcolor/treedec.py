@@ -854,7 +854,12 @@ def condense(
     The condensed graph comes with a validated decomposition td0: the root
     side's bags, plus one leaf per frontier edge, at the edge's child node,
     holding the edge's hierarchy vertices or its fringe reach.  Every leaf
-    keeps the adhesion its edge has in td."""
+    keeps the adhesion its edge has in td.
+
+    A part's fringe reach, the radius-ell ball of X_e inside the part, is
+    read whole.  A shortcut edge joins two fringe vertices u < v, so the
+    search from u stops once the fringe vertices after it are settled, and
+    the last fringe vertex runs none."""
     lf = as_fraction(ell)
     mf = as_fraction(mu)
     if theta < 1 or lf.numerator <= 0 or mf.numerator < 0:
@@ -904,12 +909,15 @@ def condense(
         reach = frozenset(g._scaled_distances(x_e, radius=lf, within=part))
         base |= reach
         fringe = sorted(reach - x_e)
-        fset = set(fringe)
+        later = set(fringe)
         shortcuts: List[Tuple[int, int, Fraction]] = []
         for u in fringe:
-            du = g._search((u,), cap, part, None)
+            later.discard(u)
+            if not later:
+                break
+            du = g._search((u,), cap, part, later)
             for v, s in du.items():
-                if v in fset and v > u:
+                if v in later:
                     shortcuts.append((u, v, per_unit * s))
         shortcuts.sort()
         extra_edges.extend(shortcuts)

@@ -1371,6 +1371,23 @@ def reference_condensed_graph(cond) -> WeightedGraph:
     return WeightedGraph(vertices, list(base_graph.edges) + extra)
 
 
+def reference_condense_shortcuts(cond, e) -> Tuple[FrozenSet[int], Tuple[Tuple[int, int, Fraction], ...]]:
+    """A shortcut part's fringe reach and shortcut edges by full searches:
+    networkx Dijkstra inside the part, from X_e out to ell for the reach,
+    then from each fringe vertex u out to 3*ell + mu, keeping every later
+    fringe vertex it reaches at weight ell * d / (3*ell + mu)."""
+    part = to_networkx(cond.g).subgraph(cond.shortcut_parts[e].part_vertices)
+    x_e = cond.td.adhesion_of(e)
+    reach = frozenset(nx.multi_source_dijkstra_path_length(part, x_e, cutoff=cond.ell, weight="weight"))
+    span = 3 * cond.ell + cond.mu
+    fringe = sorted(reach - x_e)
+    out = []
+    for u in fringe:
+        dist = nx.single_source_dijkstra_path_length(part, u, cutoff=span, weight="weight")
+        out.extend((u, v, cond.ell * dist[v] / span) for v in fringe if v > u and v in dist)
+    return reach, tuple(sorted(out))
+
+
 def reference_condensed_decomposition(cond) -> RootedTreeDecomposition:
     """A condensation's decomposition as condense built it: the root side's
     bags and tree edges, one leaf per frontier edge, through the

@@ -356,19 +356,33 @@ def test_centered_bags_checks_the_center_map_once_at_the_claimed_radius(monkeypa
     assert radii == [Fraction(1, 2)]
 
 
+def _record_searches(monkeypatch, record):
+    """Call record(sources, radius) before each of geodesic's reach
+    searches: `neighborhood`, which reads a whole ball, and `reached`,
+    which searches a ball only until its targets are settled."""
+    import wdcolor.geodesic as geodesic
+
+    search, capped = geodesic.neighborhood, geodesic.reached
+
+    def counted(g, s, r):
+        record(s, r)
+        return search(g, s, r)
+
+    def counted_capped(g, s, r, targets):
+        record(s, r)
+        return capped(g, s, r, targets)
+
+    monkeypatch.setattr(geodesic, "neighborhood", counted)
+    monkeypatch.setattr(geodesic, "reached", counted_capped)
+
+
 def test_center_and_guard_balls_are_searched_once_per_call(monkeypatch):
     # a fan: hub 0 joined to the path 1..7, bags {0, k+1, k+2} in a chain;
     # every bag shares the center 0 and every site the guard set {0}
     import wdcolor.geodesic as geodesic
 
     searches = []
-    search = geodesic.neighborhood
-
-    def counted(g, s, r):
-        searches.append((tuple(sorted(s)), r))
-        return search(g, s, r)
-
-    monkeypatch.setattr(geodesic, "neighborhood", counted)
+    _record_searches(monkeypatch, lambda s, r: searches.append((tuple(sorted(s)), r)))
     n = 8
     g = WeightedGraph(range(n), [(0, i, 1) for i in range(1, n)] + [(i, i + 1, 1) for i in range(1, n - 1)])
     td = RootedTreeDecomposition({k: {0, k + 1, k + 2} for k in range(n - 2)}, [(k, k + 1) for k in range(n - 3)], 0)
@@ -405,11 +419,8 @@ def _two_center_construction(guards):
 
 
 def test_center_ball_cover_accepts_the_witnesses_color_centered_bags_picks(monkeypatch):
-    import wdcolor.geodesic as geodesic
-
     searches = []
-    search = geodesic.neighborhood
-    monkeypatch.setattr(geodesic, "neighborhood", lambda *a: searches.append(a) or search(*a))
+    _record_searches(monkeypatch, lambda s, r: searches.append((s, r)))
     g, con, balls = _two_center_construction({0, 4})
     searches.clear()
     con.validate(g, full=True, center_balls=balls)
@@ -444,11 +455,7 @@ def test_centered_bags_run_no_search_at_the_guard_radius(monkeypatch):
     from wdcolor.graph import as_fraction
 
     searches, inside = [], []
-    search, validate = geodesic.neighborhood, geodesic.ControlConstruction.validate
-
-    def counted(g, s, r):
-        searches.append((bool(inside), as_fraction(r)))
-        return search(g, s, r)
+    validate = geodesic.ControlConstruction.validate
 
     def tracked(self, *args, **kwargs):
         inside.append(self)
@@ -457,7 +464,7 @@ def test_centered_bags_run_no_search_at_the_guard_radius(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(geodesic, "neighborhood", counted)
+    _record_searches(monkeypatch, lambda s, r: searches.append((bool(inside), as_fraction(r))))
     monkeypatch.setattr(geodesic.ControlConstruction, "validate", tracked)
     g, td, centers = path_centered_instance(30)
     assert color_centered_bags(g, 1, td, centers, 1).report.ok

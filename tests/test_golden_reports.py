@@ -22,9 +22,11 @@ def instances(tmp_path_factory):
         "grid12": ["grid", "--rows", "12", "--cols", "12"],
         "grid20": ["grid", "--rows", "20", "--cols", "20"],
         "grid30": ["grid", "--rows", "30", "--cols", "30"],
+        "grid60": ["grid", "--rows", "60", "--cols", "60"],
         "gridw12": ["random-weights-overlay", "--base", str(tmp / "grid12.txt"), "--seed", "1",
                     "--weight-lo", "1/4", "--weight-hi", "1", "--weight-den", "4"],
         "tri200": ["random-planar-triangulation", "--n", "200", "--seed", "1"],
+        "tri2000": ["random-planar-triangulation", "--n", "2000", "--seed", "1"],
         "path480": ["path", "--n", "480"],
         "kt80": ["ktree", "--n", "80", "--k", "3", "--seed", "1"],
         "ktw100": ["ktree", "--n", "100", "--k", "2", "--seed", "1",
@@ -55,16 +57,19 @@ def instances(tmp_path_factory):
 # tree was built in its own pass and a connected input colored on its own tree
 # (the other tw ones), or before the records were built by one constructor (planar
 # grid30, the smallest unit grid whose windows reach the control engine's far
-# branch, and partition sp80).  An empty leaf bag changes nothing: kt80empty's
-# digest is kt80own's.
+# branch, and partition sp80), or before the control engine's reach checks
+# stopped at their targets (planar grid60 and tri2000).  An empty leaf bag
+# changes nothing: kt80empty's digest is kt80own's.
 GOLDEN = {
     ("layered", "grid12", "grid12"): "5562cfac4a1d41c0c4c35e751ab0e3d36bcaed0e2ca0c4bb870b6bf6f5424936",
     ("layered", "grid20", "grid20"): "ba87273c14f547969b1e442a15c3a67c55276b1b389b4d78497086b28f06fc62",
     ("planar", "grid12", "grid12"): "5323b959f1a4889dda07d532b9dc6d231c71455e75e30aa4f0f4125463a982c4",
     ("planar", "grid20", "grid20"): "53d9cf18f8ab2823c8d0238e07c62bc88f7deb9396373ecc775c9b20a6999640",
     ("planar", "grid30", "grid30"): "645e8a259fae72305a9d21ee272100a62a0f5e92b5f8213e4257678a45896a90",
+    ("planar", "grid60", "grid60"): "1cfc5a2f44ef9bd1da64b5d810510c33c8138ce633ef2a50dd9227c9aaaaa1e4",
     ("planar", "gridw12", "grid12"): "2b0978c5c4ec6de69f46de5238db3f47f3bf07859fc8820c185c7de1e2d397f3",
     ("planar", "tri200", "tri200"): "e2a33f3dda7d88641518348e1806aaa2abf6ec0acd5f0d0afc70342a7712a90f",
+    ("planar", "tri2000", "tri2000"): "84c859a0c989a8bacaddc801dbe35b022a78097148c2cb4ce0c8910f20b01b88",
     ("tw", "kt80", None): "76a18ee3251436f142f40a1b24e0a4cd92e70247e365796d2db4988a0af221ae",
     ("tw", "path480", None): "823bdc47073e6610bb16a18c418f1b2e2d3c248352292490a6078b6d9cfa4f81",
     ("tw", "ktw100", None): "8dc8894f44e5492a176085eec4db86b0c20bb2daf35cae5450caffbb35e96bb5",

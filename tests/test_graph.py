@@ -29,6 +29,7 @@ from wdcolor.graph import (
     power_graph,
     power_graph_new_ids,
     power_graph_vertex_count,
+    reached,
     set_diameter,
     subdivision_graph,
     weak_diameter,
@@ -338,6 +339,41 @@ def test_neighborhood_monotone(g, r1, r2):
     big = neighborhood(g, s, hi)
     assert small <= big
     assert neighborhood(g, small, hi) >= small
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from(["unit", "mixed"]),
+    st.booleans(),
+    st.data(),
+)
+def test_reached_is_the_targets_inside_the_ball(n, law, on_view, data):
+    """reached(g, S, r, T) == set(T) & neighborhood(g, S, r), though its
+    search stops at T: on graphs of one weight (a level search), of mixed
+    weights (a heap search) and on views of either, with targets out of
+    reach, outside the graph or among the sources, radius 0, and no
+    targets."""
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16))
+    weight = st.just(Fraction(2, 3)) if law == "unit" else rationals(max_num=6, max_den=3)
+    g = WeightedGraph(range(n), [(u, v, data.draw(weight)) for (u, v) in pairs if u != v])
+    if on_view:
+        keep = data.draw(st.frozensets(st.integers(0, n - 1)))
+        inside = [(w * g._scale).numerator for (u, v, w) in g.edges if u in keep and v in keep]
+        g = SubgraphView(g, keep, (min(inside), max(inside)) if inside else None, max(keep, default=-1))
+    assert (g._step is not None) or law == "mixed"
+    sources = data.draw(st.lists(st.sampled_from(sorted(g.vertex_set())), max_size=3)) if len(g) else []
+    radius = data.draw(st.sampled_from([0, Fraction(2, 3), 1, Fraction(5, 2), 4]))
+    targets = data.draw(st.lists(st.integers(-1, n + 1) | st.sampled_from(sources or [0]), max_size=6))
+    assert reached(g, sources, radius, targets) == set(targets) & neighborhood(g, sources, radius)
+
+
+def test_reached_runs_no_search_for_no_targets():
+    """An empty target set answers at once: not even its sources or its
+    radius are checked."""
+    g = path_graph([1, 1])
+    assert reached(g, [7], -1, []) == set()
+    assert reached(g, [0], 1, [2, 1, 5]) == {1}
 
 
 # -- weak diameter ----------------------------------------------------------

@@ -830,6 +830,50 @@ def _graph_fields(g):
     return (g.vertices, g.edges, g._scale, g._sadj, g._wrange, g._step)
 
 
+def _assert_shortcuts_are_full_search_ones(cond):
+    for e in cond.shortcut_parts:
+        att = cond.shortcut_parts[e]
+        assert (att.reach, att.shortcuts) == oracles.reference_condense_shortcuts(cond, e), e
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_shortcut_edges_are_those_of_full_searches_on_series_parallel_graphs(seed, weighted):
+    """Each shortcut search stops once the later fringe vertices are
+    settled; the reach and shortcut edges of every part equal those of a
+    full search from each fringe vertex, on random series-parallel graphs
+    of unit weight (searched by levels) and of mixed weights (by a heap),
+    under their min-fill decompositions."""
+    from wdcolor.generators import GeneratorSpec, generate
+    from wdcolor.twcolor import compute_tree_decomposition
+
+    rng = random.Random(seed)
+    law = {"weight_lo": Fraction(1, 4), "weight_hi": 1, "weight_den": 4} if weighted else {}
+    g = generate(GeneratorSpec(family="random-series-parallel", n=rng.randint(3, 40), seed=seed, **law)).graph
+    td = compute_tree_decomposition(g)
+    frontier, _ = _random_frontier(rng, td, 0.0)
+    ell = rng.choice([1, Fraction(3, 2), 2])
+    cond = condense(g, td, frontier, (), ell, 1, Fraction(rng.randint(0, 4), 2))
+    _assert_shortcuts_are_full_search_ones(cond)
+
+
+def test_shortcut_edges_on_grid_windows_are_those_of_full_searches(monkeypatch):
+    """The same on every condensation `color_planar` makes in the window
+    pieces of the unit 30x30 and 40x40 grids."""
+    import wdcolor.geodesic as geodesic
+    from wdcolor.generators import GeneratorSpec, generate
+
+    conds = []
+    original = geodesic.condense
+    monkeypatch.setattr(geodesic, "condense", lambda *a: conds.append(original(*a)) or conds[-1])
+    for n in (30, 40):
+        grid = generate(GeneratorSpec(family="grid", rows=n, cols=n))
+        assert geodesic.color_planar(grid.graph, 1, grid.rotation).report.ok
+    assert sum(len(att.shortcuts) for c in conds for att in c.shortcut_parts.values()) > 0
+    for cond in conds:
+        _assert_shortcuts_are_full_search_ones(cond)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.booleans())
 def test_condensed_graph_is_the_one_the_constructor_built(seed, on_view):
