@@ -256,6 +256,9 @@ def _report_payload(args: argparse.Namespace, pipeline: str, extra: dict) -> dic
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    prefix = args.out
+    if not prefix:
+        raise CliError("invalid-input", "gen needs --out PREFIX")
     spec = GeneratorSpec(
         family=args.family,
         n=args.n,
@@ -272,9 +275,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         inst = generate(spec, base=base)
     except GraphError as exc:
         raise CliError("invalid-input", str(exc))
-    prefix = args.out
-    if not prefix:
-        raise CliError("invalid-input", "gen needs --out PREFIX")
     written: List[str] = []
 
     def save(path: str, text: str) -> None:

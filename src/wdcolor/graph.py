@@ -708,15 +708,6 @@ class SubgraphView(WeightedGraph):
         scale, vset = self._scale, self._vset
         return [(n, Fraction(s, scale)) for (n, s) in self._sadj[v] if n in vset]
 
-    def induced(self, keep: Iterable[int]) -> WeightedGraph:
-        ks = set(keep)
-        unknown = ks - self._vset
-        if unknown:
-            raise GraphError("induced() got unknown vertices %s" % sorted(unknown))
-        sub = WeightedGraph.__new__(WeightedGraph)
-        sub._fill(ks, self._edges_within(ks), self._scale)
-        return sub
-
     def _edges_within(self, keep: AbstractSet) -> Tuple[Tuple[int, int, Fraction], ...]:
         """The base's edges inside `keep`, a subset of S, off the base's
         index."""

@@ -28,16 +28,21 @@ the tree region above the frontier or within a bounded radius below it.
 So the graph and decomposition may be views of a far part (see
 SubtreeIndex), and a condensation then costs what its region costs.
 
-The constructor searches and checks only trees that come from outside a
-checked tree: a cut to one component of a disconnected graph, tripods or
-a JSON file.  An elimination tree is built in the pass that eliminates
-(`twcolor._elimination_decomposition`), which checks only that each
-parent is eliminated after its child under one root, and a generator's
-tree in the pass that grows it (`RootedTreeDecomposition._grown`), which
-checks only that each parent is made before its child under one root.
-Every other tree is derived from one already held, with no search:
-`rerooted` hangs a fresh root on a node or on a subdivided edge,
-`_rebagged` swaps the bags, and a condensation keeps the root side.
+Only this module computes a tree's fields, each through one builder:
+- the constructor searches and checks the trees that come from outside a
+  checked tree: a JSON file, a window's tripods and the empty graph;
+- `RootedTreeDecomposition._grown` builds a tree that a pass makes parents
+  first (a generator's, or an elimination tree read in reverse elimination
+  order), and checks only that each parent is made before its child under
+  one root;
+- `RootedTreeDecomposition._restricted` cuts a checked tree down to a
+  subtree with new bags (one component's cut, and a condensation's root
+  side with its leaves), and checks only that one kept node has its parent
+  cut;
+- `rerooted` hangs a fresh root on a node or on a subdivided edge, and
+  `_rebagged` swaps the bags, both with no check.
+Both checked builders then read children and tree edges off the parent
+links in one place (`_from_parents`).
 """
 
 from __future__ import annotations
@@ -150,33 +155,62 @@ class RootedTreeDecomposition:
         return td
 
     @classmethod
+    def _from_parents(
+        cls, bags: Dict[int, FrozenSet[int]], parent: Dict[int, Optional[int]], root: int
+    ) -> "RootedTreeDecomposition":
+        """The decomposition over `bags` whose parent links, `parent` (None
+        at `root`), are already checked to make a tree: children and tree
+        edges are read off the links in node order, with no search."""
+        nodes = tuple(sorted(bags))
+        children: Dict[int, List[int]] = {t: [] for t in bags}
+        for t in nodes:
+            p = parent[t]
+            if p is not None:
+                children[p].append(t)
+        kids = {t: tuple(cs) for t, cs in children.items()}
+        edges = tuple((p, c) for p in nodes for c in kids[p])
+        return cls._derived(bags, parent, kids, nodes, edges, root)
+
+    @classmethod
     def _grown(
         cls, bags: Dict[int, FrozenSet[int]], parent: Dict[int, Optional[int]]
     ) -> "RootedTreeDecomposition":
-        """The decomposition a generator grows: `bags` in the order its
-        nodes were made, `parent` each node's parent (None for the root).
+        """The decomposition a pass makes parents first: `bags` in the
+        order its nodes were made, `parent` each node's parent (None for the
+        root).  A generator grows its tree in that order, and an
+        elimination tree comes parents first in reverse elimination order.
         What RootedTreeDecomposition(bags, parent edges, root) gives, with
-        no adjacency build or search.  Parents made before their children
-        and a single root make the parent links a tree, and that is checked
+        no adjacency build or search.  Parents made before their children and
+        a single root make the parent links a tree, and that is checked
         here; the decomposition axioms are validate_td's."""
         made: Set[int] = set()
         roots: List[int] = []
-        children: Dict[int, List[int]] = {t: [] for t in bags}
         for t in bags:
             p = parent[t]
             if p is None:
                 roots.append(t)
-            elif p in made:
-                children[p].append(t)
-            else:
+            elif p not in made:
                 raise ContractViolation("grown tree: parent %s of %s is not made before it" % (p, t))
             made.add(t)
         if len(roots) != 1:
             raise ContractViolation("grown tree has %d roots" % len(roots))
-        nodes = tuple(sorted(bags))
-        kids = {t: tuple(sorted(cs)) for t, cs in children.items()}
-        edges = tuple((p, c) for p in nodes for c in kids[p])
-        return cls._derived(bags, parent, kids, nodes, edges, roots[0])
+        return cls._from_parents(bags, parent, roots[0])
+
+    def _restricted(self, bags: Dict[int, FrozenSet[int]], what: str) -> "RootedTreeDecomposition":
+        """This tree cut down to the nodes keyed in `bags`, with those bags:
+        what RootedTreeDecomposition(bags, the tree edges between them, the
+        one node whose parent is cut) gives, read off this tree's parent
+        links with no search.  The nodes span a subtree exactly when one of
+        them has its parent cut, and that is checked here: otherwise
+        ContractViolation "<what> do not span a subtree".  On a view the
+        cut is a plain decomposition."""
+        parent = self.parent
+        kept = {t: parent[t] for t in bags}
+        tops = [t for t, p in kept.items() if p not in bags]
+        if len(tops) != 1:
+            raise ContractViolation("%s do not span a subtree" % what)
+        kept[tops[0]] = None
+        return RootedTreeDecomposition._from_parents(bags, kept, tops[0])
 
     def _rebagged(self, bags: Dict[int, FrozenSet[int]]) -> "RootedTreeDecomposition":
         """This tree with other bags, frozensets keyed by node: what
@@ -374,52 +408,29 @@ def ball_region(
     return nodes, frontier
 
 
-def component_decomposition(
-    td: RootedTreeDecomposition, comp: Iterable[int], what: str
-) -> RootedTreeDecomposition:
-    """The nodes whose bags meet one connected component, with their bags
-    cut down to it, rooted at the topmost of them."""
-    return next(component_decompositions(td, [comp], what))
-
-
 def component_decompositions(
     td: RootedTreeDecomposition, comps: Sequence[Iterable[int]], what: str
 ) -> Iterator[RootedTreeDecomposition]:
-    """component_decomposition of each of the disjoint vertex sets `comps`,
-    in order, from one pass over td: each node is filed under the
+    """For each of the disjoint vertex sets `comps`, in order, the nodes
+    whose bags meet it, with their bags cut down to it, rooted at the
+    topmost of them, from one pass over td: each node is filed under the
     components its bag meets, with its bag cut down to each, as it is
-    read.  Each decomposition is built, and checked to span a subtree,
-    when it is asked for; the iterator then lets go of what it filed for
-    that component, so a caller coloring one component at a time holds no
-    second copy of it."""
+    read.  Each decomposition is cut from td's tree (`_restricted`), and
+    checked to span a subtree, when it is asked for; the iterator then
+    lets go of what it filed for that component, so a caller coloring one
+    component at a time holds no second copy of it."""
     sets = [frozenset(comp) for comp in comps]
     comp_of = {v: i for i, cs in enumerate(sets) for v in cs}
-    keep: List[Set[int]] = [set() for _ in sets]
     cut: List[Dict[int, FrozenSet[int]]] = [{} for _ in sets]
     bags = td.bags
     for t in td.nodes:
         bag = bags[t]
         for i in {comp_of[v] for v in bag if v in comp_of}:
-            keep[i].add(t)
             cut[i][t] = bag & sets[i]
     del sets, comp_of
-    keep.reverse()
     cut.reverse()
-    while keep:
-        yield _cut_decomposition(td, keep.pop(), cut.pop(), what)
-
-
-def _cut_decomposition(
-    td: RootedTreeDecomposition, kept: Set[int], bags: Dict[int, FrozenSet[int]], what: str
-) -> RootedTreeDecomposition:
-    """The nodes `kept` of td with their cut `bags`, rooted at the one of
-    them whose parent is not kept."""
-    parent = td.parent
-    tops = [t for t in kept if parent[t] not in kept]
-    if len(tops) != 1:
-        raise ContractViolation("%s: component bags do not span a subtree" % what)
-    edges = sorted((parent[t], t) for t in kept if parent[t] in kept)
-    return RootedTreeDecomposition({t: bags[t] for t in kept}, edges, tops[0])
+    while cut:
+        yield td._restricted(cut.pop(), what + ": component bags")
 
 
 class SubtreeIndex:
@@ -851,10 +862,11 @@ def condense(
     constructor checks an edge.  g0's fields are those the constructor
     gives WeightedGraph(V(G0), base edges + new edges).
 
-    The condensed graph comes with a validated decomposition td0: the root
-    side's bags, plus one leaf per frontier edge, at the edge's child node,
-    holding the edge's hierarchy vertices or its fringe reach.  Every leaf
-    keeps the adhesion its edge has in td.
+    The condensed graph comes with a validated decomposition td0, cut from
+    td's tree (`_restricted`): the root side's bags, plus one leaf per
+    frontier edge, at the edge's child node, holding the edge's hierarchy
+    vertices or its fringe reach.  Every leaf keeps the adhesion its edge
+    has in td.
 
     A part's fringe reach, the radius-ell ball of X_e inside the part, is
     read whole.  A shortcut edge joins two fringe vertices u < v, so the
@@ -936,42 +948,19 @@ def condense(
     g0 = g._induced_plus(base, vertices, extra_edges)
     if not g0._no_heavier_than(lf):
         raise ContractViolation("condensed graph carries weight %s > ell" % (g0.max_edge_weight(),))
-    td0 = _condensed_decomposition(td, t0_nodes, frontier, hierarchies, shortcut_parts)
+    bags0 = {t: td.bags[t] for t in t0_nodes}
+    for e in frontier:
+        if e in hierarchies:
+            bags0[e[1]] = frozenset().union(*hierarchies[e].hierarchy.ids.values())
+        else:
+            bags0[e[1]] = shortcut_parts[e].reach
+    td0 = td._restricted(bags0, "condensed bags")
     validate_td(g0, td0, "condensed decomposition invalid")
     for e in frontier:
         if td0.adhesion_of(e) != adhesions[e]:
             raise ContractViolation("condensed leaf %s changed its adhesion" % (e,))
     return Condensation(
         g, td, g0, td0, frontier, lf, theta, mf, eps, t0_vertices, frozenset(base), hierarchies, shortcut_parts
-    )
-
-
-def _condensed_decomposition(
-    td: RootedTreeDecomposition,
-    t0_nodes: Tuple[int, ...],
-    frontier: Tuple[TreeEdge, ...],
-    hierarchies: Dict[TreeEdge, HierarchyAttachment],
-    shortcut_parts: Dict[TreeEdge, ShortcutAttachment],
-) -> RootedTreeDecomposition:
-    """td's root side with one leaf per frontier edge, at the edge's child
-    node: what RootedTreeDecomposition(bags0, root-side edges + frontier,
-    td.root) gives, read off td's tree with no search.  Every child of a
-    root-side node is root-side or a frontier child, so a root-side node
-    keeps its children and a leaf has none."""
-    bags0: Dict[int, FrozenSet[int]] = {t: td.bags[t] for t in t0_nodes}
-    parent0: Dict[int, Optional[int]] = {t: td.parent[t] for t in t0_nodes}
-    children0: Dict[int, Tuple[int, ...]] = {t: td.children[t] for t in t0_nodes}
-    for e in frontier:
-        p, c = e
-        if e in hierarchies:
-            bags0[c] = frozenset().union(*hierarchies[e].hierarchy.ids.values())
-        else:
-            bags0[c] = shortcut_parts[e].reach
-        parent0[c] = p
-        children0[c] = ()
-    edges0 = tuple(sorted((parent0[t], t) for t in parent0 if t != td.root))
-    return RootedTreeDecomposition._derived(
-        bags0, parent0, children0, tuple(sorted(parent0)), edges0, td.root
     )
 
 

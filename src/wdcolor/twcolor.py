@@ -70,6 +70,9 @@ from .treedec import (
 
 # -- tree-decomposition search ----------------------------------------------
 
+#: Graphs of at most this many vertices get the exhaustive elimination search.
+EXACT_MAX = 20
+
 
 def _simple_adjacency(g: WeightedGraph) -> Dict[int, Set[int]]:
     adj: Dict[int, Set[int]] = {v: set() for v in g.vertices}
@@ -225,53 +228,29 @@ def _elimination_parents(elim: Dict[int, Set[int]], pos: Dict[int, int]) -> Dict
     return parent
 
 
-def _elimination_decomposition(elim: Dict[int, Set[int]]) -> RootedTreeDecomposition:
-    """Bags {v} + N(v), v in elimination order with N(v) as it was
-    eliminated, each below its parent (_elimination_parents): what
-    RootedTreeDecomposition(bags, parent edges, final vertex) gives, with no
-    adjacency build or search.  Parents eliminated after their children and
-    a single root make the parent links a tree (Bodlaender and Koster,
-    "Treewidth computations I. Upper bounds", 2010), and that is checked
-    here; the decomposition axioms are validate_td's."""
-    pos = {v: i for i, v in enumerate(elim)}
-    parent = _elimination_parents(elim, pos)
-    nodes = tuple(sorted(elim))
-    roots: List[int] = []
-    children: Dict[int, List[int]] = {v: [] for v in elim}
-    for v in nodes:
-        p = parent[v]
-        if p is None:
-            roots.append(v)
-        elif pos.get(p, -1) > pos[v]:
-            children[p].append(v)
-        else:
-            raise ContractViolation("elimination tree: parent %s of %s is not eliminated after it" % (p, v))
-    if len(roots) != 1:
-        raise ContractViolation("elimination tree has %d roots" % len(roots))
-    bags = {v: frozenset({v} | ns) for v, ns in elim.items()}
-    kids = {v: tuple(cs) for v, cs in children.items()}
-    edges = tuple((p, c) for p in nodes for c in kids[p])
-    return RootedTreeDecomposition._derived(bags, parent, kids, nodes, edges, roots[0])
-
-
-def compute_tree_decomposition(
-    g: WeightedGraph,
-    exact_max: int = 20,
-) -> RootedTreeDecomposition:
+def compute_tree_decomposition(g: WeightedGraph) -> RootedTreeDecomposition:
     """Rooted tree decomposition from an elimination order: exhaustive search
-    up to exact_max vertices, min-fill heuristic beyond that.  The bags come
+    up to EXACT_MAX vertices, min-fill heuristic beyond that.  The bags come
     from the min-fill pass; the exhaustive search's order is eliminated once
-    more.  The tree is built in the same pass (_elimination_decomposition),
-    not by the general constructor, and validate_td checks the result."""
+    more.
+
+    Bag {v} + N(v) hangs below its parent (_elimination_parents), which is
+    eliminated after it (Bodlaender and Koster, "Treewidth computations I.
+    Upper bounds", 2010).  So the bags in reverse elimination order come
+    parents first, and the tree is grown in that order
+    (RootedTreeDecomposition._grown), not built by the general
+    constructor; validate_td checks the result."""
     if len(g) == 0:
         return RootedTreeDecomposition({0: ()}, [], 0)
     adj = _simple_adjacency(g)
     elim = _min_fill_order(adj)
-    if len(g) <= exact_max:
+    if len(g) <= EXACT_MAX:
         _, order = _exact_order(adj, list(elim), max(len(ns) for ns in elim.values()))
         work = {v: set(ns) for v, ns in adj.items()}
         elim = {v: _eliminate_in_place(work, v) for v in order}
-    td = _elimination_decomposition(elim)
+    parent = _elimination_parents(elim, {v: i for i, v in enumerate(elim)})
+    bags = {v: frozenset({v} | elim[v]) for v in reversed(elim)}
+    td = RootedTreeDecomposition._grown(bags, parent)
     validate_td(g, td, "elimination decomposition failed validation")
     return td
 
@@ -720,21 +699,14 @@ def _far_side_decomposition(
         return td0._rebagged(bags00)
     # pull the far vertex up to the fresh root; all bags strictly between
     # the root and its holder are empty, so adhesions stay 1
-    dist0 = {td0.root: 0}
     frontier = [td0.root]
     t_far: Optional[int] = None
-    while frontier and t_far is None:
+    while frontier:
         hits = [t for t in frontier if bags00[t]]
         if hits:
             t_far = min(hits)
             break
-        step: List[int] = []
-        for t in frontier:
-            for ch in td0.children[t]:
-                if ch not in dist0:
-                    dist0[ch] = dist0[t] + 1
-                    step.append(ch)
-        frontier = sorted(step)
+        frontier = sorted(ch for t in frontier for ch in td0.children[t])
     if t_far is None:
         raise ContractViolation("%s: no far vertex found outside the ball" % what)
     v0 = min(bags00[t_far])

@@ -1409,13 +1409,14 @@ def reference_condensed_decomposition(cond) -> RootedTreeDecomposition:
 
 
 def reference_component_decomposition(td, comp, what):
-    """treedec.component_decomposition, scanning every node and tree edge."""
+    """One component's cut (treedec.component_decompositions), scanning
+    every node and tree edge."""
     cs = frozenset(comp)
     keep = {t for t in td.nodes if td.bags[t] & cs}
     tops = [t for t in keep if td.parent[t] not in keep]
     if len(tops) != 1:
         raise ContractViolation("%s: component bags do not span a subtree" % what)
-    bags = {t: td.bags[t] & cs for t in keep}
+    bags = {t: td.bags[t] & cs for t in sorted(keep)}
     edges = [(p, ch) for (p, ch) in td.tree_edges if p in keep and ch in keep]
     return RootedTreeDecomposition(bags, edges, tops[0])
 

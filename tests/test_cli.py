@@ -473,6 +473,19 @@ def _gen(capsys, tmp_path, name, argv):
     return prefix
 
 
+def test_gen_without_out_exits_before_it_generates(capsys, monkeypatch):
+    """gen with no --out prefix is refused before any instance is grown."""
+    import wdcolor.cli as cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("generate ran")
+
+    monkeypatch.setattr(cli, "generate", refused)
+    code, out, err = _main(capsys, ["gen", "path", "--n", "5"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": "invalid-input", "message": "gen needs --out PREFIX"}
+
+
 def _run_twice(capsys, tmp_path, argv):
     """Run argv twice; both must exit 0, write the report they print, and
     write the same bytes.  Returns the parsed report."""
@@ -787,18 +800,19 @@ def test_run_tw_rejects_a_repeated_node_id(tmp_path, capsys):
     [
         (["path", "--n", "480"], ["tw"], 0),
         (["grid", "--rows", "30", "--cols", "30"], ["planar", "--rotation", "{}.rotation.json"], 16),
-        (["grid", "--rows", "12", "--cols", "12"], ["layered", "--eps0", "1", "--layers", "{}.layers.json"], 12),
+        (["grid", "--rows", "12", "--cols", "12"], ["layered", "--eps0", "1", "--layers", "{}.layers.json"], 0),
     ],
 )
 def test_a_run_builds_few_decompositions_through_the_constructor(tmp_path, capsys, monkeypatch, family, run, built):
     """A count: the constructor builds only the trees that come from
-    outside a checked tree (a cut of a disconnected piece into its
-    components, a window's cut of the tripod certificate, which itself
-    lists no bags).  An elimination tree is built in its elimination pass,
-    a connected input is colored on its own tree, and each re-rooted tree
-    is derived from the one it re-roots.  Building the elimination tree
-    and a connected input's one component through the constructor gave 2,
-    16 and 20."""
+    outside a checked tree (a window's cut of the tripod certificate,
+    which itself lists no bags).  An elimination tree is grown in its
+    elimination pass, a disconnected level's cut into its components is
+    read off the level's tree, a connected input is colored on its own
+    tree, and each re-rooted tree is derived from the one it re-roots.
+    Building each component's cut through the constructor gave 0, 16 and
+    12; building the elimination tree and a connected input's one
+    component through it too gave 2, 16 and 20."""
     from wdcolor.treedec import RootedTreeDecomposition
 
     g = _gen(capsys, tmp_path, "g", family)

@@ -160,19 +160,19 @@ def test_planar_windows_search_parts_without_copying_them(monkeypatch):
     shortcut parts: `condense` copies no graph (its condensed graph reads
     the base edges off the host), `_control_rec`
     copies no part to search inside it, and each window piece restricts
-    the tripod certificate once.  Copies are `induced` calls, counted by
-    the function that makes them."""
+    the tripod certificate once.  Copies are `induced` calls, a view's
+    too, counted by the function that makes them."""
     import wdcolor.geodesic as geodesic
-    from wdcolor.graph import SubgraphView
 
     copies = {}
-    for cls in (WeightedGraph, SubgraphView):
-        def counted(self, keep, _induced=cls.__dict__["induced"]):
-            caller = sys._getframe(1).f_code.co_name
-            copies[caller] = copies.get(caller, 0) + 1
-            return _induced(self, keep)
+    induced = WeightedGraph.induced
 
-        monkeypatch.setattr(cls, "induced", counted)
+    def counted(self, keep):
+        caller = sys._getframe(1).f_code.co_name
+        copies[caller] = copies.get(caller, 0) + 1
+        return induced(self, keep)
+
+    monkeypatch.setattr(WeightedGraph, "induced", counted)
     condensations, restrictions = [], []
     condense, restrict = geodesic.condense, geodesic._restrict_tripods
 

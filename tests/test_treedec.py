@@ -18,7 +18,6 @@ from wdcolor.treedec import (
     adhesion_hierarchy,
     ball_region,
     SubtreeIndex,
-    component_decomposition,
     component_decompositions,
     con_color_bound,
     condense,
@@ -204,17 +203,19 @@ def test_ball_region_and_its_frontier():
 
 def test_component_decomposition_cuts_bags_and_reroots():
     td = RootedTreeDecomposition({0: {0, 2}, 1: {0, 1}, 2: {2, 3}}, [(0, 1), (0, 2)], 0)
-    sub = component_decomposition(td, [2, 3], "t")
+    sub = next(component_decompositions(td, [[2, 3]], "t"))
     assert sub.root == 0
     assert sub.bags == {0: {2}, 2: {2, 3}}
     with pytest.raises(ContractViolation, match="span a subtree"):
-        component_decomposition(td, [1, 3], "t")
+        next(component_decompositions(td, [[1, 3]], "t"))
 
 
 def _td_fields(td):
+    """Every field, in order but for the parent map, which the constructor
+    lists in search order and a cut in node order."""
     return (
         list(td.bags.items()), td.root, td.nodes, td.tree_edges,
-        list(td.parent.items()), list(td.children.items()),
+        dict(td.parent), list(td.children.items()),
     )
 
 

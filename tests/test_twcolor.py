@@ -88,9 +88,19 @@ def test_td_of_clique():
     assert len(td) >= 1
 
 
+def _td_with_exact_max(g, exact_max):
+    """compute_tree_decomposition with the exhaustive search up to
+    `exact_max` vertices in place of twcolor.EXACT_MAX."""
+    import wdcolor.twcolor as twcolor
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twcolor, "EXACT_MAX", exact_max)
+        return compute_tree_decomposition(g)
+
+
 def test_td_heuristic_beyond_exact_cap():
     g = unit_path(40)
-    td = compute_tree_decomposition(g, exact_max=20)
+    td = compute_tree_decomposition(g)
     assert td.width == 1
     validate_td(g, td, "tw test")
 
@@ -119,8 +129,8 @@ def test_td_random_graphs_valid(g):
 @settings(max_examples=15, deadline=None)
 @given(weighted_graphs(max_n=8, max_extra_edges=10))
 def test_td_exact_never_wider_than_heuristic(g):
-    wide = compute_tree_decomposition(g, exact_max=0).width
-    tight = compute_tree_decomposition(g, exact_max=8).width
+    wide = _td_with_exact_max(g, 0).width
+    tight = _td_with_exact_max(g, 8).width
     assert tight <= wide
 
 
@@ -131,22 +141,45 @@ def test_td_equals_the_second_elimination_reference(g, exact_max):
     one elimination, give the decomposition that eliminating the order a
     second time gave: the same bags, tree edges and root, with n above
     exact_max and at or below it."""
-    td = compute_tree_decomposition(g, exact_max=exact_max)
+    td = _td_with_exact_max(g, exact_max)
     ref = oracles.reference_tree_decomposition(g, exact_max=exact_max)
     assert td.bags == ref.bags and td.tree_edges == ref.tree_edges and td.root == ref.root
+
+
+def test_exact_search_beats_min_fill():
+    """A graph where the exhaustive search improves on the min-fill order:
+    width 5 against min-fill's 6, which networkx's min-fill heuristic also
+    gives."""
+    import networkx as nx
+    from networkx.algorithms.approximation import treewidth_min_fill_in
+
+    from wdcolor.twcolor import _min_fill_order, _simple_adjacency
+
+    edges = [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (0, 8), (1, 3), (1, 5), (1, 8), (1, 9), (2, 4), (2, 5), (2, 6),
+        (2, 8), (2, 9), (3, 4), (3, 7), (4, 5), (4, 7), (4, 9), (5, 6), (5, 9), (6, 7), (7, 8), (8, 9),
+    ]
+    g = WeightedGraph(range(10), [(u, v, 1) for u, v in edges])
+    td = compute_tree_decomposition(g)
+    assert td.width == 5
+    validate_td(g, td, "tw test")
+    assert max(len(ns) for ns in _min_fill_order(_simple_adjacency(g)).values()) == 6
+    assert _td_with_exact_max(g, 0).width == 6
+    assert treewidth_min_fill_in(nx.Graph(edges))[0] == 6
 
 
 @settings(max_examples=80, deadline=None)
 @given(weighted_graphs(max_n=30, max_extra_edges=30, connected=False))
 def test_elimination_tree_is_the_one_the_constructor_builds(g):
-    """The tree `_elimination_decomposition` fills in the elimination pass
-    has every field the general constructor gives the same bags, parent
-    edges and root: bags and children in the same order, and the parent
-    map equal (the constructor lists it in search order, the pass in
+    """The tree compute_tree_decomposition grows from the min-fill order
+    (`RootedTreeDecomposition._grown`, in reverse elimination order) has
+    every field the general constructor gives the same bags, parent edges
+    and root: bags and children in the same order, and the parent map
+    equal (the constructor lists it in search order, the pass in
     elimination order)."""
-    from wdcolor.twcolor import _elimination_decomposition, _min_fill_order, _simple_adjacency
+    from wdcolor.twcolor import _min_fill_order, _simple_adjacency
 
-    td = _elimination_decomposition(_min_fill_order(_simple_adjacency(g)))
+    td = _td_with_exact_max(g, 0)
     ref = RootedTreeDecomposition(td.bags, [(p, c) for c, p in td.parent.items() if p is not None], td.root)
     assert list(td.bags.items()) == list(ref.bags.items())
     assert list(td.children.items()) == list(ref.children.items())
@@ -159,8 +192,9 @@ def test_elimination_tree_is_the_one_the_constructor_builds(g):
 
 @pytest.mark.parametrize("fault", ["backward parent", "second root"])
 def test_elimination_tree_rejects_parents_that_make_no_tree(monkeypatch, fault):
-    """The one property the elimination tree relies on is checked: each
-    parent is eliminated after its child, and exactly one node is a root."""
+    """The one property the elimination tree relies on is checked, by the
+    tree's builder (`RootedTreeDecomposition._grown`): each parent is
+    eliminated after its child, and exactly one node is a root."""
     import wdcolor.twcolor as twcolor
 
     parents = twcolor._elimination_parents
@@ -175,8 +209,10 @@ def test_elimination_tree_rejects_parents_that_make_no_tree(monkeypatch, fault):
         return parent
 
     monkeypatch.setattr(twcolor, "_elimination_parents", broken)
-    with pytest.raises(ContractViolation, match="elimination tree"):
-        compute_tree_decomposition(grid_graph(4, 4), exact_max=0)
+    monkeypatch.setattr(twcolor, "EXACT_MAX", 0)
+    message = "parent .* is not made before it" if fault == "backward parent" else "has 2 roots"
+    with pytest.raises(ContractViolation, match="^grown tree.*" + message):
+        compute_tree_decomposition(grid_graph(4, 4))
 
 
 @pytest.mark.parametrize("spec", [("grid", 0, 2, 0, 12), ("ktree", 300, 3, 1, 0), ("path", 40, 2, 0, 0)])
